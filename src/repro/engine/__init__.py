@@ -10,7 +10,7 @@ applies the direct-local-access optimisation when permitted.
 from repro.engine.layers import ClientLayer, ServerLayer, MetricsLayer
 from repro.engine.capsule import Capsule
 from repro.engine.nucleus import Nucleus
-from repro.engine.channel import Channel, TransportLayer, LocalTransport
+from repro.engine.channel import Channel, TransportLayer
 from repro.engine.dispatcher import Dispatcher
 from repro.engine.binder import Binder, Proxy
 from repro.engine.futures import AsyncInvoker, Future, ReplyRouter
@@ -26,7 +26,6 @@ __all__ = [
     "Nucleus",
     "Channel",
     "TransportLayer",
-    "LocalTransport",
     "Dispatcher",
     "Binder",
     "Proxy",

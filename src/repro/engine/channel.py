@@ -1,22 +1,19 @@
 """Channels: the client-side access path to an interface.
 
 A channel owns the *current* reference to the target (location transparency
-may replace it), a stack of client layers, and a transport.  Two transports
-exist:
-
-* :class:`TransportLayer` — the real thing: marshal into the target's wire
-  format, exchange messages over the simulated network with QoS-driven
-  retries and deadlines.
-* :class:`LocalTransport` — the direct-local-access optimisation of
-  section 4.5: when client and server are co-located (and the constraints
-  allow it) the channel skips marshalling and the network entirely and
-  calls straight into the server capsule — which still runs the server-side
-  stack, so guards and concurrency control are never bypassed.
+may replace it), a stack of client layers, and a :class:`TransportLayer`:
+marshal into the target's wire format, exchange messages over the simulated
+network with QoS-driven retries and deadlines.  The transport also carries
+the direct-local-access optimisation of section 4.5: when client and server
+are co-located (and the constraints allow it) it skips marshalling and the
+network entirely and calls straight into the server capsule — which still
+runs the server-side stack, so guards and concurrency control are never
+bypassed.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.comp.invocation import (
     Invocation,
@@ -27,28 +24,25 @@ from repro.comp.invocation import (
 from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.engine.layers import compose_client
-from repro.engine.nucleus import FORMAT_ERROR_REPLY, Nucleus
-from repro.engine.wire_errors import raise_error
+from repro.engine.nucleus import Nucleus
+from repro.engine.remote import decode_reply, inv_object
 from repro.errors import (
     BindingError,
     CommunicationError,
     DeadlineExceededError,
-    MarshalError,
-    MessageLostError,
     NodeUnreachableError,
     ProtocolMismatchError,
-    ServerBusyError,
 )
-from repro.errors import RetryBudgetExhaustedError
 from repro.ndr.formats import get_format, zero_copy_enabled
 from repro.ndr.plancache import PlanCache
-from repro.overload.deadline import (
-    DEADLINE_KEY,
-    DEFAULT_PRIORITY,
-    PRIORITY_KEY,
-    deadline_of,
+from repro.overload.deadline import deadline_of, earliest_deadline, stamp
+from repro.resilience.breaker import NO_BREAKER
+from repro.resilience.retry import (
+    RetryGate,
+    RetryPolicy,
+    Verdict,
+    classify,
 )
-from repro.resilience.retry import RetryPolicy
 from repro.trace.context import current_trace
 from repro.trace.span import NULL_SPAN
 
@@ -112,17 +106,9 @@ class Channel:
         # deadline and any non-default priority into the context, so
         # every hop — and the server's arrival gate — sees the budget
         # the client actually has left, not a fresh per-hop allowance.
-        # Existing stamps win: a nested call inherits its caller's
-        # (tighter) deadline rather than restarting the clock.
         if self.client_nucleus.deadline_propagation:
-            extra = context.extra
-            if qos.deadline_ms is not None and DEADLINE_KEY not in extra:
-                extra[DEADLINE_KEY] = \
-                    self.client_nucleus.network.scheduler.now + \
-                    qos.deadline_ms
-            if qos.priority != DEFAULT_PRIORITY \
-                    and PRIORITY_KEY not in extra:
-                extra[PRIORITY_KEY] = qos.priority
+            stamp(context.extra, qos,
+                  self.client_nucleus.network.scheduler.now)
 
         # Trace allocation at the client stub (section 7.4): join the
         # ambient trace when this call is nested inside a dispatch,
@@ -163,35 +149,31 @@ class Channel:
         return termination
 
 
-class LocalTransport:
-    """Direct dispatch into a co-located server capsule."""
+class _Discipline(NamedTuple):
+    """How hard a transport tries — the one value ``resilience_enabled``
+    selects, so the send path itself never asks which arm it is on."""
 
-    name = "local"
+    #: QoS -> the RetryPolicy the attempt loop runs under.
+    policy_of: Callable[[QoS], RetryPolicy]
+    #: (nucleus, path) -> the breaker guarding that path.
+    breaker_of: Callable
+    #: How many of the reference's access paths may be tried.
+    max_paths: Optional[int]
+    #: Whether requests carry the invocation id server-side dedup needs.
+    inv_ids: bool
 
-    def __init__(self, server_capsule, scheduler) -> None:
-        self.server_capsule = server_capsule
-        self.scheduler = scheduler
-        self.channel: Optional[Channel] = None
 
-    def attach(self, channel: Channel) -> None:
-        self.channel = channel
-
-    def send(self, invocation: Invocation) -> Optional[Termination]:
-        # Refresh identity in case a layer above rebound the channel.
-        invocation.interface_id = self.channel.ref.interface_id
-        invocation.epoch = self.channel.ref.epoch
-        if invocation.kind == InvocationKind.ANNOUNCEMENT:
-            self.scheduler.after(
-                0.0, lambda: self._announce(invocation),
-                label=f"local-announce:{invocation.operation}")
-            return None
-        return self.server_capsule.dispatch(invocation)
-
-    def _announce(self, invocation: Invocation) -> None:
-        try:
-            self.server_capsule.dispatch(invocation)
-        except Exception:  # announcements cannot report failure
-            pass
+#: Exponential jittered back-off, breakers, failover across every path,
+#: exactly-once via the server's reply cache.
+_RESILIENT = _Discipline(
+    RetryPolicy.from_qos,
+    lambda nucleus, path: nucleus.breakers.breaker_for(path.node,
+                                                       path.protocol),
+    None, True)
+#: The naive at-least-once transport, kept for A/B measurement (C16):
+#: fixed delay, first path only, no breaker, no dedup.
+_LEGACY = _Discipline(RetryPolicy.fixed,
+                      lambda nucleus, path: NO_BREAKER, 1, False)
 
 
 class TransportLayer:
@@ -204,6 +186,9 @@ class TransportLayer:
     selection, exhausting one path's retries fails over to the next
     path, and every invocation carries a unique id so the server's reply
     cache can deduplicate retransmissions (exactly-once execution).
+    What an error means for the loop is read from the classification
+    table in :mod:`repro.resilience.retry`; each attempt is admitted by
+    a :class:`~repro.resilience.retry.RetryGate`.
     ``resilience_enabled = False`` reverts to the naive at-least-once
     transport (fixed delay, no failover, no dedup) for A/B measurement.
     """
@@ -220,7 +205,7 @@ class TransportLayer:
         #: marshalling and the network.  Disable to force the full path.
         self.allow_local = allow_local
         self.channel: Optional[Channel] = None
-        self.resilience_enabled = True
+        self._discipline = _RESILIENT
         self._retry_rng = client_nucleus.network.rng.fork(
             f"retry:{client_nucleus.node_address}:{client_capsule.name}")
         self.messages_sent = 0
@@ -238,6 +223,14 @@ class TransportLayer:
         #: valid only for the reference it was computed against.
         self._path_cache: dict = {}
         self._path_cache_ref: Optional[InterfaceRef] = None
+
+    @property
+    def resilience_enabled(self) -> bool:
+        return self._discipline is _RESILIENT
+
+    @resilience_enabled.setter
+    def resilience_enabled(self, enabled: bool) -> None:
+        self._discipline = _RESILIENT if enabled else _LEGACY
 
     def attach(self, channel: Channel) -> None:
         self.channel = channel
@@ -274,64 +267,34 @@ class TransportLayer:
         self._path_cache[qos.protocol] = paths
         return paths
 
-    # -- encode/decode ------------------------------------------------------------
+    # -- encode ---------------------------------------------------------------
 
     def _encode(self, invocation: Invocation, path: AccessPath) -> bytes:
         wire = get_format(path.wire_format)
         marshaller = self.nucleus.marshaller_for(self.capsule)
+        inv_id = None
+        if self._discipline.inv_ids and invocation.invocation_id:
+            inv_id = invocation.invocation_id
+        if not self.plan_cache.enabled:
+            return wire.dumps({
+                "capsule": path.capsule,
+                "inv": inv_object(
+                    marshaller, invocation.interface_id,
+                    invocation.operation, invocation.args,
+                    invocation.kind.value, invocation.epoch,
+                    invocation.context, inv_id)})
         args_obj = marshaller.marshal_args(invocation.args)
-        # The invocation id is what makes server-side dedup possible;
-        # the legacy transport omits it and is therefore at-least-once.
-        has_inv_id = bool(self.resilience_enabled
-                          and invocation.invocation_id)
-        if self.plan_cache.enabled:
-            plan = self.plan_cache.plan_for(
-                wire, path.capsule, invocation.interface_id,
-                invocation.operation, invocation.kind.value,
-                invocation.epoch, has_inv_id)
-            if zero_copy_enabled():
-                # One-buffer assembly; the context is written straight
-                # from its fields, skipping encode_context's dict.
-                return plan.encode_request(
-                    args_obj, invocation.context,
-                    invocation.invocation_id if has_inv_id else None)
-            member = plan.encode_member(
-                args_obj, Nucleus.encode_context(invocation.context),
-                invocation.invocation_id if has_inv_id else None)
-            return plan.encode_single(member)
-        ctx_obj = Nucleus.encode_context(invocation.context)
-        envelope = {
-            "capsule": path.capsule,
-            "inv": {
-                "id": invocation.interface_id,
-                "op": invocation.operation,
-                "args": args_obj,
-                "kind": invocation.kind.value,
-                "epoch": invocation.epoch,
-                "ctx": ctx_obj,
-            },
-        }
-        if has_inv_id:
-            envelope["inv"]["inv_id"] = invocation.invocation_id
-        return wire.dumps(envelope)
-
-    def _decode_reply(self, payload: bytes,
-                      path: AccessPath) -> Termination:
-        if payload == FORMAT_ERROR_REPLY:
-            raise ProtocolMismatchError(
-                f"node {path.node} could not decode our "
-                f"{path.wire_format!r} message")
-        wire = get_format(path.wire_format)
-        try:
-            reply = wire.loads(payload)
-        except MarshalError as exc:
-            raise ProtocolMismatchError(
-                f"reply from {path.node} not in {path.wire_format!r}: "
-                f"{exc}") from exc
-        marshaller = self.nucleus.marshaller_for(self.capsule)
-        if "error" in reply:
-            raise_error(reply["error"], marshaller)
-        return marshaller.unmarshal(reply["term"])
+        plan = self.plan_cache.plan_for(
+            wire, path.capsule, invocation.interface_id,
+            invocation.operation, invocation.kind.value,
+            invocation.epoch, inv_id is not None)
+        if zero_copy_enabled():
+            # One-buffer assembly; the context is written straight
+            # from its fields, skipping encode_context's dict.
+            return plan.encode_request(args_obj, invocation.context,
+                                       inv_id)
+        return plan.encode_single(plan.encode_member(
+            args_obj, Nucleus.encode_context(invocation.context), inv_id))
 
     # -- the exchange -----------------------------------------------------------
 
@@ -393,9 +356,8 @@ class TransportLayer:
     def _send(self, invocation: Invocation,
               parent_ctx) -> Optional[Termination]:
         qos = invocation.qos
-        tracer = self.nucleus.tracer
         # One cheap verdict up front: when the carried trace is absent
-        # or unsampled, the whole loop below skips tag/span building.
+        # or unsampled, everything below skips tag/span building.
         traced = parent_ctx is not None and parent_ctx.sampled
         if self.allow_local and self.channel.ref.paths:
             local = self._try_local(invocation)
@@ -404,200 +366,163 @@ class TransportLayer:
                     return None
                 return local
         if invocation.kind == InvocationKind.ANNOUNCEMENT:
-            path = self._select_path(qos)[0]
-            span = NULL_SPAN
-            if traced:
-                span = tracer.span(
-                    "transport.post", "transport", parent_ctx,
-                    node=self.nucleus.node_address,
-                    tags={"to": path.node})
-            if span is not NULL_SPAN:
-                invocation.context.trace = span.context
-            self.network.post(self.nucleus.node_address, path.node,
-                              self._encode(invocation, path), kind="invoke")
-            self.messages_sent += 1
-            span.finish()
-            return None
+            return self._post(invocation, parent_ctx, traced)
 
-        started = self.network.scheduler.now
-        deadline = (None if qos.deadline_ms is None
-                    else started + qos.deadline_ms)
+        discipline = self._discipline
+        policy = discipline.policy_of(qos)
         # A propagated deadline (stamped by this or an upstream client)
         # caps the local QoS allowance: no retry loop may run past it.
-        ctx_deadline = deadline_of(invocation.context.extra)
-        if ctx_deadline is not None and (deadline is None
-                                         or ctx_deadline < deadline):
-            deadline = ctx_deadline
-        budgets = self.nucleus.retry_budgets
-        resilient = self.resilience_enabled
-        policy = RetryPolicy.from_qos(qos) if resilient else None
-        stats = self.nucleus.resilience
-        paths = self._select_path(qos)
-        last_unreachable: Optional[Exception] = None
-        last_lost: Optional[Exception] = None
-
+        gate = RetryGate(
+            self.nucleus, "invoke", invocation.operation,
+            earliest_deadline(qos, self.network.scheduler.now,
+                              deadline_of(invocation.context.extra)),
+            expiry=DeadlineExceededError, inclusive=True)
+        paths = self._select_path(qos)[:discipline.max_paths]
+        #: The last loss and the last dead path seen on any path.
+        failed: Dict[Verdict, Exception] = {}
         for index, path in enumerate(paths):
-            breaker = (self.nucleus.breakers.breaker_for(
-                path.node, path.protocol) if resilient else None)
-            if breaker is not None and not breaker.allow():
-                stats.breaker_short_circuits += 1
+            breaker = discipline.breaker_of(self.nucleus, path)
+            if not breaker.allow():
+                self.nucleus.resilience.breaker_short_circuits += 1
                 if traced:
-                    tracer.span(
+                    self.nucleus.tracer.span(
                         "resilience.breaker", "resilience", parent_ctx,
                         node=self.nucleus.node_address,
                         tags={"path": f"{path.node}/{path.protocol}"},
                     ).finish(status="rejected")
-                if last_unreachable is None:
-                    last_unreachable = NodeUnreachableError(
+                failed.setdefault(
+                    Verdict.NEXT_TARGET, NodeUnreachableError(
                         f"{invocation.operation}: circuit open for "
-                        f"{path.node}/{path.protocol}")
+                        f"{path.node}/{path.protocol}"))
                 continue
-            budgets.note_first(path.node, "invoke")
-            attempts = policy.max_attempts if policy else qos.retries + 1
-            for attempt in range(attempts):
-                if deadline is not None and \
-                        self.network.scheduler.now >= deadline:
-                    raise DeadlineExceededError(
-                        f"{invocation.operation}: deadline "
-                        f"{qos.deadline_ms}ms exceeded before completion")
-                net_span = NULL_SPAN
-                try:
-                    # One span per network attempt, opened before
-                    # marshalling so the envelope carries *its* context:
-                    # the server span on the far side then nests under
-                    # the network leg.  Retries show up as sibling
-                    # net.request spans with increasing attempt tags.
-                    if traced:
-                        net_span = tracer.span(
-                            "net.request", "net", parent_ctx,
-                            node=self.nucleus.node_address,
-                            tags={"to": path.node, "attempt": attempt,
-                                  "protocol": path.protocol})
-                        if net_span is not NULL_SPAN:
-                            invocation.context.trace = net_span
-                    marshal_span = NULL_SPAN
-                    if traced and tracer.verbose:
-                        marshal_span = tracer.span(
-                            "ndr.marshal", "ndr", parent_ctx,
-                            node=self.nucleus.node_address,
-                            tags={"format": path.wire_format})
-                    payload = self._encode(invocation, path)
-                    if marshal_span is not NULL_SPAN:
-                        marshal_span.tag("bytes", len(payload)).finish()
-                    self.messages_sent += 1
-                    reply = self.network.request(
-                        self.nucleus.node_address, path.node, payload,
-                        protocol=path.protocol)
+            termination = self._on_path(invocation, path, policy, gate,
+                                        breaker, failed, parent_ctx,
+                                        traced)
+            if termination is not None:
+                return termination
+            if index + 1 < len(paths):
+                self.nucleus.resilience.path_failovers += 1
+                self.path_failovers += 1
+        raise (failed.get(Verdict.RETRY_HERE)
+               or failed.get(Verdict.NEXT_TARGET)
+               or CommunicationError(
+                   f"{invocation.operation}: all access paths failed"))
+
+    def _post(self, invocation: Invocation, parent_ctx,
+              traced: bool) -> None:
+        """One-way send of an announcement down the first path."""
+        path = self._select_path(invocation.qos)[0]
+        span = NULL_SPAN
+        if traced:
+            span = self.nucleus.tracer.span(
+                "transport.post", "transport", parent_ctx,
+                node=self.nucleus.node_address,
+                tags={"to": path.node})
+        if span is not NULL_SPAN:
+            invocation.context.trace = span.context
+        self.network.post(self.nucleus.node_address, path.node,
+                          self._encode(invocation, path), kind="invoke")
+        self.messages_sent += 1
+        span.finish()
+
+    def _on_path(self, invocation: Invocation, path: AccessPath,
+                 policy: RetryPolicy, gate: RetryGate, breaker,
+                 failed: Dict[Verdict, Exception], parent_ctx,
+                 traced: bool) -> Optional[Termination]:
+        """The attempts one access path gets; ``None`` once the path is
+        spent (dead, or lossy to the last attempt) and the next one
+        should be tried — the error is left in *failed*."""
+        tracer = self.nucleus.tracer
+        gate.first(path.node)
+        for attempt in range(policy.max_attempts):
+            gate.check("before completion")
+            net_span = NULL_SPAN
+            try:
+                # One span per network attempt, opened before
+                # marshalling so the envelope carries *its* context:
+                # the server span on the far side then nests under
+                # the network leg.  Retries show up as sibling
+                # net.request spans with increasing attempt tags.
+                if traced:
+                    net_span = tracer.span(
+                        "net.request", "net", parent_ctx,
+                        node=self.nucleus.node_address,
+                        tags={"to": path.node, "attempt": attempt,
+                              "protocol": path.protocol})
                     if net_span is not NULL_SPAN:
-                        transit = self.network.last_transit
-                        tags = net_span.tags
-                        tags["out_ms"] = transit.out_ms
-                        tags["back_ms"] = transit.back_ms
-                        tags["bytes_back"] = transit.bytes_back
-                        net_span.finish()
-                    unmarshal_span = NULL_SPAN
-                    if traced and tracer.verbose:
-                        unmarshal_span = tracer.span(
-                            "ndr.unmarshal", "ndr", parent_ctx,
-                            node=self.nucleus.node_address,
-                            tags={"format": path.wire_format})
-                    termination = self._decode_reply(reply, path)
-                    if unmarshal_span is not NULL_SPAN:
-                        unmarshal_span.finish()
-                    if breaker is not None:
-                        breaker.record_success()
-                    if deadline is not None and \
-                            self.network.scheduler.now >= deadline:
-                        raise DeadlineExceededError(
-                            f"{invocation.operation}: reply arrived after "
-                            f"the {qos.deadline_ms}ms deadline")
-                    return termination
-                except MessageLostError as exc:
+                        invocation.context.trace = net_span
+                termination = self._exchange(
+                    invocation, path, net_span, parent_ctx,
+                    traced and tracer.verbose)
+                breaker.record_success()
+                gate.check("before the reply arrived")
+                return termination
+            except Exception as exc:
+                rule = classify(exc)
+                cause = {}
+                if rule.breaker:
+                    net_span.tag("error", type(exc).__name__) \
+                        .finish(status="unreachable")
+                    breaker.record_failure()
+                    failed[Verdict.NEXT_TARGET] = exc
+                    return None
+                if rule.verdict is Verdict.RETRY_HERE:
                     net_span.finish(status="lost")
                     self.retries += 1
-                    stats.retries += 1
-                    last_lost = exc
-                    if attempt + 1 >= attempts:
-                        if not resilient:
-                            raise  # legacy: no failing over to other paths
-                        break
-                    if not budgets.try_spend(path.node, "invoke"):
-                        # Retry budget dry: suppress the retransmission.
-                        # Retryable-later like a busy shed — and like
-                        # one, never a breaker/failover signal.
-                        raise RetryBudgetExhaustedError(
-                            f"{invocation.operation}: retry budget for "
-                            f"{path.node}/invoke exhausted") from exc
-                    if policy is not None:
-                        delay = policy.delay_ms(attempt, self._retry_rng)
-                        if deadline is not None:
-                            # Never advance the clock past the deadline
-                            # only to raise afterwards.
-                            delay = min(delay, max(
-                                0.0,
-                                deadline - self.network.scheduler.now))
-                        self.backoff_wait_ms += delay
-                        stats.backoff_wait_ms += delay
-                    else:
-                        delay = qos.retry_delay_ms
-                    backoff_span = NULL_SPAN
-                    if traced:
-                        backoff_span = tracer.span(
-                            "resilience.backoff", "resilience", parent_ctx,
-                            node=self.nucleus.node_address,
-                            tags={"delay_ms": delay})
-                    self.network.scheduler.clock.advance(delay)
-                    backoff_span.finish()
-                except NodeUnreachableError as exc:
-                    net_span.tag(
-                        "error", type(exc).__name__
-                    ).finish(status="unreachable")
-                    if breaker is not None:
-                        breaker.record_failure()
-                    last_unreachable = exc
-                    break  # try the next access path
-                except ServerBusyError:
-                    # The server shed the invocation *before* executing
-                    # it — retrying is always safe, and since overload
-                    # is a property of the server rather than the path,
-                    # failing over to a sibling path of the same target
-                    # would not help: back off and retry here instead.
-                    # Not a breaker signal — the server answered.
+                    failed[Verdict.RETRY_HERE] = exc
+                elif rule.verdict is Verdict.RETRY_LATER:
+                    # Shed *before* executing — retrying is always
+                    # safe, and overload is a property of the server
+                    # rather than the path: back off and retry here,
+                    # and never fail over on it.
                     self.busy_retries += 1
-                    stats.retries += 1
-                    if not resilient or attempt + 1 >= attempts:
-                        raise
-                    if not budgets.try_spend(path.node, "invoke"):
-                        raise RetryBudgetExhaustedError(
-                            f"{invocation.operation}: retry budget for "
-                            f"{path.node}/invoke exhausted while server "
-                            f"busy")
-                    delay = policy.delay_ms(attempt, self._retry_rng)
-                    if deadline is not None:
-                        delay = min(delay, max(
-                            0.0,
-                            deadline - self.network.scheduler.now))
-                    self.backoff_wait_ms += delay
-                    stats.backoff_wait_ms += delay
-                    backoff_span = NULL_SPAN
-                    if traced:
-                        backoff_span = tracer.span(
-                            "resilience.backoff", "resilience",
-                            parent_ctx,
-                            node=self.nucleus.node_address,
-                            tags={"delay_ms": delay, "cause": "busy"})
-                    self.network.scheduler.clock.advance(delay)
-                    backoff_span.finish()
-                except Exception as exc:
-                    net_span.tag(
-                        "error", type(exc).__name__).finish(status="error")
+                    cause = {"cause": "busy"}
+                else:
+                    net_span.tag("error", type(exc).__name__) \
+                        .finish(status="error")
                     raise
-            if index + 1 < len(paths):
-                stats.path_failovers += 1
-                self.path_failovers += 1
-        if last_lost is not None:
-            raise last_lost
-        if last_unreachable is not None:
-            raise last_unreachable
-        raise CommunicationError(
-            f"{invocation.operation}: all access paths failed")
+                self.nucleus.resilience.retries += 1
+                if attempt + 1 >= policy.max_attempts:
+                    if rule.verdict is Verdict.RETRY_LATER:
+                        raise
+                    return None
+                gate.spend(path.node)
+                self.backoff_wait_ms += gate.back_off(
+                    policy, attempt, self._retry_rng,
+                    parent_ctx if traced else None, **cause)
+
+    def _exchange(self, invocation: Invocation, path: AccessPath,
+                  net_span, parent_ctx, verbose: bool) -> Termination:
+        """One marshalled round trip down *path*."""
+        marshal_span = unmarshal_span = NULL_SPAN
+        if verbose:
+            tracer = self.nucleus.tracer
+            marshal_span = tracer.span(
+                "ndr.marshal", "ndr", parent_ctx,
+                node=self.nucleus.node_address,
+                tags={"format": path.wire_format})
+        payload = self._encode(invocation, path)
+        if verbose:
+            marshal_span.tag("bytes", len(payload)).finish()
+        self.messages_sent += 1
+        reply = self.network.request(
+            self.nucleus.node_address, path.node, payload,
+            protocol=path.protocol)
+        if net_span is not NULL_SPAN:
+            transit = self.network.last_transit
+            tags = net_span.tags
+            tags["out_ms"] = transit.out_ms
+            tags["back_ms"] = transit.back_ms
+            tags["bytes_back"] = transit.bytes_back
+            net_span.finish()
+        if verbose:
+            unmarshal_span = tracer.span(
+                "ndr.unmarshal", "ndr", parent_ctx,
+                node=self.nucleus.node_address,
+                tags={"format": path.wire_format})
+        termination = decode_reply(
+            get_format(path.wire_format), reply,
+            self.nucleus.marshaller_for(self.capsule), path.node)
+        if verbose:
+            unmarshal_span.finish()
+        return termination

@@ -30,7 +30,7 @@ from repro.comp.outcomes import Termination
 from repro.comp.reference import InterfaceRef
 from repro.engine.binder import unpack_termination
 from repro.engine.nucleus import Nucleus
-from repro.engine.wire_errors import raise_error
+from repro.engine.remote import inv_object, termination_of
 from repro.errors import (
     DeadlineExceededError,
     MarshalError,
@@ -139,13 +139,13 @@ class ReplyRouter:
             return
         future, capsule = entry
         marshaller = self.nucleus.marshaller_for(capsule)
-        if "error" in reply:
-            try:
-                raise_error(reply["error"], marshaller)
-            except OdpError as exc:
-                future._fail(exc)
+        try:
+            termination = termination_of(reply, marshaller,
+                                         message.source)
+        except OdpError as exc:
+            future._fail(exc)
             return
-        future._resolve(marshaller.unmarshal(reply["term"]))
+        future._resolve(termination)
 
     def timeout(self, future: Future, deadline_ms: float) -> None:
         def expire() -> None:
@@ -187,14 +187,8 @@ class AsyncInvoker:
             "capsule": path.capsule,
             "call_id": future.call_id,
             "reply_to": self.nucleus.node_address,
-            "inv": {
-                "id": ref.interface_id,
-                "op": operation,
-                "args": marshaller.marshal_args(args),
-                "kind": "interrogation",
-                "epoch": ref.epoch,
-                "ctx": Nucleus.encode_context(context),
-            },
+            "inv": inv_object(marshaller, ref.interface_id, operation,
+                              args, "interrogation", ref.epoch, context),
         }
         self.nucleus.network.post(self.nucleus.node_address, path.node,
                                   wire.dumps(envelope), kind="ainvoke")

@@ -10,7 +10,7 @@ stacks at export time.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Mapping, Optional
 
 from repro.comp.invocation import (
     Invocation,
@@ -41,6 +41,18 @@ from repro.trace.span import NULL_SPAN
 
 #: Sentinel reply for undecodable requests (wire-format mismatch).
 FORMAT_ERROR_REPLY = b"!FORMAT-MISMATCH"
+
+#: What reading a decodable-but-misshapen envelope raises: a missing
+#: key, a scalar where an object or list belongs, an unparsable stamp.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+#: Stands in for an absent ``ctx`` / ``extra`` object; never written.
+_NO_CTX: Mapping[str, Any] = {}
+
+
+def _malformed(what: str) -> Dict[str, Any]:
+    """The error reply to a request whose structure cannot be served."""
+    return {"error": {"code": "marshal", "msg": what}}
 
 
 class Nucleus:
@@ -171,35 +183,50 @@ class Nucleus:
             self.domain.notice_export(self, capsule, interface, ref)
 
     # -- wire handling -------------------------------------------------------------
+    #
+    # Every inbound kind takes the same road: a *gate* (_arrive: dedup,
+    # arrival deadline, admission verdict; _serve: queue wait,
+    # post-queue deadline) and one *execute* step (_execute).  A single
+    # request is that road once; a batch is a map over its members with
+    # every verdict taken at the batch's arrival instant; the one-way
+    # kinds have nobody to report a shed to, so they skip the gate.
 
-    def _decode_invocation(self, capsule: Capsule,
+    def decode_invocation(self, capsule: Capsule,
                            obj: Dict[str, Any]) -> Invocation:
         marshaller = self.marshaller_for(capsule)
-        ctx_obj = obj.get("ctx", {})
-        # The decoded tree is freshly built by ``loads`` and owned by
-        # this invocation alone, so its dicts are adopted as-is — no
-        # defensive copies on the decode path.
-        credentials = ctx_obj.get("credentials")
-        extra = ctx_obj.get("extra")
-        context = InvocationContext(
-            principal=ctx_obj.get("principal"),
-            credentials={} if credentials is None else credentials,
-            transaction_id=ctx_obj.get("transaction_id"),
-            origin_domain=ctx_obj.get("origin_domain"),
-            via_domains=tuple(ctx_obj.get("via_domains", ())),
-            extra={} if extra is None else extra,
-        )
-        return Invocation(
-            interface_id=obj["id"],
-            operation=obj["op"],
-            args=marshaller.unmarshal_args(obj.get("args", [])),
-            kind=(InvocationKind.ANNOUNCEMENT
-                  if obj.get("kind") == "announcement"
-                  else InvocationKind.INTERROGATION),
-            context=context,
-            epoch=obj.get("epoch", 0),
-            invocation_id=obj.get("inv_id", ""),
-        )
+        try:
+            ctx_obj = obj.get("ctx", {})
+            # The decoded tree is freshly built by ``loads`` and owned
+            # by this invocation alone, so its dicts are adopted as-is —
+            # no defensive copies on the decode path.
+            credentials = ctx_obj.get("credentials") or {}
+            extra = ctx_obj.get("extra") or {}
+            if type(credentials) is not dict or type(extra) is not dict:
+                raise TypeError("context credentials/extra not objects")
+            context = InvocationContext(
+                principal=ctx_obj.get("principal"),
+                credentials=credentials,
+                transaction_id=ctx_obj.get("transaction_id"),
+                origin_domain=ctx_obj.get("origin_domain"),
+                via_domains=tuple(ctx_obj.get("via_domains", ())),
+                extra=extra,
+            )
+            return Invocation(
+                interface_id=obj["id"],
+                operation=obj["op"],
+                args=marshaller.unmarshal_args(obj.get("args", [])),
+                kind=(InvocationKind.ANNOUNCEMENT
+                      if obj.get("kind") == "announcement"
+                      else InvocationKind.INTERROGATION),
+                context=context,
+                epoch=obj.get("epoch", 0),
+                invocation_id=obj.get("inv_id", ""),
+            )
+        except _MALFORMED as exc:
+            # Decodable bytes, wrong shape: a typed wire error, never a
+            # crash in whoever called Network.request.
+            raise MarshalError(
+                f"malformed invocation object: {exc!r}") from exc
 
     @staticmethod
     def encode_context(context: InvocationContext) -> Dict[str, Any]:
@@ -216,61 +243,44 @@ class Nucleus:
             encoded["trace"] = trace.to_wire()
         return encoded
 
-    @staticmethod
-    def _wire_trace(envelope: Dict[str, Any]):
-        """Extract the caller's trace position from a request envelope."""
-        inv_obj = envelope.get("inv")
-        if not isinstance(inv_obj, dict):
-            fed = envelope.get("fedfwd")
-            inv_obj = fed.get("inv") if isinstance(fed, dict) else None
-        if not isinstance(inv_obj, dict):
-            return None, "request"
-        ctx_obj = inv_obj.get("ctx")
-        trace = (TraceContext.from_wire(ctx_obj.get("trace"))
-                 if isinstance(ctx_obj, dict) else None)
-        return trace, inv_obj.get("op", "request")
+    def _server_span(self, obj: Any, tags: Dict[str, Any]):
+        """Open the server span an invocation object's carried trace
+        asks for; returns ``(span, wire trace context)``."""
+        try:
+            trace_ctx = TraceContext.from_wire(obj["ctx"].get("trace"))
+        except _MALFORMED:
+            trace_ctx = None
+        if trace_ctx is None:
+            return NULL_SPAN, None
+        return self.tracer.span(
+            f"server:{obj.get('op', 'request')}", "server", trace_ctx,
+            node=self.node.address, tags=tags), trace_ctx
 
     def _handle_request(self, source: str, payload: bytes) -> bytes:
         try:
             envelope = self.wire.loads(payload)
         except MarshalError:
             return FORMAT_ERROR_REPLY
-
+        if not isinstance(envelope, dict):
+            return self.wire.dumps(_malformed("request is not an object"))
         if "batch" in envelope:
             return self._handle_batch(source, envelope)
 
-        span = NULL_SPAN
-        trace_ctx = None
+        inv_obj = envelope.get("inv")
+        span, trace_ctx = NULL_SPAN, None
         if b"trace" in payload:  # cheap pre-filter: no trace, no spans
-            trace_ctx, op = self._wire_trace(envelope)
-            if trace_ctx is not None:
-                span = self.tracer.span(f"server:{op}", "server",
-                                        trace_ctx,
-                                        node=self.node.address,
-                                        tags={"from": source})
+            traced = inv_obj
+            if traced is None and isinstance(envelope.get("fedfwd"), dict):
+                traced = envelope["fedfwd"].get("inv")
+            span, trace_ctx = self._server_span(traced, {"from": source})
 
         self.requests_handled += 1
         self.network.scheduler.clock.advance(self._processing_charge())
 
-        # Retransmission of an invocation we already executed?  Answer
-        # from the reply cache instead of dispatching twice.
-        inv_obj = envelope.get("inv")
-        invocation_id = (inv_obj.get("inv_id", "")
-                         if isinstance(inv_obj, dict) else "")
-        if invocation_id:
-            cached = self.reply_cache.lookup(invocation_id)
-            if cached is not None:
-                span.tag("reply_cache", "hit").finish()
-                return cached
-
-        capsule = self.capsules.get(envelope.get("capsule", ""))
+        capsule = self._capsule_of(envelope)
         if capsule is None:
-            reply = {"error": {"code": "stale",
-                               "msg": f"no capsule "
-                                      f"{envelope.get('capsule')!r} on "
-                                      f"{self.node.address}"}}
             span.tag("error", "stale").finish(status="error")
-            return self.wire.dumps(reply)
+            return self.wire.dumps(self._no_capsule(envelope))
 
         if "txctl" in envelope:
             reply = self._handle_txctl(capsule, envelope["txctl"])
@@ -278,60 +288,157 @@ class Nucleus:
             return self.wire.dumps(reply)
 
         if "fedfwd" in envelope:
-            if self.domain is None:
-                reply = {"error": {"code": "federation",
-                                   "msg": "node belongs to no domain"}}
-            else:
-                fed = envelope["fedfwd"]
-                if span.span is not None:
-                    # Re-parent the forwarded trail under our span, so
-                    # the gateway's own span nests causally beneath it.
-                    fed["inv"].setdefault("ctx", {})["trace"] = \
-                        span.context.to_wire()
-                reply = self.domain.handle_fedfwd(self, capsule, fed)
+            reply = self._handle_fedfwd(capsule, envelope["fedfwd"], span)
             span.finish("error" if "error" in reply else "ok")
             return self.wire.dumps(reply)
 
+        arrival = self._arrive(inv_obj)
+        if arrival[0] == "cached":
+            span.tag("reply_cache", "hit").finish()
+            return arrival[1]
+        reply, encoded = self._serve(capsule, inv_obj, arrival, span,
+                                     trace_ctx)
+        return self.wire.dumps(reply) if encoded is None else encoded
+
+    def _capsule_of(self, envelope: Dict[str, Any]) -> Optional[Capsule]:
+        try:
+            return self.capsules.get(envelope.get("capsule", ""))
+        except TypeError:  # an unhashable name names no capsule
+            return None
+
+    def _no_capsule(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
+        return {"error": {"code": "stale",
+                          "msg": f"no capsule "
+                                 f"{envelope.get('capsule')!r} on "
+                                 f"{self.node.address}"}}
+
+    def _handle_fedfwd(self, capsule: Capsule, fed: Any,
+                       span) -> Dict[str, Any]:
+        """A cross-domain invocation forwarded to this gateway node."""
+        if self.domain is None:
+            return {"error": {"code": "federation",
+                              "msg": "node belongs to no domain"}}
+        if not (isinstance(fed, dict) and isinstance(fed.get("inv"), dict)):
+            return _malformed("fedfwd carries no invocation object")
+        if span.span is not None:
+            # Re-parent the forwarded trail under our span, so the
+            # gateway's own span nests causally beneath it.
+            fed["inv"].setdefault("ctx", {})["trace"] = \
+                span.context.to_wire()
+        return self.domain.handle_fedfwd(self, capsule, fed)
+
+    # -- the gate ------------------------------------------------------------
+
+    def _processing_charge(self) -> float:
+        """Per-message compute charge, inflated by any active stall
+        window (see ``repro.net.fault.StallWindow``)."""
+        return self.processing_ms * \
+            self.network.faults.compute_factor(self.node_address)
+
+    def _arrive(self, obj: Any, where: str = ""):
+        """The gate's verdict at the arrival instant: ``(verdict, detail,
+        invocation id, deadline)``.  ``"cached"``: detail is the reply
+        this retransmission already earned; ``"refused"``: the error to
+        answer (malformed, or expired before consuming admission
+        tokens); ``"shed"``: admission's busy error; ``"run"``: the
+        queue wait admission imposed, not yet charged to the clock."""
+        try:
+            invocation_id = obj.get("inv_id", "")
+            # Retransmission of an invocation we already executed?
+            # Answer from the reply cache instead of dispatching twice.
+            cached = (self.reply_cache.lookup(invocation_id)
+                      if invocation_id else None)
+            extra = (obj.get("ctx") or _NO_CTX).get("extra") or _NO_CTX
+            deadline_at = deadline_of(extra)
+            priority = (priority_of(extra) if self.admission is not None
+                        else None)
+        except _MALFORMED as exc:
+            return "refused", MarshalError(
+                f"malformed {where}invocation object: {exc!r}"), "", None
+        if cached is not None:
+            return "cached", cached, invocation_id, deadline_at
+        if self.deadline_gate.expired(deadline_at):
+            # Shedding here keeps dead work from displacing live work
+            # in the admission queue.
+            self.deadline_gate.note_arrival_shed()
+            return "refused", InvocationExpiredError(
+                f"propagated deadline already passed at {where}arrival"), \
+                invocation_id, deadline_at
+        if priority is None:
+            return "run", 0.0, invocation_id, deadline_at
+        try:
+            return "run", self.admission.admit(priority=priority), \
+                invocation_id, deadline_at
+        except ServerBusyError as exc:
+            return "shed", exc, invocation_id, deadline_at
+
+    def _serve(self, capsule: Capsule, obj: Any, arrival, span, trace_ctx,
+               batch_arrived: Optional[float] = None):
+        """Act on an :meth:`_arrive` verdict: refuse, or charge the
+        queue wait, re-check the deadline and execute.  Returns what
+        :meth:`_execute` does.
+
+        ``batch_arrived`` is the instant a batch's verdicts were taken:
+        a member's wait counts from there (its predecessors' processing
+        already consumed part of it) and it pays its own processing
+        charge."""
+        verdict, detail, invocation_id, deadline_at = arrival
+        if verdict == "shed" and span.span is not None:
+            self.tracer.span(
+                "perf.shed", "perf", span, node=self.node.address,
+                tags={"shed_total": self.admission.shed},
+            ).finish(status="shed")
+        if verdict != "run":
+            return self._refuse(capsule, detail, span), None
+        # Queueing delay is part of the measured server latency.
+        clock = self.network.scheduler.clock
+        where = ""
+        if batch_arrived is not None:
+            where = "batch "
+            detail = batch_arrived + detail - clock.now
+        if detail > 0.0:
+            queue_span = NULL_SPAN
+            if span.span is not None:
+                queue_span = self.tracer.span(
+                    "perf.queue", "perf", span, node=self.node.address,
+                    tags={"wait_ms": round(detail, 3)})
+            clock.advance(detail)
+            queue_span.finish()
+        if batch_arrived is not None:
+            clock.advance(self._processing_charge())
+        if self.deadline_gate.expired(deadline_at):
+            # The queue wait outlived the deadline: still shed —
+            # nothing may start executing past its deadline.
+            self.deadline_gate.note_post_queue_shed()
+            return self._refuse(capsule, InvocationExpiredError(
+                f"propagated deadline passed during {where}queue wait"),
+                span), None
+        return self._execute(capsule, obj, span, trace_ctx,
+                             invocation_id, deadline_at)
+
+    def _refuse(self, capsule: Capsule, error: OdpError,
+                span) -> Dict[str, Any]:
+        span.tag("error", type(error).__name__).finish(status="error")
+        return {"error": encode_error(error,
+                                      self.marshaller_for(capsule))}
+
+    def _execute(self, capsule: Capsule, obj: Any, span, trace_ctx,
+                 invocation_id: Optional[str] = None,
+                 deadline_at: Optional[float] = None):
+        """Decode, adopt the trace, dispatch, marshal, remember the reply.
+        Returns ``(reply object, its encoding if the cache needed one)``.
+
+        ``invocation_id`` is ``None`` for the one-way kinds: they passed
+        no gate, so they are neither logged as gated executions nor
+        cached."""
         marshaller = self.marshaller_for(capsule)
-        ctx_obj = inv_obj.get("ctx", {}) if isinstance(inv_obj, dict) \
-            else {}
-        extra = ctx_obj.get("extra", {}) if isinstance(ctx_obj, dict) \
-            else {}
-        deadline_at = deadline_of(extra)
-        gate = self.deadline_gate
-        if gate.expired(deadline_at):
-            # Expired before consuming admission tokens: shedding here
-            # keeps dead work from displacing live work in the queue.
-            gate.note_arrival_shed()
-            span.tag("error", "InvocationExpiredError")
-            span.finish(status="error")
-            return self.wire.dumps({"error": encode_error(
-                InvocationExpiredError(
-                    "propagated deadline already passed at arrival"),
-                marshaller)})
-        if self.admission is not None:
-            busy = self._admit(span, priority=priority_of(extra))
-            if busy is not None:
-                span.finish(status="error")
-                return self.wire.dumps(
-                    {"error": encode_error(busy, marshaller)})
-        if gate.expired(deadline_at):
-            # The admission queue wait outlived the deadline: still
-            # shed — nothing may start executing past its deadline.
-            gate.note_post_queue_shed()
-            span.tag("error", "InvocationExpiredError")
-            span.finish(status="error")
-            return self.wire.dumps({"error": encode_error(
-                InvocationExpiredError(
-                    "propagated deadline passed during queue wait"),
-                marshaller)})
         try:
             unmarshal_span = NULL_SPAN
             if span.span is not None and self.tracer.verbose:
                 unmarshal_span = self.tracer.span(
                     "ndr.unmarshal", "ndr", span,
                     node=self.node.address)
-            invocation = self._decode_invocation(capsule, envelope["inv"])
+            invocation = self.decode_invocation(capsule, obj)
             if unmarshal_span is not NULL_SPAN:
                 unmarshal_span.finish()
             # The executing side continues the trace from our span
@@ -340,59 +447,26 @@ class Nucleus:
                 invocation.context.trace = span
             elif trace_ctx is not None:
                 invocation.context.trace = trace_ctx
-            gate.note_execution(invocation_id, invocation.operation,
-                                deadline_at)
+            if invocation_id is not None:
+                self.deadline_gate.note_execution(
+                    invocation_id, invocation.operation, deadline_at)
             termination = capsule.dispatch(invocation)
             reply = {"term": marshaller.marshal(termination)}
         except OdpError as exc:
             reply = {"error": encode_error(exc, marshaller)}
             span.tag("error", type(exc).__name__)
-        encoded = self.wire.dumps(reply)
+        encoded = None
         # Cache successful replies only: errors are regenerated so a
         # retry after the fault was repaired (relocation, lock release)
         # is not answered with a stale failure.
         if invocation_id and "term" in reply:
+            encoded = self.wire.dumps(reply)
             self.reply_cache.store(invocation_id, encoded,
                                    expires_at=deadline_at)
         span.finish("ok" if "term" in reply else "error")
-        return encoded
+        return reply, encoded
 
-    # -- admission + batching ------------------------------------------------
-
-    def _processing_charge(self) -> float:
-        """Per-message compute charge, inflated by any active stall
-        window (see ``repro.net.fault.StallWindow``)."""
-        return self.processing_ms * \
-            self.network.faults.compute_factor(self.node_address)
-
-    def _admit(self, parent_span, priority: int = 2) -> Any:
-        """Pass one invocation through admission control.
-
-        Returns ``None`` when admitted (after charging any queue wait to
-        the virtual clock, so queueing delay is part of the measured
-        server latency) or the :class:`ServerBusyError` when shed.
-        """
-        try:
-            wait_ms = self.admission.admit(priority=priority)
-        except ServerBusyError as exc:
-            if parent_span.span is not None:
-                self.tracer.span(
-                    "perf.shed", "perf", parent_span,
-                    node=self.node.address,
-                    tags={"shed_total": self.admission.shed},
-                ).finish(status="shed")
-            parent_span.tag("error", "ServerBusyError")
-            return exc
-        if wait_ms > 0.0:
-            queue_span = NULL_SPAN
-            if parent_span.span is not None:
-                queue_span = self.tracer.span(
-                    "perf.queue", "perf", parent_span,
-                    node=self.node.address,
-                    tags={"wait_ms": round(wait_ms, 3)})
-            self.network.scheduler.clock.advance(wait_ms)
-            queue_span.finish()
-        return None
+    # -- batches, control messages, one-way kinds -------------------------------
 
     def _handle_batch(self, source: str,
                       envelope: Dict[str, Any]) -> bytes:
@@ -409,142 +483,38 @@ class Nucleus:
         """
         self.requests_handled += 1
         self.network.scheduler.clock.advance(self._processing_charge())
-        capsule = self.capsules.get(envelope.get("capsule", ""))
+        capsule = self._capsule_of(envelope)
         if capsule is None:
-            return self.wire.dumps(
-                {"error": {"code": "stale",
-                           "msg": f"no capsule "
-                                  f"{envelope.get('capsule')!r} on "
-                                  f"{self.node.address}"}})
-        marshaller = self.marshaller_for(capsule)
+            return self.wire.dumps(self._no_capsule(envelope))
         members = envelope.get("batch")
         if not isinstance(members, list):
-            return self.wire.dumps(
-                {"error": {"code": "marshal",
-                           "msg": "malformed batch envelope"}})
-        # Pre-pass at the batch's arrival instant: reply-cache hits are
-        # answered without consuming admission tokens (they already
-        # executed), and every remaining member takes its admission
-        # verdict *now*, before any member's queue wait or processing
-        # advances the clock — the whole batch arrives at once, so
-        # later members must see the queue their predecessors just
-        # built, not a bucket refilled by their waits.  This is what
-        # makes a bounded queue actually overflow (and shed) under a
-        # burst instead of serialising it invisibly.
-        arrival = self.network.scheduler.clock.now
-        verdicts: list = []
-        for obj in members:
-            if not isinstance(obj, dict):
-                verdicts.append(("malformed", None))
+            return self.wire.dumps(_malformed("malformed batch envelope"))
+        # Every member takes its verdict at the batch's arrival instant:
+        # reply-cache hits are answered without consuming admission
+        # tokens (they already executed), and every remaining member
+        # takes its admission verdict *now*, before any member's queue
+        # wait or processing advances the clock — the whole batch
+        # arrives at once, so later members must see the queue their
+        # predecessors just built, not a bucket refilled by their waits.
+        # This is what makes a bounded queue actually overflow (and
+        # shed) under a burst instead of serialising it invisibly.
+        arrived = self.network.scheduler.clock.now
+        arrivals = [self._arrive(obj, "batch ") for obj in members]
+        replies = []
+        for obj, arrival in zip(members, arrivals):
+            if arrival[0] == "cached":
+                replies.append(self.wire.loads(arrival[1]))
                 continue
-            invocation_id = obj.get("inv_id", "")
-            cached = (self.reply_cache.lookup(invocation_id)
-                      if invocation_id else None)
-            if cached is not None:
-                verdicts.append(("cached", self.wire.loads(cached)))
-                continue
-            ctx_obj = obj.get("ctx", {})
-            extra = (ctx_obj.get("extra", {})
-                     if isinstance(ctx_obj, dict) else {})
-            if self.deadline_gate.expired(deadline_of(extra)):
-                self.deadline_gate.note_arrival_shed()
-                verdicts.append(("expired", InvocationExpiredError(
-                    "propagated deadline already passed at batch "
-                    "arrival")))
-                continue
-            if self.admission is None:
-                verdicts.append(("run", 0.0))
-                continue
-            try:
-                verdicts.append(("run", self.admission.admit(
-                    priority=priority_of(extra))))
-            except ServerBusyError as exc:
-                verdicts.append(("shed", exc))
-        replies = [
-            self._dispatch_member(source, capsule, marshaller, obj,
-                                  verdict, detail, arrival)
-            for obj, (verdict, detail) in zip(members, verdicts)]
+            span, trace_ctx = self._server_span(
+                obj, {"from": source, "batched": True})
+            replies.append(self._serve(capsule, obj, arrival, span,
+                                       trace_ctx, arrived)[0])
         return self.wire.dumps({"replies": replies})
 
-    def _dispatch_member(self, source: str, capsule, marshaller,
-                         obj: Any, verdict: str, detail: Any,
-                         arrival: float) -> Dict[str, Any]:
-        if verdict == "malformed":
-            return {"error": {"code": "marshal",
-                              "msg": "malformed batch member"}}
-        if verdict == "cached":
-            return detail
-
-        span = NULL_SPAN
-        ctx_obj = obj.get("ctx")
-        trace_ctx = (TraceContext.from_wire(ctx_obj.get("trace"))
-                     if isinstance(ctx_obj, dict) else None)
-        if trace_ctx is not None:
-            span = self.tracer.span(
-                f"server:{obj.get('op', 'request')}", "server", trace_ctx,
-                node=self.node.address,
-                tags={"from": source, "batched": True})
-
-        if verdict == "shed":
-            if span.span is not None:
-                self.tracer.span(
-                    "perf.shed", "perf", span, node=self.node.address,
-                    tags={"shed_total": self.admission.shed},
-                ).finish(status="shed")
-            span.tag("error", "ServerBusyError").finish(status="error")
-            return {"error": encode_error(detail, marshaller)}
-        if verdict == "expired":
-            span.tag("error", "InvocationExpiredError") \
-                .finish(status="error")
-            return {"error": encode_error(detail, marshaller)}
-
-        clock = self.network.scheduler.clock
-        wait_until = arrival + detail  # detail: wait_ms from admission
-        if wait_until > clock.now:
-            queue_span = NULL_SPAN
-            if span.span is not None:
-                queue_span = self.tracer.span(
-                    "perf.queue", "perf", span, node=self.node.address,
-                    tags={"wait_ms": round(wait_until - clock.now, 3)})
-            clock.advance(wait_until - clock.now)
-            queue_span.finish()
-        invocation_id = obj.get("inv_id", "")
-        clock.advance(self._processing_charge())
-        extra = (ctx_obj.get("extra", {})
-                 if isinstance(ctx_obj, dict) else {})
-        deadline_at = deadline_of(extra)
-        if self.deadline_gate.expired(deadline_at):
-            # The batch queue wait outlived this member's deadline.
-            self.deadline_gate.note_post_queue_shed()
-            span.tag("error", "InvocationExpiredError") \
-                .finish(status="error")
-            return {"error": encode_error(
-                InvocationExpiredError(
-                    "propagated deadline passed during batch queue "
-                    "wait"),
-                marshaller)}
-        try:
-            invocation = self._decode_invocation(capsule, obj)
-            if span.span is not None:
-                invocation.context.trace = span
-            elif trace_ctx is not None:
-                invocation.context.trace = trace_ctx
-            self.deadline_gate.note_execution(
-                invocation_id, invocation.operation, deadline_at)
-            termination = capsule.dispatch(invocation)
-            reply = {"term": marshaller.marshal(termination)}
-        except OdpError as exc:
-            reply = {"error": encode_error(exc, marshaller)}
-            span.tag("error", type(exc).__name__)
-        if invocation_id and "term" in reply:
-            self.reply_cache.store(invocation_id, self.wire.dumps(reply),
-                                   expires_at=deadline_at)
-        span.finish("ok" if "term" in reply else "error")
-        return reply
-
-    def _handle_txctl(self, capsule, control: Dict[str, Any]
-                      ) -> Dict[str, Any]:
+    def _handle_txctl(self, capsule, control: Any) -> Dict[str, Any]:
         """Answer a 2PC prepare/commit/abort from a remote coordinator."""
+        if not isinstance(control, dict):
+            return _malformed("txctl is not an object")
         interface = capsule.interfaces.get(control.get("iface", ""))
         if interface is None:
             return {"txr": {"ok": False, "msg": "interface gone"}}
@@ -563,30 +533,16 @@ class Nucleus:
             envelope = self.wire.loads(message.payload)
         except MarshalError:
             return
-        capsule = self.capsules.get(envelope.get("capsule", ""))
+        if not isinstance(envelope, dict):
+            return
+        capsule = self._capsule_of(envelope)
         reply_to = envelope.get("reply_to", "")
         if capsule is None or not reply_to:
             return
-        span = NULL_SPAN
-        trace_ctx, op = self._wire_trace(envelope)
-        if trace_ctx is not None:
-            span = self.tracer.span(f"server:{op}", "server", trace_ctx,
-                                    node=self.node.address,
-                                    tags={"kind": "async"})
+        inv_obj = envelope.get("inv")
+        span, trace_ctx = self._server_span(inv_obj, {"kind": "async"})
         self.network.scheduler.clock.advance(self._processing_charge())
-        marshaller = self.marshaller_for(capsule)
-        try:
-            invocation = self._decode_invocation(capsule, envelope["inv"])
-            if span.span is not None:
-                invocation.context.trace = span
-            elif trace_ctx is not None:
-                invocation.context.trace = trace_ctx
-            termination = capsule.dispatch(invocation)
-            reply = {"term": marshaller.marshal(termination)}
-        except OdpError as exc:
-            reply = {"error": encode_error(exc, marshaller)}
-            span.tag("error", type(exc).__name__)
-        span.finish("ok" if "term" in reply else "error")
+        reply, _ = self._execute(capsule, inv_obj, span, trace_ctx)
         reply["call_id"] = envelope.get("call_id", "")
         try:
             reply_wire = get_format(
@@ -602,29 +558,19 @@ class Nucleus:
             envelope = self.wire.loads(message.payload)
         except MarshalError:
             return
+        if not isinstance(envelope, dict):
+            return
         self.announcements_handled += 1
-        span = NULL_SPAN
-        trace_ctx, op = self._wire_trace(envelope)
-        if trace_ctx is not None:
-            span = self.tracer.span(f"server:{op}", "server", trace_ctx,
-                                    node=self.node.address,
-                                    tags={"kind": "announcement"})
+        inv_obj = envelope.get("inv")
+        span, trace_ctx = self._server_span(inv_obj,
+                                            {"kind": "announcement"})
         self.network.scheduler.clock.advance(self._processing_charge())
-        capsule = self.capsules.get(envelope.get("capsule", ""))
+        capsule = self._capsule_of(envelope)
         if capsule is None:
             span.finish(status="error")
             return
-        try:
-            invocation = self._decode_invocation(capsule, envelope["inv"])
-            if span.span is not None:
-                invocation.context.trace = span
-            elif trace_ctx is not None:
-                invocation.context.trace = trace_ctx
-            capsule.dispatch(invocation)
-            span.finish()
-        except OdpError:
-            span.finish(status="error")
-            # announcements cannot report failure
+        # Announcements cannot report failure: the reply is dropped.
+        self._execute(capsule, inv_obj, span, trace_ctx)
 
     def __repr__(self) -> str:
         return (f"Nucleus({self.node.address}, "

@@ -1,22 +1,94 @@
-"""Low-level remote invocation helper.
+"""The request/reply envelope, and one-shot remote invocation.
 
-Group replication and federation gateways need to aim a single invocation
-at an explicit (node, capsule, interface) target that is not the channel's
-own bound reference.  This helper performs one marshalled network exchange
-— the same wire discipline as :class:`~repro.engine.channel.TransportLayer`
-but without a channel.
+The wire carries an invocation as an ``inv`` object
+``{"id", "op", "args", "kind", "epoch", "ctx"[, "inv_id"]}`` and answers
+it with ``{"term": ...}`` or ``{"error": {"code", "msg"[, "hint"]}}``, or
+with the bare :data:`~repro.engine.nucleus.FORMAT_ERROR_REPLY` sentinel
+when the request could not be decoded at all.  This module is the only
+client-side code that knows those shapes: senders build the object with
+:func:`inv_object`, receivers open replies with :func:`open_reply`,
+:func:`decode_reply` or :func:`termination_of`.  (The codec plans in
+:mod:`repro.ndr.plancache` pre-encode the same object byte for byte;
+``tests/test_ndr_golden.py`` pins the two against each other.)
+
+:func:`invoke_at` aims a single invocation at an explicit (node, capsule,
+interface) target that is not a channel's own bound reference — group
+relays and federation gateways need that: one marshalled exchange, the
+transport's wire discipline without a channel.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.comp.invocation import Invocation, InvocationKind
 from repro.comp.outcomes import Termination
 from repro.engine.nucleus import FORMAT_ERROR_REPLY, Nucleus
 from repro.engine.wire_errors import raise_error
-from repro.errors import MarshalError, ProtocolMismatchError
+from repro.errors import (
+    MarshalError,
+    NodeUnreachableError,
+    ProtocolMismatchError,
+)
 from repro.ndr.formats import get_format
+
+
+def inv_object(marshaller, interface_id: str, operation: str, args,
+               kind: str, epoch: int, context,
+               invocation_id: Optional[str] = None) -> Dict[str, Any]:
+    """The ``inv`` object of one request.  ``invocation_id`` is what
+    makes server-side dedup possible; without it the call is
+    at-least-once."""
+    obj = {
+        "id": interface_id,
+        "op": operation,
+        "args": marshaller.marshal_args(args),
+        "kind": kind,
+        "epoch": epoch,
+        "ctx": Nucleus.encode_context(context),
+    }
+    if invocation_id:
+        obj["inv_id"] = invocation_id
+    return obj
+
+
+def reply_field(reply: Any, key: str, marshaller, peer: str) -> Any:
+    """``reply[key]`` of a decoded reply object — or the typed error the
+    reply carries instead."""
+    if isinstance(reply, dict):
+        if "error" in reply:
+            raise_error(reply["error"], marshaller)
+        if key in reply:
+            return reply[key]
+    raise ProtocolMismatchError(
+        f"reply from {peer} carries neither {key!r} nor an error")
+
+
+def open_reply(wire, payload: bytes, key: str, marshaller,
+               peer: str) -> Any:
+    """Decode reply bytes from *peer* and return their *key* member."""
+    if payload == FORMAT_ERROR_REPLY:
+        raise ProtocolMismatchError(
+            f"node {peer} could not decode our {wire.name!r} message")
+    try:
+        reply = wire.loads(payload)
+    except MarshalError as exc:
+        raise ProtocolMismatchError(
+            f"reply from {peer} not in {wire.name!r}: {exc}") from exc
+    return reply_field(reply, key, marshaller, peer)
+
+
+def termination_of(reply: Any, marshaller, peer: str) -> Termination:
+    """The termination a decoded invocation reply (or batch member
+    reply) carries — or the typed error it carries instead."""
+    return marshaller.unmarshal(reply_field(reply, "term", marshaller, peer))
+
+
+def decode_reply(wire, payload: bytes, marshaller,
+                 peer: str) -> Termination:
+    """The termination an invocation's reply bytes carry."""
+    return marshaller.unmarshal(
+        open_reply(wire, payload, "term", marshaller, peer))
 
 
 def invoke_at(nucleus: Nucleus, client_capsule, node: str,
@@ -30,7 +102,6 @@ def invoke_at(nucleus: Nucleus, client_capsule, node: str,
     """
     network = nucleus.network
     if network.faults.is_crashed(nucleus.node_address):
-        from repro.errors import NodeUnreachableError
         raise NodeUnreachableError(
             f"node {nucleus.node_address} is crashed; it can invoke "
             f"nothing")
@@ -45,29 +116,17 @@ def invoke_at(nucleus: Nucleus, client_capsule, node: str,
     redirected = _redirect(invocation, interface_id, epoch)
     payload = wire.dumps({
         "capsule": capsule_name,
-        "inv": {
-            "id": redirected.interface_id,
-            "op": redirected.operation,
-            "args": marshaller.marshal_args(redirected.args),
-            "kind": redirected.kind.value,
-            "epoch": redirected.epoch,
-            "ctx": Nucleus.encode_context(redirected.context),
-        },
+        "inv": inv_object(marshaller, redirected.interface_id,
+                          redirected.operation, redirected.args,
+                          redirected.kind.value, redirected.epoch,
+                          redirected.context),
     })
     if invocation.kind == InvocationKind.ANNOUNCEMENT:
         network.post(nucleus.node_address, node, payload, kind="invoke")
         return None
-    reply_bytes = network.request(nucleus.node_address, node, payload)
-    if reply_bytes == FORMAT_ERROR_REPLY:
-        raise ProtocolMismatchError(
-            f"node {node} could not decode our message")
-    try:
-        reply = wire.loads(reply_bytes)
-    except MarshalError as exc:
-        raise ProtocolMismatchError(str(exc)) from exc
-    if "error" in reply:
-        raise_error(reply["error"], marshaller)
-    return marshaller.unmarshal(reply["term"])
+    return decode_reply(
+        wire, network.request(nucleus.node_address, node, payload),
+        marshaller, node)
 
 
 def _redirect(invocation: Invocation, interface_id: str,

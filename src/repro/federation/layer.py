@@ -18,16 +18,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.comp.constraints import EnvironmentConstraints
-from repro.comp.invocation import (
-    Invocation,
-    InvocationContext,
-    InvocationKind,
-)
+from repro.comp.invocation import Invocation
 from repro.comp.outcomes import Termination
 from repro.engine.layers import ClientLayer
-from repro.engine.nucleus import FORMAT_ERROR_REPLY, Nucleus
-from repro.engine.wire_errors import raise_error
-from repro.errors import FederationError, MarshalError, ProtocolMismatchError
+from repro.engine.remote import decode_reply, inv_object
+from repro.errors import FederationError, NodeUnreachableError
 from repro.federation.naming import annotate_refs
 from repro.ndr.formats import get_format
 from repro.trace.context import TraceContext
@@ -97,8 +92,6 @@ def forward_to_domain(nucleus, capsule, federation, hop_domain_name: str,
                       ref, invocation: Invocation) -> Termination:
     """One network exchange with *hop_domain*, trying each of its
     boundary gateways until one is reachable."""
-    from repro.errors import NodeUnreachableError
-
     hop_domain = federation.domain(hop_domain_name)
     marshaller = nucleus.marshaller_for(capsule)
     tracer = nucleus.tracer
@@ -118,14 +111,11 @@ def forward_to_domain(nucleus, capsule, federation, hop_domain_name: str,
                 "capsule": gw_capsule,
                 "fedfwd": {
                     "ref": marshaller.marshal(ref),
-                    "inv": {
-                        "id": invocation.interface_id,
-                        "op": invocation.operation,
-                        "args": marshaller.marshal_args(invocation.args),
-                        "kind": invocation.kind.value,
-                        "epoch": invocation.epoch,
-                        "ctx": Nucleus.encode_context(invocation.context),
-                    },
+                    "inv": inv_object(
+                        marshaller, invocation.interface_id,
+                        invocation.operation, invocation.args,
+                        invocation.kind.value, invocation.epoch,
+                        invocation.context),
                 },
             })
             try:
@@ -136,16 +126,7 @@ def forward_to_domain(nucleus, capsule, federation, hop_domain_name: str,
                 last_error = exc
                 continue
             span.finish()
-            if reply_bytes == FORMAT_ERROR_REPLY:
-                raise ProtocolMismatchError(
-                    f"gateway {gw_node} could not decode our message")
-            try:
-                reply = wire.loads(reply_bytes)
-            except MarshalError as exc:
-                raise ProtocolMismatchError(str(exc)) from exc
-            if "error" in reply:
-                raise_error(reply["error"], marshaller)
-            return marshaller.unmarshal(reply["term"])
+            return decode_reply(wire, reply_bytes, marshaller, gw_node)
     finally:
         invocation.context.trace = parent_trace
     raise FederationError(
@@ -157,9 +138,9 @@ def gateway_process(domain, nucleus, capsule, marshaller,
     """Administrative + technology interception at a domain gateway."""
     federation = domain.federation
     ref = marshaller.unmarshal(obj["ref"])
-    inv_obj = obj["inv"]
-    ctx_obj = inv_obj.get("ctx", {})
-    via = tuple(ctx_obj.get("via_domains", ()))
+    invocation = nucleus.decode_invocation(capsule, obj["inv"])
+    context = invocation.context
+    via = context.via_domains
     if not via:
         raise FederationError(
             f"gateway {domain.name}: forwarded invocation carries no "
@@ -167,36 +148,17 @@ def gateway_process(domain, nucleus, capsule, marshaller,
     from_domain = via[-1]
     link = federation.link_between(from_domain, domain.name)
     link.crossings += 1
-    link.account(obj["inv"].get("ctx", {}).get("principal"),
-                 obj["inv"].get("op", "?"))
+    link.account(context.principal, invocation.operation)
 
     # Ingress: map the principal into our namespace and re-issue local
     # credentials if the mapped principal is enrolled here — the gateway
     # is the trusted intermediary between the two secret authorities.
-    principal = link.map_principal(ctx_obj.get("principal"))
-    credentials = (domain.authority.credentials_for(principal)
-                   if principal and domain.authority.is_enrolled(principal)
-                   else {})
-
-    context = InvocationContext(
-        principal=principal,
-        credentials=credentials,
-        transaction_id=ctx_obj.get("transaction_id"),
-        origin_domain=ctx_obj.get("origin_domain"),
-        via_domains=via,
-        extra=dict(ctx_obj.get("extra", {})),
-        trace=TraceContext.from_wire(ctx_obj.get("trace")),
-    )
-    invocation = Invocation(
-        interface_id=inv_obj["id"],
-        operation=inv_obj["op"],
-        args=marshaller.unmarshal_args(inv_obj.get("args", [])),
-        kind=(InvocationKind.ANNOUNCEMENT
-              if inv_obj.get("kind") == "announcement"
-              else InvocationKind.INTERROGATION),
-        context=context,
-        epoch=inv_obj.get("epoch", 0),
-    )
+    principal = context.principal = link.map_principal(context.principal)
+    context.credentials = (
+        domain.authority.credentials_for(principal)
+        if principal and domain.authority.is_enrolled(principal) else {})
+    context.trace = TraceContext.from_wire(
+        obj["inv"].get("ctx", {}).get("trace"))
 
     gw_span = domain.tracer.span(
         "federation.gateway", "federation", invocation.context.trace,

@@ -18,14 +18,12 @@ from repro.errors import (
     EpochFencedError,
     GroupError,
     GroupUnavailableError,
-    InvocationExpiredError,
     MembershipError,
-    NodeUnreachableError,
-    NoQuorumError,
-    RetryBudgetExhaustedError,
+    OdpError,
 )
 from repro.groups.member import ROLE_KEY, VIEW_KEY
 from repro.overload.deadline import deadline_of
+from repro.resilience.retry import RetryGate, Verdict, classify
 
 
 class GroupInvokeLayer(ClientLayer):
@@ -63,8 +61,7 @@ class GroupInvokeLayer(ClientLayer):
                 (group.spec.policy == "read_spread" or self.follower_reads):
             return self._read_anywhere(group, invocation)
 
-        budgets = self.nucleus.retry_budgets
-        deadline_at = deadline_of(invocation.context.extra)
+        gate = self._gate(invocation)
         attempts = self.max_view_changes + 1
         no_quorum = None
         for attempt in range(attempts):
@@ -78,17 +75,9 @@ class GroupInvokeLayer(ClientLayer):
                 # failure (fenced / rolled-back quorum loss / unreached)
                 # so a client-side shed is safe — and mandatory once the
                 # propagated deadline is dead or the budget is dry.
-                if deadline_at is not None and \
-                        self.nucleus.network.scheduler.now > deadline_at:
-                    raise InvocationExpiredError(
-                        f"group {self.group_id}: propagated deadline "
-                        f"passed before retry")
-                if not budgets.try_spend(sequencer.node, "group"):
-                    raise RetryBudgetExhaustedError(
-                        f"group {self.group_id}: retry budget for "
-                        f"{sequencer.node}/group exhausted")
+                gate.retry(sequencer.node)
             else:
-                budgets.note_first(sequencer.node, "group")
+                gate.first(sequencer.node)
             # Stamp the view this request was routed under, so a stale
             # routing decision is fenced at the member instead of being
             # applied under the wrong membership (split-brain guard).
@@ -98,26 +87,33 @@ class GroupInvokeLayer(ClientLayer):
                     self.nucleus, self.capsule, sequencer.node,
                     sequencer.capsule_name, sequencer.interface_id,
                     invocation)
-            except EpochFencedError:
-                # The member outlives our view knowledge, not the other
-                # way round: refresh and retry without suspecting it.
-                self.fenced_retries += 1
-            except NoQuorumError as error:
-                # The write rolled back: quorum loss says *other*
-                # members were unreachable, not that the sequencer
-                # failed — retry under the (possibly new) view without
-                # suspecting anyone, so a partition cannot start a
-                # failover storm from the client side.
-                self.quorum_retries += 1
-                no_quorum = error
-            except (NodeUnreachableError, MembershipError):
-                self.failovers += 1
-                self.registry.suspect(self.group_id, sequencer)
+            except OdpError as error:
+                rule = classify(error)
+                if rule.verdict is Verdict.REFRESH:
+                    # The member outlives our view knowledge, not the
+                    # other way round: re-read the view and retry
+                    # without suspecting it.
+                    self.fenced_retries += 1
+                elif rule.verdict is Verdict.SAME_VIEW:
+                    # The write rolled back.  Retrying without
+                    # suspecting anyone means a partition cannot start
+                    # a failover storm from the client side.
+                    self.quorum_retries += 1
+                    no_quorum = error
+                elif rule.suspect:
+                    self.failovers += 1
+                    self.registry.suspect(self.group_id, sequencer)
+                else:
+                    raise
         if no_quorum is not None:
             raise no_quorum
         raise GroupError(
             f"group {self.group_id}: no usable sequencer after "
             f"{attempts} view changes")
+
+    def _gate(self, invocation: Invocation) -> RetryGate:
+        return RetryGate(self.nucleus, "group", f"group {self.group_id}",
+                         deadline_of(invocation.context.extra))
 
     def _readonly(self, group, invocation: Invocation) -> bool:
         op = group.signature.operations.get(invocation.operation)
@@ -130,25 +126,16 @@ class GroupInvokeLayer(ClientLayer):
             raise GroupUnavailableError(
                 f"group {self.group_id} has no live members to read "
                 f"from; retry once a supervisor revives or replaces them")
-        budgets = self.nucleus.retry_budgets
-        deadline_at = deadline_of(invocation.context.extra)
+        gate = self._gate(invocation)
         tried = 0
         while tried < live_count:
             if not group.view.live_members():
                 break  # every candidate was suspected mid-loop
             member = group.rotate_reader()
             if tried:
-                if deadline_at is not None and \
-                        self.nucleus.network.scheduler.now > deadline_at:
-                    raise InvocationExpiredError(
-                        f"group {self.group_id}: propagated deadline "
-                        f"passed before read retry")
-                if not budgets.try_spend(member.node, "group"):
-                    raise RetryBudgetExhaustedError(
-                        f"group {self.group_id}: read retry budget for "
-                        f"{member.node}/group exhausted")
+                gate.retry(member.node)
             else:
-                budgets.note_first(member.node, "group")
+                gate.first(member.node)
             read = Invocation(
                 interface_id=member.interface_id,
                 operation=invocation.operation,
@@ -168,6 +155,12 @@ class GroupInvokeLayer(ClientLayer):
                 self.fenced_retries += 1
                 tried += 1
             except (CommunicationError, MembershipError):
+                # Kept apart from the classification table on purpose:
+                # a read is served by whichever member answers, and any
+                # communication failure — lost and busy included —
+                # counts against the member that gave it.  The table
+                # would blame only the unreachable; the default-mode
+                # digests pin this.
                 self.registry.suspect(self.group_id, member)
                 tried += 1
         raise GroupError(

@@ -58,6 +58,27 @@ def priority_of(extra: Mapping[str, Any]) -> int:
     return max(0, min(NUM_CLASSES - 1, int(value)))
 
 
+def stamp(extra: Dict[str, Any], qos, now: float) -> None:
+    """Write *qos*'s absolute deadline and any non-default priority
+    into a context ``extra`` dict.  Existing stamps win: a nested call
+    inherits its caller's (tighter) deadline rather than restarting
+    the clock."""
+    if qos.deadline_ms is not None and DEADLINE_KEY not in extra:
+        extra[DEADLINE_KEY] = now + qos.deadline_ms
+    if qos.priority != DEFAULT_PRIORITY and PRIORITY_KEY not in extra:
+        extra[PRIORITY_KEY] = qos.priority
+
+
+def earliest_deadline(qos, now: float,
+                      stamped: Optional[float]) -> Optional[float]:
+    """The deadline a client-side retry loop must honour: the local
+    QoS allowance counted from *now*, capped by a propagated stamp."""
+    deadline = None if qos.deadline_ms is None else now + qos.deadline_ms
+    if stamped is not None and (deadline is None or stamped < deadline):
+        return stamped
+    return deadline
+
+
 class DeadlineGate:
     """Server-side deadline enforcement for one nucleus.
 

@@ -45,25 +45,17 @@ from repro.comp.invocation import InvocationContext, QoS
 from repro.comp.reference import InterfaceRef
 from repro.engine.futures import Future
 from repro.engine.nucleus import Nucleus
-from repro.engine.wire_errors import raise_error
+from repro.engine.remote import inv_object, open_reply, termination_of
 from repro.errors import (
-    MarshalError,
     MessageLostError,
     NodeUnreachableError,
     OdpError,
     ProtocolMismatchError,
-    RetryBudgetExhaustedError,
-    ServerBusyError,
 )
 from repro.ndr.formats import get_format, zero_copy_enabled
 from repro.ndr.plancache import PlanCache, encode_batch
-from repro.overload.deadline import (
-    DEADLINE_KEY,
-    DEFAULT_PRIORITY,
-    PRIORITY_KEY,
-    deadline_of,
-)
-from repro.resilience.retry import RetryPolicy
+from repro.overload.deadline import deadline_of, earliest_deadline, stamp
+from repro.resilience.retry import RetryGate, RetryPolicy, Verdict, classify
 from repro.trace.context import current_trace
 from repro.trace.span import NULL_SPAN
 
@@ -137,11 +129,7 @@ class BatchClient:
         # channel mouth would, so a batched member's server-side gate
         # treatment is identical to its unbatched twin's.
         if self.nucleus.deadline_propagation:
-            if self.qos.deadline_ms is not None:
-                context.extra[DEADLINE_KEY] = \
-                    self.network.scheduler.now + self.qos.deadline_ms
-            if self.qos.priority != DEFAULT_PRIORITY:
-                context.extra[PRIORITY_KEY] = self.qos.priority
+            stamp(context.extra, self.qos, self.network.scheduler.now)
         domain = self.nucleus.domain
         if domain is not None:
             context.origin_domain = domain.name
@@ -228,14 +216,15 @@ class BatchClient:
 
         stamped = [d for d in (deadline_of(e.context.extra)
                                for e in entries) if d is not None]
-        reply = self._exchange(node, protocol, payload, len(entries),
-                               tracer, batch_span,
-                               min(stamped) if stamped else None)
-        if isinstance(reply, OdpError):
-            if isinstance(reply, NodeUnreachableError):
+        try:
+            reply = self._exchange(node, protocol, payload, len(entries),
+                                   tracer, batch_span,
+                                   min(stamped) if stamped else None)
+        except OdpError as error:
+            if classify(error).breaker:
                 breaker.record_failure()
-            self._fail_all(entries, member_spans, reply, "error")
-            batch_span.tag("error", type(reply).__name__) \
+            self._fail_all(entries, member_spans, error, "error")
+            batch_span.tag("error", type(error).__name__) \
                 .finish(status="error")
             return
         breaker.record_success()
@@ -255,38 +244,30 @@ class BatchClient:
             return plan.encode_member(args_obj,
                                       Nucleus.encode_context(entry.context),
                                       entry.invocation_id)
-        ctx_obj = Nucleus.encode_context(entry.context)
-        inv = {
-            "id": entry.ref.interface_id,
-            "op": entry.operation,
-            "args": args_obj,
-            "kind": "interrogation",
-            "epoch": entry.ref.epoch,
-            "ctx": ctx_obj,
-            "inv_id": entry.invocation_id,
-        }
-        return fmt.dumps(inv)[len(fmt._MAGIC):]
+        return fmt.dumps(inv_object(
+            marshaller, entry.ref.interface_id, entry.operation,
+            entry.args, "interrogation", entry.ref.epoch, entry.context,
+            entry.invocation_id))[len(fmt._MAGIC):]
 
     def _exchange(self, node: str, protocol: str, payload: bytes,
                   size: int, tracer, batch_span,
-                  deadline_at: Optional[float] = None):
+                  deadline_at: Optional[float] = None) -> bytes:
         """One batch round trip with whole-batch retransmission.
 
-        Returns the reply bytes, or the terminal error when the retry
-        budget (or the path) is exhausted.  ``deadline_at`` is the
-        earliest propagated member deadline: no retransmission happens
-        past it, and backoff waits are clipped to it.
+        Returns the reply bytes; raises the terminal error when the
+        path is dead or the retry allowance (attempts, budget) is
+        exhausted.  ``deadline_at`` is the earliest propagated member
+        deadline: no retransmission happens past it — the batch then
+        fails with the loss it suffered — and backoff waits are clipped
+        to it.
         """
         policy = RetryPolicy.from_qos(self.qos)
-        stats = self.nucleus.resilience
-        budgets = self.nucleus.retry_budgets
-        deadline = (None if self.qos.deadline_ms is None
-                    else self.network.scheduler.now
-                    + self.qos.deadline_ms)
-        if deadline_at is not None and (deadline is None
-                                        or deadline_at < deadline):
-            deadline = deadline_at
-        budgets.note_first(node, "batch")
+        gate = RetryGate(
+            self.nucleus, "batch", f"batch to {node}",
+            earliest_deadline(self.qos, self.network.scheduler.now,
+                              deadline_at),
+            expiry=MessageLostError, inclusive=True)
+        gate.first(node)
         for attempt in range(policy.max_attempts):
             net_span = NULL_SPAN
             if batch_span is not NULL_SPAN:
@@ -299,28 +280,18 @@ class BatchClient:
                 reply = self.network.request(
                     self.nucleus.node_address, node, payload,
                     protocol=protocol)
-            except MessageLostError as exc:
+            except OdpError as exc:
+                if classify(exc).verdict is not Verdict.RETRY_HERE:
+                    net_span.tag("error", type(exc).__name__) \
+                        .finish(status="unreachable")
+                    raise
                 net_span.finish(status="lost")
                 self.retransmits += 1
-                stats.retries += 1
+                self.nucleus.resilience.retries += 1
                 if attempt + 1 >= policy.max_attempts:
-                    return exc
-                if deadline is not None and \
-                        self.network.scheduler.now >= deadline:
-                    return exc  # deadline dead: no retransmission
-                if not budgets.try_spend(node, "batch"):
-                    return RetryBudgetExhaustedError(
-                        f"batch to {node}: retry budget exhausted")
-                delay = policy.delay_ms(attempt, self._retry_rng)
-                if deadline is not None:
-                    delay = min(delay, max(
-                        0.0, deadline - self.network.scheduler.now))
-                stats.backoff_wait_ms += delay
-                self.network.scheduler.clock.advance(delay)
-            except NodeUnreachableError as exc:
-                net_span.tag("error", type(exc).__name__) \
-                    .finish(status="unreachable")
-                return exc
+                    raise
+                gate.retry(node)
+                gate.back_off(policy, attempt, self._retry_rng)
             else:
                 if net_span is not NULL_SPAN:
                     transit = self.network.last_transit
@@ -329,24 +300,15 @@ class BatchClient:
                     net_span.tags["bytes_back"] = transit.bytes_back
                     net_span.finish()
                 return reply
-        return MessageLostError("batch retry budget exhausted")
 
     def _settle(self, reply_bytes: bytes, entries, member_spans,
                 marshaller, fmt, node: str) -> None:
         try:
-            reply = fmt.loads(reply_bytes)
-        except MarshalError as exc:
-            error = ProtocolMismatchError(
-                f"batch reply from {node} undecodable: {exc}")
-            self._fail_all(entries, member_spans, error, "error")
+            replies = open_reply(fmt, reply_bytes, "replies", marshaller,
+                                 node)
+        except OdpError as exc:  # undecodable, no such capsule, ...
+            self._fail_all(entries, member_spans, exc, "error")
             return
-        if "error" in reply:  # whole-batch failure (no capsule, ...)
-            try:
-                raise_error(reply["error"], marshaller)
-            except OdpError as exc:
-                self._fail_all(entries, member_spans, exc, "error")
-            return
-        replies = reply.get("replies", ())
         for index, entry in enumerate(entries):
             span = member_spans[index]
             if index >= len(replies):
@@ -355,21 +317,20 @@ class BatchClient:
                     f"replies for {len(entries)} members"))
                 span.tag("error", "short-reply").finish(status="error")
                 continue
-            member = replies[index]
-            if "error" in member:
-                try:
-                    raise_error(member["error"], marshaller)
-                except ServerBusyError as exc:
+            try:
+                termination = termination_of(replies[index], marshaller,
+                                             node)
+            except OdpError as exc:
+                # A shed member definitely did not execute: the caller
+                # may simply re-issue it.
+                shed = classify(exc).verdict is Verdict.RETRY_LATER
+                if shed:
                     self.busy_failures += 1
-                    entry.future._fail(exc)
-                    span.tag("error", "ServerBusyError") \
-                        .finish(status="shed")
-                except OdpError as exc:
-                    entry.future._fail(exc)
-                    span.tag("error", type(exc).__name__) \
-                        .finish(status="error")
+                entry.future._fail(exc)
+                span.tag("error", type(exc).__name__) \
+                    .finish(status="shed" if shed else "error")
                 continue
-            entry.future._resolve(marshaller.unmarshal(member["term"]))
+            entry.future._resolve(termination)
             span.finish()
 
     @staticmethod

@@ -23,13 +23,9 @@ from __future__ import annotations
 from repro.comp.invocation import Invocation, InvocationKind
 from repro.comp.outcomes import Termination
 from repro.engine.layers import ClientLayer
-from repro.errors import (
-    BindingError,
-    InvocationExpiredError,
-    RetryBudgetExhaustedError,
-    WrongShardError,
-)
+from repro.errors import BindingError, OdpError
 from repro.overload.deadline import deadline_of
+from repro.resilience.retry import RetryGate, Verdict, classify
 from repro.shard.space import RING_KEY
 
 
@@ -77,16 +73,19 @@ class ShardRouterLayer(ClientLayer):
                                       invocation.args)
                 if cached is not None:
                     return cached
-        nucleus = self.channel.client_nucleus
-        budgets = nucleus.retry_budgets
+        gate = RetryGate(self.channel.client_nucleus, "shard",
+                         f"shard chase for {invocation.operation!r}",
+                         deadline_of(invocation.context.extra))
         chases = 0
         while True:
             pointed = self._point(invocation, index)
             if chases == 0:
-                budgets.note_first(pointed.primary_path().node, "shard")
+                gate.first(pointed.primary_path().node)
             try:
                 termination = next_layer(invocation)
-            except WrongShardError:
+            except OdpError as error:
+                if classify(error).verdict is not Verdict.REFRESH:
+                    raise
                 # The fence rejected before dispatch, so a re-route is
                 # always safe — but only within the propagated deadline
                 # and the path's retry budget.  Budget exhaustion must
@@ -95,17 +94,7 @@ class ShardRouterLayer(ClientLayer):
                 chases += 1
                 if chases > self.max_chases:
                     raise
-                deadline_at = deadline_of(invocation.context.extra)
-                if deadline_at is not None and \
-                        nucleus.network.scheduler.now > deadline_at:
-                    raise InvocationExpiredError(
-                        f"shard chase for {invocation.operation!r}: "
-                        f"propagated deadline passed")
-                if not budgets.try_spend(
-                        pointed.primary_path().node, "shard"):
-                    raise RetryBudgetExhaustedError(
-                        f"shard chase for {invocation.operation!r}: "
-                        f"retry budget exhausted")
+                gate.retry(pointed.primary_path().node)
                 self.chases += 1
                 self._refresh()
                 continue

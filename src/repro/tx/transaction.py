@@ -207,6 +207,8 @@ class TransactionManager:
         if nucleus is None or participant.node == nucleus.node_address:
             return participant.layer.txctl(phase, transaction.transaction_id)
 
+        from repro.engine.remote import open_reply
+        from repro.ndr.codec import Marshaller
         from repro.ndr.formats import get_format
 
         network = nucleus.network
@@ -222,7 +224,10 @@ class TransactionManager:
         })
         reply_bytes = network.request(nucleus.node_address,
                                       participant.node, payload)
-        reply = wire.loads(reply_bytes)["txr"]
+        # The server answers "stale" (capsule gone) or a format error
+        # before it looks at ``txctl``: those surface as typed errors.
+        reply = open_reply(wire, reply_bytes, "txr", Marshaller(),
+                           participant.node)
         return reply["ok"], reply.get("msg", "")
 
     def resolve_indoubt(self, transaction: Transaction) -> int:

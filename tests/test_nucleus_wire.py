@@ -3,9 +3,15 @@ unknown capsules, and envelope routing edge cases."""
 
 import pytest
 
+from repro import World
 from repro.engine.nucleus import FORMAT_ERROR_REPLY
-from repro.errors import ProtocolMismatchError
+from repro.errors import (
+    OdpError,
+    ProtocolMismatchError,
+    StaleReferenceError,
+)
 from repro.ndr.formats import get_format
+from repro.tx.transaction import Participant, TransactionManager
 from tests.conftest import Counter
 
 
@@ -139,3 +145,150 @@ class TestImplicitExportMemoisation:
         first = echo_proxy.echo(Counter())
         second = echo_proxy.echo(Counter())
         assert first.interface_id != second.interface_id
+
+
+# ---------------------------------------------------------------------------
+# Decodable-but-malformed envelopes: a typed wire error, never a crash
+# in whoever called Network.request (or in the scheduler, for one-way
+# kinds).  One table, run on both wire formats.
+# ---------------------------------------------------------------------------
+
+#: Whole envelopes.  ``{IID}`` stands for a live interface id.
+MALFORMED_ENVELOPES = {
+    "no-inv": {"capsule": "srv"},
+    "inv-is-int": {"capsule": "srv", "inv": 7},
+    "txctl-is-int": {"capsule": "srv", "txctl": 5},
+    "fedfwd-is-int": {"capsule": "srv", "fedfwd": 5},
+    "fedfwd-without-inv": {"capsule": "srv", "fedfwd": {"ref": None}},
+    "top-level-list": [1, 2],
+    "top-level-int": 7,
+    "batch-is-int": {"capsule": "srv", "batch": 5},
+    "capsule-unhashable": {"capsule": [], "inv": {"id": "{IID}",
+                                                  "op": "increment"}},
+}
+
+#: Invocation objects: served alone as ``inv`` and as a batch member.
+MALFORMED_INVOCATIONS = {
+    "ctx-is-int": {"id": "{IID}", "op": "increment", "ctx": 5},
+    "extra-is-int": {"id": "{IID}", "op": "increment",
+                     "ctx": {"extra": 3}},
+    "credentials-is-int": {"id": "{IID}", "op": "increment",
+                           "ctx": {"credentials": 3}},
+    "no-id": {"op": "increment"},
+    "args-is-int": {"id": "{IID}", "op": "increment", "args": 5},
+    "deadline-unparsable": {"id": "{IID}", "op": "increment",
+                            "ctx": {"extra": {"deadline_at": "soon"}}},
+    "inv-id-unhashable": {"id": "{IID}", "op": "increment",
+                          "inv_id": ["x"]},
+    "member-is-int": 7,
+}
+
+
+def _wire_world(fmt_name):
+    world = World(seed=11)
+    world.node("org", "s", fmt_name)
+    world.node("org", "c", fmt_name)
+    counter = Counter()
+    ref = world.capsule("s", "srv").export(counter)
+    world.capsule("c", "cli")
+    return world, counter, ref.interface_id, get_format(fmt_name)
+
+
+def _fill(obj, iid):
+    if isinstance(obj, dict):
+        return {key: _fill(value, iid) for key, value in obj.items()}
+    return iid if obj == "{IID}" else obj
+
+
+def _good(iid):
+    return {"id": iid, "op": "increment", "args": [], "epoch": 0}
+
+
+@pytest.mark.parametrize("fmt_name", ["packed", "tagged"])
+class TestMalformedEnvelopes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ENVELOPES))
+    def test_request_answers_a_typed_error(self, fmt_name, case):
+        world, counter, iid, fmt = _wire_world(fmt_name)
+        payload = fmt.dumps(_fill(MALFORMED_ENVELOPES[case], iid))
+        reply = fmt.loads(world.network.request("c", "s", payload))
+        assert reply["error"]["code"] in ("marshal", "stale")
+        assert counter.value == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INVOCATIONS))
+    def test_single_invocation_answers_marshal(self, fmt_name, case):
+        world, counter, iid, fmt = _wire_world(fmt_name)
+        payload = fmt.dumps({"capsule": "srv", "inv": _fill(
+            MALFORMED_INVOCATIONS[case], iid)})
+        reply = fmt.loads(world.network.request("c", "s", payload))
+        assert reply["error"]["code"] == "marshal"
+        assert counter.value == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INVOCATIONS))
+    def test_batch_member_fails_alone(self, fmt_name, case):
+        """The malformed member gets its own marshal error; its
+        well-formed neighbours still execute."""
+        world, counter, iid, fmt = _wire_world(fmt_name)
+        payload = fmt.dumps({"capsule": "srv", "batch": [
+            _good(iid), _fill(MALFORMED_INVOCATIONS[case], iid),
+            _good(iid)]})
+        replies = fmt.loads(
+            world.network.request("c", "s", payload))["replies"]
+        assert [sorted(reply) for reply in replies] == [
+            ["term"], ["error"], ["term"]]
+        assert replies[1]["error"]["code"] == "marshal"
+        assert counter.value == 2
+
+    @pytest.mark.parametrize("kind", ["invoke", "ainvoke"])
+    def test_one_way_kinds_drop_silently(self, fmt_name, kind):
+        world, counter, iid, fmt = _wire_world(fmt_name)
+        envelopes = list(MALFORMED_ENVELOPES.values()) + [
+            {"capsule": "srv", "reply_to": "c", "call_id": "x",
+             "inv": invocation}
+            for case, invocation in MALFORMED_INVOCATIONS.items()
+            # One-way kinds pass no gate, so the fields only the gate
+            # reads (dedup id, deadline stamp) are nothing to them.
+            if case not in ("deadline-unparsable", "inv-id-unhashable")]
+        for envelope in envelopes:
+            world.network.post("c", "s", fmt.dumps(_fill(envelope, iid)),
+                               kind=kind)
+        world.settle()  # must not raise out of the scheduler
+        assert counter.value == 0
+
+
+class TestTxControlReplies:
+    """``TransactionManager.exchange`` opens its reply through the
+    shared envelope decoder: an error reply is a typed error, not a
+    ``KeyError: 'txr'``."""
+
+    def _coordinator(self, fmt_name="packed"):
+        world = World(seed=2)
+        world.node("org", "s", fmt_name)
+        world.node("org", "c")
+        world.capsule("s", "srv")
+        manager = TransactionManager(
+            "org", home_nucleus=world.nucleus("c"))
+        return world, manager
+
+    def test_stale_capsule_raises_the_typed_error(self):
+        world, manager = self._coordinator()
+        gone = Participant("s", "no-such-capsule", "if.x", layer=None)
+        with pytest.raises(StaleReferenceError):
+            manager.exchange(manager.begin(), gone, "prepare")
+
+    def test_format_error_reply_raises_protocol_mismatch(self):
+        world, manager = self._coordinator()
+        # The participant's node answers every request in a format the
+        # coordinator does not expect it to: it cannot decode ours.
+        world.nucleus("s").wire = get_format("tagged")
+        participant = Participant("s", "srv", "if.x", layer=None)
+        with pytest.raises(ProtocolMismatchError):
+            manager.exchange(manager.begin(), participant, "commit")
+
+    def test_reply_without_txr_is_a_typed_error(self):
+        world, manager = self._coordinator()
+        fmt = get_format("packed")
+        world.network.node("s").on_request(
+            lambda source, payload: fmt.dumps({"unexpected": True}))
+        participant = Participant("s", "srv", "if.x", layer=None)
+        with pytest.raises(OdpError):
+            manager.exchange(manager.begin(), participant, "abort")
