@@ -9,7 +9,10 @@ Series produced: per-invocation cost (virtual ms and wall time) for
   * co-located with the direct-local-access optimisation,
   * co-located but forced through marshalling + loopback network,
   * genuinely remote.
-Expected shape: local << forced-full-stack <= remote.
+Expected shape: local << forced-full-stack ~= remote.  The loopback
+and the remote call walk the same stack and pay the same propagation
+delay; they differ only by the network's per-byte charge on the few
+bytes by which the two client capsules' names differ in the request.
 """
 
 from repro import EnvironmentConstraints
@@ -89,4 +92,5 @@ def _report():
     assert results["local-shortcut"] < 0.01
     assert results["full-stack-loopback"] > \
         results["local-shortcut"] * 10
-    assert results["remote"] >= results["full-stack-loopback"]
+    assert abs(results["remote"] - results["full-stack-loopback"]) < \
+        0.001 * results["remote"]

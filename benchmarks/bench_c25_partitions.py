@@ -17,9 +17,9 @@ virtual time: ``cli`` writes from the majority side (the availability
 series) and ``a0`` writes from the minority side (the safety series —
 every one of its in-window writes must fail cleanly):
 
-  * baseline — no supervisor, and the member layer's TEST-ONLY
-               ``mutate_skip_quorum_barrier`` flag restores the
-               pre-fix dirty-write protocol.  The first minority
+  * baseline — no supervisor, and the check harness's
+               ``quorumbarrier`` fault model installs the pre-fix
+               dirty-write protocol.  The first minority
                write "commits" locally with a 1-of-2 quorum
                certificate, and its uncorroborated suspicions of the
                unreachable majority replicas are accepted unchecked,
@@ -41,6 +41,7 @@ strictly better majority-side availability than the baseline.
 import pytest
 
 from repro import ReplicationSpec, World
+from repro.check import mutations
 from repro.comp.invocation import QoS
 from repro.errors import OdpError
 from repro.heal.supervisor import Supervisor
@@ -80,8 +81,6 @@ def _ledger_audit(group):
 
 
 def _run(fixed):
-    from repro.groups.member import GroupMemberLayer
-
     world = World(seed=25)
     for name in ("a0", "cli", "s1", "s2", "s3"):
         world.node("org", name)
@@ -107,11 +106,10 @@ def _run(fixed):
         supervisor = Supervisor(domain, vantage=5)
         domain._supervisor = supervisor
         supervisor.start()
-    else:
-        GroupMemberLayer.mutate_skip_quorum_barrier = True
 
     major_failed, minor_failed = [], []
-    try:
+    # The baseline arm runs the pre-fix sequencer protocol.
+    with mutations.applied(*([] if fixed else ["quorumbarrier"])):
         for tick in range(PROBES):
             world.scheduler.run_until(world.now + PROBE_MS)
             world.faults.pump()
@@ -128,8 +126,6 @@ def _run(fixed):
                 major_failed.append(False)
             except OdpError:
                 major_failed.append(True)
-    finally:
-        GroupMemberLayer.mutate_skip_quorum_barrier = False
 
     heal = supervisor.report() if fixed else None
     if fixed:

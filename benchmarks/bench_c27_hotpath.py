@@ -6,7 +6,7 @@ argument *against* distribution transparency, so the engineering answer
 is to drive the per-invocation cost of the infrastructure toward the
 cost of the application work it carries.
 
-C27 measures the marshalling hot path rebuilt in this change:
+C27 measures the marshalling hot path rebuilt in PR 10:
 
 * **Request-marshal pipeline** — the C18-era path built a context dict
   (``Nucleus.encode_context``), assembled the envelope dict, and walked
@@ -19,20 +19,19 @@ C27 measures the marshalling hot path rebuilt in this change:
   byte-identical to the legacy walk.
 * **Codec micro** — raw ``dumps``/``loads`` fast paths vs the retained
   reference walks, on a representative request envelope.
-* **End-to-end ``repro.check``** — seeds/hour with the full stack vs a
-  reconstructed C18-era marshalling arm (zero-copy off, plan caches
-  off) over the *same seeds*, with run digests asserted byte-identical
-  between arms: the speedup must come from doing the same observable
-  work cheaper, never from doing different work.
-* **C20 configuration** — wall-clock invocation rate of the
-  batched+cached throughput workload with the zero-copy path on vs
-  off.  (The *virtual*-time inv/s series is digest-pinned and identical
-  by construction; the lift is real-seconds processing rate.)
+* **Profile split** — the codec's share of a ``repro.check`` sweep.
 
-The check harness is not codec-bound — engine layering, the network
-model and tracing dominate once the codec is fast — so the end-to-end
-lift is asserted as a lift, not as the 3x that holds on the marshalling
-pipeline itself; the report prints the honest profile split.
+Both comparisons need no switch: the legacy pipeline is rebuilt here,
+step for step, from public pieces that production still uses for other
+things.  The end-to-end A/B (whole stack vs a C18-era marshalling arm:
+1.17-1.26x on ``repro.check``, 1.33x wall-clock on the C20 batched
+workload, digests byte-identical between arms) was measured at PR 10
+with a runtime switch that has since been deleted; EXPERIMENTS.md keeps
+those numbers and the perf ledger (``benchmarks/ledger``) is the
+end-to-end trajectory from PR 12 on.  The check harness is not
+codec-bound — engine layering, the network model and tracing dominate
+once the codec is fast — which is why the 3x holds on the marshalling
+pipeline and not end to end.
 """
 
 import cProfile
@@ -42,14 +41,10 @@ import time
 from repro.check.explorer import CheckConfig, run_seed
 from repro.comp.invocation import InvocationContext
 from repro.engine.nucleus import Nucleus
-from repro.ndr.formats import PackedFormat, TaggedFormat, set_zero_copy
-from repro.ndr.plancache import InvocationPlan, PlanCache
+from repro.ndr.formats import PackedFormat, TaggedFormat
+from repro.ndr.plancache import InvocationPlan
 
 from benchmarks.workloads import as_report, write_report
-from benchmarks.bench_c20_throughput import _run_throughput
-
-CHECK_SEEDS = 25
-C20_ROUNDS = 8
 
 #: Representative hot invocation: a transfer with credentials, a
 #: transaction id, a federation hop and overload stamps in ``extra``.
@@ -128,93 +123,24 @@ def marshal_micro():
     return out
 
 
-def _sweep(seeds):
-    config = CheckConfig()
-    digests = []
-    t0 = time.perf_counter()
-    for seed in range(seeds):
-        digests.append(run_seed(seed, config).digest)
-    return (time.perf_counter() - t0) / seeds * 1000.0, digests
-
-
-def _with_stack(zero_copy, fn):
-    """Run *fn* under a stack arm and restore the flags afterwards."""
-    previous = set_zero_copy(zero_copy)
-    saved_default = PlanCache.default_enabled
-    PlanCache.default_enabled = zero_copy
-    try:
-        return fn()
-    finally:
-        set_zero_copy(previous)
-        PlanCache.default_enabled = saved_default
-
-
-def check_ab(seeds=CHECK_SEEDS):
-    """End-to-end seeds/hour: full stack vs the C18 marshalling arm."""
-    run_seed(0, CheckConfig())  # warm imports/caches outside the timer
-    # Best-of-two sweeps per arm: a single stray scheduling hiccup on a
-    # shared runner otherwise dominates a 10-seed sample.
-    fast_ms, fast_digests = _with_stack(True, lambda: _sweep(seeds))
-    fast_ms = min(fast_ms, _with_stack(True, lambda: _sweep(seeds))[0])
-    legacy_ms, legacy_digests = _with_stack(False, lambda: _sweep(seeds))
-    legacy_ms = min(legacy_ms,
-                    _with_stack(False, lambda: _sweep(seeds))[0])
-    assert fast_digests == legacy_digests  # same observable runs
-    return {
-        "seeds": seeds,
-        "fast_ms_per_seed": fast_ms,
-        "legacy_ms_per_seed": legacy_ms,
-        "fast_seeds_hour": 3600_000.0 / fast_ms,
-        "legacy_seeds_hour": 3600_000.0 / legacy_ms,
-        "gain": legacy_ms / fast_ms,
-    }
-
-
-def c20_lift(rounds=C20_ROUNDS):
-    """Wall-clock invocation rate of the C20 batched+cached workload."""
-    def wall():
-        result = _run_throughput(8, "batched+cached")  # warm
-        best = float("inf")
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            result = _run_throughput(8, "batched+cached")
-            best = min(best, time.perf_counter() - t0)
-        return 8 * 50 / best, result["inv_s"]
-
-    fast_inv_s, fast_virtual = _with_stack(True, wall)
-    legacy_inv_s, legacy_virtual = _with_stack(False, wall)
-    assert fast_virtual == legacy_virtual  # virtual series is pinned
-    return {
-        "fast_wall_inv_s": fast_inv_s,
-        "legacy_wall_inv_s": legacy_inv_s,
-        "lift": fast_inv_s / legacy_inv_s,
-        "virtual_inv_s": fast_virtual,
-    }
-
-
 _CODEC_FILES = ("formats.py", "plancache.py", "sigcodec.py")
 
 
 def profile_split(seeds=8):
     """tottime split of a check sweep: codec files vs everything else."""
-    def sweep():
-        profile = cProfile.Profile()
-        profile.enable()
-        for seed in range(seeds):
-            run_seed(seed, CheckConfig())
-        profile.disable()
-        stats = pstats.Stats(profile)
-        total = codec = 0.0
-        for (filename, _, _), row in stats.stats.items():
-            total += row[2]
-            if filename.endswith(_CODEC_FILES):
-                codec += row[2]
-        return {"total_s": total, "codec_s": codec,
-                "codec_share": codec / total}
-
     run_seed(0, CheckConfig())  # warm
-    return {"fast": _with_stack(True, sweep),
-            "legacy": _with_stack(False, sweep)}
+    profile = cProfile.Profile()
+    profile.enable()
+    for seed in range(seeds):
+        run_seed(seed, CheckConfig())
+    profile.disable()
+    total = codec = 0.0
+    for (filename, _, _), row in pstats.Stats(profile).stats.items():
+        total += row[2]
+        if filename.endswith(_CODEC_FILES):
+            codec += row[2]
+    return {"total_s": total, "codec_s": codec,
+            "codec_share": codec / total}
 
 
 # -- assertions ---------------------------------------------------------------
@@ -237,19 +163,6 @@ def test_c27_codec_fast_paths_beat_reference():
     assert micro["tagged"]["dec_gain"] >= 1.0
 
 
-def test_c27_check_digests_and_throughput():
-    """Both stacks replay identical runs; the fast stack must at least
-    never be slower (the honest ~1.15x lift is in the report, measured
-    over the full sweep)."""
-    ab = check_ab(seeds=10)
-    assert ab["gain"] >= 0.95
-
-
-def test_c27_c20_wall_clock_lift():
-    lift = c20_lift(rounds=3)
-    assert lift["lift"] >= 1.05
-
-
 def test_c27_hotpath_seed(benchmark):
     benchmark.group = "C27 hot path"
     config = CheckConfig()
@@ -263,8 +176,6 @@ def test_c27_report(benchmark):
 
 def _report():
     micro = marshal_micro()
-    ab = check_ab()
-    lift = c20_lift()
     split = profile_split()
 
     rows = ["request-marshal pipeline (context dict + envelope walk vs "
@@ -280,33 +191,17 @@ def _report():
     assert micro["packed"]["pipeline_gain"] >= 3.0
 
     rows.append("")
-    rows.append(f"repro.check end-to-end over {ab['seeds']} seeds, "
-                f"digests byte-identical between arms:")
-    rows.append(f"  C18 marshalling arm {ab['legacy_ms_per_seed']:.2f} "
-                f"ms/seed ({ab['legacy_seeds_hour']:,.0f} seeds/hour)")
-    rows.append(f"  zero-copy stack     {ab['fast_ms_per_seed']:.2f} "
-                f"ms/seed ({ab['fast_seeds_hour']:,.0f} seeds/hour)  "
-                f"{ab['gain']:.2f}x")
-
-    rows.append("")
-    rows.append(f"C20 batched+cached, wall-clock invocation rate "
-                f"(virtual series pinned at "
-                f"{lift['virtual_inv_s']:.0f} inv/s):")
-    rows.append(f"  legacy {lift['legacy_wall_inv_s']:,.0f} inv/s  ->  "
-                f"zero-copy {lift['fast_wall_inv_s']:,.0f} inv/s  "
-                f"({lift['lift']:.2f}x)")
-
-    rows.append("")
-    rows.append("profile split of a check sweep (tottime):")
-    for arm in ("legacy", "fast"):
-        part = split[arm]
-        rows.append(f"  {arm:>6}: codec {part['codec_s'] * 1000:6.1f} ms "
-                    f"of {part['total_s'] * 1000:6.1f} ms "
-                    f"({part['codec_share'] * 100:.0f}% of runtime)")
+    rows.append(f"profile split of a check sweep (tottime): codec "
+                f"{split['codec_s'] * 1000:.1f} ms of "
+                f"{split['total_s'] * 1000:.1f} ms "
+                f"({split['codec_share'] * 100:.0f}% of runtime)")
     rows.append("")
     rows.append("the check harness is engine/network-bound once the "
                 "codec is fast; the 3x holds on the marshalling "
-                "pipeline itself and every digest stays byte-identical")
+                "pipeline itself.  End-to-end A/B (1.17-1.26x on "
+                "repro.check, 1.33x on C20) was measured at PR 10 with "
+                "a switch since deleted; the perf ledger is the "
+                "end-to-end trajectory")
 
     write_report("C27", "hot path: zero-copy NDR + event wheel", rows)
 

@@ -20,13 +20,13 @@ every CLI run.
 """
 
 from repro.check.explorer import (
-    MUTATIONS,
     CheckConfig,
     RunResult,
     run_plan,
     run_seed,
 )
 from repro.check.history import History, digest_run
+from repro.check.mutations import MUTATIONS
 from repro.check.oracles import ORACLES, Violation, run_all
 from repro.check.plan import (
     CLIENT_NODE,

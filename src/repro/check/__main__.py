@@ -14,7 +14,8 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.check.explorer import MUTATIONS, CheckConfig, run_seed
+from repro.check.explorer import CheckConfig, run_seed
+from repro.check.mutations import MUTATIONS
 from repro.check.oracles import ORACLES
 from repro.check.plan import generate_plan
 from repro.check.shrink import repro_snippet, shrink

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.check import mutations
 from repro.check.history import History, digest_run
 from repro.check.plan import (
     CLIENT_NODE,
@@ -31,25 +32,9 @@ from repro.comp.interface import InterfaceState
 from repro.comp.invocation import QoS
 from repro.comp.outcomes import Signal
 from repro.errors import OdpError
-from repro.groups.member import GroupMemberLayer
-from repro.lease.authority import LeaseAuthority
 from repro.net.fault import FaultSchedule
-from repro.overload.deadline import DeadlineGate
-from repro.resilience.dedup import ReplyCache
 from repro.runtime import World
 from repro.tx.transaction import TxState
-from repro.tx.versions import VersionStore
-
-#: Known platform mutations (oracle-sensitivity switches): name ->
-#: (class, flag attribute).  Each silently breaks one guarantee; the
-#: matching oracle must catch it or the harness is decorative.
-MUTATIONS: Dict[str, Tuple[type, str]] = {
-    "replycache": (ReplyCache, "mutate_skip_lookup"),
-    "txversions": (VersionStore, "mutate_skip_restore"),
-    "quorumbarrier": (GroupMemberLayer, "mutate_skip_quorum_barrier"),
-    "leaseinval": (LeaseAuthority, "mutate_skip_invalidation"),
-    "deadline": (DeadlineGate, "mutate_skip_deadline_check"),
-}
 
 _DOMAIN = "check"
 _ALL_NODES = SERVER_NODES + (CLIENT_NODE,)
@@ -71,7 +56,7 @@ class CheckConfig:
     #: the plan generator uses to aim chaos windows at the op timeline.
     op_budget_ms: float = 25.0
     max_windows: int = 4
-    #: Active platform mutations (keys of :data:`MUTATIONS`).
+    #: Active platform mutations (keys of :data:`mutations.MUTATIONS`).
     mutations: Tuple[str, ...] = ()
     #: Run the domain's self-healing supervisor (repro.heal) during the
     #: plan: heartbeats over the simulated network, observation-based
@@ -148,9 +133,10 @@ class CheckConfig:
 
     def with_mutations(self, *names: str) -> "CheckConfig":
         for name in names:
-            if name not in MUTATIONS:
-                raise ValueError(f"unknown mutation {name!r}; "
-                                 f"known: {sorted(MUTATIONS)}")
+            if name not in mutations.MUTATIONS:
+                raise ValueError(
+                    f"unknown mutation {name!r}; "
+                    f"known: {sorted(mutations.MUTATIONS)}")
         return replace(self, mutations=tuple(names))
 
     def with_supervisor(self,
@@ -237,18 +223,14 @@ class _PlanAbort(Exception):
     """Deliberate client-side abort injected by ``cancel_transfer``."""
 
 
-def _apply_mutations(names) -> List[Tuple[type, str, bool]]:
-    applied = []
-    for name in names:
-        cls, attr = MUTATIONS[name]
-        applied.append((cls, attr, getattr(cls, attr)))
-        setattr(cls, attr, True)
-    return applied
-
-
-def _revert_mutations(applied) -> None:
-    for cls, attr, prior in applied:
-        setattr(cls, attr, prior)
+def _tally(outcomes: List[str]) -> Tuple[str, str]:
+    """A burst's history entry: ``ok`` only when every member was, and
+    the per-outcome counts as a label (``okx3,failed:…x1``)."""
+    summary: Dict[str, int] = {}
+    for outcome in outcomes:
+        summary[outcome] = summary.get(outcome, 0) + 1
+    label = ",".join(f"{key}x{summary[key]}" for key in sorted(summary))
+    return ("ok" if set(outcomes) == {"ok"} else "mixed"), label
 
 
 class _Run:
@@ -436,31 +418,26 @@ class _Run:
         and kills its tight deadlines in the queue."""
         name = self._counter_name(op)
         n = max(1, int(op.get("n", 1)))
-        if not self.config.overload:
-            outcomes = []
-            for _ in range(n):
-                outcome, _value = self._attempt(
-                    self.proxies[name].increment)
-                self._count_increment(name, outcome)
-                outcomes.append(outcome)
-        else:
+        qos = None
+        if self.config.overload:
             tiers = self.config.overload_tiers
             tier = tiers[op.get("tier", 0) % len(tiers)]
             prio = int(op.get("prio", 2)) % 4
             qos = QoS(deadline_ms=tier, retries=self.config.retries,
                       priority=prio)
-            outcomes = []
-            for _ in range(n):
-                outcome, _value = self._attempt(
-                    self.proxies[name].increment, _qos=qos)
-                self._count_increment(name, outcome)
-                outcomes.append(outcome)
-        summary = {}
-        for outcome in outcomes:
-            summary[outcome] = summary.get(outcome, 0) + 1
-        label = ",".join(f"{key}x{summary[key]}"
-                         for key in sorted(summary))
-        return ("ok" if set(outcomes) == {"ok"} else "mixed"), label
+        return _tally(self._serial_increments(name, n, qos))
+
+    def _serial_increments(self, name: str, n: int,
+                           qos: Optional[QoS] = None) -> List[str]:
+        """n back-to-back increments of one counter (the binding's own
+        QoS when *qos* is None), each folded into the counter model."""
+        outcomes = []
+        for _ in range(n):
+            outcome, _value = self._attempt(
+                self.proxies[name].increment, _qos=qos)
+            self._count_increment(name, outcome)
+            outcomes.append(outcome)
+        return outcomes
 
     def _count_increment(self, name: str, outcome: str) -> None:
         if outcome == "ok":
@@ -493,12 +470,7 @@ class _Run:
         name = self._counter_name(op)
         n = max(2, int(op.get("n", 2)))
         if self.batcher is None:
-            outcomes = []
-            for _ in range(n):
-                outcome, _value = self._attempt(
-                    self.proxies[name].increment)
-                self._count_increment(name, outcome)
-                outcomes.append(outcome)
+            outcomes = self._serial_increments(name, n)
         else:
             ref = self.proxies[name]._ref
             futures = [self.batcher.call(ref, "increment")
@@ -513,12 +485,7 @@ class _Run:
                 outcome, _value = self._attempt(future.result)
                 self._count_increment(name, outcome)
                 outcomes.append(outcome)
-        summary = {}
-        for outcome in outcomes:
-            summary[outcome] = summary.get(outcome, 0) + 1
-        label = ",".join(f"{key}x{summary[key]}"
-                         for key in sorted(summary))
-        return ("ok" if set(outcomes) == {"ok"} else "mixed"), label
+        return _tally(outcomes)
 
     def _op_read(self, op):
         name = self._counter_name(op)
@@ -699,12 +666,7 @@ class _Run:
         for _ in range(n):
             outcome, _value = self._attempt(self.gproxy.get, key)
             outcomes.append(outcome)
-        summary = {}
-        for outcome in outcomes:
-            summary[outcome] = summary.get(outcome, 0) + 1
-        label = ",".join(f"{key_}x{summary[key_]}"
-                         for key_ in sorted(summary))
-        return ("ok" if set(outcomes) == {"ok"} else "mixed"), label
+        return _tally(outcomes)
 
     def _op_shard_incr(self, op):
         if self.space is None:
@@ -993,16 +955,13 @@ def run_plan(plan: Plan, config: Optional[CheckConfig] = None
              ) -> RunResult:
     """Execute *plan* on a fresh world and return the recorded run."""
     config = config or CheckConfig()
-    applied = _apply_mutations(config.mutations)
-    try:
+    with mutations.applied(*config.mutations):
         run = _Run(plan, config)
         for index, op in enumerate(plan.ops):
             run._advance(config.op_budget_ms)
             run.world.faults.pump()
             run.execute(index, op)
         return run.finish()
-    finally:
-        _revert_mutations(applied)
 
 
 def run_seed(seed: int, config: Optional[CheckConfig] = None

@@ -25,7 +25,7 @@ from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.engine.layers import compose_client
 from repro.engine.nucleus import Nucleus
-from repro.engine.remote import decode_reply, inv_object
+from repro.engine.remote import decode_reply
 from repro.errors import (
     BindingError,
     CommunicationError,
@@ -33,7 +33,7 @@ from repro.errors import (
     NodeUnreachableError,
     ProtocolMismatchError,
 )
-from repro.ndr.formats import get_format, zero_copy_enabled
+from repro.ndr.formats import get_format
 from repro.ndr.plancache import PlanCache
 from repro.overload.deadline import deadline_of, earliest_deadline, stamp
 from repro.resilience.breaker import NO_BREAKER
@@ -275,26 +275,14 @@ class TransportLayer:
         inv_id = None
         if self._discipline.inv_ids and invocation.invocation_id:
             inv_id = invocation.invocation_id
-        if not self.plan_cache.enabled:
-            return wire.dumps({
-                "capsule": path.capsule,
-                "inv": inv_object(
-                    marshaller, invocation.interface_id,
-                    invocation.operation, invocation.args,
-                    invocation.kind.value, invocation.epoch,
-                    invocation.context, inv_id)})
         args_obj = marshaller.marshal_args(invocation.args)
         plan = self.plan_cache.plan_for(
             wire, path.capsule, invocation.interface_id,
             invocation.operation, invocation.kind.value,
             invocation.epoch, inv_id is not None)
-        if zero_copy_enabled():
-            # One-buffer assembly; the context is written straight
-            # from its fields, skipping encode_context's dict.
-            return plan.encode_request(args_obj, invocation.context,
-                                       inv_id)
-        return plan.encode_single(plan.encode_member(
-            args_obj, Nucleus.encode_context(invocation.context), inv_id))
+        # One-buffer assembly; the context is written straight from its
+        # fields, skipping encode_context's dict.
+        return plan.encode_request(args_obj, invocation.context, inv_id)
 
     # -- the exchange -----------------------------------------------------------
 

@@ -50,12 +50,6 @@ class GroupMemberLayer(ServerLayer):
 
     name = "group-member"
 
-    #: TEST-ONLY mutation hook for ``repro.check``: when flipped on the
-    #: class, the sequencer reverts to the pre-fix dirty-write protocol
-    #: — apply first, count acks after, never roll back — which must
-    #: trip exactly the ``split_brain`` oracle.
-    mutate_skip_quorum_barrier = False
-
     def __init__(self, registry, group_id: str, member_index: int,
                  capsule) -> None:
         self.registry = registry
@@ -195,8 +189,8 @@ class GroupMemberLayer(ServerLayer):
         self._staged = None
         return Termination(OK)
 
-    def _coordinate(self, invocation: Invocation, interface,
-                    next_layer) -> Termination:
+    def _as_sequencer(self):
+        """The group, or MembershipError unless this member leads it."""
         group = self.group
         me = self._me()
         sequencer = group.view.sequencer
@@ -205,6 +199,37 @@ class GroupMemberLayer(ServerLayer):
             raise MembershipError(
                 f"member {self.member_index} is not the sequencer of "
                 f"{self.group_id} (view {group.view.number})")
+        return group
+
+    def _fan_out(self, invocation: Invocation, seq: int, prev: int):
+        """Relay a locally applied write to every other live member.
+
+        Returns ``(acked, suspects)``; a suspect is ``(member,
+        corroborated)``: a MembershipError is the member's own
+        testimony that it diverged — positive evidence the panel must
+        not veto — while a CommunicationError is an ambiguous liveness
+        guess (could be a partition) the supervisor's vantage panel may
+        overrule.  The grade only matters on the no-quorum path: once
+        the write commits, every non-acking member verifiably misses
+        committed state and is escalated by the caller.
+        """
+        acked = []
+        suspects = []
+        for member in self.group.view.live_members():
+            if member.index == self.member_index:
+                continue
+            try:
+                self._relay(invocation, member, seq, prev)
+                acked.append(member)
+            except MembershipError:
+                suspects.append((member, True))
+            except CommunicationError:
+                suspects.append((member, False))
+        return acked, suspects
+
+    def _coordinate(self, invocation: Invocation, interface,
+                    next_layer) -> Termination:
+        group = self._as_sequencer()
 
         # Reads need not be ordered or relayed: the sequencer's state is
         # authoritative (writes are applied here first).
@@ -219,37 +244,16 @@ class GroupMemberLayer(ServerLayer):
         prev = self.applied_seq
         implementation = interface.implementation
         snapshot = None
-        if not self.mutate_skip_quorum_barrier and \
-                implementation is not None:
+        if implementation is not None:
             snapshot = take_snapshot(implementation)
         termination = next_layer(invocation)
         self.applied_seq = seq
         self.applied_ops += 1
 
-        acks = 1  # the sequencer itself
-        acked = []
-        # (member, corroborated): a MembershipError is the member's own
-        # testimony that it diverged — positive evidence the panel must
-        # not veto — while a CommunicationError is an ambiguous liveness
-        # guess (could be a partition) the supervisor's vantage panel
-        # may overrule.  The grade only matters on the no-quorum path:
-        # once the write commits, every non-acking member verifiably
-        # misses committed state and is escalated below.
-        suspects = []
-        for member in group.view.live_members():
-            if member.index == self.member_index:
-                continue
-            try:
-                self._relay(invocation, member, seq, prev)
-                acks += 1
-                acked.append(member)
-            except MembershipError:
-                suspects.append((member, True))
-            except CommunicationError:
-                suspects.append((member, False))
-
+        acked, suspects = self._fan_out(invocation, seq, prev)
+        acks = 1 + len(acked)  # the sequencer itself
         quorum = group.spec.reply_quorum
-        if acks < quorum and not self.mutate_skip_quorum_barrier:
+        if acks < quorum:
             # Quorum barrier: undo the write everywhere it landed
             # *before* reporting suspects — a reconciliation triggered
             # by the suspicion must never spread uncommitted state.
@@ -274,12 +278,6 @@ class GroupMemberLayer(ServerLayer):
             # aborted write leaves nothing behind to miss.)
             self.registry.suspect(self.group_id, member,
                                   corroborated=True)
-        if acks < quorum:
-            # Mutation path (pre-fix protocol): the dirty local apply
-            # and its under-quorum ledger entry are left in place.
-            raise NoQuorumError(
-                f"{self.group_id}: only {acks} of {quorum} required "
-                f"replicas acknowledged")
         self.relayed_ops += 1
         return termination
 

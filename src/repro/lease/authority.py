@@ -25,11 +25,6 @@ the control plane of client-side caching:
   next contact (the pending record); a holder that never contacts again
   self-fences when its grant expires.  Either way no cache serves a
   superseded value for longer than the TTL after the write committed.
-
-The TEST-ONLY ``mutate_skip_invalidation`` flag disables *both* the
-fan-out and the pending bookkeeping, so a continuously-renewing client
-keeps serving a superseded value past the bound — exactly the breakage
-the ``staleness_bound`` oracle in :mod:`repro.check` must catch.
 """
 
 from __future__ import annotations
@@ -53,11 +48,6 @@ FLUSH_TAG = "*"
 class LeaseAuthority:
     """Per-domain lease registry, version ledger and invalidator."""
 
-    #: TEST-ONLY mutation hook (see repro.check): skip the invalidation
-    #: fan-out *and* the pending bookkeeping on write, so stale cache
-    #: entries survive renewals — the staleness_bound oracle must fire.
-    mutate_skip_invalidation = False
-
     def __init__(self, domain, default_ttl_ms: float = 2000.0) -> None:
         self.domain = domain
         self.default_ttl_ms = default_ttl_ms
@@ -79,6 +69,9 @@ class LeaseAuthority:
         self.contact_failures = 0
         self.invalidations_noted = 0
         self.invalidations_posted = 0
+        #: Always 0 here; only the check harness's ``leaseinval`` fault
+        #: model counts.  Reported because ``report()`` is hashed into
+        #: the pinned leases-mode run digests.
         self.invalidations_skipped = 0
         self.pending_delivered = 0
         self.revocations = 0
@@ -181,9 +174,6 @@ class LeaseAuthority:
             return
         key = (interface_id, tag)
         self.versions[key] = self.versions.get(key, 0) + 1
-        if type(self).mutate_skip_invalidation:
-            self.invalidations_skipped += 1
-            return
         self.invalidations_noted += 1
         now = self.clock.now
         held = self.grants.get(interface_id)

@@ -18,16 +18,22 @@ byte:
 * the **reference walk** (``dumps_reference``/``loads_reference``) — the
   original recursive chunk-list encoder and tuple-threading decoder,
   kept as the executable specification of the wire format;
-* the **zero-copy fast path** (the default behind ``dumps``/``loads``)
-  — a single ``bytearray`` output buffer appended in place, exact-type
-  dispatch, precompiled ``struct`` codes, and an allocation-free decode
-  cursor (one mutable position object per message instead of a
-  ``(value, offset)`` tuple per node).
+* the **zero-copy fast path** (``dumps``/``loads``, what every message
+  takes) — a single ``bytearray`` output buffer appended in place,
+  exact-type dispatch, precompiled ``struct`` codes, and an
+  allocation-free decode cursor (one mutable position object per
+  message instead of a ``(value, offset)`` tuple per node).
 
-``set_zero_copy(False)`` routes ``dumps``/``loads`` through the
-reference walk globally — benchmarks use it to measure the legacy
-stack; the golden and fuzz tests assert both paths emit identical
-bytes.
+The reference walk is not a runtime arm: ``_write`` is the fast
+encoders' fallback for scalar/container subclasses and builds every
+plan chunk in :mod:`repro.ndr.plancache`, and the golden and fuzz tests
+assert both paths emit identical bytes.
+
+Bytes arrive from outside the program, so every decoder maps damage —
+truncation, invalid UTF-8, a non-string map key, a non-ASCII tag,
+nesting past the recursion limit, a TAGGED length that is negative or
+disagrees with what the children occupy — to :class:`MarshalError` and
+nothing else, in time linear in the message.
 """
 
 from __future__ import annotations
@@ -36,24 +42,6 @@ import struct
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import MarshalError
-
-#: When True (the default) ``dumps``/``loads`` take the zero-copy fast
-#: path; when False they run the reference walk.  Flipped only by
-#: benchmarks and equivalence tests.
-_ZERO_COPY = True
-
-
-def zero_copy_enabled() -> bool:
-    return _ZERO_COPY
-
-
-def set_zero_copy(enabled: bool) -> bool:
-    """Toggle the fast path globally; returns the previous setting."""
-    global _ZERO_COPY
-    previous = _ZERO_COPY
-    _ZERO_COPY = bool(enabled)
-    return previous
-
 
 class _Cursor:
     """A mutable decode position: one allocation per message."""
@@ -206,17 +194,13 @@ def _packed_read(data: bytes, cur: _Cursor) -> Any:
         pos += 4
         result: Dict[str, Any] = {}
         for _ in range(count):
-            # Keys are (almost) always strings: decode inline.
-            t = data[pos]
-            if t == 0x73:
-                (length,) = _UNPACK_U(data, pos + 1)
-                kp = pos + 5
-                pos = kp + length
-                key = data[kp:pos].decode("utf-8")
-            else:
-                cur.pos = pos
-                key = _packed_read(data, cur)
-                pos = cur.pos
+            # Every encoder writes keys as strings: decode inline.
+            if data[pos] != 0x73:
+                raise MarshalError("packed map key is not a string")
+            (length,) = _UNPACK_U(data, pos + 1)
+            kp = pos + 5
+            pos = kp + length
+            key = data[kp:pos].decode("utf-8")
             # Values: inline the dominant scalar cases, recurse for
             # containers and the rare tags.
             t = data[pos]
@@ -309,8 +293,6 @@ class PackedFormat(WireFormat):
     _MAGIC = b"\xa5P"
 
     def dumps(self, obj: Any) -> bytes:
-        if not _ZERO_COPY:
-            return self.dumps_reference(obj)
         buf = bytearray(self._MAGIC)
         _packed_write(obj, buf, self)
         return bytes(buf)
@@ -357,8 +339,6 @@ class PackedFormat(WireFormat):
                 f"packed format cannot encode {type(obj).__name__}")
 
     def loads(self, data: bytes) -> Any:
-        if not _ZERO_COPY:
-            return self.loads_reference(data)
         if not data.startswith(self._MAGIC):
             raise MarshalError(
                 "not a packed-format message (wrong magic); the sender "
@@ -368,6 +348,8 @@ class PackedFormat(WireFormat):
             obj = _packed_read(data, cur)
         except (struct.error, IndexError) as exc:
             raise MarshalError(f"truncated packed message: {exc}") from exc
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise MarshalError(f"malformed packed message: {exc}") from exc
         if cur.pos != len(data):
             raise MarshalError("trailing bytes in packed message")
         return obj
@@ -427,12 +409,16 @@ class PackedFormat(WireFormat):
                 result: Dict[str, Any] = {}
                 for _ in range(count):
                     key, offset = self._read(data, offset)
+                    if not isinstance(key, str):
+                        raise MarshalError("packed map key is not a string")
                     value, offset = self._read(data, offset)
                     result[key] = value
                 return result, offset
             raise MarshalError(f"unknown packed tag {tag!r}")
         except struct.error as exc:
             raise MarshalError(f"truncated packed message: {exc}") from exc
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise MarshalError(f"malformed packed message: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +491,7 @@ def _tagged_read(data: bytes, cur: _Cursor) -> Any:
     length = int(data[first + 1:second])
     start = second + 1
     end = start + length
-    if end > len(data):
+    if end > len(data) or length < 0:
         raise MarshalError("truncated tagged payload")
     cur.pos = end
     if tag == b"text":
@@ -531,15 +517,19 @@ def _tagged_read(data: bytes, cur: _Cursor) -> Any:
             append = items.append
             for _ in range(count):
                 append(_tagged_read(data, cur))
-            cur.pos = end
+            if cur.pos != end:
+                raise MarshalError("tagged list body length mismatch")
             return items
         if base == b"map":
             cur.pos = start
             result: Dict[str, Any] = {}
             for _ in range(count):
                 key = _tagged_read(data, cur)
+                if type(key) is not str:
+                    raise MarshalError("tagged map key is not a string")
                 result[key] = _tagged_read(data, cur)
-            cur.pos = end
+            if cur.pos != end:
+                raise MarshalError("tagged map body length mismatch")
             return result
         raise MarshalError(f"unknown tagged tag {base.decode('ascii')!r}")
     raise MarshalError(f"unknown tagged tag {tag.decode('ascii')!r}")
@@ -557,8 +547,6 @@ class TaggedFormat(WireFormat):
     _MAGIC = b"@TAGGED@"
 
     def dumps(self, obj: Any) -> bytes:
-        if not _ZERO_COPY:
-            return self.dumps_reference(obj)
         buf = bytearray(self._MAGIC)
         _tagged_write(obj, buf, self)
         return bytes(buf)
@@ -606,8 +594,6 @@ class TaggedFormat(WireFormat):
                 f"tagged format cannot encode {type(obj).__name__}")
 
     def loads(self, data: bytes) -> Any:
-        if not _ZERO_COPY:
-            return self.loads_reference(data)
         if not data.startswith(self._MAGIC):
             raise MarshalError(
                 "not a tagged-format message (wrong magic); the sender "
@@ -615,7 +601,7 @@ class TaggedFormat(WireFormat):
         cur = _Cursor(len(self._MAGIC))
         try:
             obj = _tagged_read(data, cur)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MarshalError(f"malformed tagged message: {exc}") from exc
         if cur.pos != len(data):
             raise MarshalError("trailing bytes in tagged message")
@@ -627,7 +613,10 @@ class TaggedFormat(WireFormat):
             raise MarshalError(
                 "not a tagged-format message (wrong magic); the sender "
                 "used an incompatible wire format")
-        obj, offset = self._read(data, len(self._MAGIC))
+        try:
+            obj, offset = self._read(data, len(self._MAGIC))
+        except (ValueError, RecursionError) as exc:
+            raise MarshalError(f"malformed tagged message: {exc}") from exc
         if offset != len(data):
             raise MarshalError("trailing bytes in tagged message")
         return obj
@@ -672,14 +661,20 @@ class TaggedFormat(WireFormat):
             for _ in range(count or 0):
                 item, inner = self._read(data, inner)
                 items.append(item)
+            if inner != end:
+                raise MarshalError("tagged list body length mismatch")
             return items, end
         if tag == "map":
             result: Dict[str, Any] = {}
             inner = offset
             for _ in range(count or 0):
                 key, inner = self._read(data, inner)
+                if not isinstance(key, str):
+                    raise MarshalError("tagged map key is not a string")
                 value, inner = self._read(data, inner)
                 result[key] = value
+            if inner != end:
+                raise MarshalError("tagged map body length mismatch")
             return result, end
         raise MarshalError(f"unknown tagged tag {tag!r}")
 

@@ -10,9 +10,9 @@ An :class:`InvocationPlan` freezes the constant parts of one
 (wire format, capsule, interface, operation, kind, epoch) combination
 into pre-encoded byte chunks, leaving *holes* for the three values that
 genuinely vary per call — the marshalled argument list, the invocation
-context, and the invocation id.  Encoding then interleaves the cached
-chunks with three ``_write`` calls instead of re-walking the whole
-envelope.
+context, and the invocation id.  Encoding then appends the cached
+chunks and the three holes to one buffer instead of re-walking the
+whole envelope.
 
 Format subtlety: PACKED containers carry only an entry *count*, so
 constant chunks splice byte-for-byte.  TAGGED containers length-prefix
@@ -57,11 +57,15 @@ _CTX_KEYS = ("credentials", "extra", "origin_domain", "principal",
 class InvocationPlan:
     """Frozen encoding plan for one invocation shape on one path.
 
-    ``encode_member`` produces the bytes of the ``inv`` dict alone (a
-    *member*), which is the unit both envelope shapes are assembled
-    from: ``encode_single`` wraps one member into the classic
-    ``{"capsule", "inv"}`` request, :func:`encode_batch` wraps many into
-    a ``{"batch", "capsule"}`` multi-invocation message.
+    ``encode_request`` produces the classic ``{"capsule", "inv"}``
+    request; ``encode_member_zero`` produces the bytes of the ``inv``
+    dict alone (a *member*), which :func:`encode_batch` wraps many of
+    into a ``{"batch", "capsule"}`` multi-invocation message.
+
+    ``encode_member`` + ``encode_single`` are the chunk-list form of the
+    same two steps, fed a context *dict*.  No production code calls them
+    any more; they stay because the perf ledger's boundary table names
+    them and the golden tests pin them against the generic walk.
     """
 
     __slots__ = ("fmt", "packed", "entries", "pre_args", "pre_ctx",
@@ -334,13 +338,7 @@ _INTERNED: Dict[Tuple, InvocationPlan] = {}
 class PlanCache:
     """Per-channel (or per-batcher) store of invocation plans."""
 
-    #: Default for caches constructed without an explicit ``enabled``;
-    #: benchmarks flip this to measure the legacy (plan-free) stack.
-    default_enabled = True
-
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        self.enabled = (PlanCache.default_enabled if enabled is None
-                        else enabled)
+    def __init__(self) -> None:
         self._plans: Dict[Tuple, InvocationPlan] = {}
         self.hits = 0
         self.misses = 0
@@ -364,23 +362,12 @@ class PlanCache:
             self.hits += 1
         return plan
 
-    def invalidate(self, interface_id: Optional[str] = None) -> None:
-        """Drop plans — all of them (rebind: the whole path may have
-        changed) or those of one interface (federation translation)."""
-        if interface_id is None:
-            dropped = len(self._plans)
-            self._plans.clear()
-        else:
-            stale = [key for key in self._plans if key[2] == interface_id]
-            for key in stale:
-                del self._plans[key]
-            dropped = len(stale)
-        self.invalidations += dropped
+    def invalidate(self) -> None:
+        """Drop every plan (rebind: the whole path may have changed)."""
+        self.invalidations += len(self._plans)
+        self._plans.clear()
 
     def stats(self) -> Dict[str, int]:
         return {"plans": len(self._plans), "hits": self.hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations}
-
-    def __len__(self) -> int:
-        return len(self._plans)

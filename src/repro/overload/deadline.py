@@ -89,10 +89,6 @@ class DeadlineGate:
     than it had left to live).
     """
 
-    #: TEST-ONLY: skip both deadline checks, letting expired work
-    #: execute.  Trips exactly the ``overload_safety`` oracle.
-    mutate_skip_deadline_check = False
-
     def __init__(self, clock) -> None:
         self.clock = clock
         self.expired_on_arrival = 0
@@ -104,8 +100,6 @@ class DeadlineGate:
 
     def expired(self, deadline_at: Optional[float]) -> bool:
         if deadline_at is None:
-            return False
-        if type(self).mutate_skip_deadline_check:
             return False
         return self.clock.now > deadline_at + 1e-9
 

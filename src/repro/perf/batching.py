@@ -45,14 +45,14 @@ from repro.comp.invocation import InvocationContext, QoS
 from repro.comp.reference import InterfaceRef
 from repro.engine.futures import Future
 from repro.engine.nucleus import Nucleus
-from repro.engine.remote import inv_object, open_reply, termination_of
+from repro.engine.remote import open_reply, termination_of
 from repro.errors import (
     MessageLostError,
     NodeUnreachableError,
     OdpError,
     ProtocolMismatchError,
 )
-from repro.ndr.formats import get_format, zero_copy_enabled
+from repro.ndr.formats import get_format
 from repro.ndr.plancache import PlanCache, encode_batch
 from repro.overload.deadline import deadline_of, earliest_deadline, stamp
 from repro.resilience.retry import RetryGate, RetryPolicy, Verdict, classify
@@ -234,20 +234,11 @@ class BatchClient:
     def _encode_member(self, fmt, capsule_name: str, entry: _Pending,
                        marshaller) -> bytes:
         args_obj = marshaller.marshal_args(entry.args)
-        if self.plan_cache.enabled:
-            plan = self.plan_cache.plan_for(
-                fmt, capsule_name, entry.ref.interface_id,
-                entry.operation, "interrogation", entry.ref.epoch, True)
-            if zero_copy_enabled():
-                return plan.encode_member_zero(args_obj, entry.context,
-                                               entry.invocation_id)
-            return plan.encode_member(args_obj,
-                                      Nucleus.encode_context(entry.context),
-                                      entry.invocation_id)
-        return fmt.dumps(inv_object(
-            marshaller, entry.ref.interface_id, entry.operation,
-            entry.args, "interrogation", entry.ref.epoch, entry.context,
-            entry.invocation_id))[len(fmt._MAGIC):]
+        plan = self.plan_cache.plan_for(
+            fmt, capsule_name, entry.ref.interface_id,
+            entry.operation, "interrogation", entry.ref.epoch, True)
+        return plan.encode_member_zero(args_obj, entry.context,
+                                       entry.invocation_id)
 
     def _exchange(self, node: str, protocol: str, payload: bytes,
                   size: int, tracer, batch_span,

@@ -27,18 +27,10 @@ from typing import Dict, Optional
 class ReplyCache:
     """Bounded invocation-id -> encoded-reply cache for one nucleus."""
 
-    #: TEST-ONLY mutation hook (repro.check oracle-sensitivity tests):
-    #: when True, lookups miss unconditionally, silently degrading the
-    #: platform to at-least-once so the exactly-once oracle must notice.
-    #: Never set in production code paths.
-    mutate_skip_lookup = False
-
-    def __init__(self, capacity: int = 4096, enabled: bool = True,
-                 clock=None) -> None:
+    def __init__(self, capacity: int = 4096, clock=None) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self.enabled = enabled
         #: Virtual clock for eager deadline eviction; None disables it.
         self.clock = clock
         self._replies: "OrderedDict[str, bytes]" = OrderedDict()
@@ -55,10 +47,8 @@ class ReplyCache:
 
     def lookup(self, invocation_id: str) -> Optional[bytes]:
         """Return the cached reply for a retransmission, if any."""
-        if not self.enabled or not invocation_id:
+        if not invocation_id:
             return None
-        if self.mutate_skip_lookup:
-            return None  # test-only: behave as if never seen
         reply = self._replies.get(invocation_id)
         if reply is not None:
             self.duplicates_suppressed += 1
@@ -66,7 +56,7 @@ class ReplyCache:
 
     def store(self, invocation_id: str, reply: bytes,
               expires_at: Optional[float] = None) -> None:
-        if not self.enabled or not invocation_id or self.capacity == 0:
+        if not invocation_id or self.capacity == 0:
             return
         if invocation_id not in self._replies:
             self.replies_cached += 1

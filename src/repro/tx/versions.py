@@ -33,12 +33,6 @@ def restore_snapshot(implementation: Any, snapshot: Dict[str, Any]) -> None:
 class VersionStore:
     """Before-images for one interface, keyed by transaction id."""
 
-    #: TEST-ONLY mutation hook (repro.check oracle-sensitivity tests):
-    #: when True, aborts silently skip restoring the before-image,
-    #: leaving a rolled-back transaction's writes in place so the
-    #: atomicity oracle must notice.  Never set in production code paths.
-    mutate_skip_restore = False
-
     def __init__(self, interface_id: str) -> None:
         self.interface_id = interface_id
         self._before: Dict[str, Dict[str, Any]] = {}
@@ -60,8 +54,6 @@ class VersionStore:
         snapshot = self._before.pop(tx_id, None)
         if snapshot is None:
             return False
-        if self.mutate_skip_restore:
-            return True  # test-only: claim success, restore nothing
         restore_snapshot(implementation, snapshot)
         self.restores += 1
         return True

@@ -9,13 +9,19 @@ plan to a handful of ops whose reproduction snippet actually runs.
 
 from __future__ import annotations
 
+import inspect
+import pathlib
+import re
+
 import pytest
 
 from repro.check import (
+    MUTATIONS,
     CheckConfig,
     Op,
     Plan,
     generate_plan,
+    mutations,
     repro_snippet,
     run_plan,
     run_seed,
@@ -134,15 +140,48 @@ class TestMutationSensitivity:
         fired = {v.oracle for v in run_all(mutated)}
         assert fired == {oracle}
 
-    def test_mutation_flags_restored_after_run(self):
-        from repro.resilience.dedup import ReplyCache
-        from repro.tx.versions import VersionStore
+    def test_patched_methods_restored_by_identity(self):
+        def installed():
+            return {name: vars(cls)[method]
+                    for name, (cls, method, _) in MUTATIONS.items()}
 
+        originals = installed()
+        with mutations.applied(*MUTATIONS):
+            assert installed() == {name: mutant for name, (_, _, mutant)
+                                   in MUTATIONS.items()}
+        assert all(installed()[name] is originals[name]
+                   for name in MUTATIONS)
+
+        with pytest.raises(RuntimeError):
+            with mutations.applied("deadline", "quorumbarrier"):
+                raise RuntimeError("a run that dies mid-plan")
         run_plan(REPLYCACHE_PLAN,
                  CheckConfig().with_mutations("replycache",
                                               "txversions"))
-        assert ReplyCache.mutate_skip_lookup is False
-        assert VersionStore.mutate_skip_restore is False
+        assert all(installed()[name] is originals[name]
+                   for name in MUTATIONS)
+
+    def test_production_classes_carry_no_switch(self):
+        """The nine benchmark-only and test-only options are gone: fault
+        models live in ``repro.check`` and are installed, not flipped."""
+        import repro
+        from repro.ndr import formats
+        from repro.ndr.plancache import PlanCache
+        from repro.resilience.dedup import ReplyCache
+
+        root = pathlib.Path(repro.__file__).parent
+        offenders = [str(path.relative_to(root))
+                     for path in sorted(root.rglob("*.py"))
+                     if path.parent.name != "check"
+                     and re.search(r"\bmutate_", path.read_text())]
+        assert offenders == []
+        for name in ("set_zero_copy", "zero_copy_enabled", "_ZERO_COPY"):
+            assert not hasattr(formats, name)
+        assert not hasattr(PlanCache, "default_enabled")
+        assert not hasattr(PlanCache(), "enabled")
+        assert not hasattr(ReplyCache(), "enabled")
+        for cls in (PlanCache, ReplyCache):
+            assert "enabled" not in inspect.signature(cls).parameters
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError):

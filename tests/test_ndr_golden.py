@@ -11,9 +11,15 @@ Two independent guarantees live here:
 
 2. **Plan-cache equivalence** — the memoised codec plans of
    ``repro.ndr.plancache`` must produce *byte-identical* output to the
-   generic envelope walk, for both formats, cached and uncached, single
-   and batch.  The cache is a pure accelerator; the moment it drifts a
-   byte it is a federation bug, and this file is what catches it.
+   generic envelope walk, for both formats, first use and re-hit, single
+   and batch — above all the one-buffer assembly every request takes.
+   The cache is a pure accelerator; the moment it drifts a byte it is a
+   federation bug, and this file is what catches it.
+
+3. **Damage tolerance** — bytes come from outside the program: every
+   truncation and a bit flip in every byte of the pinned images, on the
+   fast and the reference decoder alike, yields a value or a
+   ``MarshalError`` and nothing else.
 """
 
 from __future__ import annotations
@@ -22,13 +28,15 @@ import hashlib
 
 import pytest
 
-from repro.comp.invocation import Invocation
+from repro.comp.invocation import Invocation, InvocationContext
 from repro.comp.model import signature_of
+from repro.engine.remote import inv_object
 from repro.engine.wire_errors import _CODES, encode_error
-from repro.errors import ServerBusyError, StaleReferenceError
+from repro.errors import MarshalError, ServerBusyError, StaleReferenceError
 from repro.ndr.formats import get_format
 from repro.ndr.plancache import PlanCache, encode_batch
 from repro.ndr.sigcodec import signature_to_obj, term_to_obj
+from repro.trace.context import TraceContext
 from repro.types.terms import INT, RecordType, RefType, SeqType, STR
 from tests.conftest import Account, Counter
 
@@ -313,29 +321,144 @@ def test_plan_batch_encoding_matches_generic_walk(fmt_name):
         {"batch": [], "capsule": "srv"})
 
 
-def test_transport_encoding_identical_with_cache_on_and_off(
-        single_domain):
-    """The live transport produces the same bytes either way — codec
-    plan caching can be toggled per channel with zero wire impact."""
+def _context_of(ctx):
+    """The InvocationContext whose wire form is the dict *ctx*."""
+    return InvocationContext(
+        principal=ctx["principal"],
+        credentials=dict(ctx["credentials"]),
+        transaction_id=ctx["transaction_id"],
+        origin_domain=ctx["origin_domain"],
+        via_domains=tuple(ctx["via_domains"]),
+        extra=dict(ctx["extra"]),
+        trace=TraceContext.from_wire(ctx.get("trace")))
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_one_buffer_request_matches_generic_walk(fmt_name):
+    """``encode_request`` is what every single request takes: the
+    context is written from the fields of a real InvocationContext."""
+    fmt = get_format(fmt_name)
+    cache = PlanCache()
+    for _pass in ("first use", "re-hit"):
+        for args, ctx, inv_id, epoch, kind in _MEMBER_CASES:
+            plan = cache.plan_for(fmt, "srv", "if.x-1", "mixed_op", kind,
+                                  epoch, inv_id is not None)
+            assert plan.encode_request(args, _context_of(ctx), inv_id) \
+                == fmt.dumps(_manual_envelope(args, ctx, inv_id,
+                                              epoch, kind)), _pass
+    assert cache.hits == len(_MEMBER_CASES)
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_one_buffer_batch_matches_generic_walk(fmt_name):
+    """``encode_member_zero`` + ``encode_batch`` is what every batched
+    member takes."""
+    fmt = get_format(fmt_name)
+    cache = PlanCache()
+    members, objs = [], []
+    for args, ctx, inv_id, epoch, kind in _MEMBER_CASES:
+        plan = cache.plan_for(fmt, "srv", "if.x-1", "mixed_op", kind,
+                              epoch, inv_id is not None)
+        members.append(plan.encode_member_zero(args, _context_of(ctx),
+                                               inv_id))
+        objs.append(_manual_envelope(args, ctx, inv_id,
+                                     epoch, kind)["inv"])
+    assert encode_batch(fmt, "srv", members) == fmt.dumps(
+        {"batch": objs, "capsule": "srv"})
+
+
+def test_transport_encoding_matches_generic_walk(single_domain):
+    """The live transport emits the bytes the generic walk would emit
+    for the same invocation, on the plan's first use and on a re-hit."""
     world, domain, servers, clients = single_domain
     ref = servers.export(Counter(), interface_id="golden.c")
     proxy = world.binder_for(clients).bind(ref)
     transport = proxy._channel.transport
     path = ref.primary_path()
-    invocation = Invocation(interface_id=ref.interface_id,
-                            operation="add", args=(5,),
-                            epoch=ref.epoch,
-                            invocation_id="golden-inv-1")
-    cached = transport._encode(invocation, path)
-    transport.plan_cache.enabled = False
-    try:
-        generic = transport._encode(invocation, path)
-    finally:
-        transport.plan_cache.enabled = True
-    assert cached == generic
-    rehit = transport._encode(invocation, path)
-    assert rehit == generic
-    assert transport.plan_cache.hits >= 1
+    invocation = Invocation(
+        interface_id=ref.interface_id, operation="add", args=(5,),
+        epoch=ref.epoch, invocation_id="golden-inv-1",
+        context=_context_of(_MEMBER_CASES[1][1]))
+    generic = get_format(path.wire_format).dumps({
+        "capsule": path.capsule,
+        "inv": inv_object(
+            transport.nucleus.marshaller_for(transport.capsule),
+            invocation.interface_id, invocation.operation,
+            invocation.args, invocation.kind.value, invocation.epoch,
+            invocation.context, invocation.invocation_id)})
+    assert transport._encode(invocation, path) == generic
+    assert transport._encode(invocation, path) == generic
+    assert transport.plan_cache.stats()["hits"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Damage tolerance: a decoder answers damage with MarshalError, only
+# ---------------------------------------------------------------------------
+
+def _zero_length_nesting(depth):
+    body = b"nil#0#"
+    for count in range(1, depth + 1):
+        body = b"list[%d]#0#" % count + body
+    return b"@TAGGED@" + body
+
+
+#: Short hostile messages that once escaped as something else: an
+#: unbounded allocation (a negative child length lets the container
+#: count alone bound the loop), ``UnicodeDecodeError``, ``TypeError:
+#: unhashable type``, a decode that doubles in cost per nesting level
+#: (a container claiming length 0 rewinds the cursor, so its siblings
+#: re-read its children: 60 levels never finish) and ``RecursionError``.
+HOSTILE = {
+    "tagged_negative_length":
+        ("tagged", b"@TAGGED@list[2000000]#8#text#-8#"),
+    "packed_invalid_utf8":
+        ("packed", b"\xa5Ps\x00\x00\x00\x01\xff"),
+    "packed_unhashable_map_key":
+        ("packed", b"\xa5Pd\x00\x00\x00\x01l\x00\x00\x00\x00N"),
+    "tagged_zero_length_nesting": ("tagged", _zero_length_nesting(60)),
+    "packed_nesting_bomb":
+        ("packed", b"\xa5P" + b"l\x00\x00\x00\x01" * 5000 + b"N"),
+    "tagged_nesting_bomb":
+        ("tagged", b"@TAGGED@" + b"list[1]#9#" * 5000 + b"nil#0#"),
+}
+
+DECODERS = ("loads", "loads_reference")
+
+
+def _damaged(image):
+    """Every truncation of *image*, and a one-bit flip in every byte
+    (the bit rotates with the offset, so each of the eight is exercised
+    on every kind of field).  Decoding a damaged image costs as much as
+    decoding the image, so the two ~11-14 KB ``max_batch_envelope``
+    images — 32 members of one shape — are sampled at every 13th offset
+    to keep the sweep inside the tier-1 budget; the other 24 are
+    exhaustive."""
+    step = 1 if len(image) <= 4096 else 13
+    for k in range(0, len(image), step):
+        yield image[:k]
+        yield image[:k] + bytes((image[k] ^ (1 << (k % 8)),)) \
+            + image[k + 1:]
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_damaged_images_decode_or_raise_marshal_error(fmt_name, decoder):
+    fmt = get_format(fmt_name)
+    decode = getattr(fmt, decoder)
+    for name, obj in _corpus():
+        for damaged in _damaged(fmt.dumps(obj)):
+            try:
+                decode(damaged)
+            except MarshalError:
+                pass
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("probe", sorted(HOSTILE))
+def test_hostile_probes_raise_marshal_error(probe, decoder):
+    fmt_name, payload = HOSTILE[probe]
+    with pytest.raises(MarshalError):
+        getattr(get_format(fmt_name), decoder)(payload)
 
 
 def test_signature_objects_are_memoised():

@@ -25,10 +25,16 @@ class TestNucleusRequestHandling:
                                       payload)
         assert reply == FORMAT_ERROR_REPLY
 
-    def test_garbage_bytes_get_sentinel(self, single_domain):
+    @pytest.mark.parametrize("payload", [
+        b"\x00\x01\x02not-a-message",
+        # Right magic, hostile body: invalid UTF-8, an unhashable key.
+        b"\xa5Ps\x00\x00\x00\x01\xff",
+        b"\xa5Pd\x00\x00\x00\x01l\x00\x00\x00\x00N",
+    ])
+    def test_garbage_bytes_get_sentinel(self, single_domain, payload):
         world, domain, servers, clients = single_domain
         reply = world.network.request("client-node", "server-node",
-                                      b"\x00\x01\x02not-a-message")
+                                      payload)
         assert reply == FORMAT_ERROR_REPLY
 
     def test_unknown_capsule_reports_stale(self, single_domain):

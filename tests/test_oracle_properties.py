@@ -131,6 +131,7 @@ def test_staleness_bound_fires_under_skipped_invalidation():
     from repro.check.explorer import CheckConfig, run_seed
     from repro.lease.authority import LeaseAuthority
 
+    note_write = LeaseAuthority.note_write
     config = CheckConfig().with_leases().with_mutations("leaseinval")
     tripped = 0
     for seed in range(25):
@@ -143,7 +144,7 @@ def test_staleness_bound_fires_under_skipped_invalidation():
     # Tuned sharpness floor: the sweep currently trips 12/25; anything
     # under 8 means the read mix or TTL regressed into blindness.
     assert tripped >= 8
-    assert LeaseAuthority.mutate_skip_invalidation is False  # restored
+    assert LeaseAuthority.note_write is note_write  # restored
 
 
 def test_default_mode_digests_unchanged_by_lease_rows():

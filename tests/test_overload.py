@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro import QoS, ReplicationSpec, World
+from repro.check import mutations
 from repro.check.workload import ShardStore
 from repro.errors import (
     InvocationExpiredError,
@@ -75,11 +76,8 @@ class TestDeadlineGate:
         clock = VirtualClock()
         gate = DeadlineGate(clock)
         clock.advance(100.0)
-        DeadlineGate.mutate_skip_deadline_check = True
-        try:
+        with mutations.applied("deadline"):
             assert not gate.expired(1.0)       # hopelessly past, ignored
-        finally:
-            DeadlineGate.mutate_skip_deadline_check = False
         assert gate.expired(1.0)
 
     def test_execution_log_is_opt_in(self):

@@ -12,6 +12,7 @@ re-admits fenced members through reconciliation rather than fiat.
 import pytest
 
 from repro import ReplicationSpec, World
+from repro.check import mutations
 from repro.comp.constraints import EnvironmentConstraints, FailureSpec
 from repro.comp.invocation import Invocation, QoS
 from repro.engine.remote import invoke_at
@@ -137,7 +138,7 @@ class TestQuorumBarrier:
         assert len(seqs) == 1
 
     def test_mutation_restores_the_dirty_write_bug(self):
-        """The TEST-ONLY barrier-skip flag reproduces the pre-fix
+        """The ``quorumbarrier`` fault model reproduces the pre-fix
         protocol: the dirty apply survives and the ledger records the
         under-quorum certificate (what the split_brain oracle trips on).
         """
@@ -146,13 +147,9 @@ class TestQuorumBarrier:
         proxy.put("k", "v0")
         seq_layer = group.view.sequencer.layer
         world.partition(["n1", "client-node"], ["n2", "n3"])
-        from repro.groups.member import GroupMemberLayer
-        GroupMemberLayer.mutate_skip_quorum_barrier = True
-        try:
+        with mutations.applied("quorumbarrier"):
             with pytest.raises(NoQuorumError):
                 proxy.put("k", "dirty")
-        finally:
-            GroupMemberLayer.mutate_skip_quorum_barrier = False
         # The dirty write stuck to the sequencer...
         assert member_data(domain, group)[0] == {"k": "dirty"}
         # ...and the ledger holds the evidence: acks below quorum.
