@@ -14,6 +14,13 @@ from real crashes — they *accrue* and then recover.
 
 Detection latency is therefore a measured property of heartbeat period,
 network behaviour and threshold — not an oracle lookup.
+
+The detector is asked far more often than anything changes, so what it
+answers from is kept current where state changes (``watch``, ``observe``,
+``poll``, ``reset``) instead of being rescanned per question: a per-node
+count of alive endpoints behind the node verdicts, a window fit computed
+only when phi is asked about a window that changed, and a quiet bound
+under which ``poll`` need not ask at all.
 """
 
 from __future__ import annotations
@@ -29,11 +36,34 @@ PHI_CAP = 40.0
 EndpointKey = Tuple[str, str]  # (node, capsule)
 
 
+def _phi_at(z: float) -> float:
+    """phi for a heartbeat *z* fitted deviations (over sqrt 2) late."""
+    tail = 0.5 * math.erfc(z)  # P(inter-arrival > elapsed)
+    if tail <= 10.0 ** -PHI_CAP:
+        return PHI_CAP
+    return -math.log10(tail)
+
+
+def _quiet_z(threshold: float) -> float:
+    """The largest z, less a hair, at which phi cannot top *threshold*."""
+    if _phi_at(0.0) > threshold:
+        return float("-inf")  # suspicious even when exactly on time
+    safe, unsafe = 0.0, 64.0  # erfc underflows long before 64
+    for _ in range(64):
+        mid = (safe + unsafe) / 2.0
+        if _phi_at(mid) <= threshold:
+            safe = mid
+        else:
+            unsafe = mid
+    # The hair covers libm's erfc not being monotone to the last bit.
+    return safe * (1.0 - 1e-9)
+
+
 class _Arrivals:
     """Heartbeat history for one monitored endpoint."""
 
     __slots__ = ("last_arrival", "last_heard", "intervals", "state",
-                 "arrivals")
+                 "arrivals", "fit")
 
     def __init__(self, now: float, prime_interval: float,
                  window: int) -> None:
@@ -48,6 +78,9 @@ class _Arrivals:
                                       maxlen=window)
         self.state = "alive"
         self.arrivals = 0
+        #: ``(mean, sigma)`` of ``intervals``; None once the window has
+        #: changed, until phi is next asked for.
+        self.fit: Optional[Tuple[float, float]] = None
 
 
 class PhiAccrualDetector:
@@ -69,7 +102,19 @@ class PhiAccrualDetector:
         #: one jitter-quantum late would look infinitely suspicious.
         self.min_stddev_ms = (min_stddev_ms if min_stddev_ms is not None
                               else expected_interval_ms / 4.0)
+        #: Below this much silence phi cannot top the threshold whatever
+        #: the window holds: intervals are never negative, so the fitted
+        #: mean is not, and sigma is at least the floor, so
+        #: z <= elapsed / (floor * sqrt 2).
+        self._quiet_ms = _quiet_z(threshold) * (self.min_stddev_ms
+                                                * math.sqrt(2.0))
         self._tracked: Dict[EndpointKey, _Arrivals] = {}
+        #: ``_tracked`` in key order, the order ``poll`` reports in.
+        self._order: List[Tuple[EndpointKey, _Arrivals]] = []
+        #: node -> [endpoints, alive endpoints]
+        self._nodes: Dict[str, List[int]] = {}
+        #: Nodes with endpoints but no alive one.
+        self._silent = 0
         self._listeners: List[Callable] = []
         self.heartbeats_observed = 0
         self.suspicions = 0
@@ -80,22 +125,27 @@ class PhiAccrualDetector:
     def watch(self, node: str, capsule: str) -> None:
         """Start monitoring an endpoint (idempotent)."""
         key = (node, capsule)
-        if key not in self._tracked:
-            self._tracked[key] = _Arrivals(
-                self.clock.now, self.expected_interval_ms, self.window)
-
-    def watches(self, node: str, capsule: str) -> bool:
-        return (node, capsule) in self._tracked
-
-    def forget(self, node: str, capsule: str) -> None:
-        self._tracked.pop((node, capsule), None)
-
-    def tracked(self) -> List[EndpointKey]:
-        return sorted(self._tracked)
+        if key in self._tracked:
+            return
+        self._tracked[key] = _Arrivals(
+            self.clock.now, self.expected_interval_ms, self.window)
+        self._order = sorted(self._tracked.items())
+        if node not in self._nodes:
+            self._nodes[node] = [1, 1]
+        else:
+            self._nodes[node][0] += 1
+            self._count(node, +1)
 
     def on_transition(self, listener: Callable) -> None:
         """Register ``listener(key, old_state, new_state, phi)``."""
         self._listeners.append(listener)
+
+    def _count(self, node: str, change: int) -> None:
+        """An endpoint of *node* turned alive (+1) or suspect (-1)."""
+        counts = self._nodes[node]
+        was_silent = counts[1] == 0
+        counts[1] += change
+        self._silent += (counts[1] == 0) - was_silent
 
     # -- observation ---------------------------------------------------------
 
@@ -113,12 +163,14 @@ class PhiAccrualDetector:
         # failure for a whole window's worth of beats.
         record.intervals.append(min(now - record.last_arrival,
                                     4.0 * self.expected_interval_ms))
+        record.fit = None
         record.last_arrival = now
         record.last_heard = now
         record.arrivals += 1
         self.heartbeats_observed += 1
         if record.state == "suspect":
             record.state = "alive"
+            self._count(node, +1)
             self.recoveries += 1
             self._notify(key, "suspect", "alive", 0.0)
 
@@ -133,15 +185,16 @@ class PhiAccrualDetector:
         if now is None:
             now = self.clock.now
         elapsed = now - record.last_arrival
-        intervals = record.intervals
-        mean = sum(intervals) / len(intervals)
-        variance = sum((x - mean) ** 2 for x in intervals) / len(intervals)
-        sigma = max(math.sqrt(variance), self.min_stddev_ms)
-        z = (elapsed - mean) / (sigma * math.sqrt(2.0))
-        tail = 0.5 * math.erfc(z)  # P(inter-arrival > elapsed)
-        if tail <= 10.0 ** -PHI_CAP:
-            return PHI_CAP
-        return -math.log10(tail)
+        fit = record.fit
+        if fit is None:
+            intervals = record.intervals
+            mean = sum(intervals) / len(intervals)
+            variance = sum((x - mean) ** 2
+                           for x in intervals) / len(intervals)
+            fit = record.fit = (
+                mean, max(math.sqrt(variance), self.min_stddev_ms))
+        mean, sigma = fit
+        return _phi_at((elapsed - mean) / (sigma * math.sqrt(2.0)))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -150,14 +203,16 @@ class PhiAccrualDetector:
         """Evaluate every endpoint; returns the newly suspected ones."""
         if now is None:
             now = self.clock.now
+        quiet_ms = self._quiet_ms
         newly: List[Tuple[EndpointKey, float]] = []
-        for key in sorted(self._tracked):
-            record = self._tracked[key]
-            if record.state != "alive":
+        for key, record in self._order:
+            if record.state != "alive" or \
+                    now - record.last_arrival < quiet_ms:
                 continue
             value = self.phi(key[0], key[1], now)
             if value > self.threshold:
                 record.state = "suspect"
+                self._count(key[0], -1)
                 self.suspicions += 1
                 newly.append((key, value))
                 self._notify(key, "alive", "suspect", value)
@@ -171,10 +226,8 @@ class PhiAccrualDetector:
         Unknown nodes are presumed alive: absence of monitoring is not
         evidence of failure.
         """
-        keys = [k for k in self._tracked if k[0] == node]
-        if not keys:
-            return True
-        return any(self._tracked[k].state == "alive" for k in keys)
+        counts = self._nodes.get(node)
+        return counts is None or counts[1] > 0
 
     def node_heard(self, node: str, within_ms: float) -> bool:
         """Positive evidence: a real heartbeat from *node* arrived in
@@ -191,14 +244,14 @@ class PhiAccrualDetector:
 
     def suspected_nodes(self) -> List[str]:
         """Nodes whose every monitored endpoint is currently suspect."""
-        nodes = sorted({k[0] for k in self._tracked})
-        return [n for n in nodes if not self.node_alive(n)]
+        return sorted(node for node, counts in self._nodes.items()
+                      if counts[1] == 0)
 
-    def all_suspect(self) -> bool:
-        """True when every endpoint is suspect — the signature of a
-        blind *observer* rather than a dead fleet."""
-        return bool(self._tracked) and all(
-            r.state == "suspect" for r in self._tracked.values())
+    def node_counts(self) -> Tuple[int, int]:
+        """``(nodes monitored, nodes among them with no alive
+        endpoint)`` — what a blind *observer* is told apart from a dead
+        fleet by."""
+        return len(self._nodes), self._silent
 
     def reset(self) -> None:
         """Re-prime every endpoint as alive-as-of-now (observer rehome)."""
@@ -206,6 +259,9 @@ class PhiAccrualDetector:
         for record in self._tracked.values():
             record.last_arrival = now
             record.state = "alive"
+        for counts in self._nodes.values():
+            counts[1] = counts[0]
+        self._silent = 0
 
     def _notify(self, key: EndpointKey, old: str, new: str,
                 phi: float) -> None:

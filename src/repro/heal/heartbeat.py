@@ -40,6 +40,8 @@ class HeartbeatMonitor:
         self.kind = domain.mint("hb")
         self.observer: str = ""
         self._emitters: Dict[Tuple[str, str], object] = {}
+        #: Beat payload -> the endpoint it announces.
+        self._endpoints: Dict[bytes, Tuple[str, str]] = {}
         self._registered: set = set()
         self.beats_sent = 0
         self.rehomes = 0
@@ -55,6 +57,9 @@ class HeartbeatMonitor:
             raise RuntimeError(
                 f"domain {self.domain.name} has no nodes to observe from")
         self.running = True
+        # Nothing beat while emission was stopped: that silence says
+        # nothing about the fleet and must not be held against it.
+        self.detector.reset()
         if self.home is not None and self.home in addresses:
             self.observer = self.home
         else:
@@ -80,6 +85,7 @@ class HeartbeatMonitor:
         scheduler = self.domain.scheduler
         network = self.domain.network
         payload = f"{node}|{capsule}".encode("utf-8")
+        self._endpoints[payload] = key
         label = f"hb:{node}/{capsule}"
 
         def emit() -> None:
@@ -133,8 +139,9 @@ class HeartbeatMonitor:
     def _on_beat(self, message) -> None:
         if message.destination != self.observer:
             return  # late delivery addressed to a previous observer
-        node, _, capsule = message.payload.decode("utf-8").partition("|")
-        self.detector.observe(node, capsule)
+        endpoint = self._endpoints.get(message.payload)
+        if endpoint is not None:
+            self.detector.observe(*endpoint)
 
     def _phase(self, node: str, capsule: str) -> float:
         """Deterministic per-endpoint emission phase in [0, interval)."""

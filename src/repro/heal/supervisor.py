@@ -212,24 +212,25 @@ class Supervisor:
 
     @staticmethod
     def _is_blind(detector) -> bool:
-        nodes = {key[0] for key in detector.tracked()}
-        if not nodes:
-            return False
-        return len(detector.suspected_nodes()) * 2 > len(nodes)
+        nodes, silent = detector.node_counts()
+        return silent * 2 > nodes
 
-    def _credible(self) -> List:
-        return [detector for _, detector in self._vantages
-                if not self._is_blind(detector)]
+    def _panel(self, node: str):
+        """``(credible vantages, how many of them stopped hearing
+        *node*)`` — a blind vantage has no say."""
+        credible = votes = 0
+        for _, detector in self._vantages:
+            if not self._is_blind(detector):
+                credible += 1
+                if not detector.node_alive(node):
+                    votes += 1
+        return credible, votes
 
     def node_dead(self, node: str) -> bool:
         """Quorum-of-vantage verdict: a majority of the credible
         vantage points stopped hearing *node*."""
-        credible = self._credible()
-        if not credible:
-            return False
-        votes = sum(1 for detector in credible
-                    if not detector.node_alive(node))
-        return votes * 2 > len(credible)
+        credible, votes = self._panel(node)
+        return votes * 2 > credible
 
     def node_alive(self, node: str) -> bool:
         """Panel-based liveness for placement decisions."""
@@ -260,7 +261,7 @@ class Supervisor:
         accuser merely cannot reach it, which is exactly what its own
         partition would look like.
         """
-        if not self.running or not self._credible():
+        if not self.running or not self._panel(node)[0]:
             return False
         return not self.node_dead(node)
 

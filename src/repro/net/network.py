@@ -219,11 +219,11 @@ class Network:
         if self.faults.should_drop(source, destination, self.rng):
             return
         message = NetMessage(source, destination, payload, kind,
-                             dict(headers or {}), self.scheduler.now)
+                             dict(headers) if headers else None,
+                             self.scheduler.now)
         delay = self._leg_delay(self.latency, source, destination,
                                 len(payload))
-        self.scheduler.after(delay, lambda: self._deliver(message),
-                             label=f"net:{source}->{destination}:{kind}")
+        self.scheduler.after(delay, lambda: self._deliver(message))
 
     def _deliver(self, message: NetMessage) -> None:
         if self.faults.link_blocked(message.source, message.destination):

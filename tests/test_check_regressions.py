@@ -345,7 +345,10 @@ def test_overload_mode_plan_is_deterministic():
 #           "leases": CheckConfig().with_leases(),
 #           "overload": CheckConfig().with_overload(),
 #           "partitions": CheckConfig().with_partitions(),
-#           "supervisor": CheckConfig().with_supervisor()}.items():
+#           "supervisor": CheckConfig().with_supervisor(),
+#           "composed": CheckConfig().with_supervisor().with_batching()
+#               .with_partitions().with_shards().with_leases()
+#               .with_overload()}.items():
 #       for seed in (0, 5):
 #           print(name, seed, run_seed(seed, cfg).digest)
 #   PY
@@ -380,6 +383,10 @@ MODE_DIGESTS = {
         "4b194f6f3950075a8b01379907fc6e47b9cd67bc9e39d7a61140ae0cc34e1b06",
     ("supervisor", 5):
         "575d7cf4219556d638dab66952bc8768899e95195217e0ab206679d69c1b2ba5",
+    ("composed", 0):
+        "bf65c380ebcd09e9269ad0490445f4a40ceba1ffe93830b9c888b1c2a6ced245",
+    ("composed", 5):
+        "3d6ec5919796fe026c8a2c66eab200c59e382ea8d05907159468b36d5db4c166",
 }
 
 _MODE_CONFIGS = {
@@ -390,6 +397,9 @@ _MODE_CONFIGS = {
     "overload": lambda: CheckConfig().with_overload(),
     "partitions": lambda: CheckConfig().with_partitions(),
     "supervisor": lambda: CheckConfig().with_supervisor(),
+    "composed": lambda: (CheckConfig().with_supervisor().with_batching()
+                         .with_partitions().with_shards().with_leases()
+                         .with_overload()),
 }
 
 

@@ -20,6 +20,7 @@ from repro.errors import (
 from repro.groups.group import Member
 from repro.groups.member import VIEW_KEY
 from repro.heal.detector import PHI_CAP, PhiAccrualDetector
+from repro.heal.supervisor import Supervisor
 from repro.mgmt.loadbalance import placement_candidates
 from repro.mgmt.monitor import TransparencyMonitor
 from repro.sim.clock import VirtualClock
@@ -84,7 +85,6 @@ class TestPhiAccrualDetector:
         detector.poll()
         assert detector.node_alive("n1")  # any live endpoint counts
         assert detector.suspected_nodes() == []
-        assert not detector.all_suspect()
 
     def test_unknown_nodes_presumed_alive(self):
         clock = VirtualClock()
@@ -266,6 +266,22 @@ class TestSupervisor:
         world.scheduler.run_until(world.now + 300.0)
         victim = next(m for m in group.view.members if m.node == "n3")
         assert not victim.alive  # still detecting from the new vantage
+        supervisor.stop()
+
+    def test_restart_does_not_hold_the_idle_gap_against_the_fleet(self):
+        world, domain, capsules, clients = heal_world()
+        supervisor = Supervisor(domain, poll_interval_ms=5.0)
+        supervisor.start()
+        world.scheduler.run_until(world.now + 200.0)
+        supervisor.stop()
+        world.scheduler.run_until(world.now + 2000.0)
+        supervisor.start()
+        world.scheduler.run_until(world.now + 200.0)
+        # No fault was injected: the silence of the stopped emitters is
+        # not evidence, so nothing may be suspected on the first ticks.
+        stats = supervisor.detector.stats()
+        assert stats["suspicions"] == 0 and stats["recoveries"] == 0
+        assert stats["heartbeats_observed"] > 0
         supervisor.stop()
 
     def test_domain_report_surfaces_heal_counters(self):
