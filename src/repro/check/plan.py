@@ -16,43 +16,95 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.net.fault import (
-    AsymPartitionWindow,
-    CrashWindow,
-    CutWindow,
-    FlakyWindow,
-    GrayWindow,
-    PartitionWindow,
-    StallWindow,
+from repro.check.modes import MODES, enabled
+from repro.check.workload import (
+    ACCOUNTS,
+    CLIENT_NODE,
+    COUNTERS,
+    GROUP_SIZE,
+    KEYS,
+    SERVER_NODES,
 )
+from repro.net.fault import CrashWindow, CutWindow, FlakyWindow, GrayWindow
 from repro.sim.rand import DeterministicRandom
 
-#: Fixed explorer topology: three server nodes plus one client node.
-SERVER_NODES: Tuple[str, ...] = ("n1", "n2", "n3")
-CLIENT_NODE = "cli"
+#: Virtual ms the explorer advances the clock before each op; also the
+#: unit generation uses to aim chaos windows at the op timeline.
+OP_BUDGET_MS = 25.0
+#: A plan carries between zero and this many chaos windows.
+MAX_WINDOWS = 4
 
-#: Operation kinds a plan may contain (the explorer's op vocabulary).
-OP_KINDS = (
-    "invoke",           # counter.increment() — non-idempotent
-    "read",             # counter.read()
-    "transfer",         # transactional withdraw+deposit between accounts
-    "cancel_transfer",  # transfer deliberately aborted by the client
-    "group_put",        # replicated kv write through the group ref
-    "group_get",        # replicated kv read
-    "group_revive",     # re-admit a suspected member after node restart
-    "relocate",         # migrate an object to another node
-    "passivate",        # push an object out to the stable repository
-    "gc_sweep",         # run the distributed collector once
-    "advance",          # advance the virtual clock (lease/lifecycle time)
-    "lose_reply",       # deterministically drop the next reply leg
-    "batch_burst",      # n concurrent increments through the batch client
-    "shard_incr",       # keyed increment routed through the shard space
-    "shard_get",        # keyed read through the shard space
-    "shard_move",       # ring membership toggle: drain or re-admit a node
-    "cached_get",       # replicated kv read through the lease cache
-    "cached_burst",     # n reads of one key — the cache-hit hot path
-    "prio_invoke",      # increment with a priority class + tight deadline
+
+def _counter(rng, index):
+    return {"counter": rng.randint(0, COUNTERS - 1)}
+
+
+def _transfer(rng, index):
+    src = rng.randint(0, ACCOUNTS - 1)
+    dst = rng.randint(0, ACCOUNTS - 2)
+    if dst >= src:
+        dst += 1
+    return {"src": src, "dst": dst, "amount": rng.randint(1, 60)}
+
+
+def _object(rng, index):
+    return {"obj": rng.choice([f"c{i}" for i in range(COUNTERS)]
+                              + [f"a{i}" for i in range(ACCOUNTS)])}
+
+
+def _relocate(rng, index):
+    return dict(_object(rng, index), to=rng.choice(SERVER_NODES))
+
+
+def _advance(rng, index):
+    # Mostly small pauses; occasionally a jump long enough for
+    # leases to expire, making passivated objects collectable.
+    if rng.chance(0.15):
+        return {"ms": float(rng.randint(11_000, 16_000))}
+    return {"ms": round(rng.uniform(2.0, 250.0), 3)}
+
+
+#: The default op table, one row per kind: (kind, weight, draw), where
+#: ``draw(rng, index)`` draws the op's parameters.  Invocation-heavy,
+#: with enough lifecycle churn (relocation, passivation, gc, big clock
+#: jumps) to stress every layer.  A row added here would change every
+#: pinned plan and digest; each mode appends its own (:func:`op_table`).
+DEFAULT_ROWS = (
+    # counter.increment() — non-idempotent
+    ("invoke", 24, _counter),
+    ("read", 8, _counter),
+    # transactional withdraw+deposit between accounts
+    ("transfer", 14, _transfer),
+    # the same transfer, deliberately aborted by the client
+    ("cancel_transfer", 4, _transfer),
+    # replicated kv write / read through the group ref
+    ("group_put", 12, lambda rng, index: {"key": rng.choice(KEYS),
+                                          "value": f"v{index}"}),
+    ("group_get", 6, lambda rng, index: {"key": rng.choice(KEYS)}),
+    # re-admit a suspected member after node restart
+    ("group_revive", 3,
+     lambda rng, index: {"member": rng.randint(0, GROUP_SIZE - 1)}),
+    # migrate an object to another node
+    ("relocate", 8, _relocate),
+    # push an object out to the stable repository
+    ("passivate", 5, _object),
+    # run the distributed collector once
+    ("gc_sweep", 4, lambda rng, index: {}),
+    # advance the virtual clock (lease/lifecycle time)
+    ("advance", 8, _advance),
+    # deterministically drop the next reply leg
+    ("lose_reply", 4,
+     lambda rng, index: {"node": rng.choice(SERVER_NODES)}),
 )
+
+_DEFAULT_KINDS = tuple(row[0] for row in DEFAULT_ROWS)
+
+
+def op_kinds() -> Tuple[str, ...]:
+    """The op vocabulary: the default kinds, then each registered
+    mode's (a pinned plan may name any of them under any config)."""
+    return _DEFAULT_KINDS + tuple(
+        row[0] for mode in MODES for row in mode.rows)
 
 
 class Op:
@@ -61,7 +113,7 @@ class Op:
     __slots__ = ("kind", "params")
 
     def __init__(self, kind: str, **params) -> None:
-        if kind not in OP_KINDS:
+        if kind not in _DEFAULT_KINDS and kind not in op_kinds():
             raise ValueError(f"unknown op kind {kind!r}")
         self.kind = kind
         self.params = dict(params)
@@ -123,203 +175,64 @@ class Plan:
 # Generation
 # ---------------------------------------------------------------------------
 
-#: (kind, weight) — invocation-heavy, with enough lifecycle churn
-#: (relocation, passivation, gc, big clock jumps) to stress every layer.
-_OP_WEIGHTS = (
-    ("invoke", 24),
-    ("read", 8),
-    ("transfer", 14),
-    ("cancel_transfer", 4),
-    ("group_put", 12),
-    ("group_get", 6),
-    ("group_revive", 3),
-    ("relocate", 8),
-    ("passivate", 5),
-    ("gc_sweep", 4),
-    ("advance", 8),
-    ("lose_reply", 4),
-)
-#: With batching enabled the table gains bursts of concurrent
-#: increments driven through the BatchClient.  A *separate* table, not
-#: an extra default row: plan generation is a pure function of
-#: (seed, config), and widening the default table would silently change
-#: every pinned plan and digest in the regression corpus.
-_OP_WEIGHTS_BATCHING = _OP_WEIGHTS + (("batch_burst", 10),)
-#: Shard-mode rows, appended *after* any batching row so every existing
-#: mode's table (and therefore its pinned plans) stays byte-identical.
-_OP_WEIGHTS_SHARDS = (
-    ("shard_incr", 16),
-    ("shard_get", 6),
-    ("shard_move", 5),
-)
-#: Lease-mode rows, appended after every earlier mode's rows (same
-#: strict-append discipline): a read-heavy mix through the caching
-#: client so grants renew often enough to keep staleness observable.
-_OP_WEIGHTS_LEASES = (
-    ("cached_get", 48),
-    ("cached_burst", 16),
-)
-#: Overload-mode row, appended after every earlier mode's rows (same
-#: strict-append discipline): prioritized increments whose propagated
-#: deadlines are tight enough that chaos windows make expiry real.
-_OP_WEIGHTS_OVERLOAD = (
-    ("prio_invoke", 22),
-)
-
-_KEYS = ("k0", "k1", "k2", "k3", "k4", "k5")
-#: Shard-mode keyspace: wide enough to spread over many shards, small
-#: enough that most keys see several writes (exercising the per-key
-#: exactly-once envelope rather than a sea of one-shot keys).
-_SHARD_KEYS = ("s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8",
-               "s9")
+def op_table(config) -> tuple:
+    """The default rows, then each enabled mode's in registry order."""
+    return DEFAULT_ROWS + tuple(row for mode in enabled(config)
+                         for row in mode.rows)
 
 
-def _weights_for(config):
-    weights = (_OP_WEIGHTS_BATCHING
-               if getattr(config, "batching", False) else _OP_WEIGHTS)
-    if getattr(config, "shards", False):
-        weights = weights + _OP_WEIGHTS_SHARDS
-    if getattr(config, "leases", False):
-        weights = weights + _OP_WEIGHTS_LEASES
-    if getattr(config, "overload", False):
-        weights = weights + _OP_WEIGHTS_OVERLOAD
-    return weights
-
-
-def _pick_kind(rng: DeterministicRandom, weights=_OP_WEIGHTS) -> str:
-    roll = rng.randint(1, sum(weight for _, weight in weights))
-    for kind, weight in weights:
+def _generate_op(rng: DeterministicRandom, table, index: int) -> Op:
+    roll = rng.randint(1, sum(weight for _, weight, _ in table))
+    for kind, weight, draw in table:
         roll -= weight
         if roll <= 0:
-            return kind
-    return weights[-1][0]
+            break
+    return Op(kind, **draw(rng, index))
 
 
-def _generate_op(rng: DeterministicRandom, config, index: int) -> Op:
-    kind = _pick_kind(rng, _weights_for(config))
-    if kind == "prio_invoke":
-        return Op(kind, counter=rng.randint(0, config.counters - 1),
-                  prio=rng.randint(0, 3), tier=rng.randint(0, 2),
-                  n=rng.randint(1, 4))
-    if kind == "shard_incr" or kind == "shard_get":
-        return Op(kind, key=rng.choice(_SHARD_KEYS))
-    if kind == "shard_move":
-        return Op(kind, node=rng.choice(SERVER_NODES))
-    if kind == "cached_get":
-        return Op(kind, key=rng.choice(_KEYS))
-    if kind == "cached_burst":
-        return Op(kind, key=rng.choice(_KEYS), n=rng.randint(3, 8))
-    if kind == "batch_burst":
-        return Op(kind, counter=rng.randint(0, config.counters - 1),
-                  n=rng.randint(2, 10))
-    if kind == "invoke" or kind == "read":
-        return Op(kind, counter=rng.randint(0, config.counters - 1))
-    if kind == "transfer" or kind == "cancel_transfer":
-        src = rng.randint(0, config.accounts - 1)
-        dst = rng.randint(0, config.accounts - 2)
-        if dst >= src:
-            dst += 1
-        return Op(kind, src=src, dst=dst, amount=rng.randint(1, 60))
-    if kind == "group_put":
-        return Op(kind, key=rng.choice(_KEYS), value=f"v{index}")
-    if kind == "group_get":
-        return Op(kind, key=rng.choice(_KEYS))
-    if kind == "group_revive":
-        return Op(kind, member=rng.randint(0, config.group_size - 1))
-    if kind == "relocate":
-        objects = ([f"c{i}" for i in range(config.counters)]
-                   + [f"a{i}" for i in range(config.accounts)])
-        return Op(kind, obj=rng.choice(objects),
-                  to=rng.choice(SERVER_NODES))
-    if kind == "passivate":
-        objects = ([f"c{i}" for i in range(config.counters)]
-                   + [f"a{i}" for i in range(config.accounts)])
-        return Op(kind, obj=rng.choice(objects))
-    if kind == "gc_sweep":
-        return Op(kind)
-    if kind == "advance":
-        # Mostly small pauses; occasionally a jump long enough for
-        # leases to expire, making passivated objects collectable.
-        if rng.chance(0.15):
-            return Op(kind, ms=float(rng.randint(11_000, 16_000)))
-        return Op(kind, ms=round(rng.uniform(2.0, 250.0), 3))
-    if kind == "lose_reply":
-        return Op(kind, node=rng.choice(SERVER_NODES))
-    raise AssertionError(kind)
+def _flaky(rng, start, end):
+    return FlakyWindow(start, end, drop=round(rng.uniform(0.05, 0.35), 3))
 
 
-def _generate_window(rng: DeterministicRandom, horizon_ms: float,
-                     partitions: bool = False,
-                     overload: bool = False):
+def _crash(rng, start, end):
+    return CrashWindow(rng.choice(SERVER_NODES), start, end)
+
+
+def _gray(rng, start, end):
+    ends = (CLIENT_NODE, rng.choice(SERVER_NODES))
+    if rng.chance(0.5):
+        ends = (ends[1], ends[0])
+    return GrayWindow(start, end, factor=round(rng.uniform(2.0, 8.0), 3),
+                      source=ends[0], destination=ends[1])
+
+
+def _cut(rng, start, end):
+    return CutWindow(CLIENT_NODE, rng.choice(SERVER_NODES), start, end)
+
+
+#: The default chaos-window kinds, by roll: (lo, hi, build), a window
+#: lasting between ``lo`` and ``hi`` of the plan's horizon, built by
+#: ``build(rng, start_ms, end_ms)``.  Each mode's kinds take the rolls
+#: above these (:func:`window_kinds`).
+_WINDOWS = (
+    (0.05, 0.30, _flaky),
+    (0.05, 0.20, _crash),
+    (0.05, 0.30, _gray),
+    (0.03, 0.15, _cut),
+)
+
+
+def window_kinds(config) -> tuple:
+    """The default kinds, then each enabled mode's in registry order."""
+    return _WINDOWS + tuple(kind for mode in enabled(config)
+                            for kind in mode.windows)
+
+
+def _generate_window(rng: DeterministicRandom, horizon_ms: float, kinds):
     start = round(rng.uniform(0.0, horizon_ms * 0.7), 3)
-    # The partition and stall kinds are gated behind their mode flags
-    # rather than added to the default roll: window generation is a
-    # pure function of (seed, config), and widening the default range
-    # would reshuffle every pinned plan and digest in the regression
-    # corpus.  The stall kind takes the highest roll value so enabling
-    # it leaves every lower kind's mapping untouched.
-    hi = 3
-    if partitions:
-        hi += 2
-    if overload:
-        hi += 1
-    kind = rng.randint(0, hi)
-    if overload and kind == hi:
-        # Compute stall: the node keeps answering, slowly — queues
-        # build behind the inflated dispatch charges, deadlines die in
-        # them, and retry amplification starts.  The overload mode's
-        # signature chaos (benchmark C26's trigger, randomized).
-        duration = round(rng.uniform(horizon_ms * 0.05,
-                                     horizon_ms * 0.20), 3)
-        return StallWindow(rng.choice(SERVER_NODES), start,
-                           start + duration,
-                           factor=round(rng.uniform(80.0, 400.0), 3))
-    if kind == 4:
-        # Symmetric split: one server (sometimes with the client node)
-        # against the rest of the fleet.
-        duration = round(rng.uniform(horizon_ms * 0.05,
-                                     horizon_ms * 0.25), 3)
-        isolated = rng.choice(SERVER_NODES)
-        side_a = [isolated]
-        if rng.chance(0.5):
-            side_a.append(CLIENT_NODE)
-        side_b = [n for n in SERVER_NODES + (CLIENT_NODE,)
-                  if n not in side_a]
-        return PartitionWindow((tuple(sorted(side_a)),
-                                tuple(sorted(side_b))),
-                               start, start + duration)
-    if kind == 5:
-        # One-way reachability loss: a server whose egress to the other
-        # servers is blocked while their replies still reach it.
-        duration = round(rng.uniform(horizon_ms * 0.05,
-                                     horizon_ms * 0.25), 3)
-        source = rng.choice(SERVER_NODES)
-        rest = tuple(n for n in SERVER_NODES if n != source)
-        return AsymPartitionWindow((source,), rest, start,
-                                   start + duration)
-    if kind == 0:
-        duration = round(rng.uniform(horizon_ms * 0.05,
-                                     horizon_ms * 0.30), 3)
-        return FlakyWindow(start, start + duration,
-                           drop=round(rng.uniform(0.05, 0.35), 3))
-    if kind == 1:
-        duration = round(rng.uniform(horizon_ms * 0.05,
-                                     horizon_ms * 0.20), 3)
-        return CrashWindow(rng.choice(SERVER_NODES), start,
-                           start + duration)
-    if kind == 2:
-        duration = round(rng.uniform(horizon_ms * 0.05,
-                                     horizon_ms * 0.30), 3)
-        ends = (CLIENT_NODE, rng.choice(SERVER_NODES))
-        if rng.chance(0.5):
-            ends = (ends[1], ends[0])
-        return GrayWindow(start, start + duration,
-                          factor=round(rng.uniform(2.0, 8.0), 3),
-                          source=ends[0], destination=ends[1])
-    duration = round(rng.uniform(horizon_ms * 0.03,
-                                 horizon_ms * 0.15), 3)
-    return CutWindow(CLIENT_NODE, rng.choice(SERVER_NODES),
-                     start, start + duration)
+    lo, hi, build = kinds[rng.randint(0, len(kinds) - 1)]
+    duration = round(rng.uniform(horizon_ms * lo, horizon_ms * hi), 3)
+    return build(rng, start, start + duration)
 
 
 def generate_plan(seed: int, config) -> Plan:
@@ -328,13 +241,13 @@ def generate_plan(seed: int, config) -> Plan:
     op_rng = root.fork("check:plan")
     chaos_rng = root.fork("check:chaos")
 
-    ops = [_generate_op(op_rng, config, index)
+    table = op_table(config)
+    ops = [_generate_op(op_rng, table, index)
            for index in range(config.ops)]
 
-    horizon = config.ops * config.op_budget_ms
-    partitions = getattr(config, "partitions", False)
-    overload = getattr(config, "overload", False)
-    windows = [_generate_window(chaos_rng, horizon, partitions, overload)
-               for _ in range(chaos_rng.randint(0, config.max_windows))]
+    horizon = config.ops * OP_BUDGET_MS
+    kinds = window_kinds(config)
+    windows = [_generate_window(chaos_rng, horizon, kinds)
+               for _ in range(chaos_rng.randint(0, MAX_WINDOWS))]
     windows.sort(key=lambda w: (w.start_ms, type(w).__name__))
     return Plan(seed, ops, windows)

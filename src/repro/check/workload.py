@@ -1,4 +1,4 @@
-"""Reference ADTs the simulation-test explorer hammers.
+"""Reference ADTs the simulation-test explorer hammers, and how many.
 
 Small, deliberately *checkable* objects: every one has a cheap readonly
 observation the oracles use to compare end state against a client-side
@@ -8,8 +8,24 @@ counterexample snippet is runnable from a bare ``PYTHONPATH=src``.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.comp.model import OdpObject, operation
 from repro.comp.outcomes import Signal
+
+#: Fixed explorer topology: three server nodes plus one client node.
+SERVER_NODES: Tuple[str, ...] = ("n1", "n2", "n3")
+CLIENT_NODE = "cli"
+
+#: The population every run places: ``c<i>`` counters, ``a<i>``
+#: accounts opened at INITIAL_BALANCE, and one ``check.kv`` group of
+#: GROUP_SIZE active replicas answering at REPLY_QUORUM over KEYS.
+COUNTERS = 2
+ACCOUNTS = 3
+INITIAL_BALANCE = 100
+GROUP_SIZE = 3
+REPLY_QUORUM = 2
+KEYS = ("k0", "k1", "k2", "k3", "k4", "k5")
 
 
 class Counter(OdpObject):

@@ -224,6 +224,14 @@ class TestCli:
                            "replycache"]) == 1
         assert "violation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_seed_count_below_one_is_a_usage_error(self, count, capsys):
+        # Used to die with KeyError at the determinism self-check.
+        with pytest.raises(SystemExit) as usage:
+            check_main(["--seeds", count])
+        assert usage.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
     def test_oracle_catalogue_is_complete(self):
         assert list(ORACLES) == [
             "exactly_once", "tx_atomicity", "group_consistency",

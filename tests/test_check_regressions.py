@@ -15,8 +15,15 @@ output format staying runnable.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
+import pytest
+
 from repro.check import CheckConfig, Op, Plan, run_plan
+from repro.check.modes import MODES
 from repro.check.oracles import run_all
+from repro.check.workload import REPLY_QUORUM
 
 #: Shrunk from seed 1 (60 ops, 1 window) against the ``replycache``
 #: mutation: a targeted reply-leg loss forces a client retransmission;
@@ -188,7 +195,7 @@ def test_quorumbarrier_minimal_plan_still_detected():
     # The evidence is the dirty coordinator ledger entry itself.
     sequencer = next(m for m in result.member_states
                      if m["commits"] and m["commits"][-1][2] is not None)
-    assert sequencer["commits"][-1][2] < config.reply_quorum
+    assert sequencer["commits"][-1][2] < REPLY_QUORUM
 
 
 def test_quorumbarrier_minimal_plan_clean_without_mutation():
@@ -268,7 +275,8 @@ def test_leases_mode_plan_is_deterministic():
     assert first.digest == second.digest
     lease = first.end_state["lease"]
     assert lease["client"]["hits"] > 0  # the cache actually served
-    assert first.lease_reads, "read evidence must be recorded"
+    assert first.evidence["leases"]["reads"], \
+        "read evidence must be recorded"
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +305,7 @@ def test_overload_deadline_minimal_plan_still_detected():
     assert {v.oracle for v in violations} == {"overload_safety"}
     # The evidence is the gate's own execution log: dispatches whose
     # deadline had already passed when they started.
-    late = [entry for entry in result.overload_executions
+    late = [entry for entry in result.evidence["overload"]["executions"]
             if entry["deadline"] is not None
             and entry["executed_at"] > entry["deadline"]]
     assert late
@@ -332,25 +340,17 @@ def test_overload_mode_plan_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # Full-mode digest matrix: the absolute run digests of every explorer
-# mode are pinned here.  A hot-path refactor (zero-copy codec, event
+# mode alone, of every unordered pair of modes, and of all of them
+# composed are pinned here.  A hot-path refactor (zero-copy codec, event
 # wheel, plan splicing) must reproduce each of these byte-for-byte —
-# any drift means observable behaviour changed, not just speed.
+# any drift means observable behaviour changed, not just speed.  A key
+# is "default", "composed", or the sorted mode names joined by "+".
 # Regenerate ONLY for a deliberate, versioned semantic change:
-#   PYTHONPATH=src python - <<'PY'
-#   from repro.check.explorer import CheckConfig, run_seed
-#   for name, cfg in {
-#           "default": CheckConfig(),
-#           "batching": CheckConfig().with_batching(),
-#           "shards": CheckConfig().with_shards(),
-#           "leases": CheckConfig().with_leases(),
-#           "overload": CheckConfig().with_overload(),
-#           "partitions": CheckConfig().with_partitions(),
-#           "supervisor": CheckConfig().with_supervisor(),
-#           "composed": CheckConfig().with_supervisor().with_batching()
-#               .with_partitions().with_shards().with_leases()
-#               .with_overload()}.items():
-#       for seed in (0, 5):
-#           print(name, seed, run_seed(seed, cfg).digest)
+#   PYTHONPATH=src:. python - <<'PY'
+#   from repro.check.explorer import run_seed
+#   from tests.test_check_regressions import MODE_DIGESTS, _config_for
+#   for mode, seed in MODE_DIGESTS:
+#       print(mode, seed, run_seed(seed, _config_for(mode)).digest)
 #   PY
 # ---------------------------------------------------------------------------
 
@@ -387,28 +387,84 @@ MODE_DIGESTS = {
         "bf65c380ebcd09e9269ad0490445f4a40ceba1ffe93830b9c888b1c2a6ced245",
     ("composed", 5):
         "3d6ec5919796fe026c8a2c66eab200c59e382ea8d05907159468b36d5db4c166",
+    # Every unordered pair (values taken at the commit before the mode
+    # registry landed, so the registry is pinned to the old behaviour).
+    ("batching+supervisor", 0):
+        "4bf60474284b056cc8794c773b2714a50a3d69c91246c3663629eefb0936aa90",
+    ("partitions+supervisor", 0):
+        "381b9b9e6462a60d09649c6682ca10848a6e74b60323c7e56cdf25e642386ec5",
+    ("shards+supervisor", 0):
+        "d3697459946a1e485e1c436e90424506a0ff29e1ea95f578ed9be9dc84a65151",
+    ("leases+supervisor", 0):
+        "6396a1f626f21b01a77f88e67ef05bf87a06c01057def684f75020624738408b",
+    ("overload+supervisor", 0):
+        "a0d5c6f7058fac24dcb660d48058d46d3b5eb5d2746e1debb326a6e0d48cf240",
+    ("batching+partitions", 0):
+        "240b7c6d50135f24d0d0c6761cee8ae09db64eb18e0ab9a23626b1ac22acf884",
+    ("batching+shards", 0):
+        "1a1186b92e34072a7a988930481fa02ad2e92a434d1c16a242537699521ab8da",
+    ("batching+leases", 0):
+        "40c8616727f30747f1cbce2e6226960d07bca36c45bf4bb74705acaf809095c7",
+    ("batching+overload", 0):
+        "e5c04078dc8fdc4f2c4c5419e33d97753405a7dfa19a33c9c9b1028066aeba58",
+    ("partitions+shards", 0):
+        "8576abb086b08212ec4609c712502cf09dd61cd99426583d383930cbd9408f66",
+    ("leases+partitions", 0):
+        "cc82670e1564727d1a9f4ccf026a21f46811346d07edf97ee5c2d364473f1c99",
+    ("overload+partitions", 0):
+        "a8c89c023358063007f9954ccb0fbb5a8f534858387567ef4eb362cc46a4a29f",
+    ("leases+shards", 0):
+        "2c6613f0579a12edb4afe8a19eb6e1c5e04f596a54463763a85e09e4acfb75aa",
+    ("overload+shards", 0):
+        "eba371bbcf1f8263a5ebdf889f50983f61f1e42b3ecab3b209900a995610fa6a",
+    ("leases+overload", 0):
+        "38b8e76555aba5b719ab57e59fe052696cd07ee804c3f57ca02fdd56c5a6f253",
 }
 
-_MODE_CONFIGS = {
-    "default": lambda: CheckConfig(),
-    "batching": lambda: CheckConfig().with_batching(),
-    "shards": lambda: CheckConfig().with_shards(),
-    "leases": lambda: CheckConfig().with_leases(),
-    "overload": lambda: CheckConfig().with_overload(),
-    "partitions": lambda: CheckConfig().with_partitions(),
-    "supervisor": lambda: CheckConfig().with_supervisor(),
-    "composed": lambda: (CheckConfig().with_supervisor().with_batching()
-                         .with_partitions().with_shards().with_leases()
-                         .with_overload()),
-}
+
+def _config_for(key: str, *mutations: str) -> CheckConfig:
+    names = {"default": [],
+             "composed": [mode.name for mode in MODES]}.get(
+                 key, key.split("+"))
+    return dataclasses.replace(
+        CheckConfig(), **{name: True for name in names}
+    ).with_mutations(*mutations)
+
+
+def test_mode_digest_matrix_covers_the_registry():
+    names = [mode.name for mode in MODES]
+    expected = {"default", "composed", *names,
+                *("+".join(sorted(pair))
+                  for pair in itertools.combinations(names, 2))}
+    assert {mode for mode, _ in MODE_DIGESTS} == expected
 
 
 def test_mode_digest_matrix_is_pinned():
     from repro.check.explorer import run_seed
 
     for (mode, seed), expected in MODE_DIGESTS.items():
-        result = run_seed(seed, _MODE_CONFIGS[mode]())
+        result = run_seed(seed, _config_for(mode))
         assert result.digest == expected, (
             f"{mode} mode seed {seed} digest drifted — the platform's "
             f"observable behaviour changed, not just its speed")
         assert run_all(result) == [], (mode, seed)
+
+
+# Each mutation still trips its oracle with every mode on: the seed is
+# the first at which the composed sweep trips, the oracle set what it
+# trips there.  (Composition blunts ``replycache``: ``exactly_once``,
+# its oracle on default plans, first fires at composed seed 85 — see
+# ARCHITECTURE §6.)
+@pytest.mark.parametrize("mutation,seed,oracles", [
+    ("replycache", 2, {"tx_atomicity"}),
+    ("txversions", 1, {"tx_atomicity"}),
+    ("quorumbarrier", 16, {"split_brain"}),
+    ("leaseinval", 5, {"staleness_bound"}),
+    ("deadline", 0, {"overload_safety"}),
+])
+def test_mutation_trips_its_oracle_under_composition(mutation, seed,
+                                                     oracles):
+    from repro.check.explorer import run_seed
+
+    result = run_seed(seed, _config_for("composed", mutation))
+    assert {v.oracle for v in result.violations} == oracles

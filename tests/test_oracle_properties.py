@@ -170,39 +170,131 @@ def test_default_mode_digests_unchanged_by_lease_rows():
                        for op in plan.ops)
 
 
-def test_op_weight_tables_append_strictly_in_mode_order():
+# ---------------------------------------------------------------------------
+# The mode registry: order is data, and a test checks it
+# ---------------------------------------------------------------------------
+
+def _flags(config_type, names):
+    import dataclasses
+
+    return dataclasses.replace(config_type(),
+                               **{name: True for name in names})
+
+
+def _assert_only_inserted(table_on, table_off, earlier, own):
+    # The modes registered before it still form the front of the table
+    # (so every lower roll maps as before), its own entries follow at
+    # once, and the later modes' entries keep their order behind them.
+    assert table_on[:len(earlier)] == earlier
+    assert table_on[len(earlier):len(earlier) + len(own)] == own
+    assert (table_on[:len(earlier)]
+            + table_on[len(earlier) + len(own):]) == table_off
+
+
+def test_switching_a_mode_on_only_appends_to_earlier_modes():
+    """For every mode and every set of other modes: switching it on
+    leaves the op table and the window-kind rolls of the modes
+    registered before it a prefix, and drops or reorders nothing — so
+    a mode registered last moves no pinned plan."""
+    import itertools
+
     from repro.check.explorer import CheckConfig
-    from repro.check.plan import (
-        _OP_WEIGHTS,
-        _OP_WEIGHTS_LEASES,
-        _weights_for,
-    )
+    from repro.check.modes import MODES
+    from repro.check.plan import op_table, window_kinds
 
-    default = _weights_for(CheckConfig())
-    assert default == _OP_WEIGHTS
-    for base in (CheckConfig(), CheckConfig().with_batching(),
-                 CheckConfig().with_shards(),
-                 CheckConfig().with_batching().with_shards()):
-        without = _weights_for(base)
-        with_leases = _weights_for(base.with_leases())
-        # Lease rows are appended after every earlier mode's rows, so
-        # every other mode's prefix (hence its plans) is untouched.
-        assert with_leases[:len(without)] == without
-        assert with_leases[len(without):] == _OP_WEIGHTS_LEASES
+    names = [mode.name for mode in MODES]
+    assert op_table(CheckConfig())[-1][0] == "lose_reply"
+    assert len(window_kinds(CheckConfig())) == 4
+    for position, mode in enumerate(MODES):
+        others = names[:position] + names[position + 1:]
+        for size in range(len(others) + 1):
+            for subset in itertools.combinations(others, size):
+                off = _flags(CheckConfig, subset)
+                on = _flags(CheckConfig, subset + (mode.name,))
+                earlier = _flags(CheckConfig, [
+                    name for name in subset
+                    if names.index(name) < position])
+                _assert_only_inserted(op_table(on), op_table(off),
+                                      op_table(earlier), mode.rows)
+                _assert_only_inserted(
+                    window_kinds(on), window_kinds(off),
+                    window_kinds(earlier), mode.windows)
 
 
-def test_overload_rows_append_after_every_earlier_mode():
-    from repro.check.explorer import CheckConfig
-    from repro.check.plan import _OP_WEIGHTS_OVERLOAD, _weights_for
+def test_a_seventh_mode_needs_no_core_edit(monkeypatch, capsys):
+    """A toy mode — one op kind, one end-state key, one oracle, one
+    flag — registered here shows up in ``--help``, plans, the digest
+    input and the oracle summary, and is gone once unregistered."""
+    import dataclasses
 
-    for base in (CheckConfig(), CheckConfig().with_batching(),
-                 CheckConfig().with_shards(),
-                 CheckConfig().with_leases(),
-                 CheckConfig().with_batching().with_shards()
-                              .with_leases()):
-        without = _weights_for(base)
-        with_overload = _weights_for(base.with_overload())
-        # Overload rows come strictly last, so every earlier mode's
-        # prefix — and hence its pinned plans and digests — survives.
-        assert with_overload[:len(without)] == without
-        assert with_overload[len(without):] == _OP_WEIGHTS_OVERLOAD
+    import pytest
+
+    from repro.check import __main__ as cli
+    from repro.check.explorer import CheckConfig, run_plan, run_seed
+    from repro.check.modes import MODES, Mode, register, unregister
+    from repro.check.oracles import ORACLES, Violation, run_all
+    from repro.check.plan import Op, Plan, generate_plan
+
+    def toy_total(result, total):
+        judged.append(total)
+        asked = sum(int(event["detail"]) for event in result.events
+                    if event["op"].startswith("Op('toy_add'"))
+        return [] if total == asked else [Violation(
+            "toy_total", f"added {total}, plans asked for {asked}")]
+
+    class Toy(Mode):
+        name = "toy"
+        help = "add small numbers; the toy_total oracle sums them"
+        rows = (("toy_add", 40,
+                 lambda rng, index: {"n": rng.randint(1, 9)}),)
+        oracle = staticmethod(toy_total)
+
+        def __init__(self, run) -> None:
+            super().__init__(run)
+            self.total = 0
+
+        def op_toy_add(self, op):
+            self.total += op.get("n")
+            return "ok", op.get("n")
+
+        def finish(self, end_state):
+            end_state["toy"] = self.total
+            return self.total
+
+    @dataclasses.dataclass(frozen=True)
+    class ToyConfig(CheckConfig):
+        toy: bool = False
+
+    def help_text():
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        return capsys.readouterr().out
+
+    judged = []
+    default_digest = run_seed(0, CheckConfig()).digest
+    monkeypatch.setattr(cli, "CheckConfig", ToyConfig)
+    register(Toy)
+    try:
+        assert "--toy" in help_text() and Toy.help in help_text()
+        plan = generate_plan(0, ToyConfig(toy=True))
+        assert any(op.kind == "toy_add" for op in plan.ops)
+        result = run_seed(0, ToyConfig(toy=True))
+        assert result.violations == [] and judged
+        assert result.end_state["toy"] == result.evidence["toy"] > 0
+        assert list(ORACLES)[-1] == "toy_total"
+        assert cli.main(["--seeds", "1", "--toy"]) == 0
+        out = capsys.readouterr().out
+        assert "toy=on" in out and "toy_total" in out
+        # Registered but off: nothing moves, and its op kind is a no-op.
+        assert run_seed(0, ToyConfig()).digest == default_digest
+        idle = run_plan(Plan(seed=1, ops=[Op("toy_add", n=3)]),
+                        CheckConfig())
+        assert idle.events[0]["outcome"] == "noop"
+        assert "toy" not in idle.end_state and run_all(idle) == []
+    finally:
+        unregister(Toy)
+    assert Toy not in MODES and "toy_total" not in ORACLES
+    assert "--toy" not in help_text()
+    with pytest.raises(ValueError):
+        Op("toy_add", n=3)
+    assert run_seed(0, CheckConfig()).digest == default_digest
