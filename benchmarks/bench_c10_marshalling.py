@@ -6,7 +6,9 @@ from the local representation format to a network format and vice versa."
 
 Series produced:
   * encode+decode wall time and wire size by value shape and depth, for
-    both wire formats (packed binary vs tagged text),
+    both wire formats (packed binary vs tagged text) — by the two-pass
+    road (marshal, encode, decode, unmarshal) and by the formats' value
+    lane, which walks each leg once,
   * end-to-end invocation cost vs argument size (the network part of
     access transparency),
   * reference marshalling (identity + paths + full signature) vs a
@@ -26,6 +28,7 @@ from benchmarks.workloads import (
     Counter,
     Echo,
     as_report,
+    rate_pair_us,
     two_node_world,
     write_report,
 )
@@ -62,6 +65,19 @@ def _roundtrip(fmt_name, value):
     return marshaller.unmarshal(fmt.loads(wire)), len(wire)
 
 
+def _two_pass(fmt, marshaller, value):
+    """marshal, encode, decode, unmarshal — as a member of a one-entry
+    envelope, the way the engine carries values."""
+    wire = fmt.dumps({"v": marshaller.marshal(value)})
+    return marshaller.unmarshal(fmt.loads(wire)["v"])
+
+
+def _lane(fmt, marshaller, value):
+    """The same trip through the formats' value lane."""
+    wire = fmt.dumps({"v": value}, marshaller)
+    return fmt.loads(wire, ("v",))["v"]
+
+
 @pytest.mark.parametrize("fmt", ["packed", "tagged"])
 @pytest.mark.parametrize("shape", ["int", "string-10k", "record-tree"])
 def test_c10_roundtrip(benchmark, fmt, shape):
@@ -75,19 +91,22 @@ def test_c10_report(benchmark):
 
 
 def _report():
-    import time
-
-    rows = ["-- wire size and wall time by shape and format --"]
+    rows = ["-- wire size; two-pass and value-lane wall time per round "
+            "trip, by shape and format --"]
     sizes = {}
     for shape, value in VALUES.items():
         line = f"  {shape:>15}:"
         for fmt_name in ("packed", "tagged"):
-            begin = time.perf_counter()
-            for _ in range(50):
-                result, size = _roundtrip(fmt_name, value)
-            elapsed = (time.perf_counter() - begin) * 1000 / 50
+            fmt, marshaller = get_format(fmt_name), Marshaller()
+            result, size = _roundtrip(fmt_name, value)
+            assert (_lane(fmt, marshaller, value)
+                    == _two_pass(fmt, marshaller, value) == result)
+            two_pass_us, lane_us = rate_pair_us(
+                lambda: _two_pass(fmt, marshaller, value),
+                lambda: _lane(fmt, marshaller, value), rounds=20)
             sizes[(shape, fmt_name)] = size
-            line += f"  {fmt_name} {size:>7}B {elapsed:7.3f}ms"
+            line += (f"  {fmt_name} {size:>7}B {two_pass_us / 1000:7.3f}ms "
+                     f"lane {lane_us / 1000:6.3f}ms")
         rows.append(line)
     # Tagged text is bulkier for string- and record-heavy payloads;
     # interestingly, packed's fixed 8-byte integers lose to tagged's

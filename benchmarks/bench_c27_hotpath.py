@@ -9,12 +9,13 @@ cost of the application work it carries.
 C27 measures the marshalling hot path rebuilt in PR 10:
 
 * **Request-marshal pipeline** — the C18-era path built a context dict
-  (``Nucleus.encode_context``), assembled the envelope dict, and walked
-  the whole structure with the generic recursive encoder
-  (``dumps_reference``).  The zero-copy path writes cached plan chunks
-  and live ``InvocationContext`` fields straight into one ``bytearray``
-  (``InvocationPlan.encode_request``) — no intermediate dicts, no
-  chunk-list join, no per-call key sort.  The headline assertion is
+  (``Nucleus.encode_context``) and a marshalled argument tree,
+  assembled the envelope dict, and walked the whole structure with the
+  generic recursive encoder (``dumps_reference``).  The zero-copy path
+  writes cached plan chunks, live ``InvocationContext`` fields and the
+  argument values straight into one ``bytearray``
+  (``InvocationPlan.encode_request``) — no intermediate dicts or
+  trees, no chunk-list join, no per-call key sort.  The headline assertion is
   **≥3x** on the PACKED pipeline; the golden/fuzz layer pins the output
   byte-identical to the legacy walk.
 * **Codec micro** — raw ``dumps``/``loads`` fast paths vs the retained
@@ -36,20 +37,21 @@ pipeline and not end to end.
 
 import cProfile
 import pstats
-import time
 
 from repro.check.explorer import CheckConfig, run_seed
 from repro.comp.invocation import InvocationContext
-from repro.engine.nucleus import Nucleus
+from repro.engine.remote import inv_object
+from repro.ndr.codec import Marshaller
 from repro.ndr.formats import PackedFormat, TaggedFormat
 from repro.ndr.plancache import InvocationPlan
 
-from benchmarks.workloads import as_report, write_report
+from benchmarks.workloads import as_report, rate_pair_us, write_report
 
 #: Representative hot invocation: a transfer with credentials, a
 #: transaction id, a federation hop and overload stamps in ``extra``.
-_ARGS = ["acct-001", 250, {"memo": "transfer", "tags": ["a", "b"]}]
+_ARGS = ("acct-001", 250, {"memo": "transfer", "tags": ["a", "b"]})
 _INV_ID = "cli/app#00042"
+_MARSHALLER = Marshaller()
 
 
 def _context():
@@ -66,34 +68,13 @@ def _plan(fmt):
 
 
 def _legacy_request_bytes(fmt, ctx):
-    """The pre-plan marshalling path, step for step: context dict,
-    envelope dict, generic recursive walk."""
-    ctx_obj = Nucleus.encode_context(ctx)
+    """The pre-plan marshalling path, step for step: marshalled
+    argument tree and context dict (``inv_object``), envelope dict,
+    generic recursive walk."""
     return fmt.dumps_reference({
         "capsule": "capsule-7",
-        "inv": {"args": _ARGS, "ctx": ctx_obj, "epoch": 3,
-                "id": "iface:Accounts@3", "inv_id": _INV_ID,
-                "kind": "invoke", "op": "transfer"}})
-
-
-def _rate_pair_us(fn_a, fn_b, rounds=1500, repeats=6):
-    """Best-of-*repeats* per-call cost for two competing paths, with
-    the timing windows interleaved A/B/A/B so CPU frequency drift and
-    scheduler noise land on both arms alike; the minimum per arm
-    estimates intrinsic cost."""
-    fn_a()
-    fn_b()  # warm both
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            fn_a()
-        best_a = min(best_a, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            fn_b()
-        best_b = min(best_b, time.perf_counter() - t0)
-    return (best_a / rounds * 1e6, best_b / rounds * 1e6)
+        "inv": inv_object(_MARSHALLER, "iface:Accounts@3", "transfer",
+                          _ARGS, "invoke", 3, ctx, _INV_ID)})
 
 
 def marshal_micro():
@@ -104,14 +85,16 @@ def marshal_micro():
                                                    "tagged")):
         plan = _plan(fmt)
         wire = _legacy_request_bytes(fmt, ctx)
-        assert plan.encode_request(_ARGS, ctx, _INV_ID) == wire
-        legacy_us, plan_us = _rate_pair_us(
+        assert plan.encode_request(_ARGS, ctx, _INV_ID,
+                                   _MARSHALLER) == wire
+        legacy_us, plan_us = rate_pair_us(
             lambda: _legacy_request_bytes(fmt, ctx),
-            lambda: plan.encode_request(_ARGS, ctx, _INV_ID))
+            lambda: plan.encode_request(_ARGS, ctx, _INV_ID,
+                                        _MARSHALLER))
         obj = fmt.loads(wire)
-        enc_ref, enc_fast = _rate_pair_us(
+        enc_ref, enc_fast = rate_pair_us(
             lambda: fmt.dumps_reference(obj), lambda: fmt.dumps(obj))
-        dec_ref, dec_fast = _rate_pair_us(
+        dec_ref, dec_fast = rate_pair_us(
             lambda: fmt.loads_reference(wire), lambda: fmt.loads(wire))
         out[name] = {
             "pipeline_legacy_us": legacy_us,

@@ -15,6 +15,7 @@ index and EXPERIMENTS.md).  Each bench both:
 from __future__ import annotations
 
 import os
+import time
 from typing import List
 
 from repro import OdpObject, Signal, World, operation
@@ -96,6 +97,26 @@ class Echo(OdpObject):
     @operation(params=["any"], returns=["any"])
     def echo(self, value):
         return value
+
+
+def rate_pair_us(fn_a, fn_b, rounds=1500, repeats=6):
+    """Best-of-*repeats* per-call cost for two competing paths, with
+    the timing windows interleaved A/B/A/B so CPU frequency drift and
+    scheduler noise land on both arms alike; the minimum per arm
+    estimates intrinsic cost."""
+    fn_a()
+    fn_b()  # warm both
+    best_a = best_b = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            fn_a()
+        best_a = min(best_a, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            fn_b()
+        best_b = min(best_b, time.perf_counter() - t0)
+    return (best_a / rounds * 1e6, best_b / rounds * 1e6)
 
 
 def two_node_world(seed: int = 1, **kwargs) -> tuple:

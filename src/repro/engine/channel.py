@@ -275,14 +275,16 @@ class TransportLayer:
         inv_id = None
         if self._discipline.inv_ids and invocation.invocation_id:
             inv_id = invocation.invocation_id
-        args_obj = marshaller.marshal_args(invocation.args)
         plan = self.plan_cache.plan_for(
             wire, path.capsule, invocation.interface_id,
             invocation.operation, invocation.kind.value,
             invocation.epoch, inv_id is not None)
-        # One-buffer assembly; the context is written straight from its
-        # fields, skipping encode_context's dict.
-        return plan.encode_request(args_obj, invocation.context, inv_id)
+        # One-buffer assembly: the argument values go straight to bytes
+        # (marshalled first only when they are not plain data) and the
+        # context straight from its fields, skipping encode_context's
+        # dict.
+        return plan.encode_request(invocation.args, invocation.context,
+                                   inv_id, marshaller)
 
     # -- the exchange -----------------------------------------------------------
 

@@ -134,7 +134,11 @@ class ReplyRouter:
             reply = wire.loads(message.payload)
         except MarshalError:
             return
-        entry = self._pending.pop(reply.get("call_id", ""), None)
+        # Decodable is not well-formed: a reply that is no object, or
+        # names no call of ours, is dropped like an undecodable one.
+        call_id = reply.get("call_id") if isinstance(reply, dict) else None
+        entry = (self._pending.pop(call_id, None)
+                 if isinstance(call_id, str) else None)
         if entry is None:
             return
         future, capsule = entry

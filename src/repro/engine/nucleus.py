@@ -49,6 +49,10 @@ _MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 #: Stands in for an absent ``ctx`` / ``extra`` object; never written.
 _NO_CTX: Mapping[str, Any] = {}
 
+#: Where a request envelope holds application values (``loads``'s
+#: *values* path): the single-invocation road decodes them in one walk.
+_ARGS = ("inv", "args")
+
 
 def _malformed(what: str) -> Dict[str, Any]:
     """The error reply to a request whose structure cannot be served."""
@@ -211,10 +215,17 @@ class Nucleus:
                 via_domains=tuple(ctx_obj.get("via_domains", ())),
                 extra=extra,
             )
+            # A tuple came through the decoder's value lane and is the
+            # argument values themselves; a list is still the wire tree.
+            args = obj.get("args", ())
+            if type(args) is list:
+                args = marshaller.unmarshal_args(args)
+            elif type(args) is not tuple:
+                raise TypeError("args is not a list")
             return Invocation(
                 interface_id=obj["id"],
                 operation=obj["op"],
-                args=marshaller.unmarshal_args(obj.get("args", [])),
+                args=args,
                 kind=(InvocationKind.ANNOUNCEMENT
                       if obj.get("kind") == "announcement"
                       else InvocationKind.INTERROGATION),
@@ -258,7 +269,7 @@ class Nucleus:
 
     def _handle_request(self, source: str, payload: bytes) -> bytes:
         try:
-            envelope = self.wire.loads(payload)
+            envelope = self.wire.loads(payload, _ARGS)
         except MarshalError:
             return FORMAT_ERROR_REPLY
         if not isinstance(envelope, dict):
@@ -414,7 +425,8 @@ class Nucleus:
                 f"propagated deadline passed during {where}queue wait"),
                 span), None
         return self._execute(capsule, obj, span, trace_ctx,
-                             invocation_id, deadline_at)
+                             invocation_id, deadline_at,
+                             whole=batch_arrived is None)
 
     def _refuse(self, capsule: Capsule, error: OdpError,
                 span) -> Dict[str, Any]:
@@ -424,14 +436,19 @@ class Nucleus:
 
     def _execute(self, capsule: Capsule, obj: Any, span, trace_ctx,
                  invocation_id: Optional[str] = None,
-                 deadline_at: Optional[float] = None):
+                 deadline_at: Optional[float] = None,
+                 whole: bool = False):
         """Decode, adopt the trace, dispatch, marshal, remember the reply.
-        Returns ``(reply object, its encoding if the cache needed one)``.
+        Returns ``(reply object, its encoding if one was made)``.
 
         ``invocation_id`` is ``None`` for the one-way kinds: they passed
         no gate, so they are neither logged as gated executions nor
-        cached."""
+        cached.  *whole* says the reply object is the whole reply
+        message (a single request's, not a batch member's): a
+        termination then goes from values to those bytes in one walk
+        and the reply object holds it unmarshalled."""
         marshaller = self.marshaller_for(capsule)
+        encoded = None
         try:
             unmarshal_span = NULL_SPAN
             if span.span is not None and self.tracer.verbose:
@@ -451,16 +468,20 @@ class Nucleus:
                 self.deadline_gate.note_execution(
                     invocation_id, invocation.operation, deadline_at)
             termination = capsule.dispatch(invocation)
-            reply = {"term": marshaller.marshal(termination)}
+            if whole:
+                reply = {"term": termination}
+                encoded = self.wire.dumps(reply, marshaller)
+            else:
+                reply = {"term": marshaller.marshal(termination)}
         except OdpError as exc:
             reply = {"error": encode_error(exc, marshaller)}
             span.tag("error", type(exc).__name__)
-        encoded = None
         # Cache successful replies only: errors are regenerated so a
         # retry after the fault was repaired (relocation, lock release)
         # is not answered with a stale failure.
         if invocation_id and "term" in reply:
-            encoded = self.wire.dumps(reply)
+            if encoded is None:
+                encoded = self.wire.dumps(reply)
             self.reply_cache.store(invocation_id, encoded,
                                    expires_at=deadline_at)
         span.finish("ok" if "term" in reply else "error")

@@ -64,31 +64,50 @@ def reply_field(reply: Any, key: str, marshaller, peer: str) -> Any:
         f"reply from {peer} carries neither {key!r} nor an error")
 
 
-def open_reply(wire, payload: bytes, key: str, marshaller,
-               peer: str) -> Any:
-    """Decode reply bytes from *peer* and return their *key* member."""
+def _loads_reply(wire, payload: bytes, peer: str, values=None) -> Any:
+    """Decode reply bytes from *peer*."""
     if payload == FORMAT_ERROR_REPLY:
         raise ProtocolMismatchError(
             f"node {peer} could not decode our {wire.name!r} message")
     try:
-        reply = wire.loads(payload)
+        return wire.loads(payload, values)
     except MarshalError as exc:
         raise ProtocolMismatchError(
             f"reply from {peer} not in {wire.name!r}: {exc}") from exc
-    return reply_field(reply, key, marshaller, peer)
+
+
+def open_reply(wire, payload: bytes, key: str, marshaller,
+               peer: str) -> Any:
+    """Decode reply bytes from *peer* and return their *key* member."""
+    return reply_field(_loads_reply(wire, payload, peer), key, marshaller,
+                       peer)
 
 
 def termination_of(reply: Any, marshaller, peer: str) -> Termination:
     """The termination a decoded invocation reply (or batch member
     reply) carries — or the typed error it carries instead."""
-    return marshaller.unmarshal(reply_field(reply, "term", marshaller, peer))
+    term = reply_field(reply, "term", marshaller, peer)
+    if type(term) is list or type(term) is dict:
+        # Still the wire tree: the decoder's value lane was not asked,
+        # or stood aside.
+        try:
+            term = marshaller.unmarshal(term)
+        except MarshalError as exc:
+            raise ProtocolMismatchError(
+                f"reply from {peer} carries a malformed termination: "
+                f"{exc}") from exc
+    if type(term) is not Termination:
+        raise ProtocolMismatchError(
+            f"reply from {peer} carries no termination but a "
+            f"{type(term).__name__}")
+    return term
 
 
 def decode_reply(wire, payload: bytes, marshaller,
                  peer: str) -> Termination:
     """The termination an invocation's reply bytes carry."""
-    return marshaller.unmarshal(
-        open_reply(wire, payload, "term", marshaller, peer))
+    return termination_of(_loads_reply(wire, payload, peer, ("term",)),
+                          marshaller, peer)
 
 
 def invoke_at(nucleus: Nucleus, client_capsule, node: str,

@@ -63,10 +63,14 @@ def encode_error(exc: errors.OdpError,
 
 
 def raise_error(obj: Dict[str, Any], marshaller: Marshaller) -> None:
-    """Re-raise the error described by a wire error object."""
+    """Re-raise the error described by a wire error object — whatever
+    its shape: the object comes from outside the program."""
+    if not isinstance(obj, dict):
+        obj = {}
     code = obj.get("code", "odp")
     message = obj.get("msg", "remote error")
-    cls = _BY_CODE.get(code, errors.OdpError)
+    cls = (_BY_CODE.get(code, errors.OdpError) if isinstance(code, str)
+           else errors.OdpError)
     if cls is errors.StaleReferenceError:
         hint = obj.get("hint")
         raise errors.StaleReferenceError(

@@ -41,14 +41,12 @@ class Marshaller:
     def __init__(self, exporter: Optional[Exporter] = None) -> None:
         self.exporter = exporter
         self.refs_exported = 0
-        self.values_copied = 0
 
     # -- marshalling --------------------------------------------------------
 
     def marshal(self, value: Any) -> Any:
         if value is None or isinstance(value, (bool, int, float, str,
                                                bytes)):
-            self.values_copied += 1
             return value
         if isinstance(value, InterfaceRef):
             return self._marshal_ref(value)
@@ -61,7 +59,6 @@ class Marshaller:
         if isinstance(value, (list, tuple)):
             return [self.marshal(v) for v in value]
         if isinstance(value, FrozenRecord):
-            self.values_copied += 1
             return {
                 KIND: "record",
                 "fields": {k: self.marshal(v) for k, v in value.items()},
@@ -111,10 +108,20 @@ class Marshaller:
     # -- unmarshalling -------------------------------------------------------
 
     def unmarshal(self, obj: Any) -> Any:
+        """The value a decoded tree stands for.  The tree comes from
+        outside the program: whatever its shape, the only error is
+        :class:`MarshalError`."""
+        try:
+            return self._unmarshal(obj)
+        except (AttributeError, KeyError, TypeError,
+                RecursionError) as exc:
+            raise MarshalError(f"malformed wire object: {exc!r}") from exc
+
+    def _unmarshal(self, obj: Any) -> Any:
         if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
             return obj
         if isinstance(obj, list):
-            return tuple(self.unmarshal(item) for item in obj)
+            return tuple(self._unmarshal(item) for item in obj)
         if isinstance(obj, dict):
             kind = obj.get(KIND)
             if kind == "ref":
@@ -122,12 +129,12 @@ class Marshaller:
             if kind == "term":
                 return Termination(
                     obj["name"],
-                    tuple(self.unmarshal(v) for v in obj["values"]))
+                    tuple(self._unmarshal(v) for v in obj["values"]))
             if kind == "record":
-                return FrozenRecord({k: self.unmarshal(v)
+                return FrozenRecord({k: self._unmarshal(v)
                                      for k, v in obj["fields"].items()})
             if kind == "set":
-                return frozenset(self.unmarshal(v) for v in obj["items"])
+                return frozenset(self._unmarshal(v) for v in obj["items"])
             raise MarshalError(f"unknown wire object kind {kind!r}")
         raise MarshalError(
             f"unexpected wire object of type {type(obj).__name__}")

@@ -29,6 +29,20 @@ encoders' fallback for scalar/container subclasses and builds every
 plan chunk in :mod:`repro.ndr.plancache`, and the golden and fuzz tests
 assert both paths emit identical bytes.
 
+Both formats also carry a **value lane** for the two places where an
+application value would otherwise be walked twice — marshalled into a
+tree, then encoded (and back): ``write_value`` takes ``None``/``bool``/
+``int``/``float``/``str``/``bytes``, ``list``/``tuple``, ``dict``,
+:class:`FrozenRecord` and :class:`Termination` straight to the bytes
+``dumps(Marshaller.marshal(value))`` gives, and ``loads(data, values=
+path)`` decodes the envelope member at *path* straight to ``tuple`` /
+``FrozenRecord`` / ``Termination``.  The input chooses the road, no
+caller does: the first value that is not plain data sends the whole
+value down ``marshal`` + the tree writer before anything was exported,
+and bytes no encoder emits are decoded again, whole, by the tree reader
+— so the two-pass road stays the reference and the lane never produces
+what it would not.
+
 Bytes arrive from outside the program, so every decoder maps damage —
 truncation, invalid UTF-8, a non-string map key, a non-ASCII tag,
 nesting past the recursion limit, a TAGGED length that is negative or
@@ -41,7 +55,16 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, List, Tuple
 
+from repro.comp.outcomes import Termination
 from repro.errors import MarshalError
+from repro.util.freeze import FrozenRecord
+
+
+class _OffLane(Exception):
+    """The value lane met what it does not take: a value that is not
+    plain data (encode), bytes no encoder emits (decode).  Never leaves
+    this module — the caller takes the two-pass road instead."""
+
 
 class _Cursor:
     """A mutable decode position: one allocation per message."""
@@ -57,11 +80,78 @@ class WireFormat:
 
     name = "abstract"
 
-    def dumps(self, obj: Any) -> bytes:
+    def dumps(self, obj: Any, marshaller: Any = None) -> bytes:
+        """Encode the plain tree *obj*.  With a *marshaller*, *obj* is
+        a flat envelope whose members are application values, each
+        written by :meth:`write_value`."""
+        buf = bytearray(self._MAGIC)
+        if marshaller is None:
+            self._put_tree(obj, buf, self)
+        else:
+            for key in sorted(obj):
+                self._put_tree(self._check_key(key), buf, self)
+                self.write_value(obj[key], buf, marshaller)
+            mark = len(self._MAGIC)
+            buf[mark:mark] = self._map_header(len(obj), len(buf) - mark)
+        return bytes(buf)
+
+    def loads(self, data: bytes, values: Any = None) -> Any:
+        """Decode to a plain tree.  *values* names, as a path of map
+        keys, the envelope member that holds application values: when
+        its bytes are what ``write_value`` emits it arrives already
+        unmarshalled (a ``tuple``, ``FrozenRecord`` or ``Termination``,
+        never a ``list`` or ``dict``); otherwise the whole message is
+        the plain tree it always was."""
         raise NotImplementedError
 
-    def loads(self, data: bytes) -> Any:
-        raise NotImplementedError
+    def write_value(self, value: Any, buf: bytearray,
+                    marshaller: Any) -> None:
+        """Append to *buf* exactly ``dumps(marshaller.marshal(value))``
+        minus the magic, in one walk when *value* is plain data.
+
+        ``marshal`` exports in dict insertion order while bytes go out
+        in sorted order, so the lane bails at the first non-plain value
+        — before any export — and the whole value goes down the
+        two-pass road: ids, counters and bytes stay what it gives."""
+        mark = len(buf)
+        try:
+            self._put(value, buf, self)
+        except (_OffLane, TypeError):  # TypeError: unsortable field names
+            del buf[mark:]
+            self._put_tree(marshaller.marshal(value), buf, self)
+
+    def _loads_values(self, data: bytes, path: Tuple[str, ...]) -> Any:
+        """Decode a whole message, the member at *path* through the
+        value lane; ``None`` when the lane stands aside."""
+        cur = _Cursor(len(self._MAGIC))
+        try:
+            obj = self._get_at(data, cur, path)
+        except Exception:
+            # Whatever tripped the lane, hostile bytes get their verdict
+            # from the hardened tree reader, not from here.
+            return None
+        return obj if cur.pos == len(data) else None
+
+    def _get_at(self, data: bytes, cur: _Cursor,
+                path: Tuple[str, ...]) -> Dict[str, Any]:
+        """Decode the map at ``cur.pos`` as the tree reader would,
+        except that the member at *path* is read by the value lane."""
+        count, end = self._enter_map(data, cur)
+        result: Dict[str, Any] = {}
+        read, name = self._get_tree, path[0]
+        for _ in range(count):
+            key = read(data, cur)
+            if type(key) is not str:
+                raise _OffLane
+            if key != name:
+                result[key] = read(data, cur)
+            elif len(path) > 1:
+                result[key] = self._get_at(data, cur, path[1:])
+            else:
+                result[key] = read(data, cur, True)
+        if end is not None and cur.pos != end:
+            raise _OffLane
+        return result
 
     def _check_key(self, key: Any) -> str:
         if not isinstance(key, str):
@@ -174,10 +264,13 @@ def _packed_write(obj: Any, buf: bytearray, fmt: "PackedFormat") -> None:
         buf += b"".join(chunks)
 
 
-def _packed_read(data: bytes, cur: _Cursor) -> Any:
-    """Decode one packed value at ``cur.pos``, advancing the cursor."""
+def _packed_read(data: bytes, cur: _Cursor, values: bool = False) -> Any:
+    """Decode one packed value at ``cur.pos``, advancing the cursor —
+    with *values*, as the value lane reads it (:func:`_packed_value`)."""
     pos = cur.pos
     tag = data[pos]
+    if values and (tag == 0x64 or tag == 0x6C):
+        return _packed_value(data, cur, pos, tag)
     pos += 1
     if tag == 0x73:  # "s"
         (length,) = _UNPACK_U(data, pos)
@@ -285,6 +378,87 @@ def _packed_read(data: bytes, cur: _Cursor) -> Any:
     raise MarshalError(f"unknown packed tag {bytes((tag,))!r}")
 
 
+_PLAIN = frozenset((str, int, float, bytes, bool, type(None)))
+
+
+def _packed_put(value: Any, buf: bytearray, fmt: "PackedFormat") -> None:
+    """The value lane's writer: *value*'s ``marshal`` tree, encoded
+    without being built.  Raises ``_OffLane`` on anything not plain."""
+    tp = type(value)
+    if tp is tuple or tp is list:
+        buf += b"l"
+        buf += _PACK_U(len(value))
+        for item in value:
+            _packed_put(item, buf, fmt)
+    elif tp is dict or tp is FrozenRecord:
+        buf += _P_RECORD
+        buf += _PACK_U(len(value))
+        for key, item in (value._items if tp is FrozenRecord else
+                          [(key, value[key]) for key in sorted(value)]):
+            if type(key) is not str:
+                raise _OffLane
+            raw = key.encode("utf-8")
+            buf += b"s"
+            buf += _PACK_U(len(raw))
+            buf += raw
+            _packed_put(item, buf, fmt)
+    elif tp in _PLAIN:
+        _packed_write(value, buf, fmt)
+    elif tp is Termination:
+        if type(value.name) is not str or type(value.values) is not tuple:
+            raise _OffLane
+        buf += _P_TERM
+        _packed_write(value.name, buf, fmt)
+        buf += _P_VALUES
+        _packed_put(value.values, buf, fmt)
+    else:
+        raise _OffLane
+
+
+def _packed_value(data: bytes, cur: _Cursor, pos: int, tag: int) -> Any:
+    """The value lane's reader, entered from :func:`_packed_read` for
+    the container *tag* at *pos*: ``unmarshal`` of its tree, decoded
+    without being built (a scalar is its own value)."""
+    if tag == 0x6C:  # "l"
+        (count,) = _UNPACK_U(data, pos + 1)
+        cur.pos = pos + 5
+        return tuple([_packed_read(data, cur, True) for _ in range(count)])
+    if data.startswith(_P_RECORD, pos):  # "d" must be a wrapper
+        pos += len(_P_RECORD)
+        (count,) = _UNPACK_U(data, pos)
+        cur.pos = pos + 4
+        pairs = []
+        last = None
+        for _ in range(count):
+            key = _packed_read(data, cur)
+            # Strictly increasing names are what every encoder emits
+            # and what makes the pairs a FrozenRecord's as they stand.
+            if type(key) is not str or (last is not None and key <= last):
+                raise _OffLane
+            last = key
+            pairs.append((key, _packed_read(data, cur, True)))
+        return FrozenRecord._trusted(tuple(pairs))
+    if data.startswith(_P_TERM, pos):
+        cur.pos = pos + len(_P_TERM)
+        name = _packed_read(data, cur)
+        if type(name) is str and data.startswith(_P_VALUES, cur.pos):
+            cur.pos += len(_P_VALUES)
+            values = _packed_read(data, cur, True)
+            if type(values) is tuple:
+                return Termination(name, values)
+    raise _OffLane
+
+
+def _packed_enter_map(data: bytes, cur: _Cursor) -> Tuple[int, None]:
+    """Step over the map header at ``cur.pos``: ``(entry count, no
+    body end to check)``."""
+    pos = cur.pos
+    if data[pos] != 0x64:
+        raise _OffLane
+    cur.pos = pos + 5
+    return _UNPACK_U(data, pos + 1)[0], None
+
+
 class PackedFormat(WireFormat):
     """Compact binary format: 1-byte tag + struct-packed payloads."""
 
@@ -292,10 +466,13 @@ class PackedFormat(WireFormat):
 
     _MAGIC = b"\xa5P"
 
-    def dumps(self, obj: Any) -> bytes:
-        buf = bytearray(self._MAGIC)
-        _packed_write(obj, buf, self)
-        return bytes(buf)
+    _put = staticmethod(_packed_put)
+    _put_tree = staticmethod(_packed_write)
+    _get_tree = staticmethod(_packed_read)
+    _enter_map = staticmethod(_packed_enter_map)
+
+    def _map_header(self, count: int, size: int) -> bytes:
+        return b"d" + _PACK_U(count)
 
     def dumps_reference(self, obj: Any) -> bytes:
         """Encode via the original chunk-list walk (the format spec)."""
@@ -338,11 +515,15 @@ class PackedFormat(WireFormat):
             raise MarshalError(
                 f"packed format cannot encode {type(obj).__name__}")
 
-    def loads(self, data: bytes) -> Any:
+    def loads(self, data: bytes, values: Any = None) -> Any:
         if not data.startswith(self._MAGIC):
             raise MarshalError(
                 "not a packed-format message (wrong magic); the sender "
                 "used an incompatible wire format")
+        if values is not None:
+            obj = self._loads_values(data, values)
+            if obj is not None:
+                return obj
         cur = _Cursor(len(self._MAGIC))
         try:
             obj = _packed_read(data, cur)
@@ -478,8 +659,9 @@ def _tagged_write(obj: Any, buf: bytearray, fmt: "TaggedFormat") -> None:
         buf += b"".join(chunks)
 
 
-def _tagged_read(data: bytes, cur: _Cursor) -> Any:
-    """Decode one tagged value at ``cur.pos``, advancing the cursor."""
+def _tagged_read(data: bytes, cur: _Cursor, values: bool = False) -> Any:
+    """Decode one tagged value at ``cur.pos``, advancing the cursor —
+    with *values*, as the value lane reads it (:func:`_tagged_value`)."""
     pos = cur.pos
     first = data.find(b"#", pos)
     if first < 0:
@@ -506,6 +688,8 @@ def _tagged_read(data: bytes, cur: _Cursor) -> Any:
         return float(data[start:end])
     if tag == b"octets":
         return bytes(data[start:end])
+    if values:
+        return _tagged_value(data, cur, tag, start, end)
     bracket = tag.find(b"[")
     if bracket >= 0:
         base = tag[:bracket]
@@ -535,6 +719,94 @@ def _tagged_read(data: bytes, cur: _Cursor) -> Any:
     raise MarshalError(f"unknown tagged tag {tag.decode('ascii')!r}")
 
 
+def _tagged_put(value: Any, buf: bytearray, fmt: "TaggedFormat") -> None:
+    """The value lane's writer (see :func:`_packed_put`)."""
+    tp = type(value)
+    start = len(buf)
+    if tp is tuple or tp is list:
+        for item in value:
+            _tagged_put(item, buf, fmt)
+        buf[start:start] = b"list[%d]#%d#" % (len(value), len(buf) - start)
+    elif tp is dict or tp is FrozenRecord:
+        for key, item in (value._items if tp is FrozenRecord else
+                          [(key, value[key]) for key in sorted(value)]):
+            if type(key) is not str:
+                raise _OffLane
+            raw = key.encode("utf-8")
+            buf += b"text#%d#" % len(raw)
+            buf += raw
+            _tagged_put(item, buf, fmt)
+        head = b"map[%d]#%d#" % (len(value), len(buf) - start)
+        buf[start:start] = b"map[2]#%d#%b%b" % (
+            len(_T_RECORD) + len(head) + len(buf) - start, _T_RECORD, head)
+    elif tp in _PLAIN:
+        _tagged_write(value, buf, fmt)
+    elif tp is Termination:
+        if type(value.name) is not str or type(value.values) is not tuple:
+            raise _OffLane
+        buf += _T_TERM
+        _tagged_write(value.name, buf, fmt)
+        buf += _T_VALUES
+        _tagged_put(value.values, buf, fmt)
+        buf[start:start] = b"map[3]#%d#" % (len(buf) - start)
+    else:
+        raise _OffLane
+
+
+def _tagged_enter_map(data: bytes, cur: _Cursor) -> Tuple[int, int]:
+    """Step over the ``map[n]#len#`` header at ``cur.pos``: ``(entry
+    count, body end)``; anything else there is off the lane."""
+    pos = cur.pos
+    first = data.find(b"#", pos)
+    second = data.find(b"#", first + 1)
+    if (first < 0 or second < 0 or data[first - 1] != 0x5D
+            or not data.startswith(b"map[", pos)):
+        raise _OffLane
+    cur.pos = second + 1
+    end = cur.pos + int(data[first + 1:second])
+    if not cur.pos <= end <= len(data):
+        raise _OffLane
+    return int(data[pos + 4:first - 1]), end
+
+
+def _tagged_value(data: bytes, cur: _Cursor, tag: bytes, start: int,
+                  end: int) -> Any:
+    """The value lane's reader (see :func:`_packed_value`), entered from
+    :func:`_tagged_read` past the scalars: the container *tag* with its
+    body at ``data[start:end]``."""
+    if tag.startswith(b"list[") and tag.endswith(b"]"):
+        cur.pos = start
+        items = tuple([_tagged_read(data, cur, True)
+                       for _ in range(int(tag[5:-1]))])
+        if cur.pos != end:
+            raise _OffLane
+        return items
+    if tag == b"map[2]" and data.startswith(_T_RECORD, start):
+        cur.pos = start + len(_T_RECORD)
+        count, inner_end = _tagged_enter_map(data, cur)
+        pairs = []
+        last = None
+        for _ in range(count):
+            key = _tagged_read(data, cur)
+            # See _packed_value: strictly increasing names, or no lane.
+            if type(key) is not str or (last is not None and key <= last):
+                raise _OffLane
+            last = key
+            pairs.append((key, _tagged_read(data, cur, True)))
+        if cur.pos != inner_end or inner_end != end:
+            raise _OffLane
+        return FrozenRecord._trusted(tuple(pairs))
+    if tag == b"map[3]" and data.startswith(_T_TERM, start):
+        cur.pos = start + len(_T_TERM)
+        name = _tagged_read(data, cur)
+        if type(name) is str and data.startswith(_T_VALUES, cur.pos):
+            cur.pos += len(_T_VALUES)
+            values = _tagged_read(data, cur, True)
+            if type(values) is tuple and cur.pos == end:
+                return Termination(name, values)
+    raise _OffLane
+
+
 class TaggedFormat(WireFormat):
     """Self-describing textual format: ``tag#len#payload`` framing.
 
@@ -546,10 +818,13 @@ class TaggedFormat(WireFormat):
 
     _MAGIC = b"@TAGGED@"
 
-    def dumps(self, obj: Any) -> bytes:
-        buf = bytearray(self._MAGIC)
-        _tagged_write(obj, buf, self)
-        return bytes(buf)
+    _put = staticmethod(_tagged_put)
+    _put_tree = staticmethod(_tagged_write)
+    _get_tree = staticmethod(_tagged_read)
+    _enter_map = staticmethod(_tagged_enter_map)
+
+    def _map_header(self, count: int, size: int) -> bytes:
+        return b"map[%d]#%d#" % (count, size)
 
     def dumps_reference(self, obj: Any) -> bytes:
         """Encode via the original chunk-list walk (the format spec)."""
@@ -593,11 +868,15 @@ class TaggedFormat(WireFormat):
             raise MarshalError(
                 f"tagged format cannot encode {type(obj).__name__}")
 
-    def loads(self, data: bytes) -> Any:
+    def loads(self, data: bytes, values: Any = None) -> Any:
         if not data.startswith(self._MAGIC):
             raise MarshalError(
                 "not a tagged-format message (wrong magic); the sender "
                 "used an incompatible wire format")
+        if values is not None:
+            obj = self._loads_values(data, values)
+            if obj is not None:
+                return obj
         cur = _Cursor(len(self._MAGIC))
         try:
             obj = _tagged_read(data, cur)
@@ -699,3 +978,25 @@ def available_formats() -> List[str]:
 
 register_format(PackedFormat())
 register_format(TaggedFormat())
+
+
+def _chunk(fmt: WireFormat, *objs: Any) -> bytes:
+    """Encode constant values with the format's own writer."""
+    out: List[bytes] = []
+    for obj in objs:
+        fmt._write(obj, out)
+    return b"".join(out)
+
+
+#: What ``marshal`` wraps around a record's fields and a termination's
+#: name and values, as the constant byte runs they are on the wire (the
+#: TAGGED map headers carry a body length, so they stay out of these).
+_P_RECORD = (b"d\x00\x00\x00\x02"
+             + _chunk(get_format("packed"), "__kind__", "record", "fields")
+             + b"d")
+_P_TERM = (b"d\x00\x00\x00\x03"
+           + _chunk(get_format("packed"), "__kind__", "term", "name"))
+_P_VALUES = _chunk(get_format("packed"), "values")
+_T_RECORD = _chunk(get_format("tagged"), "__kind__", "record", "fields")
+_T_TERM = _chunk(get_format("tagged"), "__kind__", "term", "name")
+_T_VALUES = _chunk(get_format("tagged"), "values")

@@ -9,8 +9,8 @@ path that walk dominates marshalling cost.
 An :class:`InvocationPlan` freezes the constant parts of one
 (wire format, capsule, interface, operation, kind, epoch) combination
 into pre-encoded byte chunks, leaving *holes* for the three values that
-genuinely vary per call — the marshalled argument list, the invocation
-context, and the invocation id.  Encoding then appends the cached
+genuinely vary per call — the argument list, the invocation context,
+and the invocation id.  Encoding then appends the cached
 chunks and the three holes to one buffer instead of re-walking the
 whole envelope.
 
@@ -33,16 +33,8 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.ndr.formats import (_PACK_U, PackedFormat, WireFormat,
+from repro.ndr.formats import (_PACK_U, PackedFormat, WireFormat, _chunk,
                                _packed_write, _tagged_write)
-
-
-def _chunk(fmt: WireFormat, *objs: Any) -> bytes:
-    """Encode constant values with the format's own writer."""
-    out: List[bytes] = []
-    for obj in objs:
-        fmt._write(obj, out)
-    return b"".join(out)
 
 
 #: Context dict keys in the sorted order the wire formats emit them
@@ -154,25 +146,11 @@ class InvocationPlan:
     # (no dict copies, no per-call key sort).  String-typed fields are
     # framed inline; anything else falls through to the format writer.
 
-    def _packed_body(self, buf: bytearray, args_obj: List[Any],
-                     context: Any, inv_id: Optional[str]) -> None:
+    def _packed_body(self, buf: bytearray, args: Any, context: Any,
+                     inv_id: Optional[str], marshaller: Any) -> None:
         """Everything after ``_req_head``/``_mem_head`` for PACKED."""
         fmt = self.fmt
-        if type(args_obj) is list:
-            # Args are a list on every real call path; write the
-            # container header inline and dispatch only per item.
-            buf += b"l"
-            buf += _PACK_U(len(args_obj))
-            for item in args_obj:
-                if type(item) is str:
-                    raw = item.encode("utf-8")
-                    buf += b"s"
-                    buf += _PACK_U(len(raw))
-                    buf += raw
-                else:
-                    _packed_write(item, buf, fmt)
-        else:
-            _packed_write(args_obj, buf, fmt)
+        fmt.write_value(args, buf, marshaller)
         trace = context.trace
         wire_trace = None
         if trace is not None and trace.sampled and trace.trace_id:
@@ -228,12 +206,12 @@ class InvocationPlan:
             buf += raw
         buf += self.tail
 
-    def _tagged_body(self, buf: bytearray, args_obj: List[Any],
-                     context: Any, inv_id: Optional[str]) -> None:
+    def _tagged_body(self, buf: bytearray, args: Any, context: Any,
+                     inv_id: Optional[str], marshaller: Any) -> None:
         """The inv-dict body for TAGGED (headers spliced by callers)."""
         fmt = self.fmt
         buf += self.pre_args
-        _tagged_write(args_obj, buf, fmt)
+        fmt.write_value(args, buf, marshaller)
         buf += self.pre_ctx
         trace = context.trace
         wire_trace = None
@@ -278,33 +256,36 @@ class InvocationPlan:
             buf += raw
         buf += self.tail
 
-    def encode_request(self, args_obj: List[Any], context: Any,
-                       inv_id: Optional[str]) -> bytes:
+    def encode_request(self, args: Any, context: Any,
+                       inv_id: Optional[str], marshaller: Any) -> bytes:
         """One-buffer single-request assembly: cached chunks spliced
-        around the three variable holes, with the context written
-        directly from its fields.  Byte-identical to
-        ``encode_single(encode_member(...))`` over
-        ``Nucleus.encode_context``'s dict — the golden tests pin it."""
+        around the three variable holes, with the argument *values*
+        written by the format's value lane (*marshaller* is its
+        two-pass fallback) and the context directly from its fields.
+        Byte-identical to ``encode_single(encode_member(...))`` over
+        ``marshal_args`` and ``Nucleus.encode_context``'s dict — the
+        golden tests pin it."""
         if self.packed:
             buf = bytearray(self._req_head)
-            self._packed_body(buf, args_obj, context, inv_id)
+            self._packed_body(buf, args, context, inv_id, marshaller)
             return bytes(buf)
         buf = bytearray()
-        self._tagged_body(buf, args_obj, context, inv_id)
+        self._tagged_body(buf, args, context, inv_id, marshaller)
         buf[0:0] = (self._tagged_mid
                     + b"map[%d]#%d#" % (self.entries, len(buf)))
         return self.fmt._MAGIC + b"map[2]#%d#" % len(buf) + buf
 
-    def encode_member_zero(self, args_obj: List[Any], context: Any,
-                           inv_id: Optional[str]) -> bytes:
+    def encode_member_zero(self, args: Any, context: Any,
+                           inv_id: Optional[str], marshaller: Any) -> bytes:
         """Zero-copy member bytes (batch building block) — the same
-        output as ``encode_member`` fed ``Nucleus.encode_context``."""
+        output as ``encode_member`` fed ``marshal_args`` and
+        ``Nucleus.encode_context``."""
         if self.packed:
             buf = bytearray(self._mem_head)
-            self._packed_body(buf, args_obj, context, inv_id)
+            self._packed_body(buf, args, context, inv_id, marshaller)
             return bytes(buf)
         buf = bytearray()
-        self._tagged_body(buf, args_obj, context, inv_id)
+        self._tagged_body(buf, args, context, inv_id, marshaller)
         buf[0:0] = b"map[%d]#%d#" % (self.entries, len(buf))
         return bytes(buf)
 

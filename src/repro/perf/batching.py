@@ -233,12 +233,11 @@ class BatchClient:
 
     def _encode_member(self, fmt, capsule_name: str, entry: _Pending,
                        marshaller) -> bytes:
-        args_obj = marshaller.marshal_args(entry.args)
         plan = self.plan_cache.plan_for(
             fmt, capsule_name, entry.ref.interface_id,
             entry.operation, "interrogation", entry.ref.epoch, True)
-        return plan.encode_member_zero(args_obj, entry.context,
-                                       entry.invocation_id)
+        return plan.encode_member_zero(entry.args, entry.context,
+                                       entry.invocation_id, marshaller)
 
     def _exchange(self, node: str, protocol: str, payload: bytes,
                   size: int, tracer, batch_span,

@@ -62,6 +62,16 @@ class FrozenRecord:
                 raise TypeError("FrozenRecord fields must be frozen")
         object.__setattr__(self, "_items", items)
 
+    @classmethod
+    def _trusted(cls, items: tuple) -> "FrozenRecord":
+        """A record over *items* as they stand.  For the wire decoder
+        only: it built the values itself, frozen, and checked that the
+        keys arrive strictly increasing — what ``__init__`` would sort
+        and re-check."""
+        record = cls.__new__(cls)
+        object.__setattr__(record, "_items", items)
+        return record
+
     def __setattr__(self, name, value):
         raise AttributeError("FrozenRecord is immutable")
 

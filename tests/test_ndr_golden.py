@@ -33,6 +33,7 @@ from repro.comp.model import signature_of
 from repro.engine.remote import inv_object
 from repro.engine.wire_errors import _CODES, encode_error
 from repro.errors import MarshalError, ServerBusyError, StaleReferenceError
+from repro.ndr.codec import Marshaller
 from repro.ndr.formats import get_format
 from repro.ndr.plancache import PlanCache, encode_batch
 from repro.ndr.sigcodec import signature_to_obj, term_to_obj
@@ -333,19 +334,31 @@ def _context_of(ctx):
         trace=TraceContext.from_wire(ctx.get("trace")))
 
 
+def _reference_inv(marshaller, args, ctx, inv_id, epoch, kind):
+    """The ``inv`` object the two-pass road builds for argument
+    *values*: ``marshal_args``, then ``encode_context``'s dict."""
+    return inv_object(marshaller, "if.x-1", "mixed_op", args, kind, epoch,
+                      _context_of(ctx), inv_id)
+
+
 @pytest.mark.parametrize("fmt_name", FORMATS)
 def test_one_buffer_request_matches_generic_walk(fmt_name):
-    """``encode_request`` is what every single request takes: the
-    context is written from the fields of a real InvocationContext."""
+    """``encode_request`` is what every single request takes: argument
+    values go straight to bytes, the context is written from the fields
+    of a real InvocationContext."""
     fmt = get_format(fmt_name)
     cache = PlanCache()
+    marshaller = Marshaller()
     for _pass in ("first use", "re-hit"):
         for args, ctx, inv_id, epoch, kind in _MEMBER_CASES:
             plan = cache.plan_for(fmt, "srv", "if.x-1", "mixed_op", kind,
                                   epoch, inv_id is not None)
-            assert plan.encode_request(args, _context_of(ctx), inv_id) \
-                == fmt.dumps(_manual_envelope(args, ctx, inv_id,
-                                              epoch, kind)), _pass
+            assert plan.encode_request(tuple(args), _context_of(ctx),
+                                       inv_id, marshaller) \
+                == fmt.dumps_reference({
+                    "capsule": "srv",
+                    "inv": _reference_inv(marshaller, args, ctx, inv_id,
+                                          epoch, kind)}), _pass
     assert cache.hits == len(_MEMBER_CASES)
 
 
@@ -355,15 +368,16 @@ def test_one_buffer_batch_matches_generic_walk(fmt_name):
     member takes."""
     fmt = get_format(fmt_name)
     cache = PlanCache()
+    marshaller = Marshaller()
     members, objs = [], []
     for args, ctx, inv_id, epoch, kind in _MEMBER_CASES:
         plan = cache.plan_for(fmt, "srv", "if.x-1", "mixed_op", kind,
                               epoch, inv_id is not None)
-        members.append(plan.encode_member_zero(args, _context_of(ctx),
-                                               inv_id))
-        objs.append(_manual_envelope(args, ctx, inv_id,
-                                     epoch, kind)["inv"])
-    assert encode_batch(fmt, "srv", members) == fmt.dumps(
+        members.append(plan.encode_member_zero(
+            tuple(args), _context_of(ctx), inv_id, marshaller))
+        objs.append(_reference_inv(marshaller, args, ctx, inv_id, epoch,
+                                   kind))
+    assert encode_batch(fmt, "srv", members) == fmt.dumps_reference(
         {"batch": objs, "capsule": "srv"})
 
 

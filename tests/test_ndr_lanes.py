@@ -1,0 +1,319 @@
+"""The value lanes against the two-pass road they shortcut.
+
+``WireFormat.write_value`` / ``dumps(obj, marshaller)`` take application
+values straight to bytes and ``loads(data, values=path)`` takes bytes
+straight to values.  ``Marshaller.marshal``/``unmarshal`` around the
+reference walks is the executable specification: the lanes must give
+its bytes, its values, its errors and its side effects — on well-formed
+input, on every damaged image, and on the hand-built shapes no encoder
+emits.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+import struct
+from collections import namedtuple
+
+import pytest
+
+from repro.comp.invocation import InvocationContext
+from repro.comp.model import signature_of
+from repro.comp.outcomes import Termination
+from repro.comp.reference import AccessPath, InterfaceRef
+from repro.engine.remote import inv_object
+from repro.errors import MarshalError
+from repro.ndr.codec import Marshaller
+from repro.ndr.formats import _chunk, get_format
+from repro.ndr.plancache import PlanCache
+from repro.sim.rand import DeterministicRandom
+from repro.util.freeze import FrozenRecord, deep_freeze
+from tests.conftest import Counter
+from tests.test_ndr_golden import FORMATS, HOSTILE, _corpus, _damaged
+from tests.test_ndr_property import _ALPHABET, _gen_value
+
+M = Marshaller()
+#: The two envelope members the engine asks the decoder's lane for.
+PATHS = (("inv", "args"), ("term",))
+
+
+# -- the reference: what a receiver makes of a message ------------------------
+
+def _same(a, b):
+    """Equality that refuses type drift and lets ``nan`` equal itself."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return a == b or (a != a and b != b)
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return set(a) == set(b) and all(_same(a[k], b[k]) for k in a)
+    if type(a) is FrozenRecord:
+        return _same(a._items, b._items)
+    if type(a) is Termination:
+        return a.name == b.name and _same(a.values, b.values)
+    return a == b
+
+
+_ERROR = ("MarshalError",)
+
+
+def _decoded(decode, *args):
+    try:
+        return decode(*args)
+    except MarshalError:
+        return _ERROR
+
+
+def _valued(message, path):
+    """*message* with the member at *path* as a value: left alone when
+    the decoder's lane already made it one, unmarshalled when it is
+    still the wire tree — what ``decode_invocation`` and
+    ``termination_of`` do.  Copies along the path only."""
+    if type(message) is not dict or path[0] not in message:
+        return message
+    member = message[path[0]]
+    if len(path) > 1:
+        member = _valued(member, path[1:])
+    elif type(member) in (list, dict):
+        member = M.unmarshal(member)
+    return {**message, path[0]: member}
+
+
+def _assert_lane_agrees(fmt, data, what, paths=PATHS):
+    """Fast tree == reference tree; for each path, lane == two-pass
+    road, or both end in ``MarshalError``.  Anything else a decoder
+    raises escapes and fails the test."""
+    tree = _decoded(fmt.loads_reference, data)
+    # Plain trees have unambiguous reprs (types, key order, nan, -0.0).
+    assert repr(_decoded(fmt.loads, data)) == repr(tree), what
+    for path in paths:
+        got = _decoded(fmt.loads, data, path)
+        assert (got is _ERROR) == (tree is _ERROR), (what, path)
+        if tree is not _ERROR:
+            assert _same(_decoded(_valued, got, path),
+                         _decoded(_valued, tree, path)), (what, path)
+
+
+# -- values -------------------------------------------------------------------
+
+def _gen_adt(rng, depth):
+    """Nested application values: records in lists in records, empty
+    containers, bigints, non-ASCII names, bytes, every float."""
+    kind = rng.randint(0, 5) if depth else 0
+    if kind == 0:
+        return _gen_value(rng, 0)
+    if kind == 1:
+        return rng.choice([math.nan, math.inf, -math.inf, -0.0, 1e-320])
+    items = [_gen_adt(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    fields = {"".join(rng.choice(_ALPHABET)
+                      for _ in range(rng.randint(0, 5))): item
+              for item in items}
+    return fields if kind == 4 else deep_freeze(fields)
+
+
+def _values():
+    root = DeterministicRandom(2031, "lane-fuzz")
+    fuzz = [_gen_adt(root.fork(f"case-{case}"), 4) for case in range(120)]
+    return fuzz + [
+        (), [], {}, FrozenRecord({}), "", b"", 2 ** 63, -(2 ** 63) - 1,
+        {"rows": [{"id": 1, "tags": ("a", "b")}, {"id": 2, "tags": ()}]},
+        Termination("nested", (Termination("inner", ({"k": None},)),)),
+    ]
+
+
+def _request(fmt, args, marshaller, reference):
+    """One request carrying *args*: by the plan's one-buffer assembly,
+    or by the two-pass road (``inv_object`` + the reference walk)."""
+    context = InvocationContext(principal="alice")
+    if reference:
+        return fmt.dumps_reference({"capsule": "srv", "inv": inv_object(
+            marshaller, "if.x-1", "op", args, "interrogation", 3, context,
+            "cli#1")})
+    plan = PlanCache().plan_for(fmt, "srv", "if.x-1", "op",
+                                "interrogation", 3, True)
+    return plan.encode_request(args, context, "cli#1", marshaller)
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_lanes_match_two_pass_road_on_values(fmt_name):
+    fmt = get_format(fmt_name)
+    for case, value in enumerate(_values()):
+        term = Termination("ok", (value, case))
+        reply = fmt.dumps({"term": term}, M)
+        assert reply == fmt.dumps_reference({"term": M.marshal(term)}), case
+        request = _request(fmt, (value, "k"), M, reference=False)
+        assert request == _request(fmt, (value, "k"), M, True), case
+        # The lane is taken, not merely survived: no wire tree is left.
+        assert type(fmt.loads(reply, ("term",))["term"]) is Termination
+        assert type(fmt.loads(request, PATHS[0])["inv"]["args"]) is tuple
+        for image in (reply, request):
+            _assert_lane_agrees(fmt, image, case)
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_lanes_match_two_pass_road_on_damaged_images(fmt_name):
+    """Every truncation and bit flip of the pinned corpus and of value
+    images: the fast tree reader, the reference reader and both lanes
+    give the same value or all raise ``MarshalError``."""
+    fmt = get_format(fmt_name)
+    images = [(name, fmt.dumps(obj)) for name, obj in _corpus()]
+    for case, value in enumerate(_values()[::12]):
+        images.append((f"reply-{case}", fmt.dumps(
+            {"term": Termination("ok", (value,))}, M)))
+        images.append((f"request-{case}",
+                       _request(fmt, (value,), M, reference=False)))
+    for name, image in images:
+        _assert_lane_agrees(fmt, image, name)
+        # Damage is swept with the path the intact image answers to
+        # (any other only ever sees the tree reader's own walk).
+        paths = [path for path in PATHS
+                 if path[0] in fmt.loads(image)] or PATHS[1:]
+        for offset, damaged in enumerate(_damaged(image)):
+            _assert_lane_agrees(fmt, damaged, (name, offset), paths)
+
+
+@pytest.mark.parametrize("probe", sorted(HOSTILE))
+def test_lanes_match_two_pass_road_on_hostile_probes(probe):
+    fmt_name, payload = HOSTILE[probe]
+    fmt = get_format(fmt_name)
+    _assert_lane_agrees(fmt, payload, probe)
+    # The same damage where the lane looks: inside a term member.
+    body = payload[len(fmt._MAGIC):]
+    head = (b"d\x00\x00\x00\x01" if fmt_name == "packed"
+            else b"map[1]#%d#" % (len(_chunk(fmt, "term")) + len(body)))
+    _assert_lane_agrees(fmt, fmt._MAGIC + head + _chunk(fmt, "term") + body,
+                        probe)
+
+
+def _raw_map(fmt, pairs):
+    """A map written entry by entry, in the order and with the
+    repetitions given — what no encoder emits."""
+    body = b"".join(_chunk(fmt, key) + raw for key, raw in pairs)
+    if fmt.name == "packed":
+        return b"d" + struct.pack(">I", len(pairs)) + body
+    return b"map[%d]#%d#" % (len(pairs), len(body)) + body
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_non_canonical_records_equal_the_reference_result(fmt_name):
+    fmt = get_format(fmt_name)
+    one, two, three = (_chunk(fmt, n) for n in (1, 2, 3))
+
+    def reply(fields, wrapper=lambda kind, fields: [kind, fields]):
+        record = _raw_map(fmt, wrapper(
+            ("__kind__", _chunk(fmt, "record")),
+            ("fields", _raw_map(fmt, fields))))
+        return fmt._MAGIC + _raw_map(fmt, [("term", record)])
+
+    cases = {
+        "sorted": (reply([("a", one), ("b", two)]), {"a": 1, "b": 2}),
+        "unsorted": (reply([("b", two), ("a", one)]), {"a": 1, "b": 2}),
+        "duplicate": (reply([("a", one), ("a", three)]), {"a": 3}),
+        "wrapper reversed": (
+            reply([("a", one)], lambda kind, fields: [fields, kind]),
+            {"a": 1}),
+    }
+    for name, (image, fields) in cases.items():
+        _assert_lane_agrees(fmt, image, name)
+        got = _valued(fmt.loads(image, ("term",)), ("term",))
+        assert _same(got, {"term": FrozenRecord(fields)}), name
+
+
+# -- rule (2): the encoder bails before any side effect ------------------------
+
+class _Mutable:
+    """An application object: crosses an interface by reference."""
+
+
+class _Exports:
+    """An exporter that mints ids in call order and remembers it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, obj):
+        self.seen.append(obj)
+        return InterfaceRef(
+            f"if.exported-{len(self.seen)}", signature_of(Counter),
+            (AccessPath("n1", "srv", "rrp", "packed"),))
+
+
+Point = namedtuple("Point", "x y")
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+_BIG_RECORD = {f"field-{i:02d}": [i, str(i), {"deep": (i,)}]
+               for i in range(40)}
+
+
+def _off_lane_args():
+    first, second = _Mutable(), _Mutable()
+    ref = _Exports()(_Mutable())
+    return {
+        # marshal exports "b" first, the bytes carry "a" first.
+        "mutables out of key order": ({"b": first, "a": second}, first),
+        "ref after a large record": (_BIG_RECORD, ref),
+        "frozenset": (frozenset({1, 2, 3}),),
+        "namedtuple": (Point(1, 2.5),),
+        "int enum": (Colour.RED, {"c": Colour.RED}),
+        "bigint": (2 ** 70, [-(2 ** 70)]),
+        "mutable behind plain data": (1, "k", [{"x": (first,)}]),
+    }
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_non_plain_values_take_the_two_pass_road_whole(fmt_name):
+    """Same bytes, same exported objects in the same order and the same
+    ``refs_exported`` as ``dumps_reference`` over ``marshal_args`` —
+    the lane truncates to its mark before the exporter is ever called."""
+    fmt = get_format(fmt_name)
+    for name, args in _off_lane_args().items():
+        lane, road = Marshaller(_Exports()), Marshaller(_Exports())
+        assert _request(fmt, args, lane, reference=False) \
+            == _request(fmt, args, road, reference=True), name
+        assert [id(o) for o in lane.exporter.seen] \
+            == [id(o) for o in road.exporter.seen], name
+        assert lane.refs_exported == road.refs_exported, name
+        term = Termination("ok", args)
+        assert fmt.dumps({"term": term}, lane) \
+            == fmt.dumps_reference({"term": road.marshal(term)}), name
+        assert lane.refs_exported == road.refs_exported, name
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_unencodable_values_fail_as_the_two_pass_road_does(fmt_name):
+    fmt = get_format(fmt_name)
+    for args in (({1: "int key"},), ({1: 1, "a": 2},), (_Mutable(),)):
+        with pytest.raises(MarshalError) as road:
+            _request(fmt, args, Marshaller(), reference=True)
+        with pytest.raises(MarshalError) as lane:
+            _request(fmt, args, Marshaller(), reference=False)
+        assert str(lane.value) == str(road.value)
+
+
+def test_trusted_record_is_indistinguishable_from_the_public_one():
+    public = FrozenRecord({"b": (2, None), "a": 1, "é": FrozenRecord({})})
+    trusted = FrozenRecord._trusted(
+        (("a", 1), ("b", (2, None)), ("é", FrozenRecord._trusted(()))))
+    for fmt_name in FORMATS:
+        fmt = get_format(fmt_name)
+        decoded = fmt.loads(fmt.dumps({"term": public}, M),
+                            ("term",))["term"]
+        for record in (trusted, decoded):
+            assert type(record) is FrozenRecord
+            assert record == public and public == record
+            assert hash(record) == hash(public)
+            assert repr(record) == repr(public)
+            assert record == {"a": 1, "b": (2, None), "é": {}}
+            with pytest.raises(AttributeError):
+                record.a = 2

@@ -4,13 +4,19 @@ unknown capsules, and envelope routing edge cases."""
 import pytest
 
 from repro import World
+from repro.comp.outcomes import Termination
+from repro.engine.futures import AsyncInvoker
 from repro.engine.nucleus import FORMAT_ERROR_REPLY
+from repro.engine.remote import decode_reply
 from repro.errors import (
+    MarshalError,
     OdpError,
     ProtocolMismatchError,
     StaleReferenceError,
 )
+from repro.ndr.codec import Marshaller
 from repro.ndr.formats import get_format
+from repro.perf.batching import BatchClient
 from repro.tx.transaction import Participant, TransactionManager
 from tests.conftest import Counter
 
@@ -182,6 +188,10 @@ MALFORMED_INVOCATIONS = {
                            "ctx": {"credentials": 3}},
     "no-id": {"op": "increment"},
     "args-is-int": {"id": "{IID}", "op": "increment", "args": 5},
+    # Iterable, so once unmarshalled item by item into arguments.
+    "args-is-text": {"id": "{IID}", "op": "increment", "args": "ab"},
+    "args-is-record": {"id": "{IID}", "op": "increment",
+                       "args": {"__kind__": "record", "fields": {}}},
     "deadline-unparsable": {"id": "{IID}", "op": "increment",
                             "ctx": {"extra": {"deadline_at": "soon"}}},
     "inv-id-unhashable": {"id": "{IID}", "op": "increment",
@@ -259,6 +269,97 @@ class TestMalformedEnvelopes:
                                kind=kind)
         world.settle()  # must not raise out of the scheduler
         assert counter.value == 0
+
+
+# ---------------------------------------------------------------------------
+# Decodable-but-misshapen replies: the client gets a typed error, never
+# a builtin exception — from decode_reply, from a batch (where only the
+# bad member's future fails) and from a one-way reply post (where the
+# future fails instead of the scheduler).
+# ---------------------------------------------------------------------------
+
+#: What a reply carries as its ``term`` instead of a termination.
+MISSHAPEN_TERMS = {
+    "record-without-fields": {"__kind__": "record"},
+    "fields-is-int": {"__kind__": "record", "fields": 3},
+    "values-is-int": {"__kind__": "term", "name": "ok", "values": 5},
+    "term-without-name": {"__kind__": "term", "values": []},
+    "set-without-items": {"__kind__": "set"},
+    "nested-in-values": {"__kind__": "term", "name": "ok",
+                         "values": [{"__kind__": "record"}]},
+    "unknown-kind": {"name": "ok", "values": []},
+    # Well-formed values that are no termination.
+    "term-is-int": 5,
+    "term-is-list": [1, 2],
+    "term-is-record": {"__kind__": "record", "fields": {"a": 1}},
+}
+
+_OK_REPLY = {"term": {"__kind__": "term", "name": "ok", "values": [1]}}
+
+
+@pytest.mark.parametrize("fmt_name", ["packed", "tagged"])
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_TERMS))
+class TestMisshapenReplies:
+    def test_unmarshal_raises_marshal_error_only(self, fmt_name, case):
+        tree = get_format(fmt_name).loads(get_format(fmt_name).dumps(
+            MISSHAPEN_TERMS[case]))
+        try:
+            Marshaller().unmarshal(tree)
+        except MarshalError:
+            pass
+
+    def test_decode_reply_raises_protocol_mismatch(self, fmt_name, case):
+        fmt = get_format(fmt_name)
+        payload = fmt.dumps({"term": MISSHAPEN_TERMS[case]})
+        with pytest.raises(ProtocolMismatchError):
+            decode_reply(fmt, payload, Marshaller(), "s")
+        assert decode_reply(fmt, fmt.dumps(_OK_REPLY), Marshaller(),
+                            "s") == Termination("ok", (1,))
+
+    def test_batch_settles_every_other_member(self, fmt_name, case):
+        world, counter, iid, fmt = _wire_world(fmt_name)
+        ref = world.capsule("s", "srv").export(Counter())
+        world.network.node("s").on_request(
+            lambda source, payload: fmt.dumps({"replies": [
+                _OK_REPLY, {"term": MISSHAPEN_TERMS[case]}, _OK_REPLY]}))
+        batch = BatchClient(world.capsule("c", "cli"))
+        futures = [batch.call(ref, "increment") for _ in range(3)]
+        batch.flush()
+        assert [future.done for future in futures] == [True] * 3
+        assert futures[0].result() == futures[2].result() == 1
+        with pytest.raises(ProtocolMismatchError):
+            futures[1].result()
+
+    def test_posted_reply_fails_its_future_not_the_scheduler(
+            self, fmt_name, case):
+        world, counter, iid, fmt = _wire_world(fmt_name)
+        ref = world.capsule("s", "srv").export(Counter())
+        clients = world.capsule("c", "cli")
+        invoker = AsyncInvoker(world.binder_for(clients), clients)
+        waiting = invoker.router.new_future(clients)
+        for reply in ([], 7, {"call_id": ["unhashable"]},
+                      {"call_id": waiting.call_id,
+                       "term": MISSHAPEN_TERMS[case]}):
+            world.network.post("s", "c", fmt.dumps(reply), kind="reply")
+        world.settle()  # must not raise out of the scheduler
+        assert waiting.done
+        with pytest.raises(ProtocolMismatchError):
+            waiting.termination()
+        # ... and the node still serves a well-formed exchange.
+        served = invoker.call(ref, "increment")
+        world.settle()
+        assert served.result() == 1
+
+
+@pytest.mark.parametrize("fmt_name", ["packed", "tagged"])
+@pytest.mark.parametrize("error", [
+    5, [], {"code": ["unhashable"]}, {"code": 7, "msg": 3},
+    {"code": "stale", "hint": {"__kind__": "record"}},
+])
+def test_misshapen_error_reply_is_a_typed_error(fmt_name, error):
+    fmt = get_format(fmt_name)
+    with pytest.raises(OdpError):
+        decode_reply(fmt, fmt.dumps({"error": error}), Marshaller(), "s")
 
 
 class TestTxControlReplies:
