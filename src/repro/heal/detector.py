@@ -155,14 +155,15 @@ class PhiAccrualDetector:
         record = self._tracked.get(key)
         if record is None:
             return  # unsolicited heartbeat: not monitored
-        now = self.clock.now
+        now = self.clock._now
         # Bound the recorded sample: the silence of an outage that ends
         # in a recovery (a healed partition, a restarted node) is not
         # natural arrival variance.  Folding it into the window would
         # inflate the fitted stddev and blunt detection of the *next*
         # failure for a whole window's worth of beats.
-        record.intervals.append(min(now - record.last_arrival,
-                                    4.0 * self.expected_interval_ms))
+        interval = now - record.last_arrival
+        bound = 4.0 * self.expected_interval_ms
+        record.intervals.append(interval if interval < bound else bound)
         record.fit = None
         record.last_arrival = now
         record.last_heard = now

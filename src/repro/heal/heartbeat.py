@@ -90,7 +90,7 @@ class HeartbeatMonitor:
 
         def emit() -> None:
             self.beats_sent += 1
-            network.post(node, self.observer, payload, kind=self.kind)
+            network.post(node, self.observer, payload, self.kind)
 
         def kick() -> None:
             if self._emitters.get(key) is not handle:
@@ -141,7 +141,7 @@ class HeartbeatMonitor:
             return  # late delivery addressed to a previous observer
         endpoint = self._endpoints.get(message.payload)
         if endpoint is not None:
-            self.detector.observe(*endpoint)
+            self.detector.observe(endpoint[0], endpoint[1])
 
     def _phase(self, node: str, capsule: str) -> float:
         """Deterministic per-endpoint emission phase in [0, interval)."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.errors import MessageLostError, NodeUnreachableError
-from repro.net.fault import FaultPlan
+from repro.net.fault import LOST, UNREACHABLE, FaultPlan
 from repro.net.latency import LatencyModel
 from repro.net.message import NetMessage
 from repro.sim.rand import DeterministicRandom
@@ -146,20 +146,21 @@ class Network:
 
     # -- internals ---------------------------------------------------------
 
-    def _check_leg(self, source: str, destination: str) -> None:
-        if self.faults.link_blocked(source, destination):
+    def _request_leg(self, latency: LatencyModel, source: str,
+                     destination: str, size: int) -> float:
+        """Refuse one leg of a round trip, or count it and return its
+        latency (inflated when the link is gray)."""
+        factor = self.faults.leg_verdict(source, destination, self.rng)
+        if factor == UNREACHABLE:
             raise NodeUnreachableError(
                 f"{source} cannot reach {destination} "
                 f"(crash, cut link or partition)")
-        if self.faults.should_drop(source, destination, self.rng):
+        if factor == LOST:
             raise MessageLostError(
                 f"message {source}->{destination} lost in transit")
-
-    def _leg_delay(self, latency: LatencyModel, source: str,
-                   destination: str, size: int) -> float:
-        """One leg's latency, inflated when the link is gray."""
+        self._account(source, destination, size)
         return (latency.delay(source, destination, size, self.jitter_rng)
-                * self.faults.latency_factor(source, destination))
+                * factor)
 
     def _account(self, source: str, destination: str, size: int) -> None:
         self.total_messages += 1
@@ -185,9 +186,8 @@ class Network:
         latency = self._latency_for(protocol)
 
         # Outbound leg.
-        self._check_leg(source, destination)
-        self._account(source, destination, len(payload))
-        out_ms = self._leg_delay(latency, source, destination, len(payload))
+        out_ms = self._request_leg(latency, source, destination,
+                                   len(payload))
         self.scheduler.clock.advance(out_ms)
 
         before_server = self.scheduler.now
@@ -195,9 +195,8 @@ class Network:
         server_ms = self.scheduler.now - before_server
 
         # Return leg (faults may have arisen while the server worked).
-        self._check_leg(destination, source)
-        self._account(destination, source, len(reply))
-        back_ms = self._leg_delay(latency, destination, source, len(reply))
+        back_ms = self._request_leg(latency, destination, source,
+                                    len(reply))
         self.scheduler.clock.advance(back_ms)
         self.last_transit = TransitRecord(out_ms, server_ms, back_ms,
                                           len(payload), len(reply))
@@ -210,30 +209,33 @@ class Network:
              headers: Optional[Dict[str, str]] = None) -> None:
         """Fire-and-forget delivery via the scheduler.
 
-        Loss and crash of the *source* are evaluated at send time; crash or
-        partition affecting the *destination* is re-evaluated at delivery
-        time, so in-flight messages to a node that dies are dropped.
+        Loss and crash of the *source* are evaluated at send time, the
+        whole link (either end's crash, cut, partition) again at delivery
+        time: in flight to or from a node that dies, a message is dropped.
         """
-        if self.faults.is_crashed(source):
-            return  # a dead node sends nothing
-        if self.faults.should_drop(source, destination, self.rng):
-            return
+        factor = self.faults.leg_verdict(source, destination, self.rng,
+                                         one_way=True)
+        if factor == UNREACHABLE or factor == LOST:
+            return  # a dead node sends nothing; a lost message vanishes
+        now = self.scheduler.clock._now
         message = NetMessage(source, destination, payload, kind,
-                             dict(headers) if headers else None,
-                             self.scheduler.now)
-        delay = self._leg_delay(self.latency, source, destination,
-                                len(payload))
-        self.scheduler.after(delay, lambda: self._deliver(message))
+                             dict(headers) if headers else None, now)
+        delay = self.latency.delay(source, destination, len(payload),
+                                   self.jitter_rng) * factor
+        # A lambda, not a partial: the ledger charges a fired action to
+        # the package that defines it.
+        self.scheduler.at(now + delay, lambda: self._deliver(message))
 
     def _deliver(self, message: NetMessage) -> None:
-        if self.faults.link_blocked(message.source, message.destination):
+        source, destination = message.source, message.destination
+        if self.faults.link_blocked(source, destination):
             self.faults.drops += 1
             return
-        node = self._nodes.get(message.destination)
+        node = self._nodes.get(destination)
         if node is None:
             return
         handler = node.delivery_handlers.get(message.kind)
         if handler is None:
             return
-        self._account(message.source, message.destination, message.size)
+        self._account(source, destination, len(message.payload))
         handler(message)

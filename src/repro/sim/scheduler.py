@@ -10,11 +10,12 @@ The queue is an event wheel over a plain tuple heap: entries are
 ``(time, seq, event)`` triples so ordering never compares (or even
 touches) the event objects, :class:`Event` is a ``__slots__`` record
 with O(1) cancellation (a flag checked at fire time — nothing is
-removed from the heap), and the drain loops fire same-instant batches
-with a single clock advance.  All observable semantics — same-instant
-FIFO by schedule order, past events clamped to *now*, cancelled events
-never firing, repeating events re-arming after each firing — are
-pinned by ``tests/test_sim_clock_scheduler.py``.
+removed from the heap), a repeating timer re-pushes one reusable event
+instead of making one per repetition, and the drain loops fire
+same-instant batches with a single clock advance.  All observable
+semantics — same-instant FIFO by schedule order, past events clamped to
+*now*, cancelled events never firing, repeating events re-arming after
+each firing — are pinned by ``tests/test_sim_clock_scheduler.py``.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class Scheduler:
     def at(self, when: float, action: Callable[[], None],
            label: str = "") -> Event:
         """Schedule *action* at absolute virtual time *when*."""
-        if when < self.clock.now:
-            when = self.clock.now
+        now = self.clock._now
+        if when < now:
+            when = now
         seq = self._seq
         self._seq = seq + 1
         event = Event(when, seq, action, label)
@@ -88,19 +90,28 @@ class Scheduler:
         """
         if interval <= 0:
             raise ValueError("interval must be positive")
+        clock, queue = self.clock, self._queue
         seq = self._seq
         self._seq = seq + 1
-        handle = Event(self.clock.now + interval, seq, lambda: None, label)
+        handle = Event(clock._now + interval, seq, None, label)
+        # Every repetition after the first is this one event, re-pushed
+        # with the seq a new one would have taken.  It is not the handle:
+        # a repetition queued before ``cancel`` still fires as a no-op
+        # that ``pending``, ``events_run`` and the clock see (pinned).
+        tick = Event(0.0, 0, None, label)
 
         def fire() -> None:
             if handle.cancelled:
                 return
             action()
             if not handle.cancelled:
-                self.after(interval, fire, label)
+                tick.time = due = clock._now + interval
+                tick.seq = turn = self._seq
+                self._seq = turn + 1
+                heappush(queue, (due, turn, tick))
 
-        handle.action = fire
-        heappush(self._queue, (handle.time, seq, handle))
+        handle.action = tick.action = fire
+        heappush(queue, (handle.time, seq, handle))
         return handle
 
     def pending(self) -> int:
@@ -124,14 +135,16 @@ class Scheduler:
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
         """Drain the queue.  Returns the number of events run."""
         queue = self._queue
-        advance_to = self.clock.advance_to
+        clock = self.clock
         count = 0
         while queue:
             when, _, event = heappop(queue)
             if event.cancelled:
                 continue
-            # One clock advance covers the whole same-instant batch.
-            advance_to(when)
+            # One clock advance covers the whole same-instant batch
+            # (advance_to without the call, as in run_until).
+            if when > clock._now:
+                clock._now = when
             while True:
                 self.events_run += 1
                 event.action()
@@ -153,20 +166,21 @@ class Scheduler:
     def run_until(self, deadline: float, max_events: int = 1_000_000) -> int:
         """Run events with time <= deadline, then set the clock there."""
         queue = self._queue
-        advance_to = self.clock.advance_to
+        clock = self.clock
         count = 0
         while queue:
             when = queue[0][0]
             if when > deadline:
                 break
-            _, _, event = heappop(queue)
+            event = heappop(queue)[2]
             if event.cancelled:
                 continue
-            advance_to(when)
+            if when > clock._now:
+                clock._now = when
             self.events_run += 1
             event.action()
             count += 1
             if count > max_events:
                 raise RuntimeError("run_until exceeded max_events")
-        advance_to(deadline)
+        clock.advance_to(deadline)
         return count

@@ -13,6 +13,7 @@ import pytest
 
 from repro import (
     CrashWindow,
+    CutWindow,
     FaultSchedule,
     FlakyWindow,
     GrayWindow,
@@ -25,6 +26,11 @@ from repro.errors import (
     NodeUnreachableError,
 )
 from repro.mgmt.monitor import TransparencyMonitor
+from repro.net.fault import (
+    AsymPartitionWindow,
+    PartitionWindow,
+    StallWindow,
+)
 from repro.net.latency import FixedLatency
 from repro.resilience import (
     BreakerState,
@@ -532,6 +538,29 @@ class TestFaultScheduleValidation:
         with pytest.raises(ValueError, match="end_ms -1 is negative"):
             FaultSchedule(GrayWindow(start_ms=0, end_ms=-1, factor=2.0,
                                      source="a", destination="b"))
+
+    @pytest.mark.parametrize("window", [
+        lambda bad: FlakyWindow(bad, bad, 0.5),
+        lambda bad: FlakyWindow(0.0, bad, 0.5),
+        lambda bad: CrashWindow("a", bad, 5.0),
+        lambda bad: CrashWindow("a", 0.0, bad),
+        lambda bad: GrayWindow(bad, 5.0, 2.0, "a", "b"),
+        lambda bad: StallWindow("a", bad, 5.0, 2.0),
+        lambda bad: CutWindow("a", "b", bad),
+        lambda bad: PartitionWindow((("a",), ("b",)), bad, 5.0),
+        lambda bad: AsymPartitionWindow(("a",), ("b",), 0.0, bad),
+    ])
+    def test_nan_boundary_rejected(self, window):
+        # nan < 0 and nan > now are both false: unrejected, the window
+        # would be "entered" at attach time and never left.
+        nan = float("nan")
+        with pytest.raises(ValueError, match="_ms is not a number"):
+            FaultSchedule(window(nan))
+        with pytest.raises(ValueError, match="_ms is not a number"):
+            FaultSchedule().add(window(nan))
+        # None stays "forever" and inf stays legal.
+        FaultSchedule(CrashWindow("a", 1.0, None),
+                      CutWindow("a", "b", 1.0, float("inf")))
 
     def test_add_validates_too(self):
         schedule = FaultSchedule()

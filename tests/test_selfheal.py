@@ -20,6 +20,7 @@ from repro.errors import (
 from repro.groups.group import Member
 from repro.groups.member import VIEW_KEY
 from repro.heal.detector import PHI_CAP, PhiAccrualDetector
+from repro.heal.heartbeat import HeartbeatMonitor
 from repro.heal.supervisor import Supervisor
 from repro.mgmt.loadbalance import placement_candidates
 from repro.mgmt.monitor import TransparencyMonitor
@@ -173,6 +174,45 @@ def group_states(domain, group):
             (group.group_id, member.index)]
         states.append(dict(interface.implementation.data))
     return states
+
+
+class TestBeatsAtALiveObserver:
+    """What ``_on_beat`` ignores — by hand-posted beats, with emission
+    stopped so that nothing else arrives."""
+
+    def _quiet_monitor(self):
+        world, domain, _, _ = heal_world()
+        detector = PhiAccrualDetector(world.clock)
+        monitor = HeartbeatMonitor(domain, detector)
+        monitor.start()
+        monitor.watch("n1", "srv")
+        monitor.stop()  # handlers stay registered, emitters do not run
+        return world, monitor, detector
+
+    def _beat(self, world, monitor, payload=b"n1|srv", observer=None):
+        world.network.post("n1", observer or monitor.observer, payload,
+                           monitor.kind)
+        world.scheduler.run_until_idle()
+
+    def test_unknown_beat_payload_is_ignored(self):
+        world, monitor, detector = self._quiet_monitor()
+        for payload in (b"", b"n1", b"n1|nobody", b"\xff\xfe|srv"):
+            self._beat(world, monitor, payload)
+        assert detector.heartbeats_observed == 0
+        self._beat(world, monitor)
+        assert detector.heartbeats_observed == 1
+
+    def test_late_beat_to_a_previous_observer_is_ignored(self):
+        world, monitor, detector = self._quiet_monitor()
+        previous = monitor.observer
+        world.network.post("n1", previous, b"n1|srv", monitor.kind)
+        monitor.rehome()  # while that beat is in flight
+        assert monitor.observer != previous
+        world.scheduler.run_until_idle()
+        self._beat(world, monitor, observer=previous)
+        assert detector.heartbeats_observed == 0
+        self._beat(world, monitor)
+        assert detector.heartbeats_observed == 1
 
 
 class TestSupervisor:

@@ -289,3 +289,162 @@ class TestEventWheelSemantics:
         assert sched.pending() == 1
         sched.run_until_idle()
         assert sched.pending() == 0
+
+
+# ---------------------------------------------------------------------------
+# Differential test: generated programs against a sorted-list model
+# ---------------------------------------------------------------------------
+
+class _ModelEvent:
+    def __init__(self, action):
+        self.action, self.cancelled = action, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ModelScheduler:
+    """The reference: a list kept sorted by (time, seq), a fresh event
+    per repetition, and one place where an event fires."""
+
+    def __init__(self):
+        self.now, self.queue, self.seq, self.events_run = 0.0, [], 0, 0
+
+    def at(self, when, action, label=""):
+        event = _ModelEvent(action)
+        self.queue.append((max(when, self.now), self.seq, event))
+        self.queue.sort(key=lambda entry: entry[:2])
+        self.seq += 1
+        return event
+
+    def after(self, delay, action, label=""):
+        return self.at(self.now + max(0.0, delay), action)
+
+    def every(self, interval, action, label=""):
+        def fire():
+            if not handle.cancelled:
+                action()
+                if not handle.cancelled:
+                    self.after(interval, fire)
+        handle = self.at(self.now + interval, fire)
+        return handle
+
+    def pending(self):
+        return sum(not event.cancelled for _, _, event in self.queue)
+
+    def step(self, deadline=float("inf")):
+        while self.queue and self.queue[0][0] <= deadline:
+            when, _, event = self.queue.pop(0)
+            if not event.cancelled:
+                self.now = max(self.now, when)
+                self.events_run += 1
+                event.action()
+                return True
+        return False
+
+    def run_until_idle(self):
+        return sum(1 for _ in iter(self.step, False))
+
+    def run_until(self, deadline):
+        count = sum(1 for _ in iter(lambda: self.step(deadline), False))
+        self.now = max(self.now, deadline)
+        return count
+
+
+#: Offsets and intervals sit on a coarse grid so that ties, same-instant
+#: scheduling and times already past are the common case, not the rare.
+_OFFSETS = (-3.0, 0.0, 0.0, 1.0, 2.0, 2.5, 5.0, 7.5)
+_INTERVALS = (0.5, 1.0, 2.5, 4.0)
+
+
+def _generate(rng, depth=0):
+    """A scheduler program as data: a list of steps.  A scheduling step
+    is ``(kind, time, lives, body)`` — *body* is the program its action
+    runs each time it fires, after logging itself; an ``every`` cancels
+    itself from inside its *lives*-th firing unless something else
+    cancels it first, so every program drains."""
+    steps = []
+    for _ in range(rng.randrange(1, 9) if depth == 0 else rng.randrange(3)):
+        roll = rng.random()
+        if roll < 0.55 and depth < 3:
+            kind = rng.choice(("at", "after", "every"))
+            time = rng.choice(_INTERVALS if kind == "every" else _OFFSETS)
+            steps.append((kind, time, rng.randrange(1, 5),
+                          _generate(rng, depth + 1)))
+        elif roll < 0.75:
+            steps.append(("cancel", rng.randrange(64)))
+        elif roll < 0.9:
+            steps.append(("run_until", rng.choice(_OFFSETS)))
+        elif depth == 0:
+            steps.append((rng.choice(("step", "run_until_idle")),))
+    if depth == 0:
+        steps += [("run_until", 5.0), ("step",), ("run_until_idle",)]
+    return steps
+
+
+def _play(program, sched):
+    """Run *program* against *sched*; returns everything observable, in
+    the order it was observed."""
+    seen, handles = [], []
+
+    def schedule(kind, time, lives, body):
+        label = f"{kind}#{len(handles)}"
+        fired = []
+
+        def action():
+            seen.append((sched.now, label))
+            fired.append(None)
+            if kind == "every" and len(fired) == lives:
+                handle.cancel()
+            perform(body)
+
+        if kind == "at":
+            handle = sched.at(sched.now + time, action, label)
+        else:
+            handle = getattr(sched, kind)(time, action, label)
+        handles.append(handle)
+
+    def perform(steps):
+        for op, *args in steps:
+            if op == "cancel":
+                if handles:
+                    handles[args[0] % len(handles)].cancel()
+            elif op == "run_until":     # nested, when *steps* is a body
+                seen.append((op, sched.run_until(sched.now + args[0]),
+                             sched.pending()))
+            elif op in ("step", "run_until_idle"):
+                seen.append((op, getattr(sched, op)(), sched.pending()))
+            else:
+                schedule(op, *args)
+
+    perform(program)
+    return seen, sched.now, sched.events_run, sched.pending()
+
+
+class TestSchedulerAgainstModel:
+    def test_generated_programs_agree_with_the_model(self):
+        import random
+        ops = set()
+        for seed in range(400):
+            program = _generate(random.Random(seed))
+            real = _play(program, Scheduler())
+            assert real == _play(program, _ModelScheduler()), seed
+            ops.update(entry[0] for entry in real[0]
+                       if isinstance(entry[0], str))
+        assert ops == {"run_until", "step", "run_until_idle"}
+
+    def test_cancelled_timers_queued_repetition_fires_as_a_noop(self):
+        # The quirk a re-arm by re-pushing the handle itself would lose:
+        # the repetition queued before ``cancel`` is not the handle, so
+        # it still fires — no action, but counted and moving the clock.
+        def program(sched):
+            ticks = []
+            handle = sched.every(10.0, lambda: ticks.append(sched.now))
+            first = sched.run_until(10.0)
+            handle.cancel()
+            queued = sched.pending()
+            return (ticks, first, queued, sched.run_until_idle(),
+                    sched.now, sched.events_run, sched.pending())
+
+        assert program(Scheduler()) == program(_ModelScheduler()) == (
+            [10.0], 1, 1, 1, 20.0, 2, 0)
