@@ -19,6 +19,7 @@ slower than packed; both round-trip losslessly.
 
 import pytest
 
+from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.comp.model import signature_of
 from repro.ndr.codec import Marshaller
@@ -66,16 +67,17 @@ def _roundtrip(fmt_name, value):
 
 
 def _two_pass(fmt, marshaller, value):
-    """marshal, encode, decode, unmarshal — as a member of a one-entry
-    envelope, the way the engine carries values."""
-    wire = fmt.dumps({"v": marshaller.marshal(value)})
-    return marshaller.unmarshal(fmt.loads(wire)["v"])
+    """marshal, encode, decode, unmarshal — as the result of a reply,
+    the way the engine carries values."""
+    wire = fmt.dumps({"term": marshaller.marshal(Termination("ok", (value,)))})
+    return marshaller.unmarshal(fmt.loads(wire)["term"]).single()
 
 
 def _lane(fmt, marshaller, value):
-    """The same trip through the formats' value lane."""
-    wire = fmt.dumps({"v": value}, marshaller)
-    return fmt.loads(wire, ("v",))["v"]
+    """The same trip through the reply's compiled reader and the
+    formats' value lane."""
+    wire = fmt.dumps({"term": Termination("ok", (value,))}, marshaller)
+    return fmt.loads(wire, ("term",))["term"].single()
 
 
 @pytest.mark.parametrize("fmt", ["packed", "tagged"])

@@ -207,12 +207,15 @@ class Nucleus:
             extra = ctx_obj.get("extra") or {}
             if type(credentials) is not dict or type(extra) is not dict:
                 raise TypeError("context credentials/extra not objects")
+            via_domains = ctx_obj.get("via_domains", [])
+            if type(via_domains) is not list:  # text would iterate too
+                raise TypeError("via_domains is not a list")
             context = InvocationContext(
                 principal=ctx_obj.get("principal"),
                 credentials=credentials,
                 transaction_id=ctx_obj.get("transaction_id"),
                 origin_domain=ctx_obj.get("origin_domain"),
-                via_domains=tuple(ctx_obj.get("via_domains", ())),
+                via_domains=tuple(via_domains),
                 extra=extra,
             )
             # A tuple came through the decoder's value lane and is the
@@ -222,15 +225,20 @@ class Nucleus:
                 args = marshaller.unmarshal_args(args)
             elif type(args) is not tuple:
                 raise TypeError("args is not a list")
+            interface_id, operation = obj["id"], obj["op"]
+            epoch = obj.get("epoch", 0)
+            if (type(interface_id) is not str or type(operation) is not str
+                    or type(epoch) is not int):  # a bool is no epoch either
+                raise TypeError("id/op is not text or epoch no integer")
             return Invocation(
-                interface_id=obj["id"],
-                operation=obj["op"],
+                interface_id=interface_id,
+                operation=operation,
                 args=args,
                 kind=(InvocationKind.ANNOUNCEMENT
                       if obj.get("kind") == "announcement"
                       else InvocationKind.INTERROGATION),
                 context=context,
-                epoch=obj.get("epoch", 0),
+                epoch=epoch,
                 invocation_id=obj.get("inv_id", ""),
             )
         except _MALFORMED as exc:

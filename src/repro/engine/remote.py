@@ -31,6 +31,7 @@ from repro.errors import (
     ProtocolMismatchError,
 )
 from repro.ndr.formats import get_format
+from repro.ndr.plancache import interned_plan
 
 
 def inv_object(marshaller, interface_id: str, operation: str, args,
@@ -133,13 +134,11 @@ def invoke_at(nucleus: Nucleus, client_capsule, node: str,
     wire = get_format(network.node(node).native_format)
     marshaller = nucleus.marshaller_for(client_capsule)
     redirected = _redirect(invocation, interface_id, epoch)
-    payload = wire.dumps({
-        "capsule": capsule_name,
-        "inv": inv_object(marshaller, redirected.interface_id,
-                          redirected.operation, redirected.args,
-                          redirected.kind.value, redirected.epoch,
-                          redirected.context),
-    })
+    # No invocation id: the transport's wire discipline, at-least-once.
+    payload = interned_plan(
+        wire, capsule_name, interface_id, redirected.operation,
+        redirected.kind.value, epoch, False).encode_request(
+            redirected.args, redirected.context, None, marshaller)
     if invocation.kind == InvocationKind.ANNOUNCEMENT:
         network.post(nucleus.node_address, node, payload, kind="invoke")
         return None

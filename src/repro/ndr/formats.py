@@ -35,13 +35,17 @@ tree, then encoded (and back): ``write_value`` takes ``None``/``bool``/
 ``int``/``float``/``str``/``bytes``, ``list``/``tuple``, ``dict``,
 :class:`FrozenRecord` and :class:`Termination` straight to the bytes
 ``dumps(Marshaller.marshal(value))`` gives, and ``loads(data, values=
-path)`` decodes the envelope member at *path* straight to ``tuple`` /
-``FrozenRecord`` / ``Termination``.  The input chooses the road, no
-caller does: the first value that is not plain data sends the whole
-value down ``marshal`` + the tree writer before anything was exported,
-and bytes no encoder emits are decoded again, whole, by the tree reader
-— so the two-pass road stays the reference and the lane never produces
-what it would not.
+path)`` reads the two envelopes that carry every invocation — the
+request around ``inv.args``, the reply ``{"term": Termination}`` — with
+a *compiled reader*: the keys the encoders' plans write, tested in
+order as constant chunks, the values decoded straight to ``tuple`` /
+``FrozenRecord`` / ``Termination``.  Decode so has two roads, planned
+and hardened, and the input chooses, no caller does: the first value
+that is not plain data sends the whole value down ``marshal`` + the
+tree writer before anything was exported, and a message that is not
+byte for byte of the planned shape is decoded again, whole, by the tree
+reader — so the two-pass road stays the reference and the plan never
+produces what it would not.
 
 Bytes arrive from outside the program, so every decoder maps damage —
 truncation, invalid UTF-8, a non-string map key, a non-ASCII tag,
@@ -79,6 +83,8 @@ class WireFormat:
     """Abstract encoder/decoder over the plain-object model."""
 
     name = "abstract"
+    #: ``loads``'s *values* path -> the compiled reader of that envelope.
+    _PLANS: Dict[Tuple[str, ...], Any] = {}
 
     def dumps(self, obj: Any, marshaller: Any = None) -> bytes:
         """Encode the plain tree *obj*.  With a *marshaller*, *obj* is
@@ -87,22 +93,49 @@ class WireFormat:
         buf = bytearray(self._MAGIC)
         if marshaller is None:
             self._put_tree(obj, buf, self)
+            return bytes(buf)
+        if len(obj) == 1 and "term" in obj:
+            # The reply: its one key is the constant its reader tests.
+            buf += self._TERM_KEY
+            self.write_value(obj["term"], buf, marshaller)
         else:
             for key in sorted(obj):
                 self._put_tree(self._check_key(key), buf, self)
                 self.write_value(obj[key], buf, marshaller)
-            mark = len(self._MAGIC)
-            buf[mark:mark] = self._map_header(len(obj), len(buf) - mark)
+        mark = len(self._MAGIC)
+        buf[mark:mark] = self._map_header(len(obj), len(buf) - mark)
         return bytes(buf)
 
     def loads(self, data: bytes, values: Any = None) -> Any:
         """Decode to a plain tree.  *values* names, as a path of map
-        keys, the envelope member that holds application values: when
-        its bytes are what ``write_value`` emits it arrives already
-        unmarshalled (a ``tuple``, ``FrozenRecord`` or ``Termination``,
-        never a ``list`` or ``dict``); otherwise the whole message is
-        the plain tree it always was."""
-        raise NotImplementedError
+        keys, the envelope member that holds application values —
+        ``("inv", "args")`` of a request, ``("term",)`` of a reply: a
+        message of exactly the shape the encoders give that envelope
+        arrives with the member already unmarshalled (a ``tuple``, a
+        ``Termination``); any other is the plain tree it always was."""
+        if not data.startswith(self._MAGIC):
+            raise MarshalError(
+                f"not a {self.name}-format message (wrong magic); the "
+                f"sender used an incompatible wire format")
+        if values is not None:
+            try:
+                return self._PLANS[values](data)
+            except Exception:
+                # Whatever tripped the plan, hostile bytes get their
+                # verdict from the tree reader, not from here.
+                pass
+        cur = _Cursor(len(self._MAGIC))
+        try:
+            obj = self._get_tree(data, cur)
+        except (struct.error, IndexError) as exc:
+            raise MarshalError(
+                f"truncated {self.name} message: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, digits
+            raise MarshalError(
+                f"malformed {self.name} message: {exc}") from exc
+        if cur.pos != len(data):
+            raise MarshalError(f"trailing bytes in {self.name} message")
+        return obj
 
     def write_value(self, value: Any, buf: bytearray,
                     marshaller: Any) -> None:
@@ -119,39 +152,6 @@ class WireFormat:
         except (_OffLane, TypeError):  # TypeError: unsortable field names
             del buf[mark:]
             self._put_tree(marshaller.marshal(value), buf, self)
-
-    def _loads_values(self, data: bytes, path: Tuple[str, ...]) -> Any:
-        """Decode a whole message, the member at *path* through the
-        value lane; ``None`` when the lane stands aside."""
-        cur = _Cursor(len(self._MAGIC))
-        try:
-            obj = self._get_at(data, cur, path)
-        except Exception:
-            # Whatever tripped the lane, hostile bytes get their verdict
-            # from the hardened tree reader, not from here.
-            return None
-        return obj if cur.pos == len(data) else None
-
-    def _get_at(self, data: bytes, cur: _Cursor,
-                path: Tuple[str, ...]) -> Dict[str, Any]:
-        """Decode the map at ``cur.pos`` as the tree reader would,
-        except that the member at *path* is read by the value lane."""
-        count, end = self._enter_map(data, cur)
-        result: Dict[str, Any] = {}
-        read, name = self._get_tree, path[0]
-        for _ in range(count):
-            key = read(data, cur)
-            if type(key) is not str:
-                raise _OffLane
-            if key != name:
-                result[key] = read(data, cur)
-            elif len(path) > 1:
-                result[key] = self._get_at(data, cur, path[1:])
-            else:
-                result[key] = read(data, cur, True)
-        if end is not None and cur.pos != end:
-            raise _OffLane
-        return result
 
     def _check_key(self, key: Any) -> str:
         if not isinstance(key, str):
@@ -449,14 +449,127 @@ def _packed_value(data: bytes, cur: _Cursor, pos: int, tag: int) -> Any:
     raise _OffLane
 
 
-def _packed_enter_map(data: bytes, cur: _Cursor) -> Tuple[int, None]:
-    """Step over the map header at ``cur.pos``: ``(entry count, no
-    body end to check)``."""
-    pos = cur.pos
-    if data[pos] != 0x64:
+def _packed_request(data: bytes) -> Dict[str, Any]:
+    """The request envelope, read the way ``InvocationPlan`` writes it:
+    each key is one ``startswith`` of the chunk the plan holds, each
+    value the one type the plan writes there (``credentials`` and
+    ``via_domains`` empty, so part of their neighbours' chunks)."""
+    starts = data.startswith
+    if not starts(_P_HEAD):
         raise _OffLane
-    cur.pos = pos + 5
-    return _UNPACK_U(data, pos + 1)[0], None
+    pos = _PN_HEAD
+    end = pos + 4 + _UNPACK_U(data, pos)[0]
+    capsule = data[pos + 4:end].decode()
+    # ``inv`` holds six entries, or seven with ``inv_id``; ``ctx`` six,
+    # or seven with ``trace``: the map header says which.
+    inv_id = trace = _ABSENT
+    has_inv_id = starts(_P_INV7, end)
+    if not has_inv_id and not starts(_P_INV6, end):
+        raise _OffLane
+    cur = _Cursor(end + _PN_INV + 4)
+    args = tuple([_packed_read(data, cur, True)
+                  for _ in range(_UNPACK_U(data, cur.pos - 4)[0])])
+    pos = cur.pos
+    has_trace = starts(_P_CTX7, pos)
+    if not has_trace and not starts(_P_CTX6, pos):
+        raise _OffLane
+    pos += _PN_CTX
+    if starts(_P_NO_ENTRIES, pos):
+        extra = {}
+        pos += 5
+    else:
+        cur.pos = pos
+        extra = _packed_read(data, cur)
+        pos = cur.pos
+    if not starts(_PK_ORIGIN, pos):
+        raise _OffLane
+    pos += _PN_ORIGIN
+    if data[pos] == 0x4E:  # "N"
+        origin = None
+        pos += 1
+    elif data[pos] == 0x73:  # "s"
+        end = pos + 5 + _UNPACK_U(data, pos + 1)[0]
+        origin = data[pos + 5:end].decode()
+        pos = end
+    else:
+        raise _OffLane
+    if not starts(_PK_PRINCIPAL, pos):
+        raise _OffLane
+    pos += _PN_PRINCIPAL
+    if data[pos] == 0x4E:
+        principal = None
+        pos += 1
+    elif data[pos] == 0x73:
+        end = pos + 5 + _UNPACK_U(data, pos + 1)[0]
+        principal = data[pos + 5:end].decode()
+        pos = end
+    else:
+        raise _OffLane
+    if has_trace:
+        if not starts(_PK_TRACE, pos):
+            raise _OffLane
+        pos += _PN_TRACE
+        end = pos + 4 + _UNPACK_U(data, pos)[0]
+        trace = data[pos + 4:end].decode()
+        pos = end
+    if not starts(_PK_TX, pos):
+        raise _OffLane
+    pos += _PN_TX
+    if data[pos] == 0x4E:
+        transaction_id = None
+        pos += 1
+    elif data[pos] == 0x73:
+        end = pos + 5 + _UNPACK_U(data, pos + 1)[0]
+        transaction_id = data[pos + 5:end].decode()
+        pos = end
+    else:
+        raise _OffLane
+    if not starts(_PK_EPOCH, pos):
+        raise _OffLane
+    pos += _PN_EPOCH
+    (epoch,) = _UNPACK_Q(data, pos)
+    if not starts(_PK_ID, pos + 8):
+        raise _OffLane
+    pos += 8 + _PN_ID
+    end = pos + 4 + _UNPACK_U(data, pos)[0]
+    interface_id = data[pos + 4:end].decode()
+    if has_inv_id:
+        if not starts(_PK_INV_ID, end):
+            raise _OffLane
+        pos = end + _PN_INV_ID
+        end = pos + 4 + _UNPACK_U(data, pos)[0]
+        inv_id = data[pos + 4:end].decode()
+    if not starts(_PK_KIND, end):
+        raise _OffLane
+    pos = end + _PN_KIND
+    end = pos + 4 + _UNPACK_U(data, pos)[0]
+    kind = data[pos + 4:end].decode()
+    if not starts(_PK_OP, end):
+        raise _OffLane
+    pos = end + _PN_OP
+    end = pos + 4 + _UNPACK_U(data, pos)[0]
+    if end != len(data):
+        raise _OffLane
+    # Fresh containers per message: the nucleus adopts them uncopied.
+    return _request(capsule, args, {}, extra, origin, principal, trace,
+                    transaction_id, [], epoch, interface_id, inv_id, kind,
+                    data[pos + 4:end].decode())
+
+
+def _packed_reply(data: bytes) -> Dict[str, Any]:
+    """The reply envelope ``{"term": Termination}``."""
+    if not data.startswith(_P_REPLY):
+        raise _OffLane
+    pos = _PN_REPLY
+    end = pos + 4 + _UNPACK_U(data, pos)[0]
+    if not data.startswith(_P_VALUES_LIST, end):
+        raise _OffLane
+    cur = _Cursor(end + _PN_VALUES_LIST + 4)
+    values = tuple([_packed_read(data, cur, True)
+                    for _ in range(_UNPACK_U(data, cur.pos - 4)[0])])
+    if cur.pos != len(data):
+        raise _OffLane
+    return {"term": Termination(data[pos + 4:end].decode(), values)}
 
 
 class PackedFormat(WireFormat):
@@ -469,7 +582,7 @@ class PackedFormat(WireFormat):
     _put = staticmethod(_packed_put)
     _put_tree = staticmethod(_packed_write)
     _get_tree = staticmethod(_packed_read)
-    _enter_map = staticmethod(_packed_enter_map)
+    _PLANS = {("inv", "args"): _packed_request, ("term",): _packed_reply}
 
     def _map_header(self, count: int, size: int) -> bytes:
         return b"d" + _PACK_U(count)
@@ -514,26 +627,6 @@ class PackedFormat(WireFormat):
         else:
             raise MarshalError(
                 f"packed format cannot encode {type(obj).__name__}")
-
-    def loads(self, data: bytes, values: Any = None) -> Any:
-        if not data.startswith(self._MAGIC):
-            raise MarshalError(
-                "not a packed-format message (wrong magic); the sender "
-                "used an incompatible wire format")
-        if values is not None:
-            obj = self._loads_values(data, values)
-            if obj is not None:
-                return obj
-        cur = _Cursor(len(self._MAGIC))
-        try:
-            obj = _packed_read(data, cur)
-        except (struct.error, IndexError) as exc:
-            raise MarshalError(f"truncated packed message: {exc}") from exc
-        except (UnicodeDecodeError, RecursionError) as exc:
-            raise MarshalError(f"malformed packed message: {exc}") from exc
-        if cur.pos != len(data):
-            raise MarshalError("trailing bytes in packed message")
-        return obj
 
     def loads_reference(self, data: bytes) -> Any:
         """Decode via the original tuple-threading walk."""
@@ -753,22 +846,6 @@ def _tagged_put(value: Any, buf: bytearray, fmt: "TaggedFormat") -> None:
         raise _OffLane
 
 
-def _tagged_enter_map(data: bytes, cur: _Cursor) -> Tuple[int, int]:
-    """Step over the ``map[n]#len#`` header at ``cur.pos``: ``(entry
-    count, body end)``; anything else there is off the lane."""
-    pos = cur.pos
-    first = data.find(b"#", pos)
-    second = data.find(b"#", first + 1)
-    if (first < 0 or second < 0 or data[first - 1] != 0x5D
-            or not data.startswith(b"map[", pos)):
-        raise _OffLane
-    cur.pos = second + 1
-    end = cur.pos + int(data[first + 1:second])
-    if not cur.pos <= end <= len(data):
-        raise _OffLane
-    return int(data[pos + 4:first - 1]), end
-
-
 def _tagged_value(data: bytes, cur: _Cursor, tag: bytes, start: int,
                   end: int) -> Any:
     """The value lane's reader (see :func:`_packed_value`), entered from
@@ -782,18 +859,24 @@ def _tagged_value(data: bytes, cur: _Cursor, tag: bytes, start: int,
             raise _OffLane
         return items
     if tag == b"map[2]" and data.startswith(_T_RECORD, start):
-        cur.pos = start + len(_T_RECORD)
-        count, inner_end = _tagged_enter_map(data, cur)
+        # The fields map, ``map[n]#len#``, must fill the wrapper.
+        pos = start + len(_T_RECORD)
+        first = data.index(b"]#", pos)
+        second = data.index(b"#", first + 2)
+        cur.pos = second + 1
+        if (not data.startswith(b"map[", pos)
+                or cur.pos + int(data[first + 2:second]) != end):
+            raise _OffLane
         pairs = []
         last = None
-        for _ in range(count):
+        for _ in range(int(data[pos + 4:first])):
             key = _tagged_read(data, cur)
             # See _packed_value: strictly increasing names, or no lane.
             if type(key) is not str or (last is not None and key <= last):
                 raise _OffLane
             last = key
             pairs.append((key, _tagged_read(data, cur, True)))
-        if cur.pos != inner_end or inner_end != end:
+        if cur.pos != end:
             raise _OffLane
         return FrozenRecord._trusted(tuple(pairs))
     if tag == b"map[3]" and data.startswith(_T_TERM, start):
@@ -805,6 +888,76 @@ def _tagged_value(data: bytes, cur: _Cursor, tag: bytes, start: int,
             if type(values) is tuple and cur.pos == end:
                 return Termination(name, values)
     raise _OffLane
+
+
+def _tagged_open(data: bytes, cur: _Cursor, head: bytes) -> int:
+    """Step into the map whose header opens with *head* (``map[n]#``)
+    at ``cur.pos``; returns where its body must end."""
+    mark = cur.pos + len(head)
+    if not data.startswith(head, cur.pos):
+        raise _OffLane
+    cur.pos = data.index(b"#", mark) + 1
+    end = cur.pos + int(data[mark:cur.pos - 1])
+    if not cur.pos <= end <= len(data):
+        raise _OffLane
+    return end
+
+
+def _tagged_member(data: bytes, cur: _Cursor, key: bytes,
+                   values: bool = False) -> Any:
+    """The value under *key*, which must be the next entry's."""
+    if not data.startswith(key, cur.pos):
+        raise _OffLane
+    cur.pos += len(key)
+    return _tagged_read(data, cur, values)
+
+
+def _tagged_request(data: bytes) -> Dict[str, Any]:
+    """The request envelope (see :func:`_packed_request`); every value
+    is read by the tree reader's own branch, so only the keys, the
+    entry counts and the body lengths are this reader's to check."""
+    cur = _Cursor(len(TaggedFormat._MAGIC))
+    end = _tagged_open(data, cur, b"map[2]#")
+    capsule = _tagged_member(data, cur, _TK_CAPSULE)
+    inv_id = trace = _ABSENT
+    has_inv_id = data.startswith(_T_INV7, cur.pos)
+    inv_end = _tagged_open(data, cur, _T_INV7 if has_inv_id else _T_INV6)
+    args = _tagged_member(data, cur, _TK_ARGS, True)
+    has_trace = data.startswith(_T_CTX7, cur.pos)
+    ctx_end = _tagged_open(data, cur, _T_CTX7 if has_trace else _T_CTX6)
+    credentials = _tagged_member(data, cur, _TK_CREDENTIALS)
+    extra = _tagged_member(data, cur, _TK_EXTRA)
+    origin = _tagged_member(data, cur, _TK_ORIGIN)
+    principal = _tagged_member(data, cur, _TK_PRINCIPAL)
+    if has_trace:
+        trace = _tagged_member(data, cur, _TK_TRACE)
+    transaction_id = _tagged_member(data, cur, _TK_TX)
+    via_domains = _tagged_member(data, cur, _TK_VIA)
+    if cur.pos != ctx_end:
+        raise _OffLane
+    epoch = _tagged_member(data, cur, _TK_EPOCH)
+    interface_id = _tagged_member(data, cur, _TK_ID)
+    if has_inv_id:
+        inv_id = _tagged_member(data, cur, _TK_INV_ID)
+    kind = _tagged_member(data, cur, _TK_KIND)
+    op = _tagged_member(data, cur, _TK_OP)
+    if (not cur.pos == inv_end == end == len(data)
+            or type(args) is not tuple or type(capsule) is not str
+            or type(op) is not str):
+        raise _OffLane
+    return _request(capsule, args, credentials, extra, origin, principal,
+                    trace, transaction_id, via_domains, epoch, interface_id,
+                    inv_id, kind, op)
+
+
+def _tagged_reply(data: bytes) -> Dict[str, Any]:
+    """The reply envelope ``{"term": Termination}``."""
+    cur = _Cursor(len(TaggedFormat._MAGIC))
+    end = _tagged_open(data, cur, b"map[1]#")
+    term = _tagged_member(data, cur, TaggedFormat._TERM_KEY, True)
+    if not cur.pos == end == len(data) or type(term) is not Termination:
+        raise _OffLane
+    return {"term": term}
 
 
 class TaggedFormat(WireFormat):
@@ -821,7 +974,7 @@ class TaggedFormat(WireFormat):
     _put = staticmethod(_tagged_put)
     _put_tree = staticmethod(_tagged_write)
     _get_tree = staticmethod(_tagged_read)
-    _enter_map = staticmethod(_tagged_enter_map)
+    _PLANS = {("inv", "args"): _tagged_request, ("term",): _tagged_reply}
 
     def _map_header(self, count: int, size: int) -> bytes:
         return b"map[%d]#%d#" % (count, size)
@@ -867,24 +1020,6 @@ class TaggedFormat(WireFormat):
         else:
             raise MarshalError(
                 f"tagged format cannot encode {type(obj).__name__}")
-
-    def loads(self, data: bytes, values: Any = None) -> Any:
-        if not data.startswith(self._MAGIC):
-            raise MarshalError(
-                "not a tagged-format message (wrong magic); the sender "
-                "used an incompatible wire format")
-        if values is not None:
-            obj = self._loads_values(data, values)
-            if obj is not None:
-                return obj
-        cur = _Cursor(len(self._MAGIC))
-        try:
-            obj = _tagged_read(data, cur)
-        except (ValueError, RecursionError) as exc:
-            raise MarshalError(f"malformed tagged message: {exc}") from exc
-        if cur.pos != len(data):
-            raise MarshalError("trailing bytes in tagged message")
-        return obj
 
     def loads_reference(self, data: bytes) -> Any:
         """Decode via the original tuple-threading walk."""
@@ -1000,3 +1135,79 @@ _P_VALUES = _chunk(get_format("packed"), "values")
 _T_RECORD = _chunk(get_format("tagged"), "__kind__", "record", "fields")
 _T_TERM = _chunk(get_format("tagged"), "__kind__", "term", "name")
 _T_VALUES = _chunk(get_format("tagged"), "values")
+
+
+#: Stands for an optional member the message did not carry.
+_ABSENT = object()
+
+
+def _request(capsule, args, credentials, extra, origin, principal, trace,
+             transaction_id, via_domains, epoch, interface_id, inv_id, kind,
+             op) -> Dict[str, Any]:
+    """The request envelope around its members — the one place its
+    shape is written: every map's keys in the sorted order both formats
+    emit them.  :func:`_key_chunks` reads the keys off it, for
+    :class:`repro.ndr.plancache.InvocationPlan` to write and the
+    readers above to test.  ``trace`` and ``inv_id`` are the two a
+    message may leave out."""
+    envelope = {"capsule": capsule, "inv": {
+        "args": args,
+        "ctx": {"credentials": credentials, "extra": extra,
+                "origin_domain": origin, "principal": principal,
+                "trace": trace, "transaction_id": transaction_id,
+                "via_domains": via_domains},
+        "epoch": epoch, "id": interface_id, "inv_id": inv_id,
+        "kind": kind, "op": op}}
+    if trace is _ABSENT:
+        del envelope["inv"]["ctx"]["trace"]
+    if inv_id is _ABSENT:
+        del envelope["inv"]["inv_id"]
+    return envelope
+
+
+def _key_chunks(fmt: WireFormat) -> List[List[bytes]]:
+    """The keys :func:`_request` states as *fmt* puts them on the wire:
+    the envelope's, then ``inv``'s, then ``ctx``'s, each in order."""
+    shape = _request(*[None] * 14)
+    return [[_chunk(fmt, key) for key in keys]
+            for keys in (shape, shape["inv"], shape["inv"]["ctx"])]
+
+
+((_TK_CAPSULE, _TK_INV),
+ (_TK_ARGS, _TK_CTX, _TK_EPOCH, _TK_ID, _TK_INV_ID, _TK_KIND, _TK_OP),
+ (_TK_CREDENTIALS, _TK_EXTRA, _TK_ORIGIN, _TK_PRINCIPAL, _TK_TRACE, _TK_TX,
+  _TK_VIA)) = _key_chunks(get_format("tagged"))
+_T_INV6, _T_INV7 = _TK_INV + b"map[6]#", _TK_INV + b"map[7]#"
+_T_CTX6, _T_CTX7 = _TK_CTX + b"map[6]#", _TK_CTX + b"map[7]#"
+
+# PACKED values are read inline, so each key chunk ends in the tag of
+# the one type its reader takes there.
+((_PK_CAPSULE, _PK_INV),
+ (_PK_ARGS, _PK_CTX, _PK_EPOCH, _PK_ID, _PK_INV_ID, _PK_KIND, _PK_OP),
+ (_PK_CREDENTIALS, _PK_EXTRA, _PK_ORIGIN, _PK_PRINCIPAL, _PK_TRACE, _PK_TX,
+  _PK_VIA)) = _key_chunks(get_format("packed"))
+_PK_TRACE += b"s"
+_PK_EPOCH = _PK_VIA + b"l\x00\x00\x00\x00" + _PK_EPOCH + b"i"
+_PK_ID += b"s"
+_PK_INV_ID += b"s"
+_PK_KIND += b"s"
+_PK_OP += b"s"
+_P_HEAD = PackedFormat._MAGIC + b"d\x00\x00\x00\x02" + _PK_CAPSULE + b"s"
+_P_INV6 = _PK_INV + b"d\x00\x00\x00\x06" + _PK_ARGS + b"l"
+_P_INV7 = _PK_INV + b"d\x00\x00\x00\x07" + _PK_ARGS + b"l"
+_P_NO_ENTRIES = b"d\x00\x00\x00\x00"
+_P_CTX6 = (_PK_CTX + b"d\x00\x00\x00\x06" + _PK_CREDENTIALS + _P_NO_ENTRIES
+           + _PK_EXTRA)
+_P_CTX7 = (_PK_CTX + b"d\x00\x00\x00\x07" + _PK_CREDENTIALS + _P_NO_ENTRIES
+           + _PK_EXTRA)
+# ... and its length is a constant to step by, not a call per key.
+(_PN_HEAD, _PN_INV, _PN_CTX, _PN_ORIGIN, _PN_PRINCIPAL, _PN_TRACE, _PN_TX,
+ _PN_EPOCH, _PN_ID, _PN_INV_ID, _PN_KIND, _PN_OP) = map(len, (
+     _P_HEAD, _P_INV7, _P_CTX7, _PK_ORIGIN, _PK_PRINCIPAL, _PK_TRACE, _PK_TX,
+     _PK_EPOCH, _PK_ID, _PK_INV_ID, _PK_KIND, _PK_OP))
+PackedFormat._TERM_KEY = _chunk(get_format("packed"), "term")
+TaggedFormat._TERM_KEY = _chunk(get_format("tagged"), "term")
+_P_REPLY = (PackedFormat._MAGIC + b"d\x00\x00\x00\x01"
+            + PackedFormat._TERM_KEY + _P_TERM + b"s")
+_P_VALUES_LIST = _P_VALUES + b"l"
+_PN_REPLY, _PN_VALUES_LIST = len(_P_REPLY), len(_P_VALUES_LIST)

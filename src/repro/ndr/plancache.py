@@ -20,7 +20,9 @@ their body (``map[n]#bodylen#``), so the plan assembles the body from
 the same chunks and recomputes the header — structural caching rather
 than blind splicing.  Either way the output is byte-identical to the
 generic walk; ``tests/test_ndr_golden.py`` pins that equivalence so the
-cache can never silently drift the wire format.
+cache can never silently drift the wire format.  A request is read the
+way it is written: the compiled readers in :mod:`repro.ndr.formats`
+test the same key chunks (``formats._key_chunks``) in the same order.
 
 Invalidation: plans embed the reference's identity and epoch, so a
 channel drops its cache whenever the reference changes —
@@ -34,16 +36,7 @@ import struct
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ndr.formats import (_PACK_U, PackedFormat, WireFormat, _chunk,
-                               _packed_write, _tagged_write)
-
-
-#: Context dict keys in the sorted order the wire formats emit them
-#: (``trace`` slots between ``principal`` and ``transaction_id`` when
-#: present).  ``InvocationPlan.encode_request`` writes the context
-#: straight from the ``InvocationContext`` fields in this order — no
-#: intermediate dict, no copy, no per-call key sort.
-_CTX_KEYS = ("credentials", "extra", "origin_domain", "principal",
-             "trace", "transaction_id", "via_domains")
+                               _key_chunks, _packed_write, _tagged_write)
 
 
 class InvocationPlan:
@@ -73,29 +66,29 @@ class InvocationPlan:
         self.fmt = fmt
         self.packed = isinstance(fmt, PackedFormat)
         self.has_inv_id = has_inv_id
-        # Sorted key order inside the inv dict is fixed by the formats:
-        # args < ctx < epoch < id < inv_id < kind < op.
+        # The keys, in the order ``formats._request`` states once for
+        # this writer and the compiled readers: the context is written
+        # straight from the ``InvocationContext`` fields in that order —
+        # no intermediate dict, no copy, no per-call key sort.
+        ((k_capsule, self._inv_key),
+         (self.pre_args, self.pre_ctx, k_epoch, k_id, k_inv_id, k_kind, k_op),
+         (self._k_cred, self._k_extra, self._k_origin, self._k_principal,
+          self._k_trace, self._k_tx, self._k_via)) = _key_chunks(fmt)
         self.entries = 7 if has_inv_id else 6
-        self.pre_args = _chunk(fmt, "args")
-        self.pre_ctx = _chunk(fmt, "ctx")
-        mid = _chunk(fmt, "epoch", epoch, "id", interface_id)
+        self.pre_inv_id = (k_epoch + _chunk(fmt, epoch) + k_id
+                           + _chunk(fmt, interface_id))
         if has_inv_id:
-            self.pre_inv_id = mid + _chunk(fmt, "inv_id")
-        else:
-            self.pre_inv_id = mid
-        self.tail = _chunk(fmt, "kind", kind, "op", operation)
+            self.pre_inv_id += k_inv_id
+        self.tail = (k_kind + _chunk(fmt, kind) + k_op
+                     + _chunk(fmt, operation))
         self._packed_header = (
             b"d" + struct.pack(">I", self.entries) if self.packed else b"")
-        self._capsule_kv = _chunk(fmt, "capsule", capsule)
-        self._inv_key = _chunk(fmt, "inv")
+        self._capsule_kv = k_capsule + _chunk(fmt, capsule)
         if self.packed:
             self._single_prefix = (fmt._MAGIC + b"d\x00\x00\x00\x02"
                                    + self._capsule_kv + self._inv_key)
         else:
             self._single_prefix = b""
-        (self._k_cred, self._k_extra, self._k_origin, self._k_principal,
-         self._k_trace, self._k_tx, self._k_via) = (
-            _chunk(fmt, key) for key in _CTX_KEYS)
         # Constant byte runs between the variable holes, merged into
         # single precomputed segments so the hot path appends a handful
         # of slices instead of re-joining chunk after chunk per call.
@@ -316,6 +309,17 @@ def encode_batch(fmt: WireFormat, capsule: str,
 _INTERNED: Dict[Tuple, InvocationPlan] = {}
 
 
+def interned_plan(fmt: WireFormat, *shape: Any) -> InvocationPlan:
+    """The shared plan of one *shape* — ``InvocationPlan``'s arguments
+    after *fmt* — for :class:`PlanCache`, and for a sender that keeps
+    no cache of its own (``invoke_at``)."""
+    key = (fmt.name,) + shape
+    plan = _INTERNED.get(key)
+    if plan is None:
+        plan = _INTERNED[key] = InvocationPlan(fmt, *shape)
+    return plan
+
+
 class PlanCache:
     """Per-channel (or per-batcher) store of invocation plans."""
 
@@ -333,12 +337,7 @@ class PlanCache:
         plan = self._plans.get(key)
         if plan is None:
             self.misses += 1
-            plan = _INTERNED.get(key)
-            if plan is None:
-                plan = InvocationPlan(fmt, capsule, interface_id,
-                                      operation, kind, epoch, has_inv_id)
-                _INTERNED[key] = plan
-            self._plans[key] = plan
+            plan = self._plans[key] = interned_plan(fmt, *key[1:])
         else:
             self.hits += 1
         return plan

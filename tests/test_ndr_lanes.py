@@ -2,7 +2,8 @@
 
 ``WireFormat.write_value`` / ``dumps(obj, marshaller)`` take application
 values straight to bytes and ``loads(data, values=path)`` takes bytes
-straight to values.  ``Marshaller.marshal``/``unmarshal`` around the
+straight to values, through the compiled reader of the request or the
+reply envelope.  ``Marshaller.marshal``/``unmarshal`` around the
 reference walks is the executable specification: the lanes must give
 its bytes, its values, its errors and its side effects — on well-formed
 input, on every damaged image, and on the hand-built shapes no encoder
@@ -18,16 +19,18 @@ from collections import namedtuple
 
 import pytest
 
-from repro.comp.invocation import InvocationContext
+from repro import World
+from repro.comp.invocation import Invocation, InvocationContext
 from repro.comp.model import signature_of
 from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
-from repro.engine.remote import inv_object
+from repro.engine.remote import inv_object, invoke_at
 from repro.errors import MarshalError
 from repro.ndr.codec import Marshaller
 from repro.ndr.formats import _chunk, get_format
 from repro.ndr.plancache import PlanCache
 from repro.sim.rand import DeterministicRandom
+from repro.trace.context import TraceContext
 from repro.util.freeze import FrozenRecord, deep_freeze
 from tests.conftest import Counter
 from tests.test_ndr_golden import FORMATS, HOSTILE, _corpus, _damaged
@@ -128,17 +131,29 @@ def _values():
     ]
 
 
-def _request(fmt, args, marshaller, reference):
+_TRACE = "T1@org|S2@org"
+
+
+def _request(fmt, args, marshaller, reference, inv_id="cli#1", traced=False):
     """One request carrying *args*: by the plan's one-buffer assembly,
     or by the two-pass road (``inv_object`` + the reference walk)."""
-    context = InvocationContext(principal="alice")
+    context = InvocationContext(
+        principal="alice",
+        trace=TraceContext.from_wire(_TRACE) if traced else None)
     if reference:
         return fmt.dumps_reference({"capsule": "srv", "inv": inv_object(
             marshaller, "if.x-1", "op", args, "interrogation", 3, context,
-            "cli#1")})
+            inv_id)})
     plan = PlanCache().plan_for(fmt, "srv", "if.x-1", "op",
-                                "interrogation", 3, True)
-    return plan.encode_request(args, context, "cli#1", marshaller)
+                                "interrogation", 3, inv_id is not None)
+    return plan.encode_request(args, context, inv_id, marshaller)
+
+
+#: What tells the four request shapes apart: with or without ``inv_id``
+#: (``invoke_at`` and the legacy discipline send none), with or without
+#: ``trace`` (unsampled and traceless callers send none).
+VARIANTS = [(inv_id, traced) for inv_id in ("cli#1", None)
+            for traced in (False, True)]
 
 
 @pytest.mark.parametrize("fmt_name", FORMATS)
@@ -169,6 +184,10 @@ def test_lanes_match_two_pass_road_on_damaged_images(fmt_name):
             {"term": Termination("ok", (value,))}, M)))
         images.append((f"request-{case}",
                        _request(fmt, (value,), M, reference=False)))
+    # The corpus and the requests above carry an ``inv_id``.
+    images += [(f"request-no-inv-id-{traced}",
+                _request(fmt, (7, "k"), M, False, None, traced))
+               for traced in (False, True)]
     for name, image in images:
         _assert_lane_agrees(fmt, image, name)
         # Damage is swept with the path the intact image answers to
@@ -192,13 +211,15 @@ def test_lanes_match_two_pass_road_on_hostile_probes(probe):
                         probe)
 
 
-def _raw_map(fmt, pairs):
+def _raw_map(fmt, pairs, count=None, slack=0):
     """A map written entry by entry, in the order and with the
-    repetitions given — what no encoder emits."""
+    repetitions given — what no encoder emits; *count* and *slack* make
+    its header lie about the entries and the body length."""
     body = b"".join(_chunk(fmt, key) + raw for key, raw in pairs)
+    count = len(pairs) if count is None else count
     if fmt.name == "packed":
-        return b"d" + struct.pack(">I", len(pairs)) + body
-    return b"map[%d]#%d#" % (len(pairs), len(body)) + body
+        return b"d" + struct.pack(">I", count) + body
+    return b"map[%d]#%d#" % (count, len(body) + slack) + body
 
 
 @pytest.mark.parametrize("fmt_name", FORMATS)
@@ -210,7 +231,11 @@ def test_non_canonical_records_equal_the_reference_result(fmt_name):
         record = _raw_map(fmt, wrapper(
             ("__kind__", _chunk(fmt, "record")),
             ("fields", _raw_map(fmt, fields))))
-        return fmt._MAGIC + _raw_map(fmt, [("term", record)])
+        values = (b"l\x00\x00\x00\x01" if fmt_name == "packed"
+                  else b"list[1]#%d#" % len(record)) + record
+        return fmt._MAGIC + _raw_map(fmt, [("term", _raw_map(fmt, [
+            ("__kind__", _chunk(fmt, "term")), ("name", _chunk(fmt, "ok")),
+            ("values", values)]))])
 
     cases = {
         "sorted": (reply([("a", one), ("b", two)]), {"a": 1, "b": 2}),
@@ -223,7 +248,160 @@ def test_non_canonical_records_equal_the_reference_result(fmt_name):
     for name, (image, fields) in cases.items():
         _assert_lane_agrees(fmt, image, name)
         got = _valued(fmt.loads(image, ("term",)), ("term",))
-        assert _same(got, {"term": FrozenRecord(fields)}), name
+        assert _same(got, {"term": Termination(
+            "ok", (FrozenRecord(fields),))}), name
+
+
+# -- the compiled envelope readers ------------------------------------------------
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_envelope_plans_are_taken(fmt_name):
+    """Green tests do not show a plan is *taken* (a fallback gives the
+    same values): the types do — a ``tuple``, a ``Termination``."""
+    fmt = get_format(fmt_name)
+    for inv_id, traced in VARIANTS:
+        for reference in (False, True):
+            image = _request(fmt, (1, "k"), M, reference, inv_id, traced)
+            inv = fmt.loads(image, PATHS[0])["inv"]
+            assert type(inv["args"]) is tuple, (inv_id, traced, reference)
+            assert ("inv_id" in inv, "trace" in inv["ctx"]) \
+                == (inv_id is not None, traced)
+            # The nucleus adopts and writes into these: never shared.
+            again = fmt.loads(image, PATHS[0])["inv"]["ctx"]
+            for member in ("credentials", "extra", "via_domains"):
+                assert again[member] is not inv["ctx"][member], member
+            _assert_lane_agrees(fmt, image, (inv_id, traced, reference))
+    for term in (Termination("ok", (1,)), Termination("ok"),
+                 Termination("insufficient_funds", (5, {"owed": 2.5}))):
+        reply = fmt.dumps({"term": term}, M)
+        assert reply == fmt.dumps_reference({"term": M.marshal(term)})
+        got = fmt.loads(reply, PATHS[1])["term"]
+        assert type(got) is Termination and got == term
+        _assert_lane_agrees(fmt, reply, term)
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_invoke_at_requests_take_the_plan(fmt_name):
+    world = World(seed=3)
+    world.node("org", "s", fmt_name)
+    world.node("org", "c")
+    ref = world.capsule("s", "srv").export(Counter())
+    clients = world.capsule("c", "cli")
+    sent = []
+    serve = world.nucleus("s")._handle_request
+    world.network.node("s").on_request(
+        lambda source, payload: sent.append(payload) or serve(source,
+                                                              payload))
+    for trace in (None, TraceContext.from_wire(_TRACE)):
+        invocation = Invocation(
+            interface_id="relayed-from-elsewhere", operation="increment",
+            args=(), context=InvocationContext(trace=trace))
+        assert invoke_at(world.nucleus("c"), clients, "s", "srv",
+                         ref.interface_id, invocation) \
+            == Termination("ok", (len(sent),))
+    fmt = get_format(fmt_name)
+    for payload, traced in zip(sent, (False, True)):
+        inv = fmt.loads(payload, PATHS[0])["inv"]
+        assert type(inv["args"]) is tuple
+        assert "inv_id" not in inv and ("trace" in inv["ctx"]) == traced
+        # ... and the bytes are the two-pass road's.
+        assert payload == fmt.dumps_reference(fmt.loads(payload))
+
+
+class _Pairs(list):
+    """A map as the ``(key, value)`` entries to write, in this order —
+    so a test can reorder, repeat, drop and add them."""
+
+
+def _raw(fmt, node, lie=None):
+    """*node* on the wire; the map that *is* ``lie[0]`` gets the header
+    ``lie[1]`` (see :func:`_raw_map`) instead of a true one."""
+    if type(node) is not _Pairs:
+        return _chunk(fmt, node)
+    header = lie[1] if lie and node is lie[0] else {}
+    return _raw_map(fmt, [(key, _raw(fmt, value, lie))
+                          for key, value in node], **header)
+
+
+def _canonical():
+    """The request every encoder emits, as ``(envelope, inv, ctx)``."""
+    ctx = _Pairs([("credentials", {}), ("extra", {}),
+                  ("origin_domain", "org"), ("principal", None),
+                  ("trace", _TRACE), ("transaction_id", None),
+                  ("via_domains", [])])
+    inv = _Pairs([("args", [1, "k"]), ("ctx", ctx), ("epoch", 3),
+                  ("id", "if.x-1"), ("inv_id", "cli#1"),
+                  ("kind", "interrogation"), ("op", "op")])
+    return _Pairs([("capsule", "srv"), ("inv", inv)]), inv, ctx
+
+
+def _swap(pairs, i, j):
+    pairs[i], pairs[j] = pairs[j], pairs[i]
+
+
+#: name -> what to do to ``(envelope, inv, ctx)`` before writing it.
+MISPLACED = {
+    "inv keys reordered": lambda env, inv, ctx: _swap(inv, 5, 6),
+    "ctx keys reordered": lambda env, inv, ctx: _swap(ctx, 0, 1),
+    "envelope keys reordered": lambda env, inv, ctx: _swap(env, 0, 1),
+    "duplicate key": lambda env, inv, ctx: inv.__setitem__(
+        5, ("op", "earlier")),
+    "extra inv key": lambda env, inv, ctx: inv.append(("zone", 1)),
+    "extra ctx key": lambda env, inv, ctx: ctx.append(("zone", 1)),
+    # The async request: ``call_id`` and ``reply_to`` beside ``inv``.
+    "extra envelope keys": lambda env, inv, ctx: env.__setitem__(
+        slice(1, 1), [("call_id", "c1"), ("reply_to", "c")]),
+    "missing ctx member": lambda env, inv, ctx: ctx.__delitem__(0),
+    "missing inv member": lambda env, inv, ctx: inv.__delitem__(2),
+    "capsule not text": lambda env, inv, ctx: env.__setitem__(
+        0, ("capsule", 5)),
+    "op not text": lambda env, inv, ctx: inv.__setitem__(6, ("op", 7)),
+}
+
+#: name -> (which map's header lies, how).  Neither reader accepts these.
+LYING_HEADERS = {
+    "packed": {"count one too many": {"count": 8},
+               "count one too few": {"count": 6}},
+    "tagged": {"body one byte longer": {"slack": 1},
+               "body one byte shorter": {"slack": -1}},
+}
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_envelope_plans_stand_aside_for_the_tree_reader(fmt_name):
+    """Anything but the shape the encoders emit is the hardened tree
+    reader's to decode, whole: its tree, its errors."""
+    fmt = get_format(fmt_name)
+    images = {"canonical": fmt._MAGIC + _raw(fmt, _canonical()[0])}
+    assert type(fmt.loads(images["canonical"],
+                          PATHS[0])["inv"]["args"]) is tuple
+    for name, misplace in MISPLACED.items():
+        shape = _canonical()
+        misplace(*shape)
+        images[name] = fmt._MAGIC + _raw(fmt, shape[0])
+    for name, obj in (
+            ("txctl", {"capsule": "srv", "txctl": {
+                "tx": "tx-1", "phase": "prepare", "iface": "if.x-1"}}),
+            ("fedfwd", {"capsule": "gw", "fedfwd": {
+                "ref": None, "inv": fmt.loads(images["canonical"])["inv"]}}),
+            ("batch", dict(_corpus())["batch_envelope"]),
+            ("error reply", dict(_corpus())["error_reply_stale"]),
+            ("async reply", {"call_id": "c1", "term": M.marshal(
+                Termination("ok", (1,)))})):
+        images[name] = fmt.dumps(obj)
+    for name, image in images.items():
+        _assert_lane_agrees(fmt, image, name)
+        if name != "canonical":
+            for path in PATHS:
+                assert repr(fmt.loads(image, path)) \
+                    == repr(fmt.loads_reference(image)), (name, path)
+    for name, header in LYING_HEADERS[fmt_name].items():
+        for which in (0, 1, 2):
+            shape = _canonical()
+            image = fmt._MAGIC + _raw(fmt, shape[0], (shape[which], header))
+            _assert_lane_agrees(fmt, image, (name, which))
+            with pytest.raises(MarshalError):
+                fmt.loads(image, PATHS[0])
 
 
 # -- rule (2): the encoder bails before any side effect ------------------------
@@ -287,6 +465,8 @@ def test_non_plain_values_take_the_two_pass_road_whole(fmt_name):
         term = Termination("ok", args)
         assert fmt.dumps({"term": term}, lane) \
             == fmt.dumps_reference({"term": road.marshal(term)}), name
+        assert [id(o) for o in lane.exporter.seen] \
+            == [id(o) for o in road.exporter.seen], name
         assert lane.refs_exported == road.refs_exported, name
 
 
@@ -307,8 +487,9 @@ def test_trusted_record_is_indistinguishable_from_the_public_one():
         (("a", 1), ("b", (2, None)), ("é", FrozenRecord._trusted(()))))
     for fmt_name in FORMATS:
         fmt = get_format(fmt_name)
-        decoded = fmt.loads(fmt.dumps({"term": public}, M),
-                            ("term",))["term"]
+        decoded, = fmt.loads(
+            fmt.dumps({"term": Termination("ok", (public,))}, M),
+            ("term",))["term"].values
         for record in (trusted, decoded):
             assert type(record) is FrozenRecord
             assert record == public and public == record

@@ -197,6 +197,15 @@ MALFORMED_INVOCATIONS = {
     "inv-id-unhashable": {"id": "{IID}", "op": "increment",
                           "inv_id": ["x"]},
     "member-is-int": 7,
+    # Fields of the wrong type: once a TypeError out of the dispatch
+    # (unhashable, unorderable), through whoever called the nucleus.
+    "op-is-list": {"id": "{IID}", "op": ["increment"]},
+    "id-is-list": {"id": ["{IID}"], "op": "increment"},
+    "epoch-is-text": {"id": "{IID}", "op": "increment", "epoch": "0"},
+    "epoch-is-null": {"id": "{IID}", "op": "increment", "epoch": None},
+    # Iterable, so once accepted as the domains "o", "r", "g".
+    "via-is-text": {"id": "{IID}", "op": "increment",
+                    "ctx": {"via_domains": "org"}},
 }
 
 
