@@ -8,7 +8,9 @@ Series produced:
   * encode+decode wall time and wire size by value shape and depth, for
     both wire formats (packed binary vs tagged text) — by the two-pass
     road (marshal, encode, decode, unmarshal) and by the formats' value
-    lane, which walks each leg once,
+    lane, which walks each leg once; 40 sibling records of one shape,
+    of two alternating shapes (one nested) and of all-distinct names
+    say what a record's shape saves and what a miss costs, by direction,
   * end-to-end invocation cost vs argument size (the network part of
     access transparency),
   * reference marshalling (identity + paths + full signature) vs a
@@ -41,7 +43,12 @@ VALUES = {
     "flat-list-100": list(range(100)),
     "nested-depth-6": None,  # built below
     "record-tree": None,
+    "rows-40": None,
+    "rows-40-alternating-nested": None,
+    "rows-40-distinct-names": None,
 }
+#: The sibling-record shapes: the lanes remember a record's field names.
+ROWS = [shape for shape in VALUES if shape.startswith("rows-40")]
 
 
 def _build_values():
@@ -54,6 +61,16 @@ def _build_values():
                       "tags": ["a", "b", "c"]}
         for i in range(20)
     }
+    VALUES["rows-40"] = [
+        {"id": i, "name": f"row-{i}", "score": i / 7,
+         "tags": ["a", "b", "c"], "active": bool(i & 1)} for i in range(40)]
+    VALUES["rows-40-alternating-nested"] = [
+        {"id": i, "name": f"row-{i}", "pos": {"x": i, "y": -i}} if i % 2 == 0
+        else {"flags": i, "key": f"k{i}", "label": "l", "w": 1.5}
+        for i in range(40)]
+    VALUES["rows-40-distinct-names"] = [
+        {f"a{i}": i, f"b{i}": f"row-{i}", f"c{i}": i / 7, f"d{i}": None}
+        for i in range(40)]
 
 
 _build_values()
@@ -97,7 +114,7 @@ def _report():
             "trip, by shape and format --"]
     sizes = {}
     for shape, value in VALUES.items():
-        line = f"  {shape:>15}:"
+        line = f"  {shape:>26}:"
         for fmt_name in ("packed", "tagged"):
             fmt, marshaller = get_format(fmt_name), Marshaller()
             result, size = _roundtrip(fmt_name, value)
@@ -115,6 +132,21 @@ def _report():
     # short decimal integers on deep int-only trees — reported above.
     for shape in ("string-100", "string-10k", "record-tree"):
         assert sizes[(shape, "tagged")] > sizes[(shape, "packed")]
+
+    rows.append("-- value lane by direction on sibling records: "
+                "encode / decode per reply --")
+    for shape in ROWS:
+        line = f"  {shape:>26}:"
+        for fmt_name in ("packed", "tagged"):
+            fmt, marshaller = get_format(fmt_name), Marshaller()
+            reply = {"term": Termination("ok", (VALUES[shape],))}
+            wire = fmt.dumps(reply, marshaller)
+            encode_us, decode_us = rate_pair_us(
+                lambda: fmt.dumps(reply, marshaller),
+                lambda: fmt.loads(wire, ("term",)), rounds=20)
+            line += (f"  {fmt_name} {encode_us / 1000:6.3f}ms / "
+                     f"{decode_us / 1000:6.3f}ms")
+        rows.append(line)
 
     rows.append("-- end-to-end invocation vs argument size --")
     world, servers, clients = two_node_world()

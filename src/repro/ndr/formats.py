@@ -71,12 +71,26 @@ class _OffLane(Exception):
 
 
 class _Cursor:
-    """A mutable decode position: one allocation per message."""
+    """A mutable decode position: one allocation per message — and what
+    that message has shown the value lane of its records' shapes, which
+    is keyed by bytes off the wire and so dies with the message."""
 
-    __slots__ = ("pos",)
+    __slots__ = ("pos", "shape", "shapes")
 
     def __init__(self, pos: int) -> None:
         self.pos = pos
+        #: The shape of the record last read by one, to try on its next
+        #: sibling; and first name -> the first record that opened with
+        #: it, or from its second sighting on that record's shape: a
+        #: ``(key chunk, its length, name)`` per field, in wire order.
+        self.shape = None
+        self.shapes: Dict[str, Any] = {}
+
+
+#: Field names, and dict layouts, a format's writer remembers.  Names
+#: can be data (``{user_id: balance}``), so the tables are capped and
+#: never evict: once full, a new name is encoded afresh, as all were.
+_NAMES_CAP = 512
 
 
 class WireFormat:
@@ -85,6 +99,14 @@ class WireFormat:
     name = "abstract"
     #: ``loads``'s *values* path -> the compiled reader of that envelope.
     _PLANS: Dict[Tuple[str, ...], Any] = {}
+
+    def __init__(self) -> None:
+        #: What the value lane's writer remembers of the records it
+        #: wrote, so that sibling records encode, and a dict's sort,
+        #: their names once: name -> key chunk, and a dict's names as
+        #: inserted -> its ``(name, key chunk)`` pairs in wire order.
+        self._names: Dict[str, bytes] = {}
+        self._layouts: Dict[Tuple[str, ...], Any] = {}
 
     def dumps(self, obj: Any, marshaller: Any = None) -> bytes:
         """Encode the plain tree *obj*.  With a *marshaller*, *obj* is
@@ -152,6 +174,17 @@ class WireFormat:
         except (_OffLane, TypeError):  # TypeError: unsortable field names
             del buf[mark:]
             self._put_tree(marshaller.marshal(value), buf, self)
+
+    def _layout(self, value: Dict[str, Any]) -> Any:
+        """*value*'s ``(name, key chunk)`` pairs in wire order,
+        remembered under its names as inserted while every one of them
+        is in ``_names`` — so no layout is wider than the cap."""
+        names = self._names
+        layout = tuple([(key, names.get(key) or self._key(key, names))
+                        for key in sorted(value)])
+        if len(names) < _NAMES_CAP > len(self._layouts):
+            self._layouts[tuple(value)] = layout
+        return layout
 
     def _check_key(self, key: Any) -> str:
         if not isinstance(key, str):
@@ -381,6 +414,16 @@ def _packed_read(data: bytes, cur: _Cursor, values: bool = False) -> Any:
 _PLAIN = frozenset((str, int, float, bytes, bool, type(None)))
 
 
+def _packed_key(name: str, names: Dict[str, bytes]) -> bytes:
+    """*name* as the key chunk every encoder writes it, remembered in
+    the writer's *names* while there is room."""
+    raw = name.encode("utf-8")
+    chunk = b"s" + _PACK_U(len(raw)) + raw
+    if len(names) < _NAMES_CAP:
+        names[name] = chunk
+    return chunk
+
+
 def _packed_put(value: Any, buf: bytearray, fmt: "PackedFormat") -> None:
     """The value lane's writer: *value*'s ``marshal`` tree, encoded
     without being built.  Raises ``_OffLane`` on anything not plain."""
@@ -393,15 +436,23 @@ def _packed_put(value: Any, buf: bytearray, fmt: "PackedFormat") -> None:
     elif tp is dict or tp is FrozenRecord:
         buf += _P_RECORD
         buf += _PACK_U(len(value))
-        for key, item in (value._items if tp is FrozenRecord else
-                          [(key, value[key]) for key in sorted(value)]):
-            if type(key) is not str:
-                raise _OffLane
-            raw = key.encode("utf-8")
-            buf += b"s"
-            buf += _PACK_U(len(raw))
-            buf += raw
-            _packed_put(item, buf, fmt)
+        # Exact ``str`` before either table: a subclass equal to a
+        # stored name hashes to it, and must go off-lane as it did.
+        if tp is FrozenRecord:
+            names = fmt._names
+            for key, item in value._items:
+                if type(key) is not str:
+                    raise _OffLane
+                buf += names.get(key) or _packed_key(key, names)
+                _packed_put(item, buf, fmt)
+        else:
+            for key in value:
+                if type(key) is not str:
+                    raise _OffLane
+            for key, chunk in (fmt._layouts.get(tuple(value))
+                               or fmt._layout(value)):
+                buf += chunk
+                _packed_put(value[key], buf, fmt)
     elif tp in _PLAIN:
         _packed_write(value, buf, fmt)
     elif tp is Termination:
@@ -582,6 +633,7 @@ class PackedFormat(WireFormat):
     _put = staticmethod(_packed_put)
     _put_tree = staticmethod(_packed_write)
     _get_tree = staticmethod(_packed_read)
+    _key = staticmethod(_packed_key)
     _PLANS = {("inv", "args"): _packed_request, ("term",): _packed_reply}
 
     def _map_header(self, count: int, size: int) -> bytes:
@@ -774,9 +826,13 @@ def _tagged_read(data: bytes, cur: _Cursor, values: bool = False) -> Any:
     if tag == b"int":
         return int(data[start:end])
     if tag == b"nil":
+        if length:
+            raise MarshalError("tagged nil carries a payload")
         return None
     if tag == b"bool":
-        return data[start:end] == b"true"
+        if data[start:end] not in (b"true", b"false"):
+            raise MarshalError("tagged bool is neither true nor false")
+        return length == 4
     if tag == b"real":
         return float(data[start:end])
     if tag == b"octets":
@@ -788,6 +844,8 @@ def _tagged_read(data: bytes, cur: _Cursor, values: bool = False) -> Any:
         base = tag[:bracket]
         count = int(tag[bracket + 1:-1] if tag.endswith(b"]")
                     else tag[bracket + 1:])
+        if count < 0:
+            raise MarshalError("negative tagged element count")
         if base == b"list":
             cur.pos = start
             items = []
@@ -812,6 +870,16 @@ def _tagged_read(data: bytes, cur: _Cursor, values: bool = False) -> Any:
     raise MarshalError(f"unknown tagged tag {tag.decode('ascii')!r}")
 
 
+def _tagged_key(name: str, names: Any = None) -> bytes:
+    """See :func:`_packed_key`; the reader, which makes a shape's
+    chunks of names, has no *names* to remember them in."""
+    raw = name.encode("utf-8")
+    chunk = b"text#%d#%b" % (len(raw), raw)
+    if names is not None and len(names) < _NAMES_CAP:
+        names[name] = chunk
+    return chunk
+
+
 def _tagged_put(value: Any, buf: bytearray, fmt: "TaggedFormat") -> None:
     """The value lane's writer (see :func:`_packed_put`)."""
     tp = type(value)
@@ -821,14 +889,21 @@ def _tagged_put(value: Any, buf: bytearray, fmt: "TaggedFormat") -> None:
             _tagged_put(item, buf, fmt)
         buf[start:start] = b"list[%d]#%d#" % (len(value), len(buf) - start)
     elif tp is dict or tp is FrozenRecord:
-        for key, item in (value._items if tp is FrozenRecord else
-                          [(key, value[key]) for key in sorted(value)]):
-            if type(key) is not str:
-                raise _OffLane
-            raw = key.encode("utf-8")
-            buf += b"text#%d#" % len(raw)
-            buf += raw
-            _tagged_put(item, buf, fmt)
+        if tp is FrozenRecord:
+            names = fmt._names
+            for key, item in value._items:
+                if type(key) is not str:
+                    raise _OffLane
+                buf += names.get(key) or _tagged_key(key, names)
+                _tagged_put(item, buf, fmt)
+        else:
+            for key in value:
+                if type(key) is not str:
+                    raise _OffLane
+            for key, chunk in (fmt._layouts.get(tuple(value))
+                               or fmt._layout(value)):
+                buf += chunk
+                _tagged_put(value[key], buf, fmt)
         head = b"map[%d]#%d#" % (len(value), len(buf) - start)
         buf[start:start] = b"map[2]#%d#%b%b" % (
             len(_T_RECORD) + len(head) + len(buf) - start, _T_RECORD, head)
@@ -853,9 +928,9 @@ def _tagged_value(data: bytes, cur: _Cursor, tag: bytes, start: int,
     body at ``data[start:end]``."""
     if tag.startswith(b"list[") and tag.endswith(b"]"):
         cur.pos = start
-        items = tuple([_tagged_read(data, cur, True)
-                       for _ in range(int(tag[5:-1]))])
-        if cur.pos != end:
+        count = int(tag[5:-1])
+        items = tuple([_tagged_read(data, cur, True) for _ in range(count)])
+        if cur.pos != end or count < 0:
             raise _OffLane
         return items
     if tag == b"map[2]" and data.startswith(_T_RECORD, start):
@@ -864,12 +939,42 @@ def _tagged_value(data: bytes, cur: _Cursor, tag: bytes, start: int,
         first = data.index(b"]#", pos)
         second = data.index(b"#", first + 2)
         cur.pos = second + 1
-        if (not data.startswith(b"map[", pos)
+        count = int(data[pos + 4:first])
+        if (count < 0 or not data.startswith(b"map[", pos)
                 or cur.pos + int(data[first + 2:second]) != end):
             raise _OffLane
         pairs = []
         last = None
-        for _ in range(int(data[pos + 4:first])):
+        # Sibling records pay for their names once per message: the
+        # record is tried against a shape the cursor holds — one
+        # ``startswith`` per key, the ``str`` reused — and read by the
+        # generic loop from the first key that differs.  A key that *is*
+        # the chunk every encoder writes for a name is what that loop
+        # would read as the name, and a shape's names increase strictly,
+        # so a hit is its answer; a check that fails is ``_OffLane``,
+        # which abandons the cursor with all it learnt.
+        shape = cur.shape
+        if count and not (shape and data.startswith(shape[0][0], cur.pos)):
+            # Not the previous record's sibling: the first name, read as
+            # any other, says which shape the message has shown before.
+            last = _tagged_read(data, cur)
+            if type(last) is not str:
+                raise _OffLane
+            pairs.append((last, _tagged_read(data, cur, True)))
+            shape = cur.shapes.get(last)
+            if type(shape) is FrozenRecord:
+                # The second sighting makes a shape of the first's names.
+                shape = cur.shapes[last] = tuple([
+                    (chunk := _tagged_key(name), len(chunk), name)
+                    for name, _ in shape._items])
+        if shape and len(shape) == count:
+            for chunk, size, name in shape[len(pairs):]:
+                if not data.startswith(chunk, cur.pos):
+                    last = pairs[-1][0]
+                    break
+                cur.pos += size
+                pairs.append((name, _tagged_read(data, cur, True)))
+        for _ in range(count - len(pairs)):
             key = _tagged_read(data, cur)
             # See _packed_value: strictly increasing names, or no lane.
             if type(key) is not str or (last is not None and key <= last):
@@ -878,7 +983,12 @@ def _tagged_value(data: bytes, cur: _Cursor, tag: bytes, start: int,
             pairs.append((key, _tagged_read(data, cur, True)))
         if cur.pos != end:
             raise _OffLane
-        return FrozenRecord._trusted(tuple(pairs))
+        record = FrozenRecord._trusted(tuple(pairs))
+        if shape is not None:
+            cur.shape = shape
+        elif count:
+            cur.shapes[pairs[0][0]] = record
+        return record
     if tag == b"map[3]" and data.startswith(_T_TERM, start):
         cur.pos = start + len(_T_TERM)
         name = _tagged_read(data, cur)
@@ -974,6 +1084,7 @@ class TaggedFormat(WireFormat):
     _put = staticmethod(_tagged_put)
     _put_tree = staticmethod(_tagged_write)
     _get_tree = staticmethod(_tagged_read)
+    _key = staticmethod(_tagged_key)
     _PLANS = {("inv", "args"): _tagged_request, ("term",): _tagged_reply}
 
     def _map_header(self, count: int, size: int) -> bytes:
@@ -1054,12 +1165,20 @@ class TaggedFormat(WireFormat):
         end = offset + length
         count = None
         if "[" in tag:
-            base, _, rest = tag.partition("[")
-            count = int(rest.rstrip("]"))
-            tag = base
+            tag, _, rest = tag.partition("[")
+            count = int(rest[:-1] if rest.endswith("]") else rest)
+            if count < 0:
+                raise MarshalError("negative tagged element count")
+        # A count is what a container carries, and only a container.
+        if (tag in ("list", "map")) != (count is not None):
+            raise MarshalError(f"unknown tagged tag {tag!r}")
         if tag == "nil":
+            if payload:
+                raise MarshalError("tagged nil carries a payload")
             return None, end
         if tag == "bool":
+            if payload not in (b"true", b"false"):
+                raise MarshalError("tagged bool is neither true nor false")
             return payload == b"true", end
         if tag == "int":
             return int(payload), end
@@ -1072,7 +1191,7 @@ class TaggedFormat(WireFormat):
         if tag == "list":
             items = []
             inner = offset
-            for _ in range(count or 0):
+            for _ in range(count):
                 item, inner = self._read(data, inner)
                 items.append(item)
             if inner != end:
@@ -1081,7 +1200,7 @@ class TaggedFormat(WireFormat):
         if tag == "map":
             result: Dict[str, Any] = {}
             inner = offset
-            for _ in range(count or 0):
+            for _ in range(count):
                 key, inner = self._read(data, inner)
                 if not isinstance(key, str):
                     raise MarshalError("tagged map key is not a string")

@@ -434,6 +434,17 @@ HOSTILE = {
         ("packed", b"\xa5P" + b"l\x00\x00\x00\x01" * 5000 + b"N"),
     "tagged_nesting_bomb":
         ("tagged", b"@TAGGED@" + b"list[1]#9#" * 5000 + b"nil#0#"),
+    # Bytes no encoder emits that a reader used to take for a value:
+    # the fast reader refused the first, the reference reader made it
+    # ``[]``; ``trua`` is one bit from ``true`` and decoded to ``False``.
+    "tagged_bare_list": ("tagged", b"@TAGGED@list#0#"),
+    "tagged_bad_bool": ("tagged", b"@TAGGED@bool#4#trua"),
+    "tagged_nil_payload": ("tagged", b"@TAGGED@nil#3#abc"),
+    "tagged_negative_count": ("tagged", b"@TAGGED@map[-3]#0#"),
+    # ... and two only the reference reader took: a count on a scalar,
+    # a count closed twice.
+    "tagged_counted_scalar": ("tagged", b"@TAGGED@text[3]#2#ab"),
+    "tagged_double_bracket": ("tagged", b"@TAGGED@list[0]]#0#"),
 }
 
 DECODERS = ("loads", "loads_reference")

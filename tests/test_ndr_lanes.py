@@ -26,8 +26,9 @@ from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.engine.remote import inv_object, invoke_at
 from repro.errors import MarshalError
+from repro.ndr import formats
 from repro.ndr.codec import Marshaller
-from repro.ndr.formats import _chunk, get_format
+from repro.ndr.formats import _NAMES_CAP, _chunk, get_format
 from repro.ndr.plancache import PlanCache
 from repro.sim.rand import DeterministicRandom
 from repro.trace.context import TraceContext
@@ -131,6 +132,19 @@ def _values():
     ]
 
 
+def _rows(count):
+    """Sibling records of one shape, a list among their fields."""
+    return [{"id": i, "name": f"row-{i}", "score": i / 7,
+             "tags": ["a", "b"], "active": i % 2 == 0} for i in range(count)]
+
+
+def _alternating_rows(count):
+    """Two shapes by turns, one of them holding a record itself."""
+    return [{"id": i, "name": f"row-{i}", "pos": {"x": i, "y": -i}} if i % 2
+            else {"flags": i, "key": f"k{i}", "label": "l", "w": 1.5}
+            for i in range(count)]
+
+
 _TRACE = "T1@org|S2@org"
 
 
@@ -188,6 +202,12 @@ def test_lanes_match_two_pass_road_on_damaged_images(fmt_name):
     images += [(f"request-no-inv-id-{traced}",
                 _request(fmt, (7, "k"), M, False, None, traced))
                for traced in (False, True)]
+    # Sibling records: the third and fourth are read by the shape the
+    # first two taught, so damage lands on memoised keys too.
+    images += [("reply-siblings", fmt.dumps(
+                    {"term": Termination("ok", (_rows(4),))}, M)),
+               ("request-siblings",
+                _request(fmt, ("k", _rows(3)), M, reference=False))]
     for name, image in images:
         _assert_lane_agrees(fmt, image, name)
         # Damage is swept with the path the intact image answers to
@@ -222,20 +242,37 @@ def _raw_map(fmt, pairs, count=None, slack=0):
     return b"map[%d]#%d#" % (count, len(body) + slack) + body
 
 
+def _raw_list(fmt, items, count=None):
+    body = b"".join(items)
+    count = len(items) if count is None else count
+    if fmt.name == "packed":
+        return b"l" + struct.pack(">I", count) + body
+    return b"list[%d]#%d#" % (count, len(body)) + body
+
+
+def _raw_record(fmt, fields, wrapper=lambda kind, fields: [kind, fields],
+                **lie):
+    """The record wrapper around *fields*, ``(name, raw value)`` entries
+    written as they stand; *lie* is for the fields map's header."""
+    return _raw_map(fmt, wrapper(
+        ("__kind__", _chunk(fmt, "record")),
+        ("fields", _raw_map(fmt, fields, **lie))))
+
+
+def _raw_reply(fmt, *values):
+    """The reply ``ok(*values)`` around values already on the wire."""
+    return fmt._MAGIC + _raw_map(fmt, [("term", _raw_map(fmt, [
+        ("__kind__", _chunk(fmt, "term")), ("name", _chunk(fmt, "ok")),
+        ("values", _raw_list(fmt, values))]))])
+
+
 @pytest.mark.parametrize("fmt_name", FORMATS)
 def test_non_canonical_records_equal_the_reference_result(fmt_name):
     fmt = get_format(fmt_name)
     one, two, three = (_chunk(fmt, n) for n in (1, 2, 3))
 
-    def reply(fields, wrapper=lambda kind, fields: [kind, fields]):
-        record = _raw_map(fmt, wrapper(
-            ("__kind__", _chunk(fmt, "record")),
-            ("fields", _raw_map(fmt, fields))))
-        values = (b"l\x00\x00\x00\x01" if fmt_name == "packed"
-                  else b"list[1]#%d#" % len(record)) + record
-        return fmt._MAGIC + _raw_map(fmt, [("term", _raw_map(fmt, [
-            ("__kind__", _chunk(fmt, "term")), ("name", _chunk(fmt, "ok")),
-            ("values", values)]))])
+    def reply(fields, *wrapper):
+        return _raw_reply(fmt, _raw_record(fmt, fields, *wrapper))
 
     cases = {
         "sorted": (reply([("a", one), ("b", two)]), {"a": 1, "b": 2}),
@@ -250,6 +287,169 @@ def test_non_canonical_records_equal_the_reference_result(fmt_name):
         got = _valued(fmt.loads(image, ("term",)), ("term",))
         assert _same(got, {"term": Termination(
             "ok", (FrozenRecord(fields),))}), name
+
+
+# -- record shapes: field names once per message --------------------------------
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_remembered_names_write_the_reference_bytes(fmt_name):
+    """The writer's tables change what a name costs, never a byte — cold
+    and warm, whatever order a dict was filled in."""
+    fmt = type(get_format(fmt_name))()
+
+    class Name(str):
+        """Equal to a remembered name and hashing to it — not one."""
+
+    backwards = dict(reversed(list(_rows(1)[0].items())))
+    assert list(backwards) != sorted(backwards)
+    values = [_rows(1), _rows(2), _rows(40), _alternating_rows(40),
+              [backwards, _rows(1)[0], backwards],
+              {Name("id"): 1}, FrozenRecord({Name("id"): 1}),
+              {"id": 1, Name("name"): "n"}]
+    for warm in (False, True):
+        for case, value in enumerate(values):
+            for image in (value, deep_freeze(value)):
+                term = Termination("ok", (image,))
+                assert fmt.dumps({"term": term}, M) == fmt.dumps_reference(
+                    {"term": M.marshal(term)}), (warm, case)
+    assert set(fmt._names) == {name for row in _rows(1) + _alternating_rows(2)
+                               for name in [*row, *row.get("pos", ())]}
+    assert not any(type(name) is Name for name in fmt._names)
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_writer_tables_stop_at_their_cap(fmt_name):
+    """More names than the tables hold: bytes as ever before, at and
+    past the cap, and nothing grows once it is reached."""
+    fmt = type(get_format(fmt_name))()
+    for start in range(0, _NAMES_CAP + 60, 3):
+        row = {f"name-{start + i:04d}": i for i in (2, 0, 1)}
+        for value in ([row, row], deep_freeze([row, row])):
+            term = Termination("ok", (value,))
+            assert fmt.dumps({"term": term}, M) == fmt.dumps_reference(
+                {"term": M.marshal(term)}), start
+        assert len(fmt._names) == min(start + 3, _NAMES_CAP)
+        # A layout is kept only while every name of it is.
+        assert len(fmt._layouts) == min(start // 3 + 1,
+                                        (_NAMES_CAP - 1) // 3)
+    # Full of names, the tables still serve the ones they hold.
+    assert fmt._layouts[("name-0002", "name-0000", "name-0001")] == tuple(
+        (name, _chunk(fmt, name))
+        for name in ("name-0000", "name-0001", "name-0002"))
+
+
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_records_off_a_learnt_shape_equal_the_reference_result(fmt_name):
+    """Two sibling records teach the reader a shape; whatever a third
+    then does to it, the lane gives the reference's answer or stands
+    aside for it."""
+    fmt = get_format(fmt_name)
+    one, two, text = _chunk(fmt, 1), _chunk(fmt, 2), _chunk(fmt, "n")
+    taught = [[("id", one), ("name", text)]] * 2
+    cases = {
+        "on the shape": [("id", two), ("name", text)],
+        "first name a byte longer": [("idx", one), ("name", text)],
+        "second name a byte longer": [("id", one), ("namex", text)],
+        "a name that is a prefix": [("i", one), ("name", text)],
+        "unsorted": [("name", text), ("id", one)],
+        "duplicate": [("id", one), ("id", two)],
+        "one field fewer": [("id", one)],
+        "one field more": [("id", one), ("name", text), ("zone", two)],
+        "second field another": [("id", one), ("zone", two)],
+        "empty": [],
+    }
+    for name, fields in cases.items():
+        # Once as the third sibling, once with a fourth back on the
+        # shape — a miss must not cost the records after it their hit.
+        for tail in ([], taught[:1]):
+            image = _raw_reply(fmt, _raw_list(fmt, [
+                _raw_record(fmt, entries)
+                for entries in taught + [fields] + tail]))
+            _assert_lane_agrees(fmt, image, name)
+            got = fmt.loads(image, ("term",))["term"]
+            rows = [dict(entries) for entries in taught + [fields] + tail]
+            want = Termination("ok", (tuple(
+                FrozenRecord({key: {one: 1, two: 2, text: "n"}[raw]
+                              for key, raw in row.items()})
+                for row in rows),))
+            assert _same(_valued({"term": got}, ("term",))["term"], want), name
+            # Only names out of order or twice send the message back.
+            assert (type(got) is Termination) \
+                == (name not in ("unsorted", "duplicate")), name
+    # Headers that lie, and a cut inside a remembered key: no reader
+    # takes them, with or without a shape to try.
+    lies = {"packed": [{"count": 3}, {"count": 1}],
+            "tagged": [{"count": 3}, {"count": 1}, {"slack": 1},
+                       {"slack": -1}]}[fmt_name]
+    for lie in lies:
+        image = _raw_reply(fmt, _raw_list(fmt, [
+            _raw_record(fmt, entries) for entries in taught]
+            + [_raw_record(fmt, taught[0], **lie)]))
+        _assert_lane_agrees(fmt, image, lie)
+        with pytest.raises(MarshalError):
+            fmt.loads(image, ("term",))
+    # A record that stops short of its body, where what it leaves fits
+    # the containers around it entry for entry: only the record's own
+    # end check can tell (TAGGED; PACKED frames nothing by length).
+    short = _raw_record(fmt, [("b", one), ("c", two)], count=1)
+    image = _raw_reply(fmt, _raw_list(fmt, [_raw_record(
+        fmt, [("a", short), ("z", one)])], count=3))
+    _assert_lane_agrees(fmt, image, "leftovers the list could take")
+    image = _raw_reply(fmt, _raw_list(fmt, [
+        _raw_record(fmt, entries) for entries in taught * 2]))
+    cut = image.rindex(_chunk(fmt, "name")) + len(_chunk(fmt, "name")) - 2
+    for damaged in (image[:cut], image[:cut] + b"\x00" + image[cut + 1:]):
+        _assert_lane_agrees(fmt, damaged, "cut inside a key chunk")
+
+
+def test_a_negative_count_among_values_is_no_empty_container():
+    fmt = get_format("tagged")
+    for raw in (b"list[-1]#0#", b"map[-1]#0#"):
+        image = _raw_reply(fmt, raw)
+        _assert_lane_agrees(fmt, image, raw)
+        with pytest.raises(MarshalError):
+            fmt.loads(image, ("term",))
+    # ... nor among a record's fields.
+    record = _raw_record(fmt, [("a", _chunk(fmt, 1))]).replace(
+        b"map[1]", b"map[-1]")
+    with pytest.raises(MarshalError):
+        fmt.loads(_raw_reply(fmt, record), ("term",))
+
+
+def _tagged_reads(monkeypatch, image):
+    """Calls of ``_tagged_read`` to decode the reply *image* by its
+    lane: each key a shape answers is one call fewer."""
+    calls = []
+    real = formats._tagged_read
+
+    def counted(data, cur, values=False):
+        calls.append(cur.pos)
+        return real(data, cur, values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_tagged_read", counted)
+        got = get_format("tagged").loads(image, ("term",))["term"]
+    assert type(got) is Termination
+    return len(calls)
+
+
+def test_shapes_are_taken_not_merely_survived(monkeypatch):
+    """Green tests do not show a shape is *hit* (a miss gives the same
+    record): the count of generic reads does."""
+    fmt = get_format("tagged")
+    rng = DeterministicRandom(20, "bulk-value")
+    # The ledger's ``rpc_bulk`` value: 40 rows of one record type.
+    bulk = {"rev": 0, "index": 7, "blob": bytes(1024), "rows": [
+        {"id": row, "name": f"row-{rng.randint(0, 10 ** 6)}",
+         "score": rng.random(), "tags": ["t1", "t22", "t3"],
+         "active": bool(row % 3)} for row in range(40)]}
+    # 572 before records had shapes: 5 names x 38 rows fewer with them.
+    assert _tagged_reads(monkeypatch, fmt.dumps(
+        {"term": Termination("ok", (bulk,))}, M)) <= 430
+    # Alternating and nested shapes hit too (404 before): the table,
+    # not only the previous record, is asked.
+    assert _tagged_reads(monkeypatch, fmt.dumps(
+        {"term": Termination("ok", (_alternating_rows(40),))}, M)) <= 300
 
 
 # -- the compiled envelope readers ------------------------------------------------
@@ -455,7 +655,8 @@ def test_non_plain_values_take_the_two_pass_road_whole(fmt_name):
     ``refs_exported`` as ``dumps_reference`` over ``marshal_args`` —
     the lane truncates to its mark before the exporter is ever called."""
     fmt = get_format(fmt_name)
-    for name, args in _off_lane_args().items():
+    # Twice: the second pass finds every name in the writer's tables.
+    for name, args in 2 * list(_off_lane_args().items()):
         lane, road = Marshaller(_Exports()), Marshaller(_Exports())
         assert _request(fmt, args, lane, reference=False) \
             == _request(fmt, args, road, reference=True), name
