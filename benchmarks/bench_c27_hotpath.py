@@ -11,15 +11,16 @@ C27 measures the marshalling hot path rebuilt in PR 10:
 * **Request-marshal pipeline** — the C18-era path built a context dict
   (``Nucleus.encode_context``) and a marshalled argument tree,
   assembled the envelope dict, and walked the whole structure with the
-  generic recursive encoder (``dumps_reference``).  The zero-copy path
+  generic recursive encoder (``dumps_reference``, now the test oracle
+  ``tests/ndr_reference.py``).  The zero-copy path
   writes cached plan chunks, live ``InvocationContext`` fields and the
   argument values straight into one ``bytearray``
   (``InvocationPlan.encode_request``) — no intermediate dicts or
   trees, no chunk-list join, no per-call key sort.  The headline assertion is
   **≥3x** on the PACKED pipeline; the golden/fuzz layer pins the output
   byte-identical to the legacy walk.
-* **Codec micro** — raw ``dumps``/``loads`` fast paths vs the retained
-  reference walks, on a representative request envelope.
+* **Codec micro** — raw ``dumps``/``loads`` fast paths vs the reference
+  walks the tests hold them to, on a representative request envelope.
 * **Profile split** — the codec's share of a ``repro.check`` sweep.
 
 Both comparisons need no switch: the legacy pipeline is rebuilt here,
@@ -36,16 +37,18 @@ pipeline and not end to end.
 """
 
 import cProfile
+import os
 import pstats
 
 from repro.check.explorer import CheckConfig, run_seed
 from repro.comp.invocation import InvocationContext
 from repro.engine.remote import inv_object
 from repro.ndr.codec import Marshaller
-from repro.ndr.formats import PackedFormat, TaggedFormat
+from repro.ndr import PackedFormat, TaggedFormat
 from repro.ndr.plancache import InvocationPlan
 
 from benchmarks.workloads import as_report, rate_pair_us, write_report
+from tests.ndr_reference import dumps_reference, loads_reference
 
 #: Representative hot invocation: a transfer with credentials, a
 #: transaction id, a federation hop and overload stamps in ``extra``.
@@ -71,7 +74,7 @@ def _legacy_request_bytes(fmt, ctx):
     """The pre-plan marshalling path, step for step: marshalled
     argument tree and context dict (``inv_object``), envelope dict,
     generic recursive walk."""
-    return fmt.dumps_reference({
+    return dumps_reference(fmt, {
         "capsule": "capsule-7",
         "inv": inv_object(_MARSHALLER, "iface:Accounts@3", "transfer",
                           _ARGS, "invoke", 3, ctx, _INV_ID)})
@@ -93,9 +96,9 @@ def marshal_micro():
                                         _MARSHALLER))
         obj = fmt.loads(wire)
         enc_ref, enc_fast = rate_pair_us(
-            lambda: fmt.dumps_reference(obj), lambda: fmt.dumps(obj))
+            lambda: dumps_reference(fmt, obj), lambda: fmt.dumps(obj))
         dec_ref, dec_fast = rate_pair_us(
-            lambda: fmt.loads_reference(wire), lambda: fmt.loads(wire))
+            lambda: loads_reference(fmt, wire), lambda: fmt.loads(wire))
         out[name] = {
             "pipeline_legacy_us": legacy_us,
             "pipeline_plan_us": plan_us,
@@ -106,11 +109,13 @@ def marshal_micro():
     return out
 
 
-_CODEC_FILES = ("formats.py", "plancache.py", "sigcodec.py")
+#: Every module of the codec package, whatever its files are called.
+_CODEC_PACKAGE = os.sep + os.path.join("repro", "ndr") + os.sep
 
 
 def profile_split(seeds=8):
-    """tottime split of a check sweep: codec files vs everything else."""
+    """tottime split of a check sweep: the codec package vs everything
+    else."""
     run_seed(0, CheckConfig())  # warm
     profile = cProfile.Profile()
     profile.enable()
@@ -120,7 +125,7 @@ def profile_split(seeds=8):
     total = codec = 0.0
     for (filename, _, _), row in pstats.Stats(profile).stats.items():
         total += row[2]
-        if filename.endswith(_CODEC_FILES):
+        if _CODEC_PACKAGE in filename:
             codec += row[2]
     return {"total_s": total, "codec_s": codec,
             "codec_share": codec / total}
@@ -138,7 +143,7 @@ def test_c27_request_pipeline_gain():
 
 def test_c27_codec_fast_paths_beat_reference():
     """Regression guard: the fast paths must stay ahead of the
-    reference walks (which remain the executable spec)."""
+    reference walks (the executable spec, kept as the test oracle)."""
     micro = marshal_micro()
     assert micro["packed"]["enc_gain"] >= 1.2
     assert micro["packed"]["dec_gain"] >= 1.2

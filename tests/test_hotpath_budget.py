@@ -64,7 +64,8 @@ def _bulk_value():
 
 def _calls_into_package(work) -> int:
     """Python-level calls *work* makes into functions defined under
-    this package (C calls are no ``call`` events)."""
+    this package (C calls are no ``call`` events).  Whatever profiler
+    was installed before — coverage, a reach audit — is back after."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -72,11 +73,12 @@ def _calls_into_package(work) -> int:
         if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
             calls += 1
 
+    outer = sys.getprofile()
     sys.setprofile(profile)
     try:
         work()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return calls
 
 
@@ -115,3 +117,17 @@ def test_warm_bulk_put_and_get_stay_inside_their_call_budget():
         assert calls <= BULK_BUDGET, (
             f"{calls} Python calls per warm bulk invocation, budget "
             f"{BULK_BUDGET}")
+
+
+def test_counting_leaves_an_outer_profiler_installed():
+    """A budget run does not blind the profiler around it."""
+    def outer(frame, event, arg):
+        pass
+
+    previous = sys.getprofile()
+    sys.setprofile(outer)
+    try:
+        test_warm_invocation_stays_inside_its_call_budget()
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(previous)

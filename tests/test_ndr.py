@@ -1,17 +1,18 @@
 """Tests for wire formats, signature codec and the marshaller."""
 
+import ast
+import pathlib
+
 import pytest
+
+import repro
 
 from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.errors import MarshalError
 from repro.ndr.codec import Marshaller
-from repro.ndr.formats import (
-    PackedFormat,
-    TaggedFormat,
-    available_formats,
-    get_format,
-)
+from repro.ndr import PackedFormat, TaggedFormat
+from repro.ndr.formats import available_formats, get_format
 from repro.ndr.sigcodec import signature_from_obj, signature_to_obj
 from repro.types import InterfaceSignature, OperationSig, TerminationSig
 from repro.types.terms import INT, RecordType, RefType, SeqType, STR
@@ -206,3 +207,45 @@ class TestEngineeringAnnotationsOnWire:
         out = signature_from_obj(signature_to_obj(signature))
         assert out.operation("peek").readonly is True
         assert out.operation("poke").readonly is False
+
+
+#: The specification walk's names: a test oracle (``tests/ndr_reference.py``).
+_REFERENCE_WALK = {"_write", "_read", "dumps_reference", "loads_reference"}
+
+
+def test_one_module_per_wire_format():
+    """Each format's bytes are its own module's; the package neither
+    defines nor calls the reference walk; the plan cache holds keys and
+    constant chunks and calls its format, with no wire literal and no
+    format fork of its own."""
+    root = pathlib.Path(repro.__file__).parent
+    trees = {path.relative_to(root).as_posix(): ast.parse(path.read_text())
+             for path in sorted(root.rglob("*.py"))}
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    def literals(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, bytes)]
+
+    assert {path: sorted(_REFERENCE_WALK.intersection(names(tree)))
+            for path, tree in trees.items()
+            if _REFERENCE_WALK.intersection(names(tree))} == {}
+    assert sorted(path for path, tree in trees.items()
+                  if path.startswith("ndr/") and literals(tree)) \
+        == ["ndr/packed.py", "ndr/tagged.py"]
+    assert not {"PackedFormat", "TaggedFormat", "packed", "tagged"} \
+        & set(names(trees["ndr/plancache.py"]))
+    assert {path: length for path in trees if path.startswith("ndr/")
+            for length in [len((root / path).read_text().splitlines())]
+            if length > 700} == {}

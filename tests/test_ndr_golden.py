@@ -17,14 +17,17 @@ Two independent guarantees live here:
    federation bug, and this file is what catches it.
 
 3. **Damage tolerance** — bytes come from outside the program: every
-   truncation and a bit flip in every byte of the pinned images, on the
-   fast and the reference decoder alike, yields a value or a
-   ``MarshalError`` and nothing else.
+   truncation, a bit flip in every byte and every length field set past
+   the end of the pinned images, on the production decoder and the
+   specification's (``tests/ndr_reference.py``) alike, yields a value or
+   a ``MarshalError`` and nothing else — for a length past the end, the
+   same truncation error from every decoder.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import pytest
 
@@ -40,6 +43,7 @@ from repro.ndr.sigcodec import signature_to_obj, term_to_obj
 from repro.trace.context import TraceContext
 from repro.types.terms import INT, RecordType, RefType, SeqType, STR
 from tests.conftest import Account, Counter
+from tests.ndr_reference import dumps_reference, loads_reference
 
 FORMATS = ("packed", "tagged")
 
@@ -355,7 +359,7 @@ def test_one_buffer_request_matches_generic_walk(fmt_name):
                                   epoch, inv_id is not None)
             assert plan.encode_request(tuple(args), _context_of(ctx),
                                        inv_id, marshaller) \
-                == fmt.dumps_reference({
+                == dumps_reference(fmt, {
                     "capsule": "srv",
                     "inv": _reference_inv(marshaller, args, ctx, inv_id,
                                           epoch, kind)}), _pass
@@ -377,8 +381,8 @@ def test_one_buffer_batch_matches_generic_walk(fmt_name):
             tuple(args), _context_of(ctx), inv_id, marshaller))
         objs.append(_reference_inv(marshaller, args, ctx, inv_id, epoch,
                                    kind))
-    assert encode_batch(fmt, "srv", members) == fmt.dumps_reference(
-        {"batch": objs, "capsule": "srv"})
+    assert encode_batch(fmt, "srv", members) == dumps_reference(
+        fmt, {"batch": objs, "capsule": "srv"})
 
 
 def test_transport_encoding_matches_generic_walk(single_domain):
@@ -445,45 +449,124 @@ HOSTILE = {
     # a count closed twice.
     "tagged_counted_scalar": ("tagged", b"@TAGGED@text[3]#2#ab"),
     "tagged_double_bracket": ("tagged", b"@TAGGED@list[0]]#0#"),
+    # PACKED lengths that run past the end, which a slice clips without
+    # a word: both readers called the first two trailing bytes, and
+    # inside a list they disagreed about what the message was.
+    "packed_text_past_end":
+        ("packed", b"\xa5Ps\x00\x00\x03\xe8hello"),
+    "packed_octets_past_end":
+        ("packed", b"\xa5Pb\x80\x00\x00\x00" + b"x" * 10),
+    "packed_text_past_end_in_list":
+        ("packed", b"\xa5Pl\x00\x00\x00\x02s\x00\x00\x03\xe8hello"
+                   b"i\x00\x00\x00\x00\x00\x00\x00\x01"),
 }
 
-DECODERS = ("loads", "loads_reference")
+#: Decoder name -> how it decodes *data* as *fmt*: the production tree
+#: reader and the specification's.
+DECODERS = {"loads": lambda fmt, data: fmt.loads(data),
+            "loads_reference": loads_reference}
+
+
+def _packed_lengths(image, pos, found):
+    """Append to *found* the ``(offset, width)`` of every ``s`` / ``b`` /
+    ``I`` length field of the PACKED value at *pos*; returns its end."""
+    tag = image[pos]
+    if tag in b"sbI":
+        found.append((pos + 1, 4))
+        return pos + 5 + struct.unpack_from(">I", image, pos + 1)[0]
+    if tag in b"if":
+        return pos + 9
+    if tag in b"NTF":
+        return pos + 1
+    count = struct.unpack_from(">I", image, pos + 1)[0]
+    pos += 5
+    for _ in range(2 * count if tag == ord("d") else count):
+        pos = _packed_lengths(image, pos, found)
+    return pos
+
+
+def _tagged_lengths(image, pos, found):
+    """The same for the TAGGED value at *pos*: every frame's ``#len#``."""
+    first = image.index(b"#", pos)
+    second = image.index(b"#", first + 1)
+    found.append((first + 1, second - first - 1))
+    end = second + 1 + int(image[first + 1:second])
+    if b"[" in image[pos:first]:
+        pos = second + 1
+        while pos < end:
+            pos = _tagged_lengths(image, pos, found)
+    return end
+
+
+def _oversized(image):
+    """*image* with each of its length fields in turn set to run past
+    the end of the message (sampled as :func:`_damaged` samples)."""
+    found = []
+    if image.startswith(get_format("packed")._MAGIC):
+        _packed_lengths(image, 2, found)
+        past = struct.pack(">I", len(image))
+    else:
+        _tagged_lengths(image, len(get_format("tagged")._MAGIC), found)
+        past = b"%d" % len(image)
+    for at, width in found[::1 if len(image) <= 4096 else 13]:
+        yield image[:at] + past + image[at + width:]
 
 
 def _damaged(image):
-    """Every truncation of *image*, and a one-bit flip in every byte
-    (the bit rotates with the offset, so each of the eight is exercised
-    on every kind of field).  Decoding a damaged image costs as much as
-    decoding the image, so the two ~11-14 KB ``max_batch_envelope``
-    images — 32 members of one shape — are sampled at every 13th offset
-    to keep the sweep inside the tier-1 budget; the other 24 are
-    exhaustive."""
+    """Every truncation of *image*, a one-bit flip in every byte (the
+    bit rotates with the offset, so each of the eight is exercised on
+    every kind of field), and every length field set past the end.
+    Decoding a damaged image costs as much as decoding the image, so
+    the two ~11-14 KB ``max_batch_envelope`` images — 32 members of one
+    shape — are sampled at every 13th offset and field to keep the sweep
+    inside the tier-1 budget; the other 24 are exhaustive."""
     step = 1 if len(image) <= 4096 else 13
     for k in range(0, len(image), step):
         yield image[:k]
         yield image[:k] + bytes((image[k] ^ (1 << (k % 8)),)) \
             + image[k + 1:]
+    yield from _oversized(image)
 
 
-@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("decoder", sorted(DECODERS))
 @pytest.mark.parametrize("fmt_name", FORMATS)
 def test_damaged_images_decode_or_raise_marshal_error(fmt_name, decoder):
     fmt = get_format(fmt_name)
-    decode = getattr(fmt, decoder)
+    decode = DECODERS[decoder]
     for name, obj in _corpus():
         for damaged in _damaged(fmt.dumps(obj)):
             try:
-                decode(damaged)
+                decode(fmt, damaged)
             except MarshalError:
                 pass
 
 
-@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("fmt_name", FORMATS)
+def test_lengths_past_the_end_are_truncations(fmt_name):
+    """Every decoder — the tree reader, the specification's, and each
+    compiled envelope reader with its lanes — calls a length that runs
+    past the end of the message what it is: a truncation, not trailing
+    bytes or an unknown tag."""
+    fmt = get_format(fmt_name)
+    decoders = [*DECODERS.values(),
+                lambda fmt, data: fmt.loads(data, ("inv", "args")),
+                lambda fmt, data: fmt.loads(data, ("term",))]
+    damaged = [bad for _, obj in _corpus() for bad in _oversized(fmt.dumps(obj))]
+    damaged += [payload for name, (where, payload) in HOSTILE.items()
+                if where == fmt_name and "past_end" in name]
+    for data in damaged:
+        for decode in decoders:
+            with pytest.raises(MarshalError) as caught:
+                decode(fmt, data)
+            assert str(caught.value) == f"truncated {fmt_name} payload"
+
+
+@pytest.mark.parametrize("decoder", sorted(DECODERS))
 @pytest.mark.parametrize("probe", sorted(HOSTILE))
 def test_hostile_probes_raise_marshal_error(probe, decoder):
     fmt_name, payload = HOSTILE[probe]
     with pytest.raises(MarshalError):
-        getattr(get_format(fmt_name), decoder)(payload)
+        DECODERS[decoder](get_format(fmt_name), payload)
 
 
 def test_signature_objects_are_memoised():

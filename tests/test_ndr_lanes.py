@@ -4,10 +4,10 @@
 values straight to bytes and ``loads(data, values=path)`` takes bytes
 straight to values, through the compiled reader of the request or the
 reply envelope.  ``Marshaller.marshal``/``unmarshal`` around the
-reference walks is the executable specification: the lanes must give
-its bytes, its values, its errors and its side effects — on well-formed
-input, on every damaged image, and on the hand-built shapes no encoder
-emits.
+reference walks of ``tests/ndr_reference.py`` is the executable
+specification: the lanes must give its bytes, its values, its errors
+and its side effects — on well-formed input, on every damaged image,
+and on the hand-built shapes no encoder emits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.engine.remote import inv_object, invoke_at
 from repro.errors import MarshalError
-from repro.ndr import formats
+from repro.ndr import tagged
 from repro.ndr.codec import Marshaller
 from repro.ndr.formats import _NAMES_CAP, _chunk, get_format
 from repro.ndr.plancache import PlanCache
@@ -34,6 +34,7 @@ from repro.sim.rand import DeterministicRandom
 from repro.trace.context import TraceContext
 from repro.util.freeze import FrozenRecord, deep_freeze
 from tests.conftest import Counter
+from tests.ndr_reference import dumps_reference, loads_reference
 from tests.test_ndr_golden import FORMATS, HOSTILE, _corpus, _damaged
 from tests.test_ndr_property import _ALPHABET, _gen_value
 
@@ -90,7 +91,7 @@ def _assert_lane_agrees(fmt, data, what, paths=PATHS):
     """Fast tree == reference tree; for each path, lane == two-pass
     road, or both end in ``MarshalError``.  Anything else a decoder
     raises escapes and fails the test."""
-    tree = _decoded(fmt.loads_reference, data)
+    tree = _decoded(loads_reference, fmt, data)
     # Plain trees have unambiguous reprs (types, key order, nan, -0.0).
     assert repr(_decoded(fmt.loads, data)) == repr(tree), what
     for path in paths:
@@ -155,7 +156,7 @@ def _request(fmt, args, marshaller, reference, inv_id="cli#1", traced=False):
         principal="alice",
         trace=TraceContext.from_wire(_TRACE) if traced else None)
     if reference:
-        return fmt.dumps_reference({"capsule": "srv", "inv": inv_object(
+        return dumps_reference(fmt, {"capsule": "srv", "inv": inv_object(
             marshaller, "if.x-1", "op", args, "interrogation", 3, context,
             inv_id)})
     plan = PlanCache().plan_for(fmt, "srv", "if.x-1", "op",
@@ -176,7 +177,7 @@ def test_lanes_match_two_pass_road_on_values(fmt_name):
     for case, value in enumerate(_values()):
         term = Termination("ok", (value, case))
         reply = fmt.dumps({"term": term}, M)
-        assert reply == fmt.dumps_reference({"term": M.marshal(term)}), case
+        assert reply == dumps_reference(fmt, {"term": M.marshal(term)}), case
         request = _request(fmt, (value, "k"), M, reference=False)
         assert request == _request(fmt, (value, "k"), M, True), case
         # The lane is taken, not merely survived: no wire tree is left.
@@ -310,8 +311,8 @@ def test_remembered_names_write_the_reference_bytes(fmt_name):
         for case, value in enumerate(values):
             for image in (value, deep_freeze(value)):
                 term = Termination("ok", (image,))
-                assert fmt.dumps({"term": term}, M) == fmt.dumps_reference(
-                    {"term": M.marshal(term)}), (warm, case)
+                assert fmt.dumps({"term": term}, M) == dumps_reference(
+                    fmt, {"term": M.marshal(term)}), (warm, case)
     assert set(fmt._names) == {name for row in _rows(1) + _alternating_rows(2)
                                for name in [*row, *row.get("pos", ())]}
     assert not any(type(name) is Name for name in fmt._names)
@@ -326,8 +327,8 @@ def test_writer_tables_stop_at_their_cap(fmt_name):
         row = {f"name-{start + i:04d}": i for i in (2, 0, 1)}
         for value in ([row, row], deep_freeze([row, row])):
             term = Termination("ok", (value,))
-            assert fmt.dumps({"term": term}, M) == fmt.dumps_reference(
-                {"term": M.marshal(term)}), start
+            assert fmt.dumps({"term": term}, M) == dumps_reference(
+                fmt, {"term": M.marshal(term)}), start
         assert len(fmt._names) == min(start + 3, _NAMES_CAP)
         # A layout is kept only while every name of it is.
         assert len(fmt._layouts) == min(start // 3 + 1,
@@ -420,14 +421,14 @@ def _tagged_reads(monkeypatch, image):
     """Calls of ``_tagged_read`` to decode the reply *image* by its
     lane: each key a shape answers is one call fewer."""
     calls = []
-    real = formats._tagged_read
+    real = tagged._tagged_read
 
     def counted(data, cur, values=False):
         calls.append(cur.pos)
         return real(data, cur, values)
 
     with monkeypatch.context() as patch:
-        patch.setattr(formats, "_tagged_read", counted)
+        patch.setattr(tagged, "_tagged_read", counted)
         got = get_format("tagged").loads(image, ("term",))["term"]
     assert type(got) is Termination
     return len(calls)
@@ -474,7 +475,7 @@ def test_envelope_plans_are_taken(fmt_name):
     for term in (Termination("ok", (1,)), Termination("ok"),
                  Termination("insufficient_funds", (5, {"owed": 2.5}))):
         reply = fmt.dumps({"term": term}, M)
-        assert reply == fmt.dumps_reference({"term": M.marshal(term)})
+        assert reply == dumps_reference(fmt, {"term": M.marshal(term)})
         got = fmt.loads(reply, PATHS[1])["term"]
         assert type(got) is Termination and got == term
         _assert_lane_agrees(fmt, reply, term)
@@ -505,7 +506,7 @@ def test_invoke_at_requests_take_the_plan(fmt_name):
         assert type(inv["args"]) is tuple
         assert "inv_id" not in inv and ("trace" in inv["ctx"]) == traced
         # ... and the bytes are the two-pass road's.
-        assert payload == fmt.dumps_reference(fmt.loads(payload))
+        assert payload == dumps_reference(fmt, fmt.loads(payload))
 
 
 class _Pairs(list):
@@ -594,7 +595,7 @@ def test_envelope_plans_stand_aside_for_the_tree_reader(fmt_name):
         if name != "canonical":
             for path in PATHS:
                 assert repr(fmt.loads(image, path)) \
-                    == repr(fmt.loads_reference(image)), (name, path)
+                    == repr(loads_reference(fmt, image)), (name, path)
     for name, header in LYING_HEADERS[fmt_name].items():
         for which in (0, 1, 2):
             shape = _canonical()
@@ -665,7 +666,7 @@ def test_non_plain_values_take_the_two_pass_road_whole(fmt_name):
         assert lane.refs_exported == road.refs_exported, name
         term = Termination("ok", args)
         assert fmt.dumps({"term": term}, lane) \
-            == fmt.dumps_reference({"term": road.marshal(term)}), name
+            == dumps_reference(fmt, {"term": road.marshal(term)}), name
         assert [id(o) for o in lane.exporter.seen] \
             == [id(o) for o in road.exporter.seen], name
         assert lane.refs_exported == road.refs_exported, name

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.ndr.codec import Marshaller
-from repro.ndr.formats import PackedFormat, TaggedFormat
+from repro.ndr import PackedFormat, TaggedFormat
 
 scalars = st.one_of(
     st.none(),
@@ -91,13 +91,22 @@ def test_marshalling_is_idempotent_on_canonical_values(value):
 # ---------------------------------------------------------------------------
 # Deterministic fuzz: DeterministicRandom-forked value streams, pinned
 # independent of hypothesis.  Every generated tree must (a) encode to
-# the *same bytes* through the zero-copy fast path and the legacy
-# reference walk, and (b) survive decode(encode(v)) == v — through
-# both decoders — for both wire formats.
+# the *same bytes* through the zero-copy fast path and the reference
+# walk of ``tests/ndr_reference.py``, (b) survive decode(encode(v)) == v
+# — through both decoders — for both wire formats, and (c) in disguise,
+# its scalars and containers swapped for subclasses and something no
+# format encodes set beside it, give the reference's bytes and the
+# reference's error: the fast writers' own fallback.
 # ---------------------------------------------------------------------------
 
+import enum
+from collections import OrderedDict, defaultdict, namedtuple
+from functools import partial
+
+from repro.errors import MarshalError
 from repro.ndr.formats import get_format
 from repro.sim.rand import DeterministicRandom
+from tests.ndr_reference import dumps_reference, loads_reference
 
 _ALPHABET = "abz019 _-.:/é✓日"
 
@@ -147,20 +156,89 @@ def _deep_eq(a, b):
     return a == b
 
 
+_Level = enum.IntEnum("_Level", {"LOW": -7, "HIGH": 2 ** 40})
+_Pair = namedtuple("_Pair", "first second")
+
+
+class _Text(str):
+    pass
+
+
+class _Blob(bytes):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+_SUBCLASSES = {str: _Text, bytes: _Blob, float: _Real}
+
+#: What no wire format encodes: a map with a non-string key, a set, an
+#: application object.
+_UNENCODABLE = (lambda: {1: "int key"}, lambda: {2, 3}, object)
+
+
+def _disguised(rng, value):
+    """*value* with scalars, containers and map keys swapped, at random,
+    for subclasses of their types — an ``IntEnum`` member, a namedtuple,
+    an ``OrderedDict`` or a ``defaultdict`` among them."""
+    tp = type(value)
+    if tp is list:
+        items = [_disguised(rng, item) for item in value]
+        kinds = [list, tuple, _Items]
+        if len(items) == 2:
+            kinds.append(_Pair._make)
+        return rng.choice(kinds)(items)
+    if tp is dict:
+        items = {_Text(key) if type(key) is str and rng.chance(0.3) else key:
+                 _disguised(rng, item) for key, item in value.items()}
+        return rng.choice([dict, OrderedDict,
+                           partial(defaultdict, list)])(items)
+    if rng.chance(0.5):
+        return value
+    if tp is int:
+        return rng.choice(list(_Level))
+    if tp in _SUBCLASSES:
+        return _SUBCLASSES[tp](value)
+    return value
+
+
+def _raised(encode, value):
+    """The type and text of the error *encode* raises on *value*."""
+    try:
+        encode(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def test_deterministic_fuzz_zero_copy_matches_reference():
     root = DeterministicRandom(2027, "ndr-fuzz")
     for case in range(150):
         rng = root.fork(f"case-{case}")
         value = {"v": _gen_value(rng, 4)}
+        twist = root.fork(f"disguise-{case}")
+        disguised = _disguised(twist, value)
+        poisoned = _disguised(twist, [value, twist.choice(_UNENCODABLE)()])
         for fmt_name in ("packed", "tagged"):
             fmt = get_format(fmt_name)
             fast = fmt.dumps(value)
-            reference = fmt.dumps_reference(value)
+            reference = dumps_reference(fmt, value)
             assert fast == reference, (fmt_name, case, value)
             decoded_fast = fmt.loads(fast)
-            decoded_ref = fmt.loads_reference(fast)
+            decoded_ref = loads_reference(fmt, fast)
             assert _deep_eq(decoded_fast, value), (fmt_name, case)
             assert _deep_eq(decoded_ref, value), (fmt_name, case)
+            assert fmt.dumps(disguised) == dumps_reference(
+                fmt, disguised), (fmt_name, case, disguised)
+            error = _raised(fmt.dumps, poisoned)
+            assert error == _raised(partial(dumps_reference, fmt), poisoned)
+            assert error[0] is MarshalError, (fmt_name, case, error)
 
 
 def test_deterministic_fuzz_is_reproducible():
