@@ -24,6 +24,7 @@ from repro.errors import (
     StaleReferenceError,
     UnknownOperationError,
 )
+from repro.ndr.codec import Marshaller
 from repro.trace.context import pop_active, push_active
 from repro.trace.span import NULL_SPAN
 from repro.types.signature import InterfaceSignature
@@ -40,6 +41,9 @@ class Capsule:
         self.forwards: Dict[str, InterfaceRef] = {}
         #: Memoised implicit exports: id(obj) -> InterfaceRef.
         self._implicit: Dict[int, InterfaceRef] = {}
+        #: Every leg this capsule marshals through; mutable arguments
+        #: are exported from here (pass by reference, section 4.4).
+        self.marshaller = Marshaller(exporter=self.implicit_export)
         self.dispatches = 0
         #: Invocation-id minting: a forked deterministic stream gives the
         #: capsule a stable tag, a counter guarantees uniqueness.

@@ -271,7 +271,6 @@ class TransportLayer:
 
     def _encode(self, invocation: Invocation, path: AccessPath) -> bytes:
         wire = get_format(path.wire_format)
-        marshaller = self.nucleus.marshaller_for(self.capsule)
         inv_id = None
         if self._discipline.inv_ids and invocation.invocation_id:
             inv_id = invocation.invocation_id
@@ -284,7 +283,7 @@ class TransportLayer:
         # context straight from its fields, skipping encode_context's
         # dict.
         return plan.encode_request(invocation.args, invocation.context,
-                                   inv_id, marshaller)
+                                   inv_id, self.capsule.marshaller)
 
     # -- the exchange -----------------------------------------------------------
 
@@ -511,8 +510,8 @@ class TransportLayer:
                 node=self.nucleus.node_address,
                 tags={"format": path.wire_format})
         termination = decode_reply(
-            get_format(path.wire_format), reply,
-            self.nucleus.marshaller_for(self.capsule), path.node)
+            get_format(path.wire_format), reply, self.capsule.marshaller,
+            path.node)
         if verbose:
             unmarshal_span.finish()
         return termination

@@ -142,9 +142,8 @@ class ReplyRouter:
         if entry is None:
             return
         future, capsule = entry
-        marshaller = self.nucleus.marshaller_for(capsule)
         try:
-            termination = termination_of(reply, marshaller,
+            termination = termination_of(reply, capsule.marshaller,
                                          message.source)
         except OdpError as exc:
             future._fail(exc)
@@ -180,7 +179,6 @@ class AsyncInvoker:
         future = self.router.new_future(self.capsule)
         path = ref.primary_path()
         wire = get_format(path.wire_format)
-        marshaller = self.nucleus.marshaller_for(self.capsule)
         context = InvocationContext(principal=principal)
         domain = self.nucleus.domain
         if domain is not None:
@@ -191,8 +189,9 @@ class AsyncInvoker:
             "capsule": path.capsule,
             "call_id": future.call_id,
             "reply_to": self.nucleus.node_address,
-            "inv": inv_object(marshaller, ref.interface_id, operation,
-                              args, "interrogation", ref.epoch, context),
+            "inv": inv_object(self.capsule.marshaller, ref.interface_id,
+                              operation, args, "interrogation", ref.epoch,
+                              context),
         }
         self.nucleus.network.post(self.nucleus.node_address, path.node,
                                   wire.dumps(envelope), kind="ainvoke")

@@ -10,25 +10,30 @@ stacks at export time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from repro.comp.invocation import (
     Invocation,
     InvocationContext,
     InvocationKind,
 )
-from repro.comp.outcomes import Termination
 from repro.engine.capsule import Capsule
 from repro.engine.wire_errors import encode_error
 from repro.errors import (
+    FederationError,
     InvocationExpiredError,
     MarshalError,
     OdpError,
     ServerBusyError,
 )
 from repro.overload.budget import RetryBudgetRegistry
-from repro.overload.deadline import DeadlineGate, deadline_of, priority_of
-from repro.comp.reference import AccessPath
+from repro.overload.deadline import (
+    DeadlineGate,
+    deadline_of,
+    priority_of,
+    readable_stamps,
+)
+from repro.comp.reference import AccessPath, InterfaceRef
 from repro.ndr.codec import Marshaller
 from repro.ndr.formats import get_format
 from repro.net.network import Network, NetworkNode
@@ -42,12 +47,13 @@ from repro.trace.span import NULL_SPAN
 #: Sentinel reply for undecodable requests (wire-format mismatch).
 FORMAT_ERROR_REPLY = b"!FORMAT-MISMATCH"
 
-#: What reading a decodable-but-misshapen envelope raises: a missing
-#: key, a scalar where an object or list belongs, an unparsable stamp.
-_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+#: What :meth:`Nucleus._read` holds each field's type to.
+_TEXT = {str}
+_TEXT_OR_NONE = {str, type(None)}
 
-#: Stands in for an absent ``ctx`` / ``extra`` object; never written.
-_NO_CTX: Mapping[str, Any] = {}
+#: Reads the values an inbound invocation carries.  Unmarshalling never
+#: touches the exporter, so one marshaller serves every capsule.
+_UNMARSHALLER = Marshaller()
 
 #: Where a request envelope holds application values (``loads``'s
 #: *values* path): the single-invocation road decodes them in one walk.
@@ -66,6 +72,7 @@ class Nucleus:
                  domain=None, processing_ms: float = 0.05) -> None:
         self.network = network
         self.node = node
+        self.node_address = node.address
         self.domain = domain
         self.processing_ms = processing_ms
         self.capsules: Dict[str, Capsule] = {}
@@ -99,8 +106,6 @@ class Nucleus:
         #: Codec plan caches opened against this node (transports and
         #: batchers register here) — management visibility only.
         self.plan_caches = []
-        #: Per-capsule marshaller reuse (see :meth:`marshaller_for`).
-        self._marshallers = {}
         #: BatchClients issuing from this node, for the same reason.
         self.batchers = []
         #: TransportLayers opened by this node's capsules, likewise.
@@ -121,10 +126,6 @@ class Nucleus:
     # -- identity -------------------------------------------------------------
 
     @property
-    def node_address(self) -> str:
-        return self.node.address
-
-    @property
     def tracer(self):
         """The domain's trace collector (a no-op one outside domains)."""
         tracer = self._tracer
@@ -136,8 +137,8 @@ class Nucleus:
 
     def mint_interface_id(self) -> str:
         if self.domain is not None:
-            return self.domain.mint(f"if.{self.node.address}")
-        return f"if.{self.node.address}-{self.requests_handled}-" \
+            return self.domain.mint(f"if.{self.node_address}")
+        return f"if.{self.node_address}-{self.requests_handled}-" \
                f"{len(self.capsules)}-{sum(len(c.interfaces) for c in self.capsules.values())}"
 
     # -- capsules -------------------------------------------------------------
@@ -145,7 +146,7 @@ class Nucleus:
     def create_capsule(self, name: str) -> Capsule:
         if name in self.capsules:
             raise ValueError(f"capsule {name!r} already exists on "
-                             f"{self.node.address}")
+                             f"{self.node_address}")
         capsule = Capsule(name, self)
         self.capsules[name] = capsule
         return capsule
@@ -157,20 +158,10 @@ class Nucleus:
         """One access path per protocol the node speaks, "rrp" first."""
         protocols = ["rrp"] + sorted(self.node.protocols - {"rrp"})
         return tuple(
-            AccessPath(self.node.address, capsule_name,
+            AccessPath(self.node_address, capsule_name,
                        protocol=protocol,
                        wire_format=self.node.native_format)
             for protocol in protocols)
-
-    def marshaller_for(self, capsule: Capsule) -> Marshaller:
-        # One marshaller per capsule for the nucleus' own hot paths;
-        # Marshaller state is just the exporter hook and two counters,
-        # so reuse is safe and saves an allocation per request leg.
-        marshaller = self._marshallers.get(capsule)
-        if marshaller is None:
-            marshaller = Marshaller(exporter=capsule.implicit_export)
-            self._marshallers[capsule] = marshaller
-        return marshaller
 
     # -- export-time hooks -------------------------------------------------------
 
@@ -188,64 +179,69 @@ class Nucleus:
 
     # -- wire handling -------------------------------------------------------------
     #
-    # Every inbound kind takes the same road: a *gate* (_arrive: dedup,
-    # arrival deadline, admission verdict; _serve: queue wait,
-    # post-queue deadline) and one *execute* step (_execute).  A single
-    # request is that road once; a batch is a map over its members with
-    # every verdict taken at the batch's arrival instant; the one-way
-    # kinds have nobody to report a shed to, so they skip the gate.
+    # One door: every inbound invocation is read once (_read), and what
+    # it refuses reaches nothing else.  Then one road: server span, count
+    # and processing charge, capsule, the *gate* (_arrive: dedup, arrival
+    # deadline, admission; _serve: queue wait, post-queue deadline) and
+    # _execute.  A batch maps it over its members, every verdict taken at
+    # arrival; the one-way kinds skip the gate (nobody hears of a shed).
 
-    def decode_invocation(self, capsule: Capsule,
-                           obj: Dict[str, Any]) -> Invocation:
-        marshaller = self.marshaller_for(capsule)
-        try:
-            ctx_obj = obj.get("ctx", {})
-            # The decoded tree is freshly built by ``loads`` and owned
-            # by this invocation alone, so its dicts are adopted as-is —
-            # no defensive copies on the decode path.
-            credentials = ctx_obj.get("credentials") or {}
-            extra = ctx_obj.get("extra") or {}
-            if type(credentials) is not dict or type(extra) is not dict:
-                raise TypeError("context credentials/extra not objects")
-            via_domains = ctx_obj.get("via_domains", [])
-            if type(via_domains) is not list:  # text would iterate too
-                raise TypeError("via_domains is not a list")
-            context = InvocationContext(
-                principal=ctx_obj.get("principal"),
-                credentials=credentials,
-                transaction_id=ctx_obj.get("transaction_id"),
-                origin_domain=ctx_obj.get("origin_domain"),
-                via_domains=tuple(via_domains),
-                extra=extra,
-            )
-            # A tuple came through the decoder's value lane and is the
-            # argument values themselves; a list is still the wire tree.
-            args = obj.get("args", ())
-            if type(args) is list:
-                args = marshaller.unmarshal_args(args)
-            elif type(args) is not tuple:
-                raise TypeError("args is not a list")
-            interface_id, operation = obj["id"], obj["op"]
-            epoch = obj.get("epoch", 0)
-            if (type(interface_id) is not str or type(operation) is not str
-                    or type(epoch) is not int):  # a bool is no epoch either
-                raise TypeError("id/op is not text or epoch no integer")
-            return Invocation(
-                interface_id=interface_id,
-                operation=operation,
-                args=args,
-                kind=(InvocationKind.ANNOUNCEMENT
-                      if obj.get("kind") == "announcement"
-                      else InvocationKind.INTERROGATION),
-                context=context,
-                epoch=epoch,
-                invocation_id=obj.get("inv_id", ""),
-            )
-        except _MALFORMED as exc:
-            # Decodable bytes, wrong shape: a typed wire error, never a
-            # crash in whoever called Network.request.
-            raise MarshalError(
-                f"malformed invocation object: {exc!r}") from exc
+    @staticmethod
+    def _read(obj: Any, where: str = "") -> Invocation:
+        """The one reader of an inbound ``inv`` object: each field held to
+        the type a well-formed sender writes, list ``args`` unmarshalled
+        (a tuple is the value lane's), the trace parsed (a malformed one
+        is none), the tree's fresh dicts adopted.  Raises
+        :class:`MarshalError` for anything that cannot be served."""
+        ctx = obj.get("ctx", {}) if type(obj) is dict else None
+        if type(ctx) is not dict:
+            raise MarshalError(f"malformed {where}invocation object: "
+                               f"it or its ctx is no object")
+        credentials = ctx.get("credentials") or {}
+        extra = ctx.get("extra") or {}
+        via_domains = ctx.get("via_domains", [])
+        principal, transaction_id, origin_domain = (
+            ctx.get("principal"), ctx.get("transaction_id"),
+            ctx.get("origin_domain"))
+        args = obj.get("args", ())
+        if type(args) is list:
+            args = _UNMARSHALLER.unmarshal_args(args)
+        interface_id, operation = obj.get("id"), obj.get("op")
+        kind, invocation_id = obj.get("kind", ""), obj.get("inv_id", "")
+        epoch = obj.get("epoch", 0)
+        if (type(credentials) is not dict or type(extra) is not dict
+                or type(via_domains) is not list  # text iterates too
+                or not {*map(type, via_domains)} <= _TEXT
+                or not {type(principal), type(transaction_id),
+                        type(origin_domain)} <= _TEXT_OR_NONE
+                or (extra and not readable_stamps(extra))
+                or type(args) is not tuple
+                or type(epoch) is not int  # a bool is no epoch either
+                or {type(interface_id), type(operation), type(kind),
+                    type(invocation_id)} != _TEXT):
+            raise MarshalError(f"malformed {where}invocation object: "
+                               f"a field of the wrong type")
+        trace = ctx.get("trace")
+        return Invocation(
+            interface_id=interface_id, operation=operation, args=args,
+            kind=(InvocationKind.ANNOUNCEMENT if kind == "announcement"
+                  else InvocationKind.INTERROGATION),
+            context=InvocationContext(
+                principal=principal, credentials=credentials,
+                transaction_id=transaction_id, origin_domain=origin_domain,
+                via_domains=tuple(via_domains), extra=extra,
+                trace=(None if trace is None
+                       else TraceContext.from_wire(trace))),
+            epoch=epoch, invocation_id=invocation_id)
+
+    @staticmethod
+    def _read_forwarded(fed: Any):
+        """``(reference, invocation)`` of a ``fedfwd`` member."""
+        fed = fed if type(fed) is dict else {}
+        ref = _UNMARSHALLER.unmarshal(fed.get("ref"))
+        if type(ref) is not InterfaceRef:
+            raise MarshalError("malformed fedfwd: ref is no reference")
+        return ref, Nucleus._read(fed.get("inv"), "forwarded ")
 
     @staticmethod
     def encode_context(context: InvocationContext) -> Dict[str, Any]:
@@ -262,18 +258,14 @@ class Nucleus:
             encoded["trace"] = trace.to_wire()
         return encoded
 
-    def _server_span(self, obj: Any, tags: Dict[str, Any]):
-        """Open the server span an invocation object's carried trace
-        asks for; returns ``(span, wire trace context)``."""
-        try:
-            trace_ctx = TraceContext.from_wire(obj["ctx"].get("trace"))
-        except _MALFORMED:
-            trace_ctx = None
-        if trace_ctx is None:
-            return NULL_SPAN, None
+    def _server_span(self, invocation: Invocation, tags: Dict[str, Any]):
+        """Open the server span the invocation's carried trace asks for."""
+        trace = invocation.context.trace
+        if trace is None:
+            return NULL_SPAN
         return self.tracer.span(
-            f"server:{obj.get('op', 'request')}", "server", trace_ctx,
-            node=self.node.address, tags=tags), trace_ctx
+            f"server:{invocation.operation}", "server", trace,
+            node=self.node_address, tags=tags)
 
     def _handle_request(self, source: str, payload: bytes) -> bytes:
         try:
@@ -285,13 +277,19 @@ class Nucleus:
         if "batch" in envelope:
             return self._handle_batch(source, envelope)
 
-        inv_obj = envelope.get("inv")
-        span, trace_ctx = NULL_SPAN, None
-        if b"trace" in payload:  # cheap pre-filter: no trace, no spans
-            traced = inv_obj
-            if traced is None and isinstance(envelope.get("fedfwd"), dict):
-                traced = envelope["fedfwd"].get("inv")
-            span, trace_ctx = self._server_span(traced, {"from": source})
+        # A 2PC control message carries no invocation (and so no span).
+        invocation = ref = None
+        if "txctl" not in envelope:
+            try:
+                if "fedfwd" in envelope:
+                    ref, invocation = self._read_forwarded(
+                        envelope["fedfwd"])
+                else:
+                    invocation = self._read(envelope.get("inv"))
+            except MarshalError as exc:
+                return self.wire.dumps(_malformed(str(exc)))
+        span = (NULL_SPAN if invocation is None
+                else self._server_span(invocation, {"from": source}))
 
         self.requests_handled += 1
         self.network.scheduler.clock.advance(self._processing_charge())
@@ -301,50 +299,49 @@ class Nucleus:
             span.tag("error", "stale").finish(status="error")
             return self.wire.dumps(self._no_capsule(envelope))
 
-        if "txctl" in envelope:
-            reply = self._handle_txctl(capsule, envelope["txctl"])
-            span.finish()
-            return self.wire.dumps(reply)
+        if invocation is None:
+            return self.wire.dumps(
+                self._handle_txctl(capsule, envelope["txctl"]))
 
-        if "fedfwd" in envelope:
-            reply = self._handle_fedfwd(capsule, envelope["fedfwd"], span)
+        if ref is not None:
+            reply = self._handle_fedfwd(capsule, ref, invocation, span)
             span.finish("error" if "error" in reply else "ok")
             return self.wire.dumps(reply)
 
-        arrival = self._arrive(inv_obj)
+        arrival = self._arrive(invocation)
         if arrival[0] == "cached":
             span.tag("reply_cache", "hit").finish()
             return arrival[1]
-        reply, encoded = self._serve(capsule, inv_obj, arrival, span,
-                                     trace_ctx)
+        reply, encoded = self._serve(capsule, invocation, arrival, span)
         return self.wire.dumps(reply) if encoded is None else encoded
 
     def _capsule_of(self, envelope: Dict[str, Any]) -> Optional[Capsule]:
-        try:
-            return self.capsules.get(envelope.get("capsule", ""))
-        except TypeError:  # an unhashable name names no capsule
-            return None
+        name = envelope.get("capsule", "")
+        # Anything but text names no capsule (a list would not hash).
+        return self.capsules.get(name) if type(name) is str else None
 
     def _no_capsule(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
         return {"error": {"code": "stale",
                           "msg": f"no capsule "
                                  f"{envelope.get('capsule')!r} on "
-                                 f"{self.node.address}"}}
+                                 f"{self.node_address}"}}
 
-    def _handle_fedfwd(self, capsule: Capsule, fed: Any,
+    def _handle_fedfwd(self, capsule: Capsule, ref, invocation: Invocation,
                        span) -> Dict[str, Any]:
-        """A cross-domain invocation forwarded to this gateway node."""
-        if self.domain is None:
-            return {"error": {"code": "federation",
-                              "msg": "node belongs to no domain"}}
-        if not (isinstance(fed, dict) and isinstance(fed.get("inv"), dict)):
-            return _malformed("fedfwd carries no invocation object")
-        if span.span is not None:
-            # Re-parent the forwarded trail under our span, so the
-            # gateway's own span nests causally beneath it.
-            fed["inv"].setdefault("ctx", {})["trace"] = \
-                span.context.to_wire()
-        return self.domain.handle_fedfwd(self, capsule, fed)
+        """A cross-domain invocation forwarded to this gateway node (lazy
+        import: federation sits above the engine in the layering)."""
+        from repro.federation.layer import gateway_process
+
+        try:
+            if self.domain is None:
+                raise FederationError("node belongs to no domain")
+            if span.span is not None:
+                # The gateway's own span nests causally beneath ours.
+                invocation.context.trace = span
+            return {"term": capsule.marshaller.marshal(gateway_process(
+                self.domain, self, capsule, ref, invocation))}
+        except OdpError as exc:
+            return {"error": encode_error(exc, capsule.marshaller)}
 
     # -- the gate ------------------------------------------------------------
 
@@ -354,45 +351,43 @@ class Nucleus:
         return self.processing_ms * \
             self.network.faults.compute_factor(self.node_address)
 
-    def _arrive(self, obj: Any, where: str = ""):
+    def _arrive(self, invocation: Invocation, where: str = ""):
         """The gate's verdict at the arrival instant: ``(verdict, detail,
-        invocation id, deadline)``.  ``"cached"``: detail is the reply
-        this retransmission already earned; ``"refused"``: the error to
-        answer (malformed, or expired before consuming admission
-        tokens); ``"shed"``: admission's busy error; ``"run"``: the
-        queue wait admission imposed, not yet charged to the clock."""
-        try:
-            invocation_id = obj.get("inv_id", "")
-            # Retransmission of an invocation we already executed?
-            # Answer from the reply cache instead of dispatching twice.
-            cached = (self.reply_cache.lookup(invocation_id)
-                      if invocation_id else None)
-            extra = (obj.get("ctx") or _NO_CTX).get("extra") or _NO_CTX
-            deadline_at = deadline_of(extra)
-            priority = (priority_of(extra) if self.admission is not None
-                        else None)
-        except _MALFORMED as exc:
-            return "refused", MarshalError(
-                f"malformed {where}invocation object: {exc!r}"), "", None
+        deadline)``.  ``"cached"``: detail is the reply this
+        retransmission already earned; ``"refused"``: the error to
+        answer (expired before consuming admission tokens); ``"shed"``:
+        admission's busy error; ``"run"``: the queue wait admission
+        imposed, not yet charged to the clock."""
+        invocation_id = invocation.invocation_id
+        # Retransmission of an invocation we already executed?  Answer
+        # from the reply cache instead of dispatching twice.
+        cached = (self.reply_cache.lookup(invocation_id)
+                  if invocation_id else None)
         if cached is not None:
-            return "cached", cached, invocation_id, deadline_at
+            return "cached", cached, None
+        extra = invocation.context.extra
+        deadline_at = deadline_of(extra)
         if self.deadline_gate.expired(deadline_at):
             # Shedding here keeps dead work from displacing live work
             # in the admission queue.
             self.deadline_gate.note_arrival_shed()
             return "refused", InvocationExpiredError(
                 f"propagated deadline already passed at {where}arrival"), \
-                invocation_id, deadline_at
-        if priority is None:
-            return "run", 0.0, invocation_id, deadline_at
-        try:
-            return "run", self.admission.admit(priority=priority), \
-                invocation_id, deadline_at
-        except ServerBusyError as exc:
-            return "shed", exc, invocation_id, deadline_at
+                deadline_at
+        if self.admission is None:
+            return "run", 0.0, deadline_at
+        verdict, detail = self._admit(priority_of(extra))
+        return verdict, detail, deadline_at
 
-    def _serve(self, capsule: Capsule, obj: Any, arrival, span, trace_ctx,
-               batch_arrived: Optional[float] = None):
+    def _admit(self, priority: int):
+        """Admission's verdict: ``("run", wait)`` or ``("shed", error)``."""
+        try:
+            return "run", self.admission.admit(priority=priority)
+        except ServerBusyError as exc:
+            return "shed", exc
+
+    def _serve(self, capsule: Capsule, invocation: Invocation, arrival,
+               span, batch_arrived: Optional[float] = None):
         """Act on an :meth:`_arrive` verdict: refuse, or charge the
         queue wait, re-check the deadline and execute.  Returns what
         :meth:`_execute` does.
@@ -401,10 +396,10 @@ class Nucleus:
         a member's wait counts from there (its predecessors' processing
         already consumed part of it) and it pays its own processing
         charge."""
-        verdict, detail, invocation_id, deadline_at = arrival
+        verdict, detail, deadline_at = arrival
         if verdict == "shed" and span.span is not None:
             self.tracer.span(
-                "perf.shed", "perf", span, node=self.node.address,
+                "perf.shed", "perf", span, node=self.node_address,
                 tags={"shed_total": self.admission.shed},
             ).finish(status="shed")
         if verdict != "run":
@@ -419,7 +414,7 @@ class Nucleus:
             queue_span = NULL_SPAN
             if span.span is not None:
                 queue_span = self.tracer.span(
-                    "perf.queue", "perf", span, node=self.node.address,
+                    "perf.queue", "perf", span, node=self.node_address,
                     tags={"wait_ms": round(detail, 3)})
             clock.advance(detail)
             queue_span.finish()
@@ -432,49 +427,40 @@ class Nucleus:
             return self._refuse(capsule, InvocationExpiredError(
                 f"propagated deadline passed during {where}queue wait"),
                 span), None
-        return self._execute(capsule, obj, span, trace_ctx,
-                             invocation_id, deadline_at,
-                             whole=batch_arrived is None)
+        return self._execute(capsule, invocation, span, deadline_at,
+                             gated=True, whole=batch_arrived is None)
 
     def _refuse(self, capsule: Capsule, error: OdpError,
                 span) -> Dict[str, Any]:
         span.tag("error", type(error).__name__).finish(status="error")
-        return {"error": encode_error(error,
-                                      self.marshaller_for(capsule))}
+        return {"error": encode_error(error, capsule.marshaller)}
 
-    def _execute(self, capsule: Capsule, obj: Any, span, trace_ctx,
-                 invocation_id: Optional[str] = None,
-                 deadline_at: Optional[float] = None,
+    def _execute(self, capsule: Capsule, invocation: Invocation, span,
+                 deadline_at: Optional[float] = None, gated: bool = False,
                  whole: bool = False):
-        """Decode, adopt the trace, dispatch, marshal, remember the reply.
+        """Adopt the trace, dispatch, marshal, remember the reply.
         Returns ``(reply object, its encoding if one was made)``.
 
-        ``invocation_id`` is ``None`` for the one-way kinds: they passed
-        no gate, so they are neither logged as gated executions nor
+        *gated* says the invocation passed the gate; the one-way kinds
+        did not, so they are neither logged as gated executions nor
         cached.  *whole* says the reply object is the whole reply
         message (a single request's, not a batch member's): a
         termination then goes from values to those bytes in one walk
         and the reply object holds it unmarshalled."""
-        marshaller = self.marshaller_for(capsule)
+        marshaller = capsule.marshaller
         encoded = None
+        if span.span is not None:
+            if self.tracer.verbose:
+                # The arguments were decoded at the door, before this
+                # span could open; their point span keeps its place.
+                self.tracer.span("ndr.unmarshal", "ndr", span,
+                                 node=self.node_address).finish()
+            # The executing side continues the trace from our span.
+            invocation.context.trace = span
+        if gated:
+            self.deadline_gate.note_execution(
+                invocation.invocation_id, invocation.operation, deadline_at)
         try:
-            unmarshal_span = NULL_SPAN
-            if span.span is not None and self.tracer.verbose:
-                unmarshal_span = self.tracer.span(
-                    "ndr.unmarshal", "ndr", span,
-                    node=self.node.address)
-            invocation = self.decode_invocation(capsule, obj)
-            if unmarshal_span is not NULL_SPAN:
-                unmarshal_span.finish()
-            # The executing side continues the trace from our span
-            # (keep the wire context when we collect nothing here).
-            if span.span is not None:
-                invocation.context.trace = span
-            elif trace_ctx is not None:
-                invocation.context.trace = trace_ctx
-            if invocation_id is not None:
-                self.deadline_gate.note_execution(
-                    invocation_id, invocation.operation, deadline_at)
             termination = capsule.dispatch(invocation)
             if whole:
                 reply = {"term": termination}
@@ -487,10 +473,10 @@ class Nucleus:
         # Cache successful replies only: errors are regenerated so a
         # retry after the fault was repaired (relocation, lock release)
         # is not answered with a stale failure.
-        if invocation_id and "term" in reply:
+        if gated and invocation.invocation_id and "term" in reply:
             if encoded is None:
                 encoded = self.wire.dumps(reply)
-            self.reply_cache.store(invocation_id, encoded,
+            self.reply_cache.store(invocation.invocation_id, encoded,
                                    expires_at=deadline_at)
         span.finish("ok" if "term" in reply else "error")
         return reply, encoded
@@ -501,7 +487,8 @@ class Nucleus:
                       envelope: Dict[str, Any]) -> bytes:
         """Dispatch a multi-invocation message; one combined reply.
 
-        Each member keeps its individual semantics: reply-cache dedup by
+        Each member keeps its individual semantics: its own read at the
+        door (a malformed member is refused alone), reply-cache dedup by
         ``inv_id`` (a batched execution answers a later single-message
         retransmission and vice versa — the cached bytes are the same
         single-reply encoding), per-member admission, per-member server
@@ -528,51 +515,73 @@ class Nucleus:
         # This is what makes a bounded queue actually overflow (and
         # shed) under a burst instead of serialising it invisibly.
         arrived = self.network.scheduler.clock.now
-        arrivals = [self._arrive(obj, "batch ") for obj in members]
+        arrivals = []
+        for obj in members:
+            try:
+                invocation = self._read(obj, "batch ")
+            except MarshalError as exc:
+                arrivals.append((None, ("refused", exc, None)))
+            else:
+                arrivals.append((invocation,
+                                 self._arrive(invocation, "batch ")))
         replies = []
-        for obj, arrival in zip(members, arrivals):
+        for invocation, arrival in arrivals:
             if arrival[0] == "cached":
                 replies.append(self.wire.loads(arrival[1]))
                 continue
-            span, trace_ctx = self._server_span(
-                obj, {"from": source, "batched": True})
-            replies.append(self._serve(capsule, obj, arrival, span,
-                                       trace_ctx, arrived)[0])
+            span = (NULL_SPAN if invocation is None else self._server_span(
+                invocation, {"from": source, "batched": True}))
+            replies.append(self._serve(capsule, invocation, arrival, span,
+                                       arrived)[0])
         return self.wire.dumps({"replies": replies})
 
     def _handle_txctl(self, capsule, control: Any) -> Dict[str, Any]:
         """Answer a 2PC prepare/commit/abort from a remote coordinator."""
         if not isinstance(control, dict):
             return _malformed("txctl is not an object")
-        interface = capsule.interfaces.get(control.get("iface", ""))
+        iface = control.get("iface", "")
+        phase, tx = control.get("phase", ""), control.get("tx", "")
+        if {type(iface), type(phase), type(tx)} != _TEXT:
+            return _malformed("txctl iface/phase/tx is not text")
+        interface = capsule.interfaces.get(iface)
         if interface is None:
             return {"txr": {"ok": False, "msg": "interface gone"}}
         layer = interface.annotations.get("concurrency_layer")
         if layer is None:
             return {"txr": {"ok": False,
                             "msg": "interface has no concurrency control"}}
-        ok, msg = layer.txctl(control.get("phase", ""),
-                              control.get("tx", ""))
+        ok, msg = layer.txctl(phase, tx)
         return {"txr": {"ok": ok, "msg": msg}}
+
+    def _read_one_way(self, message):
+        """``(envelope, invocation)`` of a one-way message; ``(None,
+        None)`` when it is malformed — nobody is waiting to hear so."""
+        try:
+            envelope = self.wire.loads(message.payload)
+            if isinstance(envelope, dict):
+                return envelope, self._read(envelope.get("inv"))
+        except MarshalError:
+            pass
+        return None, None
 
     def _handle_async_request(self, message) -> None:
         """Split-phase interrogation: dispatch, then post the reply back
-        to the caller's reply router (see repro.engine.futures)."""
-        try:
-            envelope = self.wire.loads(message.payload)
-        except MarshalError:
-            return
-        if not isinstance(envelope, dict):
+        to the caller's reply router (see repro.engine.futures).  One
+        that names no capsule, reply address or call id as text is
+        dropped before anything runs."""
+        envelope, invocation = self._read_one_way(message)
+        if invocation is None:
             return
         capsule = self._capsule_of(envelope)
-        reply_to = envelope.get("reply_to", "")
-        if capsule is None or not reply_to:
+        reply_to = envelope.get("reply_to")
+        call_id = envelope.get("call_id", "")
+        if capsule is None or not reply_to or \
+                {type(reply_to), type(call_id)} != _TEXT:
             return
-        inv_obj = envelope.get("inv")
-        span, trace_ctx = self._server_span(inv_obj, {"kind": "async"})
+        span = self._server_span(invocation, {"kind": "async"})
         self.network.scheduler.clock.advance(self._processing_charge())
-        reply, _ = self._execute(capsule, inv_obj, span, trace_ctx)
-        reply["call_id"] = envelope.get("call_id", "")
+        reply, _ = self._execute(capsule, invocation, span)
+        reply["call_id"] = call_id
         try:
             reply_wire = get_format(
                 self.network.node(reply_to).native_format)
@@ -583,24 +592,19 @@ class Nucleus:
 
     def _handle_announcement(self, message) -> None:
         """One-way invocation: spawn the work, report nothing (section 5.1)."""
-        try:
-            envelope = self.wire.loads(message.payload)
-        except MarshalError:
-            return
-        if not isinstance(envelope, dict):
+        envelope, invocation = self._read_one_way(message)
+        if invocation is None:
             return
         self.announcements_handled += 1
-        inv_obj = envelope.get("inv")
-        span, trace_ctx = self._server_span(inv_obj,
-                                            {"kind": "announcement"})
+        span = self._server_span(invocation, {"kind": "announcement"})
         self.network.scheduler.clock.advance(self._processing_charge())
         capsule = self._capsule_of(envelope)
         if capsule is None:
             span.finish(status="error")
             return
         # Announcements cannot report failure: the reply is dropped.
-        self._execute(capsule, inv_obj, span, trace_ctx)
+        self._execute(capsule, invocation, span)
 
     def __repr__(self) -> str:
-        return (f"Nucleus({self.node.address}, "
+        return (f"Nucleus({self.node_address}, "
                 f"{len(self.capsules)} capsules)")

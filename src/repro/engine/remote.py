@@ -132,7 +132,7 @@ def invoke_at(nucleus: Nucleus, client_capsule, node: str,
             return target.dispatch(redirected)
 
     wire = get_format(network.node(node).native_format)
-    marshaller = nucleus.marshaller_for(client_capsule)
+    marshaller = client_capsule.marshaller
     redirected = _redirect(invocation, interface_id, epoch)
     # No invocation id: the transport's wire discipline, at-least-once.
     payload = interned_plan(

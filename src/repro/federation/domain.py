@@ -250,22 +250,6 @@ class Domain:
     def credentials_for(self, principal: str) -> Dict[str, str]:
         return self.authority.credentials_for(principal)
 
-    # -- federation crossing (gateway side) ---------------------------------------
-
-    def handle_fedfwd(self, nucleus: Nucleus, capsule, obj: dict) -> dict:
-        """Process a forwarded cross-domain invocation at our gateway."""
-        from repro.engine.wire_errors import encode_error
-        from repro.errors import OdpError
-        from repro.federation.layer import gateway_process
-
-        marshaller = nucleus.marshaller_for(capsule)
-        try:
-            termination = gateway_process(self, nucleus, capsule,
-                                          marshaller, obj)
-            return {"term": marshaller.marshal(termination)}
-        except OdpError as exc:
-            return {"error": encode_error(exc, marshaller)}
-
     def __repr__(self) -> str:
         return f"Domain({self.name}, {len(self.nuclei)} nodes)"
 

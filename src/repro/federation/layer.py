@@ -25,7 +25,6 @@ from repro.engine.remote import decode_reply, inv_object
 from repro.errors import FederationError, NodeUnreachableError
 from repro.federation.naming import annotate_refs
 from repro.ndr.formats import get_format
-from repro.trace.context import TraceContext
 from repro.trace.span import NULL_SPAN
 
 
@@ -93,7 +92,7 @@ def forward_to_domain(nucleus, capsule, federation, hop_domain_name: str,
     """One network exchange with *hop_domain*, trying each of its
     boundary gateways until one is reachable."""
     hop_domain = federation.domain(hop_domain_name)
-    marshaller = nucleus.marshaller_for(capsule)
+    marshaller = capsule.marshaller
     tracer = nucleus.tracer
     parent_trace = invocation.context.trace
     last_error = None
@@ -133,12 +132,10 @@ def forward_to_domain(nucleus, capsule, federation, hop_domain_name: str,
         f"no reachable gateway in domain {hop_domain_name}: {last_error}")
 
 
-def gateway_process(domain, nucleus, capsule, marshaller,
-                    obj: dict) -> Termination:
+def gateway_process(domain, nucleus, capsule, ref,
+                    invocation: Invocation) -> Termination:
     """Administrative + technology interception at a domain gateway."""
     federation = domain.federation
-    ref = marshaller.unmarshal(obj["ref"])
-    invocation = nucleus.decode_invocation(capsule, obj["inv"])
     context = invocation.context
     via = context.via_domains
     if not via:
@@ -157,8 +154,6 @@ def gateway_process(domain, nucleus, capsule, marshaller,
     context.credentials = (
         domain.authority.credentials_for(principal)
         if principal and domain.authority.is_enrolled(principal) else {})
-    context.trace = TraceContext.from_wire(
-        obj["inv"].get("ctx", {}).get("trace"))
 
     gw_span = domain.tracer.span(
         "federation.gateway", "federation", invocation.context.trace,

@@ -155,7 +155,7 @@ class PhiAccrualDetector:
         record = self._tracked.get(key)
         if record is None:
             return  # unsolicited heartbeat: not monitored
-        now = self.clock._now
+        now = self.clock.now
         # Bound the recorded sample: the silence of an outage that ends
         # in a recovery (a healed partition, a restarted node) is not
         # natural arrival variance.  Folding it into the window would

@@ -311,8 +311,8 @@ class FaultPlan:
             # One float compare on the hot path: only enter the full
             # sync when the clock has actually crossed the next
             # unapplied window boundary.
-            if self._clock._now >= schedule._next_at:
-                schedule.sync(self._clock._now, self)
+            if self._clock.now >= schedule._next_at:
+                schedule.sync(self._clock.now, self)
 
     # -- the verdict ---------------------------------------------------------
 

@@ -217,7 +217,7 @@ class Network:
                                          one_way=True)
         if factor == UNREACHABLE or factor == LOST:
             return  # a dead node sends nothing; a lost message vanishes
-        now = self.scheduler.clock._now
+        now = self.scheduler.clock.now
         message = NetMessage(source, destination, payload, kind,
                              dict(headers) if headers else None, now)
         delay = self.latency.delay(source, destination, len(payload),

@@ -58,6 +58,14 @@ def priority_of(extra: Mapping[str, Any]) -> int:
     return max(0, min(NUM_CLASSES - 1, int(value)))
 
 
+def readable_stamps(extra: Mapping[str, Any]) -> bool:
+    """Whether :func:`deadline_of` and :func:`priority_of` can read *extra*."""
+    deadline, priority = extra.get(DEADLINE_KEY), extra.get(PRIORITY_KEY)
+    return ((deadline is None or type(deadline) is float
+             or type(deadline) is int and abs(deadline) < 1e300)
+            and (priority is None or type(priority) is int))
+
+
 def stamp(extra: Dict[str, Any], qos, now: float) -> None:
     """Write *qos*'s absolute deadline and any non-default priority
     into a context ``extra`` dict.  Existing stamps win: a nested call

@@ -187,7 +187,7 @@ class BatchClient:
                       "protocol": protocol})
 
         fmt = get_format(wire_format)
-        marshaller = self.nucleus.marshaller_for(self.capsule)
+        marshaller = self.capsule.marshaller
         member_spans = []
         members: List[bytes] = []
         for index, entry in enumerate(entries):

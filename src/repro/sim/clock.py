@@ -11,31 +11,28 @@ from __future__ import annotations
 class VirtualClock:
     """A monotonically increasing virtual clock (milliseconds).
 
-    ``__slots__`` because every scheduler event batch and every message
-    transit touches the clock: the instances are tiny and hot.
+    ``now`` is a plain slot, read directly on every hot path.  Move it
+    with :meth:`advance` / :meth:`advance_to`; only the scheduler's
+    drain loops assign it themselves, and only ever forward.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
+        self.now = float(start)
 
     def advance(self, delta: float) -> float:
         """Move time forward by *delta* ms and return the new time."""
         if delta < 0:
             raise ValueError(f"clock cannot run backwards (delta={delta})")
-        self._now += delta
-        return self._now
+        self.now += delta
+        return self.now
 
     def advance_to(self, when: float) -> float:
         """Move time forward to *when* (no-op if already past it)."""
-        if when > self._now:
-            self._now = when
-        return self._now
+        if when > self.now:
+            self.now = when
+        return self.now
 
     def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now:.3f})"
+        return f"VirtualClock(now={self.now:.3f})"

@@ -67,7 +67,7 @@ class Scheduler:
     def at(self, when: float, action: Callable[[], None],
            label: str = "") -> Event:
         """Schedule *action* at absolute virtual time *when*."""
-        now = self.clock._now
+        now = self.clock.now
         if when < now:
             when = now
         seq = self._seq
@@ -93,7 +93,7 @@ class Scheduler:
         clock, queue = self.clock, self._queue
         seq = self._seq
         self._seq = seq + 1
-        handle = Event(clock._now + interval, seq, None, label)
+        handle = Event(clock.now + interval, seq, None, label)
         # Every repetition after the first is this one event, re-pushed
         # with the seq a new one would have taken.  It is not the handle:
         # a repetition queued before ``cancel`` still fires as a no-op
@@ -105,7 +105,7 @@ class Scheduler:
                 return
             action()
             if not handle.cancelled:
-                tick.time = due = clock._now + interval
+                tick.time = due = clock.now + interval
                 tick.seq = turn = self._seq
                 self._seq = turn + 1
                 heappush(queue, (due, turn, tick))
@@ -143,8 +143,8 @@ class Scheduler:
                 continue
             # One clock advance covers the whole same-instant batch
             # (advance_to without the call, as in run_until).
-            if when > clock._now:
-                clock._now = when
+            if when > clock.now:
+                clock.now = when
             while True:
                 self.events_run += 1
                 event.action()
@@ -175,8 +175,8 @@ class Scheduler:
             event = heappop(queue)[2]
             if event.cancelled:
                 continue
-            if when > clock._now:
-                clock._now = when
+            if when > clock.now:
+                clock.now = when
             self.events_run += 1
             event.action()
             count += 1

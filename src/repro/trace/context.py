@@ -55,6 +55,7 @@ class TraceContext:
 
     @staticmethod
     def from_wire(obj: Any) -> Optional["TraceContext"]:
+        """The context a wire string names; ``None`` if it names none."""
         if not isinstance(obj, str) or not obj:
             return None
         parts = obj.split("|")
@@ -62,8 +63,10 @@ class TraceContext:
             return None
         baggage = None
         if len(parts) > 2 and parts[2]:
-            baggage = dict(item.split("=", 1)
-                           for item in parts[2].split(";"))
+            items = [item.split("=", 1) for item in parts[2].split(";")]
+            if any(len(item) != 2 for item in items):
+                return None
+            baggage = dict(items)
         return TraceContext(
             parts[0], parts[1] if len(parts) > 1 else "",
             None, sampled=True, baggage=baggage)

@@ -84,7 +84,7 @@ class Span:
         # handler would finish again; only the first status is recorded.
         collector, self._collector = self._collector, None
         if collector is not None:
-            end = collector.clock._now
+            end = collector.clock.now
             self.end_ms = end
             self.status = status
             collector._spans.append(self)  # maxlen ring drops the oldest

@@ -3,8 +3,11 @@
 Wall-clock guards on a shared runner lose runs to the neighbours; the
 number of Python-level calls one warm ``Account.deposit(1)`` makes into
 this package is the same on every run and every machine.  It fell from
-215 to 181 when the envelope got its compiled readers (PR 19), and a
-layer that adds a call per invocation shows here as exactly one.
+215 to 181 when the envelope got its compiled readers (PR 19), and to
+163 when the nucleus read each invocation once and stopped re-asking
+what cannot change (a node's address, the clock's slot, a capsule's
+marshaller) per call.  A layer that adds a call per invocation shows
+here as exactly one.
 
 The bulk path is counted beside it: one warm ``put`` and one ``get`` of
 a value of 40 sibling records, PACKED client to TAGGED server, fell
@@ -22,7 +25,7 @@ import repro
 from repro import OdpObject, World, operation
 
 #: Calls into ``src/repro`` one warm invocation may make.
-BUDGET = 185
+BUDGET = 165
 #: ... and one warm ``put`` or ``get`` of the 40-row value.  Counted on
 #: 3.11 (3.9 reads the same; 3.12 inlines comprehensions, so lower).
 BULK_BUDGET = 1480

@@ -238,9 +238,15 @@ def test_one_module_per_wire_format():
                 if isinstance(node, ast.Constant)
                 and isinstance(node.value, bytes)]
 
-    assert {path: sorted(_REFERENCE_WALK.intersection(names(tree)))
-            for path, tree in trees.items()
-            if _REFERENCE_WALK.intersection(names(tree))} == {}
+    def walk_names(path, tree):
+        # Outside the codec, ``_read`` / ``_write`` are other things'
+        # names (the nucleus reads invocations with ``_read``).
+        walk = (_REFERENCE_WALK if path.startswith("ndr/")
+                else _REFERENCE_WALK - {"_read", "_write"})
+        return sorted(walk.intersection(names(tree)))
+
+    assert {path: walk_names(path, tree) for path, tree in trees.items()
+            if walk_names(path, tree)} == {}
     assert sorted(path for path, tree in trees.items()
                   if path.startswith("ndr/") and literals(tree)) \
         == ["ndr/packed.py", "ndr/tagged.py"]

@@ -400,7 +400,7 @@ def test_transport_encoding_matches_generic_walk(single_domain):
     generic = get_format(path.wire_format).dumps({
         "capsule": path.capsule,
         "inv": inv_object(
-            transport.nucleus.marshaller_for(transport.capsule),
+            transport.capsule.marshaller,
             invocation.interface_id, invocation.operation,
             invocation.args, invocation.kind.value, invocation.epoch,
             invocation.context, invocation.invocation_id)})

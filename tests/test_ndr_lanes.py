@@ -75,7 +75,7 @@ def _decoded(decode, *args):
 def _valued(message, path):
     """*message* with the member at *path* as a value: left alone when
     the decoder's lane already made it one, unmarshalled when it is
-    still the wire tree — what ``decode_invocation`` and
+    still the wire tree — what ``Nucleus._read`` and
     ``termination_of`` do.  Copies along the path only."""
     if type(message) is not dict or path[0] not in message:
         return message

@@ -16,8 +16,10 @@ from repro.errors import (
 )
 from repro.ndr.codec import Marshaller
 from repro.ndr.formats import get_format
+from repro.perf.admission import AdmissionController
 from repro.perf.batching import BatchClient
 from repro.tx.transaction import Participant, TransactionManager
+from tests import hostile_envelopes as hostile
 from tests.conftest import Counter
 
 
@@ -206,6 +208,16 @@ MALFORMED_INVOCATIONS = {
     # Iterable, so once accepted as the domains "o", "r", "g".
     "via-is-text": {"id": "{IID}", "op": "increment",
                     "ctx": {"via_domains": "org"}},
+    # Once executed and cached under 7, or adopted as a context that
+    # the security, federation and transaction layers would index by.
+    "inv-id-is-int": {"id": "{IID}", "op": "increment", "inv_id": 7},
+    "principal-is-list": {"id": "{IID}", "op": "increment",
+                          "ctx": {"principal": ["x"]}},
+    "via-item-is-list": {"id": "{IID}", "op": "increment",
+                         "ctx": {"via_domains": [["org"]]}},
+    "priority-is-text": {"id": "{IID}", "op": "increment",
+                         "ctx": {"extra": {"priority": "high"}}},
+    "kind-is-int": {"id": "{IID}", "op": "increment", "kind": 7},
 }
 
 
@@ -266,18 +278,119 @@ class TestMalformedEnvelopes:
     @pytest.mark.parametrize("kind", ["invoke", "ainvoke"])
     def test_one_way_kinds_drop_silently(self, fmt_name, kind):
         world, counter, iid, fmt = _wire_world(fmt_name)
+        # One-way kinds pass no gate, but every invocation is read at
+        # the same door: what a request is refused for, they drop.
         envelopes = list(MALFORMED_ENVELOPES.values()) + [
             {"capsule": "srv", "reply_to": "c", "call_id": "x",
              "inv": invocation}
-            for case, invocation in MALFORMED_INVOCATIONS.items()
-            # One-way kinds pass no gate, so the fields only the gate
-            # reads (dedup id, deadline stamp) are nothing to them.
-            if case not in ("deadline-unparsable", "inv-id-unhashable")]
+            for invocation in MALFORMED_INVOCATIONS.values()]
         for envelope in envelopes:
             world.network.post("c", "s", fmt.dumps(_fill(envelope, iid)),
                                kind=kind)
         world.settle()  # must not raise out of the scheduler
         assert counter.value == 0
+
+
+def _still_serves(world, fmt, iid, counter):
+    before = counter.value
+    reply = fmt.loads(world.network.request("c", "s", fmt.dumps(
+        {"capsule": "srv", "inv": _good(iid)})))
+    assert reply == {"term": {"__kind__": "term", "name": "ok",
+                              "values": [before + 1]}}
+
+
+class TestHostileKindsAtALiveNode:
+    """Three envelopes that used to crash the run, at a live node."""
+
+    @pytest.mark.parametrize("field", [{"reply_to": ["x"]},
+                                       {"call_id": 7}])
+    def test_ainvoke_without_text_reply_route_is_dropped_unexecuted(
+            self, field):
+        world, counter, iid, fmt = _wire_world("packed")
+        envelope = {"capsule": "srv", "reply_to": "c", "call_id": "c#1",
+                    "inv": _good(iid), **field}
+        world.network.post("c", "s", fmt.dumps(envelope), kind="ainvoke")
+        world.settle()  # once: TypeError from Network.node(["x"])
+        assert counter.value == 0
+        _still_serves(world, fmt, iid, counter)
+
+    def test_fedfwd_without_ref_answers_marshal(self):
+        world, counter, iid, fmt = _wire_world("packed")
+        inv = {**_good(iid), "ctx": {"via_domains": ["elsewhere"]}}
+        reply = fmt.loads(world.network.request("c", "s", fmt.dumps(
+            {"capsule": "gateway", "fedfwd": {"inv": inv}})))
+        assert reply["error"]["code"] == "marshal"  # once: KeyError 'ref'
+        assert counter.value == 0
+        _still_serves(world, fmt, iid, counter)
+
+    @pytest.mark.parametrize("iface", [["x"], {"a": 1}])
+    def test_txctl_with_unhashable_iface_answers_marshal(self, iface):
+        world, counter, iid, fmt = _wire_world("packed")
+        reply = fmt.loads(world.network.request("c", "s", fmt.dumps(
+            {"capsule": "srv", "txctl": {"tx": "tx-1", "phase": "abort",
+                                         "iface": iface}})))
+        assert reply["error"]["code"] == "marshal"  # once: TypeError
+        _still_serves(world, fmt, iid, counter)
+
+
+#: Invocations the gate once let in before the execute step refused or
+#: mis-served them.
+REFUSED_AT_THE_DOOR = {"args-is-int": {"args": 5}, "inv-id-is-int":
+                       {"inv_id": 7}}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_AT_THE_DOOR))
+class TestARefusedInvocationCostsNothing:
+    """Refused before the reply cache, the deadline gate or admission
+    sees it: no admission token, cache entry, logged execution or
+    application effect."""
+
+    def _server(self):
+        world, counter, iid, fmt = _wire_world("packed")
+        nucleus = world.nucleus("s")
+        nucleus.admission = AdmissionController(world.clock)
+        nucleus.deadline_gate.record_executions = True
+        return world, counter, iid, fmt, nucleus
+
+    def test_single_request(self, case):
+        world, counter, iid, fmt, nucleus = self._server()
+        reply = fmt.loads(world.network.request("c", "s", fmt.dumps(
+            {"capsule": "srv",
+             "inv": {**_good(iid), **REFUSED_AT_THE_DOOR[case]}})))
+        assert reply["error"]["code"] == "marshal"
+        assert nucleus.admission.admitted == 0
+        assert nucleus.reply_cache.replies_cached == 0
+        assert nucleus.deadline_gate.execution_log == []
+        assert counter.value == 0
+
+    def test_batch_member(self, case):
+        world, counter, iid, fmt, nucleus = self._server()
+        members = [{**_good(iid), "inv_id": "good-1"},
+                   {**_good(iid), **REFUSED_AT_THE_DOOR[case]},
+                   {**_good(iid), "inv_id": "good-2"}]
+        replies = fmt.loads(world.network.request("c", "s", fmt.dumps(
+            {"capsule": "srv", "batch": members})))["replies"]
+        assert [sorted(reply) for reply in replies] == [
+            ["term"], ["error"], ["term"]]
+        assert replies[1]["error"]["code"] == "marshal"
+        assert nucleus.admission.admitted == 2
+        assert nucleus.reply_cache.replies_cached == 2
+        assert [entry["inv_id"] for entry
+                in nucleus.deadline_gate.execution_log] == [
+            "good-1", "good-2"]
+        assert counter.value == 2
+
+
+@pytest.mark.parametrize("kind,path,variant", [
+    pytest.param(kind, path, variant,
+                 id=f"{kind}:{'/'.join(map(str, path))}={variant!r}")
+    for kind in hostile.KINDS
+    for path, variant in hostile.cases(kind, sample=True)])
+def test_hostile_envelope_sample(kind, path, variant):
+    """One deletion or replacement per field of every kind the tables
+    above do not cover (the whole sweep: ``python -m
+    tests.hostile_envelopes``)."""
+    hostile.Target().run(kind, path, variant)
 
 
 # ---------------------------------------------------------------------------
