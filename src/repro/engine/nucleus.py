@@ -27,12 +27,7 @@ from repro.errors import (
     ServerBusyError,
 )
 from repro.overload.budget import RetryBudgetRegistry
-from repro.overload.deadline import (
-    DeadlineGate,
-    deadline_of,
-    priority_of,
-    readable_stamps,
-)
+from repro.overload.deadline import DeadlineGate, deadline_of, priority_of
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.ndr.codec import Marshaller
 from repro.ndr.formats import get_format
@@ -214,13 +209,15 @@ class Nucleus:
                 or not {*map(type, via_domains)} <= _TEXT
                 or not {type(principal), type(transaction_id),
                         type(origin_domain)} <= _TEXT_OR_NONE
-                or (extra and not readable_stamps(extra))
                 or type(args) is not tuple
                 or type(epoch) is not int  # a bool is no epoch either
                 or {type(interface_id), type(operation), type(kind),
                     type(invocation_id)} != _TEXT):
             raise MarshalError(f"malformed {where}invocation object: "
                                f"a field of the wrong type")
+        if extra:  # each stamp's own parser holds it to its type
+            deadline_of(extra)
+            priority_of(extra)
         trace = ctx.get("trace")
         return Invocation(
             interface_id=interface_id, operation=operation, args=args,
@@ -553,34 +550,36 @@ class Nucleus:
         ok, msg = layer.txctl(phase, tx)
         return {"txr": {"ok": ok, "msg": msg}}
 
-    def _read_one_way(self, message):
-        """``(envelope, invocation)`` of a one-way message; ``(None,
-        None)`` when it is malformed — nobody is waiting to hear so."""
+    def _one_way_envelope(self, message) -> Dict[str, Any]:
+        """The envelope of a one-way message; an empty one, which names
+        no capsule and holds no invocation, when it is no object."""
         try:
             envelope = self.wire.loads(message.payload)
-            if isinstance(envelope, dict):
-                return envelope, self._read(envelope.get("inv"))
         except MarshalError:
-            pass
-        return None, None
+            return {}
+        return envelope if isinstance(envelope, dict) else {}
 
     def _handle_async_request(self, message) -> None:
         """Split-phase interrogation: dispatch, then post the reply back
         to the caller's reply router (see repro.engine.futures).  One
-        that names no capsule, reply address or call id as text is
-        dropped before anything runs."""
-        envelope, invocation = self._read_one_way(message)
-        if invocation is None:
-            return
+        that names no capsule, reply address or call id as text cannot
+        be answered and is dropped; a malformed invocation is answered
+        with the error and not run."""
+        envelope = self._one_way_envelope(message)
         capsule = self._capsule_of(envelope)
         reply_to = envelope.get("reply_to")
         call_id = envelope.get("call_id", "")
         if capsule is None or not reply_to or \
                 {type(reply_to), type(call_id)} != _TEXT:
             return
-        span = self._server_span(invocation, {"kind": "async"})
-        self.network.scheduler.clock.advance(self._processing_charge())
-        reply, _ = self._execute(capsule, invocation, span)
+        try:
+            invocation = self._read(envelope.get("inv"))
+        except MarshalError as exc:
+            reply = _malformed(str(exc))
+        else:
+            span = self._server_span(invocation, {"kind": "async"})
+            self.network.scheduler.clock.advance(self._processing_charge())
+            reply, _ = self._execute(capsule, invocation, span)
         reply["call_id"] = call_id
         try:
             reply_wire = get_format(
@@ -592,9 +591,11 @@ class Nucleus:
 
     def _handle_announcement(self, message) -> None:
         """One-way invocation: spawn the work, report nothing (section 5.1)."""
-        envelope, invocation = self._read_one_way(message)
-        if invocation is None:
-            return
+        envelope = self._one_way_envelope(message)
+        try:
+            invocation = self._read(envelope.get("inv"))
+        except MarshalError:
+            return  # nobody is waiting to hear so
         self.announcements_handled += 1
         span = self._server_span(invocation, {"kind": "announcement"})
         self.network.scheduler.clock.advance(self._processing_charge())

@@ -145,16 +145,23 @@ class Marshaller:
                 AccessPath(p["node"], p["capsule"], p["protocol"],
                            p["wire_format"])
                 for p in obj["paths"])
-            return InterfaceRef(
-                obj["id"],
-                signature_from_obj(obj["signature"]),
-                paths,
-                epoch=obj["epoch"],
-                context=tuple(obj["context"]),
-                group=obj.get("group", False),
-            )
+            context = obj["context"]
+            ref = InterfaceRef(obj["id"], signature_from_obj(obj["signature"]),
+                               paths, obj["epoch"], tuple(context),
+                               obj.get("group", False))
         except (KeyError, TypeError) as exc:
             raise MarshalError(f"malformed reference object: {exc}") from exc
+        # Each field held to the type a marshalled reference carries:
+        # whoever receives it hashes the names and compares the epoch.
+        if (type(ref.epoch) is not int or type(ref.group) is not bool
+                or type(context) is not list  # text iterates too
+                or not {type(ref.interface_id), *map(type, context), *(
+                    type(text) for path in paths for text in (
+                        path.node, path.capsule, path.protocol,
+                        path.wire_format))} <= {str}):
+            raise MarshalError("malformed reference object: a field of "
+                               "the wrong type")
+        return ref
 
     # -- batches -------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict
 from weakref import WeakKeyDictionary
 
-from repro.errors import MarshalError
+from repro.errors import MarshalError, SignatureError
 from repro.types.signature import (
     InterfaceSignature,
     OperationSig,
@@ -128,5 +128,5 @@ def signature_from_obj(obj: Dict[str, Any]) -> InterfaceSignature:
                 readonly=op.get("readonly", False),
             ))
         return InterfaceSignature(obj["name"], operations, kind=obj["kind"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, SignatureError) as exc:
         raise MarshalError(f"malformed signature object: {exc}") from exc

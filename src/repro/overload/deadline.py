@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.errors import MarshalError
+
 #: Context key carrying the absolute virtual-clock deadline (ms).
 DEADLINE_KEY = "deadline_at"
 
@@ -47,7 +49,11 @@ DEFAULT_PRIORITY = 2
 def deadline_of(extra: Mapping[str, Any]) -> Optional[float]:
     """The absolute deadline stamped in a context ``extra`` dict."""
     value = extra.get(DEADLINE_KEY)
-    return float(value) if value is not None else None
+    if value is None:
+        return None
+    if type(value) is float or type(value) is int and abs(value) < 1e300:
+        return float(value)
+    raise MarshalError("deadline stamp is no number")  # a bool is none
 
 
 def priority_of(extra: Mapping[str, Any]) -> int:
@@ -55,15 +61,9 @@ def priority_of(extra: Mapping[str, Any]) -> int:
     value = extra.get(PRIORITY_KEY)
     if value is None:
         return DEFAULT_PRIORITY
-    return max(0, min(NUM_CLASSES - 1, int(value)))
-
-
-def readable_stamps(extra: Mapping[str, Any]) -> bool:
-    """Whether :func:`deadline_of` and :func:`priority_of` can read *extra*."""
-    deadline, priority = extra.get(DEADLINE_KEY), extra.get(PRIORITY_KEY)
-    return ((deadline is None or type(deadline) is float
-             or type(deadline) is int and abs(deadline) < 1e300)
-            and (priority is None or type(priority) is int))
+    if type(value) is not int:
+        raise MarshalError("priority stamp is no integer")  # nor a bool
+    return max(0, min(NUM_CLASSES - 1, value))
 
 
 def stamp(extra: Dict[str, Any], qos, now: float) -> None:

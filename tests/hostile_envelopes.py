@@ -5,7 +5,8 @@ For each inbound kind the malformed-envelope tables of
 (``ainvoke``), announcements (``invoke``), forwarded cross-domain
 invocations (``fedfwd``), 2PC control messages (``txctl``) and batches —
 every field of a well-formed envelope in turn (top level, inside ``inv``,
-inside ``ctx`` and ``extra``) is deleted or replaced by each of
+inside ``ctx`` and ``extra``, and inside a forwarded reference, its
+paths and its signature) is deleted or replaced by each of
 :data:`REPLACEMENTS`.  Every case must end as a typed wire error or a
 silent drop: nothing escapes ``Network.request`` or ``world.settle()``,
 no deposit runs more often than the envelope asked for, no invocation id
@@ -36,7 +37,8 @@ DELETE = "<deleted>"
 VARIANTS = (DELETE,) + REPLACEMENTS
 
 #: Members the sweep walks into; every other value is one field.
-_NESTED = {"inv", "ctx", "extra", "fedfwd", "txctl", "batch"}
+_NESTED = {"inv", "ctx", "extra", "fedfwd", "txctl", "batch",
+           "ref", "paths", "signature", "ops", "terms"}
 
 #: The inbound kinds swept: how each is sent, and what its well-formed
 #: envelope may execute (deposits of 1).

@@ -181,6 +181,16 @@ MALFORMED_ENVELOPES = {
                                                   "op": "increment"}},
 }
 
+def _ref_obj(**fields):
+    """A marshalled interface reference with *fields* replaced."""
+    return {"__kind__": "ref", "id": "if.x", "epoch": 0, "group": False,
+            "context": [],
+            "paths": [{"node": "s", "capsule": "srv", "protocol": "rrp",
+                       "wire_format": "packed"}],
+            "signature": {"name": "S", "kind": "operational", "ops": []},
+            **fields}
+
+
 #: Invocation objects: served alone as ``inv`` and as a batch member.
 MALFORMED_INVOCATIONS = {
     "ctx-is-int": {"id": "{IID}", "op": "increment", "ctx": 5},
@@ -218,6 +228,14 @@ MALFORMED_INVOCATIONS = {
     "priority-is-text": {"id": "{IID}", "op": "increment",
                          "ctx": {"extra": {"priority": "high"}}},
     "kind-is-int": {"id": "{IID}", "op": "increment", "kind": 7},
+    # A reference argument the codec cannot build: once a SignatureError
+    # through whoever called the nucleus, or adopted with an epoch that
+    # no comparison accepts.
+    "args-hold-ref-of-unknown-kind": {
+        "id": "{IID}", "op": "increment", "args": [_ref_obj(signature={
+            "name": "S", "kind": "bogus", "ops": []})]},
+    "args-hold-ref-with-text-epoch": {
+        "id": "{IID}", "op": "increment", "args": [_ref_obj(epoch="0")]},
 }
 
 
@@ -279,7 +297,8 @@ class TestMalformedEnvelopes:
     def test_one_way_kinds_drop_silently(self, fmt_name, kind):
         world, counter, iid, fmt = _wire_world(fmt_name)
         # One-way kinds pass no gate, but every invocation is read at
-        # the same door: what a request is refused for, they drop.
+        # the same door: what a request is refused for never runs (an
+        # announcement drops it; an ainvoke answers the error, below).
         envelopes = list(MALFORMED_ENVELOPES.values()) + [
             {"capsule": "srv", "reply_to": "c", "call_id": "x",
              "inv": invocation}
@@ -288,6 +307,25 @@ class TestMalformedEnvelopes:
             world.network.post("c", "s", fmt.dumps(_fill(envelope, iid)),
                                kind=kind)
         world.settle()  # must not raise out of the scheduler
+        assert counter.value == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INVOCATIONS))
+    def test_ainvoke_fails_its_future_with_marshal(self, fmt_name, case):
+        """The reply route is well-formed, so the caller hears of the
+        refusal: a future without a deadline would otherwise wait
+        forever."""
+        world, counter, iid, fmt = _wire_world(fmt_name)
+        clients = world.capsule("c", "cli")
+        waiting = AsyncInvoker(world.binder_for(clients),
+                               clients).router.new_future(clients)
+        world.network.post("c", "s", fmt.dumps(
+            {"capsule": "srv", "reply_to": "c", "call_id": waiting.call_id,
+             "inv": _fill(MALFORMED_INVOCATIONS[case], iid)}),
+            kind="ainvoke")
+        world.settle()
+        assert waiting.done
+        with pytest.raises(MarshalError):
+            waiting.termination()
         assert counter.value == 0
 
 
@@ -300,7 +338,7 @@ def _still_serves(world, fmt, iid, counter):
 
 
 class TestHostileKindsAtALiveNode:
-    """Three envelopes that used to crash the run, at a live node."""
+    """Envelopes that used to crash the run, at a live node."""
 
     @pytest.mark.parametrize("field", [{"reply_to": ["x"]},
                                        {"call_id": 7}])
@@ -322,6 +360,22 @@ class TestHostileKindsAtALiveNode:
         assert reply["error"]["code"] == "marshal"  # once: KeyError 'ref'
         assert counter.value == 0
         _still_serves(world, fmt, iid, counter)
+
+    @pytest.mark.parametrize("path,value", [
+        (("signature", "kind"), "bogus"),  # once: SignatureError
+        (("id",), ["x"]),                  # once: unhashable
+        (("epoch",), None),                # once: unorderable
+        (("paths", 0, "node"), ["s"]),     # once: unhashable
+    ], ids=["kind", "id", "epoch", "node"])
+    def test_fedfwd_with_malformed_ref_answers_marshal(self, path, value):
+        target = hostile.Target()
+        envelope = hostile.mutated(target.envelope("fedfwd"),
+                                   ("fedfwd", "ref") + path, value)
+        reply = target.fmt.loads(target.world.network.request(
+            "f", "s", target.fmt.dumps(envelope)))
+        assert reply["error"]["code"] == "marshal"
+        assert target.account.balance == 0
+        assert target.proxy.deposit(1) == 1
 
     @pytest.mark.parametrize("iface", [["x"], {"a": 1}])
     def test_txctl_with_unhashable_iface_answers_marshal(self, iface):
@@ -409,6 +463,8 @@ MISSHAPEN_TERMS = {
     "set-without-items": {"__kind__": "set"},
     "nested-in-values": {"__kind__": "term", "name": "ok",
                          "values": [{"__kind__": "record"}]},
+    "ref-of-unknown-kind": {"__kind__": "term", "name": "ok", "values": [
+        _ref_obj(signature={"name": "S", "kind": "bogus", "ops": []})]},
     "unknown-kind": {"name": "ok", "values": []},
     # Well-formed values that are no termination.
     "term-is-int": 5,
