@@ -21,6 +21,11 @@ Every detector transition and repair action is recorded as a trace
 span, and the supervisor keeps MTTR/availability counters that
 ``TransparencyMonitor.domain_report`` surfaces.
 
+A *quiet* tick — every vantage hears every node — stays quiet (only the
+detector's ``poll`` turns an endpoint suspect), so it skips the scans
+that act only on a dead node; group repair runs only while a group is
+short, shard re-admission only while a node is off its ring.
+
 The supervisor never reads :class:`~repro.net.fault.FaultPlan` state:
 detection latency is a measured property of heartbeat period, network
 behaviour and the phi threshold.
@@ -90,6 +95,8 @@ class Supervisor:
         #: (space_name, node) -> first panel-dead verdict time, so shard
         #: drain MTTR samples include detection latency.
         self._shard_down: Dict = {}
+        #: group_id -> last walked view; a membership change replaces it.
+        self._walked: Dict = {}
         # Repair/availability counters (all virtual-time).
         self.suspicions_raised = 0
         self.revivals = 0
@@ -131,6 +138,7 @@ class Supervisor:
             # at creation — node-level liveness for placement decisions.
             for address in addresses:
                 self._watch(address, "gateway")
+        self._walked.clear()  # stop() dropped every emitter
         self._watch_group_members()
         self.poll_event = self.domain.scheduler.every(
             self.poll_interval_ms, self._poll, label="heal-poll")
@@ -162,38 +170,49 @@ class Supervisor:
         self._watch_group_members()
         for _, detector in self._vantages:
             detector.poll()
-        # A vantage that lost sight of a *majority* of nodes at once is
-        # blind (its observer crashed or sits on the minority side of a
-        # partition), not watching a dead fleet: its verdicts are
-        # excluded and its observation rotates to the next node.
-        blind = [index for index, (_, detector)
-                 in enumerate(self._vantages)
-                 if self._is_blind(detector)]
-        for index in blind:
-            monitor, _ = self._vantages[index]
-            monitor.rehome()
-            self._span("heal.rehome", {"vantage": index,
-                                       "observer": monitor.observer})
-        if blind and len(blind) * 2 > len(self._vantages):
-            # Most of the panel cannot see a majority of the fleet: the
-            # likelier story is that the *supervisor's* side is the
-            # minority.  Declaring deaths or repairing from here is how
-            # split brain gets manufactured — hold everything.
-            self.minority_holds += 1
-            self._span("heal.minority-hold", {"blind": len(blind)})
-            return
-        self._suspect_members()
+        quiet = self._quiet()  # see the module docstring
+        if not quiet:
+            # A vantage that lost sight of a *majority* of nodes at once
+            # is blind (its observer crashed or sits on the minority
+            # side of a partition), not watching a dead fleet: its
+            # verdicts are excluded and its observation rotates on.
+            blind = [index for index, (_, detector)
+                     in enumerate(self._vantages)
+                     if self._is_blind(detector)]
+            for index in blind:
+                monitor, _ = self._vantages[index]
+                monitor.rehome()
+                self._span("heal.rehome", {"vantage": index,
+                                           "observer": monitor.observer})
+            if blind and len(blind) * 2 > len(self._vantages):
+                # Most of the panel cannot see a majority of the fleet:
+                # the likelier story is that the *supervisor's* side is
+                # the minority.  Declaring deaths or repairing from here
+                # is how split brain gets manufactured — hold everything.
+                self.minority_holds += 1
+                self._span("heal.minority-hold", {"blind": len(blind)})
+                return
+            self._suspect_members()
         # Account *before* repairing: a repair that lands this tick is
         # observed closing its window on the next tick, so MTTR is
         # measured at supervision-period resolution instead of being
         # optimistically collapsed to zero.
-        self._update_availability()
+        short = self._update_availability()
         if self.repair:
-            self._repair_groups()
-            if self.recover_singletons:
+            if short:
+                self._repair_groups()
+            if self.recover_singletons and not quiet:
                 self._recover_singletons()
-            self._rebalance_shards()
-            self._revoke_dead_leases()
+            self._rebalance_shards(quiet)
+            if not quiet:
+                self._revoke_dead_leases()
+
+    def _quiet(self) -> bool:
+        """No vantage has a node it hears nothing from."""
+        for _, detector in self._vantages:
+            if detector.node_counts()[1]:
+                return False
+        return True
 
     def _watch(self, node: str, capsule: str) -> None:
         for monitor, _ in self._vantages:
@@ -202,10 +221,15 @@ class Supervisor:
 
     def _watch_group_members(self) -> None:
         """Heartbeat every group member endpoint (lazily, so groups
-        created after start are picked up on the next tick)."""
+        created after start are picked up on the next tick); a view
+        already walked has none to add."""
         groups = self.domain.groups
         for group_id in groups.group_ids():
-            for member in groups.group(group_id).view.members:
+            view = groups.group(group_id).view
+            if self._walked.get(group_id) is view:
+                continue
+            self._walked[group_id] = view
+            for member in view.members:
                 self._watch(member.node, member.capsule_name)
 
     # -- panel verdicts -------------------------------------------------------
@@ -410,7 +434,7 @@ class Supervisor:
                             "to": capsule.nucleus.node_address})
                 break
 
-    def _rebalance_shards(self) -> None:
+    def _rebalance_shards(self, quiet: bool) -> None:
         """Drive shard-space rebalancing from panel verdicts.
 
         A member node the panel declares dead *and* diagnoses crashed is
@@ -428,7 +452,8 @@ class Supervisor:
         now = self.domain.scheduler.clock.now
         for space in self.domain.shards.spaces():
             rebalancer = space.rebalancer
-            members = set(space.ring.nodes()) | set(space.owners.values())
+            members = (set(space.ring.nodes()) | set(space.owners.values())
+                       if not quiet or self._shard_down else ())
             for node in sorted(members):
                 key = (space.name, node)
                 if not self.node_dead(node):
@@ -462,7 +487,8 @@ class Supervisor:
             # Re-admit recovered members: alive again, previously
             # registered, currently off the ring.  (Brand-new capacity
             # is the operator's call — node_joined with a capsule.)
-            for node in sorted(space.capsules):
+            for node in sorted(space.capsules.keys()
+                               - set(space.ring.nodes())):
                 if space.ring.has_node(node) or not self.node_alive(node):
                     continue
                 capsule = space.capsules[node]
@@ -505,9 +531,11 @@ class Supervisor:
 
     # -- availability accounting ---------------------------------------------
 
-    def _update_availability(self) -> None:
+    def _update_availability(self) -> bool:
+        """Account availability windows; True if a group is short."""
         now = self.domain.scheduler.clock.now
         groups = self.domain.groups
+        short = False
         for group_id in groups.group_ids():
             group = groups.group(group_id)
             health = self._health.setdefault(group_id, _GroupHealth())
@@ -519,6 +547,7 @@ class Supervisor:
                 self.unavailable_ms += now - health.unavailable_since
                 health.unavailable_since = None
             if live < group.spec.replicas:
+                short = True
                 if health.degraded_since is None:
                     health.degraded_since = now
             elif health.degraded_since is not None:
@@ -526,6 +555,7 @@ class Supervisor:
                 self.degraded_ms += duration
                 self.mttr_samples.append(duration)
                 health.degraded_since = None
+        return short
 
     # -- instrumentation -----------------------------------------------------
 

@@ -14,21 +14,35 @@ a value of 40 sibling records, PACKED client to TAGGED server, fell
 from 1,641 / 1,640 calls to 1,412 / 1,452 when records got shapes
 (PR 20) — each field name a shape answers is one ``_tagged_read`` that
 is not called.
+
+Supervision is counted too.  One composed check run (plan seed 3, all
+six modes) fell from 101,905 calls to 79,860, and one quiet supervision
+tick on a warm supervised world from 187 to 27, when the tick stopped
+running repair scans whose precondition cannot hold: no node dead, no
+group short, no shard capsule off its ring.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
 import repro
-from repro import OdpObject, World, operation
+from repro import OdpObject, ReplicationSpec, World, operation
+from repro.check.explorer import CheckConfig, run_seed
+from repro.comp.constraints import EnvironmentConstraints, FailureSpec
+from tests.conftest import Counter, KvStore
 
 #: Calls into ``src/repro`` one warm invocation may make.
 BUDGET = 165
 #: ... and one warm ``put`` or ``get`` of the 40-row value.  Counted on
 #: 3.11 (3.9 reads the same; 3.12 inlines comprehensions, so lower).
 BULK_BUDGET = 1480
+#: ... one ``run_seed(3)`` with all six check modes composed ...
+RUN_BUDGET = 81_000
+#: ... and one quiet tick of a warm supervisor.
+QUIET_TICK_BUDGET = 27
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
@@ -120,6 +134,63 @@ def test_warm_bulk_put_and_get_stay_inside_their_call_budget():
         assert calls <= BULK_BUDGET, (
             f"{calls} Python calls per warm bulk invocation, budget "
             f"{BULK_BUDGET}")
+
+
+def test_composed_check_run_stays_inside_its_call_budget():
+    config = (CheckConfig().with_supervisor().with_batching()
+              .with_partitions().with_shards().with_leases()
+              .with_overload())
+    run_seed(3, config)  # plans interned, modules imported
+
+    def work():
+        # Signature encodings are cached per live signature object, so
+        # when the collector runs decides what hits: run it before, not
+        # during.
+        gc.collect()
+        gc.disable()
+        try:
+            run_seed(3, config)
+        finally:
+            gc.enable()
+
+    calls = _calls_into_package(work)
+    assert calls == _calls_into_package(work), "not deterministic"
+    assert calls <= RUN_BUDGET, (
+        f"{calls} Python calls per composed run, budget {RUN_BUDGET}")
+
+
+def test_quiet_supervision_tick_stays_inside_its_call_budget():
+    """A group, a checkpointed singleton, a shard space and a lease
+    authority — something for every repair scan to walk — and no
+    fault, so every tick is quiet."""
+    world = World(seed=11)
+    names = ("n1", "n2", "n3")
+    for name in names + ("client-node",):
+        world.node("org", name)
+    domain = world.domain("org")
+    clients = world.binder_for(world.capsule("client-node", "clients"))
+    servers = [world.capsule(name, "srv") for name in names]
+    _, group_ref = domain.groups.create(
+        KvStore, servers, ReplicationSpec(replicas=3, policy="active"))
+    clients.bind(group_ref).put("k", "v")
+    clients.bind(servers[0].export(Counter(), constraints=(
+        EnvironmentConstraints(failure=FailureSpec(checkpoint_every=1)))
+    )).increment()
+    domain.shards.create("kv", KvStore,
+                         [world.capsule(name, "shards") for name in names],
+                         shards=8)
+    domain.leases  # an authority, so the lease scan has something to ask
+    supervisor = domain.supervisor
+    supervisor.start()
+    world.scheduler.run_until(world.now + 200.0)
+    assert supervisor._quiet()
+
+    calls = _calls_into_package(supervisor._poll)
+    assert calls == _calls_into_package(supervisor._poll), \
+        "not deterministic"
+    assert calls <= QUIET_TICK_BUDGET, (
+        f"{calls} Python calls per quiet tick, budget {QUIET_TICK_BUDGET}")
+    supervisor.stop()
 
 
 def test_counting_leaves_an_outer_profiler_installed():

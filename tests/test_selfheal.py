@@ -9,6 +9,7 @@ into the fault plan to tell the platform who died.
 import pytest
 
 from repro import ReplicationSpec, World
+from repro.check.explorer import CheckConfig, run_seed
 from repro.comp.constraints import EnvironmentConstraints, FailureSpec
 from repro.comp.invocation import Invocation, QoS
 from repro.engine.remote import invoke_at
@@ -26,6 +27,7 @@ from repro.mgmt.loadbalance import placement_candidates
 from repro.mgmt.monitor import TransparencyMonitor
 from repro.sim.clock import VirtualClock
 from tests.conftest import Counter, KvStore
+from tests.heal_reference import ReferenceSupervisor
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +326,27 @@ class TestSupervisor:
         assert stats["heartbeats_observed"] > 0
         supervisor.stop()
 
+    def test_members_joined_by_hand_are_watched_on_the_next_tick(self):
+        """The supervisor's own replacements watch their member at
+        once; a join it did not make is found by the view it installs,
+        and a restart re-watches every member."""
+        world, domain, capsules, clients = heal_world(extra_nodes=1)
+        group, _ = build_group(world, domain, capsules, clients)
+        supervisor = Supervisor(domain, watch_nodes=False)
+        supervisor.start()
+        world.scheduler.run_until(world.now + 100.0)
+        member = domain.groups.join(group.group_id, capsules["n4"])
+        assert not supervisor.monitor.watches("n4", "srv")
+        world.scheduler.run_until(world.now + 25.0)
+        assert all(monitor.watches(member.node, member.capsule_name)
+                   for monitor, _ in supervisor._vantages)
+        supervisor.stop()
+        supervisor.start()
+        assert all(monitor.watches(m.node, m.capsule_name)
+                   for m in group.view.members
+                   for monitor, _ in supervisor._vantages)
+        supervisor.stop()
+
     def test_domain_report_surfaces_heal_counters(self):
         world, domain, capsules, clients = heal_world()
         build_group(world, domain, capsules, clients)
@@ -354,6 +377,135 @@ class TestSupervisor:
         assert health["n3"] is False
         assert health["n1"] is True and health["client-node"] is True
         supervisor.stop()
+
+
+# ---------------------------------------------------------------------------
+# The quiet tick against the full scan
+# ---------------------------------------------------------------------------
+
+class _Recording:
+    """Keeps every ``heal.*`` span as ``(name, tags)``, in order."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.heal_spans = []
+
+    def _span(self, name, tags):
+        self.heal_spans.append((name, dict(tags)))
+        super()._span(name, tags)
+
+
+class _RecordingReference(_Recording, ReferenceSupervisor):
+    pass
+
+
+class _CheckedSupervisor(_Recording, Supervisor):
+    """The production tick, asserting what a quiet verdict promises —
+    when it is given and again when the tick ends."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.ticks = {True: 0, False: 0}
+        self._verdict = False
+
+    def _quiet(self):
+        self._verdict = super()._quiet()
+        self.ticks[self._verdict] += 1
+        if self._verdict:
+            self._assert_nobody_dead()
+        return self._verdict
+
+    def _poll(self):
+        self._verdict = False
+        super()._poll()
+        if self._verdict:
+            self._assert_nobody_dead()
+
+    def _assert_nobody_dead(self):
+        assert not any(self._is_blind(detector)
+                       for _, detector in self._vantages)
+        dead = [node for node in self.domain.nuclei if self.node_dead(node)]
+        assert not dead, f"quiet tick with dead nodes {dead}"
+
+
+_ALL_SIX = (CheckConfig().with_supervisor().with_batching()
+            .with_partitions().with_shards().with_leases().with_overload())
+#: The composed ledger corpus, then supervised and partitioned-sharded
+#: sweeps: every scan the quiet tick skips acts somewhere in these.
+_TICK_CORPUS = (
+    [(seed, _ALL_SIX) for seed in (0, 3, 4, 5, 7, 8, 9, 10)]
+    + [(seed, CheckConfig().with_supervisor()) for seed in range(10)]
+    + [(seed, CheckConfig().with_supervisor().with_partitions()
+        .with_shards()) for seed in range(10)])
+
+
+def _supervising(monkeypatch, cls):
+    """Make *cls* the supervisor the platform builds; returns the list
+    every instance built is appended to."""
+    import repro.heal.supervisor as module
+
+    made = []
+
+    def build(*args, **kwargs):
+        made.append(cls(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, "Supervisor", build)
+    return made
+
+
+def _supervised_run(monkeypatch, cls, seed, config):
+    made = _supervising(monkeypatch, cls)
+    result = run_seed(seed, config)
+    monkeypatch.undo()
+    (supervisor,) = made
+    return result, supervisor
+
+
+def test_quiet_tick_matches_the_full_scan(monkeypatch):
+    ticks = {True: 0, False: 0}
+    for seed, config in _TICK_CORPUS:
+        want, reference = _supervised_run(
+            monkeypatch, _RecordingReference, seed, config)
+        got, production = _supervised_run(
+            monkeypatch, _CheckedSupervisor, seed, config)
+        where = f"seed {seed}, {config}"
+        assert got.digest == want.digest, where
+        assert got.end_state["heal"] == want.end_state["heal"], where
+        assert production.heal_spans == reference.heal_spans, where
+        assert production._shard_down == reference._shard_down, where
+        assert production._down_records == reference._down_records, where
+        for verdict, count in production.ticks.items():
+            ticks[verdict] += count
+    # Both kinds of tick were exercised, and quiet ones are the rule.
+    assert ticks[True] > 10 * ticks[False] > 0, ticks
+
+
+def test_detection_only_tick_matches_the_full_scan(monkeypatch):
+    """The registry's heartbeat supervisor (no repairs) runs the same
+    tick: a crash, a restart and a second crash read the same."""
+    def scenario(cls):
+        made = _supervising(monkeypatch, cls)
+        world, domain, capsules, clients = heal_world()
+        group, proxy = build_group(world, domain, capsules, clients)
+        proxy.put("a", "1")
+        domain.groups.start_heartbeats(interval_ms=10.0)
+        for step, node in (("crash", "n2"), ("restart", "n2"),
+                           ("crash", "n3")):
+            getattr(world, f"{step}_node")(node)
+            world.scheduler.run_until(world.now + 150.0)
+        domain.groups.stop_heartbeats()
+        monkeypatch.undo()
+        (supervisor,) = made
+        return supervisor, (group.view.number, world.now,
+                            [m.alive for m in group.view.members],
+                            supervisor.report())
+
+    reference, want = scenario(_RecordingReference)
+    production, got = scenario(_CheckedSupervisor)
+    assert got == want
+    assert production.heal_spans == reference.heal_spans
+    assert production.ticks[True] and production.ticks[False]
 
 
 # ---------------------------------------------------------------------------
