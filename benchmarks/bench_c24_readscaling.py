@@ -26,8 +26,9 @@ inside the TTL.  Two measurements:
     holders) messages), every cache refetches, and the skipped-fill
     guard makes reconvergence take *two* read rounds (the first refill
     races the pending record).  The storm table prints the measured
-    fan-out, refetch misses and reconvergence time — the cost a
-    demotion policy weighs against the read-side savings.
+    fan-out, refetch misses and reconvergence time — the cost whoever
+    registers an interface for caching weighs against the read-side
+    savings.
 """
 
 import bisect

@@ -118,8 +118,9 @@ class RunResult:
     indoubt_allowance: int
     #: Interface ids whose in-doubt outcome could not be re-delivered.
     unresolved_iids: List[str]
-    #: key -> ordered [(value, acked)] group-write ledger.
-    group_writes: Dict[str, List[Tuple[str, bool]]]
+    #: key -> ordered [(value, t_ack, acked)] group-write ledger; the
+    #: client-observed ack time is at or after the commit.
+    group_writes: Dict[str, List[Tuple[str, float, bool]]]
     group_final: Dict[str, Optional[str]]
     #: Per-member end state: index, alive, out_of_sync, data (or None).
     member_states: List[Dict[str, Any]]
@@ -176,7 +177,7 @@ class _Run:
         self.had_indoubt = False
         self.indoubt_allowance = 0
         self.indoubt_txs: list = []
-        self.group_writes: Dict[str, List[Tuple[str, bool]]] = {}
+        self.group_writes: Dict[str, List[Tuple[str, float, bool]]] = {}
         self.gc_observations: List[Dict[str, Any]] = []
 
         for i in range(COUNTERS):
@@ -327,7 +328,7 @@ class _Run:
         value = str(op.get("value", ""))
         outcome, _ = self.attempt(self.gproxy.put, key, value)
         self.group_writes.setdefault(key, []).append(
-            (value, outcome == "ok"))
+            (value, round(self.world.now, 6), outcome == "ok"))
         return outcome, None
 
     def _op_group_get(self, op):

@@ -508,9 +508,9 @@ class Shards(Mode):
 def staleness_bound(result, evidence) -> List[Violation]:
     """Cached reads are never staler than the lease TTL, nor reordered.
 
-    Judged against the caching client's read log and the timestamped
-    group-write ledger.  Every read (cache hit *or* fetch — the
-    contract covers the interface, not one code path) must return a
+    Judged against the caching client's read log and the run's
+    timestamped group-write ledger.  Every read (cache hit *or* fetch —
+    the contract covers the interface, not one code path) must return a
     value that is a real write (or the empty default), and three
     clauses must hold:
 
@@ -532,7 +532,7 @@ def staleness_bound(result, evidence) -> List[Violation]:
     last_position: Dict[str, int] = {}
     for read in evidence["reads"]:
         tag = read["tag"]
-        ledger = evidence["writes"].get(tag, [])
+        ledger = result.group_writes.get(tag, [])
         value = read["values"][0] if read["values"] else ""
         if value == "":
             # The key's default: legal before any write lands, and
@@ -611,21 +611,6 @@ class Leases(Mode):
         for layer in run.gproxy._channel.layers:
             if getattr(layer, "name", "") == "replication":
                 layer.follower_reads = True
-        #: key -> ordered [(value, t_ack, acked)]: the group-write
-        #: ledger with client-observed ack times.  The oracle needs
-        #: *when* the client learned a write's fate, not just whether
-        #: (at or after the commit, so the bound judged from it is
-        #: conservative).
-        self.writes: Dict[str, List[Tuple[str, float, bool]]] = {}
-        put = run.handlers["group_put"]
-
-        def put_and_stamp(op):
-            outcome, detail = put(op)
-            self.writes.setdefault(str(op.get("key", "k0")), []).append(
-                (str(op.get("value", "")), round(run.world.now, 6),
-                 outcome == "ok"))
-            return outcome, detail
-        run.handlers["group_put"] = put_and_stamp
 
     def op_cached_get(self, op):
         return self.run.attempt(self.run.gproxy.get,
@@ -651,8 +636,9 @@ class Leases(Mode):
             "client": self.client.stats(),
             "reads": len(self.client.read_log),
         }
-        # Every cached or fetched read as {t, iid, op, tag, values, via}.
-        return {"reads": list(self.client.read_log), "writes": self.writes}
+        # Every cached or fetched read as {t, iid, op, tag, values, via};
+        # the oracle judges them against ``result.group_writes``.
+        return {"reads": list(self.client.read_log)}
 
 
 # -- overload ---------------------------------------------------------

@@ -126,7 +126,7 @@ def group_consistency(result) -> List[Violation]:
         ledger = result.group_writes[key]
         last_acked = None
         tail_ambiguous: List[str] = []
-        for value, acked in ledger:
+        for value, _, acked in ledger:
             if acked:
                 last_acked = value
                 tail_ambiguous = []

@@ -29,6 +29,9 @@ class Domain:
         self.minter = IdMinter()
         self.nuclei: Dict[str, Nucleus] = {}
         self._gateway: Optional[Tuple[str, str]] = None  # (node, capsule)
+        #: (gateway capsule, interface id) -> the channel that delivers
+        #: federated invocations arriving home (federation.layer).
+        self._deliveries: Dict = {}
         # Services (created lazily so each subsystem stays optional).
         self._relocator = None
         self._tx_manager = None

@@ -190,15 +190,27 @@ def gateway_process(domain, nucleus, capsule, ref,
 def _deliver_locally(domain, nucleus, capsule, ref,
                      invocation: Invocation) -> Optional[Termination]:
     """The reference is home: strip its context and invoke via a channel
-    so location repair and group routing still apply."""
+    so location repair and group routing still apply.
+
+    One channel per (gateway capsule, interface) serves every arrival —
+    a channel registers its transport, plan cache and relocation layer
+    with the nucleus for good, so one per arrival would grow those lists
+    without bound.  It is rebound only to a reference fresher than the
+    one it holds (its own location repairs keep it current otherwise).
+    """
     from repro.transparency.compiler import compile_client_channel
 
     local_ref = ref.with_context(())
     fresher = domain.relocator.try_lookup(local_ref.interface_id)
     if fresher is not None and fresher.epoch >= local_ref.epoch:
         local_ref = fresher
-    channel = compile_client_channel(nucleus, capsule, local_ref,
-                                     EnvironmentConstraints.DEFAULT)
+    key = (capsule, local_ref.interface_id)
+    channel = domain._deliveries.get(key)
+    if channel is None:
+        channel = domain._deliveries[key] = compile_client_channel(
+            nucleus, capsule, local_ref, EnvironmentConstraints.DEFAULT)
+    elif local_ref.epoch > channel.ref.epoch:
+        channel.rebind(local_ref)
     return channel.invoke(invocation.operation, invocation.args,
                           kind=invocation.kind, qos=invocation.qos,
                           context=invocation.context)

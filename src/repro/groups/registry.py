@@ -2,10 +2,10 @@
 
 One per domain.  It creates replica groups (exporting one implementation
 per capsule and wiring the ordering layer into each member's server
-stack), monitors members, executes view changes when members are
-suspected, reconciles divergence after a sequencer crash, and performs
-state transfer so "new members can join and current members can leave"
-(section 5.3).
+stack), executes view changes when members are suspected (by a client,
+a sequencer or the domain supervisor's heartbeats), reconciles
+divergence after a sequencer crash, and performs state transfer so "new
+members can join and current members can leave" (section 5.3).
 
 The registry's management traffic is charged to the virtual clock as a
 per-contact control cost rather than full message exchanges — the data
@@ -49,8 +49,6 @@ class GroupRegistry:
         #: vantage points still can (i.e. the accuser is partitioned,
         #: not the accused dead).
         self.suspicions_refused = 0
-        self.heartbeat_event = None
-        self._heartbeat_supervisor = None
 
     # -- creation ---------------------------------------------------------------
 
@@ -258,34 +256,6 @@ class GroupRegistry:
         survivors = group.view.live_members()
         self._reconcile_and_install(group, survivors)
         group.available = True
-
-    # -- monitoring ----------------------------------------------------------------
-
-    def start_heartbeats(self, interval_ms: float = 50.0) -> None:
-        """Monitor members through observed heartbeats over the network.
-
-        Liveness is inferred from heartbeat inter-arrival times by a
-        phi-accrual detector (:mod:`repro.heal`) — never by consulting
-        the fault plan — so detection latency is a measured property of
-        the configured interval and the network's actual behaviour.
-        This detection-only supervisor suspects silent members (running
-        view changes) but performs no repairs; for the full
-        detect->diagnose->repair loop use ``domain.supervisor``.
-        """
-        if self._heartbeat_supervisor is not None:
-            return
-        from repro.heal.supervisor import Supervisor
-        self._heartbeat_supervisor = Supervisor(
-            self.domain, interval_ms=interval_ms, repair=False,
-            recover_singletons=False, watch_nodes=False, vantage=1)
-        self._heartbeat_supervisor.start()
-        self.heartbeat_event = self._heartbeat_supervisor.poll_event
-
-    def stop_heartbeats(self) -> None:
-        if self._heartbeat_supervisor is not None:
-            self._heartbeat_supervisor.stop()
-            self._heartbeat_supervisor = None
-        self.heartbeat_event = None
 
     # -- reporting ----------------------------------------------------------------
 

@@ -21,6 +21,11 @@ Every detector transition and repair action is recorded as a trace
 span, and the supervisor keeps MTTR/availability counters that
 ``TransparencyMonitor.domain_report`` surfaces.
 
+Supervision runs one way: ``domain.supervisor`` detects, diagnoses
+and repairs on every tick.  Its only setting is the size of the
+vantage panel; the heartbeat period, the phi threshold and the
+detector window are class constants.
+
 A *quiet* tick — every vantage hears every node — stays quiet (only the
 detector's ``poll`` turns an endpoint suspect), so it skips the scans
 that act only on a dead node; group repair runs only while a group is
@@ -53,24 +58,15 @@ class _GroupHealth:
 class Supervisor:
     """Self-healing supervision for one domain."""
 
-    def __init__(self, domain, interval_ms: float = 20.0,
-                 threshold: float = 8.0, window: int = 64,
-                 poll_interval_ms: Optional[float] = None,
-                 repair: bool = True, recover_singletons: bool = True,
-                 watch_nodes: bool = True, vantage: int = 3) -> None:
+    #: Heartbeat period, which is also the supervision tick (virtual ms).
+    interval_ms = 20.0
+    #: Phi above which a vantage suspects an endpoint.
+    threshold = 8.0
+    #: Inter-arrival samples each detector keeps per endpoint.
+    window = 64
+
+    def __init__(self, domain, vantage: int = 3) -> None:
         self.domain = domain
-        self.interval_ms = interval_ms
-        self.threshold = threshold
-        self.window = window
-        self.poll_interval_ms = (poll_interval_ms
-                                 if poll_interval_ms is not None
-                                 else interval_ms)
-        #: ``repair=False`` gives a detection-only supervisor: members
-        #: are still suspected from observed silence (view changes run),
-        #: but nothing is revived, replaced or recovered.
-        self.repair = repair
-        self.recover_singletons = recover_singletons
-        self.watch_nodes = watch_nodes
         #: Number of observer vantage points (clamped to the node count
         #: at start).  A member is declared dead only when a majority
         #: of the *credible* (non-blind) vantages agree — one observer
@@ -78,10 +74,10 @@ class Supervisor:
         #: observer sitting on the wrong side of a partition.
         self.vantage = max(1, vantage)
         self.detector = PhiAccrualDetector(
-            domain.scheduler.clock, expected_interval_ms=interval_ms,
-            threshold=threshold, window=window)
+            domain.scheduler.clock, expected_interval_ms=self.interval_ms,
+            threshold=self.threshold, window=self.window)
         self.monitor = HeartbeatMonitor(domain, self.detector,
-                                        interval_ms=interval_ms)
+                                        interval_ms=self.interval_ms)
         self.detector.on_transition(self._on_transition)
         #: (monitor, detector) pairs; index 0 is the primary above.
         self._vantages: List = [(self.monitor, self.detector)]
@@ -133,15 +129,14 @@ class Supervisor:
             self._vantages.append((monitor, detector))
         for monitor, _ in self._vantages:
             monitor.start()
-        if self.watch_nodes:
-            # One endpoint per node: the gateway capsule every node gets
-            # at creation — node-level liveness for placement decisions.
-            for address in addresses:
-                self._watch(address, "gateway")
+        # One endpoint per node: the gateway capsule every node gets at
+        # creation — node-level liveness for placement decisions.
+        for address in addresses:
+            self._watch(address, "gateway")
         self._walked.clear()  # stop() dropped every emitter
         self._watch_group_members()
         self.poll_event = self.domain.scheduler.every(
-            self.poll_interval_ms, self._poll, label="heal-poll")
+            self.interval_ms, self._poll, label="heal-poll")
 
     def stop(self) -> None:
         if not self.running:
@@ -197,15 +192,13 @@ class Supervisor:
         # observed closing its window on the next tick, so MTTR is
         # measured at supervision-period resolution instead of being
         # optimistically collapsed to zero.
-        short = self._update_availability()
-        if self.repair:
-            if short:
-                self._repair_groups()
-            if self.recover_singletons and not quiet:
-                self._recover_singletons()
-            self._rebalance_shards(quiet)
-            if not quiet:
-                self._revoke_dead_leases()
+        if self._update_availability():
+            self._repair_groups()
+        if not quiet:
+            self._reinstate_singletons()
+        self._rebalance_shards(quiet)
+        if not quiet:
+            self._revoke_dead_leases()
 
     def _quiet(self) -> bool:
         """No vantage has a node it hears nothing from."""
@@ -380,7 +373,7 @@ class Supervisor:
                                 "node": member.node})
                     break
 
-    def _recover_singletons(self) -> None:
+    def _reinstate_singletons(self) -> None:
         """Re-instate checkpointed singletons whose node went silent."""
         from repro.mgmt.loadbalance import placement_candidates
 

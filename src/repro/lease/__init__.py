@@ -20,7 +20,6 @@ from repro.lease.authority import (
     LeaseAuthority,
 )
 from repro.lease.cache import LeaseClient
-from repro.lease.policy import PromotionPolicy
 
 __all__ = [
     "CONTROL_COST_MS",
@@ -28,5 +27,4 @@ __all__ = [
     "INVAL_KIND",
     "LeaseAuthority",
     "LeaseClient",
-    "PromotionPolicy",
 ]

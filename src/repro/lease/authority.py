@@ -3,8 +3,9 @@
 One per domain (``domain.leases``, created lazily).  The authority is
 the control plane of client-side caching:
 
-* **Registration.**  An interface promoted to cached mode is registered
-  here with a TTL; unregistered interfaces are invisible to every
+* **Registration.**  Registering an interface here with a TTL is what
+  promotes it to cached mode, and nothing demotes it; unregistered
+  interfaces are invisible to every
   :class:`~repro.lease.cache.LeaseClient`, so default runs never touch
   this module.
 
@@ -41,7 +42,7 @@ CONTROL_COST_MS = 0.2
 INVAL_KIND = "lease-inval"
 
 #: Wildcard tag: "drop every entry of this interface" (revocation,
-#: demotion, shard drain).  A flush with interface ``*`` drops all.
+#: shard drain).  A flush with interface ``*`` drops all.
 FLUSH_TAG = "*"
 
 
@@ -89,7 +90,7 @@ class LeaseAuthority:
             self._home = self.domain.gateway()[0]
         return self._home
 
-    # -- registration (promotion/demotion) -----------------------------------
+    # -- registration --------------------------------------------------------
 
     def register(self, interface_id: str,
                  ttl_ms: Optional[float] = None) -> None:
@@ -97,16 +98,8 @@ class LeaseAuthority:
         self.registered[interface_id] = (ttl_ms if ttl_ms is not None
                                          else self.default_ttl_ms)
 
-    def unregister(self, interface_id: str) -> None:
-        """Demote: revoke every grant and tell the holders to flush."""
-        self.registered.pop(interface_id, None)
-        self._flush_interface(interface_id)
-
     def covers(self, interface_id: str) -> bool:
         return interface_id in self.registered
-
-    def version(self, interface_id: str, tag: str) -> int:
-        return self.versions.get((interface_id, tag), 0)
 
     def attach_client(self, nucleus) -> "LeaseClient":
         """The (single) caching client of *nucleus*'s node."""
@@ -246,18 +239,6 @@ class LeaseAuthority:
             self._post(origin, holder, interface_id, FLUSH_TAG)
         self.drains += 1
         return remaining
-
-    def _flush_interface(self, interface_id: str) -> None:
-        held = self.grants.pop(interface_id, {})
-        origin = self.home_node()
-        now = self.clock.now
-        for holder in sorted(held):
-            if held[holder] <= now:
-                continue
-            self.revocations += 1
-            self.pending.setdefault(holder, set()).add(
-                (interface_id, FLUSH_TAG))
-            self._post(origin, holder, interface_id, FLUSH_TAG)
 
     # -- placement visibility ------------------------------------------------
 

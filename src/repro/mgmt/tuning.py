@@ -4,7 +4,10 @@ Section 7.4 requires "management interfaces for monitoring transparency
 mechanisms and changing transparency parameters".  Monitoring lives in
 :mod:`repro.mgmt.monitor`; this module is the *changing* half: knobs on
 the running mechanisms, applied without rebinding clients or restarting
-servers.
+servers.  Each knob acts on a mechanism that runs: a checkpointed
+interface's interval, the collector's lease TTL and sweep period.
+Supervision has no knob here; ``domain.supervisor`` runs at its fixed
+heartbeat period.
 """
 
 from __future__ import annotations
@@ -58,14 +61,6 @@ class TransparencyTuner:
         collector = self.domain.collector
         collector.stop_sweeping()
         collector.start_sweeping(interval_ms=interval_ms)
-        self.adjustments += 1
-
-    # -- replication ----------------------------------------------------------------
-
-    def set_heartbeat_interval(self, interval_ms: float) -> None:
-        groups = self.domain.groups
-        groups.stop_heartbeats()
-        groups.start_heartbeats(interval_ms=interval_ms)
         self.adjustments += 1
 
     # -- lookup -----------------------------------------------------------------------

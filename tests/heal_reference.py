@@ -42,12 +42,10 @@ class ReferenceSupervisor(Supervisor):
             return
         self._suspect_members()
         self._update_availability()
-        if self.repair:
-            self._repair_groups()
-            if self.recover_singletons:
-                self._recover_singletons()
-            self._rebalance_shards(quiet=False)
-            self._revoke_dead_leases()
+        self._repair_groups()
+        self._reinstate_singletons()
+        self._rebalance_shards(quiet=False)
+        self._revoke_dead_leases()
 
     def _watch_group_members(self) -> None:
         groups = self.domain.groups

@@ -170,8 +170,16 @@ class TestMutationSensitivity:
 
     def test_production_classes_carry_no_switch(self):
         """The nine benchmark-only and test-only options are gone: fault
-        models live in ``repro.check`` and are installed, not flipped."""
+        models live in ``repro.check`` and are installed, not flipped.
+        Nor do the management-plane arms that only tests ran come back:
+        one supervisor, whose one setting is its vantage count, and
+        caching by explicit registration only."""
         import repro
+        import repro.lease
+        from repro.groups.registry import GroupRegistry
+        from repro.heal.supervisor import Supervisor
+        from repro.lease.authority import LeaseAuthority
+        from repro.mgmt.tuning import TransparencyTuner
         from repro.ndr import formats
         from repro.ndr.plancache import PlanCache
         from repro.resilience.dedup import ReplyCache
@@ -189,6 +197,14 @@ class TestMutationSensitivity:
         assert not hasattr(ReplyCache(), "enabled")
         for cls in (PlanCache, ReplyCache):
             assert "enabled" not in inspect.signature(cls).parameters
+        assert list(inspect.signature(Supervisor).parameters) \
+            == ["domain", "vantage"]
+        for owner, name in ((GroupRegistry, "start_heartbeats"),
+                            (GroupRegistry, "stop_heartbeats"),
+                            (TransparencyTuner, "set_heartbeat_interval"),
+                            (repro.lease, "PromotionPolicy"),
+                            (LeaseAuthority, "unregister")):
+            assert not hasattr(owner, name), name
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError):

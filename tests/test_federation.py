@@ -151,6 +151,28 @@ class TestCrossDomainInvocation:
         with pytest.raises(AccessDeniedError):
             eve.increment()
 
+    def test_gateway_keeps_one_delivery_channel_per_interface(
+            self, two_domains):
+        """Every channel registers its transport, plan cache and
+        relocation layer with its nucleus for good: the gateway must not
+        build one per arriving invocation."""
+        world, alpha, beta = two_domains
+        servers = world.capsule("a1", "srv")
+        clients = world.capsule("b1", "cli")
+        proxy = world.binder_for(clients).bind(servers.export(Counter()))
+        gateway = alpha.nuclei["a1"]
+
+        def registered():
+            return (len(gateway.transports), len(gateway.plan_caches),
+                    len(gateway.relocation_layers))
+
+        assert proxy.increment() == 1
+        after_first = registered()
+        for _ in range(199):
+            proxy.increment()
+        assert proxy.read() == 200
+        assert registered() == after_first
+
 
 class TestContextRelativeNaming:
     def test_refs_in_replies_annotated_with_defining_context(self, world):

@@ -97,11 +97,11 @@ class TestFailover:
 
     def test_heartbeats_detect_silent_crashes(self, trio_domain):
         world, domain, group, proxy, _ = build_group(trio_domain)
-        domain.groups.start_heartbeats(interval_ms=10.0)
+        domain.supervisor.start()
         victim = group.view.members[1]
         world.crash_node(victim.node)
-        world.scheduler.run_until(world.now + 50.0)
-        domain.groups.stop_heartbeats()
+        world.scheduler.run_until(world.now + 300.0)
+        domain.supervisor.stop()
         assert not victim.alive
         assert group.view.number >= 2
 

@@ -17,7 +17,6 @@ import pytest
 from repro import ReplicationSpec, World
 from repro.check.workload import ShardStore
 from repro.errors import CommunicationError
-from repro.lease import PromotionPolicy
 from repro.mgmt.loadbalance import placement_candidates
 from repro.mgmt.monitor import TransparencyMonitor
 from tests.conftest import KvStore
@@ -142,7 +141,7 @@ class TestInvalidation:
         proxy.put("k", "v2")  # quorum commit notes the write
         world.settle()
         assert proxy.get("k") == "v2"
-        assert domain.leases.version("lg.kv", "k") == 2
+        assert domain.leases.versions[("lg.kv", "k")] == 2
 
     def test_lost_post_is_repaired_at_renewal_within_bound(self):
         world, domain, capsules, app = lease_world()
@@ -292,7 +291,7 @@ class TestShardDrain:
 
 
 # ---------------------------------------------------------------------------
-# Placement, promotion and reporting
+# Placement and reporting
 # ---------------------------------------------------------------------------
 
 class TestManagementIntegration:
@@ -310,29 +309,6 @@ class TestManagementIntegration:
             == ["n2", "n3", "n1"]
         capsule = ranked[-1][1]
         assert domain.leases.node_lease_load(capsule) == 3
-
-    def test_promotion_policy_follows_observed_skew(self):
-        world, domain, capsules, app = lease_world()
-        ref = capsules["n1"].export(KvStore(), interface_id="mix.kv")
-        domain.leases.attach_client(app.nucleus)
-        proxy = world.binder_for(app).bind(ref)
-        policy = PromotionPolicy(domain, min_invocations=5,
-                                 promote_ratio=0.8, demote_ratio=0.5)
-
-        proxy.put("k", "v")
-        for _ in range(12):
-            proxy.get("k")  # uncached: mix.kv is not promoted yet
-        actions = policy.evaluate()
-        assert [a[:2] for a in actions] == [("promote", "mix.kv")]
-        assert domain.leases.covers("mix.kv")
-
-        # Hits stop producing invoke spans, but a write-heavy turn
-        # drags the observed read ratio down and demotes.
-        for i in range(30):
-            proxy.put(f"w{i}", "v")
-        actions = policy.evaluate()
-        assert [a[:2] for a in actions] == [("demote", "mix.kv")]
-        assert not domain.leases.covers("mix.kv")
 
     def test_domain_report_has_a_lease_section(self):
         world, domain, capsules, app = lease_world()
