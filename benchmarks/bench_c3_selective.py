@@ -4,22 +4,26 @@ Claim (sections 3, 4.5): transparency must be "declarative, selective and
 modular"; an unselected transparency contributes no mechanism to the
 access path.
 
-Series produced: per-invocation virtual cost and server-stack depth for
-stacks of increasing selection:
+Series produced: per-invocation virtual cost and the client and server
+stacks for selections of increasing size:
   0: access only (type-check) — the floor,
   1: + location,
   2: + security (guard + MAC verification),
   3: + concurrency (locks + versions),
   4: + failure (write-ahead log + checkpoints).
 Expected shape: cost grows monotonically with each selected transparency;
-the unselected configuration is not billed for the others.
+the unselected configuration is not billed for the others, and its client
+stack is the transport alone.
 """
 
 import pytest
 
 from repro import EnvironmentConstraints, FailureSpec, SecuritySpec
 from repro.security.policy import SecurityPolicy
-from repro.transparency.access import describe_server_stack
+from repro.transparency.access import (
+    describe_client_stack,
+    describe_server_stack,
+)
 
 from benchmarks.workloads import as_report, Account, two_node_world, write_report
 
@@ -49,8 +53,10 @@ def _build(level: int):
     domain = world.domain("org")
     domain.policies.register(SecurityPolicy("bench", default_allow=True))
     domain.authority.enrol("bench-user")
-    ref = servers.export(Account(10 ** 9), constraints=_constraints(level))
-    proxy = world.binder_for(clients).bind(ref, principal="bench-user")
+    constraints = _constraints(level)
+    ref = servers.export(Account(10 ** 9), constraints=constraints)
+    proxy = world.binder_for(clients).bind(ref, constraints=constraints,
+                                           principal="bench-user")
     interface = servers.interfaces[ref.interface_id]
     return world, proxy, interface
 
@@ -75,15 +81,17 @@ def test_c3_report(benchmark):
 def _report():
     rows = []
     costs = []
+    client_stacks = []
     for level in range(5):
         world, proxy, interface = _build(level)
         start = world.now
         _drive(world, proxy)
         per_call = (world.now - start) / INVOCATIONS
         costs.append(per_call)
-        stack = describe_server_stack(interface)
+        client_stacks.append(describe_client_stack(proxy))
         rows.append(f"level {level}: {per_call:8.4f} virtual ms/call, "
-                    f"server stack = {stack}")
+                    f"client stack = {client_stacks[-1]}, "
+                    f"server stack = {describe_server_stack(interface)}")
     write_report("C3", "selective transparency: cost grows only with "
                        "selection (sections 3, 4.5)", rows)
     # Monotone shape: each selected transparency adds cost; the floor
@@ -91,3 +99,6 @@ def _report():
     for lower, higher in zip(costs, costs[1:]):
         assert higher >= lower * 0.999
     assert costs[4] > costs[0]
+    # The floor's client stack holds no mechanism it did not select.
+    assert client_stacks[0] == ["transport"]
+    assert client_stacks[1] == ["location", "transport"]

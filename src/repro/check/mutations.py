@@ -62,7 +62,6 @@ def _coordinate_without_barrier(self, invocation: Invocation, interface,
         raise NoQuorumError(
             f"{self.group_id}: only {acks} of {quorum} required "
             f"replicas acknowledged")
-    self.relayed_ops += 1
     return termination
 
 

@@ -7,7 +7,7 @@ performs late, type-checked binding of clients to servers (section 4.3) and
 applies the direct-local-access optimisation when permitted.
 """
 
-from repro.engine.layers import ClientLayer, ServerLayer, MetricsLayer
+from repro.engine.layers import ClientLayer, ServerLayer
 from repro.engine.capsule import Capsule
 from repro.engine.nucleus import Nucleus
 from repro.engine.channel import Channel, TransportLayer
@@ -21,7 +21,6 @@ __all__ = [
     "ReplyRouter",
     "ClientLayer",
     "ServerLayer",
-    "MetricsLayer",
     "Capsule",
     "Nucleus",
     "Channel",

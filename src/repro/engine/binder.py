@@ -106,8 +106,6 @@ class Binder:
     def __init__(self, nucleus, capsule) -> None:
         self.nucleus = nucleus
         self.capsule = capsule
-        self.bindings = 0
-        self.type_failures = 0
 
     def bind(self, ref: InterfaceRef,
              required=None,
@@ -125,7 +123,6 @@ class Binder:
         if required_sig is not None:
             problems = explain_mismatch(ref.signature, required_sig)
             if problems:
-                self.type_failures += 1
                 raise TypeCheckError(
                     "interface does not conform to requirement: "
                     + "; ".join(problems))
@@ -135,7 +132,6 @@ class Binder:
         constraints = constraints or EnvironmentConstraints.DEFAULT
         channel = compile_client_channel(
             self.nucleus, self.capsule, ref, constraints)
-        self.bindings += 1
 
         # Binding grants a GC lease on the target; use will renew it
         # (section 7.3).  Only the target's own domain tracks leases.

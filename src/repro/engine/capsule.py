@@ -44,7 +44,6 @@ class Capsule:
         #: Every leg this capsule marshals through; mutable arguments
         #: are exported from here (pass by reference, section 4.4).
         self.marshaller = Marshaller(exporter=self.implicit_export)
-        self.dispatches = 0
         #: Invocation-id minting: a forked deterministic stream gives the
         #: capsule a stable tag, a counter guarantees uniqueness.
         self._invocation_tag = "%06x" % nucleus.network.rng.fork(
@@ -158,7 +157,6 @@ class Capsule:
 
     def dispatch(self, invocation: Invocation) -> Termination:
         """Run *invocation* through the interface's server stack."""
-        self.dispatches += 1
         interface = self.interface(invocation.interface_id)
         interface.require_usable()
         interface.annotations["last_used"] = \

@@ -62,7 +62,6 @@ class Channel:
             if hasattr(layer, "attach"):
                 layer.attach(self)
         self._chain = compose_client(self.layers, transport.send)
-        self.invocations = 0
         # Channels whose layer stack routes each call to a per-key ref
         # (the shard router) cannot be cached at channel level — the
         # bound ref is not the ref the call will hit.  Such layers
@@ -88,7 +87,6 @@ class Channel:
                qos: Optional[QoS] = None,
                context: Optional[InvocationContext] = None
                ) -> Optional[Termination]:
-        self.invocations += 1
         # Lease-cache short-circuit (repro.lease): a registered
         # read-only interrogation under a valid grant never leaves the
         # node — served here, before path selection and the network.
@@ -209,10 +207,8 @@ class TransportLayer:
         self._retry_rng = client_nucleus.network.rng.fork(
             f"retry:{client_nucleus.node_address}:{client_capsule.name}")
         self.messages_sent = 0
-        self.local_dispatches = 0
         self.retries = 0
         self.backoff_wait_ms = 0.0
-        self.path_failovers = 0
         self.busy_retries = 0
         #: Memoised codec plans for this channel's hot invocations; the
         #: nucleus keeps the registry for domain_report()["perf"].
@@ -300,7 +296,6 @@ class TransportLayer:
         target = self.nucleus.capsules.get(path.capsule)
         if target is None:
             return None
-        self.local_dispatches += 1
         if invocation.kind == InvocationKind.ANNOUNCEMENT:
             def run() -> None:
                 try:
@@ -391,7 +386,6 @@ class TransportLayer:
                 return termination
             if index + 1 < len(paths):
                 self.nucleus.resilience.path_failovers += 1
-                self.path_failovers += 1
         raise (failed.get(Verdict.RETRY_HERE)
                or failed.get(Verdict.NEXT_TARGET)
                or CommunicationError(

@@ -22,41 +22,28 @@ class Dispatcher(ServerLayer):
 
     name = "dispatch-typecheck"
 
-    def __init__(self, strict: bool = True) -> None:
-        #: When False, only names/arity are checked (cheaper; used by the
-        #: selective-transparency benchmarks to isolate costs).
-        self.strict = strict
-        self.checked = 0
-        self.rejected = 0
-
     def handle(self, invocation: Invocation, interface, next_layer
                ) -> Termination:
         signature = interface.signature
         op = signature.operations.get(invocation.operation)
         if op is None:
-            self.rejected += 1
             raise UnknownOperationError(
                 f"{signature.name} offers no operation "
                 f"{invocation.operation!r}")
         expected_kind = (InvocationKind.ANNOUNCEMENT if op.announcement
                          else InvocationKind.INTERROGATION)
         if invocation.kind != expected_kind:
-            self.rejected += 1
             raise TypeCheckError(
                 f"operation {op.name!r} requires {expected_kind.value}, "
                 f"got {invocation.kind.value}")
         if len(invocation.args) != len(op.params):
-            self.rejected += 1
             raise TypeCheckError(
                 f"operation {op.name!r} takes {len(op.params)} arguments, "
                 f"got {len(invocation.args)}")
-        if self.strict:
-            for index, (value, term) in enumerate(
-                    zip(invocation.args, op.params)):
-                if not value_matches(value, term):
-                    self.rejected += 1
-                    raise TypeCheckError(
-                        f"operation {op.name!r} argument {index}: "
-                        + describe_mismatch(value, term))
-        self.checked += 1
+        for index, (value, term) in enumerate(
+                zip(invocation.args, op.params)):
+            if not value_matches(value, term):
+                raise TypeCheckError(
+                    f"operation {op.name!r} argument {index}: "
+                    + describe_mismatch(value, term))
         return next_layer(invocation)

@@ -41,34 +41,6 @@ class ServerLayer:
         return next_layer(invocation)
 
 
-class MetricsLayer(ClientLayer):
-    """Counts invocations and terminations through a channel.
-
-    Management transparency monitors (section 7.4) read these counters.
-    """
-
-    name = "metrics"
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.ok = 0
-        self.signals = 0
-        self.failures = 0
-
-    def request(self, invocation, next_layer):
-        self.requests += 1
-        try:
-            termination = next_layer(invocation)
-        except Exception:
-            self.failures += 1
-            raise
-        if termination is not None and termination.ok:
-            self.ok += 1
-        elif termination is not None:
-            self.signals += 1
-        return termination
-
-
 def compose_client(layers, transport) -> NextClient:
     """Fold a layer list over the transport into one callable."""
     def terminal(invocation: Invocation) -> Termination:

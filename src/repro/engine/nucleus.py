@@ -73,7 +73,6 @@ class Nucleus:
         self.capsules: Dict[str, Capsule] = {}
         self.wire = get_format(node.native_format)
         self.requests_handled = 0
-        self.announcements_handled = 0
         #: Server side of the resilience layer: retransmissions of an
         #: already-executed invocation answer from here (exactly-once).
         self.reply_cache = ReplyCache(clock=network.scheduler.clock)
@@ -596,7 +595,6 @@ class Nucleus:
             invocation = self._read(envelope.get("inv"))
         except MarshalError:
             return  # nobody is waiting to hear so
-        self.announcements_handled += 1
         span = self._server_span(invocation, {"kind": "announcement"})
         self.network.scheduler.clock.advance(self._processing_charge())
         capsule = self._capsule_of(envelope)

@@ -34,14 +34,11 @@ class Blackboard(OdpObject):
 
     def __init__(self) -> None:
         self.entries: List[tuple] = []
-        self.posted = 0
-        self.taken = 0
 
     @operation(params=[["any"]])
     def post(self, entry):
         """Add a tuple to the board."""
         self.entries.append(tuple(entry))
-        self.posted += 1
 
     @operation(params=[["any"]], returns=[["any"]],
                errors={"no_match": []}, readonly=True)
@@ -59,7 +56,6 @@ class Blackboard(OdpObject):
         for index, entry in enumerate(self.entries):
             if _matches(entry, tuple(pattern)):
                 del self.entries[index]
-                self.taken += 1
                 return (list(entry),)[0]
         raise Signal("no_match")
 

@@ -47,8 +47,6 @@ class EventChannel(OdpObject):
         self.name = name
         self._subscriptions: Dict[str, List[Tuple[str, InterfaceRef]]] = {}
         self._counter = 0
-        self.published = 0
-        self.fanout = 0
         #: Set by the hosting capsule right after export (the channel
         #: needs a binder to reach its subscribers).
         self._binder = None
@@ -92,7 +90,6 @@ class EventChannel(OdpObject):
 
     @operation(params=[str, "any"], announcement=True)
     def publish(self, topic, payload):
-        self.published += 1
         if self._binder is None:
             return
         for prefix, subscribers in self._subscriptions.items():
@@ -102,7 +99,6 @@ class EventChannel(OdpObject):
                 try:
                     proxy = self._binder.bind(subscriber_ref)
                     proxy.notify(topic, payload)
-                    self.fanout += 1
                 except Exception:
                     # Event delivery is best-effort by construction.
                     pass

@@ -44,7 +44,6 @@ class ForeignRepresentative(OdpObject):
         self._channel = channel
         self._context_factory = context_factory
         self._foreign_ref = foreign_ref
-        self.forwarded = 0
         for op_name, op_sig in signature.operations.items():
             setattr(self, op_name, self._make_forwarder(op_name, op_sig))
 
@@ -52,7 +51,6 @@ class ForeignRepresentative(OdpObject):
         announcement = op_sig.announcement
 
         def forward(*args):
-            self.forwarded += 1
             kind = (InvocationKind.ANNOUNCEMENT if announcement
                     else InvocationKind.INTERROGATION)
             context = self._context_factory()

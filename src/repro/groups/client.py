@@ -31,13 +31,14 @@ class GroupInvokeLayer(ClientLayer):
 
     name = "replication"
 
-    def __init__(self, registry, group_id: str, nucleus, capsule,
-                 max_view_changes: int = 5) -> None:
+    #: How many sequencer failovers one invocation may ride out.
+    max_view_changes = 5
+
+    def __init__(self, registry, group_id: str, nucleus, capsule) -> None:
         self.registry = registry
         self.group_id = group_id
         self.nucleus = nucleus
         self.capsule = capsule
-        self.max_view_changes = max_view_changes
         #: Follower reads (repro.lease): serve read-only invocations
         #: from any live replica even when the group policy routes them
         #: to the sequencer.  A follower may trail the sequencer by
@@ -45,16 +46,13 @@ class GroupInvokeLayer(ClientLayer):
         #: same contract the lease cache gives, and it is switched on
         #: for the same read-mostly interfaces.
         self.follower_reads = False
-        self.invocations = 0
         self.failovers = 0
-        self.fenced_retries = 0
         self.quorum_retries = 0
         self.read_spread_reads = 0
 
     def request(self, invocation: Invocation, next_layer) -> Termination:
         # The group layer terminates the client stack: it never calls
         # next_layer, because delivery is per-member via the registry view.
-        self.invocations += 1
         group = self.registry.group(self.group_id)
 
         if self._readonly(group, invocation) and \
@@ -93,7 +91,7 @@ class GroupInvokeLayer(ClientLayer):
                     # The member outlives our view knowledge, not the
                     # other way round: re-read the view and retry
                     # without suspecting it.
-                    self.fenced_retries += 1
+                    continue
                 elif rule.verdict is Verdict.SAME_VIEW:
                     # The write rolled back.  Retrying without
                     # suspecting anyone means a partition cannot start
@@ -152,7 +150,6 @@ class GroupInvokeLayer(ClientLayer):
                     self.nucleus, self.capsule, member.node,
                     member.capsule_name, member.interface_id, read)
             except EpochFencedError:
-                self.fenced_retries += 1
                 tried += 1
             except (CommunicationError, MembershipError):
                 # Kept apart from the classification table on purpose:

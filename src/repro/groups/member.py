@@ -58,7 +58,6 @@ class GroupMemberLayer(ServerLayer):
         self.capsule = capsule
         self.applied_seq = 0
         self.applied_ops = 0
-        self.relayed_ops = 0
         self.out_of_sync = False
         #: Append-only commit ledger: (seq, view, acks, write) tuples.
         #: ``acks`` is the quorum certificate size on the member that
@@ -278,7 +277,6 @@ class GroupMemberLayer(ServerLayer):
             # aborted write leaves nothing behind to miss.)
             self.registry.suspect(self.group_id, member,
                                   corroborated=True)
-        self.relayed_ops += 1
         return termination
 
     def _note_lease_write(self, invocation: Invocation) -> None:

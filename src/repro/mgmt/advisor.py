@@ -39,12 +39,14 @@ class Recommendation:
 class TransparencyAdvisor:
     """Derives selection guidance from observed mechanism behaviour."""
 
+    #: Share of invocations that met lock contention before the advisor
+    #: suggests spreading or splitting the interface.
+    contention_threshold = 0.2
+
     def __init__(self, domain,
-                 contention_threshold: float = 0.2,
                  idle_threshold_ms: float = 30_000.0,
                  replay_backlog_threshold: int = 20) -> None:
         self.domain = domain
-        self.contention_threshold = contention_threshold
         self.idle_threshold_ms = idle_threshold_ms
         self.replay_backlog_threshold = replay_backlog_threshold
 

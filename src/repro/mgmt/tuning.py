@@ -20,7 +20,6 @@ class TransparencyTuner:
 
     def __init__(self, domain) -> None:
         self.domain = domain
-        self.adjustments = 0
 
     # -- failure transparency ----------------------------------------------------
 
@@ -34,12 +33,10 @@ class TransparencyTuner:
         old = layer.spec
         layer.spec = FailureSpec(checkpoint_every=checkpoint_every,
                                  recovery_node=old.recovery_node)
-        self.adjustments += 1
 
     def checkpoint_now(self, interface_id: str) -> None:
         """Force an immediate checkpoint (e.g. before planned work)."""
         self._checkpoint_layer(interface_id)._checkpoint()
-        self.adjustments += 1
 
     def _checkpoint_layer(self, interface_id: str):
         interface = self._find_interface(interface_id)
@@ -55,13 +52,11 @@ class TransparencyTuner:
         if ttl_ms <= 0:
             raise ValueError("ttl must be positive")
         self.domain.collector.leases.default_ttl_ms = ttl_ms
-        self.adjustments += 1
 
     def set_gc_interval(self, interval_ms: float) -> None:
         collector = self.domain.collector
         collector.stop_sweeping()
         collector.start_sweeping(interval_ms=interval_ms)
-        self.adjustments += 1
 
     # -- lookup -----------------------------------------------------------------------
 

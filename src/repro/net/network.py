@@ -36,7 +36,6 @@ class NodeStats:
 
     messages_sent: int = 0
     messages_received: int = 0
-    bytes_sent: int = 0
     bytes_received: int = 0
 
 
@@ -169,7 +168,6 @@ class Network:
         dst = self._nodes.get(destination)
         if src is not None:
             src.stats.messages_sent += 1
-            src.stats.bytes_sent += size
         if dst is not None:
             dst.stats.messages_received += 1
             dst.stats.bytes_received += size

@@ -37,13 +37,14 @@ from repro.perf.admission import AdmissionController
 class BrownoutController:
     """Steps shed-aggressiveness from observed queue-wait p99."""
 
+    #: The highest level: every class but the most important is shed.
+    max_level = NUM_CLASSES - 1
+
     def __init__(self, clock, target_p99_ms: float = 20.0,
-                 window: int = 32,
-                 max_level: int = NUM_CLASSES - 1) -> None:
+                 window: int = 32) -> None:
         self.clock = clock
         self.target_p99_ms = target_p99_ms
         self.window = window
-        self.max_level = max_level
         self.level = 0
         self.escalations = 0
         self.relaxations = 0

@@ -28,9 +28,11 @@ class RelocationLayer(ClientLayer):
 
     name = "location"
 
-    def __init__(self, relocator, max_repairs: int = 4) -> None:
+    #: How many rebinds one invocation may chase before giving up.
+    max_repairs = 4
+
+    def __init__(self, relocator) -> None:
         self.relocator = relocator
-        self.max_repairs = max_repairs
         self.channel = None
         self.repairs = 0
         self.hint_repairs = 0

@@ -49,7 +49,6 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self.trips = 0
         self.rejections = 0
-        self.successes = 0
         self.failures = 0
 
     def allow(self) -> bool:
@@ -63,7 +62,6 @@ class CircuitBreaker:
         return True
 
     def record_success(self) -> None:
-        self.successes += 1
         self._consecutive_failures = 0
         self.state = BreakerState.CLOSED
 

@@ -9,7 +9,7 @@ police each interface from inside its encapsulation boundary.
 
 from repro.security.secrets import SecretAuthority
 from repro.security.policy import SecurityPolicy, PolicyStore
-from repro.security.guard import GuardLayer, CredentialLayer
+from repro.security.guard import GuardLayer
 from repro.security.audit import AuditLog, AuditRecord
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "SecurityPolicy",
     "PolicyStore",
     "GuardLayer",
-    "CredentialLayer",
     "AuditLog",
     "AuditRecord",
 ]

@@ -5,8 +5,8 @@ of that interface.  The guard must be included within the encapsulation
 boundary of the secure object" — here, the guard is a server-side channel
 layer that runs *before* the implementation method, inside the capsule.
 
-The client-side :class:`CredentialLayer` is the matching piece: it attaches
-the principal's MAC credentials to every outgoing invocation context.
+The client side needs no layer: the binder's context factory attaches
+the bound principal's MAC credentials to every outgoing invocation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.comp.invocation import Invocation
 from repro.comp.outcomes import Termination
-from repro.engine.layers import ClientLayer, ServerLayer
+from repro.engine.layers import ServerLayer
 from repro.errors import AccessDeniedError, AuthenticationError
 from repro.security.audit import AuditLog
 from repro.security.policy import SecurityPolicy
@@ -75,18 +75,3 @@ class GuardLayer(ServerLayer):
         self._log(invocation, interface, True, "permitted")
         return next_layer(invocation)
 
-
-class CredentialLayer(ClientLayer):
-    """Attaches the bound principal's credentials to each invocation."""
-
-    name = "credentials"
-
-    def __init__(self, authority: SecretAuthority) -> None:
-        self.authority = authority
-
-    def request(self, invocation: Invocation, next_layer) -> Termination:
-        principal = invocation.context.principal
-        if principal and not invocation.context.credentials:
-            invocation.context.credentials = \
-                self.authority.credentials_for(principal)
-        return next_layer(invocation)

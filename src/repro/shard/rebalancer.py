@@ -18,7 +18,7 @@ staged:
 
 A *dead* owner cannot be migrated from; its shards are re-instated from
 their checkpoints via the :class:`~repro.recovery.RecoveryManager` —
-which is why spaces default to durable exports.  The pre-crash records
+which is why every shard is exported durable.  The pre-crash records
 left on the dead node are exactly what the epoch fence exists for: when
 the node restarts, a stale router's write bounces off the fence instead
 of executing on a zombie shard.

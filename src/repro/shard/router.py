@@ -1,7 +1,7 @@
 """The data-plane shard router.
 
-A :class:`ShardRouterLayer` sits between the metrics layer and the
-relocation layer in a client channel.  Per invocation it hashes the
+A :class:`ShardRouterLayer` is the outermost layer of a sharded client
+channel, above the relocation layer.  Per invocation it hashes the
 routing key (the operation's first argument), swaps the channel's
 reference to the owning shard's interface, and stamps the epoch of the
 ring view it routed by into the invocation context (``RING_KEY``).
@@ -50,7 +50,6 @@ class ShardRouterLayer(ClientLayer):
         #: signals, so a router can serve forever off one view while
         #: ownership is stable.
         self.view = space.view()
-        self.routed = 0
         self.chases = 0
         self.refreshes = 0
 
@@ -123,7 +122,6 @@ class ShardRouterLayer(ClientLayer):
         invocation.interface_id = ref.interface_id
         invocation.epoch = ref.epoch
         invocation.context.extra[RING_KEY] = self.view.epoch
-        self.routed += 1
         return ref
 
     def _refresh(self) -> None:

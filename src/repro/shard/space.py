@@ -106,8 +106,7 @@ class ShardSpace:
     """One partitioned object: N shard slots placed over member nodes."""
 
     def __init__(self, domain, name: str, factory, capsules,
-                 shards: int = 16, vnodes: int = 16,
-                 durable: bool = True) -> None:
+                 shards: int = 16, vnodes: int = 16) -> None:
         if shards < 1:
             raise ValueError("a space needs at least one shard")
         if not capsules:
@@ -116,7 +115,6 @@ class ShardSpace:
         self.name = name
         self.factory = factory
         self.shard_count = shards
-        self.durable = durable
         self.capsule_name = capsules[0].name
         self.ring = PlacementRing(vnodes=vnodes)
         #: node -> capsule, remembered across ring leaves so a
@@ -132,7 +130,6 @@ class ShardSpace:
         self.owners: Dict[int, str] = {}
         self.refs: Dict[int, Any] = {}
         self._fenced: set = set()
-        self._fence_layers: Dict[int, ShardFenceLayer] = {}
         self.routers: List[Any] = []
         # Counters the monitor's "shard" section surfaces.
         self.migrations = 0
@@ -147,9 +144,8 @@ class ShardSpace:
         self.execution_log: List[Dict[str, Any]] = []
 
         view = self.ring.view()
-        constraints = (
-            EnvironmentConstraints(failure=FailureSpec(checkpoint_every=1))
-            if durable else EnvironmentConstraints())
+        constraints = EnvironmentConstraints(
+            failure=FailureSpec(checkpoint_every=1))
         for index in range(shards):
             node = view.owner(self.shard_id(index))
             ref = self.capsules[node].export(
@@ -209,9 +205,8 @@ class ShardSpace:
             raise BindingError(
                 f"shard {index} of {self.name} has no interface on "
                 f"{node} to fence")
-        layer = ShardFenceLayer(self, index, node)
-        self._fence_layers[index] = layer
-        prepend_server_layer(capsule, interface, layer)
+        prepend_server_layer(capsule, interface,
+                             ShardFenceLayer(self, index, node))
 
     # -- membership (delegated to the rebalancer for the moves) --------------
 
@@ -239,14 +234,12 @@ class ShardSpace:
         """Bind a client: a proxy whose ops route by their first arg."""
         from repro.engine.binder import Proxy
         from repro.engine.channel import Channel, TransportLayer
-        from repro.engine.layers import MetricsLayer
         from repro.relocation.layer import RelocationLayer
         from repro.shard.router import ShardRouterLayer
 
         nucleus = client_capsule.nucleus
         router = ShardRouterLayer(self, max_chases=max_chases)
-        layers = [MetricsLayer(), router,
-                  RelocationLayer(self.domain.relocator)]
+        layers = [router, RelocationLayer(self.domain.relocator)]
         transport = TransportLayer(nucleus, client_capsule)
         channel = Channel(self.refs[0], nucleus, client_capsule,
                           layers, transport)
@@ -299,11 +292,11 @@ class ShardManager:
         self._spaces: Dict[str, ShardSpace] = {}
 
     def create(self, name: str, factory, capsules, shards: int = 16,
-               vnodes: int = 16, durable: bool = True) -> ShardSpace:
+               vnodes: int = 16) -> ShardSpace:
         if name in self._spaces:
             raise BindingError(f"duplicate shard space {name!r}")
         space = ShardSpace(self.domain, name, factory, capsules,
-                           shards=shards, vnodes=vnodes, durable=durable)
+                           shards=shards, vnodes=vnodes)
         self._spaces[name] = space
         return space
 

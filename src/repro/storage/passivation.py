@@ -23,7 +23,6 @@ class PassivationManager:
 
     def __init__(self, domain) -> None:
         self.domain = domain
-        self.passivations = 0
         self.reactivations = 0
         self.sweep_event = None
 
@@ -52,7 +51,6 @@ class PassivationManager:
         interface.passivate()
         interface.annotations["reactivator"] = self._make_reactivator(
             capsule)
-        self.passivations += 1
 
     def _make_reactivator(self, capsule):
         def reactivate(interface: Interface) -> None:

@@ -42,7 +42,6 @@ class StableRepository:
         self._objects: Dict[str, StoredObject] = {}
         self._logs: Dict[str, List[Any]] = {}
         self.writes = 0
-        self.reads = 0
 
     def _charge(self, cost: float) -> None:
         if self.clock is not None:
@@ -63,7 +62,6 @@ class StableRepository:
         self._objects[record.key] = stored
 
     def fetch(self, key: str) -> StoredObject:
-        self.reads += 1
         self._charge(self.read_ms)
         record = self._objects.get(key)
         if record is None:
@@ -96,7 +94,6 @@ class StableRepository:
         self._logs.setdefault(key, []).append(copy.deepcopy(entry))
 
     def read_log(self, key: str) -> List[Any]:
-        self.reads += 1
         self._charge(self.read_ms)
         return copy.deepcopy(self._logs.get(key, []))
 

@@ -30,7 +30,6 @@ class FlowBinding:
     spec: FlowSpec
     monitor: QoSMonitor
     seq: int = 0
-    frames_sent: int = 0
     event: object = None
     rate_hz: float = 0.0
 
@@ -45,7 +44,6 @@ class StreamManager:
         self._routes: Dict[Tuple[str, str], List[FlowBinding]] = {}
         self._handled_nodes: set = set()
         self._counter = 0
-        self.bindings: List["StreamBinding"] = []
 
     # -- endpoints ----------------------------------------------------------------
 
@@ -102,7 +100,6 @@ class StreamManager:
             self._routes.setdefault(
                 (consumer.endpoint_id, in_name), []).append(flow)
         binding = StreamBinding(self, flows)
-        self.bindings.append(binding)
         if control_capsule is not None:
             binding.control_ref = control_capsule.export(
                 BindingControl(binding))
@@ -148,7 +145,6 @@ class StreamBinding:
     def _emit(self, flow: FlowBinding) -> None:
         flow.seq += 1
         payload = flow.producer.source_for(flow.producer_flow)(flow.seq)
-        flow.frames_sent += 1
         self.manager.network.post(
             flow.producer.node_address, flow.consumer.node_address,
             payload, kind="stream",

@@ -10,7 +10,7 @@ present, measuring the skew a player would have to absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 
 @dataclass
@@ -37,13 +37,11 @@ class SyncController:
     """
 
     def __init__(self, primary_name: str, secondary_name: str,
-                 clock, tolerance_ms: float = 20.0,
-                 on_release: Optional[Callable] = None) -> None:
+                 clock, tolerance_ms: float = 20.0) -> None:
         self.primary_name = primary_name
         self.secondary_name = secondary_name
         self.clock = clock
         self.tolerance_ms = tolerance_ms
-        self.on_release = on_release
         self._buffers: Dict[str, List[Tuple[int, float]]] = {
             primary_name: [], secondary_name: []}
         self.released: List[SyncedPair] = []
@@ -71,11 +69,8 @@ class SyncController:
             if abs(delta) <= self.tolerance_ms:
                 primary.pop(0)
                 secondary.pop(0)
-                pair = SyncedPair(p_seq, s_seq, p_sent, s_sent,
-                                  self.clock.now)
-                self.released.append(pair)
-                if self.on_release is not None:
-                    self.on_release(pair)
+                self.released.append(SyncedPair(p_seq, s_seq, p_sent,
+                                                s_sent, self.clock.now))
             elif delta > 0:
                 # Primary frame is newer: the old secondary frame will
                 # never find a partner.

@@ -29,11 +29,9 @@ class ServiceOffer:
     properties: Dict[str, Any] = field(default_factory=dict)
     resource_hook: Optional[Callable[["ServiceOffer"], InterfaceRef]] = None
     withdrawn: bool = False
-    selections: int = 0
 
     def select(self) -> InterfaceRef:
         """Mark the offer selected, running the resource-manager hook."""
-        self.selections += 1
         if self.resource_hook is not None:
             replacement = self.resource_hook(self)
             if replacement is not None:

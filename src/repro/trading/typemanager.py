@@ -26,7 +26,6 @@ class TypeManager:
         self.domain_name = domain_name
         self._types: Dict[str, InterfaceSignature] = {}
         self._rules: List[Tuple[str, MatchRule]] = []
-        self.checks = 0
 
     # -- the type repository -----------------------------------------------------
 
@@ -62,7 +61,6 @@ class TypeManager:
     def conforms(self, provided: InterfaceSignature,
                  required: InterfaceSignature) -> bool:
         """Structural conformance plus all registered extra rules."""
-        self.checks += 1
         if not signature_conforms(provided, required):
             return False
         return all(rule(provided, required) for _, rule in self._rules)

@@ -28,12 +28,3 @@ def describe_server_stack(interface) -> List[str]:
     return [layer.name
             for layer in interface.annotations.get("server_layers", [])]
 
-
-def selected_transparencies(proxy_or_channel, interface=None) -> List[str]:
-    """The transparencies active on an access path (client + server)."""
-    names = set(describe_client_stack(proxy_or_channel))
-    if interface is not None:
-        names.update(describe_server_stack(interface))
-    ordered = ["metrics", "federation", "replication", "location",
-               "dispatch-typecheck", "guard", "concurrency", "failure"]
-    return [n for n in ordered if n in names]

@@ -9,7 +9,7 @@ for: "the engineering is separated from the application".
 
 Client stack (outermost first)::
 
-    metrics -> federation -> replication -> location -> transport
+    federation -> replication -> location -> transport
 
 Server stack (outermost first)::
 
@@ -26,7 +26,7 @@ from typing import List
 from repro.comp.constraints import EnvironmentConstraints
 from repro.engine.channel import Channel, TransportLayer
 from repro.engine.dispatcher import Dispatcher
-from repro.engine.layers import MetricsLayer, compose_server
+from repro.engine.layers import compose_server
 from repro.errors import BindingError
 
 
@@ -37,7 +37,7 @@ from repro.errors import BindingError
 def compile_client_channel(nucleus, capsule, ref,
                            constraints: EnvironmentConstraints) -> Channel:
     """Build the client-side channel stack for *ref* under *constraints*."""
-    layers: List = [MetricsLayer()]
+    layers: List = []
     domain = nucleus.domain
 
     if constraints.federation and domain is not None:
@@ -75,7 +75,7 @@ def compile_server_stack(nucleus, capsule, interface,
             "exporting a single implementation with a ReplicationSpec")
 
     domain = nucleus.domain
-    layers: List = [Dispatcher(strict=True)]
+    layers: List = [Dispatcher()]
 
     if constraints.security is not None:
         if domain is None:

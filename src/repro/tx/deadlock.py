@@ -16,7 +16,6 @@ class WaitsForGraph:
 
     def __init__(self) -> None:
         self._edges: Dict[str, Set[str]] = {}
-        self.cycles_found = 0
 
     def add_waits(self, waiter: str, holders: Iterable[str]) -> None:
         self._edges.setdefault(waiter, set()).update(
@@ -46,7 +45,6 @@ class WaitsForGraph:
         for start in targets:
             path = self._find_path(start, waiter)
             if path is not None:
-                self.cycles_found += 1
                 return [waiter] + path
         return None
 

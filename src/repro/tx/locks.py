@@ -28,7 +28,6 @@ class LockManager:
         self.interface_id = interface_id
         self._holders: Dict[str, LockMode] = {}
         self.grants = 0
-        self.conflicts = 0
         self.upgrades = 0
 
     def holders(self) -> Set[str]:
@@ -59,7 +58,6 @@ class LockManager:
             return set()  # already sufficient
         blocking = self.conflicts_with(tx_id, wanted)
         if blocking:
-            self.conflicts += 1
             return blocking
         if held == LockMode.READ and wanted == LockMode.WRITE:
             self.upgrades += 1

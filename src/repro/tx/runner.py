@@ -62,22 +62,21 @@ class _Run:
 class TxRunner:
     """Round-robin (optionally randomised) interleaver of scripts."""
 
+    #: Virtual ms a busy step waits before its script is stepped again.
+    busy_backoff_ms = 0.5
+    #: Consecutive all-blocked rounds tolerated before declaring a
+    #: livelock.  Locks may be held by transactions *outside* the
+    #: runner, so a blocked round is not immediately fatal; cycles
+    #: among the runner's own scripts are caught by the deadlock
+    #: detector long before this bound.
+    max_stall_rounds = 1000
+
     def __init__(self, manager: TransactionManager,
                  scheduler=None,
-                 rng: Optional[DeterministicRandom] = None,
-                 busy_backoff_ms: float = 0.5,
-                 max_stall_rounds: int = 1000) -> None:
+                 rng: Optional[DeterministicRandom] = None) -> None:
         self.manager = manager
         self.scheduler = scheduler
         self.rng = rng
-        self.busy_backoff_ms = busy_backoff_ms
-        #: Consecutive all-blocked rounds tolerated before declaring a
-        #: livelock.  Locks may be held by transactions *outside* the
-        #: runner, so a blocked round is not immediately fatal; cycles
-        #: among the runner's own scripts are caught by the deadlock
-        #: detector long before this bound.
-        self.max_stall_rounds = max_stall_rounds
-        self.steps = 0
         self.restarts = 0
 
     def _backoff(self) -> None:
@@ -131,7 +130,6 @@ class TxRunner:
         return scripts
 
     def _step(self, run: _Run) -> str:
-        self.steps += 1
         thunk = run.pending
         if thunk is None:
             try:

@@ -36,8 +36,6 @@ class VersionStore:
     def __init__(self, interface_id: str) -> None:
         self.interface_id = interface_id
         self._before: Dict[str, Dict[str, Any]] = {}
-        self.saves = 0
-        self.restores = 0
 
     def has_version(self, tx_id: str) -> bool:
         return tx_id in self._before
@@ -47,7 +45,6 @@ class VersionStore:
         if tx_id in self._before:
             return
         self._before[tx_id] = take_snapshot(implementation)
-        self.saves += 1
 
     def restore(self, tx_id: str, implementation: Any) -> bool:
         """Roll back to the before-image; True when there was one."""
@@ -55,7 +52,6 @@ class VersionStore:
         if snapshot is None:
             return False
         restore_snapshot(implementation, snapshot)
-        self.restores += 1
         return True
 
     def discard(self, tx_id: str) -> None:

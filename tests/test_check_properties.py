@@ -9,6 +9,7 @@ plan to a handful of ops whose reproduction snippet actually runs.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import pathlib
 import re
@@ -173,16 +174,29 @@ class TestMutationSensitivity:
         models live in ``repro.check`` and are installed, not flipped.
         Nor do the management-plane arms that only tests ran come back:
         one supervisor, whose one setting is its vantage count, and
-        caching by explicit registration only."""
+        caching by explicit registration only.  Limits no caller sets
+        are class constants, and every client layer is a transparency:
+        no metrics layer, no credential layer."""
         import repro
+        import repro.engine
         import repro.lease
+        import repro.security
+        from repro.engine.dispatcher import Dispatcher
+        from repro.groups.client import GroupInvokeLayer
         from repro.groups.registry import GroupRegistry
         from repro.heal.supervisor import Supervisor
         from repro.lease.authority import LeaseAuthority
+        from repro.mgmt.advisor import TransparencyAdvisor
         from repro.mgmt.tuning import TransparencyTuner
         from repro.ndr import formats
         from repro.ndr.plancache import PlanCache
+        from repro.overload.admission import BrownoutController
+        from repro.relocation.layer import RelocationLayer
         from repro.resilience.dedup import ReplyCache
+        from repro.shard.space import ShardManager, ShardSpace
+        from repro.streams.sync import SyncController
+        from repro.transparency import access
+        from repro.tx.runner import TxRunner
 
         root = pathlib.Path(repro.__file__).parent
         offenders = [str(path.relative_to(root))
@@ -203,8 +217,56 @@ class TestMutationSensitivity:
                             (GroupRegistry, "stop_heartbeats"),
                             (TransparencyTuner, "set_heartbeat_interval"),
                             (repro.lease, "PromotionPolicy"),
-                            (LeaseAuthority, "unregister")):
+                            (LeaseAuthority, "unregister"),
+                            (repro.engine, "MetricsLayer"),
+                            (repro.engine.layers, "MetricsLayer"),
+                            (repro.security, "CredentialLayer"),
+                            (repro.security.guard, "CredentialLayer"),
+                            (access, "selected_transparencies")):
             assert not hasattr(owner, name), name
+        for cls, name in ((Dispatcher, "strict"),
+                          (GroupInvokeLayer, "max_view_changes"),
+                          (RelocationLayer, "max_repairs"),
+                          (TxRunner, "busy_backoff_ms"),
+                          (TxRunner, "max_stall_rounds"),
+                          (BrownoutController, "max_level"),
+                          (TransparencyAdvisor, "contention_threshold"),
+                          (ShardSpace, "durable"),
+                          (ShardManager.create, "durable"),
+                          (SyncController, "on_release")):
+            assert name not in inspect.signature(cls).parameters, \
+                (cls, name)
+
+    def test_every_counter_has_a_reader(self):
+        """No attribute that ``src/repro`` bumps with ``+=`` / ``-=`` is
+        left unread: some code in the source, the tests, the benchmarks
+        or the examples loads it, or names it to ``getattr`` /
+        ``hasattr``.  A counter nobody reads is state without a
+        purpose, paid for on every event it counts."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        bumped = {}
+        read = set()
+        for folder in ("src/repro", "tests", "benchmarks", "examples"):
+            for path in sorted((root / folder).rglob("*.py")):
+                tree = ast.parse(path.read_text(), str(path))
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.AugAssign) \
+                            and folder == "src/repro" \
+                            and isinstance(node.op, (ast.Add, ast.Sub)) \
+                            and isinstance(node.target, ast.Attribute):
+                        bumped.setdefault(node.target.attr, set()).add(
+                            str(path.relative_to(root)))
+                    elif isinstance(node, ast.Attribute) \
+                            and isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
+                    elif isinstance(node, ast.Call) \
+                            and isinstance(node.func, ast.Name) \
+                            and node.func.id in ("getattr", "hasattr") \
+                            and len(node.args) >= 2 \
+                            and isinstance(node.args[1], ast.Constant):
+                        read.add(node.args[1].value)
+        assert {name: sorted(paths) for name, paths in bumped.items()
+                if name not in read} == {}
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError):

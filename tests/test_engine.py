@@ -292,7 +292,7 @@ class TestStackIntrospection:
         world, _, servers, clients = single_domain
         proxy = world.binder_for(clients).bind(servers.export(Counter()))
         stack = describe_client_stack(proxy)
-        assert stack == ["metrics", "federation", "location", "transport"]
+        assert stack == ["federation", "location", "transport"]
 
     def test_minimal_client_stack(self, single_domain):
         world, _, servers, clients = single_domain
@@ -300,7 +300,7 @@ class TestStackIntrospection:
             servers.export(Counter()),
             constraints=EnvironmentConstraints(location=False,
                                                federation=False))
-        assert describe_client_stack(proxy) == ["metrics", "transport"]
+        assert describe_client_stack(proxy) == ["transport"]
 
     def test_server_stack_reflects_selection(self, single_domain):
         world, _, servers, clients = single_domain

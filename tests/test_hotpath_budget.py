@@ -6,8 +6,9 @@ this package is the same on every run and every machine.  It fell from
 215 to 181 when the envelope got its compiled readers (PR 19), and to
 163 when the nucleus read each invocation once and stopped re-asking
 what cannot change (a node's address, the clock's slot, a capsule's
-marshaller) per call.  A layer that adds a call per invocation shows
-here as exactly one.
+marshaller) per call, and to 160 when the channel lost the metrics
+layer, which was no transparency and whose counters nothing read.  A
+layer that adds a call per invocation shows here as exactly one.
 
 The bulk path is counted beside it: one warm ``put`` and one ``get`` of
 a value of 40 sibling records, PACKED client to TAGGED server, fell
@@ -35,7 +36,7 @@ from repro.comp.constraints import EnvironmentConstraints, FailureSpec
 from tests.conftest import Counter, KvStore
 
 #: Calls into ``src/repro`` one warm invocation may make.
-BUDGET = 165
+BUDGET = 162
 #: ... and one warm ``put`` or ``get`` of the 40-row value.  Counted on
 #: 3.11 (3.9 reads the same; 3.12 inlines comprehensions, so lower).
 BULK_BUDGET = 1480
