@@ -11,6 +11,8 @@ that records the code objects it calls under ``src/repro``:
 * each ``--mutate`` run with ``--shrink``, under the mode its oracle
   watches;
 * every ``examples/*.py``;
+* ``benchmarks/ledger/run.py --workload W --setup-only`` for every
+  workload ``BENCHMARK.json`` declares (one cold set-up each);
 * every ``benchmarks/bench_c*.py`` under pytest with
   ``--benchmark-disable`` (their ``C*.txt`` reports go to a scratch
   directory, not ``benchmarks/out/``).
@@ -109,6 +111,12 @@ def drivers() -> List[Tuple[str, str, str, List[str]]]:
                                       "--shrink", *flags]))
     for path in sorted((ROOT / "examples").glob("*.py")):
         found.append((f"examples/{path.name}", "path", str(path), []))
+    ledger = ROOT / "benchmarks" / "ledger" / "run.py"
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in spec["workloads"]:
+        args = ["--workload", workload["name"], "--setup-only"]
+        found.append((f"benchmarks/ledger/run.py {' '.join(args)}", "path",
+                      str(ledger), args))
     for path in sorted((ROOT / "benchmarks").glob("bench_c*.py")):
         found.append((f"benchmarks/{path.name}", "pytest", "pytest",
                       [str(path), "-q", "-p", "no:cacheprovider",

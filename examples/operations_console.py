@@ -1,11 +1,15 @@
-"""Operating an ODP system: monitor, advise, tune (paper section 7.4).
+"""Operating an ODP system: monitor, advise, tune, manage (paper section 7.4).
 
 A small deployment is driven into three distinct pathologies — lock
 contention, volatile transactional state, and an over-long checkpoint
 interval.  The transparency monitor surfaces the counters, the advisor
 turns them into the paper's "management guidelines about when to select
-particular transparencies", and the tuner applies a fix without
-restarting anything.
+particular transparencies", an event channel announces them to the
+operators' node, a blackboard turns them into tickets, and the tuner
+applies a fix without restarting anything.  The node manager's
+management service — "accessible from other computers, for starting
+and stopping servers on its own node" — is then driven from the client
+node through ordinary invocations.
 
 Run:  python examples/operations_console.py
 """
@@ -18,6 +22,8 @@ from repro import (
     operation,
 )
 from repro.errors import LockBusyError
+from repro.events import Blackboard, Subscriber
+from repro.events.channel import export_channel
 from repro.mgmt import (
     NodeManager,
     ServerSpec,
@@ -106,6 +112,37 @@ def main() -> None:
     for recommendation in recommendations:
         print(f"  {recommendation}")
 
+    # --- Announce --------------------------------------------------------------
+    # An event channel on the app node re-announces each recommendation
+    # to the operators' subscriber on the client node.  Both legs are
+    # announcements (section 5.1): nobody waits for a reply.
+    operations = world.capsule("app-node", "operations")
+    _, alerts_ref = export_channel(operations, world.binder_for(operations),
+                                   "alerts")
+    alerts = binder.bind(alerts_ref)
+    inbox = Subscriber()
+    subscription = alerts.subscribe("", clients.export(inbox))
+    for recommendation in recommendations:
+        alerts.publish(recommendation.severity,
+                       {"interface": recommendation.interface_id,
+                        "action": recommendation.action})
+    world.settle()  # announcements are asynchronous end to end
+    print(f"\n{len(inbox.events)} alerts delivered to client-node, "
+          f"topics {inbox.topics()}")
+    for topic, payload in inbox.events:
+        print(f"  [{topic}] {payload['interface']}: {payload['action']}")
+    alerts.unsubscribe(subscription)
+    print(f"operators unsubscribed; the channel has "
+          f"{alerts.subscriber_count()} subscribers")
+
+    # Operators coordinate on a blackboard (section 5.3): every alert
+    # becomes a ticket that any operator can read or take.
+    board = binder.bind(operations.export(Blackboard()))
+    for topic, payload in inbox.events:
+        board.post([topic, payload["interface"], payload["action"]])
+    print(f"ticket board: {board.size()} open, "
+          f"{board.count(['advice', None, None])} of them advice")
+
     # --- Tune ------------------------------------------------------------------
     tuner = TransparencyTuner(domain)
     ledger_id = manager.servers["ledger"].ref.interface_id
@@ -118,6 +155,40 @@ def main() -> None:
     after = advisor.review_domain()
     print(f"recommendations remaining after tuning: "
           f"{[r.action for r in after] or 'none about the ledger'}")
+    closed = board.take([None, ledger_id, None])
+    print(f"closed ticket {closed}; still open: "
+          f"{board.read([None, None, None])} ({board.size()} left)")
+    tuner.set_lease_ttl(5_000.0)
+    tuner.set_gc_interval(1_000.0)
+    print("tuned the collector: lease TTL -> 5 s, sweep every 1 s")
+
+    # --- Manage, from another node ---------------------------------------------
+    # The sweep is periodic now, so the queue never drains: advance
+    # virtual time to a point instead of settling.
+    management = binder.bind(manager.management_ref)
+    print("\nmanagement service on app-node, invoked from client-node:")
+    print(f"  servers {management.list_servers()}, "
+          f"boots {management.boot_count()}")
+    services = world.nucleus("app-node").capsules["services"]
+    retired = manager.servers["inventory"].ref.interface_id
+    management.stop_server("inventory")
+    print(f"  stop_server('inventory') -> running "
+          f"{management.is_running('inventory')}")
+    world.scheduler.run_until(world.now + 2_000.0)
+    fate = "still held" if retired in services.interfaces else "reclaimed"
+    print(f"  after {domain.collector.sweeps} sweeps, the closed interface "
+          f"is {fate}")
+    management.start_server("inventory")
+    print(f"  start_server('inventory') -> running "
+          f"{management.is_running('inventory')} as "
+          f"{manager.servers['inventory'].ref.interface_id}")
+    health = management.node_health()
+    print(f"  node health: "
+          f"{health or 'no verdict (no supervisor runs in this domain)'}")
+    network = monitor.network_report()
+    print(f"network: {network['messages']} messages, "
+          f"{network['bytes']} bytes, {network['drops']} dropped; "
+          f"per node {network['per_node']}")
 
     # The ledger is now crash-safe at its tuned cadence.
     world.node("ops", "spare-node")

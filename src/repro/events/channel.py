@@ -46,6 +46,11 @@ class EventChannel(OdpObject):
     def __init__(self, name: str = "events") -> None:
         self.name = name
         self._subscriptions: Dict[str, List[Tuple[str, InterfaceRef]]] = {}
+        #: One proxy per subscriber reference, bound at its first event:
+        #: a bind registers a transport, plan cache and relocation layer
+        #: with the hosting nucleus for good, so one per event would
+        #: grow those lists without bound.
+        self._proxies: Dict[InterfaceRef, Any] = {}
         self._counter = 0
         #: Set by the hosting capsule right after export (the channel
         #: needs a binder to reach its subscribers).
@@ -97,7 +102,10 @@ class EventChannel(OdpObject):
                 continue
             for _, subscriber_ref in list(subscribers):
                 try:
-                    proxy = self._binder.bind(subscriber_ref)
+                    proxy = self._proxies.get(subscriber_ref)
+                    if proxy is None:
+                        proxy = self._proxies[subscriber_ref] = \
+                            self._binder.bind(subscriber_ref)
                     proxy.notify(topic, payload)
                 except Exception:
                     # Event delivery is best-effort by construction.

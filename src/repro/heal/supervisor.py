@@ -11,8 +11,8 @@ repairs through the platform's ordinary mechanisms —
 * a group below its replication factor is repaired by **reviving** a
   voted-out member whose node is heartbeating again (revive + state
   transfer), or — when no member is revivable — by **replacing** it:
-  a healthy, least-loaded node is chosen via ``mgmt.loadbalance``
-  placement and joined with state transfer;
+  a healthy, least-loaded node is chosen via ``mgmt.placement``
+  and joined with state transfer;
 * a checkpointed **singleton** whose node went silent is re-instated on
   a surviving capsule through the :class:`RecoveryManager`; clients
   chase the move through the relocation layer, none the wiser.
@@ -302,7 +302,7 @@ class Supervisor:
     # -- repairs -------------------------------------------------------------
 
     def _repair_groups(self) -> None:
-        from repro.mgmt.loadbalance import placement_candidates
+        from repro.mgmt.placement import placement_candidates
 
         groups = self.domain.groups
         for group_id in groups.group_ids():
@@ -375,7 +375,7 @@ class Supervisor:
 
     def _reinstate_singletons(self) -> None:
         """Re-instate checkpointed singletons whose node went silent."""
-        from repro.mgmt.loadbalance import placement_candidates
+        from repro.mgmt.placement import placement_candidates
 
         if self.domain._repository is None:
             return  # nothing was ever checkpointed

@@ -245,10 +245,11 @@ class LeaseAuthority:
     def node_lease_load(self, capsule) -> int:
         """Unexpired grants outstanding against *capsule*'s interfaces.
 
-        Placement (``repro.mgmt.placement_candidates``) counts this as
-        load: a node whose interfaces serve many cached readers is a
-        worse home for yet another object than its invocation counters
-        alone suggest — every write it hosts fans out to those holders.
+        Placement (``repro.mgmt.placement.placement_candidates``)
+        counts this as load: a node whose interfaces serve many cached
+        readers is a worse home for yet another object than its
+        invocation counters alone suggest — every write it hosts fans
+        out to those holders.
         """
         now = self.clock.now
         total = 0

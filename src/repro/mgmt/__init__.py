@@ -8,17 +8,19 @@ provide a management service, accessible from other computers, for
 starting and stopping servers on its own node" — and *transparency
 monitoring*: "identification of management interfaces for monitoring
 transparency mechanisms and changing transparency parameters".
+
+Load is balanced by moving an object (the migrator, with clients
+repairing through location transparency); :mod:`repro.mgmt.placement`
+is the policy that picks a healthy, least-loaded node when heal places
+a replica or a recovered object.
 """
 
 from repro.mgmt.nodemanager import NodeManager, ServerSpec, ManagementService
 from repro.mgmt.monitor import TransparencyMonitor
 from repro.mgmt.tuning import TransparencyTuner
 from repro.mgmt.advisor import TransparencyAdvisor, Recommendation
-from repro.mgmt.loadbalance import LoadBalancer, BalanceMove
 
 __all__ = [
-    "LoadBalancer",
-    "BalanceMove",
     "NodeManager",
     "ServerSpec",
     "ManagementService",

@@ -11,18 +11,17 @@ interface containing control and management functions."
 
 Built here: typed stream endpoints (tradable — they have STREAM-kind
 signatures), an explicit binder parameterised by a flow template, frame
-transport over the simulated network, per-flow QoS monitoring, and an
-inter-stream synchroniser (the lip-sync problem).
+transport over the simulated network, per-flow QoS monitoring, a
+binding control interface (start, stop, ``set_rate``) invocable from
+other nodes, and an inter-stream synchroniser (the lip-sync problem).
 """
 
 from repro.streams.stream import FlowSpec, StreamQoS, StreamEndpoint, stream_signature
 from repro.streams.qos import QoSMonitor
 from repro.streams.binding import StreamBinding, BindingControl, StreamManager
 from repro.streams.sync import SyncController
-from repro.streams.adapt import AdaptiveRateController
 
 __all__ = [
-    "AdaptiveRateController",
     "FlowSpec",
     "StreamQoS",
     "StreamEndpoint",

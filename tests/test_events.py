@@ -90,6 +90,22 @@ class TestEventChannel:
         world.settle()
         assert subscriber.events
 
+    def test_hub_keeps_one_channel_per_subscriber(self, channel_setup):
+        """Every bind registers a transport, plan cache and relocation
+        layer with the hub's nucleus for good: the channel must not bind
+        a fresh proxy per subscriber per event."""
+        world, domain, (c1, c2, c3), clients, channel, publisher = \
+            channel_setup
+        stocks, _ = self.subscribe(world, c2, publisher, "stock.")
+        everything, _ = self.subscribe(world, c3, publisher, "")
+        hub = domain.nuclei["n1"]
+        for i in range(200):
+            publisher.publish("stock.up" if i % 2 else "weather.rain", i)
+        world.settle()
+        assert (len(stocks.events), len(everything.events)) == (100, 200)
+        assert (len(hub.transports), len(hub.plan_caches),
+                len(hub.relocation_layers)) == (2, 2, 2)
+
 
 class TestBlackboard:
     def test_post_read_take(self, single_domain):

@@ -17,7 +17,7 @@ import pytest
 from repro import ReplicationSpec, World
 from repro.check.workload import ShardStore
 from repro.errors import CommunicationError
-from repro.mgmt.loadbalance import placement_candidates
+from repro.mgmt.placement import placement_candidates
 from repro.mgmt.monitor import TransparencyMonitor
 from tests.conftest import KvStore
 

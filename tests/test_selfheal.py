@@ -23,7 +23,7 @@ from repro.groups.member import VIEW_KEY
 from repro.heal.detector import PHI_CAP, PhiAccrualDetector
 from repro.heal.heartbeat import HeartbeatMonitor
 from repro.heal.supervisor import Supervisor
-from repro.mgmt.loadbalance import placement_candidates
+from repro.mgmt.placement import placement_candidates
 from repro.mgmt.monitor import TransparencyMonitor
 from repro.sim.clock import VirtualClock
 from tests.conftest import Counter, KvStore

@@ -18,7 +18,7 @@ import pytest
 
 from repro.check.workload import ShardStore
 from repro.errors import BindingError, WrongShardError
-from repro.mgmt.loadbalance import observed_liveness, placement_candidates
+from repro.mgmt.placement import observed_liveness, placement_candidates
 from repro.mgmt.monitor import TransparencyMonitor
 from repro.resilience.dedup import ReplyCache
 from repro.runtime import World
