@@ -7,14 +7,17 @@ requirements as an environment-constraint clause.  The toolchain then:
 1. generates a server skeleton whose declarations already conform,
 2. verifies the hand-written implementation against the specification at
    class-definition time,
-3. exports with the constraints taken from the specification — the
+3. renders the checked implementation back to IDL text (the form a
+   running system publishes its interfaces in) and parses it again,
+4. exports with the constraints taken from the specification — the
    transparency compiler does the rest.
 
 Run:  python examples/idl_toolchain.py
 """
 
-from repro import OdpObject, Signal, World, operation
-from repro.idl import generate_skeleton, implements, parse_idl
+from repro import OdpObject, Signal, World, operation, signature_of
+from repro.idl import (generate_skeleton, implements, parse_idl,
+                        render_interface)
 from repro.transparency.access import describe_server_stack
 
 SPECIFICATION = """
@@ -72,6 +75,20 @@ def main() -> None:
             pass
 
     print("implementation checked against the specification: OK")
+
+    # The running system publishes what it implements in the interchange
+    # form: render the checked class back to IDL, requires-clause
+    # included, and parse it again.
+    implemented = signature_of(PrintServiceImpl)
+    published = render_interface("PrintService", implemented,
+                                 doc.constraints("PrintService"))
+    print("\n--- the implementation, rendered back to IDL ---")
+    print(published)
+    reparsed = parse_idl(published)
+    assert reparsed["PrintService"] == implemented
+    assert reparsed.constraints("PrintService") == \
+        doc.constraints("PrintService")
+    print("render -> parse gives back the signature and constraints: OK")
 
     # Deploy with the constraints the specification itself declares.
     world = World(seed=31)

@@ -32,6 +32,9 @@ class Domain:
         #: (gateway capsule, interface id) -> the channel that delivers
         #: federated invocations arriving home (federation.layer).
         self._deliveries: Dict = {}
+        #: (foreign interface id, epoch, principal) -> the local reference
+        #: of its representative (federation.proxies.materialize_proxy).
+        self._proxy_cache: Dict = {}
         # Services (created lazily so each subsystem stays optional).
         self._relocator = None
         self._tx_manager = None
@@ -318,9 +321,6 @@ class Federation:
             raise FederationError(
                 f"no federation link {source} -> {target}")
         return link
-
-    def has_link(self, source: str, target: str) -> bool:
-        return (source, target) in self._links
 
     def accounting_report(self) -> Dict[str, Dict[str, int]]:
         """Per-link usage by principal — the settlement view both

@@ -7,10 +7,12 @@ domain's *gateway* over the network (in the gateway's native wire format —
 this is where technology translation physically happens).
 
 Gateway side: :func:`gateway_process` performs the administrative
-interception of section 5.6 — ingress checks, principal mapping,
-credential re-issue — then either delivers locally or forwards to the next
-hop along the federation route.  Replies crossing back out get their
-references annotated with the defining context (section 6).
+interception of section 5.6 — the link's one ledger booking of the
+crossing, principal mapping, credential re-issue — then either delivers
+locally or forwards to the next hop along the federation route (transit
+egress checks the next link's contract; the next gateway books it).
+Replies crossing back out get their references annotated with the
+defining context (section 6).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class FederationClientLayer(ClientLayer):
         self.capsule = capsule
         self.domain = domain
         self.channel = None
-        self.crossings = 0
 
     def attach(self, channel) -> None:
         self.channel = channel
@@ -54,9 +55,6 @@ class FederationClientLayer(ClientLayer):
         link = federation.link_between(self.domain.name, next_hop)
         link.check_egress(invocation.context.principal,
                           invocation.operation)
-        link.crossings += 1
-        link.account(invocation.context.principal, invocation.operation)
-        self.crossings += 1
 
         invocation.args = annotate_refs(
             invocation.args, self.domain.name, self.domain.defined_here)
@@ -144,7 +142,8 @@ def gateway_process(domain, nucleus, capsule, ref,
             f"via-domain trail")
     from_domain = via[-1]
     link = federation.link_between(from_domain, domain.name)
-    link.crossings += 1
+    # The one booking of this crossing, under the principal's name in
+    # the link's source namespace (before mapping).
     link.account(context.principal, invocation.operation)
 
     # Ingress: map the principal into our namespace and re-issue local
@@ -173,7 +172,6 @@ def gateway_process(domain, nucleus, capsule, ref,
             egress = federation.link_between(domain.name, next_hop)
             egress.check_egress(invocation.context.principal,
                                 invocation.operation)
-            egress.crossings += 1
             invocation.context.via_domains = via + (domain.name,)
             termination = forward_to_domain(nucleus, capsule, federation,
                                             next_hop, ref, invocation)

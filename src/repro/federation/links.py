@@ -31,11 +31,11 @@ class FederationLink:
         #: Maps source-domain principal names to target-domain names.
         self.principal_map: Dict[str, str] = dict(principal_map or {})
         self.denied_operations: Set[str] = set(denied_operations or ())
-        self.crossings = 0
         self.rejections = 0
-        #: Accounting: (principal, operation) -> crossings.  Gateways
-        #: "enforce the security and accounting policies of each
-        #: organization" (section 4.2); this is the accounting half.
+        #: Accounting: (principal, operation) -> crossings, booked once
+        #: per crossing by the receiving gateway.  Gateways "enforce the
+        #: security and accounting policies of each organization"
+        #: (section 4.2); this is the accounting half.
         self.ledger: Dict[tuple, int] = {}
 
     def account(self, principal: Optional[str], operation: str) -> None:

@@ -6,86 +6,22 @@ ambiguous, since their meaning depends upon where they are interpreted:
 there is no canonical root.  The ambiguity can be overcome by extending
 names with information about how to get back to their defining context."
 
-Two mechanisms live here:
-
-* :class:`NameContext` — a graph of naming contexts with local bindings and
-  links to peer contexts; resolution walks a :class:`ContextualName` whose
-  path says how to reach the defining context from the interpreting one.
-* :func:`annotate_refs` — the boundary rule: when values cross out of a
-  domain, any interface reference defined in that domain gets the domain
-  prepended to its context path.
+The name that crosses boundaries in this system is the interface
+reference itself: :attr:`InterfaceRef.context` is the path back to its
+defining context, :attr:`InterfaceRef.home_domain` the outermost entry,
+and ``Federation.domain_of_ref`` / ``route`` resolve it from wherever it
+is interpreted.  :func:`annotate_refs` is the boundary rule that extends
+the path: when values cross out of a domain, any interface reference
+defined in that domain gets the domain prepended to its context path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any
 
 from repro.comp.outcomes import Termination
 from repro.comp.reference import InterfaceRef
 from repro.util.freeze import FrozenRecord
-
-
-@dataclass(frozen=True)
-class ContextualName:
-    """A name plus the path back to its defining context.
-
-    ``path`` is a sequence of link names to traverse, starting from the
-    interpreting context; an empty path means "defined here".
-    """
-
-    path: Tuple[str, ...]
-    local: str
-
-    def prefixed(self, link_back: str) -> "ContextualName":
-        """Extend the path as the name crosses out through *link_back*."""
-        return ContextualName((link_back,) + self.path, self.local)
-
-    def __str__(self) -> str:
-        if not self.path:
-            return self.local
-        return "/".join(self.path) + "::" + self.local
-
-
-class NameContext:
-    """One naming context: local bindings plus links to peer contexts."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._bindings: Dict[str, Any] = {}
-        self._links: Dict[str, "NameContext"] = {}
-
-    def bind(self, local_name: str, value: Any) -> None:
-        self._bindings[local_name] = value
-
-    def unbind(self, local_name: str) -> None:
-        self._bindings.pop(local_name, None)
-
-    def link(self, link_name: str, peer: "NameContext") -> None:
-        """Create a named edge to a peer context (arbitrary graph)."""
-        self._links[link_name] = peer
-
-    def resolve(self, name: ContextualName) -> Any:
-        """Walk the context path, then look up the local name."""
-        context: NameContext = self
-        for hop in name.path:
-            peer = context._links.get(hop)
-            if peer is None:
-                raise KeyError(
-                    f"context {context.name!r} has no link {hop!r} "
-                    f"(resolving {name})")
-            context = peer
-        if name.local not in context._bindings:
-            raise KeyError(
-                f"context {context.name!r} does not bind {name.local!r}")
-        return context._bindings[name.local]
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._bindings))
-
-    def __repr__(self) -> str:
-        return (f"NameContext({self.name!r}, {len(self._bindings)} names, "
-                f"{len(self._links)} links)")
 
 
 def annotate_refs(value: Any, domain_name: str,

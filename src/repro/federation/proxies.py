@@ -17,8 +17,6 @@ representative.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from repro.comp.invocation import InvocationKind
 from repro.comp.model import OdpObject
 from repro.comp.outcomes import Signal
@@ -104,10 +102,8 @@ def materialize_proxy(domain, foreign_ref: InterfaceRef,
     if target_domain is not None:
         federation.route(domain.name, target_domain)  # raises if none
 
-    cache: Dict[Any, InterfaceRef] = domain.__dict__.setdefault(
-        "_proxy_cache", {})
     key = (foreign_ref.interface_id, foreign_ref.epoch, principal)
-    cached = cache.get(key)
+    cached = domain._proxy_cache.get(key)
     if cached is not None:
         return cached
 
@@ -122,5 +118,5 @@ def materialize_proxy(domain, foreign_ref: InterfaceRef,
         foreign_ref.signature, foreign_ref)
     local_ref = gw_capsule.export(representative,
                                   signature=foreign_ref.signature)
-    cache[key] = local_ref
+    domain._proxy_cache[key] = local_ref
     return local_ref

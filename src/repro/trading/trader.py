@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.comp.reference import InterfaceRef
-from repro.errors import NoOfferError, TradingError
+from repro.errors import NoOfferError, TradingError, TypeCheckError
 from repro.trading.offer import ServiceOffer
 from repro.trading.query import PropertyQuery
 from repro.trading.typemanager import TypeManager
@@ -98,9 +98,6 @@ class Trader:
             raise TradingError("a trader cannot link to itself")
         self._links[link_name] = peer
 
-    def links(self) -> List[str]:
-        return sorted(self._links)
-
     # -- import -------------------------------------------------------------------
 
     def import_service(self, required,
@@ -112,11 +109,19 @@ class Trader:
 
         ``max_hops`` > 0 lets the search traverse federated trader links
         breadth-first.  Results are deterministic: local offers first (in
-        export order), then by traversal distance.
+        export order), then by traversal distance.  A type name raises
+        ``TypeCheckError`` only if no searched trader knows it.
         """
         self.imports += 1
         constraint = (query if isinstance(query, PropertyQuery)
                       else PropertyQuery(query))
+        # A type name is read by each searched trader's own type manager,
+        # falling back to the importer's reading; a trader that knows
+        # neither contributes no matches.
+        named = isinstance(required, str)
+        importer_sig = (self.types._types.get(required) if named
+                        else self.types.resolve_requirement(required))
+        known = importer_sig is not None
         replies: List[ImportReply] = []
         seen_traders: Set[int] = set()
         frontier: List[Tuple[Trader, Tuple[str, ...]]] = [(self, ())]
@@ -125,13 +130,14 @@ class Trader:
         while frontier and (limit is None or len(replies) < limit):
             next_frontier: List[Tuple[Trader, Tuple[str, ...]]] = []
             for trader, via in frontier:
-                required_sig = trader.types.resolve_requirement(required) \
-                    if isinstance(required, str) and \
-                    required in trader.types.known_types() \
-                    else self._resolve_required(required)
-                replies.extend(
-                    trader._match_local(required_sig, constraint,
-                                        partition, via, self))
+                required_sig = (trader.types._types.get(required,
+                                                        importer_sig)
+                                if named else importer_sig)
+                if required_sig is not None:
+                    known = True
+                    replies.extend(
+                        trader._match_local(required_sig, constraint,
+                                            partition, via, self))
                 for link_name, peer in sorted(trader._links.items()):
                     if id(peer) not in seen_traders:
                         seen_traders.add(id(peer))
@@ -141,14 +147,13 @@ class Trader:
             if hops > max_hops:
                 break
             frontier = next_frontier
+        if not known:
+            raise TypeCheckError(
+                f"no trader searched from {self.name} has a type "
+                f"{required!r}")
         if limit is not None:
             replies = replies[:limit]
         return replies
-
-    def _resolve_required(self, required) -> InterfaceSignature:
-        if isinstance(required, InterfaceSignature):
-            return required
-        return self.types.resolve_requirement(required)
 
     def _match_local(self, required_sig: InterfaceSignature,
                      constraint: PropertyQuery,

@@ -48,10 +48,6 @@ class TypeManager:
     def known_types(self) -> List[str]:
         return sorted(self._types)
 
-    def describe(self) -> Dict[str, str]:
-        """Self-description: every named type and its structure."""
-        return {name: sig.describe() for name, sig in self._types.items()}
-
     # -- matching ------------------------------------------------------------------
 
     def add_rule(self, name: str, rule: MatchRule) -> None:

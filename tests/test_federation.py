@@ -4,7 +4,7 @@ import pytest
 
 from repro import EnvironmentConstraints, SecuritySpec
 from repro.errors import AccessDeniedError, FederationError
-from repro.federation.naming import ContextualName, NameContext, annotate_refs
+from repro.federation.naming import annotate_refs
 from tests.conftest import Account, Counter, KvStore
 
 
@@ -82,9 +82,12 @@ class TestCrossDomainInvocation:
         clients = world.capsule("a1", "cli")
         proxy = world.binder_for(clients).bind(servers.export(Counter()))
         assert proxy.increment() == 1
-        # Both links were crossed.
-        assert world.federation.link_between("A", "B").crossings >= 1
-        assert world.federation.link_between("B", "C").crossings >= 1
+        # Both links were crossed, and each booked the call once, at the
+        # gateway it arrived at.
+        assert world.federation.link_between("A", "B").ledger == \
+            {("<anonymous>", "increment"): 1}
+        assert world.federation.link_between("B", "C").ledger == \
+            {("<anonymous>", "increment"): 1}
 
     def test_signal_crosses_boundary(self, two_domains):
         world, alpha, beta = two_domains
@@ -214,49 +217,6 @@ class TestContextRelativeNaming:
         assert annotated[2] == 42
 
 
-class TestNameContexts:
-    def build(self):
-        a, b, c = NameContext("A"), NameContext("B"), NameContext("C")
-        a.link("to_b", b)
-        b.link("to_c", c)
-        b.link("back", a)
-        c.bind("svc", "the-service")
-        return a, b, c
-
-    def test_local_resolution(self):
-        _, _, c = self.build()
-        assert c.resolve(ContextualName((), "svc")) == "the-service"
-
-    def test_path_resolution(self):
-        a, _, _ = self.build()
-        name = ContextualName(("to_b", "to_c"), "svc")
-        assert a.resolve(name) == "the-service"
-
-    def test_prefixing_as_names_cross_boundaries(self):
-        a, b, c = self.build()
-        local = ContextualName((), "svc")
-        # The name leaves C into B, then B into A.
-        in_b = local.prefixed("to_c")
-        in_a = in_b.prefixed("to_b")
-        assert b.resolve(in_b) == "the-service"
-        assert a.resolve(in_a) == "the-service"
-
-    def test_same_name_different_meaning_per_context(self):
-        a, b, _ = self.build()
-        a.bind("printer", "printer-in-A")
-        b.bind("printer", "printer-in-B")
-        assert a.resolve(ContextualName((), "printer")) == "printer-in-A"
-        assert a.resolve(ContextualName(("to_b",), "printer")) == \
-               "printer-in-B"
-
-    def test_missing_link_or_name(self):
-        a, _, _ = self.build()
-        with pytest.raises(KeyError):
-            a.resolve(ContextualName(("nowhere",), "svc"))
-        with pytest.raises(KeyError):
-            a.resolve(ContextualName((), "ghost"))
-
-
 class TestAccounting:
     def test_links_keep_a_per_principal_ledger(self, world):
         world.node("A", "a1")
@@ -273,13 +233,12 @@ class TestAccounting:
             alice.increment()
         bob.read()
         report = world.federation.accounting_report()
-        # Both directions of the B->A crossing are accounted: egress at
-        # B's side of the link and ingress at A's gateway.
-        assert report["B->A"]["alice"] == 6  # 3 egress + 3 ingress
-        assert report["B->A"]["bob"] == 2
+        # Each crossing is booked once, at A's gateway on ingress.
+        assert report["B->A"]["alice"] == 3
+        assert report["B->A"]["bob"] == 1
         link = world.federation.link_between("B", "A")
-        assert link.ledger[("alice", "increment")] == 6
-        assert link.ledger[("bob", "read")] == 2
+        assert link.ledger[("alice", "increment")] == 3
+        assert link.ledger[("bob", "read")] == 1
 
     def test_intra_domain_traffic_is_not_accounted(self, single_domain):
         world, domain, servers, clients = single_domain

@@ -161,7 +161,7 @@ class TestSelfDescribingSystem:
         # The client builds its requirement from the type manager's
         # self-description, not from compiled-in knowledge.
         assert "account" in domain.trader.types.known_types()
-        description = domain.trader.types.describe()["account"]
+        description = domain.trader.types.get("account").describe()
         assert "deposit" in description
         requirement = domain.trader.types.get("account")
         reply = domain.trader.import_one(requirement,

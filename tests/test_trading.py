@@ -3,7 +3,8 @@
 import pytest
 
 from repro import EnvironmentConstraints, OdpObject, operation, signature_of
-from repro.errors import NoOfferError, PropertyQueryError, TradingError
+from repro.errors import (NoOfferError, PropertyQueryError, TradingError,
+                          TypeCheckError)
 from repro.trading.query import PropertyQuery
 from repro.trading.trader import Trader
 from tests.conftest import Account, Counter, KvStore
@@ -257,6 +258,18 @@ class TestFederatedTrading:
         replies = traders[0].import_service(signature_of(Counter),
                                             max_hops=10)
         assert len(replies) == 3  # each offer found exactly once
+
+    def test_type_name_only_a_peer_knows(self, world):
+        """Each searched trader reads a type name through its own type
+        manager: the importer need not know it."""
+        traders, refs = self.build_chain(world)
+        traders[2].types.register("counting", refs[2].signature)
+        reply = traders[0].import_one("counting", max_hops=2)
+        assert reply.ref.home_domain == "C"
+        assert reply.via == ("to_1", "to_2")
+        # Within one hop no searched trader knows the name.
+        with pytest.raises(TypeCheckError):
+            traders[0].import_one("counting", max_hops=1)
 
     def test_self_link_rejected(self, world):
         traders, refs = self.build_chain(world, length=2)
