@@ -29,8 +29,10 @@ This bench pins the overhead story on two ledgers:
 
 Also asserted: the per-layer breakdown attributes >= 95% of the
 client-perceived end-to-end virtual latency (the span forest has no
-gaps — it attributes 100%), and two same-seed runs produce
-byte-identical span forests (trace ids, timestamps, tags and all).
+gaps — it attributes 100%), two same-seed runs produce byte-identical
+span forests (trace ids, timestamps, tags and all), and the sample
+trace's critical path runs from the root over ``net.request`` into a
+``server:`` span.
 
 Series produced: virtual + wall overhead at sampling 0 and 1, and
 per-layer latency tables for a C1-style remote workload and a C3-style
@@ -222,6 +224,15 @@ def _report():
     ]
     lines += ["  " + line for line in
               tracer.render(trace_id).splitlines()]
+
+    # The critical path runs from the client's root span over the wire
+    # into the server's dispatch.
+    names = [span.name for span in tracer.critical_path(trace_id)]
+    assert names[0] == root.span.name, names
+    assert "net.request" in names, names
+    assert any(name.startswith("server:")
+               for name in names[names.index("net.request"):]), names
+    lines += ["", "critical path: " + " -> ".join(names)]
 
     write_report(
         "C17",

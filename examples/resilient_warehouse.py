@@ -2,8 +2,9 @@
 
 The inventory is a replica group (active replication, sequencer-based
 total order); order processing is transactional across the inventory and
-a checkpointed ledger; nodes are crashed mid-workload and the
-transparencies mask everything maskable (paper sections 5.2, 5.3, 5.5).
+a checkpointed ledger, whose ordering predicate allows one ``record`` per
+transaction; nodes are crashed mid-workload and the transparencies mask
+everything maskable (paper sections 5.2, 5.3, 5.5).
 
 Run:  python examples/resilient_warehouse.py
 """
@@ -17,6 +18,8 @@ from repro import (
     World,
     operation,
 )
+from repro.errors import NoQuorumError, OrderingViolation
+from repro.tx.ordering import OrderingPredicate
 
 
 class Inventory(OdpObject):
@@ -75,12 +78,15 @@ def main() -> None:
         ReplicationSpec(replicas=3, policy="active", reply_quorum=2))
     inventory = binder.bind(inventory_ref)
 
-    # The ledger: transactional, checkpoint every 4 writes.  It lives on
-    # wh-3, away from the group's initial sequencer (wh-1).
+    # The ledger: transactional, checkpoint every 4 writes, and its
+    # consistency constraint (section 5.2) is an ordering predicate: a
+    # transaction records exactly one order.  It lives on wh-3, away from
+    # the group's initial sequencer (wh-1).
     ledger_ref = capsules[2].export(
         Ledger(),
         constraints=EnvironmentConstraints(
             concurrency=True,
+            ordering=OrderingPredicate.sequence("record"),
             failure=FailureSpec(checkpoint_every=4)))
     ledger = binder.bind(ledger_ref)
 
@@ -88,14 +94,21 @@ def main() -> None:
     print(f"initial widget stock: {inventory.stock_of('widget')}")
 
     # Process orders transactionally: reserve + record, all-or-nothing.
+    committed_orders = 0
+
     def place_order(order_id, product, quantity):
+        nonlocal committed_orders
+
+        def order(tx):
+            inventory.reserve(product, quantity)
+            ledger.record(order_id, product, quantity)
+
         try:
-            with domain.tx_manager.begin():
-                inventory.reserve(product, quantity)
-                ledger.record(order_id, product, quantity)
-            return "ok"
+            domain.tx_manager.atomically(order)
         except Signal as signal:
             return f"rejected ({signal.name}: {signal.values[0]} left)"
+        committed_orders += 1
+        return "ok"
 
     for i in range(1, 6):
         print(f"order-{i}: "
@@ -119,6 +132,20 @@ def main() -> None:
     assert ledger.count() == before
     print("atomicity held: rejected order left no ledger entry")
 
+    # Recording one order twice in one transaction breaks the ledger's
+    # ordering predicate: the second record is refused and the whole
+    # transaction aborts, taking the first record with it.
+    def record_twice(tx):
+        ledger.record("order-dup", "gadget", 1)
+        ledger.record("order-dup", "gadget", 1)
+
+    try:
+        domain.tx_manager.atomically(record_twice)
+    except OrderingViolation as exc:
+        print(f"double record refused: {exc}")
+    assert ledger.count() == before
+    print("consistency held: the refused transaction left no entry")
+
     # Crash the ledger's node too; failure transparency recovers it.
     print(f"\n*** crashing wh-3 (holds the ledger) ***")
     world.crash_node("wh-3")
@@ -126,10 +153,12 @@ def main() -> None:
                                         capsules[1])
     print(f"ledger recovered at {recovered.primary_path().node} with "
           f"{ledger.count()} entries intact")
+    # Durability is the commit-time checkpoint: recovery brings back
+    # every committed order and nothing an aborted transaction wrote.
+    assert ledger.count() == committed_orders
 
     # With two of three replicas gone, the write quorum (2) is lost —
     # the group refuses writes rather than diverge.
-    from repro.errors import NoQuorumError
     try:
         place_order("order-8", "widget", 2)
     except NoQuorumError as exc:

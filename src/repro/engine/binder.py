@@ -146,13 +146,11 @@ class Binder:
                      default_qos=qos or constraints.default_qos)
 
     def _target_domain(self, ref: InterfaceRef):
-        domain = self.nucleus.domain
-        if domain is None:
-            return None
-        name = domain.federation.domain_of_ref(ref)
+        federation = self.nucleus.domain.federation
+        name = federation.domain_of_ref(ref)
         if name is None:
             return None
-        return domain.federation.domains.get(name)
+        return federation.domains.get(name)
 
     def _coerce_required(self, required) -> Optional[InterfaceSignature]:
         if required is None:
@@ -168,18 +166,16 @@ class Binder:
                               interface_id: Optional[str] = None,
                               holder: Optional[str] = None,
                               target_domain=None) -> Callable:
-        nucleus = self.nucleus
+        domain = self.nucleus.domain
 
         def factory() -> InvocationContext:
             context = InvocationContext(principal=principal)
-            domain = nucleus.domain
-            if domain is not None:
-                context.origin_domain = domain.name
-                transaction = domain.current_transaction()
-                if transaction is not None:
-                    context.transaction_id = transaction.transaction_id
-                if principal is not None:
-                    context.credentials = domain.credentials_for(principal)
+            context.origin_domain = domain.name
+            transaction = domain.current_transaction()
+            if transaction is not None:
+                context.transaction_id = transaction.transaction_id
+            if principal is not None:
+                context.credentials = domain.credentials_for(principal)
             if target_domain is not None and interface_id is not None:
                 target_domain.collector.note_use(interface_id, holder)
             return context

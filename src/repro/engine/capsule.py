@@ -235,9 +235,9 @@ class Capsule:
             # may still have mutated state, and over-invalidation only
             # costs a refetch.  Group writes are noted by the member
             # layer at quorum commit instead (under the group id).
-            domain = self.nucleus.domain
-            if domain is not None and domain._leases is not None:
-                domain._leases.note_write(
+            leases = self.nucleus.domain._leases
+            if leases is not None:
+                leases.note_write(
                     invocation.interface_id,
                     str(invocation.args[0]) if invocation.args else "",
                     source=self.nucleus.node_address)

@@ -181,10 +181,9 @@ class AsyncInvoker:
         wire = get_format(path.wire_format)
         context = InvocationContext(principal=principal)
         domain = self.nucleus.domain
-        if domain is not None:
-            context.origin_domain = domain.name
-            if principal is not None:
-                context.credentials = domain.credentials_for(principal)
+        context.origin_domain = domain.name
+        if principal is not None:
+            context.credentials = domain.credentials_for(principal)
         envelope = {
             "capsule": path.capsule,
             "call_id": future.call_id,

@@ -20,7 +20,6 @@ from repro.comp.invocation import (
 from repro.engine.capsule import Capsule
 from repro.engine.wire_errors import encode_error
 from repro.errors import (
-    FederationError,
     InvocationExpiredError,
     MarshalError,
     OdpError,
@@ -35,7 +34,6 @@ from repro.net.network import Network, NetworkNode
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.dedup import ReplyCache
 from repro.resilience.stats import ResilienceStats
-from repro.trace.collector import NULL_COLLECTOR
 from repro.trace.context import TraceContext
 from repro.trace.span import NULL_SPAN
 
@@ -64,7 +62,7 @@ class Nucleus:
     """Kernel services for one node."""
 
     def __init__(self, network: Network, node: NetworkNode,
-                 domain=None, processing_ms: float = 0.05) -> None:
+                 domain, processing_ms: float = 0.05) -> None:
         self.network = network
         self.node = node
         self.node_address = node.address
@@ -72,7 +70,6 @@ class Nucleus:
         self.processing_ms = processing_ms
         self.capsules: Dict[str, Capsule] = {}
         self.wire = get_format(node.native_format)
-        self.requests_handled = 0
         #: Server side of the resilience layer: retransmissions of an
         #: already-executed invocation answer from here (exactly-once).
         self.reply_cache = ReplyCache(clock=network.scheduler.clock)
@@ -121,19 +118,15 @@ class Nucleus:
 
     @property
     def tracer(self):
-        """The domain's trace collector (a no-op one outside domains)."""
+        """The domain's trace collector, looked up on first use (the
+        domain creates it lazily)."""
         tracer = self._tracer
         if tracer is None:
-            tracer = (self.domain.tracer if self.domain is not None
-                      else NULL_COLLECTOR)
-            self._tracer = tracer
+            tracer = self._tracer = self.domain.tracer
         return tracer
 
     def mint_interface_id(self) -> str:
-        if self.domain is not None:
-            return self.domain.mint(f"if.{self.node_address}")
-        return f"if.{self.node_address}-{self.requests_handled}-" \
-               f"{len(self.capsules)}-{sum(len(c.interfaces) for c in self.capsules.values())}"
+        return self.domain.mint(f"if.{self.node_address}")
 
     # -- capsules -------------------------------------------------------------
 
@@ -168,8 +161,7 @@ class Nucleus:
         compile_server_stack(self, capsule, interface, constraints)
 
     def register_export(self, capsule: Capsule, interface, ref) -> None:
-        if self.domain is not None:
-            self.domain.notice_export(self, capsule, interface, ref)
+        self.domain.notice_export(self, capsule, interface, ref)
 
     # -- wire handling -------------------------------------------------------------
     #
@@ -287,7 +279,6 @@ class Nucleus:
         span = (NULL_SPAN if invocation is None
                 else self._server_span(invocation, {"from": source}))
 
-        self.requests_handled += 1
         self.network.scheduler.clock.advance(self._processing_charge())
 
         capsule = self._capsule_of(envelope)
@@ -329,8 +320,6 @@ class Nucleus:
         from repro.federation.layer import gateway_process
 
         try:
-            if self.domain is None:
-                raise FederationError("node belongs to no domain")
             if span.span is not None:
                 # The gateway's own span nests causally beneath ours.
                 invocation.context.trace = span
@@ -493,7 +482,6 @@ class Nucleus:
         legs and the demux charge below — are paid once, which is the
         entire point of batching.
         """
-        self.requests_handled += 1
         self.network.scheduler.clock.advance(self._processing_charge())
         capsule = self._capsule_of(envelope)
         if capsule is None:

@@ -260,22 +260,23 @@ class TransparencyMonitor:
 
     def trace_report(self) -> Dict[str, Any]:
         """Causal-tracing snapshot: collector counters plus the
-        per-layer span counts and latency distributions."""
+        per-layer span counts and latency distributions (total, mean
+        and the bucket-bound p99 of each layer's span durations)."""
         tracer = self.domain.tracer
         report: Dict[str, Any] = tracer.stats()
         layers: Dict[str, Any] = {}
-        snapshot = tracer.metrics.snapshot()
-        for name, value in snapshot.get("counters", {}).items():
+        metrics = tracer.metrics
+        for name, value in metrics.snapshot()["counters"].items():
             if name.startswith("layer.") and name.endswith(".spans"):
                 layer = name[len("layer."):-len(".spans")]
                 layers.setdefault(layer, {})["spans"] = value
-        for name, value in snapshot.get("histograms", {}).items():
+        for name, histogram in metrics.histograms.items():
             if name.startswith("layer.") and name.endswith(".ms"):
                 layer = name[len("layer."):-len(".ms")]
                 entry = layers.setdefault(layer, {})
-                entry["total_ms"] = value["sum"]
-                entry["mean_ms"] = (value["sum"] / value["count"]
-                                    if value["count"] else 0.0)
+                entry["total_ms"] = histogram.total
+                entry["mean_ms"] = histogram.mean
+                entry["p99_ms"] = histogram.quantile(0.99)
         report["layers"] = layers
         return report
 

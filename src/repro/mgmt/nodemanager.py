@@ -80,7 +80,7 @@ class NodeManager:
         ref = capsule.export(implementation,
                              constraints=spec.constraints)
         offer_id = None
-        if spec.advertise is not None and self.domain is not None:
+        if spec.advertise is not None:
             offer_id = self.domain.trader.export(
                 ref.signature, ref,
                 properties=dict(spec.advertise,
@@ -96,7 +96,7 @@ class NodeManager:
             raise KeyError(f"server {name!r} is not running")
         capsule = self._capsule(server.spec.capsule_name)
         capsule.close(server.ref.interface_id)
-        if server.offer_id is not None and self.domain is not None:
+        if server.offer_id is not None:
             self.domain.trader.withdraw(server.offer_id)
         server.running = False
 
@@ -120,12 +120,11 @@ class NodeManager:
         capsule = self._capsule("management")
         service = ManagementService(self)
         self._management_ref = capsule.export(service)
-        if self.domain is not None:
-            self.domain.trader.export(
-                signature_of(ManagementService), self._management_ref,
-                properties={"node": self.nucleus.node_address,
-                            "role": "management"},
-                service_type="management")
+        self.domain.trader.export(
+            signature_of(ManagementService), self._management_ref,
+            properties={"node": self.nucleus.node_address,
+                        "role": "management"},
+            service_type="management")
 
     @property
     def management_ref(self) -> Optional[InterfaceRef]:
@@ -165,7 +164,7 @@ class ManagementService(OdpObject):
         supervisor's failure detector (empty when no supervisor runs —
         absence of monitoring is not evidence either way)."""
         domain = self._manager.domain
-        if domain is None or domain._supervisor is None:
+        if domain._supervisor is None:
             return {}
         detector = domain.supervisor.detector
         return {address: detector.node_alive(address)

@@ -36,7 +36,7 @@ class TransparencyTuner:
 
     def checkpoint_now(self, interface_id: str) -> None:
         """Force an immediate checkpoint (e.g. before planned work)."""
-        self._checkpoint_layer(interface_id)._checkpoint()
+        self._checkpoint_layer(interface_id).checkpoint()
 
     def _checkpoint_layer(self, interface_id: str):
         interface = self._find_interface(interface_id)

@@ -131,10 +131,9 @@ class BatchClient:
         if self.nucleus.deadline_propagation:
             stamp(context.extra, self.qos, self.network.scheduler.now)
         domain = self.nucleus.domain
-        if domain is not None:
-            context.origin_domain = domain.name
-            if principal is not None:
-                context.credentials = domain.credentials_for(principal)
+        context.origin_domain = domain.name
+        if principal is not None:
+            context.credentials = domain.credentials_for(principal)
         future = Future(self.capsule.next_invocation_id())
         entry = _Pending(ref, operation, tuple(args), future.call_id,
                          context, future)

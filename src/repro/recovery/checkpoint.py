@@ -6,6 +6,13 @@ repository *before* it executes (write-ahead), and every
 ``checkpoint_every`` writes the layer snapshots the whole object and
 truncates the log — the classic recovery-point trade-off the C8 benchmark
 sweeps.
+
+On an interface that also selected concurrency transparency, a write
+inside a transaction is neither logged nor counted: its outcome is not
+known yet, and recovery must never replay a write its transaction
+aborted.  The commit is the durability point instead: the concurrency
+layer's durability hook is :meth:`CheckpointLayer.checkpoint`, so a
+committing transaction snapshots the object and truncates the log.
 """
 
 from __future__ import annotations
@@ -43,13 +50,13 @@ class CheckpointLayer(ServerLayer):
         self.entries_logged = 0
         # A birth checkpoint so recovery works even before the first
         # periodic one.
-        self._checkpoint()
+        self.checkpoint()
 
     def _is_readonly(self, invocation: Invocation) -> bool:
         op = self.interface.signature.operations.get(invocation.operation)
         return op is not None and op.readonly
 
-    def _checkpoint(self) -> None:
+    def checkpoint(self) -> None:
         implementation = self.interface.implementation
         if implementation is None:
             return
@@ -68,7 +75,11 @@ class CheckpointLayer(ServerLayer):
 
     def handle(self, invocation: Invocation, interface,
                next_layer) -> Termination:
-        if self._is_readonly(invocation):
+        if self._is_readonly(invocation) or (
+                invocation.context.transaction_id is not None
+                and "concurrency_layer" in interface.annotations):
+            # Reads change nothing; a transaction's writes become durable
+            # at its commit (see the module docstring).
             return next_layer(invocation)
         # Write-ahead: log before executing so a crash mid-operation
         # replays it.  Arguments are restricted to plain values for the
@@ -85,5 +96,5 @@ class CheckpointLayer(ServerLayer):
 
         self.writes_since_checkpoint += 1
         if self.writes_since_checkpoint >= max(1, self.spec.checkpoint_every):
-            self._checkpoint()
+            self.checkpoint()
         return termination

@@ -10,7 +10,7 @@ benchmark is exactly reproducible from a seed.
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler, Event
 from repro.sim.rand import DeterministicRandom
-from repro.sim.activity import ActivityRuntime, Activity, Sleep, WaitFor
+from repro.sim.activity import ActivityRuntime, Activity, Sleep
 
 __all__ = [
     "VirtualClock",
@@ -20,5 +20,4 @@ __all__ = [
     "ActivityRuntime",
     "Activity",
     "Sleep",
-    "WaitFor",
 ]

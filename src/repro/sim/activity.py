@@ -2,14 +2,17 @@
 
 Paper, section 4.1: "concurrency is the norm in a distributed system and
 program executions are truly overlapped".  The activity runtime lets tests
-and the transaction machinery run several logical threads of control against
+and the transaction runner run several logical threads of control against
 the one virtual clock.  An activity is a Python generator that yields
 scheduling primitives:
 
 * ``Sleep(ms)``      — resume after virtual time passes,
-* ``WaitFor(pred)``  — resume when the predicate becomes true (polled on a
-  virtual-time tick, or woken explicitly via :meth:`ActivityRuntime.kick`),
 * any other yielded value is treated as ``Sleep(0)`` (a cooperative yield).
+
+Waiting for a condition is a poll loop in the activity itself::
+
+    while not ready():
+        yield Sleep(2.0)
 
 Activities interleave deterministically: ties on the clock are broken by
 scheduling order.
@@ -18,7 +21,7 @@ scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
 from repro.sim.scheduler import Scheduler
 
@@ -28,19 +31,6 @@ class Sleep:
     """Yield from an activity: resume after *delay* virtual ms."""
 
     delay: float = 0.0
-
-
-@dataclass
-class WaitFor:
-    """Yield from an activity: resume once *predicate* returns True."""
-
-    predicate: Callable[[], bool]
-    poll_interval: float = 1.0
-    timeout: Optional[float] = None
-
-
-class ActivityTimeout(Exception):
-    """Raised inside an activity whose WaitFor timed out."""
 
 
 class Activity:
@@ -55,18 +45,9 @@ class Activity:
         self.result: Any = None
         self.error: Optional[BaseException] = None
 
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-    def _advance(self, to_throw: Optional[BaseException] = None) -> None:
-        if self.done:
-            return
+    def _advance(self) -> None:
         try:
-            if to_throw is not None:
-                yielded = self._gen.throw(to_throw)
-            else:
-                yielded = next(self._gen)
+            yielded = next(self._gen)
         except StopIteration as stop:
             self.done = True
             self.result = stop.value
@@ -75,7 +56,9 @@ class Activity:
             self.done = True
             self.error = exc
             return
-        self.runtime._reschedule(self, yielded)
+        delay = yielded.delay if isinstance(yielded, Sleep) else 0.0
+        self.runtime.scheduler.after(delay, self._advance,
+                                     label=f"wake:{self.name}")
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
@@ -88,7 +71,6 @@ class ActivityRuntime:
     def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
         self.activities: List[Activity] = []
-        self._waiters: List[tuple] = []  # (activity, WaitFor, deadline)
 
     def spawn(self, generator: Generator, name: str = "") -> Activity:
         """Start a new activity; it takes its first step at the current time."""
@@ -99,53 +81,16 @@ class ActivityRuntime:
                              label=f"start:{activity.name}")
         return activity
 
-    def _reschedule(self, activity: Activity, yielded: Any) -> None:
-        if isinstance(yielded, Sleep):
-            self.scheduler.after(yielded.delay, activity._advance,
-                                 label=f"wake:{activity.name}")
-        elif isinstance(yielded, WaitFor):
-            deadline = (None if yielded.timeout is None
-                        else self.scheduler.now + yielded.timeout)
-            self._waiters.append((activity, yielded, deadline))
-            self.scheduler.after(0.0, self._poll_waiters, label="poll")
-        else:
-            self.scheduler.after(0.0, activity._advance,
-                                 label=f"yield:{activity.name}")
-
-    def _poll_waiters(self) -> None:
-        still_waiting = []
-        for activity, wait, deadline in self._waiters:
-            if wait.predicate():
-                self.scheduler.after(0.0, activity._advance,
-                                     label=f"ready:{activity.name}")
-            elif deadline is not None and self.scheduler.now >= deadline:
-                timeout = ActivityTimeout(
-                    f"{activity.name} wait timed out after {wait.timeout}ms")
-                self.scheduler.after(
-                    0.0, lambda a=activity, t=timeout: a._advance(t),
-                    label=f"timeout:{activity.name}")
-            else:
-                still_waiting.append((activity, wait, deadline))
-        self._waiters = still_waiting
-        if self._waiters:
-            interval = min(w.poll_interval for _, w, _ in self._waiters)
-            self.scheduler.after(interval, self._poll_waiters, label="poll")
-
-    def kick(self) -> None:
-        """Re-evaluate waiting predicates immediately (state changed)."""
-        if self._waiters:
-            self.scheduler.after(0.0, self._poll_waiters, label="kick")
-
     def run_all(self, max_events: int = 1_000_000) -> None:
         """Drive the scheduler until every activity has finished.
 
-        Raises the first activity error encountered (after the run) so test
-        failures inside activities are not swallowed.
+        An activity that is not done has a wake-up queued, so a drained
+        queue means every activity finished; one that never does (an
+        endless poll loop) trips *max_events*.  Raises the first activity
+        error encountered (after the run) so test failures inside
+        activities are not swallowed.
         """
         self.scheduler.run_until_idle(max_events=max_events)
-        stuck = [a for a in self.activities if not a.done]
-        if stuck:
-            raise RuntimeError(f"activities never completed: {stuck}")
         for activity in self.activities:
             if activity.error is not None:
                 raise activity.error

@@ -69,12 +69,6 @@ class DeterministicRandom:
     def sample(self, seq, k: int):
         return self._rng.sample(seq, k)
 
-    def expovariate(self, rate: float) -> float:
-        return self._rng.expovariate(rate)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
-
     def chance(self, probability: float) -> bool:
         """True with the given probability."""
         if probability <= 0.0:

@@ -12,7 +12,7 @@ flame-style text renderer.  Identically-seeded runs produce identical
 traces: ids come from counters, never from wall clocks or RNG draws.
 """
 
-from repro.trace.collector import NULL_COLLECTOR, TraceCollector
+from repro.trace.collector import TraceCollector
 from repro.trace.context import (
     TraceContext,
     UNSAMPLED,
@@ -22,7 +22,6 @@ from repro.trace.context import (
 )
 from repro.trace.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -37,9 +36,7 @@ __all__ = [
     "Span",
     "NULL_SPAN",
     "TraceCollector",
-    "NULL_COLLECTOR",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
 ]

@@ -278,20 +278,3 @@ class TraceCollector:
         return (f"TraceCollector({self.domain_name}, "
                 f"{len(self._spans)}/{self.capacity} spans, "
                 f"sampling={self._sampling})")
-
-
-class NullCollector:
-    """Tracer for nuclei outside any domain: records nothing."""
-
-    metrics = MetricsRegistry()
-    sampling = 0.0
-    verbose = False
-
-    def start_trace(self, baggage=None) -> TraceContext:
-        return UNSAMPLED
-
-    def span(self, name, layer, parent, node="", tags=None):
-        return NULL_SPAN
-
-
-NULL_COLLECTOR = NullCollector()

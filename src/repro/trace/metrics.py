@@ -1,4 +1,4 @@
-"""A small metrics model: counters, gauges, fixed-bucket histograms.
+"""A small metrics model: counters and fixed-bucket histograms.
 
 Histogram bucket bounds are fixed at construction (never adapted to
 the data), so two identically-seeded runs produce bit-identical
@@ -19,31 +19,14 @@ DEFAULT_LATENCY_BOUNDS_MS: Tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count.  Its writer bumps ``value``
+    directly: an attribute increment, not a method call per event."""
 
     __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-
-class Gauge:
-    """A value that goes up and down."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -106,19 +89,12 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         metric = self.counters.get(name)
         if metric is None:
             metric = self.counters[name] = Counter(name)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self.gauges.get(name)
-        if metric is None:
-            metric = self.gauges[name] = Gauge(name)
         return metric
 
     def histogram(self, name: str,
@@ -135,8 +111,6 @@ class MetricsRegistry:
         return {
             "counters": {name: self.counters[name].value
                          for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name].value
-                       for name in sorted(self.gauges)},
             "histograms": {name: self.histograms[name].snapshot()
                            for name in sorted(self.histograms)},
         }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.trace.context import UNSAMPLED
+from repro.trace.context import UNSAMPLED, TraceContext
 
 
 class Span:
@@ -66,12 +66,7 @@ class Span:
         """The record (``None`` on :data:`NULL_SPAN` — the guard idiom)."""
         return self
 
-    def to_wire(self) -> str:
-        if self.baggage:
-            bag = ";".join(f"{key}={value}" for key, value
-                           in sorted(self.baggage.items()))
-            return f"{self.trace_id}|{self.span_id}|{bag}"
-        return f"{self.trace_id}|{self.span_id}"
+    to_wire = TraceContext.to_wire
 
     # -- handle surface -------------------------------------------------------
 

@@ -38,7 +38,7 @@ class ImportReply:
 class Trader:
     """One domain's service-offer database plus federation links."""
 
-    def __init__(self, name: str, domain=None) -> None:
+    def __init__(self, name: str, domain) -> None:
         self.name = name
         self.domain = domain
         self.types = TypeManager(name)
@@ -185,10 +185,7 @@ class Trader:
     def _annotate_for(self, importer: "Trader",
                       ref: InterfaceRef) -> InterfaceRef:
         """Context-relative naming: annotate refs leaving our domain."""
-        if importer is self or self.domain is None:
-            return ref
-        if importer.domain is not None and \
-                importer.domain.name == self.domain.name:
+        if importer.domain.name == self.domain.name:
             return ref
         if self.domain.defined_here(ref) and not ref.context:
             return ref.prefixed_context(self.domain.name)

@@ -40,19 +40,16 @@ def compile_client_channel(nucleus, capsule, ref,
     layers: List = []
     domain = nucleus.domain
 
-    if constraints.federation and domain is not None:
+    if constraints.federation:
         from repro.federation.layer import FederationClientLayer
         layers.append(FederationClientLayer(nucleus, capsule, domain))
 
     if ref.group:
-        if domain is None:
-            raise BindingError(
-                "group references need a domain (group registry)")
         from repro.groups.client import GroupInvokeLayer
         layers.append(GroupInvokeLayer(domain.groups, ref.interface_id,
                                        nucleus, capsule))
 
-    if constraints.location and domain is not None and not ref.group:
+    if constraints.location and not ref.group:
         from repro.relocation.layer import RelocationLayer
         layers.append(RelocationLayer(domain.relocator))
 
@@ -78,8 +75,6 @@ def compile_server_stack(nucleus, capsule, interface,
     layers: List = [Dispatcher()]
 
     if constraints.security is not None:
-        if domain is None:
-            raise BindingError("security transparency needs a domain")
         from repro.security.guard import GuardLayer
         spec = constraints.security
         guard = GuardLayer(
@@ -91,42 +86,27 @@ def compile_server_stack(nucleus, capsule, interface,
         interface.annotations["guard_layer"] = guard
         layers.append(guard)
 
+    checkpoint = None
+    if constraints.failure is not None:
+        from repro.recovery.checkpoint import CheckpointLayer
+        checkpoint = CheckpointLayer(interface, domain.repository,
+                                     constraints.failure)
+        interface.annotations["checkpoint_layer"] = checkpoint
+
     if constraints.concurrency:
-        if domain is None:
-            raise BindingError("concurrency transparency needs a domain")
-        from repro.storage.repository import StoredObject
         from repro.tx.layer import ConcurrencyControlLayer
-
-        durability_hook = None
-        if constraints.failure is not None or constraints.resource:
-            repository = domain.repository
-
-            def durability_hook(iface, snapshot):  # noqa: F811
-                repository.store(StoredObject(
-                    key=f"durable:{iface.interface_id}",
-                    cls=type(iface.implementation),
-                    snapshot=snapshot,
-                    signature=iface.signature,
-                    constraints=iface.annotations.get("constraints"),
-                    epoch=iface.epoch,
-                    kind="durable"))
-
+        # Durability: a commit that wrote here takes the checkpoint.
         concurrency = ConcurrencyControlLayer(
             interface, capsule,
             registry=domain.federation.tx_registry,
             graph=domain.federation.waits_graph,
             ordering=constraints.ordering,
-            durability_hook=durability_hook)
+            durability_hook=(None if checkpoint is None
+                             else checkpoint.checkpoint))
         interface.annotations["concurrency_layer"] = concurrency
         layers.append(concurrency)
 
-    if constraints.failure is not None:
-        if domain is None:
-            raise BindingError("failure transparency needs a domain")
-        from repro.recovery.checkpoint import CheckpointLayer
-        checkpoint = CheckpointLayer(interface, domain.repository,
-                                     constraints.failure)
-        interface.annotations["checkpoint_layer"] = checkpoint
+    if checkpoint is not None:
         layers.append(checkpoint)
 
     interface.annotations["server_layers"] = layers

@@ -9,7 +9,9 @@ builds exactly those mechanisms:
   of invocations within a transaction" (a small DFA per interface),
 * **isolation** — separation constraints (read/write operation modes) are
   "interpreted to automatically generate a concurrency control manager",
-* **durability** — committed state is written to the stable repository.
+* **durability** — a commit that wrote an interface which also selected
+  failure transparency takes its checkpoint; writes inside a transaction
+  are never logged, so recovery restores committed state only.
 
 A waits-for-graph deadlock detector ensures "applications do not hang
 indefinitely if transactions suffer locking conflicts".

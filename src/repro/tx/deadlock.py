@@ -64,6 +64,3 @@ class WaitsForGraph:
 
     def waiting(self, waiter: str) -> Set[str]:
         return set(self._edges.get(waiter, ()))
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._edges.values())

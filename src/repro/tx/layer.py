@@ -26,7 +26,7 @@ from repro.tx.deadlock import WaitsForGraph
 from repro.tx.locks import LockManager, LockMode
 from repro.tx.ordering import OrderingPredicate
 from repro.tx.transaction import Participant, TxState
-from repro.tx.versions import VersionStore, take_snapshot
+from repro.tx.versions import VersionStore
 
 
 class ConcurrencyControlLayer(ServerLayer):
@@ -44,8 +44,8 @@ class ConcurrencyControlLayer(ServerLayer):
         self.registry = registry
         self.graph = graph
         self.ordering = ordering
-        #: Called with (interface, snapshot) when a transaction commits —
-        #: wired to the stable repository for durability.
+        #: Called with no arguments when a transaction that wrote here
+        #: commits: the failure transparency's checkpoint, when selected.
         self.durability_hook = durability_hook
         self.locks = LockManager(interface.interface_id)
         self.versions = VersionStore(interface.interface_id)
@@ -163,8 +163,7 @@ class ConcurrencyControlLayer(ServerLayer):
     def _commit(self, tx_id: str) -> Tuple[bool, str]:
         if self.durability_hook is not None and \
                 self.versions.has_version(tx_id):
-            self.durability_hook(self.interface,
-                                 take_snapshot(self.interface.implementation))
+            self.durability_hook()
         self.versions.discard(tx_id)
         self.locks.release(tx_id)
         self._ordering_state.pop(tx_id, None)

@@ -30,12 +30,6 @@ class LockManager:
         self.grants = 0
         self.upgrades = 0
 
-    def holders(self) -> Set[str]:
-        return set(self._holders)
-
-    def mode_of(self, tx_id: str):
-        return self._holders.get(tx_id)
-
     def conflicts_with(self, tx_id: str, wanted: LockMode) -> Set[str]:
         """Transactions whose held locks block *tx_id* acquiring *wanted*."""
         blocking: Set[str] = set()
@@ -67,9 +61,6 @@ class LockManager:
 
     def release(self, tx_id: str) -> None:
         self._holders.pop(tx_id, None)
-
-    def held_by(self, tx_id: str) -> bool:
-        return tx_id in self._holders
 
     def __repr__(self) -> str:
         held = {t: m.value for t, m in self._holders.items()}

@@ -55,9 +55,3 @@ class OrderingPredicate:
             transitions[states[index]] = {op_name: states[index + 1]}
         transitions[states[-1]] = {}
         return cls(transitions, states[0], accepting=[states[-1]])
-
-    @classmethod
-    def any_order(cls, op_names: Iterable[str]) -> "OrderingPredicate":
-        """A predicate allowing the given ops in any order, any count."""
-        loop = {name: "s0" for name in op_names}
-        return cls({"s0": loop}, "s0", accepting=["s0"])

@@ -178,9 +178,6 @@ class TransactionManager:
         # Keep the registry entry: late participants must still see the
         # final state rather than "unknown transaction".
 
-    def get(self, transaction_id: str) -> Optional[Transaction]:
-        return self.registry.get(transaction_id)
-
     # -- ambient transaction ----------------------------------------------------
 
     def push_current(self, transaction: Transaction) -> None:
@@ -251,24 +248,15 @@ class TransactionManager:
 
     # -- convenience --------------------------------------------------------------
 
-    def atomically(self, body, max_attempts: int = 5):
-        """Run *body(tx)* in a transaction, retrying on abort/deadlock.
+    def atomically(self, body):
+        """Run *body(tx)* in one transaction; returns body's result.
 
-        Returns body's result.  Raises the last abort if attempts run out.
+        Commits when *body* returns; aborts and re-raises when it raises,
+        a held lock's :class:`~repro.errors.LockBusyError` included.  A
+        synchronous call runs no other event, so an immediate retry would
+        meet the same holder: waiting for a lock is the job of
+        :class:`~repro.tx.runner.TxRunner`, whose scripts sleep while the
+        holder's activity runs.
         """
-        from repro.errors import DeadlockError, LockBusyError
-
-        last: Optional[Exception] = None
-        for _ in range(max_attempts):
-            transaction = self.begin()
-            try:
-                with transaction as tx:
-                    result = body(tx)
-                return result
-            except (DeadlockError, LockBusyError,
-                    TransactionAborted) as exc:
-                last = exc
-                if transaction.state == TxState.ACTIVE:
-                    transaction.abort(str(exc))
-        raise TransactionAborted(
-            f"atomically: gave up after {max_attempts} attempts: {last}")
+        with self.begin() as tx:
+            return body(tx)

@@ -56,6 +56,3 @@ class VersionStore:
 
     def discard(self, tx_id: str) -> None:
         self._before.pop(tx_id, None)
-
-    def pending(self) -> int:
-        return len(self._before)

@@ -11,7 +11,7 @@ serialised.
 import pytest
 
 from repro import EnvironmentConstraints
-from repro.sim.activity import Sleep, WaitFor
+from repro.sim.activity import Sleep
 from tests.conftest import Account, Counter, KvStore
 
 
@@ -85,8 +85,8 @@ class TestOverlappedClients:
 
         def follower():
             proxy = binder.bind(flag_ref)
-            yield WaitFor(lambda: binder.bind(flag_ref).get("go") == "now",
-                          poll_interval=2.0)
+            while proxy.get("go") != "now":
+                yield Sleep(2.0)
             order.append("follower-runs")
 
         world.activities.spawn(leader())

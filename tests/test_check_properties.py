@@ -176,12 +176,21 @@ class TestMutationSensitivity:
         one supervisor, whose one setting is its vantage count, and
         caching by explicit registration only.  Limits no caller sets
         are class constants, and every client layer is a transparency:
-        no metrics layer, no credential layer."""
+        no metrics layer, no credential layer.  One interleaver (the
+        activity runtime, with no waiter machinery of its own), one kind
+        of nucleus (every nucleus has a domain, so no null tracer), and
+        ``atomically`` runs its body once."""
         import repro
         import repro.engine
         import repro.lease
         import repro.security
+        import repro.sim
+        import repro.sim.activity
+        import repro.trace
+        import repro.trace.collector
+        import repro.trace.metrics
         from repro.engine.dispatcher import Dispatcher
+        from repro.engine.nucleus import Nucleus
         from repro.groups.client import GroupInvokeLayer
         from repro.groups.registry import GroupRegistry
         from repro.heal.supervisor import Supervisor
@@ -196,7 +205,9 @@ class TestMutationSensitivity:
         from repro.shard.space import ShardManager, ShardSpace
         from repro.streams.sync import SyncController
         from repro.transparency import access
+        from repro.tx.ordering import OrderingPredicate
         from repro.tx.runner import TxRunner
+        from repro.tx.transaction import TransactionManager
 
         root = pathlib.Path(repro.__file__).parent
         offenders = [str(path.relative_to(root))
@@ -222,7 +233,16 @@ class TestMutationSensitivity:
                             (repro.engine.layers, "MetricsLayer"),
                             (repro.security, "CredentialLayer"),
                             (repro.security.guard, "CredentialLayer"),
-                            (access, "selected_transparencies")):
+                            (access, "selected_transparencies"),
+                            (repro.sim, "WaitFor"),
+                            (repro.sim.activity, "WaitFor"),
+                            (repro.sim.activity, "ActivityTimeout"),
+                            (repro.trace, "NULL_COLLECTOR"),
+                            (repro.trace.collector, "NullCollector"),
+                            (repro.trace.collector, "NULL_COLLECTOR"),
+                            (repro.trace, "Gauge"),
+                            (repro.trace.metrics, "Gauge"),
+                            (OrderingPredicate, "any_order")):
             assert not hasattr(owner, name), name
         for cls, name in ((Dispatcher, "strict"),
                           (GroupInvokeLayer, "max_view_changes"),
@@ -233,9 +253,12 @@ class TestMutationSensitivity:
                           (TransparencyAdvisor, "contention_threshold"),
                           (ShardSpace, "durable"),
                           (ShardManager.create, "durable"),
-                          (SyncController, "on_release")):
+                          (SyncController, "on_release"),
+                          (TransactionManager.atomically, "max_attempts")):
             assert name not in inspect.signature(cls).parameters, \
                 (cls, name)
+        assert inspect.signature(Nucleus).parameters["domain"].default \
+            is inspect.Parameter.empty
 
     def test_every_counter_has_a_reader(self):
         """No attribute that ``src/repro`` bumps with ``+=`` / ``-=`` is

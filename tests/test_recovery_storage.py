@@ -133,6 +133,26 @@ class TestRecovery:
         domain.recovery.recover(ref.interface_id, c2)
         assert proxy.balance_of() == 20
 
+    def test_aborted_write_is_not_replayed(self, trio_domain):
+        """A write inside a transaction is not logged before its outcome
+        is known, so recovery cannot bring back one that was aborted."""
+        world, domain, (c1, c2, c3), clients = trio_domain
+        ref = c1.export(Account(100),
+                        constraints=EnvironmentConstraints(
+                            concurrency=True,
+                            failure=FailureSpec(checkpoint_every=4)))
+        proxy = world.binder_for(clients).bind(ref)
+        proxy.deposit(1)
+        tx = domain.tx_manager.begin()
+        with pytest.raises(RuntimeError):
+            with tx:
+                proxy.deposit(5)
+                raise RuntimeError("abandon the transaction")
+        assert proxy.balance_of() == 101
+        world.crash_node("n1")
+        domain.recovery.recover(ref.interface_id, c2)
+        assert proxy.balance_of() == 101
+
     def test_unrecoverable_without_checkpoint(self, trio_domain):
         world, domain, (c1, c2, c3), clients = trio_domain
         ref = c1.export(Account(5))  # no failure transparency selected

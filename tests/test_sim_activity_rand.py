@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.activity import ActivityRuntime, ActivityTimeout, Sleep, WaitFor
+from repro.sim.activity import ActivityRuntime, Sleep
 from repro.sim.rand import DeterministicRandom
 from repro.sim.scheduler import Scheduler
 
@@ -54,37 +54,6 @@ class TestActivities:
         runtime.run_all()
         # The fast worker finishes all steps before slow's second step.
         assert trace.index(("fast", 2)) < trace.index(("slow", 1))
-
-    def test_wait_for_predicate(self, runtime):
-        flag = {"ready": False}
-        trace = []
-
-        def setter():
-            yield Sleep(10.0)
-            flag["ready"] = True
-
-        def waiter():
-            yield WaitFor(lambda: flag["ready"], poll_interval=1.0)
-            trace.append(runtime.scheduler.now)
-
-        runtime.spawn(setter())
-        runtime.spawn(waiter())
-        runtime.run_all()
-        assert trace and trace[0] >= 10.0
-
-    def test_wait_for_timeout(self, runtime):
-        outcomes = []
-
-        def waiter():
-            try:
-                yield WaitFor(lambda: False, poll_interval=1.0,
-                              timeout=5.0)
-            except ActivityTimeout:
-                outcomes.append("timeout")
-
-        runtime.spawn(waiter())
-        runtime.run_all()
-        assert outcomes == ["timeout"]
 
     def test_activity_error_is_reraised_by_run_all(self, runtime):
         def broken():

@@ -263,16 +263,22 @@ class TestAtomically:
 
         assert domain.tx_manager.atomically(body) == 101
 
-    def test_atomically_gives_up_eventually(self, single_domain):
+    def test_held_lock_raises_after_one_abort(self, single_domain):
+        """A synchronous call runs no other event, so retrying at once
+        would meet the same holder: one attempt, aborted, and the lock
+        error surfaces with no transaction left current."""
         world, domain, servers, clients = single_domain
         account = exported_account(world, servers, clients)
-        blocker = domain.tx_manager.begin()
-        domain.tx_manager.push_current(blocker)
+        manager = domain.tx_manager
+        blocker = manager.begin()
+        manager.push_current(blocker)
         account.deposit(1)
-        domain.tx_manager.pop_current(blocker)
-        with pytest.raises(TransactionAborted, match="gave up"):
-            domain.tx_manager.atomically(lambda tx: account.deposit(1),
-                                         max_attempts=3)
+        manager.pop_current(blocker)
+        begun, aborted = manager.begun, manager.aborted
+        with pytest.raises(LockBusyError):
+            manager.atomically(lambda tx: account.deposit(1))
+        assert (manager.begun, manager.aborted) == (begun + 1, aborted + 1)
+        assert manager.current() is None
         blocker.abort()
 
 
@@ -287,5 +293,7 @@ class TestDurability:
         ref_id = account._ref.interface_id
         with domain.tx_manager.begin():
             account.deposit(23)
-        record = domain.repository.fetch(f"durable:{ref_id}")
+        # The commit is the checkpoint: snapshot taken, log empty.
+        record = domain.repository.fetch(f"ckpt:{ref_id}")
         assert record.snapshot["balance"] == 123
+        assert domain.repository.log_length(f"wal:{ref_id}") == 0
