@@ -114,7 +114,6 @@ def _wall_us_per_call(sampling, rounds=5):
         _drive(proxy)
         best = min(best, time.perf_counter() - start)
         tracer.clear()
-        _ = tracer.metrics  # drain deferred aggregation between rounds
     return best / INVOCATIONS * 1e6
 
 

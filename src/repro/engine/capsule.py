@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.ndr.codec import Marshaller
 from repro.trace.context import pop_active, push_active
-from repro.trace.span import NULL_SPAN
+from repro.trace.span import NULL_SPAN, span_name
 from repro.types.signature import InterfaceSignature
 
 
@@ -193,12 +193,12 @@ class Capsule:
             finally:
                 pop_active()
         span = self.nucleus.tracer.span(
-            f"execute:{invocation.operation}", "execute", trace,
+            span_name("execute", invocation.operation), "execute", trace,
             node=self.nucleus.node_address, tags={"capsule": self.name})
         # Scope the executing span so calls the implementation makes
         # join this trace.
         if span is not NULL_SPAN:
-            invocation.context.trace = span.context
+            invocation.context.trace = span
         push_active(invocation.context.trace)
         try:
             termination = handler(invocation)

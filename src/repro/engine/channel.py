@@ -44,7 +44,7 @@ from repro.resilience.retry import (
     classify,
 )
 from repro.trace.context import current_trace
-from repro.trace.span import NULL_SPAN
+from repro.trace.span import NULL_SPAN, span_name
 
 
 class Channel:
@@ -118,11 +118,11 @@ class Channel:
                              else tracer.start_trace())
         if context.trace.sampled:
             span = tracer.span(
-                f"invoke:{operation}", "invoke", context.trace,
+                span_name("invoke", operation), "invoke", context.trace,
                 node=self.client_nucleus.node_address,
                 tags={"interface": self.ref.interface_id})
             if span is not NULL_SPAN:
-                context.trace = span.context
+                context.trace = span
         else:
             span = NULL_SPAN
 

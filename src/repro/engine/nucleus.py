@@ -35,7 +35,7 @@ from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.dedup import ReplyCache
 from repro.resilience.stats import ResilienceStats
 from repro.trace.context import TraceContext
-from repro.trace.span import NULL_SPAN
+from repro.trace.span import NULL_SPAN, span_name
 
 #: Sentinel reply for undecodable requests (wire-format mismatch).
 FORMAT_ERROR_REPLY = b"!FORMAT-MISMATCH"
@@ -51,6 +51,10 @@ _UNMARSHALLER = Marshaller()
 #: Where a request envelope holds application values (``loads``'s
 #: *values* path): the single-invocation road decodes them in one walk.
 _ARGS = ("inv", "args")
+
+#: Forwards one announcement may follow: one per move in a row, and a
+#: cycle of forwards cannot bounce it for ever.
+_MAX_FORWARD_HOPS = 4
 
 
 def _malformed(what: str) -> Dict[str, Any]:
@@ -252,7 +256,7 @@ class Nucleus:
         if trace is None:
             return NULL_SPAN
         return self.tracer.span(
-            f"server:{invocation.operation}", "server", trace,
+            span_name("server", invocation.operation), "server", trace,
             node=self.node_address, tags=tags)
 
     def _handle_request(self, source: str, payload: bytes) -> bytes:
@@ -588,6 +592,23 @@ class Nucleus:
         capsule = self._capsule_of(envelope)
         if capsule is None:
             span.finish(status="error")
+            return
+        forward = (None if invocation.interface_id in capsule.interfaces
+                   else capsule.forwards.get(invocation.interface_id))
+        if forward is not None:
+            # The object moved and left a forward (section 5.4).  No
+            # reply can carry the hint back to the sender, so the
+            # announcement itself follows the forward, one hop.
+            hops = int(message.headers.get("hops", "0")) + 1
+            if hops > _MAX_FORWARD_HOPS:
+                span.tag("error", "hops").finish(status="error")
+                return
+            path = forward.primary_path()
+            envelope["capsule"] = path.capsule
+            self.network.post(self.node_address, path.node,
+                              get_format(path.wire_format).dumps(envelope),
+                              kind="invoke", headers={"hops": str(hops)})
+            span.tag("forwarded", path.node).finish()
             return
         # Announcements cannot report failure: the reply is dropped.
         self._execute(capsule, invocation, span)

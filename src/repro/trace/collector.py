@@ -11,10 +11,12 @@ Owns everything stateful about tracing in one domain:
   keeps exactly every other trace), and travels with the context;
 * **the ring buffer** — finished spans land in a bounded ring; when it
   overflows, the oldest span is dropped and counted, never the newest;
+* **per-layer metrics** — as it finishes, each span is counted and its
+  duration filed in its layer's fixed-bucket histogram in a
+  :class:`~repro.trace.metrics.MetricsRegistry`, so the ring is all the
+  collector keeps per span, and the registry is complete whenever read;
 * **analysis views** — span trees, critical-path extraction, per-layer
-  self-time breakdowns, and a flame-style text renderer.  Per-layer
-  span durations also feed fixed-bucket histograms in a
-  :class:`~repro.trace.metrics.MetricsRegistry`.
+  self-time breakdowns, and a flame-style text renderer.
 """
 
 from __future__ import annotations
@@ -65,18 +67,16 @@ class TraceCollector:
         #: virtual clock, so they add nothing to a latency breakdown,
         #: but they triple the span count of a plain remote call.
         self.verbose = False
-        self._metrics = MetricsRegistry()
+        #: A span counter and a duration histogram per layer, each span
+        #: folded in as it finishes (see :meth:`Span.finish`).
+        self.metrics = MetricsRegistry()
         self._spans: "deque[Span]" = deque(maxlen=capacity)
         self._cleared = 0
         self._trace_seq = 0
         self._span_seq = 0
         self._sample_accum = 0.0
-        #: (layer, duration) of finished spans not yet folded into the
-        #: registry — one list append on the hot path, histogram/bucket
-        #: work deferred to the first metrics read.
-        self._pending: List[tuple] = []
-        #: (counter, histogram) per layer — avoids two registry lookups
-        #: plus key formatting on every flush entry.
+        #: The (counter, histogram) of each layer in :attr:`metrics`,
+        #: found without formatting their names.
         self._layer_metrics: Dict[str, tuple] = {}
         self.traces_started = 0
         self.traces_sampled = 0
@@ -133,22 +133,12 @@ class TraceCollector:
 
     # -- metrics --------------------------------------------------------------
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry, with every finished span folded in."""
-        pending = self._pending
-        if pending:
-            self._pending = []
-            layer_metrics = self._layer_metrics
-            for layer, duration in pending:
-                pair = layer_metrics.get(layer)
-                if pair is None:
-                    pair = (self._metrics.counter(f"layer.{layer}.spans"),
-                            self._metrics.histogram(f"layer.{layer}.ms"))
-                    layer_metrics[layer] = pair
-                pair[0].value += 1
-                pair[1].observe(duration)
-        return self._metrics
+    def _add_layer(self, layer: str) -> tuple:
+        """The (counter, histogram) pair of a layer's first span."""
+        pair = self._layer_metrics[layer] = (
+            self.metrics.counter(f"layer.{layer}.spans"),
+            self.metrics.histogram(f"layer.{layer}.ms"))
+        return pair
 
     # -- retrieval ----------------------------------------------------------
 
@@ -273,8 +263,3 @@ class TraceCollector:
     def clear(self) -> None:
         self._cleared += len(self._spans)
         self._spans.clear()
-
-    def __repr__(self) -> str:
-        return (f"TraceCollector({self.domain_name}, "
-                f"{len(self._spans)}/{self.capacity} spans, "
-                f"sampling={self._sampling})")

@@ -13,16 +13,28 @@ A live :class:`Span` is three things at once, on purpose:
   surface as :class:`~repro.trace.context.TraceContext` plus
   ``to_wire``.
 
-Folding the three roles into one object keeps a span open+close to a
-single allocation, which is what holds the C17 full-sampling overhead
-budget.
+Folding the three roles into one object spares a handle and a context
+object per span.  What a span allocates besides itself is its id, its
+tags dict and the floats of its timestamps; its name is one string per
+operation (:func:`span_name`).  Once finished, a span is a record in a
+bounded ring and nothing more: its duration is folded into its layer's
+metrics as it finishes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
 from typing import Any, Dict, Optional
 
 from repro.trace.context import UNSAMPLED, TraceContext
+
+
+@lru_cache(maxsize=1024)
+def span_name(kind: str, operation: str) -> str:
+    """``kind:operation``, one string however many spans carry it.  The
+    cache is bounded: an operation name can arrive from the wire."""
+    return f"{kind}:{operation}"
 
 
 class Span:
@@ -84,7 +96,17 @@ class Span:
             self.status = status
             collector._spans.append(self)  # maxlen ring drops the oldest
             collector.spans_recorded += 1
-            collector._pending.append((self.layer, end - self.start_ms))
+            # Fold into the layer's metrics now, in finish order, so the
+            # ring is all a finished span leaves behind.
+            # Histogram.observe written out: a finish makes no call.
+            counter, histogram = (collector._layer_metrics.get(self.layer)
+                                  or collector._add_layer(self.layer))
+            counter.value += 1
+            duration = end - self.start_ms
+            histogram.bucket_counts[
+                bisect_left(histogram.bounds, duration)] += 1
+            histogram.count += 1
+            histogram.total += duration
         return self
 
     # -- record surface -------------------------------------------------------

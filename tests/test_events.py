@@ -59,6 +59,56 @@ class TestEventChannel:
         with pytest.raises(Signal):
             publisher.unsubscribe(subscription_id)
 
+    def test_announcements_follow_a_moved_subscriber(self, channel_setup):
+        """The old node forwards an announcement along the forward the
+        move left; the hub's stale reference learns nothing from it."""
+        world, domain, (c1, c2, c3), clients, channel, publisher = \
+            channel_setup
+        subscriber = Subscriber()
+        sub_ref = c2.export(subscriber)
+        publisher.subscribe("", sub_ref)
+        publisher.publish("e0", 0)
+        world.settle()
+        domain.migrator.migrate(c2, sub_ref.interface_id, c3)
+        for number in range(1, 6):
+            publisher.publish(f"e{number}", number)
+        world.settle()
+        moved = c3.interfaces[sub_ref.interface_id].implementation
+        assert moved.topics() == [f"e{number}" for number in range(6)]
+
+    def test_announcements_follow_a_chain_of_moves(self, channel_setup):
+        """Two moves in a row: n2 forwards to n3, n3 to n1."""
+        world, domain, (c1, c2, c3), clients, channel, publisher = \
+            channel_setup
+        subscriber = Subscriber()
+        sub_ref = c2.export(subscriber)
+        publisher.subscribe("", sub_ref)
+        domain.migrator.migrate(c2, sub_ref.interface_id, c3)
+        publisher.publish("a", 1)
+        world.settle()
+        domain.migrator.migrate(c3, sub_ref.interface_id, c1)
+        publisher.publish("b", 2)
+        world.settle()
+        moved = c1.interfaces[sub_ref.interface_id].implementation
+        assert moved.topics() == ["a", "b"]
+
+    def test_a_cycle_of_forwards_ends_at_the_hop_limit(self, channel_setup):
+        """Two capsules that each withdrew the interface toward the
+        other bounce an announcement four times, then drop it."""
+        world, domain, (c1, c2, c3), clients, channel, publisher = \
+            channel_setup
+        sub_ref = c2.export(Subscriber())
+        publisher.subscribe("", sub_ref)
+        c2.withdraw(sub_ref.interface_id, forward=sub_ref.with_paths(
+            c3.nucleus.access_paths(c3.name)))
+        c3.forwards[sub_ref.interface_id] = sub_ref
+        publisher.publish("loop", 0)
+        world.settle()
+        spans = domain.tracer.spans()
+        assert sum("forwarded" in span.tags for span in spans) == 4
+        assert [span.tags.get("error") for span in spans
+                if span.status == "error"] == ["hops"]
+
     def test_non_subscriber_ref_rejected(self, channel_setup):
         world, domain, (c1, c2, c3), clients, channel, publisher = \
             channel_setup

@@ -7,8 +7,17 @@ this package is the same on every run and every machine.  It fell from
 163 when the nucleus read each invocation once and stopped re-asking
 what cannot change (a node's address, the clock's slot, a capsule's
 marshaller) per call, and to 160 when the channel lost the metrics
-layer, which was no transparency and whose counters nothing read.  A
-layer that adds a call per invocation shows here as exactly one.
+layer, which was no transparency and whose counters nothing read, and
+to 158 when the invoke and execute span sites stopped asking a live
+span for its context, which is the span itself.  A layer that adds a
+call per invocation shows here as exactly one.
+
+Memory is counted the same way: the bytes still allocated after 1,000
+more warm invocations, once the trace ring is full.  It was ~370 KB
+while each finished span left a ``(layer, duration)`` tuple behind for
+a later metrics read; it is a few KB (span ids widen by a digit now and
+then) since each span is folded into its layer's metrics as it
+finishes.
 
 The bulk path is counted beside it: one warm ``put`` and one ``get`` of
 a value of 40 sibling records, PACKED client to TAGGED server, fell
@@ -28,6 +37,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+import tracemalloc
 
 import repro
 from repro import OdpObject, ReplicationSpec, World, operation
@@ -44,6 +54,9 @@ BULK_BUDGET = 1480
 RUN_BUDGET = 81_000
 #: ... and one quiet tick of a warm supervisor.
 QUIET_TICK_BUDGET = 27
+#: Bytes 1,000 warm invocations may leave allocated once the trace ring
+#: is full: every log on the path is bounded, so nothing should grow.
+RETAINED_BUDGET = 4096
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
@@ -117,6 +130,36 @@ def test_warm_invocation_stays_inside_its_call_budget():
     assert per_op == _calls_into_package(hundred) / 100, "not deterministic"
     assert per_op <= BUDGET, (
         f"{per_op} Python calls per warm invocation, budget {BUDGET}")
+
+
+def test_warm_invocations_retain_no_memory_once_the_ring_is_full():
+    """Tracing is on (sampling 1.0, four spans a call), so after 6,000
+    calls the 16,384-span ring has turned over: each new span pushes an
+    old one out, and nothing else a call leaves behind may pile up.
+    Tracing memory starts before the world is built, so what the ring
+    frees is counted as freed."""
+    tracemalloc.start()
+    try:
+        world = World(seed=1)
+        world.node("org", "server-node", native_format="packed")
+        world.node("org", "client-node", native_format="packed")
+        proxy = world.binder_for(
+            world.capsule("client-node", "clients")).bind(
+            world.capsule("server-node", "servers").export(Account()))
+        for _ in range(6000):
+            proxy.deposit(1)
+        assert world.domain("org").tracer.spans_dropped > 0
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            proxy.deposit(1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= RETAINED_BUDGET, (
+        f"{retained} bytes retained per 1,000 warm invocations, budget "
+        f"{RETAINED_BUDGET}")
 
 
 def test_warm_bulk_put_and_get_stay_inside_their_call_budget():

@@ -9,8 +9,18 @@ runs produce byte-identical traces.
 
 import pytest
 
-from repro import QoS, World
+from repro import (
+    EnvironmentConstraints,
+    FailureSpec,
+    QoS,
+    SecuritySpec,
+    Signal,
+    World,
+)
+from repro.errors import OdpError
 from repro.mgmt.monitor import TransparencyMonitor
+from repro.perf import BatchClient
+from repro.security.policy import SecurityPolicy
 from repro.sim.clock import VirtualClock
 from repro.trace import (
     NULL_SPAN,
@@ -23,6 +33,7 @@ from repro.trace.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from tests.conftest import Account
 from tests.conftest import Counter as CounterADT
 
 
@@ -308,6 +319,71 @@ class TestCollectorBounds:
         assert TraceContext.from_wire(context.to_wire()).span_id == "S3@d"
         assert TraceContext.from_wire(None) is None
         assert TraceContext.from_wire({"nope": 1}) is None
+
+
+class TestFoldAsFinished:
+    """Each span is folded into its layer's counter and histogram as it
+    finishes.  A fold made afterwards, from the ring in finish order,
+    gives the same numbers to the last bit."""
+
+    @staticmethod
+    def mixed_workload(world):
+        """Errors, a retry, a batch, and C3's full transparency stack."""
+        world.node("org", "s")
+        world.node("org", "c")
+        servers, clients = world.capsule("s", "srv"), world.capsule("c", "cli")
+        domain = world.domain("org")
+        domain.policies.register(SecurityPolicy("fold", default_allow=True))
+        domain.authority.enrol("fold-user")
+        binder = world.binder_for(clients)
+        counter = binder.bind(servers.export(CounterADT()))
+        full = binder.bind(servers.export(Account(10), constraints=(
+            EnvironmentConstraints(
+                location=True, concurrency=True,
+                security=SecuritySpec(policy="fold"),
+                failure=FailureSpec(checkpoint_every=2),
+                federation=False))), principal="fold-user")
+        for _ in range(3):
+            counter.increment()
+            full.deposit(5)
+        world.faults.lose_next("c", "s")
+        counter.increment()
+        with pytest.raises(Signal):
+            full.withdraw(1000)
+        batcher = BatchClient(clients)
+        account_ref = servers.export(Account(1))
+        members = [batcher.call(account_ref, "withdraw", amount)
+                   for amount in (1, 100, 0)]
+        batcher.flush()
+        with pytest.raises(Signal):
+            members[1].result()
+        world.crash_node("s")
+        with pytest.raises(OdpError):
+            counter.increment()
+        return domain.tracer
+
+    def test_inline_fold_equals_a_fold_of_the_ring(self):
+        tracer = self.mixed_workload(World(seed=31))
+        assert tracer.spans_dropped == 0
+        reference = {}
+        for span in tracer.spans():  # the ring is in finish order
+            reference.setdefault(span.layer, Histogram("reference")) \
+                .observe(span.duration_ms)
+        assert {"invoke", "net", "server", "execute", "resilience",
+                "perf"} <= set(reference)
+        assert any(span.status == "error" for span in tracer.spans())
+        metrics = tracer.metrics
+        assert set(metrics.counters) == {
+            f"layer.{layer}.spans" for layer in reference}
+        assert set(metrics.histograms) == {
+            f"layer.{layer}.ms" for layer in reference}
+        for layer, expected in reference.items():
+            histogram = metrics.histograms[f"layer.{layer}.ms"]
+            assert metrics.counters[f"layer.{layer}.spans"].value \
+                == expected.count
+            assert histogram.bucket_counts == expected.bucket_counts
+            assert histogram.count == expected.count
+            assert histogram.total == expected.total  # bit-equal
 
 
 class TestMetrics:
