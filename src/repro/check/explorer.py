@@ -16,10 +16,12 @@ randomness or iteration order of unsorted collections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.check import mutations
 from repro.check.history import History, digest_run
+from repro.check.linearizable import OPS
 from repro.check.modes import MODES
 from repro.check.plan import (
     DEFAULT_ROWS,
@@ -104,10 +106,9 @@ class RunResult:
     events: List[Dict[str, Any]]
     end_state: Dict[str, Any]
     digest: str
-    #: name -> {"acked": n, "ambiguous": n, "shed": n} per counter.
-    #: Shed increments (ServerBusyError) definitely did not execute, so
-    #: they widen neither bound of the exactly-once envelope.
-    counters: Dict[str, Dict[str, int]]
+    #: The client's call history on counters, kv keys and shard keys,
+    #: final reads included (``History.calls``).
+    calls: List[Dict[str, Any]]
     counter_final: Dict[str, Optional[int]]
     #: Client-side account model (committed transfers applied).
     accounts_model: Dict[str, int]
@@ -118,10 +119,6 @@ class RunResult:
     indoubt_allowance: int
     #: Interface ids whose in-doubt outcome could not be re-delivered.
     unresolved_iids: List[str]
-    #: key -> ordered [(value, t_ack, acked)] group-write ledger; the
-    #: client-observed ack time is at or after the commit.
-    group_writes: Dict[str, List[Tuple[str, float, bool]]]
-    group_final: Dict[str, Optional[str]]
     #: Per-member end state: index, alive, out_of_sync, data (or None).
     member_states: List[Dict[str, Any]]
     #: Per-surviving-object relocation probe:
@@ -172,19 +169,15 @@ class _Run:
         self.locations: Dict[str, str] = {}
         self.proxies: Dict[str, Any] = {}
         self.collected: set = set()
-        self.counters: Dict[str, Dict[str, int]] = {}
         self.accounts_model: Dict[str, int] = {}
         self.had_indoubt = False
         self.indoubt_allowance = 0
         self.indoubt_txs: list = []
-        self.group_writes: Dict[str, List[Tuple[str, float, bool]]] = {}
         self.gc_observations: List[Dict[str, Any]] = []
 
         for i in range(COUNTERS):
             self._place(f"c{i}", Counter(),
                         EnvironmentConstraints())
-            self.counters[f"c{i}"] = {"acked": 0, "ambiguous": 0,
-                                      "shed": 0}
         for i in range(ACCOUNTS):
             self._place(f"a{i}", Account(INITIAL_BALANCE),
                         EnvironmentConstraints(concurrency=True))
@@ -233,8 +226,24 @@ class _Run:
         except OdpError as exc:
             return f"failed:{type(exc).__name__}", None
 
+    def call(self, fn, obj: str, op: str, key: Optional[str] = None,
+             arg: Any = None, **kwargs) -> Tuple[str, Any]:
+        """``attempt`` *fn* on *key* and *arg* (those given), recorded
+        in the call history as *op* on *obj*."""
+        call = self.history.invoke(obj, key, op, arg)
+        outcome, value = self.attempt(
+            fn, *[part for part in (key, arg) if part is not None],
+            **kwargs)
+        self.history.respond(call, outcome, value, self.world.now)
+        return outcome, value
+
     def counter_name(self, op) -> str:
         return f"c{op.get('counter', 0) % COUNTERS}"
+
+    def written(self, obj: str) -> List[str]:
+        """The keys of *obj* the plan wrote, or tried to, sorted."""
+        return sorted({call["key"] for call in self.history.calls
+                       if call["obj"] == obj and OPS[call["op"]][1]})
 
     def _object_name(self, op) -> Optional[str]:
         name = op.get("obj")
@@ -252,39 +261,11 @@ class _Run:
 
     def _op_invoke(self, op):
         name = self.counter_name(op)
-        outcome, value = self.attempt(self.proxies[name].increment)
-        self.count_increment(self.counters[name], outcome)
-        return outcome, value
-
-    @staticmethod
-    def count_increment(entry: Dict[str, int], outcome: str) -> None:
-        """Fold one increment's outcome into its exactly-once envelope
-        (``{"acked", "ambiguous", "shed"}`` counts)."""
-        if outcome == "ok":
-            entry["acked"] += 1
-        elif outcome == "failed:ServerBusyError":
-            # The shed contract: a ServerBusyError surfacing to the
-            # caller means the final attempt was rejected *before*
-            # dispatch and the earlier ones definitely did not execute
-            # either (an executed attempt is answered from the reply
-            # cache, never shed).  Unacked, not ambiguous.
-            entry["shed"] += 1
-        elif outcome == "failed:InvocationExpiredError":
-            # Expired at a deadline gate.  Usually definitely-not-
-            # executed, but a retransmission whose original executed
-            # (reply lost, cached reply already expiry-evicted) also
-            # surfaces this — so it stays inside the ambiguous bound,
-            # tracked separately for the overload report.
-            entry["ambiguous"] += 1
-            entry["expired"] = entry.get("expired", 0) + 1
-        else:
-            # Anything else is ambiguous: the increment may or may not
-            # have executed before the failure (0-or-1 bound).
-            entry["ambiguous"] += 1
+        return self.call(self.proxies[name].increment, name, "increment")
 
     def _op_read(self, op):
         name = self.counter_name(op)
-        return self.attempt(self.proxies[name].read)
+        return self.call(self.proxies[name].read, name, "read")
 
     def _op_transfer(self, op, cancel: bool = False):
         src = f"a{op.get('src', 0) % ACCOUNTS}"
@@ -324,16 +305,12 @@ class _Run:
         return self._op_transfer(op, cancel=True)
 
     def _op_group_put(self, op):
-        key = str(op.get("key", "k0"))
-        value = str(op.get("value", ""))
-        outcome, _ = self.attempt(self.gproxy.put, key, value)
-        self.group_writes.setdefault(key, []).append(
-            (value, round(self.world.now, 6), outcome == "ok"))
-        return outcome, None
+        return self.call(self.gproxy.put, "kv", "put",
+                         str(op.get("key", "k0")), str(op.get("value", "")))
 
     def _op_group_get(self, op):
-        key = str(op.get("key", "k0"))
-        return self.attempt(self.gproxy.get, key)
+        return self.call(self.gproxy.get, "kv", "get",
+                         str(op.get("key", "k0")))
 
     def _op_group_revive(self, op):
         members = self.group.view.members
@@ -444,13 +421,10 @@ class _Run:
             faults.restart_node(node)
         faults.heal_partition()
         faults.drop_probability = 0.0
-        for a in _ALL_NODES:
-            for b in _ALL_NODES:
-                if a == b:
-                    continue
-                faults.heal_link(a, b)
-                faults.clear_link_drop(a, b)
-                faults.restore_link(a, b)
+        for a, b in permutations(_ALL_NODES, 2):
+            faults.heal_link(a, b)
+            faults.clear_link_drop(a, b)
+            faults.restore_link(a, b)
 
     def resolve_indoubt(self) -> List[str]:
         manager = self.domain.tx_manager
@@ -466,26 +440,20 @@ class _Run:
             mode.settled()
         unresolved = self.resolve_indoubt()
 
-        counter_final: Dict[str, Optional[int]] = {}
-        for name in self.counters:
-            _, value = self.attempt(self.proxies[name].read,
-                                    _qos=self.final_qos)
-            counter_final[name] = value
-        accounts_final: Dict[str, Optional[int]] = {}
-        for name in self.accounts_model:
-            _, value = self.attempt(self.proxies[name].balance_of,
-                                    _qos=self.final_qos)
-            accounts_final[name] = value
+        counter_final = {name: self.call(self.proxies[name].read, name,
+                                         "read", _qos=self.final_qos)[1]
+                         for name in (f"c{i}" for i in range(COUNTERS))}
+        accounts_final = {name: self.attempt(self.proxies[name].balance_of,
+                                             _qos=self.final_qos)[1]
+                          for name in self.accounts_model}
 
         # The modes' own reads sit where the first mode to have any put
         # them: admission waits, hence digests, depend on the order.
         for mode in self.modes:
             mode.observe()
-        group_final: Dict[str, Optional[str]] = {}
-        for key in sorted(self.group_writes):
-            _, value = self.attempt(self.gproxy.get, key,
-                                    _qos=self.final_qos)
-            group_final[key] = value
+        group_final = {key: self.call(self.gproxy.get, "kv", "get", key,
+                                      _qos=self.final_qos)[1]
+                       for key in self.written("kv")}
 
         member_states: List[Dict[str, Any]] = []
         plumbing = self.domain.groups._plumbing
@@ -503,19 +471,14 @@ class _Run:
             })
 
         relocation_probes: List[Dict[str, Any]] = []
-        relocator = self.domain.relocator
-        finals = dict(counter_final)
-        finals.update(accounts_final)
-        for name in sorted(self.locations):
-            if name in self.collected:
-                continue
-            ref = relocator.try_lookup(f"check.{name}")
-            resolved = (ref.paths[0].node
-                        if ref is not None and ref.paths else None)
+        finals = {**counter_final, **accounts_final}
+        for name in sorted(set(self.locations) - self.collected):
+            ref = self.domain.relocator.try_lookup(f"check.{name}")
             relocation_probes.append({
                 "obj": name,
                 "expected_node": self.locations[name],
-                "resolved_node": resolved,
+                "resolved_node": (ref.paths[0].node
+                                  if ref is not None and ref.paths else None),
                 "final_ok": finals.get(name) is not None,
             })
 
@@ -548,13 +511,12 @@ class _Run:
             plan=self.plan, events=self.history.events,
             end_state=end_state,
             digest=digest,
-            counters=self.counters, counter_final=counter_final,
+            calls=self.history.calls, counter_final=counter_final,
             accounts_model=self.accounts_model,
             accounts_final=accounts_final,
             had_indoubt=self.had_indoubt,
             indoubt_allowance=self.indoubt_allowance,
             unresolved_iids=unresolved,
-            group_writes=self.group_writes, group_final=group_final,
             member_states=member_states,
             relocation_probes=relocation_probes,
             gc_observations=self.gc_observations,

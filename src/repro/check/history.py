@@ -7,13 +7,17 @@ digest hashes a canonical JSON rendering (sorted keys, ``repr`` for
 anything non-primitive), so any nondeterminism — an unsorted set, a
 wall-clock timestamp, an id-dependent ordering — changes the digest
 and fails the determinism check loudly.
+
+Beside the events, a history keeps the client's *call history*, one
+record per proxy call on a counter, kv key or shard key, for
+:mod:`repro.check.linearizable`.  Calls stay out of the digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 
 class History:
@@ -21,6 +25,15 @@ class History:
 
     def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
+        #: One dict per proxy call: the model operation ``op``
+        #: (``linearizable.OPS``) with ``arg`` on ``obj``'s ``key``
+        #: (None: a counter), its ``outcome`` and ``value``, the sequence
+        #: numbers of its invocation ``inv`` and response ``res`` (the
+        #: client is single-threaded, so they are real-time order) and
+        #: the virtual response time ``t`` (no order: a call may take
+        #: no virtual time).
+        self.calls: List[Dict[str, Any]] = []
+        self._seq = 0
 
     def record(self, index: int, op_repr: str, outcome: str,
                detail: Any, t0: float, t1: float) -> None:
@@ -33,11 +46,19 @@ class History:
             "t1": round(t1, 3),
         })
 
-    def __len__(self) -> int:
-        return len(self.events)
+    def invoke(self, obj: str, key: Optional[str], op: str,
+               arg: Any = None) -> Dict[str, Any]:
+        self._seq += 1
+        call = {"obj": obj, "key": key, "op": op, "arg": arg,
+                "inv": self._seq}
+        self.calls.append(call)
+        return call
 
-    def __iter__(self):
-        return iter(self.events)
+    def respond(self, call: Dict[str, Any], outcome: str, value: Any,
+                now: float) -> None:
+        self._seq += 1
+        call.update(res=self._seq, outcome=outcome, value=value,
+                    t=round(now, 6))
 
 
 def canonical_json(payload: Any) -> str:

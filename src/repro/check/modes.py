@@ -14,6 +14,7 @@ survive it; registered anywhere else, they move.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -42,26 +43,21 @@ def _noop(run, op):
 def _tally(outcomes: List[str]) -> Tuple[str, str]:
     """A burst's history entry: ``ok`` only when every member was, and
     the per-outcome counts as a label (``okx3,failed:…x1``)."""
-    summary: Dict[str, int] = {}
-    for outcome in outcomes:
-        summary[outcome] = summary.get(outcome, 0) + 1
+    summary = Counter(outcomes)
     label = ",".join(f"{key}x{summary[key]}" for key in sorted(summary))
     return ("ok" if set(outcomes) == {"ok"} else "mixed"), label
 
 
 def _increments(least: int):
     """``n`` (at least *least*) back-to-back increments of the op's
-    counter, each folded into the counter model: what a burst kind
-    degrades to while its mode is off (*qos* None: the binding's own)."""
+    counter: what a burst kind degrades to while its mode is off (*qos*
+    None: the binding's own)."""
     def handler(run, op, qos=None):
         name = run.counter_name(op)
-        outcomes = []
-        for _ in range(max(least, int(op.get("n", least)))):
-            outcome, _value = run.attempt(run.proxies[name].increment,
-                                          _qos=qos)
-            run.count_increment(run.counters[name], outcome)
-            outcomes.append(outcome)
-        return _tally(outcomes)
+        return _tally([
+            run.call(run.proxies[name].increment, name, "increment",
+                     _qos=qos)[0]
+            for _ in range(max(least, int(op.get("n", least))))])
     return handler
 
 
@@ -203,12 +199,9 @@ class Supervisor(Mode):
         before the run settles, since its recurring events would
         otherwise keep the scheduler busy forever."""
         world = self.run.world
-        horizon = world.now
-        for window in self.run.plan.windows:
-            for edge in (getattr(window, "start_ms", None),
-                         getattr(window, "end_ms", None)):
-                if edge is not None:
-                    horizon = max(horizon, float(edge))
+        horizon = max([world.now] + [
+            float(edge) for window in self.run.plan.windows
+            for edge in (window.start_ms, window.end_ms) if edge is not None])
         world.scheduler.run_until(horizon + self.GRACE_MS)
         faults.pump()
         self.run.force_heal(faults)
@@ -248,21 +241,23 @@ class Batching(Mode):
             run.app, BatchPolicy(max_batch=8, linger_ms=0.5), qos=run.qos)
 
     def op_batch_burst(self, op):
-        """n concurrent increments of one counter, coalesced."""
+        """n concurrent increments of one counter, coalesced: all are
+        invoked before any responds."""
         run = self.run
         name = run.counter_name(op)
         ref = run.proxies[name]._ref
-        futures = [self.batcher.call(ref, "increment")
-                   for _ in range(max(2, int(op.get("n", 2))))]
+        calls = [(run.history.invoke(name, None, "increment"),
+                  self.batcher.call(ref, "increment"))
+                 for _ in range(max(2, int(op.get("n", 2))))]
         # Let the linger timer fire (size-triggered flushes have
-        # already gone out), then fold each member's outcome.
+        # already gone out), then take each member's outcome.
         run.world.scheduler.run_until(
             run.world.now + self.batcher.policy.linger_ms + 0.01)
         self.batcher.flush()
         outcomes = []
-        for future in futures:
-            outcome, _value = run.attempt(future.result)
-            run.count_increment(run.counters[name], outcome)
+        for call, future in calls:
+            outcome, value = run.attempt(future.result)
+            run.history.respond(call, outcome, value, run.world.now)
             outcomes.append(outcome)
         return _tally(outcomes)
 
@@ -361,8 +356,8 @@ class Partitions(Mode):
 # -- shards -----------------------------------------------------------
 
 #: Wide enough to spread over many shards, small enough that most keys
-#: see several writes (exercising the per-key exactly-once envelope
-#: rather than a sea of one-shot keys).
+#: see several writes (a history to linearize rather than a sea of
+#: one-shot keys).
 _SHARD_KEYS = ("s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8",
                "s9")
 
@@ -372,16 +367,10 @@ def _shard_key(rng, index):
 
 
 def shard_routing(result, evidence) -> List[Violation]:
-    """Every shard write ran on the epoch-current owner, exactly once.
+    """Every shard write ran on the epoch-current owner, once, by the
+    shard fences' write-execution log (what each key returned to the
+    client is ``linearizable``'s to judge).  Two clauses:
 
-    Judged against the shard fences' write-execution log.  Three
-    clauses:
-
-    * *Per-key envelope*: keyed increments obey the same exactly-once
-      bound as the counters — acked <= final <= acked + ambiguous —
-      across every migration window the plan's ``shard_move`` ops (and
-      the supervisor, when enabled) opened.  A write that executed on
-      both sides of a cutover overshoots the upper bound.
     * *No double dispatch*: no invocation id appears twice in the log.
       Retransmissions are answered from the reply cache before dispatch
       (the dedup window travels with graceful moves), so a second log
@@ -393,20 +382,8 @@ def shard_routing(result, evidence) -> List[Violation]:
       write execute.
     """
     violations = []
-    for key in sorted(evidence["writes"]):
-        final = evidence["final"].get(key)
-        if final is None:
-            continue  # unreadable at the end: no final observation
-        acked = evidence["writes"][key]["acked"]
-        ambiguous = evidence["writes"][key]["ambiguous"]
-        if not acked <= final <= acked + ambiguous:
-            violations.append(Violation(
-                "shard_routing",
-                f"key {key!r}: final={final} outside "
-                f"[{acked}, {acked + ambiguous}] (acked={acked}, "
-                f"ambiguous={ambiguous})"))
     executed: Dict[str, str] = {}
-    for entry in evidence["log"]:
+    for entry in evidence:
         inv_id = entry["inv_id"]
         if inv_id in executed:
             violations.append(Violation(
@@ -431,7 +408,7 @@ class Shards(Mode):
             "server nodes: keyed ops route through the consistent-hash "
             "ring, shard_move ops drain/re-admit nodes mid-traffic; the "
             "shard_routing oracle then requires every write to execute "
-            "on the epoch-current owner exactly once")
+            "on the epoch-current owner, once")
     rows = (
         ("shard_incr", 16, _shard_key),
         ("shard_get", 6, _shard_key),
@@ -448,19 +425,14 @@ class Shards(Mode):
             [run.srv[node] for node in SERVER_NODES], shards=self.SHARDS)
         self.space.record_executions = True
         self.proxy = self.space.bind(run.app, qos=run.qos)
-        #: key -> {"acked": n, "ambiguous": n, "shed": n}, the same
-        #: envelope bookkeeping as the run's counters.
-        self.writes: Dict[str, Dict[str, int]] = {}
 
     def op_shard_incr(self, op):
-        key = str(op.get("key", "s0"))
-        outcome, value = self.run.attempt(self.proxy.incr, key)
-        self.run.count_increment(self.writes.setdefault(
-            key, {"acked": 0, "ambiguous": 0, "shed": 0}), outcome)
-        return outcome, value
+        return self.run.call(self.proxy.incr, "grid", "increment",
+                             str(op.get("key", "s0")))
 
     def op_shard_get(self, op):
-        return self.run.attempt(self.proxy.get, str(op.get("key", "s0")))
+        return self.run.call(self.proxy.get, "grid", "read",
+                             str(op.get("key", "s0")))
 
     def op_shard_move(self, op):
         """Toggle a node's ring membership: drain it (staged, fenced
@@ -485,9 +457,10 @@ class Shards(Mode):
             return f"failed:{type(exc).__name__}", node
 
     def observe(self) -> None:
-        self.final = {key: self.run.attempt(self.proxy.get, key,
-                                            _qos=self.run.final_qos)[1]
-                      for key in sorted(self.writes)}
+        run = self.run
+        self.final = {key: run.call(self.proxy.get, "grid", "read", key,
+                                    _qos=run.final_qos)[1]
+                      for key in run.written("grid")}
 
     def finish(self, end_state):
         report = self.space.report()
@@ -499,8 +472,7 @@ class Shards(Mode):
         # The fences' write-execution log: one entry per dispatched
         # non-readonly shard invocation — {inv_id, op, shard, node,
         # owner, epoch}.
-        return {"writes": self.writes, "final": self.final,
-                "log": list(self.space.execution_log)}
+        return list(self.space.execution_log)
 
 
 # -- leases -----------------------------------------------------------
@@ -508,11 +480,11 @@ class Shards(Mode):
 def staleness_bound(result, evidence) -> List[Violation]:
     """Cached reads are never staler than the lease TTL, nor reordered.
 
-    Judged against the caching client's read log and the run's
-    timestamped group-write ledger.  Every read (cache hit *or* fetch —
-    the contract covers the interface, not one code path) must return a
-    value that is a real write (or the empty default), and three
-    clauses must hold:
+    Judged against the caching client's read log and the group-write
+    ledger of the call history (each put's value, ack time, acked).
+    Every read (cache hit *or* fetch: the contract covers the interface)
+    must return a real write (or the empty default), and three clauses
+    must hold:
 
     * *Bounded staleness*: if the returned value was superseded, the
       earliest acknowledged write that superseded it was acked at most
@@ -528,11 +500,16 @@ def staleness_bound(result, evidence) -> List[Violation]:
       ledger at all.
     """
     bound = Leases.TTL_MS + 1e-6
+    ledgers: Dict[str, List[Tuple[str, float, bool]]] = {}
+    for call in result.calls:
+        if call["op"] == "put":
+            ledgers.setdefault(call["key"], []).append(
+                (call["arg"], call["t"], call["outcome"] == "ok"))
     violations = []
     last_position: Dict[str, int] = {}
     for read in evidence["reads"]:
         tag = read["tag"]
-        ledger = result.group_writes.get(tag, [])
+        ledger = ledgers.get(tag, [])
         value = read["values"][0] if read["values"] else ""
         if value == "":
             # The key's default: legal before any write lands, and
@@ -605,6 +582,9 @@ class Leases(Mode):
         authority.register("check.kv", ttl_ms=self.TTL_MS)
         self.client = authority.attach_client(run.app.nucleus)
         self.client.record_reads = True
+        # The cache may serve a group_get too: like a cached_get, it
+        # stays out of the call history, for staleness_bound to judge.
+        run.handlers["group_get"] = self.op_cached_get
         # Reads the cache misses are spread over the live replicas
         # (bounded-staleness follower reads) instead of always hitting
         # the sequencer.
@@ -626,8 +606,8 @@ class Leases(Mode):
 
     def settled(self) -> None:
         # Final observations must come from the servers, not from a
-        # cache whose staleness window is still open — and the
-        # group_consistency oracle compares them against the ledger.
+        # cache whose staleness window is still open: they join the
+        # call history ``linearizable`` judges.
         self.client.enabled = False
 
     def finish(self, end_state):
@@ -637,7 +617,7 @@ class Leases(Mode):
             "reads": len(self.client.read_log),
         }
         # Every cached or fetched read as {t, iid, op, tag, values, via};
-        # the oracle judges them against ``result.group_writes``.
+        # the oracle judges them against the group-write ledger.
         return {"reads": list(self.client.read_log)}
 
 
@@ -658,10 +638,12 @@ def overload_safety(result, evidence) -> List[Violation]:
     Three clauses:
 
     * *No execution past deadline*: the deadline gates log every
-      dispatched execution with the propagated deadline it carried; an
+      dispatch attempt with the propagated deadline it carried; an
       entry whose ``executed_at`` exceeds its deadline means a gate let
-      dead work burn compute — exactly what the ``deadline`` mutation
-      silently permits, so this clause is what must catch it.
+      dead work start — what the ``deadline`` mutation permits.  The
+      log holds attempts, not executions: an id logged on a moved
+      object's old node, which refused it as stale, is logged again
+      where it ran (``DeadlineGate.record_executions``).
     * *Retry volume within budget*: per (node, protocol) path, granted
       retries can never exceed the budget's opening balance plus the
       ratio-deposit of every first attempt — the cap on retry
@@ -785,8 +767,8 @@ class Overload(Mode):
         shed by a still-elevated brownout."""
         registry = self.run.app.nucleus.retry_budgets
         self.snapshot = {
-            # The deadline gates' logs: every dispatched execution with
-            # the deadline it carried and the node it ran on.
+            # The deadline gates' logs: every dispatch attempt with the
+            # deadline it carried and the node it was attempted on.
             "executions": [
                 dict(entry, node=node) for node in SERVER_NODES
                 for entry in

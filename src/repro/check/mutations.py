@@ -25,7 +25,7 @@ from repro.tx.versions import VersionStore
 
 def _lookup_never_hits(self, invocation_id: str) -> Optional[bytes]:
     """Every retransmission looks new: the platform degrades to
-    at-least-once, which ``exactly_once`` must notice."""
+    at-least-once, which ``linearizable`` must notice."""
     return None
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.check.linearizable import unexplained
+
 #: Interface-id prefix shared by every explorer-placed object.
 _PREFIX = "check."
 
@@ -31,36 +33,14 @@ class Violation:
         return f"[{self.oracle}] {self.message}"
 
 
-def exactly_once(result) -> List[Violation]:
-    """Non-idempotent ops execute once per acknowledgement.
-
-    Every acknowledged increment executed exactly once (the reply cache
-    absorbed retransmissions); every failed one executed zero or one
-    times.  So: acked <= final <= acked + ambiguous.
-
-    Shed increments (``ServerBusyError`` from admission control) are a
-    *stronger* promise than failure: the server rejected them before
-    dispatch, so they executed exactly zero times.  They count as
-    unacked — widening neither bound — which makes this oracle the
-    check that shedding really does happen before execution: a server
-    that sheds after executing shows up as final > acked + ambiguous.
-    """
-    violations = []
-    for name in sorted(result.counters):
-        final = result.counter_final.get(name)
-        if final is None:
-            continue  # collected or unreadable: no final observation
-        acked = result.counters[name]["acked"]
-        ambiguous = result.counters[name]["ambiguous"]
-        shed = result.counters[name].get("shed", 0)
-        if not acked <= final <= acked + ambiguous:
-            violations.append(Violation(
-                "exactly_once",
-                f"counter {name}: final={final} outside "
-                f"[{acked}, {acked + ambiguous}] "
-                f"(acked={acked}, ambiguous={ambiguous}, "
-                f"shed={shed} — shed must not execute)"))
-    return violations
+def linearizable(result) -> List[Violation]:
+    """Every counter, kv key and shard key behaves as one sequential
+    object (:mod:`repro.check.linearizable`): a retransmission executed
+    twice, a shed call that executed and a group that lost an acked
+    write each leave a history no sequential order explains.  Reads a
+    lease may serve are not in it: ``staleness_bound`` judges those."""
+    return [Violation("linearizable", message)
+            for message in unexplained(result.calls)]
 
 
 def tx_atomicity(result) -> List[Violation]:
@@ -100,46 +80,18 @@ def tx_atomicity(result) -> List[Violation]:
 
 
 def group_consistency(result) -> List[Violation]:
-    """Alive, in-sync replicas agree; final values trace to real writes.
-
-    The write ledger orders every ``group_put``: after the last
-    acknowledged write to a key, only trailing ambiguous writes can
-    explain a different final value.
-    """
+    """Alive, in-sync replicas hold the same state (what the group
+    returned to the client is ``linearizable``'s to judge)."""
     violations = []
     synced = [m for m in result.member_states
               if m["alive"] and not m["out_of_sync"]
               and m["data"] is not None]
-    if len(synced) > 1:
-        reference = synced[0]
-        for member in synced[1:]:
-            if member["data"] != reference["data"]:
-                violations.append(Violation(
-                    "group_consistency",
-                    f"member {member['index']} state "
-                    f"{member['data']} != member "
-                    f"{reference['index']} state {reference['data']}"))
-    for key in sorted(result.group_writes):
-        final = result.group_final.get(key)
-        if final is None:
-            continue  # group unreachable at the end: no observation
-        ledger = result.group_writes[key]
-        last_acked = None
-        tail_ambiguous: List[str] = []
-        for value, _, acked in ledger:
-            if acked:
-                last_acked = value
-                tail_ambiguous = []
-            else:
-                tail_ambiguous.append(value)
-        allowed = set(tail_ambiguous)
-        allowed.add(last_acked if last_acked is not None else "")
-        if final not in allowed:
+    for member in synced[1:]:
+        if member["data"] != synced[0]["data"]:
             violations.append(Violation(
                 "group_consistency",
-                f"key {key!r}: final value {final!r} not among "
-                f"last acked {last_acked!r} or trailing ambiguous "
-                f"writes {tail_ambiguous!r}"))
+                f"member {member['index']} state {member['data']} != "
+                f"member {synced[0]['index']} state {synced[0]['data']}"))
     return violations
 
 
@@ -218,7 +170,7 @@ def clock_monotonic(result) -> List[Violation]:
 #: of a built-in mode's oracle (the mode registry fills it on import);
 #: a mode registered later reports last.
 ORACLES: Dict[str, Optional[Callable]] = {
-    "exactly_once": exactly_once,
+    "linearizable": linearizable,
     "tx_atomicity": tx_atomicity,
     "group_consistency": group_consistency,
     "split_brain": None,

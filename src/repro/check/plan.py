@@ -125,9 +125,6 @@ class Op:
         return (isinstance(other, Op) and other.kind == self.kind
                 and other.params == self.params)
 
-    def __hash__(self) -> int:
-        return hash((self.kind, tuple(sorted(self.params.items()))))
-
     def __repr__(self) -> str:
         parts = [repr(self.kind)] + [
             f"{key}={self.params[key]!r}" for key in sorted(self.params)]
@@ -160,15 +157,6 @@ class Plan:
         windows = ", ".join(repr(w) for w in self.windows)
         return (f"Plan(seed={self.seed}, ops=[{ops}], "
                 f"windows=[{windows}])")
-
-    def summary(self) -> str:
-        kinds = {}
-        for op in self.ops:
-            kinds[op.kind] = kinds.get(op.kind, 0) + 1
-        inner = ", ".join(f"{kind}x{count}"
-                          for kind, count in sorted(kinds.items()))
-        return (f"Plan(seed={self.seed}, {len(self.ops)} ops "
-                f"[{inner}], {len(self.windows)} windows)")
 
 
 # ---------------------------------------------------------------------------

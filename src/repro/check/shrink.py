@@ -129,9 +129,7 @@ class Shrinker:
         """Halve surviving windows toward their start times."""
         progressed = False
         for index, window in enumerate(list(self.plan.windows)):
-            end = getattr(window, "end_ms", None)
-            start = getattr(window, "start_ms", None)
-            if end is None or start is None:
+            if window.end_ms is None:
                 continue
             for _ in range(halvings):
                 window = self.plan.windows[index]

@@ -29,7 +29,7 @@ KEYS = ("k0", "k1", "k2", "k3", "k4", "k5")
 
 
 class Counter(OdpObject):
-    """Non-idempotent by construction: the exactly-once canary."""
+    """Non-idempotent by construction: a duplicate execution shows."""
 
     def __init__(self, start: int = 0) -> None:
         self.value = start
@@ -73,13 +73,10 @@ class Account(OdpObject):
 
 
 class ShardStore(OdpObject):
-    """Keyed counter: the sharded exactly-once canary.
-
-    Every shard of a :class:`~repro.shard.space.ShardSpace` holds one of
-    these; ``incr`` is non-idempotent so a double-execution during a
-    migration window (or a write served by a non-owner) shows up in the
-    per-key final value, not just in the routing log.
-    """
+    """Keyed counter, one per shard of a
+    :class:`~repro.shard.space.ShardSpace`: ``incr`` is non-idempotent,
+    so a double execution during a migration window shows in the values
+    the key returns, not just in the routing log."""
 
     def __init__(self) -> None:
         self.data = {}
@@ -107,7 +104,3 @@ class KvStore(OdpObject):
     @operation(params=[str], returns=[str], readonly=True)
     def get(self, key):
         return self.data.get(key, "")
-
-    @operation(returns=[int], readonly=True)
-    def size(self):
-        return len(self.data)

@@ -101,8 +101,13 @@ class DeadlineGate:
         self.clock = clock
         self.expired_on_arrival = 0
         self.expired_post_queue = 0
-        #: When set, every dispatched execution is logged with the
-        #: deadline it carried — the overload_safety oracle's evidence.
+        #: When set, every dispatch *attempt* that passed the gate is
+        #: logged with the deadline it carried — the overload_safety
+        #: oracle's evidence.  The entry is written before the capsule
+        #: looks the interface up, so a call the old capsule of a moved
+        #: object refuses (``StaleReferenceError``) is logged there and
+        #: again where it then executes: a duplicate id in this log is
+        #: a repeated attempt, not a repeated execution.
         self.record_executions = False
         self.execution_log: List[Dict[str, Any]] = []
 

@@ -15,8 +15,8 @@ virtual time before dispatch (charged to the clock by the nucleus, so
 queueing delay is visible in every latency measurement and trace span).
 When the deficit would exceed ``max_queue`` the invocation is shed
 *before execution*: a shed is a promise that the operation did not run,
-which is what lets clients (and the ``exactly_once`` oracle) treat it
-as unacked rather than ambiguous.
+which is what lets clients (and the ``linearizable`` check oracle)
+treat it as never executed rather than ambiguous.
 
 ``max_queue=None`` disables shedding — the unbounded-queue baseline the
 C20 benchmark measures against: under sustained 2x offered load its

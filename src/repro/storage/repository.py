@@ -41,7 +41,6 @@ class StableRepository:
         self.read_ms = read_ms
         self._objects: Dict[str, StoredObject] = {}
         self._logs: Dict[str, List[Any]] = {}
-        self.writes = 0
 
     def _charge(self, cost: float) -> None:
         if self.clock is not None:
@@ -50,7 +49,6 @@ class StableRepository:
     # -- snapshots -------------------------------------------------------------
 
     def store(self, record: StoredObject) -> None:
-        self.writes += 1
         self._charge(self.write_ms)
         stored = StoredObject(
             key=record.key, cls=record.cls,
@@ -89,7 +87,6 @@ class StableRepository:
     # -- interaction logs (failure transparency) ---------------------------------
 
     def append_log(self, key: str, entry: Any) -> None:
-        self.writes += 1
         self._charge(self.write_ms)
         self._logs.setdefault(key, []).append(copy.deepcopy(entry))
 
@@ -98,7 +95,6 @@ class StableRepository:
         return copy.deepcopy(self._logs.get(key, []))
 
     def truncate_log(self, key: str) -> None:
-        self.writes += 1
         self._charge(self.write_ms)
         self._logs[key] = []
 

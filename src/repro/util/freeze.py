@@ -75,6 +75,14 @@ class FrozenRecord:
     def __setattr__(self, name, value):
         raise AttributeError("FrozenRecord is immutable")
 
+    # Immutable all the way down, so a copy is the record itself (the
+    # default copy would rebuild it through ``__setattr__``).
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __getitem__(self, key):
         for k, v in self._items:
             if k == key:

@@ -76,6 +76,25 @@ class TestEventChannel:
         moved = c3.interfaces[sub_ref.interface_id].implementation
         assert moved.topics() == [f"e{number}" for number in range(6)]
 
+    def test_a_subscriber_holding_a_record_payload_moves(self,
+                                                         channel_setup):
+        """A dict payload arrives as a ``FrozenRecord``; the move's
+        snapshot copies the subscriber's state, record and all."""
+        world, domain, (c1, c2, c3), clients, channel, publisher = \
+            channel_setup
+        subscriber = Subscriber()
+        sub_ref = c2.export(subscriber)
+        publisher.subscribe("", sub_ref)
+        publisher.publish("e0", {"qty": 1})
+        world.settle()
+        domain.migrator.migrate(c2, sub_ref.interface_id, c3)
+        for number in range(1, 6):
+            publisher.publish(f"e{number}", {"qty": number})
+        world.settle()
+        moved = c3.interfaces[sub_ref.interface_id].implementation
+        assert moved.topics() == [f"e{number}" for number in range(6)]
+        assert moved.events[0][1]["qty"] == 1
+
     def test_announcements_follow_a_chain_of_moves(self, channel_setup):
         """Two moves in a row: n2 forwards to n3, n3 to n1."""
         world, domain, (c1, c2, c3), clients, channel, publisher = \

@@ -498,9 +498,18 @@ def _tagged_lengths(image, pos, found):
     return end
 
 
-def _oversized(image):
+def _stride(image, sample):
+    """Decoding a damaged image costs as much as decoding the image, so
+    tier-1 takes a *sample*: every n-th offset and length field, n odd
+    (a flipped bit still takes all eight values) and growing with the
+    image, about 128 an image.  ``python -m tests.damaged_images``
+    takes every one."""
+    return len(image) // 128 | 1 if sample else 1
+
+
+def _oversized(image, sample=False):
     """*image* with each of its length fields in turn set to run past
-    the end of the message (sampled as :func:`_damaged` samples)."""
+    the end of the message."""
     found = []
     if image.startswith(get_format("packed")._MAGIC):
         _packed_lengths(image, 2, found)
@@ -508,41 +517,48 @@ def _oversized(image):
     else:
         _tagged_lengths(image, len(get_format("tagged")._MAGIC), found)
         past = b"%d" % len(image)
-    for at, width in found[::1 if len(image) <= 4096 else 13]:
+    for at, width in found[::_stride(image, sample)]:
         yield image[:at] + past + image[at + width:]
 
 
-def _damaged(image):
+def _damaged(image, sample=False):
     """Every truncation of *image*, a one-bit flip in every byte (the
     bit rotates with the offset, so each of the eight is exercised on
-    every kind of field), and every length field set past the end.
-    Decoding a damaged image costs as much as decoding the image, so
-    the two ~11-14 KB ``max_batch_envelope`` images — 32 members of one
-    shape — are sampled at every 13th offset and field to keep the sweep
-    inside the tier-1 budget; the other 24 are exhaustive."""
-    step = 1 if len(image) <= 4096 else 13
-    for k in range(0, len(image), step):
+    every kind of field), and every length field set past the end (or
+    a *sample* of them, see :func:`_stride`)."""
+    for k in range(0, len(image), _stride(image, sample)):
         yield image[:k]
         yield image[:k] + bytes((image[k] ^ (1 << (k % 8)),)) \
             + image[k + 1:]
-    yield from _oversized(image)
+    yield from _oversized(image, sample)
+
+
+def decode_or_raise(fmt_name, decoder, sample=False):
+    """Each damaged corpus image decodes, or raises ``MarshalError``."""
+    fmt = get_format(fmt_name)
+    decode = DECODERS[decoder]
+    for name, obj in _corpus():
+        for case, damaged in enumerate(_damaged(fmt.dumps(obj), sample)):
+            try:
+                decode(fmt, damaged)
+            except MarshalError:
+                pass
+            except Exception as exc:
+                raise AssertionError((name, case, sample)) from exc
 
 
 @pytest.mark.parametrize("decoder", sorted(DECODERS))
 @pytest.mark.parametrize("fmt_name", FORMATS)
 def test_damaged_images_decode_or_raise_marshal_error(fmt_name, decoder):
-    fmt = get_format(fmt_name)
-    decode = DECODERS[decoder]
-    for name, obj in _corpus():
-        for damaged in _damaged(fmt.dumps(obj)):
-            try:
-                decode(fmt, damaged)
-            except MarshalError:
-                pass
+    decode_or_raise(fmt_name, decoder, sample=True)
 
 
 @pytest.mark.parametrize("fmt_name", FORMATS)
 def test_lengths_past_the_end_are_truncations(fmt_name):
+    lengths_past_the_end_are_truncations(fmt_name, sample=True)
+
+
+def lengths_past_the_end_are_truncations(fmt_name, sample=False):
     """Every decoder — the tree reader, the specification's, and each
     compiled envelope reader with its lanes — calls a length that runs
     past the end of the message what it is: a truncation, not trailing
@@ -551,7 +567,8 @@ def test_lengths_past_the_end_are_truncations(fmt_name):
     decoders = [*DECODERS.values(),
                 lambda fmt, data: fmt.loads(data, ("inv", "args")),
                 lambda fmt, data: fmt.loads(data, ("term",))]
-    damaged = [bad for _, obj in _corpus() for bad in _oversized(fmt.dumps(obj))]
+    damaged = [bad for _, obj in _corpus()
+               for bad in _oversized(fmt.dumps(obj), sample)]
     damaged += [payload for name, (where, payload) in HOSTILE.items()
                 if where == fmt_name and "past_end" in name]
     for data in damaged:

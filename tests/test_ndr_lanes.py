@@ -189,9 +189,14 @@ def test_lanes_match_two_pass_road_on_values(fmt_name):
 
 @pytest.mark.parametrize("fmt_name", FORMATS)
 def test_lanes_match_two_pass_road_on_damaged_images(fmt_name):
+    lanes_agree_on_damaged_images(fmt_name, sample=True)
+
+
+def lanes_agree_on_damaged_images(fmt_name, sample=False):
     """Every truncation and bit flip of the pinned corpus and of value
-    images: the fast tree reader, the reference reader and both lanes
-    give the same value or all raise ``MarshalError``."""
+    images (or tier-1's sample of them): the fast tree reader, the
+    reference reader and both lanes give the same value or all raise
+    ``MarshalError``."""
     fmt = get_format(fmt_name)
     images = [(name, fmt.dumps(obj)) for name, obj in _corpus()]
     for case, value in enumerate(_values()[::12]):
@@ -215,7 +220,7 @@ def test_lanes_match_two_pass_road_on_damaged_images(fmt_name):
         # (any other only ever sees the tree reader's own walk).
         paths = [path for path in PATHS
                  if path[0] in fmt.loads(image)] or PATHS[1:]
-        for offset, damaged in enumerate(_damaged(image)):
+        for offset, damaged in enumerate(_damaged(image, sample)):
             _assert_lane_agrees(fmt, damaged, (name, offset), paths)
 
 

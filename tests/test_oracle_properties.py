@@ -110,6 +110,111 @@ def test_scheduler_executes_in_stable_time_order(times):
 
 
 # ---------------------------------------------------------------------------
+# The linearizability checker vs brute force over every order
+# ---------------------------------------------------------------------------
+
+#: Per model: each operation's argument choices, and the values a
+#: completed call may claim to return.
+_MODELS = {
+    "counter": ({"increment": (None,), "read": (None,)}, (0, 1, 2, 3)),
+    "register": ({"put": ("a", "b"), "get": (None,)}, ("", "a", "b")),
+}
+_OUTCOMES = ("ok", "ok", "ok", "failed:MessageLostError",
+             "failed:ServerBusyError")
+
+
+@st.composite
+def _histories(draw):
+    """One key's calls: up to seven, overlapping where the drawn event
+    order interleaves them, some failed (ambiguous, shed or dropped)."""
+    ops, values = _MODELS[draw(st.sampled_from(sorted(_MODELS)))]
+    count = draw(st.integers(1, 7))
+    tokens = draw(st.permutations([(k, end) for k in range(count)
+                                   for end in (0, 1)]))
+    seq = {}
+    for position, (k, end) in enumerate(tokens, start=1):
+        seq.setdefault(k, []).append(position)
+    calls = []
+    for k in range(count):
+        op = draw(st.sampled_from(sorted(ops)))
+        outcome = draw(st.sampled_from(_OUTCOMES))
+        calls.append({
+            "obj": "obj", "key": "key", "op": op,
+            "arg": draw(st.sampled_from(ops[op])),
+            "inv": min(seq[k]), "res": max(seq[k]), "t": 0.0,
+            "outcome": outcome,
+            "value": (draw(st.sampled_from(values))
+                      if outcome == "ok" and op != "put" else None)})
+    return calls
+
+
+def _brute_force(calls):
+    """Some real-time-respecting order of the completed calls plus some
+    subset of the ambiguous writes replays on the sequential model."""
+    import itertools
+
+    from repro.check.linearizable import OPS
+
+    completed = [c for c in calls if c["outcome"] == "ok"]
+    ambiguous = [c for c in calls
+                 if c["outcome"] == "failed:MessageLostError"
+                 and OPS[c["op"]][1] is not None]
+    for size in range(len(ambiguous) + 1):
+        for chosen in itertools.combinations(ambiguous, size):
+            for order in itertools.permutations(completed + list(chosen)):
+                if _respects_real_time(order) and _replays(order):
+                    return True
+    return False
+
+
+def _respects_real_time(order):
+    for later, call in enumerate(order):
+        for earlier in order[:later]:
+            # A completed call that responded before *earlier* was
+            # invoked must come first.
+            if call["outcome"] == "ok" and call["res"] < earlier["inv"]:
+                return False
+    return True
+
+
+def _replays(order):
+    from repro.check.linearizable import OPS
+
+    state = OPS[order[0]["op"]][0] if order else None
+    for call in order:
+        _, step, returns = OPS[call["op"]]
+        state = state if step is None else step(state, call["arg"])
+        if call["outcome"] == "ok" and returns and call["value"] != state:
+            return False
+    return True
+
+
+@given(_histories())
+@settings(max_examples=400, deadline=None)
+def test_linearizability_checker_agrees_with_brute_force(calls):
+    from repro.check.linearizable import unexplained
+
+    assert (unexplained(calls) == []) == _brute_force(calls)
+
+
+def test_ambiguous_writes_are_interchangeable_only_with_equal_arguments():
+    """Two unanswered puts, then reads of the later value and the
+    earlier one: only an order that takes the later put first explains
+    them, so the search must not treat the two puts as twins."""
+    from repro.check.history import History
+    from repro.check.linearizable import unexplained
+
+    history = History()
+    puts = [history.invoke("kv", "k", "put", value) for value in "ab"]
+    for put in puts:
+        history.respond(put, "failed:MessageLostError", None, 0.0)
+    for value in "ba":
+        history.respond(history.invoke("kv", "k", "get"), "ok", value, 0.0)
+    assert unexplained(history.calls) == []
+    history.respond(history.invoke("kv", "k", "get"), "ok", "b", 0.0)
+    assert len(unexplained(history.calls)) == 1
+
+# ---------------------------------------------------------------------------
 # The staleness_bound oracle: sound on the real platform, sharp on the
 # broken one, and invisible to every other mode's plans
 # ---------------------------------------------------------------------------
