@@ -11,11 +11,13 @@ Method: a 10%-drop flaky window covers the whole run (scripted as a
 FaultSchedule, not an imperative toggle).  The same seeded workload of
 non-idempotent increments runs twice:
 
-  * legacy    — resilience layer off: fixed retry delay, at-least-once
-                (a lost reply leg re-executes the increment).  Because
-                every blind retry risks a duplicate, the retry budget
-                is kept low (retries=1) — the realistic configuration
-                for non-idempotent ops on such a transport — so losses
+  * legacy    — a fixed-delay QoS (no backoff growth, no jitter) run
+                under the ``replycache`` mutation, whose reply cache
+                never hits: at-least-once (a lost reply leg
+                re-executes the increment).  Because every blind retry
+                risks a duplicate, the retry budget is kept low
+                (retries=1) — the realistic configuration for
+                non-idempotent ops on such a transport — so losses
                 regularly exhaust it and the client resubmits after a
                 think-time penalty;
   * resilient — exactly-once retries + jittered backoff + reply cache.
@@ -33,6 +35,7 @@ than resubmit-after-penalty.
 import pytest
 
 from repro import FaultSchedule, FlakyWindow, QoS
+from repro.check import mutations
 from repro.errors import CommunicationError
 from repro.mgmt.monitor import TransparencyMonitor
 
@@ -48,17 +51,25 @@ DROP = 0.10
 PENALTY_MS = 20.0  # client think time before resubmitting a failed op
 
 
+#: The legacy arm's schedule: the same 1 ms before every retry.
+FIXED = QoS(retries=1, retry_delay_ms=1.0, backoff_multiplier=1.0,
+            retry_delay_max_ms=1.0, retry_jitter=0.0)
+
+
 def _run(resilient):
+    if resilient:
+        return _workload(QoS(retries=5, retry_delay_ms=1.0))
+    # Blind retries duplicate, so the legacy budget is kept low.
+    with mutations.applied("replycache"):
+        return _workload(FIXED)
+
+
+def _workload(qos):
     world, servers, clients = two_node_world(seed=16)
     world.apply_chaos(FaultSchedule(
         FlakyWindow(start_ms=0.0, end_ms=1e9, drop=DROP)))
     counter = Counter()
-    retries = 5 if resilient else 1  # blind retries duplicate: keep low
-    proxy = world.binder_for(clients).bind(
-        servers.export(counter),
-        qos=QoS(retries=retries, retry_delay_ms=1.0))
-    if not resilient:
-        proxy._channel.transport.resilience_enabled = False
+    proxy = world.binder_for(clients).bind(servers.export(counter), qos=qos)
     start = world.now
     acked = 0
     for _ in range(OPS):

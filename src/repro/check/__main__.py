@@ -21,6 +21,7 @@ from repro.check.mutations import MUTATIONS
 from repro.check.oracles import ORACLES
 from repro.check.plan import generate_plan
 from repro.check.shrink import repro_snippet, shrink
+from repro.sim.scheduler import late_by_prefix
 
 
 def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
@@ -51,6 +52,20 @@ def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
     if args.seeds < 1:
         parser.error("argument --seeds: must be at least 1")
     return args
+
+
+def _late_line(results) -> str:
+    """Scheduler events fired, the share fired past their due time (a
+    synchronous leg held the clock), and the prefixes with the most."""
+    fired = sum(result.firings["fired"] for result in results)
+    late = late_by_prefix(result.firings["late"] for result in results)
+    total = sum(count for count, _ in late.values())
+    worst = max((w for _, w in late.values()), default=0.0)
+    top = sorted(late.items(), key=lambda item: (-item[1][0], item[0]))
+    return (f"late firings: {fired:,} fired, {total:,} late "
+            f"({total / max(fired, 1):.1%}), max {worst:.1f} ms"
+            + "".join(f"; {prefix or '(unlabelled)'} {count:,} "
+                      f"(max {w:.1f} ms)" for prefix, (count, w) in top[:3]))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -94,6 +109,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  seed {seed}: ok  {len(result.events)} events  "
                   f"digest {result.digest[:12]}")
     elapsed = time.monotonic() - started
+
+    print(_late_line(list(results.values())))
 
     print("\noracle summary:")
     width = max(len(name) for name in per_oracle)

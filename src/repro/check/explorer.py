@@ -135,6 +135,9 @@ class RunResult:
     #: run had on (``Mode.finish`` documents each shape).
     evidence: Dict[str, Any] = field(default_factory=dict)
     violations: list = field(default_factory=list)
+    #: Scheduler events fired, and those fired past their due time:
+    #: ``{"fired": n, "late": Scheduler.late}``.  Outside the digest.
+    firings: Dict[str, Any] = field(default_factory=dict)
 
 
 class _PlanAbort(Exception):
@@ -522,6 +525,8 @@ class _Run:
             gc_observations=self.gc_observations,
             collected=sorted(self.collected),
             spans=spans, evidence=evidence,
+            firings={"fired": self.world.scheduler.events_run,
+                     "late": self.world.scheduler.late},
         )
 
 

@@ -110,11 +110,3 @@ class Invocation:
     #: retransmissions, so the server's reply cache can deduplicate a
     #: retry whose original reply was lost (exactly-once execution).
     invocation_id: str = ""
-
-    @property
-    def expects_reply(self) -> bool:
-        return self.kind == InvocationKind.INTERROGATION
-
-    def __repr__(self) -> str:
-        return (f"Invocation({self.operation} on {self.interface_id}, "
-                f"{self.kind.value}, {len(self.args)} args)")

@@ -52,10 +52,6 @@ class Proxy:
     def _ref(self) -> InterfaceRef:
         return self._channel.ref
 
-    @property
-    def _signature(self) -> InterfaceSignature:
-        return self._channel.ref.signature
-
     def _make_stub(self, op_name: str, op_sig) -> Callable:
         announcement = op_sig.announcement
 
@@ -75,18 +71,6 @@ class Proxy:
         stub.__qualname__ = f"Proxy.{op_name}"
         stub.__doc__ = f"Invoke remote operation {op_sig!r}"
         return stub
-
-    def _invoke_raw(self, op_name: str, args=(),
-                    qos: Optional[QoS] = None) -> Termination:
-        """Low-level invoke returning the Termination itself."""
-        context = (self._context_factory()
-                   if self._context_factory else InvocationContext())
-        return self._channel.invoke(op_name, args,
-                                    qos=qos or self._default_qos,
-                                    context=context)
-
-    def __repr__(self) -> str:
-        return f"Proxy({self._ref!r})"
 
 
 def unpack_termination(termination: Termination):

@@ -262,7 +262,3 @@ class Capsule:
         if isinstance(result, tuple):
             return Termination("ok", result)
         return Termination("ok", (result,))
-
-    def __repr__(self) -> str:
-        return (f"Capsule({self.name}, {len(self.interfaces)} interfaces, "
-                f"node={self.nucleus.node_address})")

@@ -13,7 +13,7 @@ bypassed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.comp.invocation import (
     Invocation,
@@ -34,9 +34,8 @@ from repro.errors import (
     ProtocolMismatchError,
 )
 from repro.ndr.formats import get_format
-from repro.ndr.plancache import PlanCache
+from repro.ndr.plancache import PLANS
 from repro.overload.deadline import deadline_of, earliest_deadline, stamp
-from repro.resilience.breaker import NO_BREAKER
 from repro.resilience.retry import (
     RetryGate,
     RetryPolicy,
@@ -68,19 +67,6 @@ class Channel:
         # consult the lease cache themselves, after resolving the key.
         self._routed_by_key = any(
             getattr(layer, "routes_by_key", False) for layer in self.layers)
-
-    def rebind(self, new_ref: InterfaceRef) -> None:
-        """Point the channel at a new reference (location transparency).
-
-        Everything the transport memoised against the old reference —
-        selected paths, codec plans keyed by interface id and epoch —
-        is stale the moment the reference changes, so the transport is
-        told to drop its caches.
-        """
-        self.ref = new_ref
-        on_rebind = getattr(self.transport, "on_rebind", None)
-        if on_rebind is not None:
-            on_rebind()
 
     def invoke(self, operation: str, args: Tuple = (),
                kind: InvocationKind = InvocationKind.INTERROGATION,
@@ -147,33 +133,6 @@ class Channel:
         return termination
 
 
-class _Discipline(NamedTuple):
-    """How hard a transport tries — the one value ``resilience_enabled``
-    selects, so the send path itself never asks which arm it is on."""
-
-    #: QoS -> the RetryPolicy the attempt loop runs under.
-    policy_of: Callable[[QoS], RetryPolicy]
-    #: (nucleus, path) -> the breaker guarding that path.
-    breaker_of: Callable
-    #: How many of the reference's access paths may be tried.
-    max_paths: Optional[int]
-    #: Whether requests carry the invocation id server-side dedup needs.
-    inv_ids: bool
-
-
-#: Exponential jittered back-off, breakers, failover across every path,
-#: exactly-once via the server's reply cache.
-_RESILIENT = _Discipline(
-    RetryPolicy.from_qos,
-    lambda nucleus, path: nucleus.breakers.breaker_for(path.node,
-                                                       path.protocol),
-    None, True)
-#: The naive at-least-once transport, kept for A/B measurement (C16):
-#: fixed delay, first path only, no breaker, no dedup.
-_LEGACY = _Discipline(RetryPolicy.fixed,
-                      lambda nucleus, path: NO_BREAKER, 1, False)
-
-
 class TransportLayer:
     """Marshalling + network exchange with QoS retries and deadlines.
 
@@ -186,9 +145,8 @@ class TransportLayer:
     cache can deduplicate retransmissions (exactly-once execution).
     What an error means for the loop is read from the classification
     table in :mod:`repro.resilience.retry`; each attempt is admitted by
-    a :class:`~repro.resilience.retry.RetryGate`.
-    ``resilience_enabled = False`` reverts to the naive at-least-once
-    transport (fixed delay, no failover, no dedup) for A/B measurement.
+    a :class:`~repro.resilience.retry.RetryGate`.  What the loop did
+    is counted once, in the nucleus's ``resilience`` stats.
     """
 
     name = "transport"
@@ -203,48 +161,26 @@ class TransportLayer:
         #: marshalling and the network.  Disable to force the full path.
         self.allow_local = allow_local
         self.channel: Optional[Channel] = None
-        self._discipline = _RESILIENT
         self._retry_rng = client_nucleus.network.rng.fork(
             f"retry:{client_nucleus.node_address}:{client_capsule.name}")
-        self.messages_sent = 0
-        self.retries = 0
-        self.backoff_wait_ms = 0.0
         self.busy_retries = 0
-        #: Memoised codec plans for this channel's hot invocations; the
-        #: nucleus keeps the registry for domain_report()["perf"].
-        self.plan_cache = PlanCache()
-        client_nucleus.plan_caches.append(self.plan_cache)
         client_nucleus.transports.append(self)
         #: Path selection memo, keyed by the QoS protocol constraint and
         #: valid only for the reference it was computed against.
         self._path_cache: dict = {}
         self._path_cache_ref: Optional[InterfaceRef] = None
 
-    @property
-    def resilience_enabled(self) -> bool:
-        return self._discipline is _RESILIENT
-
-    @resilience_enabled.setter
-    def resilience_enabled(self, enabled: bool) -> None:
-        self._discipline = _RESILIENT if enabled else _LEGACY
-
     def attach(self, channel: Channel) -> None:
         self.channel = channel
-
-    def on_rebind(self) -> None:
-        """The channel's reference changed: drop every per-ref memo."""
-        self._path_cache.clear()
-        self._path_cache_ref = None
-        self.plan_cache.invalidate()
 
     # -- path selection ---------------------------------------------------------
 
     def _select_path(self, qos: QoS) -> Tuple[AccessPath, ...]:
         ref = self.channel.ref
         if ref is not self._path_cache_ref:
-            # Rebinds funnel through on_rebind(), but a layer may swap
-            # channel.ref directly — identity-check every call so a
-            # stale memo can never outlive the reference it described.
+            # The one invalidation rule: a rebind assigns a new
+            # channel.ref, so no memo outlives its reference.  (Codec
+            # plans are keyed by the id and epoch they embed.)
             self._path_cache.clear()
             self._path_cache_ref = ref
         cached = self._path_cache.get(qos.protocol)
@@ -266,14 +202,11 @@ class TransportLayer:
     # -- encode ---------------------------------------------------------------
 
     def _encode(self, invocation: Invocation, path: AccessPath) -> bytes:
-        wire = get_format(path.wire_format)
-        inv_id = None
-        if self._discipline.inv_ids and invocation.invocation_id:
-            inv_id = invocation.invocation_id
-        plan = self.plan_cache.plan_for(
-            wire, path.capsule, invocation.interface_id,
-            invocation.operation, invocation.kind.value,
-            invocation.epoch, inv_id is not None)
+        inv_id = invocation.invocation_id or None
+        plan = PLANS.plan_for(
+            get_format(path.wire_format), path.capsule,
+            invocation.interface_id, invocation.operation,
+            invocation.kind.value, invocation.epoch, inv_id is not None)
         # One-buffer assembly: the argument values go straight to bytes
         # (marshalled first only when they are not plain data) and the
         # context straight from its fields, skipping encode_context's
@@ -352,8 +285,7 @@ class TransportLayer:
         if invocation.kind == InvocationKind.ANNOUNCEMENT:
             return self._post(invocation, parent_ctx, traced)
 
-        discipline = self._discipline
-        policy = discipline.policy_of(qos)
+        policy = RetryPolicy.from_qos(qos)
         # A propagated deadline (stamped by this or an upstream client)
         # caps the local QoS allowance: no retry loop may run past it.
         gate = RetryGate(
@@ -361,11 +293,12 @@ class TransportLayer:
             earliest_deadline(qos, self.network.scheduler.now,
                               deadline_of(invocation.context.extra)),
             expiry=DeadlineExceededError, inclusive=True)
-        paths = self._select_path(qos)[:discipline.max_paths]
+        paths = self._select_path(qos)
         #: The last loss and the last dead path seen on any path.
         failed: Dict[Verdict, Exception] = {}
         for index, path in enumerate(paths):
-            breaker = discipline.breaker_of(self.nucleus, path)
+            breaker = self.nucleus.breakers.breaker_for(path.node,
+                                                        path.protocol)
             if not breaker.allow():
                 self.nucleus.resilience.breaker_short_circuits += 1
                 if traced:
@@ -405,7 +338,6 @@ class TransportLayer:
             invocation.context.trace = span.context
         self.network.post(self.nucleus.node_address, path.node,
                           self._encode(invocation, path), kind="invoke")
-        self.messages_sent += 1
         span.finish()
 
     def _on_path(self, invocation: Invocation, path: AccessPath,
@@ -451,7 +383,6 @@ class TransportLayer:
                     return None
                 if rule.verdict is Verdict.RETRY_HERE:
                     net_span.finish(status="lost")
-                    self.retries += 1
                     failed[Verdict.RETRY_HERE] = exc
                 elif rule.verdict is Verdict.RETRY_LATER:
                     # Shed *before* executing — retrying is always
@@ -470,7 +401,7 @@ class TransportLayer:
                         raise
                     return None
                 gate.spend(path.node)
-                self.backoff_wait_ms += gate.back_off(
+                gate.back_off(
                     policy, attempt, self._retry_rng,
                     parent_ctx if traced else None, **cause)
 
@@ -487,7 +418,6 @@ class TransportLayer:
         payload = self._encode(invocation, path)
         if verbose:
             marshal_span.tag("bytes", len(payload)).finish()
-        self.messages_sent += 1
         reply = self.network.request(
             self.nucleus.node_address, path.node, payload,
             protocol=path.protocol)

@@ -198,8 +198,3 @@ class AsyncInvoker:
         if effective_qos.deadline_ms is not None:
             self.router.timeout(future, effective_qos.deadline_ms)
         return future
-
-    def gather(self, futures: List[Future], settle) -> List[Any]:
-        """Drive the scheduler until all futures resolve, then unpack."""
-        settle()
-        return [future.result() for future in futures]

@@ -98,10 +98,8 @@ class Nucleus:
         #: the invocation context.  Off by default so the default wire
         #: format stays byte-identical to the pre-overload platform.
         self.deadline_propagation = False
-        #: Codec plan caches opened against this node (transports and
-        #: batchers register here) — management visibility only.
-        self.plan_caches = []
-        #: BatchClients issuing from this node, for the same reason.
+        #: BatchClients issuing from this node — management visibility
+        #: only.
         self.batchers = []
         #: TransportLayers opened by this node's capsules, likewise.
         self.transports = []
@@ -141,9 +139,6 @@ class Nucleus:
         capsule = Capsule(name, self)
         self.capsules[name] = capsule
         return capsule
-
-    def capsule(self, name: str) -> Capsule:
-        return self.capsules[name]
 
     def access_paths(self, capsule_name: str):
         """One access path per protocol the node speaks, "rrp" first."""
@@ -612,7 +607,3 @@ class Nucleus:
             return
         # Announcements cannot report failure: the reply is dropped.
         self._execute(capsule, invocation, span)
-
-    def __repr__(self) -> str:
-        return (f"Nucleus({self.node_address}, "
-                f"{len(self.capsules)} capsules)")

@@ -13,8 +13,8 @@ client-side code that knows those shapes: senders build the object with
 
 :func:`invoke_at` aims a single invocation at an explicit (node, capsule,
 interface) target that is not a channel's own bound reference — group
-relays and federation gateways need that: one marshalled exchange, the
-transport's wire discipline without a channel.
+relays and federation gateways need that: one marshalled exchange,
+without a channel's retries or invocation id.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.errors import (
     ProtocolMismatchError,
 )
 from repro.ndr.formats import get_format
-from repro.ndr.plancache import interned_plan
+from repro.ndr.plancache import PLANS
 
 
 def inv_object(marshaller, interface_id: str, operation: str, args,
@@ -134,8 +134,8 @@ def invoke_at(nucleus: Nucleus, client_capsule, node: str,
     wire = get_format(network.node(node).native_format)
     marshaller = client_capsule.marshaller
     redirected = _redirect(invocation, interface_id, epoch)
-    # No invocation id: the transport's wire discipline, at-least-once.
-    payload = interned_plan(
+    # No invocation id: one exchange, at-least-once.
+    payload = PLANS.plan_for(
         wire, capsule_name, interface_id, redirected.operation,
         redirected.kind.value, epoch, False).encode_request(
             redirected.args, redirected.context, None, marshaller)

@@ -208,7 +208,7 @@ def _deliver_locally(domain, nucleus, capsule, ref,
         channel = domain._deliveries[key] = compile_client_channel(
             nucleus, capsule, local_ref, EnvironmentConstraints.DEFAULT)
     elif local_ref.epoch > channel.ref.epoch:
-        channel.rebind(local_ref)
+        channel.ref = local_ref
     return channel.invoke(invocation.operation, invocation.args,
                           kind=invocation.kind, qos=invocation.qos,
                           context=invocation.context)

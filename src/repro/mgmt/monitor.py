@@ -170,12 +170,11 @@ class TransparencyMonitor:
         return report
 
     def perf_report(self) -> Dict[str, Any]:
-        """Throughput machinery counters: admission control, codec plan
-        caches and invocation batchers across the domain's nuclei."""
+        """Throughput machinery counters: admission control and
+        invocation batchers across the domain's nuclei.  (The codec plan
+        table's ``hits`` / ``misses`` are process-wide.)"""
         admission = {"controllers": 0, "admitted": 0, "queued": 0,
                      "shed": 0, "max_depth": 0, "total_wait_ms": 0.0}
-        plans = {"caches": 0, "plans": 0, "hits": 0, "misses": 0,
-                 "invalidations": 0}
         batching = {"batchers": 0, "calls": 0, "batches_sent": 0,
                     "invocations_batched": 0, "retransmits": 0,
                     "busy_failures": 0}
@@ -191,13 +190,6 @@ class TransparencyMonitor:
                 admission["max_depth"] = max(admission["max_depth"],
                                              stats["max_depth"])
                 admission["total_wait_ms"] += stats["total_wait_ms"]
-            for cache in nucleus.plan_caches:
-                stats = cache.stats()
-                plans["caches"] += 1
-                plans["plans"] += stats["plans"]
-                plans["hits"] += stats["hits"]
-                plans["misses"] += stats["misses"]
-                plans["invalidations"] += stats["invalidations"]
             for batcher in nucleus.batchers:
                 stats = batcher.stats()
                 batching["batchers"] += 1
@@ -209,8 +201,8 @@ class TransparencyMonitor:
                 batching["busy_failures"] += stats["busy_failures"]
             for transport in nucleus.transports:
                 busy_retries += transport.busy_retries
-        return {"admission": admission, "plan_cache": plans,
-                "batching": batching, "busy_retries": busy_retries}
+        return {"admission": admission, "batching": batching,
+                "busy_retries": busy_retries}
 
     def overload_report(self) -> Dict[str, Any]:
         """Overload-robustness counters: deadline-gate sheds, per-class

@@ -27,10 +27,11 @@ never silently drift the wire format.  A request is read the way it is
 written: the formats' compiled readers test the same key chunks
 (``formats._key_chunks``) in the same order.
 
-Invalidation: plans embed the reference's identity and epoch, so a
-channel drops its cache whenever the reference changes —
-:meth:`~repro.engine.channel.Channel.rebind` (relocation repair,
-federation re-translation) calls :meth:`PlanCache.invalidate`.
+One table: :data:`PLANS` holds every plan the process has built, keyed
+by everything a plan embeds — format, capsule, interface id, operation,
+kind, epoch and whether an invocation id is present.  A rebind to a new
+reference or epoch simply looks up a different key, so there is nothing
+to invalidate.
 """
 
 from __future__ import annotations
@@ -132,34 +133,20 @@ def encode_batch(fmt: WireFormat, capsule: str,
     return fmt._put_batch(capsule, members)
 
 
-#: Process-wide plan intern table.  An :class:`InvocationPlan` is a pure
-#: value of its key — immutable once built — so identical shapes are
-#: shared across channels *and* across worlds (the check harness builds
-#: a fresh world per seed; without interning every seed re-derives the
-#: same few dozen plans).  Per-cache hit/miss counters and invalidation
-#: stay per-:class:`PlanCache`; interning only removes the rebuild cost.
-_INTERNED: Dict[Tuple, InvocationPlan] = {}
-
-
-def interned_plan(fmt: WireFormat, *shape: Any) -> InvocationPlan:
-    """The shared plan of one *shape* — ``InvocationPlan``'s arguments
-    after *fmt* — for :class:`PlanCache`, and for a sender that keeps
-    no cache of its own (``invoke_at``)."""
-    key = (fmt.name,) + shape
-    plan = _INTERNED.get(key)
-    if plan is None:
-        plan = _INTERNED[key] = InvocationPlan(fmt, *shape)
-    return plan
-
-
 class PlanCache:
-    """Per-channel (or per-batcher) store of invocation plans."""
+    """The process-wide table of invocation plans.
+
+    An :class:`InvocationPlan` is a pure value of its key — immutable
+    once built — so identical shapes are shared across channels,
+    batchers *and* worlds (the check harness builds a fresh world per
+    seed; without sharing every seed re-derives the same few dozen
+    plans).  The one instance is :data:`PLANS`.
+    """
 
     def __init__(self) -> None:
         self._plans: Dict[Tuple, InvocationPlan] = {}
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
     def plan_for(self, fmt: WireFormat, capsule: str, interface_id: str,
                  operation: str, kind: str, epoch: int,
@@ -169,17 +156,14 @@ class PlanCache:
         plan = self._plans.get(key)
         if plan is None:
             self.misses += 1
-            plan = self._plans[key] = interned_plan(fmt, *key[1:])
+            plan = self._plans[key] = InvocationPlan(
+                fmt, capsule, interface_id, operation, kind, epoch,
+                has_inv_id)
         else:
             self.hits += 1
         return plan
 
-    def invalidate(self) -> None:
-        """Drop every plan (rebind: the whole path may have changed)."""
-        self.invalidations += len(self._plans)
-        self._plans.clear()
 
-    def stats(self) -> Dict[str, int]:
-        return {"plans": len(self._plans), "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations}
+#: Every plan the process has built: the transport, the batcher and
+#: ``invoke_at`` all encode through it.
+PLANS = PlanCache()

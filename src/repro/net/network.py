@@ -222,7 +222,8 @@ class Network:
                                    self.jitter_rng) * factor
         # A lambda, not a partial: the ledger charges a fired action to
         # the package that defines it.
-        self.scheduler.at(now + delay, lambda: self._deliver(message))
+        self.scheduler.at(now + delay, lambda: self._deliver(message),
+                          label="net")
 
     def _deliver(self, message: NetMessage) -> None:
         source, destination = message.source, message.destination

@@ -13,7 +13,7 @@ without touching invocation semantics:
   :class:`~repro.errors.ServerBusyError`.
 
 Benchmark C20 measures the three together; the ``perf`` section of
-``TransparencyMonitor.domain_report()`` exposes their counters.
+``TransparencyMonitor.domain_report()`` exposes the other two's counters.
 """
 
 from repro.ndr.plancache import InvocationPlan, PlanCache, encode_batch

@@ -53,7 +53,7 @@ from repro.errors import (
     ProtocolMismatchError,
 )
 from repro.ndr.formats import get_format
-from repro.ndr.plancache import PlanCache, encode_batch
+from repro.ndr.plancache import PLANS, encode_batch
 from repro.overload.deadline import deadline_of, earliest_deadline, stamp
 from repro.resilience.retry import RetryGate, RetryPolicy, Verdict, classify
 from repro.trace.context import current_trace
@@ -96,7 +96,6 @@ class BatchClient:
         self.network = self.nucleus.network
         self.policy = policy or BatchPolicy()
         self.qos = qos or QoS.DEFAULT
-        self.plan_cache = PlanCache()
         self._retry_rng = self.network.rng.fork(
             f"batch-retry:{self.nucleus.node_address}:{capsule.name}")
         #: (node, protocol, capsule, wire_format) -> pending list.
@@ -114,7 +113,6 @@ class BatchClient:
         # Management visibility: the monitor folds these into
         # domain_report()["perf"].
         self.nucleus.batchers.append(self)
-        self.nucleus.plan_caches.append(self.plan_cache)
 
     # -- enqueue ------------------------------------------------------------
 
@@ -232,7 +230,7 @@ class BatchClient:
 
     def _encode_member(self, fmt, capsule_name: str, entry: _Pending,
                        marshaller) -> bytes:
-        plan = self.plan_cache.plan_for(
+        plan = PLANS.plan_for(
             fmt, capsule_name, entry.ref.interface_id,
             entry.operation, "interrogation", entry.ref.epoch, True)
         return plan.encode_member_zero(entry.args, entry.context,

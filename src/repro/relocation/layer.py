@@ -76,7 +76,7 @@ class RelocationLayer(ClientLayer):
             self.lookup_repairs += 1
         self.repairs += 1
         self._trace_repair(invocation, source, new_ref)
-        self.channel.rebind(new_ref)
+        self.channel.ref = new_ref
         invocation.interface_id = new_ref.interface_id
         invocation.epoch = new_ref.epoch
 
@@ -92,7 +92,7 @@ class RelocationLayer(ClientLayer):
         self.repairs += 1
         self.lookup_repairs += 1
         self._trace_repair(invocation, "unreachable-lookup", candidate)
-        self.channel.rebind(candidate)
+        self.channel.ref = candidate
         invocation.interface_id = candidate.interface_id
         invocation.epoch = candidate.epoch
         return True

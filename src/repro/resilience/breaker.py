@@ -81,23 +81,6 @@ class CircuitBreaker:
                 f"trips={self.trips}, rejections={self.rejections})")
 
 
-class _NoBreaker:
-    """The breaker of a transport that keeps no failure memory."""
-
-    @staticmethod
-    def allow() -> bool:
-        return True
-
-    @staticmethod
-    def record_success() -> None:
-        pass
-
-    record_failure = record_success
-
-
-NO_BREAKER = _NoBreaker()
-
-
 class BreakerRegistry:
     """All of one nucleus's breakers, keyed by (node, protocol)."""
 

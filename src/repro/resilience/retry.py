@@ -79,14 +79,6 @@ class RetryPolicy:
             jitter=qos.retry_jitter,
         )
 
-    @classmethod
-    def fixed(cls, qos: QoS) -> "RetryPolicy":
-        """The naive schedule: the same delay every time, no jitter (and
-        so no draw from the retry stream)."""
-        return cls(max_attempts=qos.retries + 1,
-                   base_delay_ms=qos.retry_delay_ms, multiplier=1.0,
-                   max_delay_ms=qos.retry_delay_ms, jitter=0.0)
-
     def delay_ms(self, attempt: int,
                  rng: DeterministicRandom) -> float:
         """Delay before retransmitting after failed attempt *attempt*.

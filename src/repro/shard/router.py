@@ -114,10 +114,9 @@ class ShardRouterLayer(ClientLayer):
         if ref is None:
             self._refresh()
             ref = self.view.refs[index]
-        # Swap the reference directly; the transport identity-checks the
-        # ref on every call, so its path memo can never go stale.  (The
-        # codec plan cache keys by interface id + epoch — no flush
-        # needed per route, unlike a full rebind.)
+        # Swap the reference, as every rebind does; the transport
+        # identity-checks the ref on every call, so its path memo can
+        # never go stale.
         self.channel.ref = ref
         invocation.interface_id = ref.interface_id
         invocation.epoch = ref.epoch

@@ -16,14 +16,34 @@ same-instant batches with a single clock advance.  All observable
 semantics — same-instant FIFO by schedule order, past events clamped to
 *now*, cancelled events never firing, repeating events re-arming after
 each firing — are pinned by ``tests/test_sim_clock_scheduler.py``.
+
+A synchronous leg moves the clock with a bare ``clock.advance``, and
+nothing fires inside that interval: an event that fell due there fires
+late, when a drain loop reaches it.  The loops book each such firing in
+:attr:`Scheduler.late` in their past-due branch, with no call, so an
+on-time firing costs what it did; :func:`late_by_prefix` folds books.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.clock import VirtualClock
+
+
+def late_by_prefix(books: Iterable[Dict[str, List]]) -> Dict[str, List]:
+    """Late-firing books (:attr:`Scheduler.late`) summed by label
+    prefix: ``hb:n1/srv`` and ``chaos@40.0`` book under ``hb`` and
+    ``chaos``."""
+    folded: Dict[str, List] = {}
+    for book in books:
+        for label, (count, worst) in book.items():
+            booked = folded.setdefault(
+                label.partition(":")[0].partition("@")[0], [0, 0.0])
+            booked[0] += count
+            booked[1] = max(booked[1], worst)
+    return folded
 
 
 class Event:
@@ -52,13 +72,15 @@ class Event:
 class Scheduler:
     """An event wheel bound to a :class:`VirtualClock`."""
 
-    __slots__ = ("clock", "_queue", "_seq", "events_run")
+    __slots__ = ("clock", "_queue", "_seq", "events_run", "late")
 
     def __init__(self, clock: Optional[VirtualClock] = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self.events_run = 0
+        #: Event label -> [firings past due, largest lateness in ms].
+        self.late: Dict[str, List] = {}
 
     @property
     def now(self) -> float:
@@ -126,6 +148,10 @@ class Scheduler:
             when, _, event = heappop(queue)
             if event.cancelled:
                 continue
+            if when < self.clock.now:
+                booked = self.late.setdefault(event.label, [0, 0.0])
+                booked[0] += 1
+                booked[1] = max(booked[1], self.clock.now - when)
             self.clock.advance_to(when)
             self.events_run += 1
             event.action()
@@ -145,6 +171,10 @@ class Scheduler:
             # (advance_to without the call, as in run_until).
             if when > clock.now:
                 clock.now = when
+            elif when < clock.now:
+                booked = self.late.setdefault(event.label, [0, 0.0])
+                booked[0] += 1
+                booked[1] = max(booked[1], clock.now - when)
             while True:
                 self.events_run += 1
                 event.action()
@@ -161,6 +191,10 @@ class Scheduler:
                         break
                 if event is None:
                     break
+                if when < clock.now:  # the clock moved inside the batch
+                    booked = self.late.setdefault(event.label, [0, 0.0])
+                    booked[0] += 1
+                    booked[1] = max(booked[1], clock.now - when)
         return count
 
     def run_until(self, deadline: float, max_events: int = 1_000_000) -> int:
@@ -177,6 +211,10 @@ class Scheduler:
                 continue
             if when > clock.now:
                 clock.now = when
+            elif when < clock.now:
+                booked = self.late.setdefault(event.label, [0, 0.0])
+                booked[0] += 1
+                booked[1] = max(booked[1], clock.now - when)
             self.events_run += 1
             event.action()
             count += 1

@@ -13,6 +13,7 @@ works when calls travel in bulk.
 import pytest
 
 from repro import QoS, Signal, World
+from repro.ndr.formats import get_format
 from repro.errors import NodeUnreachableError, ServerBusyError
 from repro.federation.proxies import materialize_proxy
 from repro.perf import AdmissionController, BatchClient, BatchPolicy
@@ -237,26 +238,36 @@ class TestPathCache:
         first = transport._select_path(QoS.DEFAULT)
         assert transport._select_path(QoS.DEFAULT) is first  # memo hit
 
-    def test_rebind_invalidates_path_and_plan_caches(self, single_domain):
+    def test_rebind_to_a_new_epoch_reselects_and_encodes_it(
+            self, single_domain):
+        """A rebind to the same interface at a newer epoch (what a
+        migration hands out) re-selects paths and puts the new epoch on
+        the wire: a plan served from before the rebind would carry the
+        old one, and the server's epoch check would refuse it."""
         world, domain, servers, clients = single_domain
-        proxy = world.binder_for(clients).bind(servers.export(Counter()))
-        channel = proxy._channel
-        transport = channel.transport
-        assert proxy.increment() == 1  # warm both memos
+        world.node("org", "n3")
+        ref = servers.export(Counter())
+        proxy = world.binder_for(clients).bind(ref)
+        channel, transport = proxy._channel, proxy._channel.transport
+        assert proxy.increment() == 1  # warm the path memo and the plan
         old_paths = transport._select_path(QoS.DEFAULT)
-        assert transport._path_cache
 
-        other = Counter()
-        new_ref = servers.export(other)
-        channel.rebind(new_ref)
-        assert not transport._path_cache  # memo dropped with the ref
-        assert transport.plan_cache.invalidations >= 1
+        new_ref = domain.migrator.migrate(
+            servers, ref.interface_id, world.capsule("n3", "servers"))
+        assert new_ref.epoch == ref.epoch + 1
+        channel.ref = new_ref  # the rebind
         new_paths = transport._select_path(QoS.DEFAULT)
         assert new_paths is not old_paths
-        assert new_paths[0].node == new_ref.primary_path().node
-        # The channel really follows the new reference.
-        assert proxy.increment() == 1
-        assert other.value == 1
+        assert new_paths[0].node == "n3"
+        sent = []
+        request = world.network.request
+        world.network.request = lambda src, dst, payload, **kw: (
+            sent.append(payload) or request(src, dst, payload, **kw))
+        assert proxy.increment() == 2
+        del world.network.request
+        wire = get_format(new_paths[0].wire_format)
+        assert [wire.loads(p)["inv"]["epoch"] for p in sent] \
+            == [new_ref.epoch]
 
     def test_direct_ref_swap_cannot_serve_stale_paths(self, single_domain):
         """Layers that swap channel.ref without calling rebind() (the

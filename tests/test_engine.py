@@ -138,13 +138,13 @@ class TestTypeChecking:
         world, _, servers, clients = single_domain
         proxy = world.binder_for(clients).bind(servers.export(Account(1)))
         with pytest.raises(TypeCheckError):
-            proxy._invoke_raw("deposit", (1, 2))
+            proxy._channel.invoke("deposit", (1, 2))
 
     def test_unknown_operation(self, single_domain):
         world, _, servers, clients = single_domain
         proxy = world.binder_for(clients).bind(servers.export(Account(1)))
         with pytest.raises(UnknownOperationError):
-            proxy._invoke_raw("steal", ())
+            proxy._channel.invoke("steal", ())
 
 
 class TestArgumentPassing:

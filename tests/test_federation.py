@@ -156,9 +156,9 @@ class TestCrossDomainInvocation:
 
     def test_gateway_keeps_one_delivery_channel_per_interface(
             self, two_domains):
-        """Every channel registers its transport, plan cache and
-        relocation layer with its nucleus for good: the gateway must not
-        build one per arriving invocation."""
+        """Every channel registers its transport and relocation layer
+        with its nucleus for good: the gateway must not build one per
+        arriving invocation."""
         world, alpha, beta = two_domains
         servers = world.capsule("a1", "srv")
         clients = world.capsule("b1", "cli")
@@ -166,7 +166,7 @@ class TestCrossDomainInvocation:
         gateway = alpha.nuclei["a1"]
 
         def registered():
-            return (len(gateway.transports), len(gateway.plan_caches),
+            return (len(gateway.transports),
                     len(gateway.relocation_layers))
 
         assert proxy.increment() == 1

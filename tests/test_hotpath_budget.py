@@ -9,8 +9,10 @@ what cannot change (a node's address, the clock's slot, a capsule's
 marshaller) per call, and to 160 when the channel lost the metrics
 layer, which was no transparency and whose counters nothing read, and
 to 158 when the invoke and execute span sites stopped asking a live
-span for its context, which is the span itself.  A layer that adds a
-call per invocation shows here as exactly one.
+span for its context, which is the span itself, and to 157 when the
+transport lost its second retry discipline and with it the lambda that
+picked a path's breaker.  A layer that adds a call per invocation shows
+here as exactly one.
 
 Memory is counted the same way: the bytes still allocated after 1,000
 more warm invocations, once the trace ring is full.  It was ~370 KB
@@ -23,13 +25,16 @@ The bulk path is counted beside it: one warm ``put`` and one ``get`` of
 a value of 40 sibling records, PACKED client to TAGGED server, fell
 from 1,641 / 1,640 calls to 1,412 / 1,452 when records got shapes
 (PR 20) — each field name a shape answers is one ``_tagged_read`` that
-is not called.
+is not called.  They read 1,389 / 1,429 before the transport lost its
+second discipline, 1,388 / 1,428 after.
 
 Supervision is counted too.  One composed check run (plan seed 3, all
 six modes) fell from 101,905 calls to 79,860, and one quiet supervision
 tick on a warm supervised world from 187 to 27, when the tick stopped
 running repair scans whose precondition cannot hold: no node dead, no
-group short, no shard capsule off its ring.
+group short, no shard capsule off its ring.  The composed run read
+80,291 before the transport lost its second discipline and its rebind
+hook, 80,204 after.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from repro.comp.constraints import EnvironmentConstraints, FailureSpec
 from tests.conftest import Counter, KvStore
 
 #: Calls into ``src/repro`` one warm invocation may make.
-BUDGET = 162
+BUDGET = 161
 #: ... and one warm ``put`` or ``get`` of the 40-row value.  Counted on
 #: 3.11 (3.9 reads the same; 3.12 inlines comprehensions, so lower).
 BULK_BUDGET = 1480

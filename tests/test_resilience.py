@@ -20,6 +20,7 @@ from repro import (
     QoS,
     World,
 )
+from repro.check import mutations
 from repro.errors import (
     DeadlineExceededError,
     MessageLostError,
@@ -66,16 +67,17 @@ class TestExactlyOnce:
         assert nucleus.reply_cache.duplicates_suppressed == 1
 
     def test_legacy_transport_duplicates_on_reply_loss(self):
-        """Contrast: with the resilience layer disabled the same loss
-        silently executes the operation twice (at-least-once) — the
-        mis-masking this PR removes."""
+        """Contrast: the legacy at-least-once transport is the reply
+        cache mutated to never hit (C16's legacy arm).  The same loss
+        silently executes the operation twice — the mis-masking the
+        cache removes."""
         world, servers, clients = two_node_world(seed=1)
         counter = Counter()
         proxy = world.binder_for(clients).bind(
             servers.export(counter), qos=QoS(retries=3))
-        proxy._channel.transport.resilience_enabled = False
         world.faults.lose_next("s", "c")
-        assert proxy.increment() == 2  # the retry re-executed
+        with mutations.applied("replycache"):
+            assert proxy.increment() == 2  # the retry re-executed
         assert counter.value == 2
 
     def test_duplicate_suppression_under_sustained_loss(self):
@@ -159,9 +161,9 @@ class TestRetryPolicy:
                 servers.export(Counter()), qos=QoS(retries=30))
             for _ in range(20):
                 proxy.increment()
-            transport = proxy._channel.transport
-            return (world.now, transport.retries,
-                    transport.backoff_wait_ms, world.faults.drops)
+            resilience = world.nucleus("c").resilience
+            return (world.now, resilience.retries,
+                    resilience.backoff_wait_ms, world.faults.drops)
 
         assert run() == run()
 
@@ -173,7 +175,7 @@ class TestRetryPolicy:
                 servers.export(Counter()), qos=QoS(retries=30))
             for _ in range(20):
                 proxy.increment()
-            return (world.now, proxy._channel.transport.backoff_wait_ms)
+            return (world.now, world.nucleus("c").resilience.backoff_wait_ms)
 
         assert run(21) != run(22)
 
@@ -207,15 +209,6 @@ class TestPathFailover:
         assert primary.value == 0
         assert standby.value == 1
         assert world.nucleus("client").resilience.path_failovers >= 1
-
-    def test_legacy_transport_raises_without_failover(self):
-        world = World(seed=3)
-        proxy, primary, standby = self._dual_path_proxy(world)
-        proxy._channel.transport.resilience_enabled = False
-        world.faults.lose_next("client", "n1", count=10)
-        with pytest.raises(MessageLostError):
-            proxy.increment()
-        assert standby.value == 0
 
     def test_loss_on_all_paths_still_raises(self):
         world = World(seed=3)
@@ -274,17 +267,20 @@ class TestCircuitBreaker:
         cooldown passes, a half-open probe restores service."""
         world, servers, clients = two_node_world(seed=5)
         proxy = world.binder_for(clients).bind(servers.export(Counter()))
-        transport = proxy._channel.transport
         world.crash_node("s")
         breaker = world.nucleus("c").breakers.breaker_for("s", "rrp")
         for _ in range(breaker.failure_threshold):
             with pytest.raises(NodeUnreachableError):
                 proxy.increment()
         assert breaker.state == BreakerState.OPEN
-        sent_before = transport.messages_sent
+        network, requests = world.network, []
+        request = network.request
+        network.request = lambda *a, **k: requests.append(a) or request(
+            *a, **k)
         with pytest.raises(NodeUnreachableError):
             proxy.increment()  # rejected without touching the network
-        assert transport.messages_sent == sent_before
+        assert requests == []
+        del network.request
         assert world.nucleus("c").resilience.breaker_short_circuits >= 1
         world.restart_node("s")
         world.clock.advance(breaker.reset_timeout_ms)
@@ -382,6 +378,26 @@ class TestChaosSchedule:
             proxy.increment()
         assert world.faults.drops == in_window  # calm after the window
         assert world.faults.drop_probability == 0.0
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="each global FlakyWindow restores the base drop rate it "
+               "saw on entry, so the first of two overlapping windows "
+               "to close clears the second's rate, and the last to close "
+               "restores the first's (seeds 0, 11, 16, 17, 117, 121 and "
+               "126 of the default plans carry such a pair)")
+    def test_overlapping_flaky_windows_restore_the_base_rate(self):
+        world, servers, clients = two_node_world(seed=9)
+        world.apply_chaos(FaultSchedule(
+            FlakyWindow(start_ms=0.0, end_ms=100.0, drop=0.2),
+            FlakyWindow(start_ms=50.0, end_ms=150.0, drop=0.3)))
+        rates = []
+        for at in (120.0, 200.0):
+            world.clock.advance(at - world.now)
+            world.faults.should_drop("x", "y", world.network.rng)  # sync
+            rates.append(world.faults.drop_probability)
+        # At 120 ms only the second window is open; at 200 ms none is.
+        assert rates == [0.3, 0.0]
 
     def test_flaky_window_can_target_one_link(self):
         world, servers, clients = two_node_world(seed=9)

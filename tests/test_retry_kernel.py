@@ -131,7 +131,12 @@ class TestRetryGate:
         assert nucleus.resilience.backoff_wait_ms == 3.0
 
     def test_fixed_policy_draws_nothing_from_the_stream(self):
-        policy = RetryPolicy.fixed(QoS(retries=2, retry_delay_ms=4.0))
+        """A fixed-delay policy is a zero-jitter QoS through
+        ``from_qos``.  C16's legacy arm is one, so its runs stay
+        deterministic only if such a policy never draws."""
+        policy = RetryPolicy.from_qos(QoS(
+            retries=2, retry_delay_ms=4.0, backoff_multiplier=1.0,
+            retry_delay_max_ms=4.0, retry_jitter=0.0))
         assert policy.max_attempts == 3
         # rng=None would raise if the policy tried to draw jitter.
         assert [policy.delay_ms(n, None) for n in range(3)] == [4.0] * 3

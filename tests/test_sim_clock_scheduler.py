@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.clock import VirtualClock
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, late_by_prefix
 
 
 class TestVirtualClock:
@@ -220,6 +220,38 @@ class TestEventWheelSemantics:
         sched.at(3.0, lambda: None)
         sched.run_until_idle()
         assert sched.events_run == 2
+
+    @pytest.mark.parametrize("drain", [
+        lambda sched: sched.run_until_idle(),
+        lambda sched: sched.run_until(100.0),
+        lambda sched: sched.step(),
+    ], ids=["run_until_idle", "run_until", "step"])
+    def test_a_synchronous_advance_past_a_due_event_books_it_late(
+            self, drain):
+        sched = Scheduler()
+        sched.at(10.0, lambda: None, label="hb:n1/srv")
+        sched.at(40.0, lambda: None, label="hb:n2/srv")
+        sched.clock.advance(25.0)  # a synchronous leg holds the clock
+        drain(sched)
+        assert sched.late == {"hb:n1/srv": [1, 15.0]}
+        assert late_by_prefix([sched.late]) == {"hb": [1, 15.0]}
+
+    def test_a_clock_moved_inside_a_same_instant_batch_books_its_peers(
+            self):
+        sched = Scheduler()
+        sched.at(10.0, lambda: sched.clock.advance(4.0), label="rpc")
+        sched.at(10.0, lambda: None, label="chaos@10.0")
+        sched.at(10.0, lambda: None, label="chaos@10.0")
+        sched.run_until_idle()
+        assert late_by_prefix([sched.late]) == {"chaos": [2, 4.0]}
+
+    def test_on_time_firings_book_nothing(self):
+        sched = Scheduler()
+        sched.every(5.0, lambda: None, label="hb:x")
+        sched.at(12.0, lambda: None)
+        sched.run_until(50.0)
+        assert sched.events_run == 11
+        assert sched.late == {}
 
     def test_run_until_max_events_guard(self):
         sched = Scheduler()
