@@ -13,6 +13,7 @@ bypassed.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.comp.invocation import (
@@ -25,7 +26,7 @@ from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.engine.layers import compose_client
 from repro.engine.nucleus import Nucleus
-from repro.engine.remote import decode_reply
+from repro.engine.remote import _loads_reply, decode_reply, termination_of
 from repro.errors import (
     BindingError,
     CommunicationError,
@@ -44,6 +45,12 @@ from repro.resilience.retry import (
 )
 from repro.trace.context import current_trace
 from repro.trace.span import NULL_SPAN, span_name
+
+#: Replies at least this long are looked up among the replies the
+#: channel already read; a shorter one decodes faster than it hashes.
+REUSE_MIN_BYTES = 1024
+#: Reply bytes one channel keeps for reuse at most, oldest out first.
+REUSE_MAX_BYTES = 1 << 20
 
 
 class Channel:
@@ -147,6 +154,15 @@ class TransportLayer:
     table in :mod:`repro.resilience.retry`; each attempt is admitted by
     a :class:`~repro.resilience.retry.RetryGate`.  What the loop did
     is counted once, in the nucleus's ``resilience`` stats.
+
+    Each reply is read here, in :meth:`_exchange`, once per channel:
+    terminations of plain values are constant state (section 4.5), so
+    a reply of at least :data:`REUSE_MIN_BYTES` byte-identical to one
+    this channel already decoded *is* the termination it decoded to,
+    and is not decoded again.  Only a termination the value lane read
+    whole is kept — never an error reply, never one whose values went
+    through the marshaller (references) — and at most
+    :data:`REUSE_MAX_BYTES` of reply bytes, oldest out first.
     """
 
     name = "transport"
@@ -169,6 +185,10 @@ class TransportLayer:
         #: valid only for the reference it was computed against.
         self._path_cache: dict = {}
         self._path_cache_ref: Optional[InterfaceRef] = None
+        #: Large replies already read: reply bytes -> their termination,
+        #: oldest first, and the reply bytes they hold.
+        self._replies: OrderedDict = OrderedDict()
+        self._replies_bytes = 0
 
     def attach(self, channel: Channel) -> None:
         self.channel = channel
@@ -433,9 +453,31 @@ class TransportLayer:
                 "ndr.unmarshal", "ndr", parent_ctx,
                 node=self.nucleus.node_address,
                 tags={"format": path.wire_format})
-        termination = decode_reply(
-            get_format(path.wire_format), reply, self.capsule.marshaller,
-            path.node)
+        if len(reply) < REUSE_MIN_BYTES:
+            termination = decode_reply(
+                get_format(path.wire_format), reply,
+                self.capsule.marshaller, path.node)
+        else:
+            termination = (self._replies.get(reply)
+                           or self._read_large(reply, path))
         if verbose:
             unmarshal_span.finish()
+        return termination
+
+    def _read_large(self, reply: bytes, path: AccessPath) -> Termination:
+        """Decode a large *reply*, and keep its termination for the
+        next byte-identical one when the value lane built it whole."""
+        decoded = _loads_reply(get_format(path.wire_format), reply,
+                               path.node, ("term",))
+        termination = termination_of(decoded, self.capsule.marshaller,
+                                     path.node)
+        # The identity says the lane produced the termination: a wire
+        # tree would have gone through ``unmarshal`` into a new object.
+        if decoded["term"] is termination and \
+                len(reply) <= REUSE_MAX_BYTES:
+            replies = self._replies
+            replies[reply] = termination
+            self._replies_bytes += len(reply)
+            while self._replies_bytes > REUSE_MAX_BYTES:
+                self._replies_bytes -= len(replies.popitem(last=False)[0])
         return termination

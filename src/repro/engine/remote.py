@@ -11,10 +11,17 @@ client-side code that knows those shapes: senders build the object with
 :mod:`repro.ndr.plancache` pre-encode the same object byte for byte;
 ``tests/test_ndr_golden.py`` pins the two against each other.)
 
+A channel's replies are read in
+:meth:`~repro.engine.channel.TransportLayer._exchange`, by the same two
+steps :func:`decode_reply` takes (``_loads_reply``, then
+:func:`termination_of`); a large reply byte-identical to one the
+channel already read is not read again, but answered with the
+termination it decoded to.  Every other receiver decodes every reply.
+
 :func:`invoke_at` aims a single invocation at an explicit (node, capsule,
 interface) target that is not a channel's own bound reference — group
 relays and federation gateways need that: one marshalled exchange,
-without a channel's retries or invocation id.
+without a channel's retries or invocation id, its reply decoded afresh.
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ DeliveryHandler = Callable[[NetMessage], None]
 
 @dataclass
 class NodeStats:
-    """Per-node traffic counters."""
+    """Per-node traffic counters: every message a node sent, counted
+    when it leaves (lost on the way or not), and what arrived."""
 
     messages_sent: int = 0
     messages_received: int = 0
@@ -154,20 +155,21 @@ class Network:
             raise NodeUnreachableError(
                 f"{source} cannot reach {destination} "
                 f"(crash, cut link or partition)")
+        src = self._nodes.get(source)
+        if src is not None:  # sent, whatever becomes of it
+            src.stats.messages_sent += 1
         if factor == LOST:
             raise MessageLostError(
                 f"message {source}->{destination} lost in transit")
-        self._account(source, destination, size)
+        self._account(destination, size)
         return (latency.delay(source, destination, size, self.jitter_rng)
                 * factor)
 
-    def _account(self, source: str, destination: str, size: int) -> None:
+    def _account(self, destination: str, size: int) -> None:
+        """Count a message that got through to *destination*."""
         self.total_messages += 1
         self.total_bytes += size
-        src = self._nodes.get(source)
         dst = self._nodes.get(destination)
-        if src is not None:
-            src.stats.messages_sent += 1
         if dst is not None:
             dst.stats.messages_received += 1
             dst.stats.bytes_received += size
@@ -213,8 +215,13 @@ class Network:
         """
         factor = self.faults.leg_verdict(source, destination, self.rng,
                                          one_way=True)
-        if factor == UNREACHABLE or factor == LOST:
-            return  # a dead node sends nothing; a lost message vanishes
+        if factor == UNREACHABLE:
+            return  # a dead node sends nothing
+        src = self._nodes.get(source)
+        if src is not None:  # sent, whatever becomes of it
+            src.stats.messages_sent += 1
+        if factor == LOST:
+            return  # a lost message vanishes
         now = self.scheduler.clock.now
         message = NetMessage(source, destination, payload, kind,
                              dict(headers) if headers else None, now)
@@ -236,5 +243,5 @@ class Network:
         handler = node.delivery_handlers.get(message.kind)
         if handler is None:
             return
-        self._account(source, destination, len(message.payload))
+        self._account(destination, len(message.payload))
         handler(message)

@@ -348,6 +348,26 @@ class TestNetwork:
         assert net.node("a").stats.bytes_received == 2
         assert net.node("b").stats.messages_received == 1
 
+    def test_a_send_is_counted_when_it_leaves_not_when_it_arrives(self):
+        sched, net = make_network(latency=FixedLatency(3.0))
+        a, b = net.add_node("a"), net.add_node("b")
+        b.on_request(lambda s, p: b"yy")
+        b.on_deliver("data", lambda m: None)
+        net.faults.lose_next("a", "b")
+        with pytest.raises(MessageLostError):
+            net.request("a", "b", b"xxx")  # lost on the way out
+        net.faults.lose_next("b", "a")
+        with pytest.raises(MessageLostError):
+            net.request("a", "b", b"xxx")  # the reply lost
+        net.post("a", "b", b"doomed")
+        net.faults.crash_node("b")
+        sched.run_until_idle()  # dropped at delivery
+        net.post("b", "a", b"never")  # a crashed node sends nothing
+        assert (a.stats.messages_sent, b.stats.messages_sent) == (3, 1)
+        assert (a.stats.messages_received,
+                b.stats.messages_received) == (0, 1)
+        assert net.total_messages == 1 and net.total_bytes == 3
+
     def test_partition_blocks_request(self):
         sched, net = make_network()
         net.add_node("a")
