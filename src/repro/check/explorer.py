@@ -230,10 +230,11 @@ class _Run:
             return f"failed:{type(exc).__name__}", None
 
     def call(self, fn, obj: str, op: str, key: Optional[str] = None,
-             arg: Any = None, **kwargs) -> Tuple[str, Any]:
+             arg: Any = None, lag: float = 0.0,
+             **kwargs) -> Tuple[str, Any]:
         """``attempt`` *fn* on *key* and *arg* (those given), recorded
-        in the call history as *op* on *obj*."""
-        call = self.history.invoke(obj, key, op, arg)
+        in the call history as *op* on *obj* (*lag*: see ``History``)."""
+        call = self.history.invoke(obj, key, op, arg, self.world.now, lag)
         outcome, value = self.attempt(
             fn, *[part for part in (key, arg) if part is not None],
             **kwargs)

@@ -29,9 +29,11 @@ class History:
         #: (``linearizable.OPS``) with ``arg`` on ``obj``'s ``key``
         #: (None: a counter), its ``outcome`` and ``value``, the sequence
         #: numbers of its invocation ``inv`` and response ``res`` (the
-        #: client is single-threaded, so they are real-time order) and
-        #: the virtual response time ``t`` (no order: a call may take
-        #: no virtual time).
+        #: client is single-threaded, so they are real-time order), the
+        #: virtual invocation and response times ``t0`` and ``t`` (no
+        #: order: a call may take no virtual time) and its ``lag``: how
+        #: far before ``t0`` the state it reads may date (a lease's TTL,
+        #: else 0).
         self.calls: List[Dict[str, Any]] = []
         self._seq = 0
 
@@ -47,10 +49,11 @@ class History:
         })
 
     def invoke(self, obj: str, key: Optional[str], op: str,
-               arg: Any = None) -> Dict[str, Any]:
+               arg: Any = None, now: float = 0.0,
+               lag: float = 0.0) -> Dict[str, Any]:
         self._seq += 1
         call = {"obj": obj, "key": key, "op": op, "arg": arg,
-                "inv": self._seq}
+                "inv": self._seq, "t0": round(now, 6), "lag": lag}
         self.calls.append(call)
         return call
 

@@ -12,10 +12,19 @@ be answered from the reply cache) and a failed read are dropped; any
 other failed write is ambiguous, pending from its invocation with a
 later effect or none (Herlihy & Wing's completion rule).  Ambiguous
 calls with equal (op, arg) are interchangeable: only the earliest is
-tried."""
+tried.
+
+A read a lease may serve carries a lag Δ, the lease TTL: it may return
+a state that was current at some instant at most Δ before it was
+invoked, which is *timed consistency* (Torres-Rojas, Ahamad & Raynal,
+1999).  Such a read may take effect before any call on its key that
+responded at or after ``t0 − Δ``; the lagged reads of one key take
+effect in program order, so one client's reads never run backwards.
+Nothing else about the search changes."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: operation -> (initial state, step(state, arg) or None for a read,
@@ -31,13 +40,37 @@ OPS: Dict[str, Tuple[Any, Optional[Callable], bool]] = {
 
 def _entries(calls) -> List[tuple]:
     """The calls that constrain the order, in invocation order, as
-    ``(inv, res, op, arg, value)``; ``res`` is None when ambiguous."""
-    return sorted((call["inv"], call["res"], call["op"], call["arg"],
-                   call["value"]) if call["outcome"] == "ok" else
-                  (call["inv"], None, call["op"], call["arg"], None)
-                  for call in calls
-                  if call["outcome"] == "ok" or OPS[call["op"]][1]
-                  and call["outcome"] != "failed:ServerBusyError")
+    ``(inv, res, op, arg, value, prior)``; ``res`` is None when
+    ambiguous.  A read with a lag Δ is invoked, in effect, just before
+    the first response on its key at or after ``t0 − Δ`` (responses
+    are in time order, so one bisect finds it), and ``prior`` is the
+    position of the lagged read before it, which it must follow, or
+    -1."""
+    answered = sorted((call["res"], call["t"]) for call in calls)
+    times = [t for _, t in answered]
+    rows = []
+    for call in calls:
+        if call["outcome"] == "ok":
+            res, value = call["res"], call["value"]
+        elif OPS[call["op"]][1] and \
+                call["outcome"] != "failed:ServerBusyError":
+            res = value = None
+        else:
+            continue
+        inv = call["inv"]
+        if call["lag"]:
+            since = bisect_left(times, round(call["t0"] - call["lag"], 6))
+            inv = min(inv, answered[since][0] - 0.5)
+        # Ties (lagged reads moved to one point) keep invocation order.
+        rows.append((inv, call["inv"], res, call["op"], call["arg"],
+                     value, bool(call["lag"])))
+    entries: List[tuple] = []
+    last = -1
+    for inv, _, res, op, arg, value, lagged in sorted(rows):
+        entries.append((inv, res, op, arg, value, last if lagged else -1))
+        if lagged:
+            last = len(entries) - 1
+    return entries
 
 
 def _stuck(entries: List[tuple]) -> Optional[Tuple[tuple, int, Any]]:
@@ -60,16 +93,20 @@ def _stuck(entries: List[tuple]) -> Optional[Tuple[tuple, int, Any]]:
         seen.add(node)
         # Any call invoked before the first outstanding response may go
         # next: no unlinearized completed call precedes it.
-        first = min((index for index in range(len(entries))
-                     if open_ >> index & 1), key=lambda i: entries[i][1])
+        first = None
+        for index, entry in enumerate(entries):
+            if open_ >> index & 1 and (first is None
+                                       or entry[1] < first[1]):
+                first = entry
         taken = bin(done).count("1") - bin(open_).count("1")
         if furthest is None or taken > furthest[1]:
-            furthest = (entries[first], taken, state)
+            furthest = (first, taken, state)
         twins = set()
-        for index, (inv, res, op, arg, value) in enumerate(entries):
-            if inv > entries[first][1]:
+        for index, (inv, res, op, arg, value, prior) in enumerate(entries):
+            if inv > first[1]:
                 break
-            if mask >> index & 1 or res is None and (op, arg) in twins:
+            if mask >> index & 1 or res is None and (op, arg) in twins \
+                    or prior >= 0 and not mask >> prior & 1:
                 continue
             if res is None:
                 twins.add((op, arg))
@@ -92,7 +129,7 @@ def unexplained(calls) -> List[str]:
         stuck = _stuck(entries) if entries else None
         if stuck is None:
             continue
-        (_, res, op, arg, value), taken, state = stuck
+        (_, res, op, arg, value, _), taken, state = stuck
         at = next(call["t"] for call in keyed if call["res"] == res)
         messages.append(
             f"{obj if key is None else f'{obj}[{key}]'}: "

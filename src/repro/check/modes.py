@@ -246,7 +246,8 @@ class Batching(Mode):
         run = self.run
         name = run.counter_name(op)
         ref = run.proxies[name]._ref
-        calls = [(run.history.invoke(name, None, "increment"),
+        calls = [(run.history.invoke(name, None, "increment",
+                                     now=run.world.now),
                   self.batcher.call(ref, "increment"))
                  for _ in range(max(2, int(op.get("n", 2))))]
         # Let the linger timer fire (size-triggered flushes have
@@ -477,89 +478,13 @@ class Shards(Mode):
 
 # -- leases -----------------------------------------------------------
 
-def staleness_bound(result, evidence) -> List[Violation]:
-    """Cached reads are never staler than the lease TTL, nor reordered.
-
-    Judged against the caching client's read log and the group-write
-    ledger of the call history (each put's value, ack time, acked).
-    Every read (cache hit *or* fetch: the contract covers the interface)
-    must return a real write (or the empty default), and three clauses
-    must hold:
-
-    * *Bounded staleness*: if the returned value was superseded, the
-      earliest acknowledged write that superseded it was acked at most
-      ``Leases.TTL_MS`` before the read.  Ack time is client-observed —
-      at or after the commit — so the bound judged here is
-      conservative: a violation means the cache really served a value
-      beyond its grant's validity (invalidations lost *and* never
-      repaired by renewal), never a timing artefact.
-    * *Monotonic reads per key*: a later read never returns an earlier
-      ledger position than a previous read of the same key did — the
-      cache cannot travel back in time.
-    * *No phantoms*: a non-empty returned value must appear in the
-      ledger at all.
-    """
-    bound = Leases.TTL_MS + 1e-6
-    ledgers: Dict[str, List[Tuple[str, float, bool]]] = {}
-    for call in result.calls:
-        if call["op"] == "put":
-            ledgers.setdefault(call["key"], []).append(
-                (call["arg"], call["t"], call["outcome"] == "ok"))
-    violations = []
-    last_position: Dict[str, int] = {}
-    for read in evidence["reads"]:
-        tag = read["tag"]
-        ledger = ledgers.get(tag, [])
-        value = read["values"][0] if read["values"] else ""
-        if value == "":
-            # The key's default: legal before any write lands, and
-            # carries no ledger position to order against.
-            position = -1
-        else:
-            positions = [i for i, (v, _, _) in enumerate(ledger)
-                         if v == value]
-            if not positions:
-                violations.append(Violation(
-                    "staleness_bound",
-                    f"key {tag!r}: read at t={read['t']} (via "
-                    f"{read['via']}) returned {value!r}, which no "
-                    f"recorded write produced"))
-                continue
-            # An identical value may be written twice; crediting the
-            # read to the latest occurrence is the reader-friendly
-            # interpretation for both clauses below.
-            position = max(positions)
-            previous = last_position.get(tag)
-            if previous is not None and position < previous:
-                violations.append(Violation(
-                    "staleness_bound",
-                    f"key {tag!r}: read at t={read['t']} (via "
-                    f"{read['via']}) returned ledger position "
-                    f"{position} after an earlier read saw position "
-                    f"{previous} — reads ran backwards"))
-        last_position[tag] = max(last_position.get(tag, -1), position)
-        for value2, t_ack, acked in ledger[position + 1:]:
-            if not acked:
-                continue  # an unacked write may never have committed
-            if read["t"] - t_ack > bound:
-                violations.append(Violation(
-                    "staleness_bound",
-                    f"key {tag!r}: read at t={read['t']} (via "
-                    f"{read['via']}) returned {value!r}, superseded by "
-                    f"{value2!r} acked at t={t_ack} — "
-                    f"{round(read['t'] - t_ack, 3)}ms stale, bound is "
-                    f"{Leases.TTL_MS}ms"))
-            break  # only the earliest superseding ack sets the clock
-    return violations
-
-
 class Leases(Mode):
     name = "leases"
     help = ("promote the replicated kv interface to cached mode "
             "(repro.lease): read-heavy cached_get/cached_burst ops run "
             "through a lease-caching client with follower reads; the "
-            "staleness_bound oracle then requires no cached read to be "
-            "staler than the lease TTL or out of order")
+            "linearizable oracle then judges each such read against "
+            "the state at some instant at most the lease TTL before it")
     rows = (
         ("cached_get", 48, lambda rng, index: {"key": rng.choice(KEYS)}),
         # n reads of one key — the cache-hit hot path
@@ -567,12 +492,12 @@ class Leases(Mode):
          lambda rng, index: {"key": rng.choice(KEYS),
                              "n": rng.randint(3, 8)}),
     )
-    oracle = staticmethod(staleness_bound)
-    #: Lease TTL — the staleness bound B the oracle enforces.  Long
-    #: enough that a busy reader's half-life renewals outlast the
-    #: typical clock advance between ops (so leases stay continuously
-    #: held and broken invalidation is *observable* as staleness), short
-    #: enough that plans still see grants lapse across the big jumps.
+    #: Lease TTL — the lag Δ each lease read carries into the call
+    #: history.  Long enough that a busy reader's half-life renewals
+    #: outlast the typical clock advance between ops (so leases stay
+    #: continuously held and broken invalidation is *observable* as
+    #: staleness), short enough that plans still see grants lapse across
+    #: the big jumps.
     TTL_MS = 600.0
 
     def __init__(self, run) -> None:
@@ -581,9 +506,8 @@ class Leases(Mode):
         authority.default_ttl_ms = self.TTL_MS
         authority.register("check.kv", ttl_ms=self.TTL_MS)
         self.client = authority.attach_client(run.app.nucleus)
-        self.client.record_reads = True
         # The cache may serve a group_get too: like a cached_get, it
-        # stays out of the call history, for staleness_bound to judge.
+        # joins the call history with the TTL as its lag.
         run.handlers["group_get"] = self.op_cached_get
         # Reads the cache misses are spread over the live replicas
         # (bounded-staleness follower reads) instead of always hitting
@@ -592,33 +516,33 @@ class Leases(Mode):
             if getattr(layer, "name", "") == "replication":
                 layer.follower_reads = True
 
+    def _get(self, key: str):
+        return self.run.call(self.run.gproxy.get, "kv", "get", key,
+                             lag=self.TTL_MS)
+
     def op_cached_get(self, op):
-        return self.run.attempt(self.run.gproxy.get,
-                                str(op.get("key", "k0")))
+        return self._get(str(op.get("key", "k0")))
 
     def op_cached_burst(self, op):
         """n back-to-back reads of one key: after the first miss fills
         the cache, the rest are the grant-renewing hit hot path."""
         key = str(op.get("key", "k0"))
-        return _tally(
-            [self.run.attempt(self.run.gproxy.get, key)[0]
-             for _ in range(max(2, int(op.get("n", 2))))])
+        return _tally([self._get(key)[0]
+                       for _ in range(max(2, int(op.get("n", 2))))])
 
     def settled(self) -> None:
         # Final observations must come from the servers, not from a
         # cache whose staleness window is still open: they join the
-        # call history ``linearizable`` judges.
+        # call history with no lag.
         self.client.enabled = False
 
     def finish(self, end_state):
         end_state["lease"] = {
             "authority": self.run.domain.leases.report(),
             "client": self.client.stats(),
-            "reads": len(self.client.read_log),
+            "reads": sum(1 for call in self.run.history.calls
+                         if call["lag"] and call["outcome"] == "ok"),
         }
-        # Every cached or fetched read as {t, iid, op, tag, values, via};
-        # the oracle judges them against the group-write ledger.
-        return {"reads": list(self.client.read_log)}
 
 
 # -- overload ---------------------------------------------------------

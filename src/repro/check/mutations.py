@@ -69,8 +69,8 @@ def _note_write_without_fanout(self, interface_id: str, tag: str,
                                source: Optional[str] = None) -> None:
     """The version is bumped but neither the fan-out nor the pending
     bookkeeping happens, so a continuously renewing client keeps
-    serving a superseded value past the bound ``staleness_bound``
-    enforces."""
+    serving a superseded value past the lease TTL, the lag
+    ``linearizable`` allows a lease read."""
     if interface_id not in self.registered:
         return
     key = (interface_id, tag)

@@ -37,8 +37,10 @@ def linearizable(result) -> List[Violation]:
     """Every counter, kv key and shard key behaves as one sequential
     object (:mod:`repro.check.linearizable`): a retransmission executed
     twice, a shed call that executed and a group that lost an acked
-    write each leave a history no sequential order explains.  Reads a
-    lease may serve are not in it: ``staleness_bound`` judges those."""
+    write each leave a history no sequential order explains.  A read a
+    lease may serve is judged against the state at some instant at most
+    the lease TTL before it, and one key's such reads in program
+    order."""
     return [Violation("linearizable", message)
             for message in unexplained(result.calls)]
 
@@ -175,7 +177,6 @@ ORACLES: Dict[str, Optional[Callable]] = {
     "group_consistency": group_consistency,
     "split_brain": None,
     "shard_routing": None,
-    "staleness_bound": None,
     "overload_safety": None,
     "relocation": relocation,
     "gc_safety": gc_safety,

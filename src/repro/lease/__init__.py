@@ -10,7 +10,8 @@ be renewed (partition, crash) simply expires on the holder's own
 virtual clock — so a disconnected cache fences itself instead of
 serving stale reads forever.  The staleness of any cached read is
 bounded by the lease TTL; the bound is machine-checked by the
-``staleness_bound`` oracle in :mod:`repro.check`.
+``linearizable`` oracle in :mod:`repro.check`, which admits a lease
+read against the state at some instant at most the TTL before it.
 """
 
 from repro.lease.authority import (

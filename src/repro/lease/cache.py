@@ -11,13 +11,15 @@ the same routing-key convention the shard router uses).
 Validity is purely local: an entry is served only while the holder's
 grant on its interface is unexpired on the shared virtual clock.  No
 message is needed to *deny* a read — a partitioned client simply fails
-to renew and starts missing, which is the fencing property the
-``staleness_bound`` oracle and the C24 benchmark rely on.
+to renew and starts missing, which is the fencing property the C24
+benchmark relies on, and the check harness's ``linearizable`` oracle
+judges: each read a lease may serve returns the state at some instant
+at most the TTL before it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.comp.outcomes import Termination
 from repro.errors import CommunicationError
@@ -47,10 +49,6 @@ class LeaseClient:
         #: exchange) — nonzero so cached reads stay on the clock and
         #: derived throughput comparisons have a denominator.
         self.serve_cost_ms = 0.001
-        #: Structured read evidence for the staleness_bound oracle
-        #: (opt-in, the check harness enables it).
-        self.record_reads = False
-        self.read_log: List[Dict[str, Any]] = []
         self.hits = 0
         self.misses = 0
         self.fills = 0
@@ -122,7 +120,6 @@ class LeaseClient:
                     self.misses += 1
                     return None
         self.hits += 1
-        self._record(interface_id, operation, args, entry, "cache")
         if self.serve_cost_ms:
             self.clock.advance(self.serve_cost_ms)
         return entry
@@ -133,7 +130,6 @@ class LeaseClient:
         if not self._covered(ref, operation):
             return
         interface_id = ref.interface_id
-        self._record(interface_id, operation, args, termination, "fetch")
         if not termination.ok:
             return  # signals are outcomes, not cacheable state
         try:
@@ -199,20 +195,7 @@ class LeaseClient:
                     if k[0] == interface_id and tag_of(k[2]) == tag]:
             del self.entries[key]
 
-    # -- evidence & reporting ------------------------------------------------
-
-    def _record(self, interface_id: str, operation: str, args: Tuple,
-                termination: Termination, via: str) -> None:
-        if not self.record_reads:
-            return
-        self.read_log.append({
-            "t": round(self.clock.now, 6),
-            "iid": interface_id,
-            "op": operation,
-            "tag": tag_of(args),
-            "values": list(termination.values),
-            "via": via,
-        })
+    # -- reporting ----------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -343,6 +343,5 @@ class TestCli:
     def test_oracle_catalogue_is_complete(self):
         assert list(ORACLES) == [
             "linearizable", "tx_atomicity", "group_consistency",
-            "split_brain", "shard_routing", "staleness_bound",
-            "overload_safety", "relocation", "gc_safety",
-            "clock_monotonic", "self_heal"]
+            "split_brain", "shard_routing", "overload_safety",
+            "relocation", "gc_safety", "clock_monotonic", "self_heal"]

@@ -37,7 +37,9 @@ tick on a warm supervised world from 187 to 27, when the tick stopped
 running repair scans whose precondition cannot hold: no node dead, no
 group short, no shard capsule off its ring.  The composed run read
 80,291 before the transport lost its second discipline and its rebind
-hook, 80,204 after.
+hook, 80,204 after, and 80,382 once the lease reads joined the call
+history the linearizability checker searches (a plain loop, not
+``min`` over a lambda, picks the first outstanding response there).
 """
 
 from __future__ import annotations

@@ -123,14 +123,24 @@ _OUTCOMES = ("ok", "ok", "ok", "failed:MessageLostError",
              "failed:ServerBusyError")
 
 
+#: A read's lag choices: none, or a lease's TTL in ticks.
+_LAGS = (0, 1, 2, 4)
+
+
 @st.composite
 def _histories(draw):
     """One key's calls: up to seven, overlapping where the drawn event
-    order interleaves them, some failed (ambiguous, shed or dropped)."""
+    order interleaves them, some failed (ambiguous, shed or dropped),
+    some reads lagged as a lease's are.  Each event happens at a tick
+    no earlier than the one before it."""
     ops, values = _MODELS[draw(st.sampled_from(sorted(_MODELS)))]
     count = draw(st.integers(1, 7))
     tokens = draw(st.permutations([(k, end) for k in range(count)
                                    for end in (0, 1)]))
+    ticks = [0.0]
+    for step in draw(st.lists(st.integers(0, 2), min_size=2 * count,
+                              max_size=2 * count)):
+        ticks.append(ticks[-1] + step)
     seq = {}
     for position, (k, end) in enumerate(tokens, start=1):
         seq.setdefault(k, []).append(position)
@@ -138,10 +148,13 @@ def _histories(draw):
     for k in range(count):
         op = draw(st.sampled_from(sorted(ops)))
         outcome = draw(st.sampled_from(_OUTCOMES))
+        inv, res = min(seq[k]), max(seq[k])
         calls.append({
             "obj": "obj", "key": "key", "op": op,
             "arg": draw(st.sampled_from(ops[op])),
-            "inv": min(seq[k]), "res": max(seq[k]), "t": 0.0,
+            "inv": inv, "res": res, "t0": ticks[inv], "t": ticks[res],
+            "lag": 0 if op in ("increment", "put")
+            else draw(st.sampled_from(_LAGS)),
             "outcome": outcome,
             "value": (draw(st.sampled_from(values))
                       if outcome == "ok" and op != "put" else None)})
@@ -149,8 +162,9 @@ def _histories(draw):
 
 
 def _brute_force(calls):
-    """Some real-time-respecting order of the completed calls plus some
-    subset of the ambiguous writes replays on the sequential model."""
+    """Some order of the completed calls plus some subset of the
+    ambiguous writes respects real time and the lagged reads' program
+    order, and replays on the sequential model."""
     import itertools
 
     from repro.check.linearizable import OPS
@@ -171,8 +185,15 @@ def _respects_real_time(order):
     for later, call in enumerate(order):
         for earlier in order[:later]:
             # A completed call that responded before *earlier* was
-            # invoked must come first.
-            if call["outcome"] == "ok" and call["res"] < earlier["inv"]:
+            # invoked must come first, unless *earlier* is a lagged read
+            # and the call responded within its lag.
+            if call["outcome"] == "ok" and call["res"] < earlier["inv"] \
+                    and not (earlier["lag"] and call["t"]
+                             >= earlier["t0"] - earlier["lag"]):
+                return False
+            # Lagged reads take effect in the order they were invoked.
+            if call["lag"] and earlier["lag"] \
+                    and call["inv"] < earlier["inv"]:
                 return False
     return True
 
@@ -214,9 +235,71 @@ def test_ambiguous_writes_are_interchangeable_only_with_equal_arguments():
     history.respond(history.invoke("kv", "k", "get"), "ok", "b", 0.0)
     assert len(unexplained(history.calls)) == 1
 
+
+def _register(*steps):
+    """A history of one kv key from ``(op, arg, value, t0, t, lag)``
+    steps, each invoked once the one before responded."""
+    from repro.check.history import History
+
+    history = History()
+    for op, arg, value, t0, t, lag in steps:
+        history.respond(history.invoke("kv", "k", op, arg, t0, lag),
+                        "ok", value, t)
+    return history.calls
+
+
+def test_a_lagged_read_may_return_a_state_at_most_its_lag_old():
+    """'a' was current until 'b' was acked at t=3: a read lagged by 5
+    may return 'a' if invoked by t=8, and not a moment later; an
+    unlagged read may not at all."""
+    from repro.check.linearizable import unexplained
+
+    writes = [("put", "a", None, 0.0, 1.0, 0.0),
+              ("put", "b", None, 2.0, 3.0, 0.0)]
+    assert unexplained(_register(*writes, ("get", None, "a", 8.0, 8.0,
+                                           5.0))) == []
+    assert len(unexplained(_register(*writes, ("get", None, "a", 8.5,
+                                               8.5, 5.0)))) == 1
+    assert len(unexplained(_register(*writes, ("get", None, "a", 4.0,
+                                               4.0, 0.0)))) == 1
+
+
+def test_lagged_reads_of_one_key_do_not_run_backwards():
+    """Each read alone fits its window; once one has returned 'b', a
+    later one may not return 'a', which 'b' superseded."""
+    from repro.check.linearizable import unexplained
+
+    writes = [("put", "a", None, 0.0, 1.0, 0.0),
+              ("put", "b", None, 2.0, 3.0, 0.0)]
+    forwards = [("get", None, "a", 4.0, 4.0, 10.0),
+                ("get", None, "b", 5.0, 5.0, 10.0)]
+    assert unexplained(_register(*writes, *forwards)) == []
+    assert len(unexplained(_register(*writes, *forwards[::-1]))) == 1
+
+
+def test_lagged_reads_moved_to_one_point_keep_their_invocation_order():
+    """Both lagged reads may take effect before put('x'); the one
+    invoked first, which answers last, still goes first, so '' then
+    'a' fits."""
+    from repro.check.history import History
+    from repro.check.linearizable import unexplained
+
+    history = History()
+    history.respond(history.invoke("kv", "k", "put", "x", 0.0), "ok",
+                    None, 0.0)
+    early = history.invoke("kv", "k", "get", None, 5.0, 10.0)
+    history.respond(history.invoke("kv", "k", "put", "a", 5.0), "ok",
+                    None, 5.0)
+    history.respond(history.invoke("kv", "k", "get", None, 5.0, 10.0),
+                    "ok", "a", 5.0)
+    history.respond(early, "ok", "", 5.0)
+    assert unexplained(history.calls) == []
+
+
 # ---------------------------------------------------------------------------
-# The staleness_bound oracle: sound on the real platform, sharp on the
-# broken one, and invisible to every other mode's plans
+# The lease staleness bound (``linearizable`` with each lease read lagged
+# by the TTL): sound on the real platform, sharp on the broken one, and
+# invisible to every other mode's plans
 # ---------------------------------------------------------------------------
 #
 # These are empirical soundness/sharpness sweeps rather than hypothesis
@@ -242,7 +325,7 @@ def test_staleness_bound_fires_under_skipped_invalidation():
     for seed in range(25):
         result = run_seed(seed, config)
         fired = {v.oracle for v in result.violations}
-        assert fired <= {"staleness_bound"}, \
+        assert fired <= {"linearizable"}, \
             f"seed {seed}: unexpected oracles {fired}"
         if fired:
             tripped += 1
