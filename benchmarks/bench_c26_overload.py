@@ -46,7 +46,7 @@ from repro.errors import (
     RetryBudgetExhaustedError,
     ServerBusyError,
 )
-from repro.overload import BrownoutController, ClassAdmissionController
+from repro.overload import BrownoutController
 from repro.perf import AdmissionController
 
 from benchmarks.workloads import (
@@ -101,11 +101,12 @@ def _run_overload(protected):
     server = world.nucleus("server-node")
     client_nucleus = world.nucleus("client-node")
     if protected:
-        server.admission = ClassAdmissionController(
+        server.admission = AdmissionController(
             world.clock, rate_per_s=RATE_PER_S, burst=BURST,
             max_queue=QUEUE_BOUND,
             brownout=BrownoutController(world.clock,
-                                        target_p99_ms=30.0, window=16))
+                                        target_p99_ms=30.0, window=16),
+            classes=True)
         server.deadline_gate.record_executions = True
         client_nucleus.deadline_propagation = True
         client_nucleus.retry_budgets.enabled = True

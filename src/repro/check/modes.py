@@ -32,7 +32,7 @@ from repro.check.workload import (
 from repro.comp.invocation import QoS
 from repro.errors import OdpError
 from repro.net.fault import AsymPartitionWindow, PartitionWindow, StallWindow
-from repro.overload import BrownoutController, ClassAdmissionController
+from repro.overload import BrownoutController, RetryBudget
 from repro.perf import AdmissionController, BatchClient, BatchPolicy
 
 
@@ -593,7 +593,7 @@ def overload_safety(result, evidence) -> List[Violation]:
                 f"{round(late, 3)}ms past its propagated deadline "
                 f"{round(deadline, 3)} — expired work must be shed, "
                 f"never dispatched"))
-    ratio, cap = evidence["budget_params"]
+    ratio, cap = RetryBudget.ratio, RetryBudget.cap
     for path in sorted(evidence["budgets"]):
         stats = evidence["budgets"][path]
         allowed = cap + ratio * stats["first_attempts"]
@@ -663,11 +663,12 @@ class Overload(Mode):
         self.controllers: Dict[str, Any] = {}
         for node in SERVER_NODES:
             nucleus = run.srv[node].nucleus
-            controller = ClassAdmissionController(
+            controller = AdmissionController(
                 run.world.clock, rate_per_s=24.0, burst=3, max_queue=8,
                 brownout=BrownoutController(run.world.clock,
                                             target_p99_ms=20.0,
-                                            window=16))
+                                            window=16),
+                classes=True)
             controller.record_events = True
             nucleus.admission = controller
             nucleus.deadline_gate.record_executions = True
@@ -700,10 +701,8 @@ class Overload(Mode):
             # node -> ordered [(t, priority, verdict)] admission events.
             "admission": {node: list(self.controllers[node].events)
                           for node in SERVER_NODES},
-            # "node:protocol" -> retry-budget stats, and the
-            # (ratio, cap) the budgets ran under.
+            # "node:protocol" -> retry-budget stats.
             "budgets": registry.snapshot(),
-            "budget_params": (registry.ratio, registry.cap),
         }
         registry.enabled = False
         for controller in self.controllers.values():

@@ -386,9 +386,7 @@ class TransportLayer:
                               "protocol": path.protocol})
                     if net_span is not NULL_SPAN:
                         invocation.context.trace = net_span
-                termination = self._exchange(
-                    invocation, path, net_span, parent_ctx,
-                    traced and tracer.verbose)
+                termination = self._exchange(invocation, path, net_span)
                 breaker.record_success()
                 gate.check("before the reply arrived")
                 return termination
@@ -426,18 +424,9 @@ class TransportLayer:
                     parent_ctx if traced else None, **cause)
 
     def _exchange(self, invocation: Invocation, path: AccessPath,
-                  net_span, parent_ctx, verbose: bool) -> Termination:
+                  net_span) -> Termination:
         """One marshalled round trip down *path*."""
-        marshal_span = unmarshal_span = NULL_SPAN
-        if verbose:
-            tracer = self.nucleus.tracer
-            marshal_span = tracer.span(
-                "ndr.marshal", "ndr", parent_ctx,
-                node=self.nucleus.node_address,
-                tags={"format": path.wire_format})
         payload = self._encode(invocation, path)
-        if verbose:
-            marshal_span.tag("bytes", len(payload)).finish()
         reply = self.network.request(
             self.nucleus.node_address, path.node, payload,
             protocol=path.protocol)
@@ -448,21 +437,11 @@ class TransportLayer:
             tags["back_ms"] = transit.back_ms
             tags["bytes_back"] = transit.bytes_back
             net_span.finish()
-        if verbose:
-            unmarshal_span = tracer.span(
-                "ndr.unmarshal", "ndr", parent_ctx,
-                node=self.nucleus.node_address,
-                tags={"format": path.wire_format})
         if len(reply) < REUSE_MIN_BYTES:
-            termination = decode_reply(
+            return decode_reply(
                 get_format(path.wire_format), reply,
                 self.capsule.marshaller, path.node)
-        else:
-            termination = (self._replies.get(reply)
-                           or self._read_large(reply, path))
-        if verbose:
-            unmarshal_span.finish()
-        return termination
+        return self._replies.get(reply) or self._read_large(reply, path)
 
     def _read_large(self, reply: bytes, path: AccessPath) -> Termination:
         """Decode a large *reply*, and keep its termination for the

@@ -65,13 +65,15 @@ def _malformed(what: str) -> Dict[str, Any]:
 class Nucleus:
     """Kernel services for one node."""
 
+    #: Virtual compute charged per message handled.
+    processing_ms = 0.05
+
     def __init__(self, network: Network, node: NetworkNode,
-                 domain, processing_ms: float = 0.05) -> None:
+                 domain) -> None:
         self.network = network
         self.node = node
         self.node_address = node.address
         self.domain = domain
-        self.processing_ms = processing_ms
         self.capsules: Dict[str, Capsule] = {}
         self.wire = get_format(node.native_format)
         #: Server side of the resilience layer: retransmissions of an
@@ -434,11 +436,6 @@ class Nucleus:
         marshaller = capsule.marshaller
         encoded = None
         if span.span is not None:
-            if self.tracer.verbose:
-                # The arguments were decoded at the door, before this
-                # span could open; their point span keeps its place.
-                self.tracer.span("ndr.unmarshal", "ndr", span,
-                                 node=self.node_address).finish()
             # The executing side continues the trace from our span.
             invocation.context.trace = span
         if gated:

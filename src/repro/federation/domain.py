@@ -67,11 +67,9 @@ class Domain:
         return f"{self.name}.{self.minter.mint(prefix)}"
 
     def add_node(self, address: str,
-                 native_format: str = "packed",
-                 processing_ms: float = 0.05) -> Nucleus:
+                 native_format: str = "packed") -> Nucleus:
         node = self.network.add_node(address, native_format)
-        nucleus = Nucleus(self.network, node, domain=self,
-                          processing_ms=processing_ms)
+        nucleus = Nucleus(self.network, node, domain=self)
         self.nuclei[address] = nucleus
         self.federation.node_domain[address] = self.name
         # Every node can intercept at the boundary: gateways are not a

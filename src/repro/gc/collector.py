@@ -30,14 +30,14 @@ class SweepReport:
 class Collector:
     """Per-domain distributed garbage collector."""
 
-    def __init__(self, domain, default_ttl_ms: float = 10_000.0,
-                 archive_after_ms: float = 60_000.0) -> None:
+    #: Passive objects untouched this long are demoted to the archive
+    #: tier ("progressively moved out to less and less accessible
+    #: storage media").
+    archive_after_ms = 60_000.0
+
+    def __init__(self, domain) -> None:
         self.domain = domain
-        self.leases = LeaseTable(default_ttl_ms)
-        #: Passive objects untouched this long are demoted to the archive
-        #: tier ("progressively moved out to less and less accessible
-        #: storage media").
-        self.archive_after_ms = archive_after_ms
+        self.leases = LeaseTable()
         self.sweeps = 0
         self.total_collected = 0
         self.sweep_event = None

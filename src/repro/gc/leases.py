@@ -15,8 +15,10 @@ from typing import Dict, List, Set
 class LeaseTable:
     """interface_id -> {holder -> expiry time}."""
 
-    def __init__(self, default_ttl_ms: float = 10_000.0) -> None:
-        self.default_ttl_ms = default_ttl_ms
+    #: A lease's life when the grant names none (the tuner may reset it).
+    default_ttl_ms = 10_000.0
+
+    def __init__(self) -> None:
         self._leases: Dict[str, Dict[str, float]] = {}
         self.grants = 0
         self.renewals = 0

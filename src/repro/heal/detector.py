@@ -87,8 +87,7 @@ class PhiAccrualDetector:
     """Adaptive accrual failure detector over heartbeat arrivals."""
 
     def __init__(self, clock, expected_interval_ms: float = 50.0,
-                 threshold: float = 8.0, window: int = 64,
-                 min_stddev_ms: Optional[float] = None) -> None:
+                 threshold: float = 8.0, window: int = 64) -> None:
         if expected_interval_ms <= 0:
             raise ValueError("heartbeat interval must be positive")
         if threshold <= 0:
@@ -100,8 +99,7 @@ class PhiAccrualDetector:
         #: Floor on the fitted stddev: with a metronomic virtual-time
         #: emitter the measured variance collapses to ~0 and a heartbeat
         #: one jitter-quantum late would look infinitely suspicious.
-        self.min_stddev_ms = (min_stddev_ms if min_stddev_ms is not None
-                              else expected_interval_ms / 4.0)
+        self.min_stddev_ms = expected_interval_ms / 4.0
         #: Below this much silence phi cannot top the threshold whatever
         #: the window holds: intervals are never negative, so the fitted
         #: mean is not, and sigma is at least the floor, so

@@ -35,11 +35,9 @@ class InfoStore:
     """One party's copies of shared information."""
 
     def __init__(self, domain_name: str,
-                 schema: Optional[InformationSchema] = None,
-                 strict: bool = True) -> None:
+                 schema: Optional[InformationSchema] = None) -> None:
         self.domain_name = domain_name
         self.schema = schema
-        self.strict = strict
         self._records: Dict[str, EntityRecord] = {}
         self.updates = 0
 
@@ -86,7 +84,7 @@ class InfoStore:
         self._records[record.entity_id] = record.clone()
 
     def _validate(self, entity_type: str, values: Dict[str, Any]) -> None:
-        if self.schema is None or not self.strict:
+        if self.schema is None:
             return
         problems = self.schema.validate(entity_type, values)
         if problems:

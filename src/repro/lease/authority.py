@@ -49,9 +49,11 @@ FLUSH_TAG = "*"
 class LeaseAuthority:
     """Per-domain lease registry, version ledger and invalidator."""
 
-    def __init__(self, domain, default_ttl_ms: float = 2000.0) -> None:
+    #: A registration's TTL when it names none (the leases mode resets it).
+    default_ttl_ms = 2000.0
+
+    def __init__(self, domain) -> None:
         self.domain = domain
-        self.default_ttl_ms = default_ttl_ms
         self._home: Optional[str] = None
         #: interface_id -> lease TTL in virtual ms.
         self.registered: Dict[str, float] = {}

@@ -223,8 +223,7 @@ class TransparencyMonitor:
             gate["expired_on_arrival"] += stats["expired_on_arrival"]
             gate["expired_post_queue"] += stats["expired_post_queue"]
             controller = nucleus.admission
-            if controller is not None and \
-                    hasattr(controller, "class_stats"):
+            if controller is not None:
                 per_class = controller.class_stats()
                 for i in range(4):
                     classes["class_admitted"][i] += \

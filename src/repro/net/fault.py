@@ -288,10 +288,6 @@ class FaultPlan:
         self._clock = clock
         self._sync()
 
-    def detach_schedule(self) -> None:
-        self._schedule = None
-        self._clock = None
-
     def pump(self) -> None:
         """Apply any schedule transitions the clock has already passed.
 

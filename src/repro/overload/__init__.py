@@ -6,8 +6,12 @@ transient stall turns into naive retransmissions from every layer, and
 without shared budgets, propagated deadlines and class-aware shedding
 the system settles into a metastable state where all capacity is spent
 on work nobody is still waiting for.
+
+Class-aware shedding is :class:`~repro.perf.admission.AdmissionController`
+built with ``classes=True``; this package adds its brownout.
 """
 
+from repro.overload.admission import BrownoutController
 from repro.overload.budget import RetryBudget, RetryBudgetRegistry
 from repro.overload.deadline import (
     DEADLINE_KEY,
@@ -21,7 +25,6 @@ from repro.overload.deadline import (
 
 __all__ = [
     "BrownoutController",
-    "ClassAdmissionController",
     "RetryBudget",
     "RetryBudgetRegistry",
     "DEADLINE_KEY",
@@ -33,15 +36,3 @@ __all__ = [
     "priority_of",
 ]
 
-
-def __getattr__(name):
-    # The admission module subclasses repro.perf's controller, and
-    # repro.perf transitively imports the engine — which imports this
-    # package for the budget/deadline primitives.  Resolving the
-    # admission exports lazily keeps that cycle open.
-    if name in ("BrownoutController", "ClassAdmissionController"):
-        from repro.overload import admission
-
-        return getattr(admission, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

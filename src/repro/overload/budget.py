@@ -9,7 +9,7 @@ server saturated long after the stall ends (the metastable state the
 C26 benchmark reproduces).
 
 The budget is the classic token-ratio design: each *first attempt*
-against a (node, protocol) path deposits ``ratio`` tokens (default 10%)
+against a (node, protocol) path deposits ``ratio`` tokens (10%)
 into that path's budget, each retry withdraws one whole token, and the
 balance is capped so an idle period cannot bank an unbounded burst.
 All layers retrying toward the same path share one budget, so total
@@ -22,7 +22,7 @@ like ``ServerBusyError``: retryable-later, *never* evidence that a
 member died, so it must not suspect group members, feed circuit
 breakers, or trigger shard-router failover.
 
-The registry starts ``enabled=False``: it observes (counts first
+The registry starts with ``enabled`` False: it observes (counts first
 attempts and retries) but always grants, so the pre-overload retry
 behaviour — and the check harness's pinned default digests — are
 untouched until a run opts in.
@@ -36,14 +36,13 @@ from typing import Dict, Tuple
 class RetryBudget:
     """Token-ratio retry budget for one (node, protocol) path."""
 
-    def __init__(self, ratio: float = 0.1, cap: float = 10.0) -> None:
-        if ratio < 0.0:
-            raise ValueError("ratio must be non-negative")
-        if cap < 1.0:
-            raise ValueError("cap must allow at least one retry")
-        self.ratio = ratio
-        self.cap = cap
-        self.tokens = float(cap)  # start full: a cold path may retry
+    #: Tokens each first attempt deposits.
+    ratio = 0.1
+    #: The balance's ceiling, and its opening value.
+    cap = 10.0
+
+    def __init__(self) -> None:
+        self.tokens = self.cap  # start full: a cold path may retry
         self.first_attempts = 0
         self.retries_granted = 0
         self.retries_denied = 0
@@ -85,18 +84,15 @@ class RetryBudgetRegistry:
     not drain each other's headroom.
     """
 
-    def __init__(self, ratio: float = 0.1, cap: float = 10.0,
-                 enabled: bool = False) -> None:
-        self.ratio = ratio
-        self.cap = cap
-        self.enabled = enabled
+    def __init__(self) -> None:
+        self.enabled = False
         self._budgets: Dict[Tuple[str, str], RetryBudget] = {}
 
     def budget(self, node: str, protocol: str) -> RetryBudget:
         key = (node, protocol)
         budget = self._budgets.get(key)
         if budget is None:
-            budget = self._budgets[key] = RetryBudget(self.ratio, self.cap)
+            budget = self._budgets[key] = RetryBudget()
         return budget
 
     def note_first(self, node: str, protocol: str) -> None:

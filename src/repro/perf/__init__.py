@@ -10,7 +10,8 @@ without touching invocation semantics:
   it is a codec concern; re-exported here for convenience);
 * :mod:`repro.perf.admission` — server-side token-bucket admission with
   a bounded dispatch queue, shedding overload as retryable
-  :class:`~repro.errors.ServerBusyError`.
+  :class:`~repro.errors.ServerBusyError`; classless, or with a bound
+  per priority class for :mod:`repro.overload`.
 
 Benchmark C20 measures the three together; the ``perf`` section of
 ``TransparencyMonitor.domain_report()`` exposes the other two's counters.

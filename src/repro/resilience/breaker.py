@@ -34,16 +34,13 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Failure memory for one (node, protocol) access path."""
 
-    def __init__(self, clock: VirtualClock,
-                 failure_threshold: int = 5,
-                 reset_timeout_ms: float = 250.0) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_timeout_ms < 0.0:
-            raise ValueError("reset_timeout_ms must be non-negative")
+    #: Consecutive failures that open the breaker.
+    failure_threshold = 5
+    #: Virtual time an open breaker rejects traffic before one probe.
+    reset_timeout_ms = 250.0
+
+    def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_ms = reset_timeout_ms
         self.state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
@@ -84,12 +81,8 @@ class CircuitBreaker:
 class BreakerRegistry:
     """All of one nucleus's breakers, keyed by (node, protocol)."""
 
-    def __init__(self, clock: VirtualClock,
-                 failure_threshold: int = 5,
-                 reset_timeout_ms: float = 250.0) -> None:
+    def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_ms = reset_timeout_ms
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
 
     def breaker_for(self, node: str,
@@ -97,8 +90,7 @@ class BreakerRegistry:
         key = (node, protocol)
         breaker = self._breakers.get(key)
         if breaker is None:
-            breaker = CircuitBreaker(self.clock, self.failure_threshold,
-                                     self.reset_timeout_ms)
+            breaker = CircuitBreaker(self.clock)
             self._breakers[key] = breaker
         return breaker
 

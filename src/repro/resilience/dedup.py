@@ -27,10 +27,10 @@ from typing import Dict, Optional
 class ReplyCache:
     """Bounded invocation-id -> encoded-reply cache for one nucleus."""
 
-    def __init__(self, capacity: int = 4096, clock=None) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = capacity
+    #: Replies kept; the oldest goes first.
+    capacity = 4096
+
+    def __init__(self, clock=None) -> None:
         #: Virtual clock for eager deadline eviction; None disables it.
         self.clock = clock
         self._replies: "OrderedDict[str, bytes]" = OrderedDict()
@@ -56,7 +56,7 @@ class ReplyCache:
 
     def store(self, invocation_id: str, reply: bytes,
               expires_at: Optional[float] = None) -> None:
-        if not invocation_id or self.capacity == 0:
+        if not invocation_id:
             return
         if invocation_id not in self._replies:
             self.replies_cached += 1

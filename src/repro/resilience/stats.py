@@ -24,11 +24,3 @@ class ResilienceStats:
     path_failovers: int = 0
     #: Attempts skipped outright because a breaker was open.
     breaker_short_circuits: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "retries": self.retries,
-            "backoff_wait_ms": self.backoff_wait_ms,
-            "path_failovers": self.path_failovers,
-            "breaker_short_circuits": self.breaker_short_circuits,
-        }

@@ -33,8 +33,7 @@ class World:
 
     def __init__(self, seed: int = 0,
                  latency: Optional[LatencyModel] = None,
-                 drop_probability: float = 0.0,
-                 processing_ms: float = 0.05) -> None:
+                 drop_probability: float = 0.0) -> None:
         self.seed = seed
         self.scheduler = Scheduler()
         self.rng = DeterministicRandom(seed)
@@ -47,7 +46,6 @@ class World:
             rng=self.rng.fork("network"))
         self.federation = Federation(self.scheduler, self.network)
         self.activities = ActivityRuntime(self.scheduler)
-        self.processing_ms = processing_ms
         self._capsules: Dict[str, Capsule] = {}
         self._streams = None
 
@@ -102,8 +100,7 @@ class World:
 
     def node(self, domain_name: str, address: str,
              native_format: str = "packed") -> Nucleus:
-        return self.domain(domain_name).add_node(
-            address, native_format, processing_ms=self.processing_ms)
+        return self.domain(domain_name).add_node(address, native_format)
 
     def nucleus(self, address: str) -> Nucleus:
         domain_name = self.federation.domain_of_node(address)

@@ -25,9 +25,11 @@ class AuditRecord:
 class AuditLog:
     """Append-only log of security decisions for one domain."""
 
-    def __init__(self, domain_name: str, capacity: int = 100_000) -> None:
+    #: Records kept; the oldest goes first.
+    capacity = 100_000
+
+    def __init__(self, domain_name: str) -> None:
         self.domain_name = domain_name
-        self.capacity = capacity
         self._records: List[AuditRecord] = []
 
     def record(self, time: float, interface_id: str, operation: str,

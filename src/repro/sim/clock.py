@@ -18,8 +18,8 @@ class VirtualClock:
 
     __slots__ = ("now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
+    def __init__(self) -> None:
+        self.now = 0.0
 
     def advance(self, delta: float) -> float:
         """Move time forward by *delta* ms and return the new time."""

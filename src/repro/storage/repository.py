@@ -33,12 +33,13 @@ class StoredObject:
 class StableRepository:
     """Keyed snapshot + log storage for one domain."""
 
-    def __init__(self, domain_name: str, clock=None,
-                 write_ms: float = 0.5, read_ms: float = 0.2) -> None:
+    #: Virtual time one stable write, and one read, costs.
+    write_ms = 0.5
+    read_ms = 0.2
+
+    def __init__(self, domain_name: str, clock=None) -> None:
         self.domain_name = domain_name
         self.clock = clock
-        self.write_ms = write_ms
-        self.read_ms = read_ms
         self._objects: Dict[str, StoredObject] = {}
         self._logs: Dict[str, List[Any]] = {}
 

@@ -54,23 +54,17 @@ class SpanNode:
 class TraceCollector:
     """Bounded, sampled span store for one domain."""
 
-    def __init__(self, domain_name: str, clock,
-                 capacity: int = 16384, sampling: float = 1.0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    #: Finished spans the ring keeps; the oldest is dropped first.
+    capacity = 16384
+
+    def __init__(self, domain_name: str, clock) -> None:
         self.domain_name = domain_name
         self.clock = clock
-        self.capacity = capacity
-        self.sampling = sampling
-        #: Also record zero-virtual-duration point spans (marshalling,
-        #: unmarshalling).  Off by default: they never advance the
-        #: virtual clock, so they add nothing to a latency breakdown,
-        #: but they triple the span count of a plain remote call.
-        self.verbose = False
+        self._sampling = 1.0
         #: A span counter and a duration histogram per layer, each span
         #: folded in as it finishes (see :meth:`Span.finish`).
         self.metrics = MetricsRegistry()
-        self._spans: "deque[Span]" = deque(maxlen=capacity)
+        self._spans: "deque[Span]" = deque(maxlen=self.capacity)
         self._cleared = 0
         self._trace_seq = 0
         self._span_seq = 0

@@ -126,7 +126,3 @@ class FrozenRecord:
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in self._items)
         return f"FrozenRecord({fields})"
-
-    def to_dict(self):
-        """Thaw one level into a plain dict (values stay frozen)."""
-        return dict(self._items)

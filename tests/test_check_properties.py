@@ -183,6 +183,8 @@ class TestMutationSensitivity:
         import repro
         import repro.engine
         import repro.lease
+        import repro.overload
+        import repro.overload.admission
         import repro.security
         import repro.sim
         import repro.sim.activity
@@ -191,6 +193,7 @@ class TestMutationSensitivity:
         import repro.trace.metrics
         from repro.engine.dispatcher import Dispatcher
         from repro.engine.nucleus import Nucleus
+        from repro.federation.domain import Domain
         from repro.groups.client import GroupInvokeLayer
         from repro.groups.registry import GroupRegistry
         from repro.heal.supervisor import Supervisor
@@ -242,7 +245,12 @@ class TestMutationSensitivity:
                             (repro.trace.collector, "NULL_COLLECTOR"),
                             (repro.trace, "Gauge"),
                             (repro.trace.metrics, "Gauge"),
-                            (OrderingPredicate, "any_order")):
+                            (OrderingPredicate, "any_order"),
+                            (repro.overload, "ClassAdmissionController"),
+                            (repro.overload.admission,
+                             "ClassAdmissionController"),
+                            (repro.trace.collector.TraceCollector(
+                                "d", World().clock), "verbose")):
             assert not hasattr(owner, name), name
         for cls, name in ((Dispatcher, "strict"),
                           (GroupInvokeLayer, "max_view_changes"),
@@ -254,7 +262,9 @@ class TestMutationSensitivity:
                           (ShardSpace, "durable"),
                           (ShardManager.create, "durable"),
                           (SyncController, "on_release"),
-                          (TransactionManager.atomically, "max_attempts")):
+                          (TransactionManager.atomically, "max_attempts"),
+                          (Domain.add_node, "processing_ms"),
+                          (World, "processing_ms")):
             assert name not in inspect.signature(cls).parameters, \
                 (cls, name)
         assert inspect.signature(Nucleus).parameters["domain"].default \
@@ -290,6 +300,97 @@ class TestMutationSensitivity:
                         read.add(node.args[1].value)
         assert {name: sorted(paths) for name, paths in bumped.items()
                 if name not in read} == {}
+
+    #: Defaulted constructor parameters kept although no caller passes
+    #: them, each with its reason.
+    UNPASSED_SETTINGS = {
+        # The network model's physics: section 5.4's per-protocol QoS
+        # is a statement about bandwidth.
+        ("UniformLatency", "bandwidth_bytes_per_ms"),
+        ("DistanceLatency", "bandwidth_bytes_per_ms"),
+        # An injection seam: a scheduler over a clock the caller owns.
+        ("Scheduler", "clock"),
+        # DFA data (the accepting states), not a setting.
+        ("OrderingPredicate", "accepting"),
+    }
+
+    def test_every_setting_has_a_caller(self):
+        """Every defaulted parameter of an ``__init__`` in ``src/repro``
+        is passed — by position, by keyword or through
+        ``super().__init__`` — by some call in the source, the
+        benchmarks or the examples; a call that splats ``*args`` or
+        ``**kwargs`` passes everything.  A setting every caller leaves
+        at its default selects nothing: it is a class constant."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        # class -> (positional parameter names, defaulted names)
+        inits, bases = {}, {}
+        for path in sorted((root / "src/repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                bases[node.name] = [getattr(base, "id", None)
+                                    or getattr(base, "attr", None)
+                                    for base in node.bases]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and item.name == "__init__":
+                        args = item.args
+                        positional = [a.arg for a in
+                                      args.posonlyargs + args.args][1:]
+                        defaulted = positional[
+                            len(positional) - len(args.defaults):]
+                        defaulted += [a.arg for a, default in zip(
+                            args.kwonlyargs, args.kw_defaults)
+                            if default is not None]
+                        inits[node.name] = (positional, set(defaulted))
+
+        def owner(name):
+            """The class whose ``__init__`` a call to *name* runs."""
+            seen = set()
+            while name is not None and name not in inits \
+                    and name not in seen:
+                seen.add(name)
+                name = (bases.get(name) or [None])[0]
+            return name
+
+        passed = {}
+
+        def visit(node, cls):
+            for child in ast.iter_child_nodes(node):
+                visit(child, child.name
+                      if isinstance(child, ast.ClassDef) else cls)
+            if not isinstance(node, ast.Call):
+                return
+            func = node.func
+            if isinstance(func, ast.Attribute) \
+                    and func.attr == "__init__" \
+                    and isinstance(func.value, ast.Call) \
+                    and getattr(func.value.func, "id", None) == "super":
+                target = owner((bases.get(cls) or [None])[0])
+            else:
+                target = owner(getattr(func, "id", None)
+                               or getattr(func, "attr", None))
+            if target not in inits:
+                return
+            positional, defaulted = inits[target]
+            got = passed.setdefault(target, set())
+            if any(isinstance(arg, ast.Starred) for arg in node.args) \
+                    or any(kw.arg is None for kw in node.keywords):
+                got.update(defaulted)
+            else:
+                got.update(positional[:len(node.args)])
+                got.update(kw.arg for kw in node.keywords)
+
+        for folder in ("src/repro", "benchmarks", "examples"):
+            for path in sorted((root / folder).rglob("*.py")):
+                visit(ast.parse(path.read_text(), str(path)), None)
+        unpassed = {
+            cls: sorted(name for name in defaulted
+                        - passed.get(cls, set())
+                        if (cls, name) not in self.UNPASSED_SETTINGS)
+            for cls, (_, defaulted) in inits.items()}
+        assert {cls: names for cls, names in unpassed.items()
+                if names} == {}
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError):

@@ -10,15 +10,21 @@ from tests.conftest import Account, Counter
 RESOURCE = EnvironmentConstraints(resource=True)
 
 
+def _table(ttl_ms):
+    table = LeaseTable()
+    table.default_ttl_ms = ttl_ms
+    return table
+
+
 class TestLeaseTable:
     def test_grant_and_expiry(self):
-        table = LeaseTable(default_ttl_ms=100.0)
+        table = _table(100.0)
         table.grant("i", "holder", now=0.0)
         assert table.has_live_lease("i", now=50.0)
         assert not table.has_live_lease("i", now=150.0)
 
     def test_renewal_extends(self):
-        table = LeaseTable(default_ttl_ms=100.0)
+        table = _table(100.0)
         table.grant("i", "holder", now=0.0)
         table.renew("i", "holder", now=80.0)
         assert table.has_live_lease("i", now=150.0)
@@ -29,14 +35,14 @@ class TestLeaseTable:
         assert not table.has_live_lease("i", now=0.0)
 
     def test_release(self):
-        table = LeaseTable(default_ttl_ms=100.0)
+        table = _table(100.0)
         table.grant("i", "h1", now=0.0)
         table.grant("i", "h2", now=0.0)
         table.release("i", "h1")
         assert table.live_holders("i", now=1.0) == {"h2"}
 
     def test_prune_drops_expired(self):
-        table = LeaseTable(default_ttl_ms=10.0)
+        table = _table(10.0)
         table.grant("i", "h1", now=0.0)
         table.grant("j", "h2", now=0.0)
         table.renew("j", "h2", now=5.0)

@@ -99,18 +99,18 @@ def test_index_fit_and_skip_agree_with_a_scan_of_the_records(steps,
 @given(st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1,
                 max_size=64),
        st.floats(min_value=0.01, max_value=45.0),
-       st.floats(min_value=1e-3, max_value=1e3),
+       st.floats(min_value=4e-3, max_value=4e3),
        st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=500, deadline=None)
 def test_phi_cannot_top_the_threshold_at_or_below_the_quiet_bound(
-        window, threshold, min_stddev_ms, share):
-    detector = PhiAccrualDetector(VirtualClock(), threshold=threshold,
-                                  min_stddev_ms=min_stddev_ms)
+        window, threshold, expected_interval_ms, share):
+    detector = PhiAccrualDetector(VirtualClock(), expected_interval_ms,
+                                  threshold=threshold)
     bound = detector._quiet_ms
     for elapsed in (bound, share * bound, math.nextafter(bound, 0.0)):
         if elapsed >= 0.0:  # the clock never runs backwards
             assert reference_phi(window, elapsed,
-                                 min_stddev_ms) <= threshold
+                                 detector.min_stddev_ms) <= threshold
 
 
 def test_quiet_bound_is_tight_enough_to_matter():

@@ -146,10 +146,8 @@ class TestTransparencyMonitor:
 
     def test_domain_report_has_an_overload_section(self, trio_domain):
         from repro import QoS
-        from repro.overload import (
-            BrownoutController,
-            ClassAdmissionController,
-        )
+        from repro.overload import BrownoutController
+        from repro.perf.admission import AdmissionController
 
         world, domain, (c1, c2, c3), clients = trio_domain
         ref = c1.export(Counter())
@@ -163,9 +161,9 @@ class TestTransparencyMonitor:
         # a propagated deadline dying in the admission queue.
         brownout = BrownoutController(world.clock)
         brownout.level = 2
-        world.nucleus("n1").admission = ClassAdmissionController(
+        world.nucleus("n1").admission = AdmissionController(
             world.clock, rate_per_s=10.0, burst=1, max_queue=8,
-            brownout=brownout)
+            brownout=brownout, classes=True)
         world.nucleus("client-node").deadline_propagation = True
         from repro.errors import InvocationExpiredError, ServerBusyError
         with pytest.raises(ServerBusyError):

@@ -53,7 +53,8 @@ class TestInvokeAt:
 
 class TestAuditCapacity:
     def test_oldest_records_roll_off(self):
-        log = AuditLog("d", capacity=3)
+        log = AuditLog("d")
+        log.capacity = 3
         for i in range(5):
             log.record(float(i), f"if-{i}", "op", "alice", True)
         assert len(log) == 3

@@ -113,7 +113,8 @@ lease_ops = st.lists(
 @given(lease_ops)
 @settings(max_examples=100)
 def test_lease_table_matches_reference_model(ops):
-    table = LeaseTable(default_ttl_ms=10.0)
+    table = LeaseTable()
+    table.default_ttl_ms = 10.0
     model = {}  # (iface, holder) -> expiry
     now = 0.0
     for op, iface, holder in ops:

@@ -26,7 +26,6 @@ from repro.overload import (
     DEADLINE_KEY,
     PRIORITY_KEY,
     BrownoutController,
-    ClassAdmissionController,
     DeadlineGate,
     RetryBudget,
     RetryBudgetRegistry,
@@ -98,15 +97,21 @@ class TestDeadlineGate:
 # Retry budgets
 # ---------------------------------------------------------------------------
 
-class TestRetryBudget:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudget(ratio=-0.1)
-        with pytest.raises(ValueError):
-            RetryBudget(cap=0.5)
+def _budget_params(monkeypatch, ratio, cap):
+    monkeypatch.setattr(RetryBudget, "ratio", ratio)
+    monkeypatch.setattr(RetryBudget, "cap", cap)
 
-    def test_token_ratio_accounting(self):
-        budget = RetryBudget(ratio=0.25, cap=2.0)
+
+def _enforcing_registry():
+    registry = RetryBudgetRegistry()
+    registry.enabled = True
+    return registry
+
+
+class TestRetryBudget:
+    def test_token_ratio_accounting(self, monkeypatch):
+        _budget_params(monkeypatch, ratio=0.25, cap=2.0)
+        budget = RetryBudget()
         assert budget.tokens == 2.0            # cold paths start full
         assert budget.try_spend()
         assert budget.try_spend()
@@ -119,14 +124,15 @@ class TestRetryBudget:
         assert budget.try_spend()
         assert not budget.try_spend()
 
-    def test_cap_bounds_idle_banking(self):
-        budget = RetryBudget(ratio=0.5, cap=3.0)
+    def test_cap_bounds_idle_banking(self, monkeypatch):
+        _budget_params(monkeypatch, ratio=0.5, cap=3.0)
+        budget = RetryBudget()
         for _ in range(100):
             budget.note_first()
         assert budget.tokens == 3.0
 
     def test_disabled_enforcement_always_grants_but_counts(self):
-        budget = RetryBudget(ratio=0.1, cap=1.0)
+        budget = RetryBudget()
         budget.tokens = 0.0
         assert budget.try_spend(enforce=False)
         assert budget.retries_granted == 1
@@ -134,8 +140,9 @@ class TestRetryBudget:
 
 
 class TestRetryBudgetRegistry:
-    def test_paths_are_isolated(self):
-        registry = RetryBudgetRegistry(ratio=0.1, cap=1.0, enabled=True)
+    def test_paths_are_isolated(self, monkeypatch):
+        _budget_params(monkeypatch, ratio=0.1, cap=1.0)
+        registry = _enforcing_registry()
         assert registry.try_spend("n1", "invoke")
         assert not registry.try_spend("n1", "invoke")
         # A different protocol on the same node has its own headroom.
@@ -143,7 +150,7 @@ class TestRetryBudgetRegistry:
         assert registry.try_spend("n2", "invoke")
 
     def test_can_spend_peeks_without_withdrawing(self):
-        registry = RetryBudgetRegistry(cap=1.0, enabled=True)
+        registry = _enforcing_registry()
         assert registry.can_spend("n1", "lease")
         assert registry.budget("n1", "lease").retries_granted == 0
         registry.budget("n1", "lease").tokens = 0.0
@@ -152,7 +159,7 @@ class TestRetryBudgetRegistry:
         assert registry.can_spend("n1", "lease")  # observing-only mode
 
     def test_disabled_registry_observes_but_grants(self):
-        registry = RetryBudgetRegistry(cap=1.0)   # enabled=False default
+        registry = RetryBudgetRegistry()          # starts disabled
         registry.budget("n1", "invoke").tokens = 0.0
         for _ in range(5):
             assert registry.try_spend("n1", "invoke")
@@ -161,7 +168,7 @@ class TestRetryBudgetRegistry:
         assert totals["retries_denied"] == 0
 
     def test_snapshot_and_totals_shape(self):
-        registry = RetryBudgetRegistry(enabled=True)
+        registry = _enforcing_registry()
         registry.note_first("n2", "invoke")
         registry.note_first("n1", "group")
         registry.try_spend("n1", "group")
@@ -220,20 +227,13 @@ class TestClassAdmissionController:
         kwargs.setdefault("rate_per_s", 1000.0)
         kwargs.setdefault("burst", 1)
         kwargs.setdefault("max_queue", 8)
-        return ClassAdmissionController(clock, **kwargs)
-
-    def test_weight_validation(self):
-        clock = VirtualClock()
-        with pytest.raises(ValueError):
-            self._controller(clock, weights=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            self._controller(clock, weights=(0.0, 1.0, 1.0, 1.0))
+        return AdmissionController(clock, classes=True, **kwargs)
 
     def test_bounds_are_monotone_cumulative_shares(self):
         controller = self._controller(VirtualClock())
         # weights (1,2,4,8)/15 of max_queue=8.
-        assert controller._bounds == pytest.approx(
-            (8 / 15, 24 / 15, 56 / 15, 8.0))
+        assert [bound for bound, _ in controller._limits] == \
+            pytest.approx([8 / 15, 24 / 15, 56 / 15, 8.0])
 
     def test_sheds_lowest_class_first_at_the_same_depth(self):
         controller = self._controller(VirtualClock())
@@ -250,6 +250,18 @@ class TestClassAdmissionController:
         verdicts = [(p, v) for _, p, v in controller.events]
         assert verdicts == [(3, "admit"), (3, "admit"),
                             (0, "shed"), (3, "admit")]
+
+    def test_classless_every_class_shares_the_whole_bound(self):
+        controller = AdmissionController(VirtualClock(), rate_per_s=1000.0,
+                                         burst=1, max_queue=1)
+        controller.admit(priority=3)           # drains the burst token
+        controller.admit(priority=0)           # queues: deficit 1
+        with pytest.raises(ServerBusyError) as excinfo:
+            controller.admit(priority=3)       # deficit 2 > bound 1
+        assert excinfo.value.args[0] == (
+            "server overloaded: dispatch queue at bound 1, invocation "
+            "shed (retryable)")
+        assert controller.class_stats()["shed"] == [0, 0, 0, 1]
 
     def test_brownout_level_sheds_classes_below_it(self):
         clock = VirtualClock()
@@ -296,9 +308,9 @@ class TestDeadlinePropagation:
         ref = servers.export(Counter())
         brownout = BrownoutController(world.clock)
         brownout.level = 3                     # only critical survives
-        world.nucleus("s").admission = ClassAdmissionController(
+        world.nucleus("s").admission = AdmissionController(
             world.clock, rate_per_s=1000.0, burst=4, max_queue=8,
-            brownout=brownout)
+            brownout=brownout, classes=True)
         world.nucleus("c").deadline_propagation = True
         proxy = world.binder_for(clients).bind(ref)
         assert proxy.increment(_qos=QoS(priority=3, retries=0)) == 1

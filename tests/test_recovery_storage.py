@@ -57,11 +57,11 @@ class TestRepository:
     def test_storage_costs_charged_to_clock(self):
         from repro.sim.clock import VirtualClock
         clock = VirtualClock()
-        repo = StableRepository("d", clock=clock, write_ms=2.0,
-                                read_ms=1.0)
+        repo = StableRepository("d", clock=clock)
         repo.store(StoredObject("k", dict, {}))
+        assert clock.now == repo.write_ms
         repo.fetch("k")
-        assert clock.now == 3.0
+        assert clock.now == pytest.approx(repo.write_ms + repo.read_ms)
 
 
 class TestCheckpointing:

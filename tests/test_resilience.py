@@ -106,7 +106,8 @@ class TestExactlyOnce:
 
     def test_reply_cache_is_bounded(self):
         from repro.resilience import ReplyCache
-        cache = ReplyCache(capacity=3)
+        cache = ReplyCache()
+        cache.capacity = 3
         for i in range(5):
             cache.store(f"inv-{i}", b"reply")
         assert len(cache) == 3
@@ -222,17 +223,16 @@ class TestPathFailover:
 class TestCircuitBreaker:
     def test_state_machine_closed_open_half_open_closed(self):
         clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=3,
-                                 reset_timeout_ms=100.0)
+        breaker = CircuitBreaker(clock)
         assert breaker.state == BreakerState.CLOSED
-        for _ in range(3):
+        for _ in range(breaker.failure_threshold):
             assert breaker.allow()
             breaker.record_failure()
         assert breaker.state == BreakerState.OPEN
         assert breaker.trips == 1
         assert not breaker.allow()
         assert breaker.rejections == 1
-        clock.advance(100.0)
+        clock.advance(breaker.reset_timeout_ms)
         assert breaker.allow()  # cooldown elapsed -> half-open probe
         assert breaker.state == BreakerState.HALF_OPEN
         breaker.record_success()
@@ -240,11 +240,10 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=2,
-                                 reset_timeout_ms=50.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(50.0)
+        breaker = CircuitBreaker(clock)
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure()
+        clock.advance(breaker.reset_timeout_ms)
         assert breaker.allow()
         breaker.record_failure()  # the probe failed
         assert breaker.state == BreakerState.OPEN
@@ -253,12 +252,12 @@ class TestCircuitBreaker:
 
     def test_success_resets_consecutive_failures(self):
         clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = CircuitBreaker(clock)
+        for _ in range(breaker.failure_threshold - 1):
+            breaker.record_failure()
         breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
+        for _ in range(breaker.failure_threshold - 1):
+            breaker.record_failure()
         assert breaker.state == BreakerState.CLOSED
 
     def test_open_breaker_short_circuits_transport(self):
@@ -489,7 +488,8 @@ class TestMonitorSurface:
 class TestReplyCacheBound:
     def test_churn_respects_capacity_and_counts_evictions(self):
         from repro.resilience import ReplyCache
-        cache = ReplyCache(capacity=8)
+        cache = ReplyCache()
+        cache.capacity = 8
         for index in range(100):
             cache.store(f"inv-{index}", b"reply")
         assert len(cache) == 8
@@ -503,7 +503,8 @@ class TestReplyCacheBound:
     def test_expired_entries_are_purged_before_live_ones_churn_out(self):
         from repro.resilience import ReplyCache
         clock = VirtualClock()
-        cache = ReplyCache(capacity=4, clock=clock)
+        cache = ReplyCache(clock=clock)
+        cache.capacity = 4
         # A live deadline-less entry a client might still retransmit
         # for, then a burst of short-deadline traffic that would churn
         # it out under blind insertion-order eviction.

@@ -269,8 +269,8 @@ class TestRebalancing:
         assert space.reply_entries_moved > 0
 
     def test_merge_from_unions_without_clobbering(self):
-        a = ReplyCache(capacity=8)
-        b = ReplyCache(capacity=8)
+        a = ReplyCache()
+        b = ReplyCache()
         a.store("n1/srv-000001-1", b"old")
         b.store("n1/srv-000001-1", b"mine")
         b.store("n2/srv-000002-1", b"other")

@@ -10,9 +10,6 @@ class TestVirtualClock:
     def test_starts_at_zero(self):
         assert VirtualClock().now == 0.0
 
-    def test_custom_start(self):
-        assert VirtualClock(5.0).now == 5.0
-
     def test_advance(self):
         clock = VirtualClock()
         assert clock.advance(2.5) == 2.5

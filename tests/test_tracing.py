@@ -62,22 +62,8 @@ class TestSpanTree:
         names = {node.span.name for node in root.walk()}
         assert {"invoke:increment", "net.request",
                 "server:increment", "execute:increment"} <= names
-        # Marshalling point spans are verbose-only: they never advance
-        # the virtual clock, so by default only the metrics see them.
+        # Marshalling never advances the virtual clock: it has no span.
         assert "ndr.marshal" not in names
-
-    def test_verbose_mode_records_marshalling_point_spans(self):
-        world, _, proxy = remote_call_world(seed=7)
-        tracer = world.domain("org").tracer
-        tracer.verbose = True
-        assert proxy.increment() == 1
-        (trace_id,) = tracer.trace_ids()
-        names = {span.name for span in tracer.spans(trace_id)}
-        assert {"ndr.marshal", "ndr.unmarshal"} <= names
-        marshal = next(span for span in tracer.spans(trace_id)
-                       if span.name == "ndr.marshal")
-        assert marshal.tags["bytes"] > 0
-        assert marshal.duration_ms == 0.0
 
     def test_server_span_nests_under_network_leg(self):
         world, _, proxy = remote_call_world(seed=7)
@@ -283,9 +269,10 @@ class TestFederation:
 
 
 class TestCollectorBounds:
-    def test_ring_drops_oldest_and_counts(self):
+    def test_ring_drops_oldest_and_counts(self, monkeypatch):
+        monkeypatch.setattr(TraceCollector, "capacity", 4)
         clock = VirtualClock()
-        collector = TraceCollector("d", clock, capacity=4)
+        collector = TraceCollector("d", clock)
         trace = collector.start_trace()
         for index in range(10):
             collector.span(f"s{index}", "test", trace).finish()
