@@ -64,13 +64,13 @@ def _entries(calls) -> List[tuple]:
         # Ties (lagged reads moved to one point) keep invocation order.
         rows.append((inv, call["inv"], res, call["op"], call["arg"],
                      value, bool(call["lag"])))
-    entries: List[tuple] = []
-    last = -1
-    for inv, _, res, op, arg, value, lagged in sorted(rows):
-        entries.append((inv, res, op, arg, value, last if lagged else -1))
-        if lagged:
-            last = len(entries) - 1
-    return entries
+    rows.sort()
+    # A longer lag may move a read back past one invoked before it:
+    # chain the lagged reads in invocation order, not in moved order.
+    chain = sorted((row[1], at) for at, row in enumerate(rows) if row[6])
+    prior = {at: before for (_, before), (_, at) in zip(chain, chain[1:])}
+    return [(inv, res, op, arg, value, prior.get(at, -1))
+            for at, (inv, _, res, op, arg, value, _) in enumerate(rows)]
 
 
 def _stuck(entries: List[tuple]) -> Optional[Tuple[tuple, int, Any]]:

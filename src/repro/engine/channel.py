@@ -34,7 +34,7 @@ from repro.errors import (
     NodeUnreachableError,
     ProtocolMismatchError,
 )
-from repro.ndr.formats import get_format
+from repro.ndr.formats import REUSE_MAX_BYTES, REUSE_MIN_BYTES, get_format
 from repro.ndr.plancache import PLANS
 from repro.overload.deadline import deadline_of, earliest_deadline, stamp
 from repro.resilience.retry import (
@@ -45,12 +45,6 @@ from repro.resilience.retry import (
 )
 from repro.trace.context import current_trace
 from repro.trace.span import NULL_SPAN, span_name
-
-#: Replies at least this long are looked up among the replies the
-#: channel already read; a shorter one decodes faster than it hashes.
-REUSE_MIN_BYTES = 1024
-#: Reply bytes one channel keeps for reuse at most, oldest out first.
-REUSE_MAX_BYTES = 1 << 20
 
 
 class Channel:

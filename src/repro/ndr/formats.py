@@ -45,7 +45,9 @@ Each format runs two roads, and only two:
   value down ``marshal`` + the tree writer before anything was exported,
   and a message that is not byte for byte of the planned shape is
   decoded again, whole, by the tree reader — so the plan never produces
-  what the tree codec would not.
+  what the tree codec would not.  A :class:`FrozenRecord` is constant
+  state (section 4.5), so each format keeps the image its lane wrote of
+  a large record, and splices it into that record's next encode.
 
 Bytes arrive from outside the program, so every decoder maps damage —
 truncation, a length that runs past the end, invalid UTF-8, a non-string
@@ -57,6 +59,7 @@ length that is negative or disagrees with what the children occupy — to
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import MarshalError
@@ -94,6 +97,13 @@ _NAMES_CAP = 512
 #: stand (``marshal`` returns them unchanged).
 _PLAIN = frozenset((str, int, float, bytes, bool, type(None)))
 
+#: A record's image (in a format's table) or a reply (in a channel's) at
+#: least this long is kept for reuse; a shorter one is encoded or decoded
+#: faster than it is looked up.
+REUSE_MIN_BYTES = 1024
+#: Bytes one such table keeps at most, oldest out first.
+REUSE_MAX_BYTES = 1 << 20
+
 
 class WireFormat:
     """Abstract encoder/decoder over the plain-object model.
@@ -116,6 +126,20 @@ class WireFormat:
         #: inserted -> its ``(name, key chunk)`` pairs in wire order.
         self._names: Dict[str, bytes] = {}
         self._layouts: Dict[Tuple[str, ...], Any] = {}
+        #: ``id(record)`` -> ``(record, image)`` for each large record
+        #: the value lane wrote whole; holding the record keeps its id
+        #: from being reused while the entry lives.
+        self._images: OrderedDict = OrderedDict()
+        self._images_bytes = 0
+
+    def _keep(self, record: Any, image: bytes) -> None:
+        """Keep *record*'s *image* for its next encode, oldest out first."""
+        if len(image) <= REUSE_MAX_BYTES:
+            images = self._images
+            images[id(record)] = (record, image)
+            self._images_bytes += len(image)
+            while self._images_bytes > REUSE_MAX_BYTES:
+                self._images_bytes -= len(images.popitem(last=False)[1][1])
 
     def dumps(self, obj: Any, marshaller: Any = None) -> bytes:
         """Encode the plain tree *obj*.  With a *marshaller*, *obj* is

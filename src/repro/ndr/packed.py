@@ -1,7 +1,8 @@
 """PACKED: 1-byte tag + struct-packed payloads — every byte of it.
 
 This module owns the format: the tree codec (:func:`_packed_write` /
-:func:`_packed_read`), the value lane (:func:`_packed_put` /
+:func:`_packed_read`), the value lane (:func:`_packed_put`, which writes
+a large record once and splices its kept image after, /
 :func:`_packed_value`), the compiled readers of the request and reply
 envelopes, and the writers of the request, member and batch envelopes
 that :class:`repro.ndr.plancache.InvocationPlan` and ``encode_batch``
@@ -17,9 +18,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.comp.outcomes import Termination
 from repro.errors import MarshalError
-from repro.ndr.formats import (_ABSENT, _NAMES_CAP, _PLAIN, WireFormat,
-                               _chunk, _Cursor, _key_chunks, _OffLane,
-                               _request, register_format)
+from repro.ndr.formats import (_ABSENT, _NAMES_CAP, _PLAIN, REUSE_MIN_BYTES,
+                               WireFormat, _chunk, _Cursor, _key_chunks,
+                               _OffLane, _request, register_format)
 from repro.util.freeze import FrozenRecord
 
 _PACK_Q = struct.Struct(">q").pack
@@ -254,6 +255,11 @@ def _packed_put(value: Any, buf: bytearray, fmt: "PackedFormat") -> None:
         for item in value:
             _packed_put(item, buf, fmt)
     elif tp is dict or tp is FrozenRecord:
+        kept = fmt._images.get(id(value)) if tp is FrozenRecord else None
+        if kept is not None and kept[0] is value:
+            buf += kept[1]
+            return
+        start = len(buf)
         buf += _P_RECORD
         buf += _PACK_U(len(value))
         # Exact ``str`` before either table: a subclass equal to a
@@ -273,6 +279,8 @@ def _packed_put(value: Any, buf: bytearray, fmt: "PackedFormat") -> None:
                                or fmt._layout(value)):
                 buf += chunk
                 _packed_put(value[key], buf, fmt)
+        if tp is FrozenRecord and len(buf) - start >= REUSE_MIN_BYTES:
+            fmt._keep(value, bytes(buf[start:]))
     elif tp in _PLAIN:
         _packed_write(value, buf, fmt)
     elif tp is Termination:

@@ -3,7 +3,8 @@
 This module owns the format: the tree codec (:func:`_tagged_write` /
 :func:`_tagged_read`), the value lane (:func:`_tagged_put` /
 :func:`_tagged_value`, with the record shapes that let sibling records
-read their field names once per message), the compiled readers of the
+read their field names once per message, and a large record's kept image
+that lets it be written once), the compiled readers of the
 request and reply envelopes, and the writers of the request, member and
 batch envelopes that :class:`repro.ndr.plancache.InvocationPlan` and
 ``encode_batch`` call — with the constant byte runs they share.  A
@@ -18,9 +19,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.comp.outcomes import Termination
 from repro.errors import MarshalError
-from repro.ndr.formats import (_ABSENT, _NAMES_CAP, _PLAIN, WireFormat,
-                               _chunk, _Cursor, _key_chunks, _OffLane,
-                               _request, register_format)
+from repro.ndr.formats import (_ABSENT, _NAMES_CAP, _PLAIN, REUSE_MIN_BYTES,
+                               WireFormat, _chunk, _Cursor, _key_chunks,
+                               _OffLane, _request, register_format)
 from repro.util.freeze import FrozenRecord
 
 
@@ -169,6 +170,10 @@ def _tagged_put(value: Any, buf: bytearray, fmt: "TaggedFormat") -> None:
             _tagged_put(item, buf, fmt)
         buf[start:start] = b"list[%d]#%d#" % (len(value), len(buf) - start)
     elif tp is dict or tp is FrozenRecord:
+        kept = fmt._images.get(id(value)) if tp is FrozenRecord else None
+        if kept is not None and kept[0] is value:
+            buf += kept[1]
+            return
         # Exact ``str`` before either table: a subclass equal to a
         # stored name hashes to it, and must go off-lane as it did.
         if tp is FrozenRecord:
@@ -189,6 +194,8 @@ def _tagged_put(value: Any, buf: bytearray, fmt: "TaggedFormat") -> None:
         head = b"map[%d]#%d#" % (len(value), len(buf) - start)
         buf[start:start] = b"map[2]#%d#%b%b" % (
             len(_T_RECORD) + len(head) + len(buf) - start, _T_RECORD, head)
+        if tp is FrozenRecord and len(buf) - start >= REUSE_MIN_BYTES:
+            fmt._keep(value, bytes(buf[start:]))
     elif tp in _PLAIN:
         _tagged_write(value, buf, fmt)
     elif tp is Termination:

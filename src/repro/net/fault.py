@@ -302,19 +302,20 @@ class FaultPlan:
         self._lose_next.clear()
 
     def _sync(self) -> None:
+        # One float compare on the hot path: only enter the full sync
+        # when the clock has actually crossed the next unapplied window
+        # boundary.  ``link_blocked`` and ``leg_verdict`` write it out.
         schedule = self._schedule
-        if schedule is not None and self._clock is not None:
-            # One float compare on the hot path: only enter the full
-            # sync when the clock has actually crossed the next
-            # unapplied window boundary.
-            if self._clock.now >= schedule._next_at:
-                schedule.sync(self._clock.now, self)
+        if schedule is not None and self._clock.now >= schedule._next_at:
+            schedule.sync(self._clock.now, self)
 
     # -- the verdict ---------------------------------------------------------
 
     def link_blocked(self, source: str, destination: str) -> bool:
         """True when no message can currently pass source -> destination."""
-        self._sync()
+        schedule = self._schedule
+        if schedule is not None and self._clock.now >= schedule._next_at:
+            schedule.sync(self._clock.now, self)
         if source in self._crashed or destination in self._crashed:
             return True
         # Empty on 97% of asks and more (measured, CHANGES.md PR 18):
@@ -344,13 +345,17 @@ class FaultPlan:
         destination do to it is decided when it arrives.
         """
         if one_way:
-            self._sync()
+            schedule = self._schedule
+            if schedule is not None and self._clock.now >= schedule._next_at:
+                schedule.sync(self._clock.now, self)
             if source in self._crashed:
                 return UNREACHABLE
         elif self.link_blocked(source, destination):
             return UNREACHABLE
         key = (source, destination)
-        if self._lost(key, rng):
+        # With no loss declared ``_lost`` neither draws nor counts.
+        if (self._lose_next or self._drop_probability or self._link_drop) \
+                and self._lost(key, rng):
             return LOST
         return self._gray.get(key, 1.0)
 

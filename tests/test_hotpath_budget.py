@@ -11,7 +11,9 @@ layer, which was no transparency and whose counters nothing read, and
 to 158 when the invoke and execute span sites stopped asking a live
 span for its context, which is the span itself, and to 157 when the
 transport lost its second retry discipline and with it the lambda that
-picked a path's breaker.  A layer that adds a call per invocation shows
+picked a path's breaker, and to 152 when a fault verdict stopped
+calling ``_sync`` and ``_lost`` while no schedule boundary is due and
+no loss is declared.  A layer that adds a call per invocation shows
 here as exactly one.
 
 Memory is counted the same way: the bytes still allocated after 1,000
@@ -30,6 +32,11 @@ second discipline, 1,388 / 1,428 after.  Since a channel reads a
 repeated large reply once, the warm ``get`` is counted as a miss (a
 ``get`` after a ``put`` of a different value: 1,428, the decode path as
 before) and as a hit (the same ``get`` again: 866, the decode skipped).
+They read 1,387 / 1,427 / 865 before a record was written once and
+1,387 / 1,428 / 177 after: the miss pays one call to keep the new
+record's image, and the hit splices the server's reply from the kept
+image instead of walking the record (~690 calls).  The leaner fault
+verdict takes four more off each: 1,383 / 1,424 / 173.
 
 Supervision is counted too.  One composed check run (plan seed 3, all
 six modes) fell from 101,905 calls to 79,860, and one quiet supervision
@@ -40,6 +47,9 @@ group short, no shard capsule off its ring.  The composed run read
 hook, 80,204 after, and 80,382 once the lease reads joined the call
 history the linearizability checker searches (a plain loop, not
 ``min`` over a lambda, picks the first outstanding response there).
+It read 80,178 before a fault verdict stopped calling ``_sync`` and
+``_lost`` when there was nothing for them to do, 70,707 after: each
+heartbeat is three calls cheaper.
 """
 
 from __future__ import annotations
@@ -56,15 +66,16 @@ from repro.comp.constraints import EnvironmentConstraints, FailureSpec
 from tests.conftest import Counter, KvStore
 
 #: Calls into ``src/repro`` one warm invocation may make.
-BUDGET = 161
+BUDGET = 155
 #: ... and one warm ``put`` or ``get`` of the 40-row value.  Counted on
 #: 3.11 (3.9 reads the same; 3.12 inlines comprehensions, so lower).
 BULK_BUDGET = 1480
-#: ... and one warm ``get`` whose reply repeats the one before it (866
-#: on 3.11): the channel reuses that reply's termination.
-REPEATED_GET_BUDGET = 880
+#: ... and one warm ``get`` whose reply repeats the one before it (173
+#: on 3.11): the server splices the record's kept image and the channel
+#: reuses that reply's termination.
+REPEATED_GET_BUDGET = 180
 #: ... one ``run_seed(3)`` with all six check modes composed ...
-RUN_BUDGET = 81_000
+RUN_BUDGET = 71_500
 #: ... and one quiet tick of a warm supervisor.
 QUIET_TICK_BUDGET = 27
 #: Bytes 1,000 warm invocations may leave allocated once the trace ring

@@ -275,6 +275,11 @@ def test_lagged_reads_of_one_key_do_not_run_backwards():
                 ("get", None, "b", 5.0, 5.0, 10.0)]
     assert unexplained(_register(*writes, *forwards)) == []
     assert len(unexplained(_register(*writes, *forwards[::-1]))) == 1
+    # A longer lag moves the later read back past the earlier one, to
+    # before put('b'): it still takes effect after that read.
+    shorter_first = [("get", None, "b", 5.0, 5.0, 1.0),
+                     ("get", None, "a", 6.0, 6.0, 10.0)]
+    assert len(unexplained(_register(*writes, *shorter_first))) == 1
 
 
 def test_lagged_reads_moved_to_one_point_keep_their_invocation_order():

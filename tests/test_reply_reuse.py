@@ -13,9 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro import OdpObject, World, operation
-from repro.engine.channel import REUSE_MAX_BYTES, REUSE_MIN_BYTES
 from repro.errors import ServerFaultError
-from repro.ndr.formats import WireFormat
+from repro.ndr.formats import REUSE_MAX_BYTES, REUSE_MIN_BYTES, WireFormat
 from tests.conftest import Counter, Echo
 
 
