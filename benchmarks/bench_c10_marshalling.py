@@ -19,7 +19,7 @@ Expected shape: cost scales with value complexity; tagged is bulkier and
 slower than packed; both round-trip losslessly.
 """
 
-import pytest
+import time
 
 from repro.comp.outcomes import Termination
 from repro.comp.reference import AccessPath, InterfaceRef
@@ -27,14 +27,7 @@ from repro.comp.model import signature_of
 from repro.ndr.codec import Marshaller
 from repro.ndr.formats import get_format
 
-from benchmarks.workloads import (
-    Counter,
-    Echo,
-    as_report,
-    rate_pair_us,
-    two_node_world,
-    write_report,
-)
+from benchmarks.workloads import Counter, Echo, two_node_world
 
 VALUES = {
     "int": 42,
@@ -97,76 +90,62 @@ def _lane(fmt, marshaller, value):
     return fmt.loads(wire, ("term",))["term"].single()
 
 
-@pytest.mark.parametrize("fmt", ["packed", "tagged"])
-@pytest.mark.parametrize("shape", ["int", "string-10k", "record-tree"])
-def test_c10_roundtrip(benchmark, fmt, shape):
-    benchmark.group = f"C10 marshalling ({fmt})"
-    value = VALUES[shape]
-    benchmark(lambda: _roundtrip(fmt, value))
+def _wall_us(fn, rounds=20, repeats=3):
+    """Best-of-*repeats* wall microseconds per call of *fn*, after one
+    warm call."""
+    fn()
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for _ in range(rounds):
+            fn()
+        best = min(best, time.perf_counter() - started)
+    return best / rounds * 1e6
 
 
-def test_c10_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = ["-- wire size; two-pass and value-lane wall time per round "
-            "trip, by shape and format --"]
-    sizes = {}
+def claim():
+    sizes, wall = {}, {}
     for shape, value in VALUES.items():
-        line = f"  {shape:>26}:"
         for fmt_name in ("packed", "tagged"):
             fmt, marshaller = get_format(fmt_name), Marshaller()
-            result, size = _roundtrip(fmt_name, value)
+            result, sizes[f"{shape} {fmt_name}"] = _roundtrip(fmt_name,
+                                                              value)
             assert (_lane(fmt, marshaller, value)
                     == _two_pass(fmt, marshaller, value) == result)
-            two_pass_us, lane_us = rate_pair_us(
-                lambda: _two_pass(fmt, marshaller, value),
-                lambda: _lane(fmt, marshaller, value), rounds=20)
-            sizes[(shape, fmt_name)] = size
-            line += (f"  {fmt_name} {size:>7}B {two_pass_us / 1000:7.3f}ms "
-                     f"lane {lane_us / 1000:6.3f}ms")
-        rows.append(line)
+            wall[f"{shape} {fmt_name} us two-pass / lane"] = [
+                _wall_us(lambda: road(fmt, marshaller, value))
+                for road in (_two_pass, _lane)]
     # Tagged text is bulkier for string- and record-heavy payloads;
     # interestingly, packed's fixed 8-byte integers lose to tagged's
-    # short decimal integers on deep int-only trees — reported above.
+    # short decimal integers on deep int-only trees.
     for shape in ("string-100", "string-10k", "record-tree"):
-        assert sizes[(shape, "tagged")] > sizes[(shape, "packed")]
+        assert sizes[f"{shape} tagged"] > sizes[f"{shape} packed"]
 
-    rows.append("-- value lane by direction on sibling records: "
-                "encode / decode per reply --")
+    # The value lane by direction on sibling records.
     for shape in ROWS:
-        line = f"  {shape:>26}:"
         for fmt_name in ("packed", "tagged"):
             fmt, marshaller = get_format(fmt_name), Marshaller()
             reply = {"term": Termination("ok", (VALUES[shape],))}
             wire = fmt.dumps(reply, marshaller)
-            encode_us, decode_us = rate_pair_us(
-                lambda: fmt.dumps(reply, marshaller),
-                lambda: fmt.loads(wire, ("term",)), rounds=20)
-            line += (f"  {fmt_name} {encode_us / 1000:6.3f}ms / "
-                     f"{decode_us / 1000:6.3f}ms")
-        rows.append(line)
+            wall[f"{shape} {fmt_name} lane us encode / decode"] = [
+                _wall_us(lambda: fmt.dumps(reply, marshaller)),
+                _wall_us(lambda: fmt.loads(wire, ("term",)))]
 
-    rows.append("-- end-to-end invocation vs argument size --")
     world, servers, clients = two_node_world()
     proxy = world.binder_for(clients).bind(servers.export(Echo()))
+    invocation = {}
     for size in (10, 1000, 100_000):
         payload = "x" * size
         start = world.now
         for _ in range(10):
             proxy.echo(payload)
-        rows.append(f"  arg {size:>7}B: "
-                    f"{(world.now - start) / 10:8.4f} virtual ms/call")
+        invocation[f"arg {size} B"] = (world.now - start) / 10
 
-    rows.append("-- reference vs primitive marshalling --")
     ref = InterfaceRef("if-1", signature_of(Counter),
                        (AccessPath("n", "c"),))
     _, ref_size = _roundtrip("packed", ref)
     _, str_size = _roundtrip("packed", "x" * ref_size)
-    rows.append(f"  interface ref wire size: {ref_size}B "
-                f"(identity + paths + full signature)")
-    rows.append(f"  equal-sized string:      {str_size}B")
-    write_report("C10", "generated marshalling: cost scales with "
-                        "complexity; formats interchangeable in function "
-                        "(section 5.1)", rows)
+    return {"wire_bytes": sizes,
+            "virtual_ms_per_echo": invocation,
+            "packed_bytes": {"interface_ref": ref_size,
+                             "equal_sized_string": str_size}}, wall

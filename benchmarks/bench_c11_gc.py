@@ -15,11 +15,11 @@ Expected shape: sweeps are linear in population; safety invariants hold
 exactly; the reclamation curve drops to zero.
 """
 
-import pytest
+import time
 
 from repro import EnvironmentConstraints
 
-from benchmarks.workloads import Account, as_report, n_node_world, write_report
+from benchmarks.workloads import Account, n_node_world
 
 RESOURCE = EnvironmentConstraints(resource=True)
 
@@ -40,34 +40,19 @@ def _population(total, passive_fraction=0.5, leased=False):
     return world, domain, passive_ids
 
 
-@pytest.mark.parametrize("total", [20, 100, 400])
-def test_c11_sweep_cost(benchmark, total):
-    benchmark.group = "C11 sweep cost"
-    world, domain, passive = _population(total)
-    world.clock.advance(60_000.0)
-    benchmark(domain.collector.sweep)
-
-
-def test_c11_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    import time
-
-    rows = ["-- sweep wall time vs population --"]
+def claim():
+    sweeps, wall = {}, {}
     for total in (20, 100, 400):
         world, domain, passive = _population(total)
         world.clock.advance(60_000.0)
         begin = time.perf_counter()
         report = domain.collector.sweep()
-        elapsed = (time.perf_counter() - begin) * 1000
-        rows.append(f"  population {total:>4}: {elapsed:7.3f} wall ms, "
-                    f"examined {report.examined}, "
-                    f"collected {len(report.collected)}")
+        wall[f"sweep_ms_population_{total}"] = \
+            (time.perf_counter() - begin) * 1000
+        sweeps[total] = {"examined": report.examined,
+                         "collected": len(report.collected)}
         assert len(report.collected) == len(passive)
 
-    rows.append("-- safety/precision matrix --")
     world, capsules, clients = n_node_world(2)
     domain = world.domain("org")
     binder = world.binder_for(clients)
@@ -87,23 +72,16 @@ def _report():
     leased_proxy = binder.bind(passive_leased)  # fresh lease now
     report = domain.collector.sweep()
 
-    cases = [
-        ("active, no leases", active_ref.interface_id,
-         active_ref.interface_id not in report.collected),
-        ("passive, leases expired", passive_expired.interface_id,
-         passive_expired.interface_id in report.collected),
-        ("passive, live lease", passive_leased.interface_id,
-         passive_leased.interface_id not in report.collected),
-        ("explicitly closed", closed_ref.interface_id,
-         closed_ref.interface_id in report.closed_reclaimed),
-    ]
-    for label, _, verdict in cases:
-        rows.append(f"  {label:>26}: handled correctly = {verdict}")
+    # Active: kept; passive with its leases expired: collected; passive
+    # with a live lease: kept; explicitly closed: reclaimed.
+    for verdict in (active_ref.interface_id not in report.collected,
+                    passive_expired.interface_id in report.collected,
+                    passive_leased.interface_id not in report.collected,
+                    closed_ref.interface_id in report.closed_reclaimed):
         assert verdict
     # The leased passive object is still usable after the sweep.
     assert leased_proxy.balance_of() == 3
 
-    rows.append("-- reclamation over idle sweeps --")
     world, domain, passive = _population(40, passive_fraction=1.0,
                                          leased=True)
     domain.collector.start_sweeping(interval_ms=5_000.0)
@@ -116,8 +94,6 @@ def _report():
                     for _ in capsule.interfaces)
         remaining.append(live)
     domain.collector.stop_sweeping()
-    rows.append(f"  passive objects remaining per sweep epoch: "
-                f"{remaining}")
     assert remaining[-1] == 0  # everything reclaimed once leases lapsed
-    write_report("C11", "distributed GC: safety, precision, idle-time "
-                        "reclamation (section 7.3)", rows)
+    return {"sweep_by_population": sweeps,
+            "passive_remaining_per_sweep_epoch": remaining}, wall

@@ -12,13 +12,9 @@ Expected shape: monitors detect exactly the degradations injected; sync
 skew stays within tolerance until jitter exceeds it.
 """
 
-import pytest
-
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.runtime import World
 from repro.streams import FlowSpec, StreamQoS, SyncController
-
-from benchmarks.workloads import as_report, write_report
 
 DURATION_MS = 2000.0
 
@@ -60,20 +56,8 @@ def _play(world, binding, duration=DURATION_MS):
     world.settle()
 
 
-@pytest.mark.parametrize("jitter", [0.0, 20.0, 60.0])
-def test_c12_jitter_levels(benchmark, jitter):
-    benchmark.group = "C12 stream under jitter"
-    latency = (FixedLatency(2.0) if jitter == 0.0
-               else UniformLatency(1.0, jitter))
-    benchmark(lambda: _play(*_conference(latency)[:2], 500.0))
-
-
-def test_c12_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = ["-- QoS verdict vs network jitter --"]
+def claim():
+    jitter = {}
     for label, latency in (
             ("fixed 2ms", FixedLatency(2.0)),
             ("jitter 1-15ms", UniformLatency(1.0, 15.0)),
@@ -81,43 +65,29 @@ def _report():
         world, binding, sync = _conference(latency)
         _play(world, binding)
         stats = binding.monitor_for("video").stats()
-        verdict = ("meets contract" if not stats.contract_violations
-                   else "; ".join(stats.contract_violations))
-        rows.append(f"  {label:>13}: rate "
-                    f"{stats.frames_received / (DURATION_MS / 1000):5.1f}"
-                    f" fps, jitter {stats.mean_jitter_ms:6.2f} ms -> "
-                    f"{verdict}")
+        jitter[label] = {
+            "video_fps": stats.frames_received / (DURATION_MS / 1000),
+            "video_mean_jitter_ms": stats.mean_jitter_ms,
+            "video_violations": stats.contract_violations,
+            "sync_pairs": len(sync.released),
+            "sync_mean_skew_ms": sync.mean_skew_ms(),
+            "sync_discarded": sync.discarded}
+        for pair in sync.released:
+            assert pair.skew_ms <= 25.0  # tolerance always respected
     # Detection shape: clean network passes, heavy jitter is flagged.
-    world, binding, sync = _conference(FixedLatency(2.0))
-    _play(world, binding)
-    assert not binding.monitor_for("video").stats().contract_violations
-    world, binding, sync = _conference(UniformLatency(1.0, 60.0))
-    _play(world, binding)
-    assert binding.monitor_for("video").stats().contract_violations
+    assert not jitter["fixed 2ms"]["video_violations"]
+    assert jitter["jitter 1-60ms"]["video_violations"]
 
-    rows.append("-- loss detection vs injected drop rate --")
+    loss = {}
     for drop in (0.0, 0.05, 0.2):
         world, binding, sync = _conference(FixedLatency(2.0), drop=drop)
         _play(world, binding)
         stats = binding.monitor_for("audio").stats()
         flagged = any("loss" in v for v in stats.contract_violations)
-        rows.append(f"  drop={drop:4.2f}: measured loss "
-                    f"{stats.loss_rate:5.3f}, flagged={flagged}")
+        loss[f"drop {drop}"] = {"audio_loss": stats.loss_rate,
+                                "flagged": flagged}
         if drop == 0.0:
             assert not flagged
         if drop >= 0.05:
             assert flagged
-
-    rows.append("-- lip-sync skew vs jitter --")
-    for label, latency in (("fixed 2ms", FixedLatency(2.0)),
-                           ("jitter 1-15ms", UniformLatency(1.0, 15.0)),
-                           ("jitter 1-60ms", UniformLatency(1.0, 60.0))):
-        world, binding, sync = _conference(latency)
-        _play(world, binding)
-        rows.append(f"  {label:>13}: {len(sync.released)} pairs, mean "
-                    f"skew {sync.mean_skew_ms():6.2f} ms, discarded "
-                    f"{sync.discarded}")
-        for pair in sync.released:
-            assert pair.skew_ms <= 25.0  # tolerance always respected
-    write_report("C12", "streams: QoS monitoring and inter-stream "
-                        "sync (section 7.2)", rows)
+    return {"by_network": jitter, "by_injected_drop": loss}, {}

@@ -28,8 +28,6 @@ from typing import Dict, Set, Tuple
 from repro import OdpObject, operation, signature_of
 from repro.types.conformance import signature_conforms
 
-from benchmarks.workloads import as_report, write_report
-
 
 # --- the rejected alternative: a nominal checker -----------------------------
 
@@ -123,18 +121,7 @@ CASES: Tuple[Tuple[str, type], ...] = (
 )
 
 
-def test_c13_structural_check_speed(benchmark):
-    benchmark.group = "C13 check cost"
-    required = signature_of(PrinterV1)
-    provided = signature_of(PrinterV3)
-    benchmark(lambda: signature_conforms(provided, required))
-
-
-def test_c13_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
+def claim():
     required = signature_of(PrinterV1)
 
     # The nominal world: only PrinterV2 was registered as a subtype of
@@ -144,21 +131,12 @@ def _report():
     nominal = NominalChecker()
     nominal.declare_subtype("PrinterV2", "PrinterV1")
 
-    rows = [f"{'case':>26} | structural | nominal"]
     verdicts = {}
     for label, cls in CASES:
         provided = signature_of(cls)
         structural = signature_conforms(provided, required)
         named = nominal.conforms(cls.__name__, "PrinterV1")
         verdicts[label] = (structural, named)
-        rows.append(f"{label:>26} | {str(structural):>10} | "
-                    f"{str(named)}")
-
-    rows.append("")
-    rows.append("structural accepts every behaviour-compatible provider "
-                "and rejects the broken one;")
-    rows.append("nominal accepts only registered lineage: evolution and "
-                "federation both stall on name registries.")
 
     # The claim's shape.
     assert verdicts["v2 adds operation"] == (True, True)
@@ -167,5 +145,4 @@ def _report():
     assert verdicts["foreign reimplementation"][0] is True
     assert verdicts["foreign reimplementation"][1] is False
     assert verdicts["broken (drops operation)"] == (False, False)
-    write_report("C13", "ablation: structural vs name-based typing "
-                        "(section 5.1)", rows)
+    return {"structural / nominal accepts": verdicts}, {}

@@ -20,11 +20,9 @@ interconnection plausible at all:
 
 import time
 
-import pytest
-
 from repro.runtime import World
 
-from benchmarks.workloads import Counter, as_report, write_report
+from benchmarks.workloads import Counter
 
 
 def _flat_world(nodes):
@@ -34,22 +32,7 @@ def _flat_world(nodes):
     return world
 
 
-@pytest.mark.parametrize("nodes", [4, 16, 64])
-def test_c14_invocation_vs_node_count(benchmark, nodes):
-    benchmark.group = "C14 invocation vs nodes"
-    world = _flat_world(nodes)
-    servers = world.capsule(f"n{nodes - 1}", "srv")
-    clients = world.capsule("n0", "cli")
-    proxy = world.binder_for(clients).bind(servers.export(Counter()))
-    benchmark(proxy.increment)
-
-
-def test_c14_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = ["-- invocation cost vs deployment size --"]
+def claim():
     costs = {}
     for nodes in (4, 16, 64):
         world = _flat_world(nodes)
@@ -60,12 +43,10 @@ def _report():
         for _ in range(30):
             proxy.increment()
         costs[nodes] = (world.now - start) / 30
-        rows.append(f"  {nodes:>3} nodes: {costs[nodes]:8.4f} virtual "
-                    f"ms/call")
     # Flat: routing cost independent of population.
     assert abs(costs[64] - costs[4]) < 0.01
 
-    rows.append("-- export+bind wall cost vs population --")
+    wall = {}
     for population in (50, 200, 800):
         world = _flat_world(4)
         servers = world.capsule("n0", "srv")
@@ -74,15 +55,13 @@ def _report():
         begin = time.perf_counter()
         refs = [servers.export(Counter()) for _ in range(population)]
         proxies = [binder.bind(ref) for ref in refs]
-        elapsed = (time.perf_counter() - begin) * 1000
-        rows.append(f"  population {population:>4}: "
-                    f"{elapsed / population:7.4f} wall ms per "
-                    f"export+bind")
+        wall[f"export_bind_ms_each_population_{population}"] = \
+            (time.perf_counter() - begin) * 1000 / population
         assert world.domain("org").relocator.known() == population
 
-    rows.append("-- growth by interconnection (federated ring) --")
     world = World(seed=6)
     refs = {}
+    ring = {}
     for i in range(8):
         name = f"org{i}"
         world.node(name, f"g{i}")
@@ -96,11 +75,9 @@ def _report():
         proxy = world.binder_for(clients).bind(refs["org0"])
         start = world.now
         value = proxy.increment()
-        cost = world.now - start
-        route = len(world.federation.route(name, "org0")) - 1
-        rows.append(f"  +{name}: chain of {i + 1} domains, invocation "
-                    f"crosses {route} boundaries in {cost:7.3f} ms "
-                    f"-> counter={value}")
+        ring[f"+{name}"] = {
+            "boundaries": len(world.federation.route(name, "org0")) - 1,
+            "virtual_ms": world.now - start}
         assert value == i + 1
-    write_report("C14", "scale: flat per-element costs, growth by "
-                        "interconnection (section 2)", rows)
+    return {"virtual_ms_per_call_by_nodes": costs,
+            "federated_ring_growth": ring}, wall

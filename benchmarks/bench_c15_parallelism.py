@@ -12,13 +12,11 @@ processing sum — the gap *is* the communication delay parallelism buys
 back.
 """
 
-import pytest
-
 from repro.engine.futures import AsyncInvoker
 from repro.net.latency import FixedLatency
 from repro.runtime import World
 
-from benchmarks.workloads import Counter, as_report, write_report
+from benchmarks.workloads import Counter
 
 LATENCY_MS = 20.0
 
@@ -52,32 +50,8 @@ def _future_fanout(world, binder, apps, refs):
     return world.now - start
 
 
-@pytest.mark.parametrize("n", [4, 16])
-def test_c15_sync(benchmark, n):
-    benchmark.group = "C15 fan-out"
-    benchmark.name = f"sync-{n}"
-
-    def round_trip():
-        world, binder, apps, refs = _build(n)
-        return _sync_fanout(world, binder, refs)
-
-    benchmark(round_trip)
-
-
-@pytest.mark.parametrize("n", [4, 16])
-def test_c15_futures(benchmark, n):
-    benchmark.group = "C15 fan-out"
-    benchmark.name = f"futures-{n}"
-    benchmark(lambda: _future_fanout(*_build(n)))
-
-
-def test_c15_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = [f"network: fixed {LATENCY_MS}ms propagation each way",
-            f"{'N':>4} {'sync ms':>10} {'futures ms':>12} {'speedup':>8}"]
+def claim():
+    numbers = {}
     results = {}
     for n in (1, 4, 16):
         world, binder, apps, refs = _build(n)
@@ -85,11 +59,10 @@ def _report():
         world, binder, apps, refs = _build(n)
         future_ms = _future_fanout(world, binder, apps, refs)
         results[n] = (sync_ms, future_ms)
-        rows.append(f"{n:>4} {sync_ms:>10.2f} {future_ms:>12.2f} "
-                    f"{sync_ms / future_ms:>7.1f}x")
+        numbers[f"N={n}"] = {"sync_ms": sync_ms, "futures_ms": future_ms,
+                             "speedup": sync_ms / future_ms}
     # Shape: sync grows ~linearly; futures stay near one RTT.
     assert results[16][0] > 10 * results[1][0]
     assert results[16][1] < 3 * results[1][1]
     assert results[16][0] / results[16][1] > 5
-    write_report("C15", "parallelism overcomes communication delays "
-                        "(section 4.1)", rows)
+    return numbers, {}

@@ -32,19 +32,12 @@ and resilient goodput is higher because backoff+cache recover faster
 than resubmit-after-penalty.
 """
 
-import pytest
-
 from repro import FaultSchedule, FlakyWindow, QoS
 from repro.check import mutations
 from repro.errors import CommunicationError
 from repro.mgmt.monitor import TransparencyMonitor
 
-from benchmarks.workloads import (
-    Counter,
-    as_report,
-    two_node_world,
-    write_report,
-)
+from benchmarks.workloads import Counter, two_node_world
 
 OPS = 200
 DROP = 0.10
@@ -95,28 +88,9 @@ def _workload(qos):
     }
 
 
-@pytest.mark.parametrize("resilient", [False, True],
-                         ids=["legacy", "resilient"])
-def test_c16_chaos_workload(benchmark, resilient):
-    benchmark.group = "C16 resilience under 10% drop"
-    benchmark(lambda: _run(resilient))
-
-
-def test_c16_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
+def claim():
     legacy = _run(resilient=False)
     resilient = _run(resilient=True)
-    rows = [f"workload: {OPS} non-idempotent increments under a "
-            f"{DROP:.0%}-drop flaky window (seed 16)",
-            f"{'mode':>10} {'executed':>9} {'acked':>6} {'dupes':>6} "
-            f"{'goodput op/s':>13} {'retries':>8} {'suppressed':>11}"]
-    for name, row in (("legacy", legacy), ("resilient", resilient)):
-        rows.append(f"{name:>10} {row['executed']:>9} {row['acked']:>6} "
-                    f"{row['duplicates']:>6} {row['goodput']:>13.1f} "
-                    f"{row['retries']:>8} {row['suppressed']:>11}")
     # Exactly-once: the reply cache absorbs every retransmission.
     assert resilient["duplicates"] == 0
     assert resilient["suppressed"] > 0
@@ -124,12 +98,5 @@ def _report():
     assert legacy["duplicates"] > 0
     # And recovering via backoff+cache beats resubmit-after-penalty.
     assert resilient["goodput"] > legacy["goodput"]
-    rows.append("")
-    rows.append(f"goodput gain: "
-                f"{resilient['goodput'] / legacy['goodput']:.2f}x; "
-                f"legacy duplicated {legacy['duplicates']} executions, "
-                f"resilient suppressed {resilient['suppressed']} "
-                f"retransmissions server-side")
-    write_report("C16", "invocation resilience: exactly-once retries "
-                        "under a scripted 10%-drop chaos window "
-                        "(section 4.1)", rows)
+    return {"legacy": legacy, "resilient": resilient,
+            "goodput_gain": resilient["goodput"] / legacy["goodput"]}, {}

@@ -41,19 +41,11 @@ full transparency stack (location + security + concurrency + failure).
 
 import time
 
-import pytest
-
 from repro import EnvironmentConstraints, FailureSpec, SecuritySpec
 from repro.net.latency import FixedLatency
 from repro.security.policy import SecurityPolicy
 
-from benchmarks.workloads import (
-    Account,
-    Counter,
-    as_report,
-    two_node_world,
-    write_report,
-)
+from benchmarks.workloads import Account, Counter, two_node_world
 
 INVOCATIONS = 200
 SEED = 17
@@ -117,24 +109,7 @@ def _wall_us_per_call(sampling, rounds=5):
     return best / INVOCATIONS * 1e6
 
 
-def _layer_table(tracer, title):
-    totals = tracer.layer_breakdown()
-    grand = sum(entry["self_ms"] for entry in totals.values()) or 1.0
-    lines = [f"  {title}",
-             f"    {'layer':<12}{'spans':>7}{'self_ms':>12}{'share':>9}"]
-    ordered = sorted(totals.items(),
-                     key=lambda item: -item[1]["self_ms"])
-    for layer, entry in ordered:
-        lines.append(
-            f"    {layer:<12}{entry['spans']:>7}"
-            f"{entry['self_ms']:>12.3f}"
-            f"{100.0 * entry['self_ms'] / grand:>8.1f}%")
-    return lines
-
-
-def _report():
-    lines = []
-
+def claim():
     # -- virtual-time overhead (the asserted budget) ----------------------
     v_off = _virtual_elapsed(0.0)
     v_on = _virtual_elapsed(1.0)
@@ -147,19 +122,6 @@ def _report():
     f_on = _virtual_elapsed(1.0, latency=FixedLatency(1.0))
     assert f_on == f_off, "size-blind latency model must see no tracing"
 
-    lines += [
-        "virtual-time overhead (the platform's own cost ledger)",
-        f"  bandwidth model, {INVOCATIONS} remote increments, seed {SEED}:",
-        f"    sampling=0.0 : {v_off:10.3f} virtual ms",
-        f"    sampling=1.0 : {v_on:10.3f} virtual ms"
-        f"   (+{v_pct:.3f}%, budget {VIRTUAL_BUDGET_PCT:.0f}%)",
-        f"    fixed-latency model: traced == untraced"
-        f" ({f_on:.3f} ms both) -> 0.000%",
-        "  spans read the virtual clock, never advance it; the only",
-        "  platform charge is the ~30-byte wire context.",
-        "",
-    ]
-
     # -- wall-clock overhead (reported, loosely bounded) ------------------
     wall = {}
     for _ in range(3):  # interleave configs so drift hits both equally
@@ -170,42 +132,20 @@ def _report():
     assert w_pct <= WALL_TRIPWIRE_PCT, (
         f"full-sampling wall overhead {w_pct:.1f}% tripped the"
         f" {WALL_TRIPWIRE_PCT:.0f}% pathological-regression bound")
-    lines += [
-        "wall-clock overhead (simulator-host cost, informational)",
-        f"    sampling=0.0 : {wall[0.0]:8.1f} us/call",
-        f"    sampling=1.0 : {wall[1.0]:8.1f} us/call   (+{w_pct:.1f}%)",
-        "  CPython span machinery on a ~0.1 ms simulated call; noisy,",
-        f"  GC-dominated, tripwire-bounded at {WALL_TRIPWIRE_PCT:.0f}%.",
-        "",
-    ]
 
-    # -- per-layer breakdown tables ---------------------------------------
+    # -- per-layer breakdowns ----------------------------------------------
     world, proxy, tracer = _remote_world(1.0)
     _drive(proxy)
-    lines += ["per-layer virtual latency attribution"]
-    lines += _layer_table(
-        tracer, f"C1-style remote workload ({INVOCATIONS} increments)")
-
     trace_id = tracer.trace_ids()[-1]
     root = tracer.tree(trace_id)
     covered = sum(tracer.breakdown(trace_id).values())
     coverage = 100.0 * covered / root.span.duration_ms
     assert coverage >= ATTRIBUTION_FLOOR, (
         f"spans attribute only {coverage:.1f}% of end-to-end latency")
-    lines += [
-        "",
-        f"  attribution: spans cover {coverage:.1f}% of the"
-        f" client-perceived latency (floor {ATTRIBUTION_FLOOR:.0f}%)",
-        "",
-    ]
 
     _, proxy3, tracer3 = _remote_world(
         1.0, constraints=_full_stack_constraints())
     _drive(proxy3, op="deposit")
-    lines += _layer_table(
-        tracer3,
-        f"C3-style full transparency stack ({INVOCATIONS} deposits)")
-    lines.append("")
 
     # -- determinism -------------------------------------------------------
     def forest_text():
@@ -215,14 +155,6 @@ def _report():
 
     first, second = forest_text(), forest_text()
     assert first == second, "same-seed runs must yield identical forests"
-    lines += [
-        "determinism: two seed-17 runs produce byte-identical span",
-        "forests (trace ids, timestamps, statuses, tags).",
-        "",
-        "sample trace (last of the C1 run):",
-    ]
-    lines += ["  " + line for line in
-              tracer.render(trace_id).splitlines()]
 
     # The critical path runs from the client's root span over the wire
     # into the server's dispatch.
@@ -231,20 +163,15 @@ def _report():
     assert "net.request" in names, names
     assert any(name.startswith("server:")
                for name in names[names.index("net.request"):]), names
-    lines += ["", "critical path: " + " -> ".join(names)]
-
-    write_report(
-        "C17",
-        "causal tracing: overhead budget & per-layer attribution", lines)
-
-
-@pytest.mark.parametrize("rate", [0.0, 1.0])
-def test_c17_sampling_cost(benchmark, rate):
-    benchmark.group = "C17 tracing"
-    benchmark.name = f"sampling-{rate:.1f}"
-    world, proxy, tracer = _remote_world(rate)
-    benchmark(lambda: _drive(proxy))
-
-
-def test_c17_report(benchmark):
-    as_report(benchmark, _report)
+    return {"virtual_ms_bandwidth_model": {"sampling 0": v_off,
+                                           "sampling 1": v_on,
+                                           "overhead_pct": v_pct},
+            "virtual_ms_fixed_latency": {"sampling 0": f_off,
+                                         "sampling 1": f_on},
+            "layer_self_ms_remote_increments": tracer.layer_breakdown(),
+            "layer_self_ms_full_stack_deposits": tracer3.layer_breakdown(),
+            "attributed_pct_of_last_call": coverage,
+            "critical_path_of_last_call": names}, {
+                "us_per_call_sampling_0": wall[0.0],
+                "us_per_call_sampling_1": wall[1.0],
+                "overhead_pct": w_pct}

@@ -34,15 +34,13 @@ both services, and the supervised group ends the run at full
 replication factor.
 """
 
-import pytest
-
 from repro import ReplicationSpec, World
 from repro.comp.constraints import EnvironmentConstraints, FailureSpec
 from repro.comp.invocation import QoS
 from repro.errors import OdpError
 from repro.net.fault import CrashWindow, FaultSchedule
 
-from benchmarks.workloads import Counter, KvStore, as_report, write_report
+from benchmarks.workloads import Counter, KvStore
 
 PROBE_MS = 25.0
 PROBES = 160                 # 4000ms of virtual time
@@ -128,34 +126,9 @@ def _run(supervised):
     }
 
 
-@pytest.mark.parametrize("supervised", [False, True],
-                         ids=["baseline", "supervised"])
-def test_c19_outage_workload(benchmark, supervised):
-    benchmark.group = "C19 sequential node crashes"
-    benchmark(lambda: _run(supervised))
-
-
-def test_c19_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
+def claim():
     baseline = _run(supervised=False)
     supervised = _run(supervised=True)
-    rows = [f"workload: {PROBES} probes every {PROBE_MS:.0f}ms against a "
-            f"3-replica group + checkpointed singleton (seed 19)",
-            "crashes: " + "; ".join(
-                f"{n} {int(s)}-{int(e)}ms" for n, s, e in CRASHES),
-            f"{'mode':>11} {'service':>8} {'failed':>7} "
-            f"{'downtime ms':>12} {'mttr ms':>8}"]
-    for name, row in (("baseline", baseline),
-                      ("supervised", supervised)):
-        for service, prefix in (("group", "kv"), ("counter", "ctr")):
-            rows.append(
-                f"{name:>11} {service:>8} {row[prefix + '_failed']:>7} "
-                f"{row[prefix + '_downtime_ms']:>12.0f} "
-                f"{row[prefix + '_mttr_ms']:>8.1f}")
-
     # The supervisor must strictly beat doing nothing, on both axes,
     # for both services.
     assert supervised["kv_downtime_ms"] < baseline["kv_downtime_ms"]
@@ -170,16 +143,4 @@ def _report():
     assert heal["revivals"] >= 1
     assert heal["singleton_recoveries"] >= 1
     assert heal["detector"]["heartbeats_observed"] > 0
-
-    rows.append("")
-    rows.append(
-        f"supervised repairs: {heal['replacements']} replacement(s), "
-        f"{heal['revivals']} revival(s), "
-        f"{heal['singleton_recoveries']} singleton recover(ies); "
-        f"group downtime {baseline['kv_downtime_ms']:.0f} -> "
-        f"{supervised['kv_downtime_ms']:.0f}ms, counter "
-        f"{baseline['ctr_downtime_ms']:.0f} -> "
-        f"{supervised['ctr_downtime_ms']:.0f}ms")
-    write_report("C19", "self-healing supervision: unavailability and "
-                        "MTTR with and without the repro.heal "
-                        "supervisor (section 5)", rows)
+    return {"baseline": baseline, "supervised": supervised}, {}

@@ -5,7 +5,7 @@ inefficient, because of the amount of indirection implied ... direct
 local access can be used for co-located data - trading off flexibility
 and portability against performance."
 
-Series produced: per-invocation cost (virtual ms and wall time) for
+Series produced: per-invocation virtual cost and messages for
   * co-located with the direct-local-access optimisation,
   * co-located but forced through marshalling + loopback network,
   * genuinely remote.
@@ -17,7 +17,7 @@ bytes by which the two client capsules' names differ in the request.
 
 from repro import EnvironmentConstraints
 
-from benchmarks.workloads import as_report, Counter, two_node_world, write_report
+from benchmarks.workloads import Counter, two_node_world
 
 INVOCATIONS = 200
 
@@ -46,29 +46,8 @@ def _drive(world_proxy):
         proxy.increment()
 
 
-def test_c1_local_shortcut(benchmark):
-    benchmark.group = "C1 invocation path"
-    benchmark(lambda: _drive(_co_located(allow_local=True)))
-
-
-def test_c1_full_stack_loopback(benchmark):
-    benchmark.group = "C1 invocation path"
-    benchmark(lambda: _drive(_co_located(allow_local=False)))
-
-
-def test_c1_remote(benchmark):
-    benchmark.group = "C1 invocation path"
-    benchmark(lambda: _drive(_remote()))
-
-
-def test_c1_report(benchmark):
-    as_report(benchmark, lambda: _report())
-
-
-def _report():
-    """Virtual-cost series + the claim's expected shape."""
-    rows = []
-    results = {}
+def claim():
+    numbers = {}
     for label, build in (("local-shortcut",
                           lambda: _co_located(True)),
                          ("full-stack-loopback",
@@ -78,14 +57,12 @@ def _report():
         start = world.now
         messages = world.network.total_messages
         _drive((world, proxy))
-        virtual_ms = (world.now - start) / INVOCATIONS
-        per_call_msgs = (world.network.total_messages
-                         - messages) / INVOCATIONS
-        results[label] = virtual_ms
-        rows.append(f"{label:>22}: {virtual_ms:8.4f} virtual ms/call, "
-                    f"{per_call_msgs:.1f} msgs/call")
-    path = write_report(
-        "C1", "direct local access vs full channel (section 4.5)", rows)
+        numbers[label] = {
+            "virtual_ms_per_call": (world.now - start) / INVOCATIONS,
+            "msgs_per_call": (world.network.total_messages
+                              - messages) / INVOCATIONS}
+    results = {label: row["virtual_ms_per_call"]
+               for label, row in numbers.items()}
 
     # The claim's shape: indirection through the full stack costs real
     # time; the co-located optimisation removes essentially all of it.
@@ -94,3 +71,4 @@ def _report():
         results["local-shortcut"] * 10
     assert abs(results["remote"] - results["full-stack-loopback"]) < \
         0.001 * results["remote"]
+    return numbers, {}

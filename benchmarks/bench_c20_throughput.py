@@ -28,20 +28,13 @@ queue-bound ceiling; unbounded, the queue and waits grow linearly,
 without bound, for as long as the overload lasts.
 """
 
-import pytest
-
 from repro import QoS
 from repro.errors import ServerBusyError
 from repro.ndr.plancache import PLANS
 from repro.perf import AdmissionController, BatchClient, BatchPolicy
 from repro.sim.clock import VirtualClock
 
-from benchmarks.workloads import (
-    Counter,
-    as_report,
-    two_node_world,
-    write_report,
-)
+from benchmarks.workloads import Counter, two_node_world
 
 CLIENT_COUNTS = (1, 4, 8)
 OPS_PER_CLIENT = 50
@@ -152,59 +145,20 @@ def _run_overload_shedding():
     return {"offered": 32, "executed": executed, "shed": shed}
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_c20_throughput_8_clients(benchmark, mode):
-    benchmark.group = "C20 throughput, 8 concurrent clients"
-    benchmark(lambda: _run_throughput(8, mode))
-
-
-def test_c20_batching_gain_at_8_clients():
-    """The headline acceptance bar: ≥3x invocations/sec."""
-    unbatched = _run_throughput(8, "unbatched")
-    batched = _run_throughput(8, "batched")
-    assert batched["inv_s"] >= 3.0 * unbatched["inv_s"]
-
-
-def test_c20_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = [f"workload: {OPS_PER_CLIENT} rounds of N concurrent "
-            f"increments, one server (seed 20); virtual-time series",
-            "",
-            f"{'clients':>7} {'mode':>15} {'inv/s':>9} "
-            f"{'p50 ms':>8} {'p99 ms':>8}"]
+def claim():
     measured = {}
     for clients_n in CLIENT_COUNTS:
         for mode in MODES:
-            row = _run_throughput(clients_n, mode)
-            measured[(clients_n, mode)] = row
-            rows.append(f"{clients_n:>7} {mode:>15} {row['inv_s']:>9.0f} "
-                        f"{row['p50']:>8.2f} {row['p99']:>8.2f}")
-    gain = (measured[(8, "batched")]["inv_s"]
-            / measured[(8, "unbatched")]["inv_s"])
+            measured[f"{clients_n} clients {mode}"] = _run_throughput(
+                clients_n, mode)
+    unbatched = measured["8 clients unbatched"]
+    batched = measured["8 clients batched"]
     # The acceptance bar: batching must multiply throughput, not shave
     # percents off it.
-    assert gain >= 3.0
-    rows.append("")
-    rows.append(f"batched vs unbatched at 8 clients: {gain:.2f}x "
-                f"invocations/sec "
-                f"({measured[(8, 'batched')]['plan_hits']} codec "
-                f"plan hits)")
+    assert batched["inv_s"] >= 3.0 * unbatched["inv_s"]
 
-    rows.append("")
-    rows.append(f"saturation: {1000.0 / ARRIVAL_INTERVAL_MS:.0f}/s "
-                f"offered against {RATE_PER_S:.0f}/s admitted "
-                f"(2x, open loop, {ARRIVALS} arrivals)")
-    rows.append(f"{'queue':>9} {'admitted':>9} {'shed':>6} "
-                f"{'p99 wait':>9} {'max wait':>9} {'max depth':>10}")
     bounded = _run_saturation(bounded=True)
     unbounded = _run_saturation(bounded=False)
-    for name, row in (("bounded", bounded), ("unbounded", unbounded)):
-        rows.append(f"{name:>9} {row['admitted']:>9} {row['shed']:>6} "
-                    f"{row['p99_wait']:>9.1f} {row['max_wait']:>9.1f} "
-                    f"{row['max_depth']:>10.1f}")
     # Shedding keeps the admitted tail under the queue-bound ceiling...
     ceiling_ms = (QUEUE_BOUND + 1) / RATE_PER_S * 1000.0
     assert bounded["shed"] > 0
@@ -216,16 +170,9 @@ def _report():
     depths = [depth for _, depth in unbounded["depth_series"]]
     assert depths == sorted(depths) and depths[-1] > depths[0] * 2
     assert unbounded["max_wait"] > 10 * bounded["max_wait"]
-    rows.append(f"unbounded depth over time: "
-                + ", ".join(f"{n}:{d}" for n, d
-                            in unbounded["depth_series"]))
 
-    e2e = _run_overload_shedding()
-    rows.append("")
-    rows.append(f"end-to-end burst of {e2e['offered']} through the "
-                f"batch path against the bounded queue: "
-                f"{e2e['executed']} executed, {e2e['shed']} shed "
-                f"retryably, zero shed executions")
-    write_report("C20", "invocation throughput: adaptive batching, "
-                        "codec plan caching, admission control "
-                        "(section 2's scale argument)", rows)
+    return {"throughput": measured,
+            "batching_gain_at_8_clients": batched["inv_s"]
+            / unbatched["inv_s"],
+            "saturation_2x": {"bounded": bounded, "unbounded": unbounded},
+            "burst_through_batch_path": _run_overload_shedding()}, {}

@@ -28,16 +28,12 @@ measurable:
     are the measured rebalance MTTR.
 """
 
-import bisect
-
-import pytest
-
+from repro.check.workload import ShardStore
 from repro.comp.invocation import QoS
 from repro.errors import OdpError
 from repro.runtime import World
 
-from benchmarks.workloads import as_report, write_report
-from repro.check.workload import ShardStore
+from benchmarks.workloads import zipf_keys
 
 SHARDS = 256
 VNODES = 128
@@ -45,16 +41,6 @@ ZIPF_S = 0.7
 KEYS = 800
 OPS = 800
 FLEETS = (4, 16, 64)
-
-
-def _zipf_cdf():
-    weights = [1.0 / ((i + 1) ** ZIPF_S) for i in range(KEYS)]
-    total = sum(weights)
-    cdf, acc = [], 0.0
-    for weight in weights:
-        acc += weight
-        cdf.append(acc / total)
-    return cdf
 
 
 def _fleet(nodes, seed=21, shards=SHARDS):
@@ -69,26 +55,11 @@ def _fleet(nodes, seed=21, shards=SHARDS):
     return world, space, space.bind(app)
 
 
-def _zipf_keys(world, count):
-    rng = world.fork_rng("bench:zipf")
-    cdf = _zipf_cdf()
-    return [f"k{bisect.bisect_left(cdf, rng.uniform(0.0, 1.0))}"
-            for _ in range(count)]
-
-
-@pytest.mark.parametrize("nodes", [4, 16])
-def test_c21_routed_increment(benchmark, nodes):
-    """Wall-clock cost of one routed increment (ring lookup + stack)."""
-    benchmark.group = "C21 routed increment"
-    world, space, proxy = _fleet(nodes)
-    benchmark(proxy.incr, "hot-key")
-
-
 def _scaling_series():
     series = []
     for nodes in FLEETS:
         world, space, proxy = _fleet(nodes)
-        keys = _zipf_keys(world, OPS)
+        keys = zipf_keys(world, ZIPF_S, KEYS, OPS, "bench:zipf")
         start = world.now
         served = {}
         for key in keys:
@@ -114,7 +85,7 @@ def _churn_run():
     space.record_executions = True
     proxy = space.bind(world.capsule("cli", "app2"),
                        qos=QoS(deadline_ms=300.0, retries=4))
-    keys = _zipf_keys(world, 600)
+    keys = zipf_keys(world, ZIPF_S, KEYS, 600, "bench:zipf")
     model = {}
     ambiguous = {}
     crash_at = None
@@ -142,25 +113,11 @@ def _churn_run():
     return world, space, model, ambiguous, finals
 
 
-def _report():
-    lines = ["",
-             "Aggregate throughput, Zipfian keyspace "
-             f"(s={ZIPF_S}, {KEYS} keys, {OPS} ops, {SHARDS} shards)",
-             f"{'nodes':>6} {'op_ms':>8} {'busiest':>8} {'loaded':>7} "
-             f"{'speedup':>8} {'derived_ops_s':>14}"]
+def claim():
     series = _scaling_series()
-    for row in series:
-        lines.append(f"{row['nodes']:>6} {row['op_ms']:>8.3f} "
-                     f"{row['busiest']:>8} {row['loaded']:>7} "
-                     f"{row['speedup']:>8.2f} {row['rate_per_s']:>14.0f}")
     by_nodes = {row["nodes"]: row for row in series}
     gain_4_16 = by_nodes[16]["speedup"] / by_nodes[4]["speedup"]
     gain_16_64 = by_nodes[64]["speedup"] / by_nodes[16]["speedup"]
-    lines += ["",
-              f"speedup gain 4->16:  {gain_4_16:.2f}x (near-linear)",
-              f"speedup gain 16->64: {gain_16_64:.2f}x "
-              f"(hot-key ceiling: the largest key's owner bounds the "
-              f"makespan)"]
     # The scaling claim: quadrupling the fleet at least triples the
     # derived aggregate throughput under realistic skew.
     assert gain_4_16 >= 3.0, gain_4_16
@@ -170,7 +127,6 @@ def _report():
 
     world, space, model, ambiguous, finals = _churn_run()
     report = space.report()
-    acked = sum(model.values())
     # Safety: every acknowledged write executed exactly once, on the
     # owner of record, across join + drain + crash-recovery cutovers.
     for key, final in finals.items():
@@ -189,26 +145,8 @@ def _report():
     assert space.rebalancer.failures == 0
     mttr = report["move_mttr_ms"]
     assert mttr["moves"] == len(space.mttr_ms) and mttr["max"] > 0.0
-
-    lines += ["",
-              "Rebalance under load (8 nodes, 600 ops; join @200, "
-              "drain @350, crash @450, recover @500)",
-              f"  acked increments      {acked}",
-              f"  ambiguous (crash era) {sum(ambiguous.values())}",
-              f"  lost or duplicated    0  (per-key envelope + "
-              f"execution ledger clean)",
-              f"  migrations            {report['migrations']}",
-              f"  recoveries            {report['recoveries']}",
-              f"  transparent chases    {report['chases']} "
-              f"(+{report['stale_hits']} stale-epoch passes)",
-              f"  fenced rejections     {report['fenced_rejections']}",
-              f"  dedup entries moved   {report['reply_entries_moved']}",
-              f"  move MTTR ms          mean {mttr['mean']} / "
-              f"max {mttr['max']} over {mttr['moves']} moves "
-              f"(detection-inclusive for the crash)"]
-    write_report("C21", "sharded object space: scaling and "
-                        "rebalance-under-load", lines)
-
-
-def test_c21_report(benchmark):
-    as_report(benchmark, _report)
+    return {"scaling_by_nodes": by_nodes,
+            "speedup_gain_4_to_16": gain_4_16,
+            "speedup_gain_16_to_64": gain_16_64,
+            "churn_8_nodes": dict(report, acked=sum(model.values()),
+                                  ambiguous=sum(ambiguous.values()))}, {}

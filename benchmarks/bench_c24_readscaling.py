@@ -31,14 +31,10 @@ inside the TTL.  Two measurements:
     savings.
 """
 
-import bisect
-
-import pytest
-
 from repro import ReplicationSpec
 from repro.runtime import World
 
-from benchmarks.workloads import as_report, write_report
+from benchmarks.workloads import zipf_keys
 from tests.conftest import KvStore
 
 ZIPF_S = 0.9
@@ -48,16 +44,6 @@ WRITE_EVERY = 50          # one write per 50 reads, fleet-wide
 CLIENTS = (1, 4, 16)
 TTL_MS = 10_000.0
 GROUP_ID = "bench.kv"
-
-
-def _zipf_cdf():
-    weights = [1.0 / ((i + 1) ** ZIPF_S) for i in range(KEYS)]
-    total = sum(weights)
-    cdf, acc = [], 0.0
-    for weight in weights:
-        acc += weight
-        cdf.append(acc / total)
-    return cdf
 
 
 def _fleet(clients, cached, seed=24):
@@ -87,13 +73,6 @@ def _fleet(clients, cached, seed=24):
     return world, domain, capsules, proxies
 
 
-def _zipf_keys(world, count, label="bench:zipf"):
-    rng = world.fork_rng(label)
-    cdf = _zipf_cdf()
-    return [f"k{bisect.bisect_left(cdf, rng.uniform(0.0, 1.0))}"
-            for _ in range(count)]
-
-
 def _member_load(capsules):
     return {
         capsule.nucleus.node_address: sum(
@@ -106,8 +85,8 @@ def _run(clients, cached):
     world, domain, capsules, proxies = _fleet(clients, cached)
     # Every client follows its own Zipfian stream (the same hot set,
     # not the same sequence); the writer picks keys uniformly.
-    streams = [_zipf_keys(world, READS_PER_CLIENT, f"bench:zipf:{i}")
-               for i in range(clients)]
+    streams = [zipf_keys(world, ZIPF_S, KEYS, READS_PER_CLIENT,
+                         f"bench:zipf:{i}") for i in range(clients)]
     wrng = world.fork_rng("bench:writes")
     proxies[0].put("seed-key", "v")  # group warm-up, outside the window
 
@@ -181,43 +160,11 @@ def _storm():
             "skipped_fills": sum(c.skipped_fills for c in clients)}
 
 
-@pytest.mark.parametrize("cached", [False, True],
-                         ids=["uncached", "cached"])
-def test_c24_read_micro(benchmark, cached):
-    """Wall-clock cost of one read: remote interrogation vs cache hit."""
-    benchmark.group = "C24 hot read"
-    world, domain, capsules, proxies = _fleet(1, cached)
-    proxies[0].put("hot", "v")
-    proxies[0].get("hot")  # warm the cache (when there is one)
-    benchmark(proxies[0].get, "hot")
-
-
-def _report():
-    lines = ["",
-             f"Read scaling, Zipfian keys (s={ZIPF_S}, {KEYS} keys), "
-             f"{READS_PER_CLIENT} reads/client, 1 write per "
-             f"{WRITE_EVERY} reads, 3-way replicated group",
-             f"{'clients':>8} {'mode':>9} {'reads':>6} {'writes':>7} "
-             f"{'op_ms':>7} {'busiest':>8} {'speedup':>8} "
-             f"{'derived_reads_s':>16}"]
-    series = [_run(clients, cached)
-              for clients in CLIENTS for cached in (False, True)]
-    for row in series:
-        mode = "cached" if row["cached"] else "uncached"
-        lines.append(
-            f"{row['clients']:>8} {mode:>9} {row['reads']:>6} "
-            f"{row['writes']:>7} {row['op_ms']:>7.3f} "
-            f"{row['busiest']:>8} {row['speedup']:>8.2f} "
-            f"{row['rate_per_s']:>16.0f}")
-
-    by = {(row["clients"], row["cached"]): row for row in series}
+def claim():
+    by = {(clients, cached): _run(clients, cached)
+          for clients in CLIENTS for cached in (False, True)}
     gain_16 = by[(16, True)]["rate_per_s"] / by[(16, False)]["rate_per_s"]
     spread_16 = by[(16, True)]["speedup"] / by[(16, False)]["speedup"]
-    lines += ["",
-              f"aggregate gain at 16 clients: {gain_16:.1f}x "
-              f"(load-spread alone: {spread_16:.2f}x)",
-              "uncached speedup is capped by the three replicas; "
-              "cached speedup follows the client count"]
     # The promotion claim: at 16 caching clients the derived aggregate
     # read throughput at least triples the uncached regime's.
     assert gain_16 >= 3.0, gain_16
@@ -236,21 +183,9 @@ def _report():
     assert storm["fanout"] == storm["burst"] * storm["holders"]
     assert storm["refetches"] >= storm["holders"]
     assert storm["rounds"] <= 2
-    lines += ["",
-              f"Invalidation storm ({storm['holders']} holders of one "
-              f"hot key, burst of {storm['burst']} writes)",
-              f"  invalidation posts    {storm['fanout']}  "
-              f"(= writes x holders: the O(W x H) fan-out cost)",
-              f"  refetch misses        {storm['refetches']}",
-              f"  skipped fills         {storm['skipped_fills']}  "
-              f"(first refill races the pending record)",
-              f"  reconvergence         {storm['rounds']} read rounds, "
-              f"{storm['reconverge_ms']:.1f} virtual ms",
-              f"  stale reads served    0  (every read saw the final "
-              f"value)"]
-    write_report("C24", "read scaling: leases, client caching and "
-                        "follower reads", lines)
-
-
-def test_c24_report(benchmark):
-    as_report(benchmark, _report)
+    return {"read_scaling": {
+                f"{clients} clients {'cached' if cached else 'uncached'}":
+                row for (clients, cached), row in by.items()},
+            "aggregate_gain_at_16_clients": gain_16,
+            "load_spread_gain_at_16_clients": spread_16,
+            "invalidation_storm": storm}, {}

@@ -38,8 +38,6 @@ under-quorum ledger entries, at least one partition merge, and
 strictly better majority-side availability than the baseline.
 """
 
-import pytest
-
 from repro import ReplicationSpec, World
 from repro.check import mutations
 from repro.comp.invocation import QoS
@@ -47,7 +45,7 @@ from repro.errors import OdpError
 from repro.heal.supervisor import Supervisor
 from repro.net.fault import FaultSchedule, PartitionWindow
 
-from benchmarks.workloads import KvStore, as_report, write_report
+from benchmarks.workloads import KvStore
 
 PROBE_MS = 25.0
 PROBES = 160                 # 4000ms of virtual time
@@ -143,33 +141,9 @@ def _run(fixed):
     }
 
 
-@pytest.mark.parametrize("fixed", [False, True],
-                         ids=["baseline", "fixed"])
-def test_c25_partition_workload(benchmark, fixed):
-    benchmark.group = "C25 flapping partitions"
-    benchmark(lambda: _run(fixed))
-
-
-def test_c25_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
+def claim():
     baseline = _run(fixed=False)
     fixed = _run(fixed=True)
-    rows = [f"workload: {PROBES} probes every {PROBE_MS:.0f}ms from each "
-            f"side of a flapping partition (seed 25)",
-            "splits: " + "; ".join(
-                f"{int(s)}-{int(e)}ms" for s, e in SPLITS) +
-            f"  [{' '.join(SIDES[0])}] | [{' '.join(SIDES[1])}]",
-            f"{'mode':>9} {'majority':>9} {'minority':>9} {'dirty':>6} "
-            f"{'divergent':>10} {'merges':>7}"]
-    for name, row in (("baseline", baseline), ("fixed", fixed)):
-        rows.append(
-            f"{name:>9} {row['major_failed']:>9} {row['minor_failed']:>9} "
-            f"{row['dirty_commits']:>6} {row['divergent_seqs']:>10} "
-            f"{row['merges']:>7}")
-
     # Safety: the fixed platform never certifies an under-quorum write
     # and no two members ever hold different writes at one seq — while
     # the baseline's ledger visibly carries the pre-fix dirty commits.
@@ -189,18 +163,4 @@ def _report():
     # good — and the minority side recovers once the network does.
     assert fixed["major_failed"] < baseline["major_failed"]
     assert fixed["minor_failed"] < baseline["minor_failed"]
-
-    rows.append("")
-    heal = fixed["heal"]
-    rows.append(
-        f"fixed: {fixed['partitions']['quorum_failures']} quorum "
-        f"failure(s) rolled back, "
-        f"{fixed['partitions']['suspicions_refused']} suspicion(s) "
-        f"vetoed, {heal['partition_merges']} partition merge(s), "
-        f"reconciliation mttr "
-        f"{heal['reconciliation_mttr_ms']['mean']:.0f}ms; majority "
-        f"failed probes {baseline['major_failed']} -> "
-        f"{fixed['major_failed']}")
-    write_report("C25", "partition tolerance: quorum writes, vantage "
-                        "supervision and merge-on-heal under flapping "
-                        "partitions (sections 4-5)", rows)
+    return {"baseline": baseline, "fixed": fixed}, {}

@@ -14,7 +14,7 @@ dramatically cheaper once the reader must call back.
 
 from repro import OdpObject, operation
 
-from benchmarks.workloads import as_report, two_node_world, write_report
+from benchmarks.workloads import two_node_world
 
 ROUNDS = 100
 
@@ -74,28 +74,10 @@ def _ref_round(world, clients, proxy, payload):
     proxy.use_ref(box)
 
 
-def test_c2_pass_by_copy(benchmark):
-    benchmark.group = "C2 argument passing"
-    world, clients, proxy = _build()
-    benchmark(lambda: _copy_round(world, clients, proxy,
-                                  PAYLOADS["record"]))
-
-
-def test_c2_pass_by_reference(benchmark):
-    benchmark.group = "C2 argument passing"
-    world, clients, proxy = _build()
-    benchmark(lambda: _ref_round(world, clients, proxy,
-                                 PAYLOADS["record"]))
-
-
-def test_c2_report(benchmark):
-    as_report(benchmark, lambda: _report())
-
-
-def _report():
-    rows = []
+def claim():
+    numbers = {}
     for name, payload in PAYLOADS.items():
-        timings = {}
+        timings = numbers[name] = {}
         for mode, round_fn in (("copy", _copy_round),
                                ("by-ref", _ref_round)):
             world, clients, proxy = _build()
@@ -106,13 +88,7 @@ def _report():
                 "ms": (world.now - start) / ROUNDS,
                 "msgs": (world.network.total_messages - msgs) / ROUNDS,
             }
-        rows.append(
-            f"{name:>10}: copy {timings['copy']['ms']:7.4f} ms "
-            f"({timings['copy']['msgs']:.0f} msgs)   by-ref "
-            f"{timings['by-ref']['ms']:7.4f} ms "
-            f"({timings['by-ref']['msgs']:.0f} msgs)")
         # Shape: constant-state copy beats the reference + call-back.
         assert timings["copy"]["ms"] < timings["by-ref"]["ms"]
         assert timings["copy"]["msgs"] < timings["by-ref"]["msgs"]
-    write_report("C2", "constant-state copy vs pass-by-reference "
-                       "(section 4.5)", rows)
+    return numbers, {}

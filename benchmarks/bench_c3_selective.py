@@ -16,8 +16,6 @@ the unselected configuration is not billed for the others, and its client
 stack is the transport alone.
 """
 
-import pytest
-
 from repro import EnvironmentConstraints, FailureSpec, SecuritySpec
 from repro.security.policy import SecurityPolicy
 from repro.transparency.access import (
@@ -25,7 +23,7 @@ from repro.transparency.access import (
     describe_server_stack,
 )
 
-from benchmarks.workloads import as_report, Account, two_node_world, write_report
+from benchmarks.workloads import Account, two_node_world
 
 INVOCATIONS = 100
 
@@ -66,34 +64,18 @@ def _drive(world, proxy):
         proxy.deposit(1)
 
 
-@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
-def test_c3_stack_depth(benchmark, level):
-    benchmark.group = "C3 selective transparency"
-    benchmark.name = f"level-{level}"
-    world, proxy, interface = _build(level)
-    benchmark(lambda: _drive(world, proxy))
-
-
-def test_c3_report(benchmark):
-    as_report(benchmark, lambda: _report())
-
-
-def _report():
-    rows = []
-    costs = []
-    client_stacks = []
+def claim():
+    numbers = {}
     for level in range(5):
         world, proxy, interface = _build(level)
         start = world.now
         _drive(world, proxy)
-        per_call = (world.now - start) / INVOCATIONS
-        costs.append(per_call)
-        client_stacks.append(describe_client_stack(proxy))
-        rows.append(f"level {level}: {per_call:8.4f} virtual ms/call, "
-                    f"client stack = {client_stacks[-1]}, "
-                    f"server stack = {describe_server_stack(interface)}")
-    write_report("C3", "selective transparency: cost grows only with "
-                       "selection (sections 3, 4.5)", rows)
+        numbers[f"level {level}"] = {
+            "virtual_ms_per_call": (world.now - start) / INVOCATIONS,
+            "client_stack": describe_client_stack(proxy),
+            "server_stack": describe_server_stack(interface)}
+    costs = [row["virtual_ms_per_call"] for row in numbers.values()]
+    client_stacks = [row["client_stack"] for row in numbers.values()]
     # Monotone shape: each selected transparency adds cost; the floor
     # configuration pays for none of them.
     for lower, higher in zip(costs, costs[1:]):
@@ -102,3 +84,4 @@ def _report():
     # The floor's client stack holds no mechanism it did not select.
     assert client_stacks[0] == ["transport"]
     assert client_stacks[1] == ["location", "transport"]
+    return numbers, {}

@@ -15,11 +15,9 @@ Expected shape: write cost grows with n; the group serves 100% of
 operations while any member survives; replicas stay byte-identical.
 """
 
-import pytest
-
 from repro import ReplicationSpec
 
-from benchmarks.workloads import as_report, KvStore, n_node_world, write_report
+from benchmarks.workloads import KvStore, n_node_world
 
 WRITES = 50
 
@@ -39,32 +37,19 @@ def _write_burst(proxy, count=WRITES):
         proxy.put(f"k{i % 7}", str(i))
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 7])
-def test_c4_write_cost_vs_group_size(benchmark, n):
-    benchmark.group = "C4 write cost vs replicas"
-    world, domain, group, proxy = _build(n)
-    benchmark(lambda: _write_burst(proxy))
-
-
-def test_c4_report(benchmark):
-    as_report(benchmark, lambda: _report())
-
-
-def _report():
-    rows = ["-- write cost vs group size --"]
+def claim():
     costs = {}
     for n in (1, 3, 5, 7):
         world, domain, group, proxy = _build(n)
         start = world.now
         _write_burst(proxy)
         costs[n] = (world.now - start) / WRITES
-        rows.append(f"  n={n}: {costs[n]:8.4f} virtual ms/write")
     assert costs[7] > costs[1]  # ordering + relay is not free
     assert costs[3] > costs[1]
 
-    rows.append("-- availability under member crashes (n=5) --")
     world, domain, group, proxy = _build(5)
     completed, total = 0, 0
+    waves = []
     for wave in range(5):
         for i in range(10):
             total += 1
@@ -76,12 +61,11 @@ def _report():
         live = group.view.live_members()
         if len(live) > 1:
             world.crash_node(live[0].node)  # kill the sequencer
-        rows.append(f"  after wave {wave}: {completed}/{total} writes ok, "
-                    f"{len(group.view.live_members())} live, "
-                    f"view {group.view.number}")
+        waves.append({"writes_ok": completed, "writes": total,
+                      "live": len(group.view.live_members()),
+                      "view": group.view.number})
     assert completed == total  # availability maintained to the last member
 
-    rows.append("-- replica consistency --")
     world, domain, group, proxy = _build(3)
     for i in range(30):
         proxy.put("shared", str(i))
@@ -90,18 +74,16 @@ def _report():
         capsule, interface = domain.groups._plumbing[
             (group.group_id, member.index)]
         states.append(dict(interface.implementation.data))
-    rows.append(f"  3 replicas identical after 30 conflicting writes: "
-                f"{states[0] == states[1] == states[2]}")
     assert states[0] == states[1] == states[2]
 
-    rows.append("-- read scaling (read_spread) --")
+    reads = {}
     for n in (1, 3, 5):
         world, domain, group, proxy = _build(n, policy="read_spread")
         proxy.put("k", "v")
         start = world.now
         for _ in range(60):
             proxy.get("k")
-        rows.append(f"  n={n}: {(world.now - start) / 60:8.4f} virtual "
-                    f"ms/read, spread over {n} member(s)")
-    write_report("C4", "replication: availability, ordering, cost "
-                       "(section 5.3)", rows)
+        reads[n] = (world.now - start) / 60
+    return {"virtual_ms_per_write": costs,
+            "availability_n5_per_wave": waves,
+            "read_spread_virtual_ms_per_read": reads}, {}

@@ -15,18 +15,11 @@ Expected shape: retries and deadlocks rise with contention but money is
 conserved and every workload terminates.
 """
 
-import pytest
-
 from repro import EnvironmentConstraints, Signal
 from repro.sim.rand import DeterministicRandom
 from repro.tx.runner import TxRunner
 
-from benchmarks.workloads import (
-    Account,
-    as_report,
-    n_node_world,
-    write_report,
-)
+from benchmarks.workloads import Account, n_node_world
 
 TX = EnvironmentConstraints(concurrency=True)
 SCRIPTS = 12
@@ -71,37 +64,22 @@ def _workload(accounts, seed=3):
     return world, domain, proxies, runner, scripts
 
 
-@pytest.mark.parametrize("accounts", [12, 4, 2])
-def test_c5_contention(benchmark, accounts):
-    benchmark.group = "C5 transactions vs contention"
-    benchmark(lambda: _workload(accounts)[3].run(
-        _workload(accounts)[4]))
-
-
-def test_c5_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = ["-- contention sweep (12 concurrent transfers) --"]
+def claim():
+    sweep = {}
     for accounts in (12, 6, 3, 2):
         world, domain, proxies, runner, scripts = _workload(accounts)
         start = world.now
         records = runner.run(scripts)
-        elapsed = world.now - start
         committed = sum(1 for r in records if r.committed)
-        busy = sum(r.busy_waits for r in records)
-        deadlocks = sum(r.deadlocks for r in records)
+        sweep[accounts] = {
+            "committed": committed,
+            "busy_waits": sum(r.busy_waits for r in records),
+            "deadlocks": sum(r.deadlocks for r in records),
+            "virtual_ms": world.now - start}
         total = sum(p.balance_of() for p in proxies)
-        rows.append(
-            f"  accounts={accounts:>2}: committed {committed}/{SCRIPTS}, "
-            f"busy-waits {busy:>3}, deadlocks {deadlocks}, "
-            f"{elapsed:8.2f} virtual ms, money conserved: "
-            f"{total == 1000 * accounts}")
         assert committed == SCRIPTS
         assert total == 1000 * accounts
 
-    rows.append("-- deadlock storm (opposite lock orders) --")
     world, domain, proxies = _build(2, seed=11)
     a, b = proxies
     storm = []
@@ -113,13 +91,9 @@ def _report():
     runner = TxRunner(domain.tx_manager, world.scheduler,
                       rng=DeterministicRandom(5))
     records = runner.run(storm)
-    deadlocks = sum(r.deadlocks for r in records)
-    rows.append(f"  all committed: {all(r.committed for r in records)}, "
-                f"deadlocks detected+resolved: {deadlocks}, "
-                f"restarts: {runner.restarts}")
     assert all(r.committed for r in records)
 
-    rows.append("-- price of the ACID machinery --")
+    price = {}
     for label, constraints in (("plain", EnvironmentConstraints()),
                                ("transactional", TX)):
         world, capsules, clients = n_node_world(2)
@@ -135,7 +109,9 @@ def _report():
             for _ in range(40):
                 with domain.tx_manager.begin():
                     proxy.deposit(1)
-        rows.append(f"  {label:>13}: "
-                    f"{(world.now - start) / 40:8.4f} virtual ms/op")
-    write_report("C5", "transactions: serialisable, deadlock-free "
-                       "progress under contention (section 5.2)", rows)
+        price[label] = (world.now - start) / 40
+    return {"contention_by_accounts": sweep,
+            "deadlock_storm": {
+                "deadlocks": sum(r.deadlocks for r in records),
+                "restarts": runner.restarts},
+            "virtual_ms_per_op": price}, {}

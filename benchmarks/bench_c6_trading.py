@@ -14,18 +14,12 @@ Expected shape: lookup grows roughly linearly with database size and
 chain length; type checking never returns a false match.
 """
 
-import pytest
+import time
 
 from repro import signature_of
-
-from benchmarks.workloads import (
-    Account,
-    Counter,
-    as_report,
-    two_node_world,
-    write_report,
-)
 from repro.runtime import World
+
+from benchmarks.workloads import Account, Counter, two_node_world
 
 
 def _stocked_trader(offers):
@@ -63,55 +57,28 @@ def _chain(length):
     return traders
 
 
-@pytest.mark.parametrize("offers", [10, 100, 1000])
-def test_c6_import_vs_database_size(benchmark, offers):
-    benchmark.group = "C6 trading scale"
-    world, domain = _stocked_trader(offers)
-    requirement = signature_of(Counter)
-    benchmark(lambda: domain.trader.import_service(
-        requirement, query="cost < 10 and region == 'eu'"))
-
-
-@pytest.mark.parametrize("length", [2, 4, 6])
-def test_c6_federated_chain(benchmark, length):
-    benchmark.group = "C6 federated lookup"
-    traders = _chain(length)
-    requirement = signature_of(Counter)
-    target = f"home == 'dom{length - 1}'"
-    benchmark(lambda: traders[0].import_service(
-        requirement, query=target, max_hops=length))
-
-
-def test_c6_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    import time
-
-    rows = ["-- import wall time vs offer-database size --"]
+def claim():
+    matches, wall = {}, {}
     requirement = signature_of(Counter)
     for offers in (10, 100, 1000):
         world, domain = _stocked_trader(offers)
         begin = time.perf_counter()
         replies = domain.trader.import_service(
             requirement, query="cost < 10 and region == 'eu'")
-        elapsed = (time.perf_counter() - begin) * 1000
-        rows.append(f"  offers={offers:>5}: {elapsed:8.3f} wall ms, "
-                    f"{len(replies)} matches")
+        wall[f"import_ms_{offers}_offers"] = \
+            (time.perf_counter() - begin) * 1000
+        matches[offers] = len(replies)
         # Type safety: no Account offer ever leaks into Counter results.
         assert all("increment" in r.ref.signature.operations
                    for r in replies)
 
-    rows.append("-- selectivity of property constraints --")
     world, domain = _stocked_trader(300)
-    for query in ("", "region == 'eu'", "region == 'eu' and cost < 5",
-                  "region == 'eu' and cost < 5 and index > 250"):
-        matches = len(domain.trader.import_service(requirement,
-                                                   query=query))
-        rows.append(f"  {query!r:>45}: {matches} matches")
+    selectivity = {
+        query: len(domain.trader.import_service(requirement, query=query))
+        for query in ("", "region == 'eu'", "region == 'eu' and cost < 5",
+                      "region == 'eu' and cost < 5 and index > 250")}
 
-    rows.append("-- federated chain traversal --")
+    hops = {}
     for length in (1, 2, 4, 6):
         traders = _chain(length)
         replies = traders[0].import_service(
@@ -119,9 +86,9 @@ def _report():
             max_hops=length)
         found = len(replies) == 1
         via = replies[0].via if replies else ()
-        rows.append(f"  chain length {length}: found={found}, "
-                    f"hops travelled={len(via)}")
+        hops[length] = len(via)
         assert found
         assert len(via) == length - 1
-    write_report("C6", "trading: scale, type-safety, federation "
-                       "(section 6)", rows)
+    return {"matches_by_offers": matches,
+            "matches_of_300_by_query": selectivity,
+            "hops_by_chain_length": hops}, wall

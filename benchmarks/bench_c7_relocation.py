@@ -15,9 +15,7 @@ Expected shape: stationary objects cost nothing; overhead decays as
 migrations get rarer; forward hints beat registry lookups.
 """
 
-import pytest
-
-from benchmarks.workloads import Counter, as_report, n_node_world, write_report
+from benchmarks.workloads import Counter, n_node_world
 
 CALLS = 100
 
@@ -42,18 +40,7 @@ def _migrating_run(every, leave_forward=True, calls=CALLS):
     return world, domain, elapsed / calls, layer
 
 
-@pytest.mark.parametrize("every", [0, 10, 2])
-def test_c7_migration_frequency(benchmark, every):
-    benchmark.group = "C7 migration frequency"
-    benchmark(lambda: _migrating_run(every, calls=40))
-
-
-def test_c7_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = ["-- stationary population: registration of changes only --"]
+def claim():
     world, capsules, clients = n_node_world(2)
     domain = world.domain("org")
     binder = world.binder_for(clients)
@@ -63,32 +50,28 @@ def _report():
         for proxy in proxies:
             proxy.increment()
     relocator = domain.relocator
-    rows.append(f"  20 interfaces, 100 invocations: "
-                f"registrations={relocator.registrations}, "
-                f"updates={relocator.updates}, "
-                f"lookups={relocator.lookups}")
     assert relocator.registrations == 20
     assert relocator.updates == 0
     assert relocator.lookups == 0
 
-    rows.append("-- overhead vs migration interval k --")
     baseline = _migrating_run(0)[2]
-    rows.append(f"  stationary: {baseline:8.4f} virtual ms/call")
+    per_call = {"stationary": baseline}
     overheads = {}
     for every in (50, 10, 5, 2):
-        per_call = _migrating_run(every)[2]
-        overheads[every] = per_call - baseline
-        rows.append(f"  k={every:>2}: {per_call:8.4f} virtual ms/call "
-                    f"(+{overheads[every]:.4f})")
+        per_call[f"k={every}"] = _migrating_run(every)[2]
+        overheads[every] = per_call[f"k={every}"] - baseline
     assert overheads[2] > overheads[50]
 
-    rows.append("-- repair source: forward hint vs relocator lookup --")
+    repair = {}
     for label, forward in (("forward-hint", True),
                            ("relocator-lookup", False)):
-        world, domain, per_call, layer = _migrating_run(
-            5, leave_forward=forward)
-        rows.append(f"  {label:>17}: {per_call:8.4f} virtual ms/call, "
-                    f"hint repairs={layer.hint_repairs}, "
-                    f"lookup repairs={layer.lookup_repairs}")
-    write_report("C7", "relocation: change-only registration and "
-                       "transparent repair (section 5.4)", rows)
+        world, domain, ms, layer = _migrating_run(5, leave_forward=forward)
+        repair[label] = {"virtual_ms_per_call": ms,
+                         "hint_repairs": layer.hint_repairs,
+                         "lookup_repairs": layer.lookup_repairs}
+    return {"stationary_20_interfaces": {
+                "registrations": relocator.registrations,
+                "updates": relocator.updates,
+                "lookups": relocator.lookups},
+            "virtual_ms_per_call_by_migration_interval": per_call,
+            "repair_at_k=5": repair}, {}

@@ -13,16 +13,14 @@ Expected shape: the classic trade-off — small c costs more in steady
 state but recovers with less replay; fidelity is exact at every c.
 """
 
-import pytest
-
 from repro import EnvironmentConstraints, FailureSpec
 
-from benchmarks.workloads import Account, as_report, n_node_world, write_report
+from benchmarks.workloads import Account, n_node_world
 
 WRITES = 63  # deliberately not a multiple of the checkpoint intervals
 
 
-def _run(checkpoint_every, crash=True):
+def _run(checkpoint_every):
     world, capsules, clients = n_node_world(2)
     domain = world.domain("org")
     ref = capsules[0].export(
@@ -34,9 +32,6 @@ def _run(checkpoint_every, crash=True):
     for _ in range(WRITES):
         proxy.deposit(1)
     steady_ms = (world.now - start) / WRITES
-    if not crash:
-        return steady_ms, None, None, None
-    expected = WRITES
     world.crash_node("node-0")
     recover_start = world.now
     domain.recovery.recover(ref.interface_id, capsules[1])
@@ -46,32 +41,16 @@ def _run(checkpoint_every, crash=True):
     return steady_ms, recovery_ms, replayed, recovered_balance
 
 
-@pytest.mark.parametrize("interval", [1, 5, 20, 100])
-def test_c8_checkpoint_interval(benchmark, interval):
-    benchmark.group = "C8 checkpoint interval"
-    benchmark(lambda: _run(interval))
-
-
-def test_c8_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = [f"workload: {WRITES} writes, crash, recover at alternate "
-            f"node"]
-    rows.append(f"{'c':>5} {'steady ms/write':>17} "
-                f"{'recovery ms':>12} {'replayed':>9} {'exact?':>7}")
+def claim():
     series = {}
     for interval in (1, 5, 20, 100):
         steady, recovery, replayed, balance = _run(interval)
-        exact = balance == WRITES
-        series[interval] = (steady, replayed)
-        rows.append(f"{interval:>5} {steady:>17.4f} {recovery:>12.4f} "
-                    f"{replayed:>9} {str(exact):>7}")
-        assert exact  # "mirror exactly the state of its predecessor"
+        series[interval] = {"steady_ms_per_write": steady,
+                            "recovery_ms": recovery, "replayed": replayed}
+        assert balance == WRITES  # "mirror exactly the state of its predecessor"
     # The trade-off shape: frequent checkpoints cost more in steady
     # state; rare checkpoints mean more replay at recovery.
-    assert series[1][0] > series[100][0]
-    assert series[100][1] > series[1][1]
-    write_report("C8", "failure transparency: checkpoint-interval "
-                       "trade-off, exact recovery (section 5.5)", rows)
+    assert series[1]["steady_ms_per_write"] > \
+        series[100]["steady_ms_per_write"]
+    assert series[100]["replayed"] > series[1]["replayed"]
+    return {"by_checkpoint_interval": series}, {}

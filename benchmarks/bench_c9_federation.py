@@ -17,11 +17,9 @@ each further domain adds another constant increment; format translation
 is absorbed by the gateway (no client-visible failure).
 """
 
-import pytest
-
 from repro.runtime import World
 
-from benchmarks.workloads import Counter, as_report, write_report
+from benchmarks.workloads import Counter
 
 CALLS = 30
 
@@ -63,60 +61,30 @@ def _measure(world, proxy, calls=CALLS):
             (world.network.total_messages - msgs) / calls)
 
 
-def test_c9_intra_domain(benchmark):
-    benchmark.group = "C9 boundary crossing"
-    world, local, foreign = _pair()
-    benchmark(lambda: _measure(world, local, 10))
-
-
-def test_c9_cross_domain(benchmark):
-    benchmark.group = "C9 boundary crossing"
-    world, local, foreign = _pair()
-    benchmark(lambda: _measure(world, foreign, 10))
-
-
-@pytest.mark.parametrize("length", [1, 2, 4])
-def test_c9_route_length(benchmark, length):
-    benchmark.group = "C9 route length"
-    world, client = _chain(length)
-    benchmark(lambda: _measure(world, client, 10))
-
-
-def test_c9_report(benchmark):
-    as_report(benchmark, _report)
-
-
-def _report():
-    rows = ["-- one boundary, homogeneous vs heterogeneous formats --"]
-    results = {}
+def claim():
+    boundary = {}
     for label, formats in (("homogeneous", ("packed", "packed")),
                            ("heterogeneous", ("packed", "tagged"))):
         world, local, foreign = _pair(formats)
         local_ms, local_msgs = _measure(world, local)
         foreign_ms, foreign_msgs = _measure(world, foreign)
-        results[label] = (local_ms, foreign_ms)
-        rows.append(f"  {label:>14}: intra {local_ms:7.4f} ms "
-                    f"({local_msgs:.0f} msgs) | cross "
-                    f"{foreign_ms:7.4f} ms ({foreign_msgs:.0f} msgs) | "
-                    f"factor {foreign_ms / local_ms:4.2f}x")
+        boundary[label] = {"intra_ms": local_ms, "intra_msgs": local_msgs,
+                           "cross_ms": foreign_ms,
+                           "cross_msgs": foreign_msgs,
+                           "factor": foreign_ms / local_ms}
         # Economical: crossing costs a bounded constant factor.
         assert foreign_ms > local_ms
         assert foreign_ms < local_ms * 4
         assert foreign_msgs == local_msgs + 2  # exactly one gateway hop
 
-    rows.append("-- cost vs federation route length --")
-    costs = {}
+    costs, route = {}, {}
     for length in (1, 2, 3, 4):
         world, client = _chain(length)
-        ms, msgs = _measure(world, client)
-        costs[length] = ms
-        rows.append(f"  {length} boundar{'y' if length == 1 else 'ies'}: "
-                    f"{ms:7.4f} ms, {msgs:.0f} msgs/call")
+        costs[length], msgs = _measure(world, client)
+        route[length] = {"ms": costs[length], "msgs_per_call": msgs}
     increments = [costs[n + 1] - costs[n] for n in (1, 2, 3)]
-    rows.append(f"  per-extra-domain increments: "
-                f"{['%.4f' % i for i in increments]}")
     assert all(i > 0 for i in increments)
     # Roughly constant increment per domain (within 3x of each other).
     assert max(increments) < 3 * min(increments)
-    write_report("C9", "federation interception cost (sections 4.2, "
-                       "5.6)", rows)
+    return {"one_boundary": boundary, "by_boundaries_crossed": route,
+            "increment_ms_per_extra_domain": increments}, {}

@@ -13,9 +13,9 @@ that records the code objects it calls under ``src/repro``:
 * every ``examples/*.py``;
 * ``benchmarks/ledger/run.py --workload W --setup-only`` for every
   workload ``BENCHMARK.json`` declares (one cold set-up each);
-* every ``benchmarks/bench_c*.py`` under pytest with
-  ``--benchmark-disable`` (their ``C*.txt`` reports go to a scratch
-  directory, not ``benchmarks/out/``).
+* the ``claim()`` of every ``benchmarks/bench_c*.py``, each in its own
+  interpreter as ``python -m benchmarks.claims`` runs it (a claim
+  writes no file).
 
 Every function ``ast`` finds in ``src/repro`` that no driver called is
 written to ``benchmarks/out/REACH.txt``: per package, the functions and
@@ -36,6 +36,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
+from benchmarks import claims
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 OUT = ROOT / "benchmarks" / "out" / "REACH.txt"
@@ -47,38 +49,25 @@ MUTATIONS = (("deadline", "overload"), ("leaseinval", "leases"),
              ("quorumbarrier", "partitions"), ("replycache", ""),
              ("txversions", ""))
 
-#: Runs in the driver's interpreter: arm the hook, run the driver as
-#: ``__main__`` (pytest drivers: re-arm before each test, since a test
-#: may install a profiler of its own), write what it called and how
-#: often the hook was found disarmed.  ``argv``: the package prefix, the
-#: out file, the report directory, "module" / "path" / "pytest", the
-#: target, the driver's own arguments.
+#: Runs in the driver's interpreter: arm the hook, run the driver (a
+#: claim script's ``claim()``, a module or a path as ``__main__``), write
+#: what it called and whether the hook was found disarmed at the end (a
+#: driver that installs a profiler of its own hides calls from it).
+#: ``argv``: the package prefix, the out file, "claim" / "module" /
+#: "path", the target, the driver's own arguments.
 _BOOT = r"""
-import json, runpy, sys, threading
-prefix, out, scratch, how, target, *args = sys.argv[1:]
+import importlib, json, runpy, sys, threading
+prefix, out, how, target, *args = sys.argv[1:]
 seen = set()
-lost = 0
 def hook(frame, event, arg):
     if event == "call":
         seen.add(frame.f_code)
-def rearm():
-    global lost
-    if sys.getprofile() is not hook:
-        lost += 1
-        sys.setprofile(hook)
-        threading.setprofile(hook)
-class Rearm:
-    def pytest_runtest_setup(self, item):
-        rearm()
 sys.argv = [target, *args]
-if how == "pytest":
-    import benchmarks.workloads, pytest
-    benchmarks.workloads.OUT_DIR = scratch
 sys.setprofile(hook)
 threading.setprofile(hook)
 try:
-    if how == "pytest":
-        pytest.main(args, plugins=[Rearm()])
+    if how == "claim":
+        importlib.import_module(target).claim()
     elif how == "path":
         runpy.run_path(target, run_name="__main__")
     else:
@@ -86,7 +75,7 @@ try:
 except SystemExit:
     pass
 finally:
-    rearm()
+    lost = int(sys.getprofile() is not hook)
     sys.setprofile(None)
     with open(out, "w") as handle:
         json.dump({"lost": lost, "called": sorted(
@@ -117,10 +106,9 @@ def drivers() -> List[Tuple[str, str, str, List[str]]]:
         args = ["--workload", workload["name"], "--setup-only"]
         found.append((f"benchmarks/ledger/run.py {' '.join(args)}", "path",
                       str(ledger), args))
-    for path in sorted((ROOT / "benchmarks").glob("bench_c*.py")):
-        found.append((f"benchmarks/{path.name}", "pytest", "pytest",
-                      [str(path), "-q", "-p", "no:cacheprovider",
-                       "--benchmark-disable"]))
+    for ident, path in claims.scripts():
+        found.append((f"{ident}: benchmarks/{path.name} claim()", "claim",
+                      f"benchmarks.{path.stem}", []))
     return found
 
 
@@ -131,7 +119,7 @@ def run_driver(index: int, driver, scratch: str) -> Dict:
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
     started = time.perf_counter()
     subprocess.run([sys.executable, "-c", _BOOT, str(PACKAGE) + os.sep,
-                    out, scratch, how, target, *args],
+                    out, how, target, *args],
                    cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
                    stderr=subprocess.DEVNULL)
     with open(out) as handle:
@@ -144,8 +132,7 @@ def run_driver(index: int, driver, scratch: str) -> Dict:
 def _lost(result: Dict) -> str:
     if not result["lost"]:
         return ""
-    return (f"  (hook found disarmed {result['lost']}x and re-armed: "
-            f"calls between were not recorded)")
+    return "  (hook found disarmed: calls after that were not recorded)"
 
 
 def functions() -> List[Tuple[str, int, int, str, str]]:

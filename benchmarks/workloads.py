@@ -1,48 +1,19 @@
-"""Shared workload definitions and report plumbing for the benchmarks.
+"""Shared workloads and helpers of the claim scripts.
 
 The paper ("The Challenge of ODP", 1991) is a position paper with no
-tables or figures; every benchmark here regenerates one of its *prose*
-engineering claims as a measured series (see DESIGN.md's experiment
-index and EXPERIMENTS.md).  Each bench both:
-
-* exercises the claim under pytest-benchmark (wall-clock cost of the
-  simulated mechanism), and
-* computes the claim's series in *virtual* time / message counts and
-  appends it to ``benchmarks/out/<id>.txt`` so the run leaves a
-  human-readable artefact.
+tables or figures; each ``benchmarks/bench_c*.py`` regenerates one of
+its *prose* engineering claims as a measured series (see DESIGN.md's
+experiment index and EXPERIMENTS.md).  Its ``claim()`` builds the
+worlds, asserts the claim's shape and returns the series as data;
+``python -m benchmarks.claims`` runs them all.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import List
+import bisect
+from itertools import accumulate
 
 from repro import OdpObject, Signal, World, operation
-
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-
-
-def as_report(benchmark, fn) -> None:
-    """Run a claim-report builder exactly once under pytest-benchmark.
-
-    Report tests validate the claim's *shape* in virtual time and write
-    the series artefact; registering them as single-round benchmarks
-    keeps them alive under ``--benchmark-only``.
-    """
-    benchmark.group = "claim reports"
-    benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def write_report(experiment_id: str, title: str, lines: List[str]) -> str:
-    os.makedirs(OUT_DIR, exist_ok=True)
-    path = os.path.join(OUT_DIR, f"{experiment_id}.txt")
-    with open(path, "w") as handle:
-        handle.write(f"{experiment_id}: {title}\n")
-        handle.write("=" * 72 + "\n")
-        for line in lines:
-            handle.write(line + "\n")
-    return path
 
 
 class Counter(OdpObject):
@@ -99,24 +70,15 @@ class Echo(OdpObject):
         return value
 
 
-def rate_pair_us(fn_a, fn_b, rounds=1500, repeats=6):
-    """Best-of-*repeats* per-call cost for two competing paths, with
-    the timing windows interleaved A/B/A/B so CPU frequency drift and
-    scheduler noise land on both arms alike; the minimum per arm
-    estimates intrinsic cost."""
-    fn_a()
-    fn_b()  # warm both
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            fn_a()
-        best_a = min(best_a, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            fn_b()
-        best_b = min(best_b, time.perf_counter() - t0)
-    return (best_a / rounds * 1e6, best_b / rounds * 1e6)
+def zipf_keys(world, exponent, keys, count, label):
+    """*count* keys ``k0`` .. ``k<keys - 1>``, key *i* drawn with weight
+    ``1 / (i + 1) ** exponent`` from the world's random stream *label*."""
+    weights = [1.0 / ((i + 1) ** exponent) for i in range(keys)]
+    total = sum(weights)
+    cdf = [acc / total for acc in accumulate(weights)]
+    rng = world.fork_rng(label)
+    return [f"k{bisect.bisect_left(cdf, rng.uniform(0.0, 1.0))}"
+            for _ in range(count)]
 
 
 def two_node_world(seed: int = 1, **kwargs) -> tuple:
