@@ -3,8 +3,9 @@
     python -m benchmarks.reach
 
 Runs every driver that is not a unit test, each in its own interpreter
-with a profile hook (``sys.setprofile`` and ``threading.setprofile``)
-that records the code objects it calls under ``src/repro``:
+with one trace hook (``sys.settrace`` and ``threading.settrace``) that
+records the code objects it calls under ``src/repro`` and the lines
+they run:
 
 * ``python -m repro.check --seeds 10`` in the eight configurations (the
   default, each of the six modes alone, all six composed);
@@ -20,7 +21,10 @@ that records the code objects it calls under ``src/repro``:
 Every function ``ast`` finds in ``src/repro`` that no driver called is
 written to ``benchmarks/out/REACH.txt``: per package, the functions and
 source lines never called, then each such function with its file and
-line.  Standard library only; two drivers run at a time.
+line.  Beside them, per package, the executable lines inside functions
+that some driver called which no driver ran: a report, not a ratchet
+(most are error handling).  Standard library only; two drivers run at
+a time.
 """
 
 from __future__ import annotations
@@ -51,20 +55,34 @@ MUTATIONS = (("deadline", "overload"), ("leaseinval", "leases"),
 
 #: Runs in the driver's interpreter: arm the hook, run the driver (a
 #: claim script's ``claim()``, a module or a path as ``__main__``), write
-#: what it called and whether the hook was found disarmed at the end (a
-#: driver that installs a profiler of its own hides calls from it).
+#: what it called, the lines of those calls it ran and did not run, and
+#: whether the hook was found disarmed at the end (a driver that
+#: installs a tracer of its own hides calls from it).  A frame is traced
+#: line by line only while its code has a line not yet seen to run.
 #: ``argv``: the package prefix, the out file, "claim" / "module" /
 #: "path", the target, the driver's own arguments.
 _BOOT = r"""
 import importlib, json, runpy, sys, threading
 prefix, out, how, target, *args = sys.argv[1:]
-seen = set()
+#: Code object -> its lines not yet seen to run (its first line, the
+#: ``def``, runs with the call).
+unrun = {}
+def local(frame, event, arg):
+    if event == "line":
+        unrun[frame.f_code].discard(frame.f_lineno)
+    return local
 def hook(frame, event, arg):
-    if event == "call":
-        seen.add(frame.f_code)
+    code = frame.f_code
+    left = unrun.get(code)
+    if left is None:
+        left = unrun[code] = set()
+        if code.co_filename.startswith(prefix):
+            left.update(line for _, _, line in code.co_lines()
+                        if line is not None and line != code.co_firstlineno)
+    return local if left else None
 sys.argv = [target, *args]
-sys.setprofile(hook)
-threading.setprofile(hook)
+sys.settrace(hook)
+threading.settrace(hook)
 try:
     if how == "claim":
         importlib.import_module(target).claim()
@@ -75,13 +93,23 @@ try:
 except SystemExit:
     pass
 finally:
-    lost = int(sys.getprofile() is not hook)
-    sys.setprofile(None)
+    lost = int(sys.gettrace() is not hook)
+    sys.settrace(None)
+    ours = [code for code in unrun if code.co_filename.startswith(prefix)]
+    lines = {}
+    for code in ours:
+        if code.co_flags & 0x2:  # CO_NEWLOCALS: a function, not a body
+            ran, missed = lines.setdefault(code.co_filename, (set(), set()))
+            left = unrun[code]
+            ran.update(line for _, _, line in code.co_lines()
+                       if line is not None and line not in left)
+            missed.update(left)
     with open(out, "w") as handle:
         json.dump({"lost": lost, "called": sorted(
             [code.co_filename, code.co_firstlineno, code.co_name]
-            for code in seen if code.co_filename.startswith(prefix))},
-            handle)
+            for code in ours), "lines": {
+                path: [sorted(ran), sorted(missed)]
+                for path, (ran, missed) in lines.items()}}, handle)
 """
 
 
@@ -173,13 +201,27 @@ def report(results: List[Dict]) -> List[str]:
     per_package: Dict[str, List[int]] = {}
     lines: Dict[str, Set[int]] = {}
     for path, first, last, _, _ in every:
-        per_package.setdefault(package_of(path), [0, 0, 0])[0] += 1
+        per_package.setdefault(package_of(path), [0, 0, 0, 0, 0])[0] += 1
     for path, first, last, _, _ in never:
         per_package[package_of(path)][1] += 1
         lines.setdefault(path, set()).update(range(first, last + 1))
     for path, numbers in lines.items():
         per_package[package_of(path)][2] += len(numbers)
     total_lines = sum(len(numbers) for numbers in lines.values())
+    # Lines of called functions: run by some driver, or by none.
+    ran: Dict[str, Set[int]] = {}
+    missed: Dict[str, Set[int]] = {}
+    for result in results:
+        for path, (hit, miss) in result["lines"].items():
+            ran.setdefault(path, set()).update(hit)
+            missed.setdefault(path, set()).update(miss)
+    for path, numbers in missed.items():
+        numbers -= ran[path]
+        counts = per_package[package_of(path)]
+        counts[3] += len(numbers | ran[path])
+        counts[4] += len(numbers)
+    executable = sum(counts[3] for counts in per_package.values())
+    unrun = sum(counts[4] for counts in per_package.values())
     out = [
         "REACH: functions in src/repro that no driver calls",
         "=" * 72,
@@ -188,12 +230,20 @@ def report(results: List[Dict]) -> List[str]:
         "",
         f"{len(every)} functions, {len(never)} never called, "
         f"{total_lines} lines",
+        f"{executable} executable lines in called functions, {unrun} "
+        f"run by no driver (report only)",
         "",
-        f"{'package':<14}{'functions':>10}{'never':>8}{'lines':>8}",
+        f"{'package':<14}{'functions':>10}{'never':>8}{'lines':>8}"
+        f"{'called':>8}{'unrun':>8}",
     ]
     for package in sorted(per_package):
-        count, missed, missed_lines = per_package[package]
-        out.append(f"{package:<14}{count:>10}{missed:>8}{missed_lines:>8}")
+        count, never_called, never_lines, called, not_run = \
+            per_package[package]
+        out.append(f"{package:<14}{count:>10}{never_called:>8}"
+                   f"{never_lines:>8}{called:>8}{not_run:>8}")
+    out += ["", "lines: source lines of never-called functions; called:"
+                " executable lines of called functions; unrun: those no"
+                " driver ran"]
     out += ["", "never called (file:line  function):"]
     for path, first, _, _, qualified in never:
         where = Path(path).relative_to(PACKAGE).as_posix()

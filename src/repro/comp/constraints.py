@@ -25,8 +25,8 @@ class ReplicationSpec:
 
     #: Number of replicas to maintain.
     replicas: int = 3
-    #: 'active' (all members execute), 'standby' (hot standby fail-over) or
-    #: 'read_spread' (reads spread over members for availability).
+    #: 'active' (all members execute) or 'read_spread' (reads spread
+    #: over members for availability).
     policy: str = "active"
     #: Replies required before the client-side layer reports success.
     reply_quorum: int = 1
@@ -34,7 +34,7 @@ class ReplicationSpec:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.policy not in ("active", "standby", "read_spread"):
+        if self.policy not in ("active", "read_spread"):
             raise ValueError(f"unknown replication policy {self.policy!r}")
         if not 1 <= self.reply_quorum <= self.replicas:
             raise ValueError("reply_quorum must be in [1, replicas]")

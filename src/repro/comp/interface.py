@@ -66,7 +66,3 @@ class Interface:
         self.implementation = implementation
         self.state = InterfaceState.ACTIVE
         self.epoch += 1
-
-    def __repr__(self) -> str:
-        return (f"Interface({self.interface_id}, {self.signature.name}, "
-                f"{self.state.value}, epoch={self.epoch})")

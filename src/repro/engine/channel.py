@@ -173,12 +173,6 @@ class TransportLayer:
         self.channel: Optional[Channel] = None
         self._retry_rng = client_nucleus.network.rng.fork(
             f"retry:{client_nucleus.node_address}:{client_capsule.name}")
-        self.busy_retries = 0
-        client_nucleus.transports.append(self)
-        #: Path selection memo, keyed by the QoS protocol constraint and
-        #: valid only for the reference it was computed against.
-        self._path_cache: dict = {}
-        self._path_cache_ref: Optional[InterfaceRef] = None
         #: Large replies already read: reply bytes -> their termination,
         #: oldest first, and the reply bytes they hold.
         self._replies: OrderedDict = OrderedDict()
@@ -191,26 +185,15 @@ class TransportLayer:
 
     def _select_path(self, qos: QoS) -> Tuple[AccessPath, ...]:
         ref = self.channel.ref
-        if ref is not self._path_cache_ref:
-            # The one invalidation rule: a rebind assigns a new
-            # channel.ref, so no memo outlives its reference.  (Codec
-            # plans are keyed by the id and epoch they embed.)
-            self._path_cache.clear()
-            self._path_cache_ref = ref
-        cached = self._path_cache.get(qos.protocol)
-        if cached is not None:
-            return cached
         if not ref.paths:
             raise BindingError(
                 f"reference {ref.interface_id} carries no access paths")
-        if qos.protocol:
-            paths = ref.paths_for_protocol(qos.protocol)
-            if not paths:
-                raise ProtocolMismatchError(
-                    f"no access path speaks protocol {qos.protocol!r}")
-        else:
-            paths = ref.paths
-        self._path_cache[qos.protocol] = paths
+        if not qos.protocol:
+            return ref.paths
+        paths = ref.paths_for_protocol(qos.protocol)
+        if not paths:
+            raise ProtocolMismatchError(
+                f"no access path speaks protocol {qos.protocol!r}")
         return paths
 
     # -- encode ---------------------------------------------------------------
@@ -401,7 +384,7 @@ class TransportLayer:
                     # safe, and overload is a property of the server
                     # rather than the path: back off and retry here,
                     # and never fail over on it.
-                    self.busy_retries += 1
+                    self.nucleus.resilience.busy_retries += 1
                     cause = {"cause": "busy"}
                 else:
                     net_span.tag("error", type(exc).__name__) \

@@ -33,7 +33,7 @@ from repro.ndr.formats import get_format
 from repro.net.network import Network, NetworkNode
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.dedup import ReplyCache
-from repro.resilience.stats import ResilienceStats
+from repro.resilience.stats import BatchStats, ResilienceStats
 from repro.trace.context import TraceContext
 from repro.trace.span import NULL_SPAN, span_name
 
@@ -100,14 +100,8 @@ class Nucleus:
         #: the invocation context.  Off by default so the default wire
         #: format stays byte-identical to the pre-overload platform.
         self.deadline_propagation = False
-        #: BatchClients issuing from this node — management visibility
-        #: only.
-        self.batchers = []
-        #: TransportLayers opened by this node's capsules, likewise.
-        self.transports = []
-        #: RelocationLayers attached by this node's channels — the
-        #: monitor aggregates their chase/repair churn counters.
-        self.relocation_layers = []
+        #: What every BatchClient issuing from this node did, together.
+        self.batching = BatchStats()
         #: The node's caching LeaseClient (repro.lease), or None when
         #: this node does no client-side caching.  Attached by
         #: ``LeaseAuthority.attach_client``; every channel the node's

@@ -110,7 +110,3 @@ class Community:
             if role.audited:
                 audited.update(role.performs)
         return audited
-
-    def __repr__(self) -> str:
-        return (f"Community({self.name!r}, {len(self.roles)} roles, "
-                f"{len(self.assignments)} members)")

@@ -254,9 +254,6 @@ class Domain:
     def credentials_for(self, principal: str) -> Dict[str, str]:
         return self.authority.credentials_for(principal)
 
-    def __repr__(self) -> str:
-        return f"Domain({self.name}, {len(self.nuclei)} nodes)"
-
 
 class Federation:
     """The arbitrary graph of autonomous domains."""

@@ -190,11 +190,11 @@ def _deliver_locally(domain, nucleus, capsule, ref,
     """The reference is home: strip its context and invoke via a channel
     so location repair and group routing still apply.
 
-    One channel per (gateway capsule, interface) serves every arrival —
-    a channel registers its transport, plan cache and relocation layer
-    with the nucleus for good, so one per arrival would grow those lists
-    without bound.  It is rebound only to a reference fresher than the
-    one it holds (its own location repairs keep it current otherwise).
+    One channel per (gateway capsule, interface) serves every arrival,
+    so an arrival compiles no channel stack and inherits the location
+    repairs of the arrivals before it.  It is rebound only to a
+    reference fresher than the one it holds (its own location repairs
+    keep it current otherwise).
     """
     from repro.transparency.compiler import compile_client_channel
 

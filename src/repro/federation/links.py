@@ -69,6 +69,3 @@ class FederationLink:
         if principal is None:
             return None
         return self.principal_map.get(principal, principal)
-
-    def __repr__(self) -> str:
-        return f"FederationLink({self.source}->{self.target})"

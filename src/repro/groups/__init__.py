@@ -13,9 +13,10 @@ view-based and "tolerant of failures in members of the group and of
 changes of membership": crashed members are dropped from the view, the
 sequencer role fails over, joiners receive a state transfer.
 
-On top of this one mechanism sit the paper's three policies: ``active``
-replication, ``standby`` (hot standby), and ``read_spread`` (availability
-by spreading read demand over identical members).
+On top of this one mechanism sit two policies: ``active`` replication
+(every member applies every write, so any survivor can take over), and
+``read_spread`` (availability by spreading read demand over identical
+members).
 """
 
 from repro.groups.group import Member, View, ReplicaGroup

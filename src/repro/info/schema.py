@@ -50,9 +50,6 @@ class EntityType:
                     problems.append(f"invariant {inv_name!r} violated")
         return problems
 
-    def __repr__(self) -> str:
-        return f"EntityType({self.name!r}, {len(self.attributes)} attrs)"
-
 
 @dataclass(frozen=True)
 class RelationshipType:

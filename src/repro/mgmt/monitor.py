@@ -63,24 +63,15 @@ class TransparencyMonitor:
         report: Dict[str, Any] = {"domain": domain.name}
         if domain._relocator is not None:
             relocator = domain.relocator
-            # Chase churn aggregated over every client-side relocation
-            # layer in the domain: how often bindings actually had to be
-            # repaired, and from which source (hint vs. lookup).
-            repairs = stale_hints = chases = 0
-            for nucleus in domain.nuclei.values():
-                for layer in nucleus.relocation_layers:
-                    repairs += layer.repairs
-                    stale_hints += layer.hint_repairs
-                    chases += layer.lookup_repairs
             report["relocation"] = {
                 "known": relocator.known(),
                 "registrations": relocator.registrations,
                 "updates": relocator.updates,
                 "lookups": relocator.lookups,
                 "misses": relocator.misses,
-                "repairs": repairs,
-                "stale_hints": stale_hints,
-                "chases": chases,
+                "repairs": relocator.stale_hints + relocator.chases,
+                "stale_hints": relocator.stale_hints,
+                "chases": relocator.chases,
             }
         if domain._tx_manager is not None:
             manager = domain.tx_manager
@@ -190,17 +181,14 @@ class TransparencyMonitor:
                 admission["max_depth"] = max(admission["max_depth"],
                                              stats["max_depth"])
                 admission["total_wait_ms"] += stats["total_wait_ms"]
-            for batcher in nucleus.batchers:
-                stats = batcher.stats()
-                batching["batchers"] += 1
-                batching["calls"] += stats["calls"]
-                batching["batches_sent"] += stats["batches_sent"]
-                batching["invocations_batched"] += \
-                    stats["invocations_batched"]
-                batching["retransmits"] += stats["retransmits"]
-                batching["busy_failures"] += stats["busy_failures"]
-            for transport in nucleus.transports:
-                busy_retries += transport.busy_retries
+            totals = nucleus.batching
+            batching["batchers"] += totals.batchers
+            batching["calls"] += totals.calls
+            batching["batches_sent"] += totals.batches_sent
+            batching["invocations_batched"] += totals.invocations_batched
+            batching["retransmits"] += totals.retransmits
+            batching["busy_failures"] += totals.busy_failures
+            busy_retries += nucleus.resilience.busy_retries
         return {"admission": admission, "batching": batching,
                 "busy_retries": busy_retries}
 

@@ -509,14 +509,6 @@ class FaultSchedule:
                     f"{type(window).__name__}: end_ms {end} precedes "
                     f"start_ms {start}")
 
-    def add(self, window) -> "FaultSchedule":
-        if self._transitions is not None:
-            raise RuntimeError("schedule already attached; add windows "
-                               "before attaching")
-        self._validate_window(window)
-        self.windows.append(window)
-        return self
-
     # -- compilation -----------------------------------------------------------
 
     def _compile(self) -> None:
@@ -658,7 +650,3 @@ class FaultSchedule:
             scheduler.at(when,
                          lambda when=when: self.sync(when, plan),
                          label=f"chaos@{when}")
-
-    def __repr__(self) -> str:
-        return (f"FaultSchedule({len(self.windows)} windows, "
-                f"{self.activations} activations)")

@@ -44,14 +44,13 @@ class NodeStats:
 class TransitRecord:
     """Leg timings of the most recent synchronous round trip.
 
-    The transport reads this right after :meth:`Network.request` returns
-    to attribute the network span's time to wire legs vs server work.
+    The transport and the batch client read this right after
+    :meth:`Network.request` returns, to tag the network span with its
+    wire legs.
     """
 
     out_ms: float = 0.0
-    server_ms: float = 0.0
     back_ms: float = 0.0
-    bytes_out: int = 0
     bytes_back: int = 0
 
 
@@ -84,9 +83,6 @@ class NetworkNode:
 
     def on_deliver(self, kind: str, handler: DeliveryHandler) -> None:
         self.delivery_handlers[kind] = handler
-
-    def __repr__(self) -> str:
-        return f"NetworkNode({self.address}, fmt={self.native_format})"
 
 
 class Network:
@@ -190,16 +186,13 @@ class Network:
                                    len(payload))
         self.scheduler.clock.advance(out_ms)
 
-        before_server = self.scheduler.now
         reply = dst.request_handler(source, payload)
-        server_ms = self.scheduler.now - before_server
 
         # Return leg (faults may have arisen while the server worked).
         back_ms = self._request_leg(latency, destination, source,
                                     len(reply))
         self.scheduler.clock.advance(back_ms)
-        self.last_transit = TransitRecord(out_ms, server_ms, back_ms,
-                                          len(payload), len(reply))
+        self.last_transit = TransitRecord(out_ms, back_ms, len(reply))
         return reply
 
     # -- asynchronous one-way delivery ---------------------------------------

@@ -137,7 +137,3 @@ class DeadlineGate:
             "expired_on_arrival": self.expired_on_arrival,
             "expired_post_queue": self.expired_post_queue,
         }
-
-    def __repr__(self) -> str:
-        return (f"DeadlineGate(arrival={self.expired_on_arrival}, "
-                f"post_queue={self.expired_post_queue})")

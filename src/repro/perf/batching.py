@@ -110,9 +110,10 @@ class BatchClient:
         self.busy_failures = 0
         self.flushes_on_size = 0
         self.flushes_on_linger = 0
-        # Management visibility: the monitor folds these into
-        # domain_report()["perf"].
-        self.nucleus.batchers.append(self)
+        #: The node's totals over all its batch clients, which the
+        #: monitor folds into ``domain_report()["perf"]``.
+        self._totals = self.nucleus.batching
+        self._totals.batchers += 1
 
     # -- enqueue ------------------------------------------------------------
 
@@ -120,6 +121,7 @@ class BatchClient:
              principal: Optional[str] = None) -> Future:
         """Enqueue one interrogation; returns its Future immediately."""
         self.calls += 1
+        self._totals.calls += 1
         path = ref.primary_path()
         key = (path.node, path.protocol, path.capsule, path.wire_format)
         context = InvocationContext(principal=principal)
@@ -171,6 +173,8 @@ class BatchClient:
             return
         self.batches_sent += 1
         self.invocations_batched += len(entries)
+        self._totals.batches_sent += 1
+        self._totals.invocations_batched += len(entries)
 
         tracer = self.nucleus.tracer
         ambient = current_trace()
@@ -274,6 +278,7 @@ class BatchClient:
                     raise
                 net_span.finish(status="lost")
                 self.retransmits += 1
+                self._totals.retransmits += 1
                 self.nucleus.resilience.retries += 1
                 if attempt + 1 >= policy.max_attempts:
                     raise
@@ -313,6 +318,7 @@ class BatchClient:
                 shed = classify(exc).verdict is Verdict.RETRY_LATER
                 if shed:
                     self.busy_failures += 1
+                    self._totals.busy_failures += 1
                 entry.future._fail(exc)
                 span.tag("error", type(exc).__name__) \
                     .finish(status="shed" if shed else "error")

@@ -15,8 +15,6 @@ Repairs are bounded to avoid chasing an object that moves on every hop.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.comp.invocation import Invocation
 from repro.comp.outcomes import Termination
 from repro.engine.layers import ClientLayer
@@ -34,17 +32,11 @@ class RelocationLayer(ClientLayer):
     def __init__(self, relocator) -> None:
         self.relocator = relocator
         self.channel = None
-        self.repairs = 0
         self.hint_repairs = 0
         self.lookup_repairs = 0
 
     def attach(self, channel) -> None:
         self.channel = channel
-        nucleus = getattr(channel, "client_nucleus", None)
-        if nucleus is not None:
-            # Register for management visibility: the monitor's
-            # relocation section aggregates chase churn across layers.
-            nucleus.relocation_layers.append(self)
 
     def request(self, invocation: Invocation, next_layer) -> Termination:
         repairs = 0
@@ -70,11 +62,12 @@ class RelocationLayer(ClientLayer):
             new_ref = hint
             source = "hint"
             self.hint_repairs += 1
+            self.relocator.stale_hints += 1
         else:
             new_ref = self.relocator.lookup(self.channel.ref.interface_id)
             source = "lookup"
             self.lookup_repairs += 1
-        self.repairs += 1
+            self.relocator.chases += 1
         self._trace_repair(invocation, source, new_ref)
         self.channel.ref = new_ref
         invocation.interface_id = new_ref.interface_id
@@ -89,8 +82,8 @@ class RelocationLayer(ClientLayer):
             return False
         if candidate.paths == current.paths:
             return False
-        self.repairs += 1
         self.lookup_repairs += 1
+        self.relocator.chases += 1
         self._trace_repair(invocation, "unreachable-lookup", candidate)
         self.channel.ref = candidate
         invocation.interface_id = candidate.interface_id

@@ -24,6 +24,10 @@ class Relocator:
         self.updates = 0
         self.lookups = 0
         self.misses = 0
+        #: Bindings the domain's relocation layers repaired, by source:
+        #: a forwarding hint, or a lookup here.
+        self.stale_hints = 0
+        self.chases = 0
 
     def register(self, ref: InterfaceRef) -> None:
         """Record a newly exported interface.

@@ -73,10 +73,6 @@ class CircuitBreaker:
             self._opened_at = self.clock.now
             self._consecutive_failures = 0
 
-    def __repr__(self) -> str:
-        return (f"CircuitBreaker({self.state.value}, "
-                f"trips={self.trips}, rejections={self.rejections})")
-
 
 class BreakerRegistry:
     """All of one nucleus's breakers, keyed by (node, protocol)."""

@@ -134,7 +134,3 @@ class ReplyCache:
 
     def __len__(self) -> int:
         return len(self._replies)
-
-    def __repr__(self) -> str:
-        return (f"ReplyCache({len(self._replies)}/{self.capacity}, "
-                f"suppressed={self.duplicates_suppressed})")

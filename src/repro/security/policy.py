@@ -42,9 +42,6 @@ class SecurityPolicy:
                         or (principal is not None and principal in allowed))
         return self.default_allow
 
-    def __repr__(self) -> str:
-        return f"SecurityPolicy({self.name!r}, {len(self._rules)} rules)"
-
 
 class PolicyStore:
     """Per-domain registry of named policies."""

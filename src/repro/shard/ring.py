@@ -105,7 +105,3 @@ class PlacementRing:
         self._view = RingView(self.epoch, tuple(points),
                               tuple(self._nodes))
         return self._view
-
-    def __repr__(self) -> str:
-        return (f"PlacementRing(epoch={self.epoch}, "
-                f"nodes={self._nodes}, vnodes={self.vnodes})")

@@ -55,7 +55,6 @@ class ShardRouterLayer(ClientLayer):
 
     def attach(self, channel) -> None:
         self.channel = channel
-        self.space.routers.append(self)
 
     def request(self, invocation: Invocation, next_layer) -> Termination:
         if not invocation.args:
@@ -95,6 +94,7 @@ class ShardRouterLayer(ClientLayer):
                     raise
                 gate.retry(pointed.primary_path().node)
                 self.chases += 1
+                self.space.chases += 1
                 self._refresh()
                 continue
             if self.channel.ref is not pointed:
@@ -115,8 +115,7 @@ class ShardRouterLayer(ClientLayer):
             self._refresh()
             ref = self.view.refs[index]
         # Swap the reference, as every rebind does; the transport
-        # identity-checks the ref on every call, so its path memo can
-        # never go stale.
+        # reads its paths from the ref on every call.
         self.channel.ref = ref
         invocation.interface_id = ref.interface_id
         invocation.epoch = ref.epoch
@@ -126,3 +125,4 @@ class ShardRouterLayer(ClientLayer):
     def _refresh(self) -> None:
         self.view = self.space.view()
         self.refreshes += 1
+        self.space.refreshes += 1

@@ -21,7 +21,7 @@ stop, because a crashed owner never got to install one.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.comp.constraints import EnvironmentConstraints, FailureSpec
 from repro.engine.layers import ServerLayer
@@ -130,8 +130,10 @@ class ShardSpace:
         self.owners: Dict[int, str] = {}
         self.refs: Dict[int, Any] = {}
         self._fenced: set = set()
-        self.routers: List[Any] = []
-        # Counters the monitor's "shard" section surfaces.
+        # Counters the monitor's "shard" section surfaces; every router
+        # bound to the space counts its chases and refreshes here too.
+        self.chases = 0
+        self.refreshes = 0
         self.migrations = 0
         self.recoveries = 0
         self.fenced_rejections = 0
@@ -256,8 +258,6 @@ class ShardSpace:
 
     def report(self) -> Dict[str, Any]:
         samples = self.mttr_ms
-        chases = sum(router.chases for router in self.routers)
-        refreshes = sum(router.refreshes for router in self.routers)
         return {
             "epoch": self.epoch,
             "ring_epoch": self.ring.epoch,
@@ -268,8 +268,8 @@ class ShardSpace:
             "recoveries": self.recoveries,
             "fenced_rejections": self.fenced_rejections,
             "stale_hits": self.stale_hits,
-            "chases": chases,
-            "refreshes": refreshes,
+            "chases": self.chases,
+            "refreshes": self.refreshes,
             "reply_entries_moved": self.reply_entries_moved,
             "move_mttr_ms": {
                 "moves": len(samples),
@@ -278,10 +278,6 @@ class ShardSpace:
                 "max": round(max(samples), 3) if samples else 0.0,
             },
         }
-
-    def __repr__(self) -> str:
-        return (f"ShardSpace({self.name}, {self.shard_count} shards, "
-                f"epoch={self.epoch}, nodes={list(self.ring.nodes())})")
 
 
 class ShardManager:

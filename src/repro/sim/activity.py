@@ -60,10 +60,6 @@ class Activity:
         self.runtime.scheduler.after(delay, self._advance,
                                      label=f"wake:{self.name}")
 
-    def __repr__(self) -> str:
-        state = "done" if self.done else "running"
-        return f"Activity({self.name}, {state})"
-
 
 class ActivityRuntime:
     """Runs activities against a scheduler's virtual clock."""

@@ -33,6 +33,3 @@ class VirtualClock:
         if when > self.now:
             self.now = when
         return self.now
-
-    def __repr__(self) -> str:
-        return f"VirtualClock(now={self.now:.3f})"

@@ -76,6 +76,3 @@ class DeterministicRandom:
         if probability >= 1.0:
             return True
         return self._rng.random() < probability
-
-    def __repr__(self) -> str:
-        return f"DeterministicRandom({self.path})"

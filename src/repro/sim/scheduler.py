@@ -63,11 +63,6 @@ class Event:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def __repr__(self) -> str:
-        state = " cancelled" if self.cancelled else ""
-        return (f"Event(t={self.time}, seq={self.seq}, "
-                f"label={self.label!r}{state})")
-
 
 class Scheduler:
     """An event wheel bound to a :class:`VirtualClock`."""

@@ -115,7 +115,3 @@ class StreamEndpoint:
         sink = self._sinks.get(flow_name)
         if sink is not None:
             sink(seq, payload, sent_at, arrived_at)
-
-    def __repr__(self) -> str:
-        return (f"StreamEndpoint({self.endpoint_id} on "
-                f"{self.node_address}, flows={sorted(self.flows)})")

@@ -117,10 +117,6 @@ class Span:
             return 0.0
         return self.end_ms - self.start_ms
 
-    def __repr__(self) -> str:
-        return (f"Span({self.name} [{self.layer}] {self.span_id} "
-                f"{self.duration_ms:.3f}ms {self.status})")
-
 
 class NullSpan:
     """No-op span returned for unsampled traces (and traceless nodes).

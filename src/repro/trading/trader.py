@@ -203,7 +203,3 @@ class Trader:
                 f"{getattr(required, 'name', required)!r} with "
                 f"constraint {query!r}")
         return replies[0]
-
-    def __repr__(self) -> str:
-        return (f"Trader({self.name}, {self.offer_count()} offers, "
-                f"{len(self._links)} links)")

@@ -61,7 +61,3 @@ class LockManager:
 
     def release(self, tx_id: str) -> None:
         self._holders.pop(tx_id, None)
-
-    def __repr__(self) -> str:
-        held = {t: m.value for t, m in self._holders.items()}
-        return f"LockManager({self.interface_id}, holders={held})"

@@ -131,10 +131,6 @@ class Transaction:
             self.abort(reason=f"{exc_type.__name__}: {exc}")
         return False  # propagate the application exception
 
-    def __repr__(self) -> str:
-        return (f"Transaction({self.transaction_id}, {self.state.value}, "
-                f"{len(self.participants)} participants)")
-
 
 class TransactionManager:
     """Per-domain transaction coordinator.

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import OdpObject, Signal, World, operation
+from repro.engine.channel import TransportLayer
+from repro.relocation.layer import RelocationLayer
 
 
 class Counter(OdpObject):
@@ -85,6 +89,20 @@ class Echo(OdpObject):
     @operation(params=["any"], announcement=True)
     def fire(self, value):
         self.last = value
+
+
+def live_bindings(nucleus):
+    """How many ``TransportLayer`` and ``RelocationLayer`` objects of
+    bindings opened from *nucleus* are alive once garbage is collected:
+    what a binding that is kept, and no other, leaves behind."""
+    gc.collect()
+    transports = relocations = 0
+    for obj in gc.get_objects():
+        if isinstance(obj, TransportLayer):
+            transports += obj.nucleus is nucleus
+        elif isinstance(obj, RelocationLayer) and obj.channel is not None:
+            relocations += obj.channel.client_nucleus is nucleus
+    return transports, relocations
 
 
 @pytest.fixture

@@ -231,13 +231,6 @@ class TestBatchTracing:
 
 
 class TestPathCache:
-    def test_select_path_is_memoised_per_qos(self, single_domain):
-        world, domain, servers, clients = single_domain
-        proxy = world.binder_for(clients).bind(servers.export(Counter()))
-        transport = proxy._channel.transport
-        first = transport._select_path(QoS.DEFAULT)
-        assert transport._select_path(QoS.DEFAULT) is first  # memo hit
-
     def test_rebind_to_a_new_epoch_reselects_and_encodes_it(
             self, single_domain):
         """A rebind to the same interface at a newer epoch (what a
@@ -249,7 +242,7 @@ class TestPathCache:
         ref = servers.export(Counter())
         proxy = world.binder_for(clients).bind(ref)
         channel, transport = proxy._channel, proxy._channel.transport
-        assert proxy.increment() == 1  # warm the path memo and the plan
+        assert proxy.increment() == 1  # warm the plan
         old_paths = transport._select_path(QoS.DEFAULT)
 
         new_ref = domain.migrator.migrate(
@@ -272,7 +265,7 @@ class TestPathCache:
     def test_direct_ref_swap_cannot_serve_stale_paths(self, single_domain):
         """Layers that swap channel.ref without calling rebind() (the
         historical source of the stale-path bug) still get fresh paths:
-        the memo is identity-checked against the ref every call."""
+        the transport reads them from the ref every call."""
         world, domain, servers, clients = single_domain
         proxy = world.binder_for(clients).bind(servers.export(Counter()))
         transport = proxy._channel.transport

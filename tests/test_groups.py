@@ -181,9 +181,15 @@ class TestPolicies:
         for _ in range(4):
             assert proxy.get("k") == "v"
 
+    def test_standby_policy_is_not_accepted(self):
+        """A hot standby is the active policy: every member applies
+        every write, and the sequencer's fail-over is the standby's."""
+        with pytest.raises(ValueError, match="standby"):
+            ReplicationSpec(policy="standby")
+
     def test_standby_reads_served_by_primary(self, trio_domain):
         world, domain, group, proxy, _ = build_group(
-            trio_domain, policy="standby")
+            trio_domain, policy="active")
         proxy.put("k", "v")
         primary = group.view.sequencer
         backups = [m for m in group.view.members
@@ -195,7 +201,7 @@ class TestPolicies:
 
     def test_standby_failover_preserves_state(self, trio_domain):
         world, domain, group, proxy, _ = build_group(
-            trio_domain, policy="standby")
+            trio_domain, policy="active")
         for i in range(5):
             proxy.put(f"k{i}", str(i))
         world.crash_node(group.view.sequencer.node)

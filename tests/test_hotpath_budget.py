@@ -13,7 +13,8 @@ span for its context, which is the span itself, and to 157 when the
 transport lost its second retry discipline and with it the lambda that
 picked a path's breaker, and to 152 when a fault verdict stopped
 calling ``_sync`` and ``_lost`` while no schedule boundary is due and
-no loss is declared.  A layer that adds a call per invocation shows
+no loss is declared, and to 150 when a round trip stopped reading the
+clock twice to time the server's work for a field nothing read.  A layer that adds a call per invocation shows
 here as exactly one.
 
 Memory is counted the same way: the bytes still allocated after 1,000
@@ -36,7 +37,13 @@ They read 1,387 / 1,427 / 865 before a record was written once and
 1,387 / 1,428 / 177 after: the miss pays one call to keep the new
 record's image, and the hit splices the server's reply from the kept
 image instead of walking the record (~690 calls).  The leaner fault
-verdict takes four more off each: 1,383 / 1,424 / 173.
+verdict takes four more off each: 1,383 / 1,424 / 173, and the
+unread server timing two more: 1,381 / 1,422 / 171.
+
+Bindings are counted as well: 1,000 proxies bound, called once and
+dropped leave no transport alive.  They left all 1,000 while each
+transport, batcher, relocation layer and shard router appended itself
+to a list of its nucleus or space so that a report could sum it.
 
 Supervision is counted too.  One composed check run (plan seed 3, all
 six modes) fell from 101,905 calls to 79,860, and one quiet supervision
@@ -49,7 +56,8 @@ history the linearizability checker searches (a plain loop, not
 ``min`` over a lambda, picks the first outstanding response there).
 It read 80,178 before a fault verdict stopped calling ``_sync`` and
 ``_lost`` when there was nothing for them to do, 70,707 after: each
-heartbeat is three calls cheaper.
+heartbeat is three calls cheaper.  It read 70,786 before the unread
+server timing went, 70,610 after.
 """
 
 from __future__ import annotations
@@ -63,14 +71,14 @@ import repro
 from repro import OdpObject, ReplicationSpec, World, operation
 from repro.check.explorer import CheckConfig, run_seed
 from repro.comp.constraints import EnvironmentConstraints, FailureSpec
-from tests.conftest import Counter, KvStore
+from tests.conftest import Counter, KvStore, live_bindings
 
 #: Calls into ``src/repro`` one warm invocation may make.
 BUDGET = 155
 #: ... and one warm ``put`` or ``get`` of the 40-row value.  Counted on
 #: 3.11 (3.9 reads the same; 3.12 inlines comprehensions, so lower).
 BULK_BUDGET = 1480
-#: ... and one warm ``get`` whose reply repeats the one before it (173
+#: ... and one warm ``get`` whose reply repeats the one before it (171
 #: on 3.11): the server splices the record's kept image and the channel
 #: reuses that reply's termination.
 REPEATED_GET_BUDGET = 180
@@ -184,6 +192,20 @@ def test_warm_invocations_retain_no_memory_once_the_ring_is_full():
     assert retained <= RETAINED_BUDGET, (
         f"{retained} bytes retained per 1,000 warm invocations, budget "
         f"{RETAINED_BUDGET}")
+
+
+def test_dropped_bindings_leave_no_transport_alive():
+    """A binding its client drops is freed with everything it holds.
+    While each transport and relocation layer listed itself with its
+    nucleus for a report to find, all 1,000 of these stayed alive."""
+    world = World(seed=1)
+    world.node("org", "server-node")
+    world.node("org", "client-node")
+    ref = world.capsule("server-node", "servers").export(Account())
+    binder = world.binder_for(world.capsule("client-node", "clients"))
+    for _ in range(1000):
+        binder.bind(ref).deposit(1)
+    assert live_bindings(world.nucleus("client-node")) == (0, 0)
 
 
 def test_warm_bulk_put_and_get_stay_inside_their_call_budget():

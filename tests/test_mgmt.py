@@ -1,5 +1,7 @@
 """Tests for node management and transparency monitoring."""
 
+import gc
+
 import pytest
 
 from repro import EnvironmentConstraints, FailureSpec, signature_of
@@ -190,3 +192,107 @@ class TestTransparencyMonitor:
         assert "a1" in report["per_node"]
         assert "b1" not in report["per_node"]
         assert report["messages"] > 0
+
+
+def _busy_domain():
+    """A domain whose bindings moved, were shed, batched and chased a
+    shard; returns the world, the domain and every binding it made."""
+    from repro import QoS, World
+    from repro.check.workload import ShardStore
+    from repro.errors import ServerBusyError
+    from repro.perf.admission import AdmissionController
+    from repro.perf.batching import BatchClient
+
+    world = World(seed=7)
+    for name in ("n1", "n2", "n3", "cli"):
+        world.node("org", name)
+    domain = world.domain("org")
+    srv = {name: world.capsule(name, "srv") for name in ("n1", "n2", "n3")}
+    app = world.capsule("cli", "app")
+    binder = world.binder_for(app)
+    # A move: the next call repairs its binding from the forwarding hint.
+    ref = srv["n1"].export(Counter())
+    moved = binder.bind(ref)
+    moved.increment()
+    domain.migrator.migrate(srv["n1"], ref.interface_id, srv["n2"])
+    moved.increment()
+    # A crash: the next call finds the node gone and the object
+    # recovered elsewhere, and rebinds by a lookup.
+    ref = srv["n1"].export(Counter(), constraints=EnvironmentConstraints(
+        failure=FailureSpec(checkpoint_every=1)))
+    recovered = binder.bind(ref)
+    recovered.increment()
+    world.crash_node("n1")
+    domain.recovery.recover(ref.interface_id, srv["n3"])
+    recovered.increment()
+    world.restart_node("n1")
+    # Admission sheds the second of two calls; the transport retries.
+    world.nucleus("n3").admission = AdmissionController(
+        world.clock, rate_per_s=10.0, burst=1, max_queue=0)
+    shed = binder.bind(srv["n3"].export(Counter()), qos=QoS(retries=2))
+    shed.increment()
+    with pytest.raises(ServerBusyError):
+        shed.increment()
+    # Three calls coalesced into one batch.
+    batcher = BatchClient(app)
+    futures = [batcher.call(srv["n2"].export(Counter()), "increment")
+               for _ in range(3)]
+    batcher.flush()
+    world.settle()
+    # A router still on the pre-crash view chases the recovered shard.
+    space = domain.shards.create(
+        "grid", ShardStore, [world.capsule(n, "shards") for n in srv],
+        shards=8)
+    fresh = space.bind(app)
+    victim = space.owners[0]
+    key = next(f"z{i}" for i in range(10_000)
+               if space.owner_of(f"z{i}") == victim)
+    fresh.incr(key)
+    stale = space.bind(world.capsule("cli", "app2"))
+    world.crash_node(victim)
+    space.rebalancer.node_left(victim, dead=True, down_since=world.now)
+    world.restart_node(victim)
+    stale.incr(key)
+    return world, domain, [moved, recovered, shed, batcher, futures, fresh,
+                           stale]
+
+
+class TestCountersOutliveTheirBindings:
+    """What the monitor sums is counted where it reads it: on each
+    node's records, the domain's relocator and the shard space.  So a
+    report does not change when the bindings that did the work are
+    dropped and collected."""
+
+    #: The sections as the report gave them while every binding stayed
+    #: alive for good on a list of its nucleus or space.
+    PINNED = {
+        "relocation": {"known": 14, "registrations": 14, "updates": 5,
+                       "lookups": 0, "misses": 0, "repairs": 2,
+                       "stale_hints": 1, "chases": 1},
+        "perf": {"admission": {"controllers": 1, "admitted": 1,
+                               "queued": 0, "shed": 3, "max_depth": 0,
+                               "total_wait_ms": 0.0},
+                 "batching": {"batchers": 1, "calls": 3,
+                              "batches_sent": 1, "invocations_batched": 3,
+                              "retransmits": 0, "busy_failures": 0},
+                 "busy_retries": 3},
+        "shard": {"chases": 1, "refreshes": 1},
+    }
+
+    @staticmethod
+    def sections(domain):
+        report = TransparencyMonitor(domain).domain_report()
+        grid = report["shard"]["grid"]
+        return {"relocation": report["relocation"], "perf": report["perf"],
+                "shard": {"chases": grid["chases"],
+                          "refreshes": grid["refreshes"]}}
+
+    def test_domain_report_is_pinned(self):
+        world, domain, bindings = _busy_domain()
+        assert self.sections(domain) == self.PINNED
+
+    def test_totals_stay_once_the_bindings_are_collected(self):
+        world, domain, bindings = _busy_domain()
+        del bindings
+        gc.collect()
+        assert self.sections(domain) == self.PINNED

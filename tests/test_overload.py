@@ -427,7 +427,7 @@ class TestBudgetExhaustionClassification:
         assert proxy.incr(key) == 1
         stale_app = world.capsule("cli", "app2")
         stale_proxy = space.bind(stale_app)
-        stale_router = space.routers[-1]
+        stale_router = stale_proxy._channel.layers[0]
         # Crash-recover the owner so the stale route hits a fenced
         # zombie record (WrongShardError: a chase would normally fix it).
         world.crash_node(victim)

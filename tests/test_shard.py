@@ -287,7 +287,7 @@ class TestRebalancing:
         assert proxy.incr(key) == 1
         moves = space.rebalancer.node_left(victim)
         assert moves
-        router = space.routers[0]
+        router = proxy._channel.layers[0]
         refreshes_before = router.refreshes
         # The router's view is stale; the relocation layer chases the
         # forwarding stub mid-call and the router adopts the new view.
@@ -321,7 +321,7 @@ class TestEpochFencing:
         # A second client whose router caches the pre-move view.
         stale_app = world.capsule("cli", "app2")
         stale_proxy = space.bind(stale_app)
-        stale_router = space.routers[-1]
+        stale_router = stale_proxy._channel.layers[0]
         assert stale_router.view.epoch == space.epoch
 
         world.crash_node(victim)
