@@ -68,7 +68,7 @@ def _remote_world(sampling, seed=SEED, constraints=None, **kwargs):
     """C1-style two-node world with one exported object bound remotely."""
     world, servers, clients = two_node_world(seed=seed, **kwargs)
     tracer = world.domain("org").tracer
-    tracer.sampling = sampling
+    tracer.set_sampling(sampling)
     if constraints is None:
         ref = servers.export(Counter())
     else:

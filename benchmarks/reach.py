@@ -16,15 +16,20 @@ they run:
   workload ``BENCHMARK.json`` declares (one cold set-up each);
 * the ``claim()`` of every ``benchmarks/bench_c*.py``, each in its own
   interpreter as ``python -m benchmarks.claims`` runs it (a claim
-  writes no file).
+  writes no file);
+* ``python -m tests.hostile_envelopes``, every malformed envelope at a
+  live node, and ``tests.damaged_images.sample()``, tier-1's sample of
+  the damaged wire images (both need pytest importable).
 
 Every function ``ast`` finds in ``src/repro`` that no driver called is
 written to ``benchmarks/out/REACH.txt``: per package, the functions and
 source lines never called, then each such function with its file and
 line.  Beside them, per package, the executable lines inside functions
-that some driver called which no driver ran: a report, not a ratchet
-(most are error handling).  Standard library only; two drivers run at
-a time.
+that some driver called which no driver ran.  CI fails when either
+total rises above the committed file's.  Line tables differ between
+Python minor versions, so compare files made with the same one (the
+committed file: 3.11).  Standard library only; two drivers run at a
+time.
 """
 
 from __future__ import annotations
@@ -54,12 +59,13 @@ MUTATIONS = (("deadline", "overload"), ("leaseinval", "leases"),
              ("txversions", ""))
 
 #: Runs in the driver's interpreter: arm the hook, run the driver (a
-#: claim script's ``claim()``, a module or a path as ``__main__``), write
+#: ``module:function`` called with no arguments, a module or a path as
+#: ``__main__``), write
 #: what it called, the lines of those calls it ran and did not run, and
 #: whether the hook was found disarmed at the end (a driver that
 #: installs a tracer of its own hides calls from it).  A frame is traced
 #: line by line only while its code has a line not yet seen to run.
-#: ``argv``: the package prefix, the out file, "claim" / "module" /
+#: ``argv``: the package prefix, the out file, "call" / "module" /
 #: "path", the target, the driver's own arguments.
 _BOOT = r"""
 import importlib, json, runpy, sys, threading
@@ -84,8 +90,9 @@ sys.argv = [target, *args]
 sys.settrace(hook)
 threading.settrace(hook)
 try:
-    if how == "claim":
-        importlib.import_module(target).claim()
+    if how == "call":
+        module, _, function = target.partition(":")
+        getattr(importlib.import_module(module), function)()
     elif how == "path":
         runpy.run_path(target, run_name="__main__")
     else:
@@ -135,8 +142,12 @@ def drivers() -> List[Tuple[str, str, str, List[str]]]:
         found.append((f"benchmarks/ledger/run.py {' '.join(args)}", "path",
                       str(ledger), args))
     for ident, path in claims.scripts():
-        found.append((f"{ident}: benchmarks/{path.name} claim()", "claim",
-                      f"benchmarks.{path.stem}", []))
+        found.append((f"{ident}: benchmarks/{path.name} claim()", "call",
+                      f"benchmarks.{path.stem}:claim", []))
+    found.append(("python -m tests.hostile_envelopes", "module",
+                  "tests.hostile_envelopes", []))
+    found.append(("tests/damaged_images.py sample()", "call",
+                  "tests.damaged_images:sample", []))
     return found
 
 
@@ -231,7 +242,7 @@ def report(results: List[Dict]) -> List[str]:
         f"{len(every)} functions, {len(never)} never called, "
         f"{total_lines} lines",
         f"{executable} executable lines in called functions, {unrun} "
-        f"run by no driver (report only)",
+        f"run by no driver",
         "",
         f"{'package':<14}{'functions':>10}{'never':>8}{'lines':>8}"
         f"{'called':>8}{'unrun':>8}",

@@ -12,7 +12,7 @@ Run:  python examples/parallel_fanout.py
 from repro import OdpObject, QoS, World, operation
 from repro.engine.futures import AsyncInvoker
 from repro.errors import DeadlineExceededError
-from repro.net.latency import DistanceLatency
+from repro.net.latency import LatencyModel
 
 
 class QuoteServer(OdpObject):
@@ -26,7 +26,7 @@ class QuoteServer(OdpObject):
 
 
 def main() -> None:
-    latency = DistanceLatency(default_ms=40.0)  # a slow WAN
+    latency = LatencyModel(propagation_ms=40.0)  # a slow WAN
     world = World(seed=12, latency=latency)
     world.node("market", "hq")
     venues = []

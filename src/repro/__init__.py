@@ -53,7 +53,7 @@ from repro.net.fault import (
 from repro.resilience import CircuitBreaker, ReplyCache, RetryPolicy
 from repro.runtime import World
 from repro.trace import MetricsRegistry, TraceCollector, TraceContext
-from repro.util.freeze import FrozenRecord, deep_freeze
+from repro.util.freeze import FrozenRecord
 
 __version__ = "1.0.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "FailureSpec",
     "SecuritySpec",
     "FrozenRecord",
-    "deep_freeze",
     "RetryPolicy",
     "CircuitBreaker",
     "ReplyCache",

@@ -68,11 +68,6 @@ class InterfaceRef:
 
     # -- derivation helpers (each returns a new reference) -------------------
 
-    def with_paths(self, paths, epoch: Optional[int] = None) -> "InterfaceRef":
-        return InterfaceRef(self.interface_id, self.signature, tuple(paths),
-                            self.epoch if epoch is None else epoch,
-                            self.context, self.group)
-
     def with_context(self, context) -> "InterfaceRef":
         return InterfaceRef(self.interface_id, self.signature, self.paths,
                             self.epoch, tuple(context), self.group)

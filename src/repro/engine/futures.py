@@ -23,7 +23,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.comp.invocation import InvocationContext, QoS
 from repro.comp.outcomes import Termination
@@ -47,7 +47,6 @@ class Future:
         self._termination: Optional[Termination] = None
         self._error: Optional[BaseException] = None
         self._done = False
-        self._callbacks: List[Callable[["Future"], None]] = []
 
     @property
     def done(self) -> bool:
@@ -67,19 +66,6 @@ class Future:
             raise self._error
         return unpack_termination(self._termination)
 
-    def termination(self) -> Termination:
-        if not self._done:
-            raise RuntimeError(f"future {self.call_id} not resolved")
-        if self._error is not None:
-            raise self._error
-        return self._termination
-
-    def add_callback(self, callback: Callable[["Future"], None]) -> None:
-        if self._done:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
     # -- resolution (router-side) ---------------------------------------------
 
     def _resolve(self, termination: Termination) -> None:
@@ -87,19 +73,12 @@ class Future:
             return
         self._termination = termination
         self._done = True
-        self._fire()
 
     def _fail(self, error: BaseException) -> None:
         if self._done:
             return
         self._error = error
         self._done = True
-        self._fire()
-
-    def _fire(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
 
 
 class ReplyRouter:

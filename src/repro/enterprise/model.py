@@ -90,16 +90,6 @@ class Community:
         return {principal for principal, roles in self.assignments.items()
                 if role_name in roles}
 
-    def roles_of(self, principal: str) -> Set[str]:
-        return set(self.assignments.get(principal, set()))
-
-    def permitted_operations(self, principal: str) -> Set[str]:
-        """Everything the principal's roles allow them to perform."""
-        permitted: Set[str] = set()
-        for role_name in self.roles_of(principal):
-            permitted.update(self.roles[role_name].performs)
-        return permitted
-
     def audited_operations(self) -> Set[str]:
         """Operations that contracts require to be audited."""
         audited: Set[str] = set()

@@ -53,9 +53,6 @@ class Collector:
         """Use renews the holder's claim."""
         self.leases.renew(interface_id, holder, self.domain.scheduler.now)
 
-    def release(self, interface_id: str, holder: str) -> None:
-        self.leases.release(interface_id, holder)
-
     # -- collection -------------------------------------------------------------------
 
     def _capsules(self):

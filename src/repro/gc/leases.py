@@ -9,7 +9,7 @@ global reference census.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 
 class LeaseTable:
@@ -41,11 +41,6 @@ class LeaseTable:
             self._leases[interface_id][holder] = now + ttl
             self.renewals += 1
 
-    def release(self, interface_id: str, holder: str) -> None:
-        holders = self._leases.get(interface_id)
-        if holders is not None:
-            holders.pop(holder, None)
-
     def live_holders(self, interface_id: str, now: float) -> Set[str]:
         holders = self._leases.get(interface_id, {})
         return {h for h, expiry in holders.items() if expiry > now}
@@ -68,6 +63,3 @@ class LeaseTable:
 
     def forget(self, interface_id: str) -> None:
         self._leases.pop(interface_id, None)
-
-    def tracked(self) -> List[str]:
-        return sorted(self._leases)

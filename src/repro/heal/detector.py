@@ -241,11 +241,6 @@ class PhiAccrualDetector:
                 return True
         return False
 
-    def suspected_nodes(self) -> List[str]:
-        """Nodes whose every monitored endpoint is currently suspect."""
-        return sorted(node for node, counts in self._nodes.items()
-                      if counts[1] == 0)
-
     def node_counts(self) -> Tuple[int, int]:
         """``(nodes monitored, nodes among them with no alive
         endpoint)`` — what a blind *observer* is told apart from a dead

@@ -112,9 +112,6 @@ class IdlDocument:
         except KeyError:
             raise IdlError(f"no interface {name!r} in document") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._signatures
-
     def constraints(self, name: str) -> EnvironmentConstraints:
         self[name]  # existence check
         return self._constraints[name]
@@ -314,11 +311,12 @@ class _Parser:
             self.expect_punct("<")
             target = self.expect_name()
             self.expect_punct(">")
-            if target not in self.document:
+            try:
+                return RefType(self.document[target])
+            except IdlError:
                 raise IdlError(
                     f"ref<{target}>: interface {target!r} not declared "
-                    f"earlier in the document")
-            return RefType(self.document[target])
+                    f"earlier in the document") from None
         raise IdlError(f"unknown type {value!r}")
 
 

@@ -11,7 +11,7 @@ stores with version vectors, conflict detection between federated copies,
 and pluggable reconciliation policies.
 """
 
-from repro.info.schema import EntityType, RelationshipType, InformationSchema
+from repro.info.schema import EntityType, InformationSchema
 from repro.info.store import InfoStore, EntityRecord
 from repro.info.reconcile import (
     compare_vectors,
@@ -22,7 +22,6 @@ from repro.info.reconcile import (
 
 __all__ = [
     "EntityType",
-    "RelationshipType",
     "InformationSchema",
     "InfoStore",
     "EntityRecord",

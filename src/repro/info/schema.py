@@ -1,8 +1,7 @@
-"""Information-viewpoint schemas: entities, relationships, invariants."""
+"""Information-viewpoint schemas: entities and their invariants."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.types.runtime import value_matches
@@ -51,39 +50,18 @@ class EntityType:
         return problems
 
 
-@dataclass(frozen=True)
-class RelationshipType:
-    """A typed relation between two entity types."""
-
-    name: str
-    source: str
-    target: str
-    #: "one" or "many" on the target side.
-    cardinality: str = "many"
-
-
 class InformationSchema:
-    """A named collection of entity and relationship types."""
+    """A named collection of entity types."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.entities: Dict[str, EntityType] = {}
-        self.relationships: Dict[str, RelationshipType] = {}
 
     def add_entity(self, entity: EntityType) -> EntityType:
         if entity.name in self.entities:
             raise ValueError(f"duplicate entity type {entity.name!r}")
         self.entities[entity.name] = entity
         return entity
-
-    def add_relationship(self, rel: RelationshipType) -> RelationshipType:
-        for side in (rel.source, rel.target):
-            if side not in self.entities:
-                raise ValueError(
-                    f"relationship {rel.name!r} names unknown entity "
-                    f"{side!r}")
-        self.relationships[rel.name] = rel
-        return rel
 
     def entity(self, name: str) -> EntityType:
         try:

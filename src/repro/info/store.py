@@ -72,9 +72,6 @@ class InfoStore:
                 f"store({self.domain_name}) has no entity "
                 f"{entity_id!r}") from None
 
-    def has(self, entity_id: str) -> bool:
-        return entity_id in self._records
-
     def entity_ids(self) -> List[str]:
         return sorted(self._records)
 

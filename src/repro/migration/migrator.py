@@ -89,9 +89,3 @@ class Migrator:
         self.domain.relocator.update(new_ref)
         self.migrations += 1
         return new_ref
-
-    def co_locate(self, source_capsule, interface_id: str,
-                  client_capsule) -> InterfaceRef:
-        """Move an object next to its client "to reduce access time and
-        network traffic" (section 5.4)."""
-        return self.migrate(source_capsule, interface_id, client_capsule)

@@ -14,7 +14,6 @@ from repro.ndr.formats import (
     WireFormat,
     get_format,
     register_format,
-    available_formats,
 )
 from repro.ndr.packed import PackedFormat
 from repro.ndr.tagged import TaggedFormat
@@ -27,7 +26,6 @@ __all__ = [
     "TaggedFormat",
     "get_format",
     "register_format",
-    "available_formats",
     "signature_to_obj",
     "signature_from_obj",
     "Marshaller",

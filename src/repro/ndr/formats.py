@@ -243,10 +243,6 @@ def get_format(name: str) -> WireFormat:
         raise MarshalError(f"unknown wire format {name!r}") from None
 
 
-def available_formats() -> List[str]:
-    return sorted(_REGISTRY)
-
-
 def _chunk(fmt: WireFormat, *objs: Any) -> bytes:
     """Encode constant values with the format's own tree writer."""
     buf = bytearray()

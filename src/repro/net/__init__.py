@@ -7,7 +7,7 @@ package — every remote invocation pays simulated transit.
 """
 
 from repro.net.message import NetMessage
-from repro.net.latency import LatencyModel, FixedLatency, UniformLatency, DistanceLatency
+from repro.net.latency import LatencyModel, FixedLatency, UniformLatency
 from repro.net.fault import FaultPlan
 from repro.net.network import Network, NetworkNode
 
@@ -16,7 +16,6 @@ __all__ = [
     "LatencyModel",
     "FixedLatency",
     "UniformLatency",
-    "DistanceLatency",
     "FaultPlan",
     "Network",
     "NetworkNode",

@@ -8,7 +8,7 @@ triple into a transit delay in virtual milliseconds.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.sim.rand import DeterministicRandom
 
@@ -58,30 +58,3 @@ class UniformLatency(LatencyModel):
         if rng is None:
             return self.low + base
         return rng.uniform(self.low, self.high) + base
-
-
-class DistanceLatency(LatencyModel):
-    """Per-pair propagation delays (models WAN vs LAN vs co-located links).
-
-    Pairs default to ``default_ms``; specific pairs can be overridden with
-    :meth:`set_distance`.  Lookup is symmetric.
-    """
-
-    def __init__(self, default_ms: float = 5.0,
-                 bandwidth_bytes_per_ms: float = 125_000.0) -> None:
-        super().__init__(propagation_ms=default_ms,
-                         bandwidth_bytes_per_ms=bandwidth_bytes_per_ms)
-        self.default_ms = default_ms
-        self._pairs: Dict[Tuple[str, str], float] = {}
-
-    @staticmethod
-    def _key(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def set_distance(self, a: str, b: str, delay_ms: float) -> None:
-        self._pairs[self._key(a, b)] = delay_ms
-
-    def delay(self, source, destination, size, rng=None) -> float:
-        propagation = self._pairs.get(self._key(source, destination),
-                                      self.default_ms)
-        return propagation + size / self.bandwidth

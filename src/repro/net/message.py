@@ -32,11 +32,6 @@ class NetMessage:
         self.headers = {} if headers is None else headers
         self.sent_at = sent_at
 
-    @property
-    def size(self) -> int:
-        """Payload size in bytes (drives serialisation/transit cost)."""
-        return len(self.payload)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetMessage):
             return NotImplemented
@@ -49,4 +44,4 @@ class NetMessage:
 
     def __repr__(self) -> str:
         return (f"NetMessage({self.source}->{self.destination}, "
-                f"{self.kind}, {self.size}B)")
+                f"{self.kind}, {len(self.payload)}B)")

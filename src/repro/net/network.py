@@ -69,14 +69,11 @@ class NetworkNode:
         self.delivery_handlers: Dict[str, DeliveryHandler] = {}
         #: Protocols this node's endpoints speak.  "rrp" (the standard
         #: request-reply protocol) is always available; others are
-        #: enabled per node and may have different latency profiles —
+        #: added per node and may have different latency profiles —
         #: section 5.4's "several protocols by which an interface can be
         #: accessed ... different qualities of service".
         self.protocols = {"rrp"}
         self.stats = NodeStats()
-
-    def enable_protocol(self, name: str) -> None:
-        self.protocols.add(name)
 
     def on_request(self, handler: RequestHandler) -> None:
         self.request_handler = handler
@@ -109,11 +106,6 @@ class Network:
         #: Leg timings of the last completed request() round trip.
         self.last_transit = TransitRecord()
 
-    def register_protocol(self, name: str,
-                          latency: LatencyModel) -> None:
-        """Give a protocol its own latency/bandwidth profile."""
-        self.protocol_latency[name] = latency
-
     def _latency_for(self, protocol: str) -> LatencyModel:
         return self.protocol_latency.get(protocol, self.latency)
 
@@ -136,9 +128,6 @@ class Network:
 
     def nodes(self):
         return list(self._nodes.values())
-
-    def has_node(self, address: str) -> bool:
-        return address in self._nodes
 
     # -- internals ---------------------------------------------------------
 

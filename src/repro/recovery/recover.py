@@ -92,20 +92,3 @@ class RecoveryManager:
         self.domain.relocator.update(new_ref)
         self.recoveries += 1
         return new_ref
-
-    def recoverable(self, interface_id: str) -> bool:
-        return self.domain.repository.contains(checkpoint_key(interface_id))
-
-    def recover_all_from_node(self, failed_node: str,
-                              target_capsule) -> list:
-        """Recover every checkpointed interface that lived on a node."""
-        recovered = []
-        relocator = self.domain.relocator
-        for key in self.domain.repository.keys(kind="checkpoint"):
-            interface_id = key[len("ckpt:"):]
-            current = relocator.try_lookup(interface_id)
-            if current is None:
-                continue
-            if any(p.node == failed_node for p in current.paths):
-                recovered.append(self.recover(interface_id, target_capsule))
-        return recovered

@@ -59,47 +59,46 @@ class RelocationLayer(ClientLayer):
         """Rebind from a forwarding hint or a relocator lookup."""
         if hint is not None and hint.interface_id == \
                 self.channel.ref.interface_id:
-            new_ref = hint
-            source = "hint"
             self.hint_repairs += 1
             self.relocator.stale_hints += 1
+            self._rebind(invocation, "hint", hint)
         else:
-            new_ref = self.relocator.lookup(self.channel.ref.interface_id)
-            source = "lookup"
-            self.lookup_repairs += 1
-            self.relocator.chases += 1
-        self._trace_repair(invocation, source, new_ref)
-        self.channel.ref = new_ref
-        invocation.interface_id = new_ref.interface_id
-        invocation.epoch = new_ref.epoch
+            self._chase(invocation, "lookup", self.relocator.lookup(
+                self.channel.ref.interface_id))
 
     def _repair_if_moved(self, invocation: Invocation) -> bool:
         """After an unreachable node: rebind only if the relocator knows a
         *different* location (otherwise the failure is genuine)."""
         current = self.channel.ref
-        candidate = self.relocator.try_lookup(current.interface_id)
-        if candidate is None or candidate.epoch <= current.epoch:
+        try:
+            candidate = self.relocator.lookup(current.interface_id)
+        except StaleReferenceError:
+            return False
+        if candidate.epoch <= current.epoch:
             return False
         if candidate.paths == current.paths:
             return False
-        self.lookup_repairs += 1
-        self.relocator.chases += 1
-        self._trace_repair(invocation, "unreachable-lookup", candidate)
-        self.channel.ref = candidate
-        invocation.interface_id = candidate.interface_id
-        invocation.epoch = candidate.epoch
+        self._chase(invocation, "unreachable-lookup", candidate)
         return True
 
-    def _trace_repair(self, invocation: Invocation, source: str,
-                      new_ref) -> None:
-        """Record one binding chase as a zero-duration span."""
+    def _chase(self, invocation: Invocation, source: str, new_ref) -> None:
+        """Rebind to where a relocator lookup found the interface."""
+        self.lookup_repairs += 1
+        self.relocator.chases += 1
+        self._rebind(invocation, source, new_ref)
+
+    def _rebind(self, invocation: Invocation, source: str, new_ref) -> None:
+        """Record the repair as a zero-duration span, and point the
+        binding and the invocation it retries at *new_ref*."""
         nucleus = getattr(self.channel, "client_nucleus", None)
-        if nucleus is None:
-            return
-        nucleus.tracer.span(
-            "relocation.repair", "relocation", invocation.context.trace,
-            node=nucleus.node_address,
-            tags={"source": source,
-                  "interface": new_ref.interface_id,
-                  "epoch": new_ref.epoch},
-        ).finish()
+        if nucleus is not None:
+            nucleus.tracer.span(
+                "relocation.repair", "relocation", invocation.context.trace,
+                node=nucleus.node_address,
+                tags={"source": source,
+                      "interface": new_ref.interface_id,
+                      "epoch": new_ref.epoch},
+            ).finish()
+        self.channel.ref = new_ref
+        invocation.interface_id = new_ref.interface_id
+        invocation.epoch = new_ref.epoch

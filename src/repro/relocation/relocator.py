@@ -68,6 +68,9 @@ class Relocator:
         return ref
 
     def try_lookup(self, interface_id: str) -> Optional[InterfaceRef]:
+        """A probe that is no binding's repair (the explorer, the
+        supervisor, recovery, a gateway's freshness check): the current
+        reference or ``None``, counted nowhere."""
         return self._entries.get(interface_id)
 
     def known(self) -> int:

@@ -100,6 +100,3 @@ class BreakerRegistry:
                 open_now += 1
         return {"trips": trips, "rejections": rejections,
                 "open": open_now, "paths": len(self._breakers)}
-
-    def __len__(self) -> int:
-        return len(self._breakers)

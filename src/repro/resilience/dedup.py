@@ -116,21 +116,3 @@ class ReplyCache:
             self._expiry.pop(evicted, None)
             self.evictions += 1
         return copied
-
-    def stats(self) -> dict:
-        """Counter snapshot for the management monitor."""
-        return {
-            "entries": len(self._replies),
-            "capacity": self.capacity,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "replies_cached": self.replies_cached,
-            "evictions": self.evictions,
-            "expired_evictions": self.expired_evictions,
-        }
-
-    def clear(self) -> None:
-        self._replies.clear()
-        self._expiry.clear()
-
-    def __len__(self) -> int:
-        return len(self._replies)

@@ -148,12 +148,6 @@ class World:
     def partition(self, *groups) -> None:
         self.faults.partition(*groups)
 
-    def asym_partition(self, sources, destinations) -> None:
-        self.faults.asym_partition(sources, destinations)
-
-    def heal_partition(self, node=None) -> None:
-        self.faults.heal_partition(node)
-
     # -- reporting --------------------------------------------------------------
 
     def traffic(self) -> Dict[str, int]:

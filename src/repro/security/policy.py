@@ -30,9 +30,6 @@ class SecurityPolicy:
     def allow(self, operation: str, principal: str) -> None:
         self._rules.setdefault(operation, set()).add(principal)
 
-    def deny_all(self, operation: str) -> None:
-        self._rules[operation] = set()
-
     def permits(self, operation: str, principal: Optional[str]) -> bool:
         """Does the policy let *principal* invoke *operation*?"""
         for key in (operation, ANY_OP):
@@ -62,6 +59,3 @@ class PolicyStore:
             return self._policies[name]
         except KeyError:
             raise KeyError(f"no security policy named {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._policies

@@ -36,9 +36,6 @@ class SecretAuthority:
     def is_enrolled(self, principal: str) -> bool:
         return principal in self._secrets
 
-    def revoke(self, principal: str) -> None:
-        self._secrets.pop(principal, None)
-
     def _token(self, principal: str, secret: bytes) -> str:
         mac = hmac.new(secret,
                        f"{self.domain_name}:{principal}".encode("utf-8"),

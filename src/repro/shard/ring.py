@@ -16,9 +16,8 @@ moved key moves to (or from) exactly that node.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import BindingError
 from repro.util.ids import stable_hash
@@ -44,18 +43,6 @@ class RingView:
         if index == len(self.points):
             index = 0  # wrap past the top of the ring
         return self.points[index][1]
-
-    def assignment(self, keys: Iterable[str]) -> Dict[str, str]:
-        """key -> owner for a whole key set (test/report convenience)."""
-        return {key: self.owner(key) for key in keys}
-
-    def digest(self, keys: Iterable[str]) -> str:
-        """A byte-stable digest of this view's assignment of *keys*."""
-        hasher = hashlib.sha256()
-        hasher.update(str(self.epoch).encode("ascii"))
-        for key in keys:
-            hasher.update(f"|{key}={self.owner(key)}".encode("utf-8"))
-        return hasher.hexdigest()
 
     def __repr__(self) -> str:
         return (f"RingView(epoch={self.epoch}, nodes={list(self.nodes)}, "

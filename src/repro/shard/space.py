@@ -296,9 +296,6 @@ class ShardManager:
         self._spaces[name] = space
         return space
 
-    def get(self, name: str) -> ShardSpace:
-        return self._spaces[name]
-
     def spaces(self) -> List[ShardSpace]:
         return [self._spaces[name] for name in sorted(self._spaces)]
 

@@ -131,11 +131,6 @@ class Scheduler:
         heappush(queue, (handle.time, seq, handle))
         return handle
 
-    def pending(self) -> int:
-        """Number of non-cancelled events still queued."""
-        return sum(1 for _, _, event in self._queue
-                   if not event.cancelled)
-
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
         queue = self._queue

@@ -10,8 +10,6 @@ service is advised of the change.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.comp.interface import Interface, InterfaceState
 from repro.errors import StorageError
 from repro.storage.repository import StableRepository, StoredObject
@@ -24,7 +22,6 @@ class PassivationManager:
     def __init__(self, domain) -> None:
         self.domain = domain
         self.reactivations = 0
-        self.sweep_event = None
 
     @property
     def repository(self) -> StableRepository:
@@ -64,34 +61,3 @@ class PassivationManager:
             # Advise relocation of the (same-place, new-epoch) reference.
             self.domain.relocator.update(capsule.make_ref(interface))
         return reactivate
-
-    # -- idle sweeping -------------------------------------------------------------
-
-    def sweep(self, capsules: List, idle_ms: float) -> int:
-        """Passivate every interface idle for longer than *idle_ms*."""
-        now = self.domain.scheduler.now
-        passivated = 0
-        for capsule in capsules:
-            for interface in list(capsule.interfaces.values()):
-                if interface.state != InterfaceState.ACTIVE:
-                    continue
-                if not interface.annotations.get("constraints") or \
-                        not interface.annotations["constraints"].resource:
-                    continue
-                last = interface.annotations.get("last_used", 0.0)
-                if now - last >= idle_ms:
-                    self.passivate(capsule, interface.interface_id)
-                    passivated += 1
-        return passivated
-
-    def start_sweeping(self, capsules: List, idle_ms: float,
-                       interval_ms: Optional[float] = None) -> None:
-        interval = interval_ms if interval_ms is not None else idle_ms
-        self.sweep_event = self.domain.scheduler.every(
-            interval, lambda: self.sweep(capsules, idle_ms),
-            label="passivation-sweep")
-
-    def stop_sweeping(self) -> None:
-        if self.sweep_event is not None:
-            self.sweep_event.cancel()
-            self.sweep_event = None

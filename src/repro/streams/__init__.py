@@ -9,14 +9,14 @@ for ADT style interaction at a stream interface.  ... For streams a means
 of explicit binding must be defined ... the binding process produces an
 interface containing control and management functions."
 
-Built here: typed stream endpoints (tradable — they have STREAM-kind
-signatures), an explicit binder parameterised by a flow template, frame
-transport over the simulated network, per-flow QoS monitoring, a
-binding control interface (start, stop, ``set_rate``) invocable from
-other nodes, and an inter-stream synchroniser (the lip-sync problem).
+Built here: stream endpoints with typed flows, an explicit binder
+parameterised by a flow template, frame transport over the simulated
+network, per-flow QoS monitoring, a binding control interface (start,
+stop, ``set_rate``) invocable from other nodes, and an inter-stream
+synchroniser (the lip-sync problem).
 """
 
-from repro.streams.stream import FlowSpec, StreamQoS, StreamEndpoint, stream_signature
+from repro.streams.stream import FlowSpec, StreamQoS, StreamEndpoint
 from repro.streams.qos import QoSMonitor
 from repro.streams.binding import StreamBinding, BindingControl, StreamManager
 from repro.streams.sync import SyncController
@@ -25,7 +25,6 @@ __all__ = [
     "FlowSpec",
     "StreamQoS",
     "StreamEndpoint",
-    "stream_signature",
     "QoSMonitor",
     "StreamBinding",
     "BindingControl",

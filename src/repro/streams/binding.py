@@ -205,9 +205,3 @@ class BindingControl(OdpObject):
         flows = ", ".join(
             f"{f.producer_flow}@{f.rate_hz}Hz" for f in self._binding.flows)
         return f"{state}: {flows}"
-
-    @operation(params=[str], returns=[int, int], readonly=True)
-    def flow_counts(self, consumer_flow):
-        monitor = self._binding.monitor_for(consumer_flow)
-        stats = monitor.stats()
-        return stats.frames_received, stats.frames_lost

@@ -80,7 +80,3 @@ class QoSMonitor:
                 f"{self.qos.max_jitter_ms}ms")
         return FlowStats(received, lost, loss_rate, mean_latency,
                          max_latency, jitter, violations)
-
-    @property
-    def healthy(self) -> bool:
-        return not self.stats().contract_violations

@@ -6,13 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable
 
 from repro.errors import StreamError
-from repro.types.signature import (
-    InterfaceSignature,
-    OperationSig,
-    TerminationSig,
-    STREAM,
-)
-from repro.types.terms import BYTES, INT
 
 
 @dataclass(frozen=True)
@@ -44,24 +37,6 @@ class FlowSpec:
                 f"flow {self.name!r}: direction must be 'out' or 'in'")
 
 
-def stream_signature(name: str,
-                     flows: Iterable[FlowSpec]) -> InterfaceSignature:
-    """A STREAM-kind signature so stream interfaces trade and type-check.
-
-    Each flow appears as a pseudo-operation carrying (seq, payload); the
-    structural conformance rules then give stream compatibility for free.
-    ADT-style invocation on such a signature is rejected by the binder.
-    """
-    operations = []
-    for flow in flows:
-        operations.append(OperationSig(
-            f"flow_{flow.direction}_{flow.media}_{flow.name}",
-            params=[INT, BYTES],
-            terminations=[TerminationSig("ok", ())],
-            announcement=True))
-    return InterfaceSignature(name, operations, kind=STREAM)
-
-
 class StreamEndpoint:
     """A stream interface instance on a node.
 
@@ -78,9 +53,6 @@ class StreamEndpoint:
         self.flows: Dict[str, FlowSpec] = {f.name: f for f in flows}
         self._sources: Dict[str, Callable[[int], bytes]] = {}
         self._sinks: Dict[str, Callable] = {}
-
-    def signature(self) -> InterfaceSignature:
-        return stream_signature(self.name, self.flows.values())
 
     def flow(self, name: str) -> FlowSpec:
         try:

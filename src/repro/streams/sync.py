@@ -91,6 +91,3 @@ class SyncController:
         if not self.released:
             return 0.0
         return max(p.skew_ms for p in self.released)
-
-    def pending(self) -> Dict[str, int]:
-        return {name: len(buf) for name, buf in self._buffers.items()}

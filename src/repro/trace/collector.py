@@ -76,12 +76,9 @@ class TraceCollector:
         self.traces_sampled = 0
         self.spans_recorded = 0
 
-    @property
-    def sampling(self) -> float:
-        return self._sampling
-
-    @sampling.setter
-    def sampling(self, rate: float) -> None:
+    def set_sampling(self, rate: float) -> None:
+        """Sample *rate* of the traces started from now on (head
+        sampling, spread evenly: 0.5 keeps every other trace)."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError("sampling rate must be in [0, 1]")
         self._sampling = rate

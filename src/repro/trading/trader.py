@@ -82,9 +82,6 @@ class Trader:
                 return
         raise TradingError(f"no offer {offer_id!r} in trader {self.name}")
 
-    def partitions(self) -> List[str]:
-        return sorted(self._partitions)
-
     def offer_count(self, partition: Optional[str] = None) -> int:
         if partition is not None:
             return len(self._partitions.get(partition, {}))

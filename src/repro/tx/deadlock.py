@@ -61,6 +61,3 @@ class WaitsForGraph:
             for succ in self._edges.get(node, ()):
                 stack.append((succ, path + [succ]))
         return None
-
-    def waiting(self, waiter: str) -> Set[str]:
-        return set(self._edges.get(waiter, ()))

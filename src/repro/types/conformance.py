@@ -49,8 +49,8 @@ def conforms(provided: TypeTerm, required: TypeTerm) -> bool:
     if isinstance(provided, SeqType) and isinstance(required, SeqType):
         return conforms(provided.element, required.element)
     if isinstance(provided, RecordType) and isinstance(required, RecordType):
-        have = provided.field_map()
-        for name, req_term in required.field_map().items():
+        have = dict(provided.fields)
+        for name, req_term in required.fields:
             if name not in have or not conforms(have[name], req_term):
                 return False
         return True  # width subtyping: extra fields are fine

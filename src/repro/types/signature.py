@@ -137,13 +137,6 @@ class InterfaceSignature:
     def operation_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.operations))
 
-    def restrict(self, names: Iterable[str]) -> "InterfaceSignature":
-        """A narrower signature containing only *names* (view/projection)."""
-        return InterfaceSignature(
-            f"{self.name}#restricted",
-            [self.operation(n) for n in names],
-            kind=self.kind)
-
     def describe(self) -> str:
         ops = ";".join(repr(self.operations[n])
                        for n in self.operation_names())

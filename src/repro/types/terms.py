@@ -72,9 +72,6 @@ class RecordType(TypeTerm):
         inner = ", ".join(f"{n}: {t!r}" for n, t in self.fields)
         self.label = f"record<{inner}>"
 
-    def field_map(self) -> Dict[str, TypeTerm]:
-        return dict(self.fields)
-
 
 class RefType(TypeTerm):
     """A reference to an interface with the given signature.

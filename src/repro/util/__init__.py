@@ -1,6 +1,6 @@
 """Small shared utilities (identifier minting, frozen data helpers)."""
 
 from repro.util.ids import IdMinter
-from repro.util.freeze import deep_freeze, is_frozen
+from repro.util.freeze import is_frozen
 
-__all__ = ["IdMinter", "deep_freeze", "is_frozen"]
+__all__ = ["IdMinter", "is_frozen"]

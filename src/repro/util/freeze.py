@@ -3,9 +3,9 @@
 "Objects which have constant state can be copied without breaking
 computational semantics."  The marshalling layer copies values only when they
 are immutable all the way down; anything else must travel as an interface
-reference.  ``deep_freeze`` converts plain containers to their immutable
-counterparts so application data can be passed by copy, and ``is_frozen``
-is the predicate the codec uses to decide copy-vs-reference.
+reference.  ``is_frozen`` is the predicate the codec uses to decide
+copy-vs-reference, and :class:`FrozenRecord` is the immutable record
+application data passes by copy.
 """
 
 from __future__ import annotations
@@ -13,26 +13,6 @@ from __future__ import annotations
 from typing import Any
 
 _ATOMIC = (type(None), bool, int, float, str, bytes)
-
-
-def deep_freeze(value: Any) -> Any:
-    """Return an immutable equivalent of *value*.
-
-    Lists/tuples become tuples, sets become frozensets, dicts become sorted
-    tuples of (key, value) pairs wrapped in :class:`FrozenRecord`.  Raises
-    ``TypeError`` for values with no immutable equivalent.
-    """
-    if isinstance(value, _ATOMIC):
-        return value
-    if isinstance(value, (list, tuple)):
-        return tuple(deep_freeze(v) for v in value)
-    if isinstance(value, (set, frozenset)):
-        return frozenset(deep_freeze(v) for v in value)
-    if isinstance(value, FrozenRecord):
-        return value
-    if isinstance(value, dict):
-        return FrozenRecord({k: deep_freeze(v) for k, v in value.items()})
-    raise TypeError(f"no immutable equivalent for {type(value).__name__}")
 
 
 def is_frozen(value: Any) -> bool:

@@ -39,6 +39,3 @@ class IdMinter:
     def mint(self, prefix: str) -> str:
         self._counters[prefix] += 1
         return f"{prefix}-{self._counters[prefix]}"
-
-    def reset(self) -> None:
-        self._counters.clear()

@@ -7,8 +7,10 @@ import gc
 import pytest
 
 from repro import OdpObject, Signal, World, operation
+from repro.comp.reference import InterfaceRef
 from repro.engine.channel import TransportLayer
 from repro.relocation.layer import RelocationLayer
+from repro.util.freeze import FrozenRecord
 
 
 class Counter(OdpObject):
@@ -89,6 +91,31 @@ class Echo(OdpObject):
     @operation(params=["any"], announcement=True)
     def fire(self, value):
         self.last = value
+
+
+def deep_freeze(value):
+    """An immutable equivalent of *value*, all the way down: lists and
+    tuples become tuples, sets frozensets, dicts :class:`FrozenRecord`."""
+    if isinstance(value, (list, tuple)):
+        return tuple(deep_freeze(item) for item in value)
+    if isinstance(value, (set, frozenset)):
+        return frozenset(deep_freeze(item) for item in value)
+    if isinstance(value, dict):
+        return FrozenRecord({key: deep_freeze(item)
+                             for key, item in value.items()})
+    return value
+
+
+def with_paths(ref, paths, epoch=None):
+    """*ref* with other access paths (and, given one, another epoch)."""
+    return InterfaceRef(ref.interface_id, ref.signature, tuple(paths),
+                        ref.epoch if epoch is None else epoch,
+                        ref.context, ref.group)
+
+
+def queued(scheduler):
+    """How many events *scheduler* holds that are not cancelled."""
+    return sum(not event.cancelled for _, _, event in scheduler._queue)
 
 
 def live_bindings(nucleus):

@@ -12,6 +12,9 @@ runs as a script, which reports every failing sweep and exits 1 if
 there is one::
 
     PYTHONPATH=src:. python -m tests.damaged_images
+
+:func:`sample` runs tier-1's sample of every sweep in one call: the
+damaged-image driver of ``python -m benchmarks.reach``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ def main() -> int:
     print(f"{len(SWEEPS) - failed}/{len(SWEEPS)} damaged-image sweeps "
           f"held over every offset of every image")
     return 1 if failed else 0
+
+
+def sample() -> None:
+    """Every sweep over tier-1's sample of the damage; raises on the
+    first that fails."""
+    for _, sweep, args in SWEEPS:
+        sweep(*args, sample=True)
 
 
 if __name__ == "__main__":

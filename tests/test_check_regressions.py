@@ -121,7 +121,7 @@ def test_split_brain_zombie_sequencer_is_fenced():
     proxy.put("k", "v1")  # majority side: suspect m0, elect, commit
     assert group.view.number > stale_view
     assert not old_sequencer.alive
-    world.heal_partition()
+    world.faults.heal_partition()
 
     # The zombie's writes carry the stale view number: fenced.
     stale_write = Invocation(

@@ -168,14 +168,6 @@ class TestInterfaceRef:
         with pytest.raises(AttributeError):
             ref.epoch = 5
 
-    def test_with_paths_creates_new_ref(self):
-        ref = self.make()
-        moved = ref.with_paths((AccessPath("n2", "c2"),), epoch=1)
-        assert ref.primary_path().node == "n1"
-        assert moved.primary_path().node == "n2"
-        assert moved.epoch == 1
-        assert moved.interface_id == ref.interface_id
-
     def test_context_prefixing(self):
         ref = self.make()
         crossed = ref.prefixed_context("B").prefixed_context("A")

@@ -5,7 +5,7 @@ import pytest
 from repro import ReplicationSpec, Signal
 from repro.events import Blackboard, EventChannel, Subscriber
 from repro.events.channel import export_channel
-from tests.conftest import live_bindings
+from tests.conftest import live_bindings, with_paths
 
 
 @pytest.fixture
@@ -119,8 +119,8 @@ class TestEventChannel:
             channel_setup
         sub_ref = c2.export(Subscriber())
         publisher.subscribe("", sub_ref)
-        c2.withdraw(sub_ref.interface_id, forward=sub_ref.with_paths(
-            c3.nucleus.access_paths(c3.name)))
+        c2.withdraw(sub_ref.interface_id, forward=with_paths(
+            sub_ref, c3.nucleus.access_paths(c3.name)))
         c3.forwards[sub_ref.interface_id] = sub_ref
         publisher.publish("loop", 0)
         world.settle()

@@ -26,7 +26,7 @@ class TestPartitions:
         world.partition(["server-node"], ["client-node"])
         with pytest.raises(NodeUnreachableError):
             proxy.increment()
-        world.heal_partition()
+        world.faults.heal_partition()
         assert proxy.increment() == 2
 
     def test_partition_during_prepare_aborts(self, trio_domain):
@@ -117,7 +117,7 @@ class TestPartitions:
         proxy.put("a", "1")
         world.partition(["n1", "n2", "client-node"], ["n3"])
         proxy.put("b", "2")
-        world.heal_partition()
+        world.faults.heal_partition()
         straggler = next(m for m in group.view.members
                          if m.node == "n3")
         domain.groups.revive(group.group_id, straggler.index)

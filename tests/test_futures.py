@@ -113,18 +113,6 @@ class TestFutures:
         with pytest.raises(DeadlineExceededError):
             future.result()
 
-    def test_callbacks_fire_on_resolution(self):
-        world, servers, clients, invoker = build()
-        ref = servers.export(Counter())
-        observed = []
-        future = invoker.call(ref, "increment")
-        future.add_callback(lambda f: observed.append(f.result()))
-        world.settle()
-        assert observed == [1]
-        # Late registration fires immediately.
-        future.add_callback(lambda f: observed.append("late"))
-        assert observed == [1, "late"]
-
     def test_server_stack_still_applies(self):
         """Async requests run the same server-side layers."""
         from repro import EnvironmentConstraints

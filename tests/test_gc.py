@@ -34,20 +34,14 @@ class TestLeaseTable:
         table.renew("i", "stranger", now=0.0)
         assert not table.has_live_lease("i", now=0.0)
 
-    def test_release(self):
-        table = _table(100.0)
-        table.grant("i", "h1", now=0.0)
-        table.grant("i", "h2", now=0.0)
-        table.release("i", "h1")
-        assert table.live_holders("i", now=1.0) == {"h2"}
-
     def test_prune_drops_expired(self):
         table = _table(10.0)
         table.grant("i", "h1", now=0.0)
         table.grant("j", "h2", now=0.0)
         table.renew("j", "h2", now=5.0)
         assert table.prune(now=12.0) == 1
-        assert table.tracked() == ["j"]
+        assert table.live_holders("i", now=0.0) == set()
+        assert table.live_holders("j", now=0.0) == {"h2"}
 
 
 class TestCollector:

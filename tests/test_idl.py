@@ -11,6 +11,7 @@ from repro.idl import (
     implements,
     parse_idl,
 )
+from repro.recovery.checkpoint import checkpoint_key
 from repro.types.terms import INT, RecordType, RefType, SeqType, STR
 
 ACCOUNT_IDL = """
@@ -240,4 +241,5 @@ class TestSkeletonGeneration:
 
         proxy = world.binder_for(clients).bind(ref, required=declared)
         assert proxy.deposit(10) == 10
-        assert domain.recovery.recoverable(ref.interface_id)
+        assert domain.repository.contains(
+            checkpoint_key(ref.interface_id))

@@ -78,9 +78,8 @@ class TestBankScenario:
 
         # Crash branch-2; recover both its accounts at branch-1.
         world.crash_node("branch-2")
-        recovered = domain.recovery.recover_all_from_node(
-            "branch-2", b1)
-        assert len(recovered) == 2
+        for name in ("acc-a", "acc-c"):
+            domain.recovery.recover(refs[name].interface_id, b1)
         assert teller.balance_of() == 65
         assert target.balance_of() == 140
 

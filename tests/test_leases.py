@@ -203,7 +203,7 @@ class TestFencing:
             proxy.get("k")
         assert client.expired >= 1
 
-        world.heal_partition()
+        world.faults.heal_partition()
         assert proxy.get("k") == "v2"  # fresh fetch after healing
 
     def test_supervisor_revokes_dead_holders_and_flushes_revival(self):

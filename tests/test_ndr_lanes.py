@@ -32,8 +32,8 @@ from repro.ndr.formats import _NAMES_CAP, _chunk, get_format
 from repro.ndr.plancache import PlanCache
 from repro.sim.rand import DeterministicRandom
 from repro.trace.context import TraceContext
-from repro.util.freeze import FrozenRecord, deep_freeze
-from tests.conftest import Counter
+from repro.util.freeze import FrozenRecord
+from tests.conftest import Counter, deep_freeze
 from tests.ndr_reference import dumps_reference, loads_reference
 from tests.test_ndr_golden import FORMATS, HOSTILE, _corpus, _damaged
 from tests.test_ndr_property import _ALPHABET, _gen_value

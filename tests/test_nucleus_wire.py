@@ -20,7 +20,7 @@ from repro.perf.admission import AdmissionController
 from repro.perf.batching import BatchClient
 from repro.tx.transaction import Participant, TransactionManager
 from tests import hostile_envelopes as hostile
-from tests.conftest import Counter
+from tests.conftest import Counter, with_paths
 
 
 class TestNucleusRequestHandling:
@@ -128,7 +128,7 @@ class TestClientSideMismatch:
         not silently."""
         world, domain, servers, clients = single_domain
         ref = servers.export(Counter())
-        wrong = ref.with_paths([
+        wrong = with_paths(ref, [
             p.__class__(p.node, p.capsule, p.protocol, "tagged")
             for p in ref.paths])
         from repro import EnvironmentConstraints
@@ -325,7 +325,7 @@ class TestMalformedEnvelopes:
         world.settle()
         assert waiting.done
         with pytest.raises(MarshalError):
-            waiting.termination()
+            waiting.result()
         assert counter.value == 0
 
 
@@ -522,7 +522,7 @@ class TestMisshapenReplies:
         world.settle()  # must not raise out of the scheduler
         assert waiting.done
         with pytest.raises(ProtocolMismatchError):
-            waiting.termination()
+            waiting.result()
         # ... and the node still serves a well-formed exchange.
         served = invoker.call(ref, "increment")
         world.settle()

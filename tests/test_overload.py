@@ -401,7 +401,7 @@ class TestBudgetExhaustionClassification:
         assert group.view.sequencer.node == "n1"   # no client failover
         assert group.view.sequencer.alive          # never suspected
         assert registry.budget("n1", "group").retries_denied == 1
-        world.heal_partition()
+        world.faults.heal_partition()
         for member in group.view.members:
             if not member.alive:
                 domain.groups.revive("ob.kv", member.index)

@@ -118,7 +118,7 @@ class TestQuorumBarrier:
         world.partition(["n1", "client-node"], ["n2", "n3"])
         with pytest.raises(NoQuorumError):
             proxy.put("k", "dirty")
-        world.heal_partition()
+        world.faults.heal_partition()
         for member in group.view.members:
             if not member.alive:
                 domain.groups.revive("part.kv", member.index)
@@ -206,7 +206,7 @@ class TestFaultPlanPartitions:
         assert proxy.increment() == 1
         # Requests out of client-node are blocked; replies the other
         # way would still flow — but no request ever arrives.
-        world.asym_partition(["client-node"], ["n1"])
+        world.faults.asym_partition(["client-node"], ["n1"])
         from repro.errors import CommunicationError
         with pytest.raises(CommunicationError):
             proxy.increment()
@@ -294,7 +294,7 @@ class TestClientRetryClassification:
         proxy.put("k", "v1")
         assert layer.failovers == 1
         assert group.view.number > stale_view
-        world.heal_partition()
+        world.faults.heal_partition()
 
         # The healed zombie's stale-view write is fenced, and fencing
         # bumps the member's own counter rather than killing anyone.
@@ -336,7 +336,7 @@ class TestSupervisionUnderPartition:
         assert supervisor.node_dead("n3")
         assert supervisor.diagnose("n3") == "partitioned"
 
-        world.heal_partition()
+        world.faults.heal_partition()
         world.scheduler.run_until(world.now + 300.0)
         assert supervisor.diagnose("n3") == "alive"
 
@@ -367,7 +367,7 @@ class TestSupervisionUnderPartition:
         assert supervisor.diagnose("n3") == "partitioned"
         assert supervisor.singleton_recoveries == 0
 
-        world.heal_partition()
+        world.faults.heal_partition()
         world.scheduler.run_until(world.now + 300.0)
         assert supervisor.singleton_recoveries == 0
         assert proxy.increment() == 2  # same incarnation throughout
@@ -393,7 +393,7 @@ class TestSupervisionUnderPartition:
         assert {m.node for m in down} == {"n2", "n3"}
         assert supervisor.partition_merges == 0
 
-        world.heal_partition()
+        world.faults.heal_partition()
         world.scheduler.run_until(world.now + 500.0)
         assert all(m.alive for m in group.view.members)
         assert supervisor.partition_merges >= 1
@@ -424,7 +424,7 @@ class TestSupervisionUnderPartition:
         assert supervisor.minority_holds >= 1
         assert supervisor.suspicions_raised == 0
         assert supervisor.revivals == 0
-        world.heal_partition()
+        world.faults.heal_partition()
         world.scheduler.run_until(world.now + 300.0)
         supervisor.stop()
 
@@ -450,7 +450,7 @@ class TestSupervisionUnderPartition:
         assert domain.groups.suspicions_refused >= 1
         assert all(m.alive for m in group.view.members)
 
-        world.heal_partition()
+        world.faults.heal_partition()
         world.scheduler.run_until(world.now + 300.0)
         proxy.put("k", "v1")
         assert all(data == {"k": "v1"}
@@ -472,7 +472,7 @@ class TestPartitionReporting:
         world.partition(["n1", "client-node"], ["n2", "n3"])
         with pytest.raises(NoQuorumError):
             proxy.put("k", "dirty")
-        world.heal_partition()
+        world.faults.heal_partition()
 
         report = TransparencyMonitor(domain).domain_report()
         partitions = report["partitions"]

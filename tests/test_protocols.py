@@ -20,11 +20,11 @@ def dual_protocol_world():
     """'rrp' is low-latency/low-bandwidth; 'bulk' the reverse."""
     world = World(seed=5, latency=LatencyModel(
         propagation_ms=1.0, bandwidth_bytes_per_ms=1_000.0))
-    world.network.register_protocol("bulk", LatencyModel(
-        propagation_ms=20.0, bandwidth_bytes_per_ms=1_000_000.0))
+    world.network.protocol_latency["bulk"] = LatencyModel(
+        propagation_ms=20.0, bandwidth_bytes_per_ms=1_000_000.0)
     world.node("org", "server-node")
     world.node("org", "client-node")
-    world.network.node("server-node").enable_protocol("bulk")
+    world.network.node("server-node").protocols.add("bulk")
     servers = world.capsule("server-node", "servers")
     clients = world.capsule("client-node", "clients")
     return world, servers, clients

@@ -19,8 +19,8 @@ from repro.comp.model import signature_of
 from repro.comp.reference import AccessPath, InterfaceRef
 from repro.ndr.codec import Marshaller
 from repro.ndr.formats import REUSE_MAX_BYTES, REUSE_MIN_BYTES, get_format
-from repro.util.freeze import FrozenRecord, deep_freeze
-from tests.conftest import Counter
+from repro.util.freeze import FrozenRecord
+from tests.conftest import Counter, deep_freeze
 from tests.ndr_reference import dumps_reference
 
 M = Marshaller()

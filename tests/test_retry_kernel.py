@@ -20,7 +20,7 @@ from repro.resilience.retry import (
     Verdict,
     classify,
 )
-from tests.conftest import Counter, KvStore
+from tests.conftest import Counter, KvStore, with_paths
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def _transport():
     ref2 = world.capsule("n2", "srv").export(
         Counter(), interface_id="if.shared")
     proxy = world.binder_for(world.capsule("c", "cli")).bind(
-        ref1.with_paths(ref1.paths + ref2.paths), qos=QoS(retries=2))
+        with_paths(ref1, ref1.paths + ref2.paths), qos=QoS(retries=2))
     outcomes = []
     world.faults.lose_next("c", "n1")
     outcomes.append(_attempt(proxy.increment))      # lost, retried here
@@ -271,7 +271,7 @@ def _group():
     others = [n for n in ("n1", "n2", "n3") if n != sequencer]
     world.partition([sequencer, "client-node"], others)
     outcomes.append(_attempt(lambda: proxy.put("k", "dry")))
-    world.heal_partition()
+    world.faults.heal_partition()
     for member in group.view.members:
         if not member.alive:
             domain.groups.revive("ob.kv", member.index)

@@ -9,7 +9,7 @@ from repro.mgmt.nodemanager import NodeManager, ServerSpec
 from repro.ndr.codec import Marshaller
 from repro.runtime import World
 from repro import errors as err
-from tests.conftest import Account, Counter
+from tests.conftest import Account, Counter, queued
 
 
 class TestWorld:
@@ -33,7 +33,7 @@ class TestWorld:
         world.scheduler.after(5.0, lambda: fired.append(True))
         world.settle()
         assert fired == [True]
-        assert world.scheduler.pending() == 0
+        assert queued(world.scheduler) == 0
 
     def test_traffic_summary(self, single_domain):
         world, domain, servers, clients = single_domain

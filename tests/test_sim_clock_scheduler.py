@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler, late_by_prefix
+from tests.conftest import queued
 
 
 class TestVirtualClock:
@@ -114,7 +115,7 @@ class TestScheduler:
         sched.at(100.0, lambda: fired.append(True))
         sched.run_until(50.0)
         assert fired == []
-        assert sched.pending() == 1
+        assert queued(sched) == 1
         sched.run_until_idle()
         assert fired == [True]
 
@@ -136,7 +137,7 @@ class TestScheduler:
         event = sched.at(1.0, lambda: None)
         sched.at(2.0, lambda: None)
         event.cancel()
-        assert sched.pending() == 1
+        assert queued(sched) == 1
 
 
 class TestEventWheelSemantics:
@@ -199,7 +200,7 @@ class TestEventWheelSemantics:
         sched.run_until_idle()
         assert order == ["doomed", ("killer", True)]
         doomed.cancel()  # idempotent after firing
-        assert sched.pending() == 0
+        assert queued(sched) == 0
 
     def test_every_cancelled_from_inside_action_stops_repeating(self):
         sched = Scheduler()
@@ -309,15 +310,15 @@ class TestEventWheelSemantics:
     def test_pending_counts_queued_repetition_of_cancelled_every(self):
         # Quirk pin: cancelling an ``every`` handle after its first
         # firing leaves the already-queued repetition event in the
-        # wheel (it no-ops when due).  ``pending`` counts it, because
+        # wheel (it no-ops when due).  ``queued`` counts it, because
         # the repetition Event object itself is not cancelled.
         sched = Scheduler()
         handle = sched.every(10.0, lambda: None)
         sched.run_until(10.0)
         handle.cancel()
-        assert sched.pending() == 1
+        assert queued(sched) == 1
         sched.run_until_idle()
-        assert sched.pending() == 0
+        assert queued(sched) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +338,12 @@ class _ModelScheduler:
     per repetition, and one place where an event fires."""
 
     def __init__(self):
-        self.now, self.queue, self.seq, self.events_run = 0.0, [], 0, 0
+        self.now, self._queue, self.seq, self.events_run = 0.0, [], 0, 0
 
     def at(self, when, action, label=""):
         event = _ModelEvent(action)
-        self.queue.append((max(when, self.now), self.seq, event))
-        self.queue.sort(key=lambda entry: entry[:2])
+        self._queue.append((max(when, self.now), self.seq, event))
+        self._queue.sort(key=lambda entry: entry[:2])
         self.seq += 1
         return event
 
@@ -358,12 +359,9 @@ class _ModelScheduler:
         handle = self.at(self.now + interval, fire)
         return handle
 
-    def pending(self):
-        return sum(not event.cancelled for _, _, event in self.queue)
-
     def step(self, deadline=float("inf")):
-        while self.queue and self.queue[0][0] <= deadline:
-            when, _, event = self.queue.pop(0)
+        while self._queue and self._queue[0][0] <= deadline:
+            when, _, event = self._queue.pop(0)
             if not event.cancelled:
                 self.now = max(self.now, when)
                 self.events_run += 1
@@ -440,14 +438,14 @@ def _play(program, sched):
                     handles[args[0] % len(handles)].cancel()
             elif op == "run_until":     # nested, when *steps* is a body
                 seen.append((op, sched.run_until(sched.now + args[0]),
-                             sched.pending()))
+                             queued(sched)))
             elif op in ("step", "run_until_idle"):
-                seen.append((op, getattr(sched, op)(), sched.pending()))
+                seen.append((op, getattr(sched, op)(), queued(sched)))
             else:
                 schedule(op, *args)
 
     perform(program)
-    return seen, sched.now, sched.events_run, sched.pending()
+    return seen, sched.now, sched.events_run, queued(sched)
 
 
 class TestSchedulerAgainstModel:
@@ -471,9 +469,9 @@ class TestSchedulerAgainstModel:
             handle = sched.every(10.0, lambda: ticks.append(sched.now))
             first = sched.run_until(10.0)
             handle.cancel()
-            queued = sched.pending()
-            return (ticks, first, queued, sched.run_until_idle(),
-                    sched.now, sched.events_run, sched.pending())
+            waiting = queued(sched)
+            return (ticks, first, waiting, sched.run_until_idle(),
+                    sched.now, sched.events_run, queued(sched))
 
         assert program(Scheduler()) == program(_ModelScheduler()) == (
             [10.0], 1, 1, 1, 20.0, 2, 0)

@@ -23,6 +23,7 @@ from hypothesis.stateful import (
 
 from repro import EnvironmentConstraints, FailureSpec
 from repro.errors import NodeUnreachableError, OdpError
+from repro.recovery.checkpoint import checkpoint_key
 from repro.runtime import World
 from tests.conftest import Account
 
@@ -97,7 +98,8 @@ class RelocationMachine(RuleBasedStateMachine):
         target = self._live_other()
         self.world.crash_node(self.home)
         self.crashed.add(self.home)
-        if self.domain.recovery.recoverable(self.ref.interface_id):
+        if self.domain.repository.contains(
+                checkpoint_key(self.ref.interface_id)):
             # Remove any stale record at the target before recovery.
             self.domain.recovery.recover(self.ref.interface_id,
                                          self.capsules[target])

@@ -6,8 +6,14 @@ from repro.errors import StreamError, TypeCheckError
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.runtime import World
 from repro.streams import FlowSpec, StreamQoS, SyncController
-from repro.streams.stream import stream_signature
 from repro.types.conformance import signature_conforms
+from repro.types.signature import (
+    STREAM,
+    InterfaceSignature,
+    OperationSig,
+    TerminationSig,
+)
+from repro.types.terms import BYTES, INT
 
 
 def av_world(seed=3, latency=None, drop=0.0):
@@ -38,12 +44,18 @@ def make_pair(world, video_rate=25.0, audio=False):
     return producer, consumer
 
 
-class TestStreamTypes:
-    def test_stream_signature_kind(self):
-        signature = stream_signature(
-            "av", [FlowSpec("video", "out", "video")])
-        assert signature.kind == "stream"
+def stream_signature(name, flows):
+    """A STREAM-kind signature: each flow is a pseudo-operation carrying
+    (seq, payload), so the structural conformance rules apply."""
+    return InterfaceSignature(name, [
+        OperationSig(f"flow_{flow.direction}_{flow.media}_{flow.name}",
+                     params=[INT, BYTES],
+                     terminations=[TerminationSig("ok", ())],
+                     announcement=True)
+        for flow in flows], kind=STREAM)
 
+
+class TestStreamTypes:
     def test_stream_type_conformance(self):
         wide = stream_signature("av", [
             FlowSpec("video", "out", "video"),
@@ -57,7 +69,7 @@ class TestStreamTypes:
         world = av_world()
         producer, _ = make_pair(world)
         from repro.comp.reference import AccessPath, InterfaceRef
-        signature = producer.signature()
+        signature = stream_signature(producer.name, producer.flows.values())
         ref = InterfaceRef(producer.endpoint_id, signature,
                            (AccessPath("producer-node", "streams"),))
         domain = world.domain("org")
@@ -188,8 +200,7 @@ class TestExplicitBinding:
         world.scheduler.run_until(world.now + 500.0)
         control.stop()
         world.settle()
-        received, lost = control.flow_counts("video")
-        assert received > 0
+        assert binding.monitor_for("video").stats().frames_received > 0
 
 
 class TestQoSMonitoring:

@@ -150,7 +150,7 @@ class TestSpanTree:
 class TestSampling:
     def test_zero_sampling_records_nothing(self):
         world, servers, clients = two_node_world(seed=7)
-        world.domain("org").tracer.sampling = 0.0
+        world.domain("org").tracer.set_sampling(0.0)
         proxy = world.binder_for(clients).bind(
             servers.export(CounterADT()))
         assert proxy.increment() == 1
@@ -163,7 +163,7 @@ class TestSampling:
         world, _, proxy = remote_call_world(seed=7)
         tracer = world.domain("org").tracer
         tracer.clear()
-        tracer.sampling = 0.5
+        tracer.set_sampling(0.5)
         before = tracer.traces_sampled
         for _ in range(10):
             proxy.increment()
@@ -173,13 +173,13 @@ class TestSampling:
         clock = VirtualClock()
         collector = TraceCollector("d", clock)
         with pytest.raises(ValueError):
-            collector.sampling = 1.5
+            collector.set_sampling(1.5)
         with pytest.raises(ValueError):
-            collector.sampling = -0.1
+            collector.set_sampling(-0.1)
 
     def test_unsampled_verdict_propagates_to_server(self):
         world, servers, clients = two_node_world(seed=7)
-        world.domain("org").tracer.sampling = 0.0
+        world.domain("org").tracer.set_sampling(0.0)
         proxy = world.binder_for(clients).bind(
             servers.export(CounterADT()))
         proxy.increment()
@@ -189,7 +189,7 @@ class TestSampling:
     def test_unsampled_adds_no_wire_bytes(self):
         sampled = remote_call_world(seed=7)
         unsampled = two_node_world(seed=7)
-        unsampled[0].domain("org").tracer.sampling = 0.0
+        unsampled[0].domain("org").tracer.set_sampling(0.0)
         proxy = unsampled[0].binder_for(unsampled[2]).bind(
             unsampled[1].export(CounterADT()))
         sampled[2].increment()
@@ -221,7 +221,7 @@ class TestDeterminism:
         for rate in (0.0, 1.0):
             world, _, proxy = remote_call_world(
                 seed=9, latency=FixedLatency(1.0))
-            world.domain("org").tracer.sampling = rate
+            world.domain("org").tracer.set_sampling(rate)
             for _ in range(6):
                 proxy.increment()
             elapsed.append(world.now)

@@ -86,8 +86,8 @@ class TestWaitsForGraph:
         graph.add_waits("a", {"b"})
         graph.add_waits("b", {"c"})
         graph.clear_waiter("a")
-        assert graph.waiting("a") == set()
-        assert graph.waiting("b") == {"c"}
+        assert graph.would_deadlock("b", {"a"}) is None
+        assert graph.would_deadlock("c", {"b"}) is not None
 
     def test_self_edges_ignored(self):
         graph = WaitsForGraph()

@@ -112,11 +112,6 @@ class TestSignatureBasics:
             OperationSig("f", (), [TerminationSig("ok", [INT])],
                          announcement=True)
 
-    def test_restrict_projects_operations(self):
-        full = sig("S", op("f"), op("g"))
-        narrow = full.restrict(["f"])
-        assert narrow.operation_names() == ("f",)
-
     def test_unknown_operation_lookup(self):
         with pytest.raises(SignatureError):
             sig("S", op("f")).operation("nope")
