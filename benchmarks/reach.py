@@ -19,7 +19,13 @@ they run:
   writes no file);
 * ``python -m tests.hostile_envelopes``, every malformed envelope at a
   live node, and ``tests.damaged_images.sample()``, tier-1's sample of
-  the damaged wire images (both need pytest importable).
+  the damaged wire images (both need pytest importable);
+* ``tests.heal_beats_reference.sample()``, the heartbeat streams held
+  to the beat-by-beat reference over one fault timeline.
+
+A driver that raises (anything but ``SystemExit``: a ``--mutate`` run
+that trips exits 1 on purpose) fails the audit, which prints the tail
+of its stderr and exits 1 without writing the report.
 
 Every function ``ast`` finds in ``src/repro`` that no driver called is
 written to ``benchmarks/out/REACH.txt``: per package, the functions and
@@ -148,6 +154,8 @@ def drivers() -> List[Tuple[str, str, str, List[str]]]:
                   "tests.hostile_envelopes", []))
     found.append(("tests/damaged_images.py sample()", "call",
                   "tests.damaged_images:sample", []))
+    found.append(("tests/heal_beats_reference.py sample()", "call",
+                  "tests.heal_beats_reference:sample", []))
     return found
 
 
@@ -157,10 +165,14 @@ def run_driver(index: int, driver, scratch: str) -> Dict:
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
     started = time.perf_counter()
-    subprocess.run([sys.executable, "-c", _BOOT, str(PACKAGE) + os.sep,
-                    out, how, target, *args],
-                   cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                   stderr=subprocess.DEVNULL)
+    done = subprocess.run([sys.executable, "-c", _BOOT,
+                           str(PACKAGE) + os.sep, out, how, target, *args],
+                          cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    if done.returncode:  # it raised: what it reached says nothing
+        tail = "\n".join(done.stderr.splitlines()[-12:])
+        print(f"  FAILED {label} (exit {done.returncode}):\n{tail}")
+        return {"label": label, "failed": done.returncode}
     with open(out) as handle:
         result = json.load(handle)
     print(f"  {time.perf_counter() - started:6.1f}s  {label}"
@@ -270,6 +282,11 @@ def main() -> int:
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = list(pool.map(
                 lambda pair: run_driver(*pair, scratch), enumerate(every)))
+    failed = [result["label"] for result in results if "failed" in result]
+    if failed:
+        print(f"benchmarks.reach: {len(failed)} driver(s) failed, "
+              f"{OUT.relative_to(ROOT)} left as it was: {failed}")
+        return 1
     OUT.write_text("\n".join(report(results)) + "\n")
     print(f"wrote {OUT.relative_to(ROOT)} in "
           f"{time.perf_counter() - started:.0f}s")

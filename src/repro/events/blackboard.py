@@ -10,11 +10,10 @@ go through the total-order protocol, reads can spread.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.comp.model import OdpObject, operation
 from repro.comp.outcomes import Signal
-from repro.util.freeze import FrozenRecord
 
 
 def _matches(entry, pattern) -> bool:

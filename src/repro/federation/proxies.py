@@ -21,7 +21,6 @@ from repro.comp.invocation import InvocationKind
 from repro.comp.model import OdpObject
 from repro.comp.outcomes import Signal
 from repro.comp.reference import InterfaceRef
-from repro.errors import FederationError
 from repro.trace.context import current_trace
 from repro.trace.span import NULL_SPAN
 from repro.types.signature import InterfaceSignature

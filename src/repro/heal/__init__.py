@@ -1,8 +1,8 @@
 """Self-healing supervision (detect -> diagnose -> repair).
 
 The node-management engineering object the RM-ODP engineering language
-models: a phi-accrual failure detector fed by real heartbeats over the
-simulated network, and a supervisor that repairs groups (revive /
+models: a phi-accrual failure detector fed by heartbeat streams computed
+from the fault plan, and a supervisor that repairs groups (revive /
 replace with state transfer) and checkpointed singletons (recovery at
 an alternate location) from observed silence alone.
 """

@@ -1,22 +1,25 @@
 """Phi-accrual failure detection from observed heartbeats.
 
 The detector never consults the fault plan: its *only* inputs are the
-virtual-clock arrival times of heartbeat messages that actually crossed
-the simulated network.  For every monitored ``(node, capsule)`` endpoint
-it keeps a sliding window of inter-arrival times and computes the
-suspicion level phi — the negative log-probability, under a normal fit
-of the observed inter-arrival distribution, that a heartbeat could still
-be merely late rather than missing (Hayashibara et al.'s accrual
-detector, adapted to virtual time).  Crossing a tunable threshold turns
-the endpoint ``suspect``; a later arrival turns it back ``alive``, which
-is how false suspicions (a gray link, a flaky window) are distinguished
-from real crashes — they *accrue* and then recover.
+virtual-clock arrival times of heartbeats that got through.  A
+:class:`~repro.heal.heartbeat.HeartbeatMonitor` computes those arrivals
+from its beat streams, and the detector has the monitor fold them up to
+the clock before it answers any question.  For every monitored
+``(node, capsule)`` endpoint it keeps a sliding window of inter-arrival
+times and computes the suspicion level phi — the negative
+log-probability, under a normal fit of the observed inter-arrival
+distribution, that a heartbeat could still be merely late rather than
+missing (Hayashibara et al.'s accrual detector, adapted to virtual
+time).  Crossing a tunable threshold turns the endpoint ``suspect``; a
+later arrival turns it back ``alive``, which is how false suspicions (a
+gray link, a flaky window) are distinguished from real crashes — they
+*accrue* and then recover.
 
 Detection latency is therefore a measured property of heartbeat period,
 network behaviour and threshold — not an oracle lookup.
 
 The detector is asked far more often than anything changes, so what it
-answers from is kept current where state changes (``watch``, ``observe``,
+answers from is kept current where state changes (``watch``, an arrival,
 ``poll``, ``reset``) instead of being rescanned per question: a per-node
 count of alive endpoints behind the node verdicts, a window fit computed
 only when phi is asked about a window that changed, and a quiet bound
@@ -114,18 +117,22 @@ class PhiAccrualDetector:
         #: Nodes with endpoints but no alive one.
         self._silent = 0
         self._listeners: List[Callable] = []
+        #: Folds the beat streams feeding this detector up to the clock;
+        #: every read calls it first (a ``HeartbeatMonitor`` sets it).
+        self.catch_up: Callable[[], None] = lambda: None
         self.heartbeats_observed = 0
         self.suspicions = 0
         self.recoveries = 0
 
     # -- registration --------------------------------------------------------
 
-    def watch(self, node: str, capsule: str) -> None:
-        """Start monitoring an endpoint (idempotent)."""
+    def watch(self, node: str, capsule: str) -> _Arrivals:
+        """Start monitoring an endpoint (idempotent); returns its record."""
         key = (node, capsule)
-        if key in self._tracked:
-            return
-        self._tracked[key] = _Arrivals(
+        record = self._tracked.get(key)
+        if record is not None:
+            return record
+        record = self._tracked[key] = _Arrivals(
             self.clock.now, self.expected_interval_ms, self.window)
         self._order = sorted(self._tracked.items())
         if node not in self._nodes:
@@ -133,6 +140,7 @@ class PhiAccrualDetector:
         else:
             self._nodes[node][0] += 1
             self._count(node, +1)
+        return record
 
     def on_transition(self, listener: Callable) -> None:
         """Register ``listener(key, old_state, new_state, phi)``."""
@@ -153,7 +161,14 @@ class PhiAccrualDetector:
         record = self._tracked.get(key)
         if record is None:
             return  # unsolicited heartbeat: not monitored
-        now = self.clock.now
+        if self._arrive(node, record, self.clock.now):
+            self._notify(key, "suspect", "alive", 0.0)
+
+    def _arrive(self, node: str, record: _Arrivals, now: float,
+                count: int = 1) -> bool:
+        """Book an arrival at *now* — *count* of them when the window
+        keeps only the last; True when it ends a suspicion (the caller
+        tells the listeners)."""
         # Bound the recorded sample: the silence of an outage that ends
         # in a recovery (a healed partition, a restarted node) is not
         # natural arrival variance.  Folding it into the window would
@@ -165,19 +180,21 @@ class PhiAccrualDetector:
         record.fit = None
         record.last_arrival = now
         record.last_heard = now
-        record.arrivals += 1
-        self.heartbeats_observed += 1
+        record.arrivals += count
+        self.heartbeats_observed += count
         if record.state == "suspect":
             record.state = "alive"
             self._count(node, +1)
             self.recoveries += 1
-            self._notify(key, "suspect", "alive", 0.0)
+            return True
+        return False
 
     # -- the accrual value ---------------------------------------------------
 
     def phi(self, node: str, capsule: str,
             now: Optional[float] = None) -> float:
         """Current suspicion level for one endpoint."""
+        self.catch_up()
         record = self._tracked.get((node, capsule))
         if record is None:
             return 0.0
@@ -200,6 +217,7 @@ class PhiAccrualDetector:
     def poll(self, now: Optional[float] = None
              ) -> List[Tuple[EndpointKey, float]]:
         """Evaluate every endpoint; returns the newly suspected ones."""
+        self.catch_up()
         if now is None:
             now = self.clock.now
         quiet_ms = self._quiet_ms
@@ -225,6 +243,7 @@ class PhiAccrualDetector:
         Unknown nodes are presumed alive: absence of monitoring is not
         evidence of failure.
         """
+        self.catch_up()
         counts = self._nodes.get(node)
         return counts is None or counts[1] > 0
 
@@ -234,6 +253,7 @@ class PhiAccrualDetector:
         is what lets a vantage point distinguish "this node is beating
         at *me*" (partition) from "this node beats at nobody" (crash).
         """
+        self.catch_up()
         now = self.clock.now
         for key, record in self._tracked.items():
             if key[0] == node and record.arrivals > 0 and \
@@ -245,10 +265,12 @@ class PhiAccrualDetector:
         """``(nodes monitored, nodes among them with no alive
         endpoint)`` — what a blind *observer* is told apart from a dead
         fleet by."""
+        self.catch_up()
         return len(self._nodes), self._silent
 
     def reset(self) -> None:
         """Re-prime every endpoint as alive-as-of-now (observer rehome)."""
+        self.catch_up()
         now = self.clock.now
         for record in self._tracked.values():
             record.last_arrival = now
@@ -263,6 +285,7 @@ class PhiAccrualDetector:
             listener(key, old, new, phi)
 
     def stats(self) -> Dict[str, int]:
+        self.catch_up()
         return {
             "watched": len(self._tracked),
             "heartbeats_observed": self.heartbeats_observed,

@@ -1,12 +1,18 @@
-"""Heartbeat emission and observation over the simulated network.
+"""Heartbeats as arithmetic: beat streams, computed when they are read.
 
-Every watched ``(node, capsule)`` endpoint emits a small one-way
-message to the current *observer* node on a fixed period (staggered by
-a deterministic per-endpoint phase so a fleet never beats in
-lock-step).  Beats travel through :meth:`repro.net.network.Network.post`
-— so a crashed node emits nothing, a partitioned or cut link delivers
-nothing, and a gray link delivers late — which is exactly the signal
-the :class:`~repro.heal.detector.PhiAccrualDetector` consumes.
+Every watched ``(node, capsule)`` endpoint beats to the current
+*observer* node on a fixed period, staggered by a deterministic phase.
+No beat is a scheduler event or a network message: each endpoint is one
+:class:`BeatStream`, folded up to the clock whenever the
+:class:`~repro.heal.detector.PhiAccrualDetector` is read and up to each
+change of the fault plan before it applies, so each fold sees a
+constant fault state.  A beat keeps a one-way post's rules: a crashed
+source sends nothing, the delay is the latency model's times the gray
+factor at send time, a drop rate draws from the stream's own random
+fork (never a one-shot ``lose_next``), a link blocked on arrival drops
+it, and a beat arriving after its observer was replaced is ignored.
+``tests/heal_beats_reference.py`` sends the same beats one scheduler
+event at a time, and the tests hold the streams to it.
 
 The observer is itself a fallible node.  When the detector reports a
 majority of endpoints suspect at once, the supervisor calls
@@ -18,11 +24,38 @@ distinguishing "everyone died" from "I went deaf".
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
+
+INF = float("inf")
+
+
+class BeatStream:
+    """The beats one watched endpoint sends one monitor's observer.
+
+    Beat k leaves at ``first + k * interval``; ``sent`` beats have left
+    and the next is ``due``.  ``flight`` is a heap of ``(arrival, left
+    at, observer)``; ``terms`` is ``(crashed, loss rate, delay,
+    blocked)`` for the link to the observer, read once per change of
+    fault plan or observer.
+    """
+
+    __slots__ = ("node", "capsule", "record", "size", "rng", "first",
+                 "sent", "due", "flight", "terms")
+
+    def __init__(self, node: str, capsule: str, record, rng,
+                 first: float) -> None:
+        self.node, self.capsule, self.rng = node, capsule, rng
+        self.record = record  # the detector's record of the endpoint
+        self.size = len(f"{node}|{capsule}".encode("utf-8"))  # wire bytes
+        self.first = self.due = first
+        self.sent = 0
+        self.flight: List[Tuple[float, float, str]] = []
+        self.terms = None
 
 
 class HeartbeatMonitor:
-    """Emits and collects heartbeats for one domain's supervisor."""
+    """Computes and delivers heartbeats for one domain's supervisor."""
 
     def __init__(self, domain, detector,
                  interval_ms: float = 50.0,
@@ -31,21 +64,27 @@ class HeartbeatMonitor:
             raise ValueError("heartbeat interval must be positive")
         self.domain = domain
         self.detector = detector
+        detector.catch_up = self.catch_up
         self.interval_ms = interval_ms
         #: Preferred initial observer node (vantage placement); falls
         #: back to the first address in sort order when absent.
         self.home = home
-        #: Message kind, minted per world so concurrent monitors (and
+        #: Stream label, minted per world so concurrent monitors (and
         #: identically-seeded runs) stay deterministic and disjoint.
         self.kind = domain.mint("hb")
         self.observer: str = ""
-        self._emitters: Dict[Tuple[str, str], object] = {}
-        #: Beat payload -> the endpoint it announces.
-        self._endpoints: Dict[bytes, Tuple[str, str]] = {}
-        self._registered: set = set()
-        self.beats_sent = 0
+        self.clock = domain.scheduler.clock
+        self.faults = domain.network.faults
+        self._streams: Dict[Tuple[str, str], BeatStream] = {}
+        self.next_at = INF  # the earliest send or arrival of any stream
+        self._sent = 0
         self.rehomes = 0
         self.running = False
+
+    @property
+    def beats_sent(self) -> int:
+        self.catch_up()
+        return self._sent
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -64,47 +103,34 @@ class HeartbeatMonitor:
             self.observer = self.home
         else:
             self.observer = addresses[0]
-        for address in addresses:
-            self._register(address)
+        self.faults.add_watcher(self._changed, self.clock)
 
     def stop(self) -> None:
-        for handle in self._emitters.values():
-            handle.cancel()
-        self._emitters.clear()
+        """Fold up to now, then send and deliver no more beats."""
+        if not self.running:
+            return
+        self.catch_up()
+        self.faults.remove_watcher(self._changed)
+        self._streams.clear()
+        self.next_at = INF
         self.running = False
 
     # -- watching ------------------------------------------------------------
 
     def watch(self, node: str, capsule: str) -> None:
-        """Start emitting (and expecting) heartbeats for an endpoint."""
-        key = (node, capsule)
-        if key in self._emitters:
+        """Start sending (and expecting) heartbeats for an endpoint (the
+        streams follow the fault plan from ``start`` to ``stop``)."""
+        if (node, capsule) in self._streams:
             return
-        self._register(node)
-        self.detector.watch(node, capsule)
-        scheduler = self.domain.scheduler
-        network = self.domain.network
-        payload = f"{node}|{capsule}".encode("utf-8")
-        self._endpoints[payload] = key
-        label = f"hb:{node}/{capsule}"
-
-        def emit() -> None:
-            self.beats_sent += 1
-            network.post(node, self.observer, payload, self.kind)
-
-        def kick() -> None:
-            if self._emitters.get(key) is not handle:
-                return  # unwatched before the first beat
-            emit()
-            self._emitters[key] = scheduler.every(self.interval_ms, emit,
-                                                  label=label)
-
-        handle = scheduler.after(self._phase(node, capsule), kick,
-                                 label=label)
-        self._emitters[key] = handle
+        first = self.clock.now + self._phase(node, capsule)
+        self._streams[(node, capsule)] = BeatStream(
+            node, capsule, self.detector.watch(node, capsule),
+            self.domain.network.rng.fork(f"{self.kind}/{node}/{capsule}"),
+            first)
+        self.next_at = min(self.next_at, first)
 
     def watches(self, node: str, capsule: str) -> bool:
-        return (node, capsule) in self._emitters
+        return (node, capsule) in self._streams
 
     # -- observer fail-over --------------------------------------------------
 
@@ -116,32 +142,124 @@ class HeartbeatMonitor:
         converges: a dead observer hears nothing, goes majority-suspect
         again, and rotates onward until a live node is reached.
         """
+        self.catch_up()
+        self._changed(self.clock.now)
         addresses = sorted(self.domain.nuclei)
-        if self.observer in addresses:
-            index = addresses.index(self.observer)
-            self.observer = addresses[(index + 1) % len(addresses)]
-        elif addresses:
-            self.observer = addresses[0]
+        index = (addresses.index(self.observer)
+                 if self.observer in addresses else -1)
+        self.observer = addresses[(index + 1) % len(addresses)]
         self.rehomes += 1
         self.detector.reset()
 
-    # -- internals -----------------------------------------------------------
+    # -- folding -------------------------------------------------------------
 
-    def _register(self, address: str) -> None:
-        """Install the beat delivery handler on a node (any node may
-        become the observer after a rehome)."""
-        if address in self._registered:
+    def catch_up(self) -> None:
+        """Fold every stream to the clock; window transitions the clock
+        passed apply first, each folding the streams to its own time."""
+        if self.clock.now >= self.next_at:
+            self.faults.pump()
+            self.fold(self.clock.now)
+
+    def _changed(self, until: float) -> None:
+        """The fault plan (or the observer) is about to change: fold to
+        *until* under what held until then, and read it afresh after."""
+        self.fold(until)
+        for stream in self._streams.values():
+            stream.terms = None
+
+    def fold(self, until: float) -> None:
+        """Send every beat due by *until* and deliver every beat that
+        arrives by then, under the fault state as it stands."""
+        if until < self.next_at:
             return
-        self.domain.network.node(address).on_deliver(self.kind,
-                                                     self._on_beat)
-        self._registered.add(address)
+        recovered: List[Tuple[float, Tuple[str, str]]] = []
+        next_at = INF
+        for stream in self._streams.values():
+            flight = stream.flight
+            if stream.due <= until or (flight and flight[0][0] <= until):
+                self._fold(stream, until, recovered)
+            if stream.due < next_at:
+                next_at = stream.due
+            if flight and flight[0][0] < next_at:
+                next_at = flight[0][0]
+        self.next_at = next_at
+        for _, key in sorted(recovered):
+            self.detector._notify(key, "suspect", "alive", 0.0)
 
-    def _on_beat(self, message) -> None:
-        if message.destination != self.observer:
-            return  # late delivery addressed to a previous observer
-        endpoint = self._endpoints.get(message.payload)
-        if endpoint is not None:
-            self.detector.observe(endpoint[0], endpoint[1])
+    def _fold(self, stream: BeatStream, until: float,
+              recovered: List) -> None:
+        terms = stream.terms
+        if terms is None:  # read once per change of plan or observer
+            node, observer, faults = stream.node, self.observer, self.faults
+            loss, link = faults.drop_probability, faults.link_drop(node,
+                                                                   observer)
+            if link:  # independent loss processes: survive both
+                loss = 1.0 - (1.0 - loss) * (1.0 - link)
+            terms = stream.terms = (
+                faults.is_crashed(node), loss,
+                self.domain.network.latency.delay(node, observer, stream.size)
+                * faults.latency_factor(node, observer),
+                faults.link_blocked(node, observer))
+        crashed, loss, delay, blocked = terms
+        flight, observer = stream.flight, self.observer
+        if stream.due <= until:
+            first, sent = stream.first, stream.sent
+            interval = self.interval_ms
+            last = sent + int((until - stream.due) // interval)
+            while first + (last + 1) * interval <= until:
+                last += 1
+            while first + last * interval > until:
+                last -= 1
+            self._sent += last - sent + 1
+            stream.sent = last + 1
+            stream.due = first + stream.sent * interval
+            if not crashed:
+                if not loss and last - sent > self.detector.window:
+                    # A long run: what lands before it lands first, then,
+                    # if nothing lands among it, the arrivals the window
+                    # would forget are booked at once, and a window's
+                    # worth, with what may still be in flight, one by one.
+                    head = first + sent * interval + delay
+                    if flight and flight[0][0] <= head:
+                        self._deliver(stream, head, recovered)
+                    skipped = 0 if flight else max(
+                        0, last - sent - self.detector.window
+                        - int(delay // interval) - 2)
+                    if blocked:
+                        self.faults.drops += skipped
+                    elif skipped and self.detector._arrive(
+                            stream.node, stream.record, head, skipped):
+                        recovered.append((head, (stream.node, stream.capsule)))
+                    sent += skipped
+                for beat in range(sent, last + 1):
+                    if loss and stream.rng.chance(loss):
+                        self.faults.drops += 1
+                        continue
+                    leave = first + beat * interval
+                    if flight or leave + delay > until:  # keep the order
+                        heappush(flight, (leave + delay, leave, observer))
+                    elif blocked:
+                        self.faults.drops += 1
+                    elif self.detector._arrive(stream.node, stream.record,
+                                               leave + delay):
+                        recovered.append((leave + delay,
+                                          (stream.node, stream.capsule)))
+        if flight and flight[0][0] <= until:
+            self._deliver(stream, until, recovered)
+
+    def _deliver(self, stream: BeatStream, until: float,
+                 recovered: List) -> None:
+        """Deliver, in arrival order, the beats that arrive by *until*."""
+        flight, node = stream.flight, stream.node
+        while flight and flight[0][0] <= until:
+            arrival, _, observer = heappop(flight)
+            if observer != self.observer:  # replaced since it left
+                if self.faults.link_blocked(node, observer):
+                    self.faults.drops += 1
+            elif stream.terms[3]:
+                self.faults.drops += 1
+            elif self.detector._arrive(node, stream.record, arrival):
+                recovered.append((arrival, (node, stream.capsule)))
 
     def _phase(self, node: str, capsule: str) -> float:
         """Deterministic per-endpoint emission phase in [0, interval)."""

@@ -209,8 +209,7 @@ class Supervisor:
 
     def _watch(self, node: str, capsule: str) -> None:
         for monitor, _ in self._vantages:
-            if not monitor.watches(node, capsule):
-                monitor.watch(node, capsule)
+            monitor.watch(node, capsule)
 
     def _watch_group_members(self) -> None:
         """Heartbeat every group member endpoint (lazily, so groups

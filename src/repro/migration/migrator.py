@@ -17,8 +17,6 @@ invisible to reference holders.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.comp.reference import InterfaceRef
 from repro.errors import MigrationError
 from repro.tx.versions import restore_snapshot, take_snapshot

@@ -34,6 +34,10 @@ class FaultPlan:
     """Mutable fault state consulted by the network on every transmit."""
 
     def __init__(self, drop_probability: float = 0.0) -> None:
+        #: Told ``watcher(time)`` before each change but a one-shot loss
+        #: or a stall: what fell due by *time* met the state until then.
+        self._watchers: List[Callable[[float], None]] = []
+        self._applying: Optional[float] = None  # a window transition's time
         self._drop_probability = 0.0
         self.drop_probability = drop_probability
         self._crashed: Set[str] = set()
@@ -56,6 +60,26 @@ class FaultPlan:
         self._clock = None
         self.drops = 0
 
+    def add_watcher(self, watcher: Callable[[float], None], clock) -> None:
+        self._clock = clock
+        self._watchers.append(watcher)
+
+    def remove_watcher(self, watcher: Callable[[float], None]) -> None:
+        self._watchers.remove(watcher)
+
+    def _changing(self) -> None:
+        """A toggle holds from after what fell due by now (the windows
+        passed come first); a window from its own time on."""
+        if self._watchers:
+            when = self._applying
+            if when is None:
+                self._sync()
+                when = self._clock.now
+            else:
+                when = math.nextafter(when, -math.inf)
+            for watcher in tuple(self._watchers):
+                watcher(when)
+
     # -- probabilistic loss ----------------------------------------------------
 
     @property
@@ -67,6 +91,7 @@ class FaultPlan:
     def drop_probability(self, probability: float) -> None:
         if not 0.0 <= probability < 1.0:
             raise ValueError("drop probability must be in [0, 1)")
+        self._changing()
         self._drop_probability = probability
 
     def set_link_drop(self, source: str, destination: str,
@@ -74,6 +99,7 @@ class FaultPlan:
         """Give the directed link source -> destination its own loss rate."""
         if not 0.0 <= probability < 1.0:
             raise ValueError("drop probability must be in [0, 1)")
+        self._changing()
         if probability == 0.0:
             self._link_drop.pop((source, destination), None)
         else:
@@ -83,6 +109,7 @@ class FaultPlan:
         return self._link_drop.get((source, destination), 0.0)
 
     def clear_link_drop(self, source: str, destination: str) -> None:
+        self._changing()
         self._link_drop.pop((source, destination), None)
 
     def lose_next(self, source: str, destination: str,
@@ -129,12 +156,14 @@ class FaultPlan:
         """Inflate latency on a directed link (gray failure, not loss)."""
         if not factor >= 1.0:  # NaN too: it would reach the event heap
             raise ValueError("latency factor must be >= 1.0")
+        self._changing()
         if factor == 1.0:
             self._gray.pop((source, destination), None)
         else:
             self._gray[(source, destination)] = factor
 
     def restore_link(self, source: str, destination: str) -> None:
+        self._changing()
         self._gray.pop((source, destination), None)
 
     def latency_factor(self, source: str, destination: str) -> float:
@@ -165,9 +194,11 @@ class FaultPlan:
     # -- node crash / restart ------------------------------------------------
 
     def crash_node(self, node: str) -> None:
+        self._changing()
         self._crashed.add(node)
 
     def restart_node(self, node: str) -> None:
+        self._changing()
         self._crashed.discard(node)
 
     def is_crashed(self, node: str) -> bool:
@@ -185,9 +216,11 @@ class FaultPlan:
         return (a, b) if a <= b else (b, a)
 
     def cut_link(self, a: str, b: str) -> None:
+        self._changing()
         self._cut_links.add(self._key(a, b))
 
     def heal_link(self, a: str, b: str) -> None:
+        self._changing()
         self._cut_links.discard(self._key(a, b))
 
     # -- partitions ----------------------------------------------------------
@@ -226,6 +259,7 @@ class FaultPlan:
                     raise ValueError(f"node {node} in two partition groups")
                 mentioned.add(node)
         self._validate_nodes(mentioned)
+        self._changing()
         base = max(self._partition_of.values(), default=-1) + 1
         for index, group in enumerate(groups):
             for node in group:
@@ -241,6 +275,7 @@ class FaultPlan:
         """
         sources, destinations = list(sources), list(destinations)
         self._validate_nodes(set(sources) | set(destinations))
+        self._changing()
         for src in sources:
             for dst in destinations:
                 if src != dst:
@@ -248,6 +283,7 @@ class FaultPlan:
 
     def heal_asym_partition(self, sources=None, destinations=None) -> None:
         """Unblock directed links; with no arguments, all of them."""
+        self._changing()
         if sources is None and destinations is None:
             self._asym_blocked.clear()
             return
@@ -267,6 +303,7 @@ class FaultPlan:
         place, so overlapping chaos windows compose instead of healing
         each other.  Without arguments everything is healed.
         """
+        self._changing()
         if node is None:
             self._partition_of.clear()
             self._asym_blocked.clear()
@@ -622,18 +659,23 @@ class FaultSchedule:
         if self._transitions is None:
             self._compile()
         applied = 0
-        while self._applied < len(self._transitions):
-            when, _, action = self._transitions[self._applied]
-            if when > now:
-                break
-            self._applied += 1
-            self.activations += 1
-            applied += 1
-            action(plan)
-        if self._applied < len(self._transitions):
-            self._next_at = self._transitions[self._applied][0]
-        else:
-            self._next_at = float("inf")
+        # A watcher's own verdicts, asked while a transition applies,
+        # must not start a sync of their own.
+        self._next_at = float("inf")
+        try:
+            while self._applied < len(self._transitions):
+                when, _, action = self._transitions[self._applied]
+                if when > now:
+                    break
+                self._applied += 1
+                self.activations += 1
+                applied += 1
+                plan._applying = when
+                action(plan)
+        finally:
+            plan._applying = None
+            if self._applied < len(self._transitions):
+                self._next_at = self._transitions[self._applied][0]
         return applied
 
     def install(self, scheduler, plan: FaultPlan) -> None:

@@ -7,8 +7,10 @@ Two delivery primitives are offered:
   time reported by the handler) to the virtual clock and raises on crash,
   partition or probabilistic loss.
 * :meth:`Network.post` — asynchronous one-way delivery through the event
-  scheduler, used for announcements, group multicast, heartbeats and stream
-  frames.  Lost messages vanish silently, exactly as on a real network.
+  scheduler, used for announcements, group multicast, lease invalidations
+  and stream frames.  Lost messages vanish silently, exactly as on a real
+  network.  (Heartbeats are not messages: :mod:`repro.heal.heartbeat`
+  computes them from the fault plan under the same rules.)
 
 Both consult the :class:`~repro.net.fault.FaultPlan` on every leg, so a
 partition that forms while a message is in flight still prevents delivery.

@@ -10,8 +10,6 @@ relocation layers repair transparently.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.comp.outcomes import Signal
 from repro.comp.reference import InterfaceRef
 from repro.errors import RecoveryError, StorageError

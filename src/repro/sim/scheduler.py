@@ -1,7 +1,9 @@
 """Discrete-event scheduler.
 
 Asynchronous platform behaviour — announcements, group multicast delivery,
-heartbeats, lease expiry, GC sweeps — is expressed as events on this queue.
+supervision ticks, lease expiry, GC sweeps — is expressed as events on this
+queue.  Heartbeats are not: :mod:`repro.heal.heartbeat` computes each beat
+stream when the failure detector reads it.
 ``run_until_idle`` drains the queue (advancing the virtual clock to each
 event's due time), which is how tests and benchmarks let in-flight protocol
 activity settle.
@@ -34,7 +36,7 @@ from repro.sim.clock import VirtualClock
 
 def late_by_prefix(books: Iterable[Dict[str, List]]) -> Dict[str, List]:
     """Late-firing books (:attr:`Scheduler.late`) summed by label
-    prefix: ``hb:n1/srv`` and ``chaos@40.0`` book under ``hb`` and
+    prefix: ``wake:a1`` and ``chaos@40.0`` book under ``wake`` and
     ``chaos``."""
     folded: Dict[str, List] = {}
     for book in books:

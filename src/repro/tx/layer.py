@@ -20,7 +20,6 @@ from repro.errors import (
     DeadlockError,
     InvalidTransactionState,
     LockBusyError,
-    OrderingViolation,
 )
 from repro.tx.deadlock import WaitsForGraph
 from repro.tx.locks import LockManager, LockMode

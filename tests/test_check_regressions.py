@@ -384,25 +384,25 @@ MODE_DIGESTS = {
     ("partitions", 5):
         "b82fc3ee8e23e9d8f28090ae601e3a05f3792727c5ed506597fa8f06d4b07ff4",
     ("supervisor", 0):
-        "4b194f6f3950075a8b01379907fc6e47b9cd67bc9e39d7a61140ae0cc34e1b06",
+        "fba4fe7f2751b7226ff015063fbba4a53cd4f4c1beced4f76d2cd377805d5f1b",
     ("supervisor", 5):
-        "575d7cf4219556d638dab66952bc8768899e95195217e0ab206679d69c1b2ba5",
+        "e0a64c654e3399b5bfe6e55b65a8c8cc4c07fe899b162042a5bba5f92b06925c",
     ("composed", 0):
-        "bf65c380ebcd09e9269ad0490445f4a40ceba1ffe93830b9c888b1c2a6ced245",
+        "9c4e9b3a16578f08b5d46ba8983ba668d9f248bd22a33695c005b8f8201e687e",
     ("composed", 5):
-        "3d6ec5919796fe026c8a2c66eab200c59e382ea8d05907159468b36d5db4c166",
+        "10b817917b14f2e2b641937591632a6e8b77bf19ed7ef22978186161e7e975fc",
     # Every unordered pair (values taken at the commit before the mode
     # registry landed, so the registry is pinned to the old behaviour).
     ("batching+supervisor", 0):
-        "4bf60474284b056cc8794c773b2714a50a3d69c91246c3663629eefb0936aa90",
+        "2435948b37075af00ee00e3d9f4fb9810775c7d67e23055a9e682cb83fc54576",
     ("partitions+supervisor", 0):
-        "381b9b9e6462a60d09649c6682ca10848a6e74b60323c7e56cdf25e642386ec5",
+        "014206f674b9515ede90632940eab9fed4048d3602b84f29c53979606bd467fd",
     ("shards+supervisor", 0):
-        "d3697459946a1e485e1c436e90424506a0ff29e1ea95f578ed9be9dc84a65151",
+        "536d9f4f7cf108f20a0d0099c73928a3247503ed32d2865a64fbf256b9d3d5b7",
     ("leases+supervisor", 0):
-        "6396a1f626f21b01a77f88e67ef05bf87a06c01057def684f75020624738408b",
+        "d194f2cb1ed3e268e37b0973fc4047d681349f5ef8fd03898585f9d2a67fe745",
     ("overload+supervisor", 0):
-        "a0d5c6f7058fac24dcb660d48058d46d3b5eb5d2746e1debb326a6e0d48cf240",
+        "1afad7c50c34a73c3636558339fee02684d98a5152874eed5af25f3ce3dc1f43",
     ("batching+partitions", 0):
         "240b7c6d50135f24d0d0c6761cee8ae09db64eb18e0ab9a23626b1ac22acf884",
     ("batching+shards", 0):
@@ -443,6 +443,16 @@ def test_mode_digest_matrix_covers_the_registry():
     assert {mode for mode, _ in MODE_DIGESTS} == expected
 
 
+#: Pinned runs that reach a known defect, with the oracles it trips
+#: there.  At shards+supervisor seed 0 the last group write loses both
+#: members' acks, the sequencer rolls back only itself, and both
+#: members keep the write the group aborted: item 1's family B (see the
+#: ambiguous-abort plan below).  The run reaches it since no heartbeat
+#: spends a one-shot loss, so the losses a plan aims at replies land
+#: there, and the request path's loss draws are its own.
+KNOWN_FAILING_PINS = {("shards+supervisor", 0): {"group_consistency"}}
+
+
 def test_mode_digest_matrix_is_pinned():
     from repro.check.explorer import run_seed
 
@@ -451,7 +461,8 @@ def test_mode_digest_matrix_is_pinned():
         assert result.digest == expected, (
             f"{mode} mode seed {seed} digest drifted — the platform's "
             f"observable behaviour changed, not just its speed")
-        assert run_all(result) == [], (mode, seed)
+        assert {v.oracle for v in run_all(result)} == \
+            KNOWN_FAILING_PINS.get((mode, seed), set()), (mode, seed)
 
 
 # Each mutation still trips its oracle with every mode on: the seed is
@@ -464,7 +475,7 @@ def test_mode_digest_matrix_is_pinned():
 @pytest.mark.parametrize("mutation,seed,oracles", [
     ("replycache", 2, {"tx_atomicity"}),
     ("txversions", 1, {"tx_atomicity"}),
-    ("quorumbarrier", 16, {"split_brain"}),
+    ("quorumbarrier", 33, {"split_brain"}),
     ("leaseinval", 5, {"linearizable"}),
     ("deadline", 0, {"overload_safety"}),
     ("replycache", 8, {"linearizable"}),
@@ -479,39 +490,47 @@ def test_mutation_trips_its_oracle_under_composition(mutation, seed,
 
 # ---------------------------------------------------------------------------
 # Known divergence: an aborted group write kept by a member whose ack
-# was lost (supervisor + shards sweep, seed 16)
+# was lost (supervisor + shards sweep, seed 117)
 # ---------------------------------------------------------------------------
 #
-# Shrunk by ddmin from `repro.check --supervisor --shards` seed 16 (60
-# ops and 4 windows to 17 and 3).  The last group_put falls short of
-# quorum: its relay to n2 is lost, its relay to n3 is applied but n3's
-# ack is lost.  The sequencer rolls back itself and the members that
-# acked — not n3 — and reports both as uncorroborated suspects, which
-# the supervisor's panel vetoes because both nodes are heartbeating.
-# n3 stays in the view holding the write the group aborted, and the run
-# ends before another write's chain check would expose it.  Fixing it
-# changes the abort protocol (an ambiguous relay must be rolled back or
-# resynced too), which moves run digests; until then the test is an
-# expected failure, and turns red when the plan comes out clean.
+# Shrunk by ddmin from `repro.check --supervisor --shards` seed 117 (60
+# ops and 2 windows to 23 and 2).  The two flaky windows overlap, so
+# the second to close restores the rate the first set (the overlapping
+# FlakyWindow debt) and loss goes on after them.  The last group_put
+# falls short of quorum: its relay to n2 is lost, its relay to n3 is
+# applied but n3's ack is lost.  The sequencer rolls back itself and
+# the members that acked — none — and reports both as uncorroborated
+# suspects, which the supervisor's panel vetoes because both nodes are
+# heartbeating.  n3 stays in the view holding the write the group
+# aborted.  Fixing it changes the abort protocol (an ambiguous relay
+# must be rolled back or resynced too), which moves run digests; until
+# then the test is an expected failure, and turns red when the plan
+# comes out clean.  (The plan pinned here before, shrunk from seed 16,
+# came out clean once heartbeats stopped drawing from the network's
+# random stream.)
 
 def _ambiguous_abort_plan():
-    from repro.net.fault import CrashWindow, FlakyWindow
+    from repro.net.fault import FlakyWindow
 
-    return Plan(seed=16, ops=[
-        Op("group_get", key="k0"), Op("invoke", counter=1),
-        Op("passivate", obj="c0"), Op("invoke", counter=0),
-        Op("advance", ms=42.624), Op("shard_move", node="n1"),
-        Op("group_revive", member=1), Op("advance", ms=92.973),
-        Op("shard_incr", key="s3"), Op("group_revive", member=1),
-        Op("advance", ms=45.967), Op("shard_incr", key="s2"),
-        Op("shard_get", key="s8"), Op("group_get", key="k4"),
-        Op("read", counter=1),
-        Op("group_put", key="k1", value="v23"),
-        Op("group_put", key="k1", value="v24"),
+    return Plan(seed=117, ops=[
+        Op("group_put", key="k1", value="v18"),
+        Op("lose_reply", node="n1"), Op("invoke", counter=1),
+        Op("invoke", counter=1), Op("shard_move", node="n1"),
+        Op("shard_move", node="n3"), Op("invoke", counter=0),
+        Op("group_put", key="k1", value="v31"),
+        Op("group_put", key="k3", value="v32"),
+        Op("relocate", obj="a0", to="n2"), Op("group_get", key="k3"),
+        Op("gc_sweep"), Op("shard_get", key="s9"),
+        Op("invoke", counter=0), Op("shard_incr", key="s7"),
+        Op("invoke", counter=0), Op("group_get", key="k1"),
+        Op("shard_incr", key="s7"),
+        Op("cancel_transfer", amount=14, dst=0, src=1),
+        Op("shard_incr", key="s7"), Op("advance", ms=163.394),
+        Op("invoke", counter=1),
+        Op("group_put", key="k0", value="v51"),
     ], windows=[
-        FlakyWindow(start_ms=7.715, end_ms=417.123, drop=0.318),
-        FlakyWindow(start_ms=335.928, end_ms=521.092, drop=0.165),
-        CrashWindow(node="n1", start_ms=431.197, end_ms=606.09),
+        FlakyWindow(start_ms=504.168, end_ms=602.612, drop=0.32),
+        FlakyWindow(start_ms=553.439, end_ms=634.214, drop=0.177),
     ])
 
 

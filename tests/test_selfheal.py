@@ -177,42 +177,71 @@ def group_states(domain, group):
 
 
 class TestBeatsAtALiveObserver:
-    """What ``_on_beat`` ignores — by hand-posted beats, with emission
-    stopped so that nothing else arrives."""
+    """What a beat stream never delivers: a beat for an endpoint nobody
+    watches, and a beat in flight to an observer since replaced."""
 
-    def _quiet_monitor(self):
+    def _monitor(self):
         world, domain, _, _ = heal_world()
-        detector = PhiAccrualDetector(world.clock)
-        monitor = HeartbeatMonitor(domain, detector)
+        detector = PhiAccrualDetector(world.clock,
+                                      expected_interval_ms=20.0)
+        monitor = HeartbeatMonitor(domain, detector, interval_ms=20.0)
         monitor.start()
         monitor.watch("n1", "srv")
-        monitor.stop()  # handlers stay registered, emitters do not run
         return world, monitor, detector
 
-    def _beat(self, world, monitor, payload=b"n1|srv", observer=None):
-        world.network.post("n1", observer or monitor.observer, payload,
-                           monitor.kind)
-        world.scheduler.run_until_idle()
+    def test_an_unknown_endpoint_is_never_observed(self):
+        world, monitor, detector = self._monitor()
+        world.scheduler.run_until(200.0)
+        stats = detector.stats()
+        assert stats["watched"] == 1
+        assert stats["heartbeats_observed"] == monitor.beats_sent == 10
+        for capsule in ("", "nobody", "gateway"):
+            detector.observe("n1", capsule)
+        assert detector.stats()["heartbeats_observed"] == 10
+        assert not monitor.watches("n1", "gateway")
 
-    def test_unknown_beat_payload_is_ignored(self):
-        world, monitor, detector = self._quiet_monitor()
-        for payload in (b"", b"n1", b"n1|nobody", b"\xff\xfe|srv"):
-            self._beat(world, monitor, payload)
-        assert detector.heartbeats_observed == 0
-        self._beat(world, monitor)
-        assert detector.heartbeats_observed == 1
-
-    def test_late_beat_to_a_previous_observer_is_ignored(self):
-        world, monitor, detector = self._quiet_monitor()
+    def test_a_beat_in_flight_to_a_previous_observer_is_ignored(self):
+        world, monitor, detector = self._monitor()
         previous = monitor.observer
-        world.network.post("n1", previous, b"n1|srv", monitor.kind)
-        monitor.rehome()  # while that beat is in flight
+        # 30 ms on the way, longer than the 20 ms period.
+        world.faults.degrade_link("n1", previous, 30.0)
+        first = monitor._phase("n1", "srv")
+        world.scheduler.run_until(first + 1.0)
+        assert monitor.beats_sent == 1
+        assert detector.stats()["heartbeats_observed"] == 0
+        monitor.rehome()  # while beat 0 is in flight
         assert monitor.observer != previous
-        world.scheduler.run_until_idle()
-        self._beat(world, monitor, observer=previous)
-        assert detector.heartbeats_observed == 0
-        self._beat(world, monitor)
-        assert detector.heartbeats_observed == 1
+        world.scheduler.run_until(first + 20.5)
+        assert detector.stats()["heartbeats_observed"] == 0
+        world.scheduler.run_until(first + 35.0)  # beat 0 has landed
+        assert monitor.beats_sent == 2
+        assert detector.stats()["heartbeats_observed"] == 1  # beat 1
+
+
+@pytest.mark.parametrize("read_every", [5.0, 1500.0])
+def test_beat_streams_match_the_per_beat_reference(read_every):
+    """Read every 5 ms, each fold is a beat or two; read every 1.5 s,
+    the quiet stretch after the last window folds in long runs."""
+    from tests.heal_beats_reference import compare
+
+    got = compare(read_every)
+    stats = got["stats"]
+    if read_every > 100.0:
+        # A long run books the arrivals the window forgets at once.
+        assert any(count > 1 for *_, count in got["arrivals"])
+    else:  # every arrival was compared, one by one
+        assert all(count == 1 for *_, count in got["arrivals"])
+        assert stats["suspicions"] > 0 and stats["recoveries"] > 0
+    assert got["drops"] > 0 and got["observer"] != "client-node"
+
+
+def test_a_supervisor_over_beat_streams_matches_the_per_beat_reference():
+    from tests.heal_beats_reference import ReferenceBeats, supervised
+
+    got = supervised(HeartbeatMonitor)
+    assert got == supervised(ReferenceBeats)
+    assert got["report"]["minority_holds"] > 0  # the panel went blind
+    assert got["revocations"] == 1  # the dead holder's grant
 
 
 class TestSupervisor:
@@ -306,6 +335,25 @@ class TestSupervisor:
         world.scheduler.run_until(world.now + 300.0)
         victim = next(m for m in group.view.members if m.node == "n3")
         assert not victim.alive  # still detecting from the new vantage
+        supervisor.stop()
+
+    def test_a_reply_loss_armed_under_supervision_hits_the_reply(self):
+        """No beat spends a one-shot loss: armed on server -> client, it
+        waits for the next reply on that link (a beat from n2 to the
+        observer, client-node, took it while beats were messages)."""
+        world, domain, capsules, clients = heal_world()
+        proxy = world.binder_for(clients).bind(
+            capsules["n2"].export(KvStore()), qos=QoS(retries=3))
+        proxy.put("k", "v")
+        supervisor = domain.supervisor
+        supervisor.start()
+        assert supervisor.monitor.observer == "client-node"
+        world.faults.lose_next("n2", "client-node")
+        world.scheduler.run_until(world.now + 100.0)
+        resilience = world.nucleus("client-node").resilience
+        retries = resilience.retries
+        assert proxy.get("k") == "v"  # idempotent: asked again
+        assert resilience.retries == retries + 1
         supervisor.stop()
 
     def test_restart_does_not_hold_the_idle_gap_against_the_fleet(self):
