@@ -21,7 +21,9 @@ they run:
   live node, and ``tests.damaged_images.sample()``, tier-1's sample of
   the damaged wire images (both need pytest importable);
 * ``tests.heal_beats_reference.sample()``, the heartbeat streams held
-  to the beat-by-beat reference over one fault timeline.
+  to the beat-by-beat reference over one fault timeline;
+* ``python -m tests.exhaustive_loss``, every one-shot loss pattern of
+  one group write under a supervisor.
 
 A driver that raises (anything but ``SystemExit``: a ``--mutate`` run
 that trips exits 1 on purpose) fails the audit, which prints the tail
@@ -156,6 +158,8 @@ def drivers() -> List[Tuple[str, str, str, List[str]]]:
                   "tests.damaged_images:sample", []))
     found.append(("tests/heal_beats_reference.py sample()", "call",
                   "tests.heal_beats_reference:sample", []))
+    found.append(("python -m tests.exhaustive_loss", "module",
+                  "tests.exhaustive_loss", []))
     return found
 
 

@@ -31,6 +31,7 @@ from repro.errors import (
     CommunicationError,
     EpochFencedError,
     MembershipError,
+    MessageLostError,
     NoQuorumError,
 )
 from repro.tx.versions import restore_snapshot, take_snapshot
@@ -167,8 +168,12 @@ class GroupMemberLayer(ServerLayer):
         Deliberately does *not* call the next layer: there is no
         operation to execute, only a before-image to restore.
         """
-        seq = int(invocation.context.extra.get(SEQ_KEY, 0))
+        extra = invocation.context.extra
+        seq = int(extra.get(SEQ_KEY, 0))
         staged = self._staged
+        if self.applied_seq == int(extra.get(PREV_KEY, seq - 1)) and \
+                (staged is None or staged[0] != seq):
+            return Termination(OK)  # the relay never landed here
         if staged is None or staged[0] != seq or self.applied_seq != seq:
             # This member holds a write it cannot take back; it must
             # leave the view and resync rather than diverge silently.
@@ -299,13 +304,20 @@ class GroupMemberLayer(ServerLayer):
 
     def _rollback(self, invocation: Invocation, seq: int, prev: int,
                   snapshot, implementation, acked, suspects) -> None:
-        """Restore the before-image here and on every acked member.
+        """Restore the before-image here, on every acked member and on
+        every suspect the supervisor's panel still hears.
 
-        A member that cannot be rolled back (unreachable again, or its
-        stage no longer matches) is added to *suspects* as corroborated:
-        it verifiably holds a write the group aborted, and leaving it in
-        the view would be silent divergence — this is not a liveness
-        guess the supervisor's panel may veto.
+        A suspect whose relay failed may have applied it and lost only
+        its ack; the panel would veto its suspicion and keep it in the
+        view holding the aborted write, so it is rolled back too (where
+        the relay never landed that is a no-op).  An acked member that
+        cannot be rolled back (unreachable again, or its stage no longer
+        matches), or a heard suspect whose rollback is lost in transit or
+        refused, is marked in *suspects* as corroborated: it may hold a
+        write the group aborted, and leaving it in the view would be
+        silent divergence — this is not a liveness guess the panel may
+        veto.  A heard suspect the rollback cannot reach stays a guess:
+        a partition that refused the rollback refused the relay too.
         """
         if implementation is not None and snapshot is not None:
             restore_snapshot(implementation, snapshot)
@@ -319,6 +331,16 @@ class GroupMemberLayer(ServerLayer):
             except (CommunicationError, MembershipError,
                     EpochFencedError):
                 suspects.append((member, True))
+        for index, (member, corroborated) in enumerate(suspects):
+            if corroborated or not self.registry.panel_vetoes(member):
+                continue
+            try:
+                self._relay(invocation, member, seq, prev,
+                            role="rollback")
+            except (MessageLostError, MembershipError, EpochFencedError):
+                suspects[index] = (member, True)
+            except CommunicationError:
+                pass  # unreachable: a partition may be all it is
 
     def _relay(self, invocation: Invocation, member, seq: int,
                prev: int, role: str = "apply") -> None:

@@ -135,7 +135,7 @@ class GroupRegistry:
     def _charge(self, contacts: int) -> None:
         self.domain.scheduler.clock.advance(CONTROL_COST_MS * contacts)
 
-    def _panel_vetoes(self, member: Member) -> bool:
+    def panel_vetoes(self, member: Member) -> bool:
         """Ask the domain supervisor's vantage panel to second-guess.
 
         An uncorroborated suspicion (a sequencer whose relay timed out,
@@ -163,7 +163,7 @@ class GroupRegistry:
                        if m.index == member.index and m.alive), None)
         if target is None:
             return
-        if not corroborated and self._panel_vetoes(target):
+        if not corroborated and self.panel_vetoes(target):
             self.suspicions_refused += 1
             return
         self.suspicions += 1

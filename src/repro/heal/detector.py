@@ -164,11 +164,9 @@ class PhiAccrualDetector:
         if self._arrive(node, record, self.clock.now):
             self._notify(key, "suspect", "alive", 0.0)
 
-    def _arrive(self, node: str, record: _Arrivals, now: float,
-                count: int = 1) -> bool:
-        """Book an arrival at *now* — *count* of them when the window
-        keeps only the last; True when it ends a suspicion (the caller
-        tells the listeners)."""
+    def _arrive(self, node: str, record: _Arrivals, now: float) -> bool:
+        """Book an arrival at *now*; True when it ends a suspicion (the
+        caller tells the listeners)."""
         # Bound the recorded sample: the silence of an outage that ends
         # in a recovery (a healed partition, a restarted node) is not
         # natural arrival variance.  Folding it into the window would
@@ -180,8 +178,8 @@ class PhiAccrualDetector:
         record.fit = None
         record.last_arrival = now
         record.last_heard = now
-        record.arrivals += count
-        self.heartbeats_observed += count
+        record.arrivals += 1
+        self.heartbeats_observed += 1
         if record.state == "suspect":
             record.state = "alive"
             self._count(node, +1)

@@ -11,6 +11,8 @@ source sends nothing, the delay is the latency model's times the gray
 factor at send time, a drop rate draws from the stream's own random
 fork (never a one-shot ``lose_next``), a link blocked on arrival drops
 it, and a beat arriving after its observer was replaced is ignored.
+Unlike a post's, a beat's delay has no jitter.  A recovery is told when
+the fold delivering its beat runs (a detector read or a fault change).
 ``tests/heal_beats_reference.py`` sends the same beats one scheduler
 event at a time, and the tests hold the streams to it.
 
@@ -103,14 +105,14 @@ class HeartbeatMonitor:
             self.observer = self.home
         else:
             self.observer = addresses[0]
-        self.faults.add_watcher(self._changed, self.clock)
+        self.faults.watchers.append(self._changed)
 
     def stop(self) -> None:
         """Fold up to now, then send and deliver no more beats."""
         if not self.running:
             return
         self.catch_up()
-        self.faults.remove_watcher(self._changed)
+        self.faults.watchers.remove(self._changed)
         self._streams.clear()
         self.next_at = INF
         self.running = False
@@ -143,7 +145,7 @@ class HeartbeatMonitor:
         again, and rotates onward until a live node is reached.
         """
         self.catch_up()
-        self._changed(self.clock.now)
+        self._changed(None)
         addresses = sorted(self.domain.nuclei)
         index = (addresses.index(self.observer)
                  if self.observer in addresses else -1)
@@ -160,10 +162,11 @@ class HeartbeatMonitor:
             self.faults.pump()
             self.fold(self.clock.now)
 
-    def _changed(self, until: float) -> None:
+    def _changed(self, until: Optional[float]) -> None:
         """The fault plan (or the observer) is about to change: fold to
-        *until* under what held until then, and read it afresh after."""
-        self.fold(until)
+        *until* (None: the clock) under what held until then, and read
+        it afresh after."""
+        self.fold(self.clock.now if until is None else until)
         for stream in self._streams.values():
             stream.terms = None
 
@@ -188,11 +191,11 @@ class HeartbeatMonitor:
 
     def _fold(self, stream: BeatStream, until: float,
               recovered: List) -> None:
+        node, observer, faults = stream.node, self.observer, self.faults
         terms = stream.terms
         if terms is None:  # read once per change of plan or observer
-            node, observer, faults = stream.node, self.observer, self.faults
-            loss, link = faults.drop_probability, faults.link_drop(node,
-                                                                   observer)
+            loss = faults.drop_probability
+            link = faults.link_drop(node, observer)
             if link:  # independent loss processes: survive both
                 loss = 1.0 - (1.0 - loss) * (1.0 - link)
             terms = stream.terms = (
@@ -201,63 +204,31 @@ class HeartbeatMonitor:
                 * faults.latency_factor(node, observer),
                 faults.link_blocked(node, observer))
         crashed, loss, delay, blocked = terms
-        flight, observer = stream.flight, self.observer
-        if stream.due <= until:
-            first, sent = stream.first, stream.sent
-            interval = self.interval_ms
-            last = sent + int((until - stream.due) // interval)
-            while first + (last + 1) * interval <= until:
-                last += 1
-            while first + last * interval > until:
-                last -= 1
-            self._sent += last - sent + 1
-            stream.sent = last + 1
-            stream.due = first + stream.sent * interval
-            if not crashed:
-                if not loss and last - sent > self.detector.window:
-                    # A long run: what lands before it lands first, then,
-                    # if nothing lands among it, the arrivals the window
-                    # would forget are booked at once, and a window's
-                    # worth, with what may still be in flight, one by one.
-                    head = first + sent * interval + delay
-                    if flight and flight[0][0] <= head:
-                        self._deliver(stream, head, recovered)
-                    skipped = 0 if flight else max(
-                        0, last - sent - self.detector.window
-                        - int(delay // interval) - 2)
-                    if blocked:
-                        self.faults.drops += skipped
-                    elif skipped and self.detector._arrive(
-                            stream.node, stream.record, head, skipped):
-                        recovered.append((head, (stream.node, stream.capsule)))
-                    sent += skipped
-                for beat in range(sent, last + 1):
-                    if loss and stream.rng.chance(loss):
-                        self.faults.drops += 1
-                        continue
-                    leave = first + beat * interval
-                    if flight or leave + delay > until:  # keep the order
-                        heappush(flight, (leave + delay, leave, observer))
-                    elif blocked:
-                        self.faults.drops += 1
-                    elif self.detector._arrive(stream.node, stream.record,
-                                               leave + delay):
-                        recovered.append((leave + delay,
-                                          (stream.node, stream.capsule)))
-        if flight and flight[0][0] <= until:
-            self._deliver(stream, until, recovered)
-
-    def _deliver(self, stream: BeatStream, until: float,
-                 recovered: List) -> None:
-        """Deliver, in arrival order, the beats that arrive by *until*."""
-        flight, node = stream.flight, stream.node
+        flight, interval, first = stream.flight, self.interval_ms, stream.first
+        sent, leave = stream.sent, stream.due
+        while leave <= until:
+            sent += 1
+            if crashed:
+                pass
+            elif loss and stream.rng.chance(loss):
+                faults.drops += 1
+            elif flight or leave + delay > until:  # keep the order
+                heappush(flight, (leave + delay, leave, observer))
+            elif blocked:
+                faults.drops += 1
+            elif self.detector._arrive(node, stream.record, leave + delay):
+                recovered.append((leave + delay, (node, stream.capsule)))
+            leave = first + sent * interval
+        self._sent += sent - stream.sent
+        stream.sent, stream.due = sent, leave
+        # Deliver, in arrival order, the beats that arrive by *until*.
         while flight and flight[0][0] <= until:
-            arrival, _, observer = heappop(flight)
-            if observer != self.observer:  # replaced since it left
-                if self.faults.link_blocked(node, observer):
-                    self.faults.drops += 1
-            elif stream.terms[3]:
-                self.faults.drops += 1
+            arrival, _, sent_to = heappop(flight)
+            if sent_to != observer:  # replaced since it left
+                if faults.link_blocked(node, sent_to):
+                    faults.drops += 1
+            elif blocked:
+                faults.drops += 1
             elif self.detector._arrive(node, stream.record, arrival):
                 recovered.append((arrival, (node, stream.capsule)))
 

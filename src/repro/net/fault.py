@@ -35,8 +35,9 @@ class FaultPlan:
 
     def __init__(self, drop_probability: float = 0.0) -> None:
         #: Told ``watcher(time)`` before each change but a one-shot loss
-        #: or a stall: what fell due by *time* met the state until then.
-        self._watchers: List[Callable[[float], None]] = []
+        #: or a stall: what fell due by *time* met the state until then
+        #: (``None``: by the watcher's clock).
+        self.watchers: List[Callable[[Optional[float]], None]] = []
         self._applying: Optional[float] = None  # a window transition's time
         self._drop_probability = 0.0
         self.drop_probability = drop_probability
@@ -60,24 +61,16 @@ class FaultPlan:
         self._clock = None
         self.drops = 0
 
-    def add_watcher(self, watcher: Callable[[float], None], clock) -> None:
-        self._clock = clock
-        self._watchers.append(watcher)
-
-    def remove_watcher(self, watcher: Callable[[float], None]) -> None:
-        self._watchers.remove(watcher)
-
     def _changing(self) -> None:
         """A toggle holds from after what fell due by now (the windows
         passed come first); a window from its own time on."""
-        if self._watchers:
+        if self.watchers:
             when = self._applying
             if when is None:
                 self._sync()
-                when = self._clock.now
             else:
                 when = math.nextafter(when, -math.inf)
-            for watcher in tuple(self._watchers):
+            for watcher in tuple(self.watchers):
                 watcher(when)
 
     # -- probabilistic loss ----------------------------------------------------

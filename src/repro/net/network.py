@@ -10,7 +10,8 @@ Two delivery primitives are offered:
   scheduler, used for announcements, group multicast, lease invalidations
   and stream frames.  Lost messages vanish silently, exactly as on a real
   network.  (Heartbeats are not messages: :mod:`repro.heal.heartbeat`
-  computes them from the fault plan under the same rules.)
+  computes them from the fault plan under the same rules, with the
+  latency model's delay but no jitter.)
 
 Both consult the :class:`~repro.net.fault.FaultPlan` on every leg, so a
 partition that forms while a message is in flight still prevents delivery.

@@ -384,7 +384,7 @@ MODE_DIGESTS = {
     ("partitions", 5):
         "b82fc3ee8e23e9d8f28090ae601e3a05f3792727c5ed506597fa8f06d4b07ff4",
     ("supervisor", 0):
-        "fba4fe7f2751b7226ff015063fbba4a53cd4f4c1beced4f76d2cd377805d5f1b",
+        "d0111b5a4b65ba4afeacc65625f0bda8254dbdfb7ab701a4006a2ab71523dfc2",
     ("supervisor", 5):
         "e0a64c654e3399b5bfe6e55b65a8c8cc4c07fe899b162042a5bba5f92b06925c",
     ("composed", 0):
@@ -394,15 +394,15 @@ MODE_DIGESTS = {
     # Every unordered pair (values taken at the commit before the mode
     # registry landed, so the registry is pinned to the old behaviour).
     ("batching+supervisor", 0):
-        "2435948b37075af00ee00e3d9f4fb9810775c7d67e23055a9e682cb83fc54576",
+        "cefb0426ad6c57d9693446c7e4078cf019ca22bbd413bf38d942c893ce296e13",
     ("partitions+supervisor", 0):
         "014206f674b9515ede90632940eab9fed4048d3602b84f29c53979606bd467fd",
     ("shards+supervisor", 0):
-        "536d9f4f7cf108f20a0d0099c73928a3247503ed32d2865a64fbf256b9d3d5b7",
+        "2652105188fad3e708ebb148df494ac1d2c7b68d5c47e0c01346c7c605667979",
     ("leases+supervisor", 0):
-        "d194f2cb1ed3e268e37b0973fc4047d681349f5ef8fd03898585f9d2a67fe745",
+        "5d9eb70c356e10d304f5c67b556f63178c1a37f3709855ea6564f85441795bc3",
     ("overload+supervisor", 0):
-        "1afad7c50c34a73c3636558339fee02684d98a5152874eed5af25f3ce3dc1f43",
+        "1a21a75d4f799f4b8b4d259f65a0fcacc77961dfe35162dff03cb5678d896fcf",
     ("batching+partitions", 0):
         "240b7c6d50135f24d0d0c6761cee8ae09db64eb18e0ab9a23626b1ac22acf884",
     ("batching+shards", 0):
@@ -443,16 +443,6 @@ def test_mode_digest_matrix_covers_the_registry():
     assert {mode for mode, _ in MODE_DIGESTS} == expected
 
 
-#: Pinned runs that reach a known defect, with the oracles it trips
-#: there.  At shards+supervisor seed 0 the last group write loses both
-#: members' acks, the sequencer rolls back only itself, and both
-#: members keep the write the group aborted: item 1's family B (see the
-#: ambiguous-abort plan below).  The run reaches it since no heartbeat
-#: spends a one-shot loss, so the losses a plan aims at replies land
-#: there, and the request path's loss draws are its own.
-KNOWN_FAILING_PINS = {("shards+supervisor", 0): {"group_consistency"}}
-
-
 def test_mode_digest_matrix_is_pinned():
     from repro.check.explorer import run_seed
 
@@ -461,8 +451,7 @@ def test_mode_digest_matrix_is_pinned():
         assert result.digest == expected, (
             f"{mode} mode seed {seed} digest drifted — the platform's "
             f"observable behaviour changed, not just its speed")
-        assert {v.oracle for v in run_all(result)} == \
-            KNOWN_FAILING_PINS.get((mode, seed), set()), (mode, seed)
+        assert run_all(result) == [], (mode, seed)
 
 
 # Each mutation still trips its oracle with every mode on: the seed is
@@ -489,8 +478,9 @@ def test_mutation_trips_its_oracle_under_composition(mutation, seed,
 
 
 # ---------------------------------------------------------------------------
-# Known divergence: an aborted group write kept by a member whose ack
-# was lost (supervisor + shards sweep, seed 117)
+# Fixed divergence: an aborted group write kept by a member whose ack
+# was lost (supervisor + shards sweep, seed 117; supervisor + partitions
+# sweep, seed 121)
 # ---------------------------------------------------------------------------
 #
 # Shrunk by ddmin from `repro.check --supervisor --shards` seed 117 (60
@@ -498,16 +488,14 @@ def test_mutation_trips_its_oracle_under_composition(mutation, seed,
 # the second to close restores the rate the first set (the overlapping
 # FlakyWindow debt) and loss goes on after them.  The last group_put
 # falls short of quorum: its relay to n2 is lost, its relay to n3 is
-# applied but n3's ack is lost.  The sequencer rolls back itself and
-# the members that acked — none — and reports both as uncorroborated
-# suspects, which the supervisor's panel vetoes because both nodes are
-# heartbeating.  n3 stays in the view holding the write the group
-# aborted.  Fixing it changes the abort protocol (an ambiguous relay
-# must be rolled back or resynced too), which moves run digests; until
-# then the test is an expected failure, and turns red when the plan
-# comes out clean.  (The plan pinned here before, shrunk from seed 16,
-# came out clean once heartbeats stopped drawing from the network's
-# random stream.)
+# applied but n3's ack is lost.  The sequencer used to roll back itself
+# and the members that acked — none — and report both as
+# uncorroborated suspects, which the supervisor's panel vetoed because
+# both nodes were heartbeating, so n3 stayed in the view holding the
+# write the group aborted (item 1's family B).  Now the sequencer also
+# rolls back each suspect the panel still hears.  The partitions plan,
+# shrunk from seed 121 (60 ops and 4 windows to 13 and 3), reaches the
+# same abort on the majority side of a partition.
 
 def _ambiguous_abort_plan():
     from repro.net.fault import FlakyWindow
@@ -534,12 +522,35 @@ def _ambiguous_abort_plan():
     ])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a member whose ack of an aborted group write "
-                          "was lost keeps the write")
+def _ambiguous_abort_under_partitions_plan():
+    from repro.net.fault import FlakyWindow, PartitionWindow
+
+    return Plan(seed=121, ops=[
+        Op("transfer", amount=49, dst=1, src=0),
+        Op("group_revive", member=1), Op("invoke", counter=0),
+        Op("invoke", counter=0), Op("advance", ms=232.216),
+        Op("group_put", key="k2", value="v12"), Op("group_get", key="k4"),
+        Op("group_put", key="k4", value="v14"), Op("advance", ms=173.959),
+        Op("group_put", key="k1", value="v17"),
+        Op("cancel_transfer", amount=2, dst=1, src=0),
+        Op("advance", ms=213.631), Op("group_put", key="k3", value="v20"),
+    ], windows=[
+        FlakyWindow(start_ms=154.636, end_ms=458.375, drop=0.338),
+        FlakyWindow(start_ms=202.194, end_ms=560.155, drop=0.317),
+        PartitionWindow(groups=(("n1",), ("cli", "n2", "n3")),
+                        start_ms=552.605, end_ms=832.727),
+    ])
+
+
 def test_ambiguous_abort_leaves_no_diverged_member():
     config = CheckConfig().with_supervisor().with_shards()
     assert run_all(run_plan(_ambiguous_abort_plan(), config)) == []
+
+
+def test_ambiguous_abort_under_partitions_leaves_no_diverged_member():
+    config = CheckConfig().with_supervisor().with_partitions()
+    result = run_plan(_ambiguous_abort_under_partitions_plan(), config)
+    assert run_all(result) == []
 
 
 # ---------------------------------------------------------------------------

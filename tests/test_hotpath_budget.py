@@ -57,12 +57,12 @@ history the linearizability checker searches (a plain loop, not
 It read 80,178 before a fault verdict stopped calling ``_sync`` and
 ``_lost`` when there was nothing for them to do, 70,707 after: each
 heartbeat is three calls cheaper.  It read 70,786 before the unread
-server timing went, 70,610 after, and 35,690 once heartbeats became
+server timing went, 70,610 after, and 35,533 once heartbeats became
 arithmetic: no beat is a scheduler event or a network message, the
 detector folds each beat stream when it is read.  For the same reason
 the quiet supervision budget counts a whole period, the tick and every
 beat it folds: 326 calls while each beat was a timer, a post and a
-delivery, 90 since.
+delivery, 89 since.
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ BULK_BUDGET = 1480
 #: reuses that reply's termination.
 REPEATED_GET_BUDGET = 180
 #: ... one ``run_seed(3)`` with all six check modes composed ...
-RUN_BUDGET = 36_040
+RUN_BUDGET = 35_890
 #: ... and one quiet supervision period of a warm supervisor: the tick
 #: and every heartbeat of the period.
-QUIET_PERIOD_BUDGET = 90
+QUIET_PERIOD_BUDGET = 89
 #: Bytes 1,000 warm invocations may leave allocated once the trace ring
 #: is full: every log on the path is bounded, so nothing should grow.
 RETAINED_BUDGET = 4096

@@ -457,6 +457,58 @@ class TestSupervisionUnderPartition:
                    for data in member_data(domain, group).values())
         supervisor.stop()
 
+    def _abort_with_lost_acks(self, lost_replies):
+        """A write short of quorum under a watching panel (the client's
+        retry then commits it): the relay to the first follower is lost,
+        the second applies it and loses *lost_replies* replies to the
+        sequencer, its ack first."""
+        world, domain, capsules, clients = partition_world()
+        group, proxy = build_group(world, domain, capsules, clients)
+        proxy.put("k", "v0")
+        supervisor = Supervisor(domain, vantage=4)
+        domain._supervisor = supervisor
+        self._stabilize(world, supervisor)
+        sequencer = group.view.sequencer
+        first, second = [m for m in group.view.members
+                         if m.index != sequencer.index]
+        world.faults.lose_next(sequencer.node, first.node)
+        world.faults.lose_next(second.node, sequencer.node, lost_replies)
+        proxy.put("k", "dirty")
+        supervisor.stop()
+        return domain, group, first, second
+
+    def test_a_heard_suspect_whose_ack_was_lost_is_rolled_back(self):
+        domain, group, first, second = self._abort_with_lost_acks(1)
+        # Both suspicions were vetoed; the member that applied the
+        # aborted write undid it, the one that never saw it had nothing
+        # to undo.
+        assert domain.groups.suspicions_refused == 2
+        assert (first.layer.rolled_back_writes,
+                second.layer.rolled_back_writes) == (0, 1)
+        assert all(m.alive for m in group.view.members)
+        assert all(data == {"k": "dirty"}
+                   for data in member_data(domain, group).values())
+
+    def test_a_heard_suspect_whose_rollback_is_lost_leaves_the_view(self):
+        domain, group, first, second = self._abort_with_lost_acks(2)
+        # The rollback's reply was lost too: the sequencer cannot tell
+        # whether it landed, so that suspicion is not the panel's to veto.
+        assert domain.groups.suspicions_refused == 1
+        assert first.alive and not second.alive
+
+    def test_every_loss_pattern_of_a_group_write_leaves_the_group_agreeing(
+            self):
+        """162 patterns.  While the sequencer rolled back only the
+        members that acked, 86 of them left the group holding a write
+        the client was told had failed."""
+        from tests import exhaustive_loss
+
+        failing = [(quorum, losses, wrong)
+                   for quorum, losses in exhaustive_loss.patterns()
+                   for wrong in [exhaustive_loss.run(quorum, losses)]
+                   if wrong]
+        assert failing == []
+
 
 # ---------------------------------------------------------------------------
 # Observability

@@ -221,16 +221,12 @@ class TestBeatsAtALiveObserver:
 @pytest.mark.parametrize("read_every", [5.0, 1500.0])
 def test_beat_streams_match_the_per_beat_reference(read_every):
     """Read every 5 ms, each fold is a beat or two; read every 1.5 s,
-    the quiet stretch after the last window folds in long runs."""
+    one fold sends and delivers many beats of every stream."""
     from tests.heal_beats_reference import compare
 
     got = compare(read_every)
     stats = got["stats"]
-    if read_every > 100.0:
-        # A long run books the arrivals the window forgets at once.
-        assert any(count > 1 for *_, count in got["arrivals"])
-    else:  # every arrival was compared, one by one
-        assert all(count == 1 for *_, count in got["arrivals"])
+    if read_every < 100.0:
         assert stats["suspicions"] > 0 and stats["recoveries"] > 0
     assert got["drops"] > 0 and got["observer"] != "client-node"
 
@@ -242,6 +238,7 @@ def test_a_supervisor_over_beat_streams_matches_the_per_beat_reference():
     assert got == supervised(ReferenceBeats)
     assert got["report"]["minority_holds"] > 0  # the panel went blind
     assert got["revocations"] == 1  # the dead holder's grant
+    assert got["flushes"] == 1  # ... and its cache, once it is back
 
 
 class TestSupervisor:
