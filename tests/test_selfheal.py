@@ -372,6 +372,19 @@ class TestSupervisor:
         assert stats["heartbeats_observed"] > 0
         supervisor.stop()
 
+    def test_the_report_after_stop_counts_every_vantage(self):
+        world = World(seed=11)
+        for name in ("n1", "n2", "n3"):
+            world.node("org", name)
+        supervisor = world.domain("org").supervisor
+        supervisor.start()
+        world.scheduler.run_until(world.now + 200.0)
+        sent = sum(monitor.beats_sent for monitor, _ in supervisor._vantages)
+        supervisor.stop()
+        report = supervisor.report()
+        assert report["vantage"] == 3
+        assert report["beats_sent"] == sent > supervisor.monitor.beats_sent
+
     def test_members_joined_by_hand_are_watched_on_the_next_tick(self):
         """The supervisor's own replacements watch their member at
         once; a join it did not make is found by the view it installs,
