@@ -13,6 +13,7 @@ section 5.1).
 from __future__ import annotations
 
 import inspect
+import weakref
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import SignatureError
@@ -92,14 +93,17 @@ class OdpObject:
         return True
 
 
+#: class -> its operations (none is added after first use), weakly keyed.
+_DECLARED = weakref.WeakKeyDictionary()
+
+
 def declared_operations(cls) -> Dict[str, OperationSig]:
     """All operation signatures declared on *cls* (including inherited)."""
-    found: Dict[str, OperationSig] = {}
-    for name, member in inspect.getmembers(cls, callable):
-        sig = getattr(member, _OP_ATTR, None)
-        if sig is not None:
-            found[name] = sig
-    return found
+    if cls not in _DECLARED:
+        _DECLARED[cls] = {name: getattr(member, _OP_ATTR) for name, member
+                          in inspect.getmembers(cls, callable)
+                          if hasattr(member, _OP_ATTR)}
+    return dict(_DECLARED[cls])
 
 
 def signature_of(target, name: Optional[str] = None) -> InterfaceSignature:

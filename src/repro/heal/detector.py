@@ -19,17 +19,21 @@ Detection latency is therefore a measured property of heartbeat period,
 network behaviour and threshold — not an oracle lookup.
 
 The detector is asked far more often than anything changes, so what it
-answers from is kept current where state changes (``watch``, an arrival,
+answers from is kept current where state changes (``watch``, arrivals,
 ``poll``, ``reset``) instead of being rescanned per question: a per-node
 count of alive endpoints behind the node verdicts, a window fit computed
 only when phi is asked about a window that changed, and a quiet bound
 under which ``poll`` need not ask at all.
+
+Its *verdict reads* (``poll()``, ``node_alive``, ``node_counts``) skip
+the fold before ``quiet_until`` (see :mod:`repro.heal.heartbeat`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: phi is capped here: erfc underflows to 0 around z ~ 27, and "the
@@ -47,6 +51,7 @@ def _phi_at(z: float) -> float:
     return -math.log10(tail)
 
 
+@lru_cache(maxsize=None)
 def _quiet_z(threshold: float) -> float:
     """The largest z, less a hair, at which phi cannot top *threshold*."""
     if _phi_at(0.0) > threshold:
@@ -118,8 +123,10 @@ class PhiAccrualDetector:
         self._silent = 0
         self._listeners: List[Callable] = []
         #: Folds the beat streams feeding this detector up to the clock;
-        #: every read calls it first (a ``HeartbeatMonitor`` sets it).
+        #: every read calls it first (a ``HeartbeatMonitor`` sets it), a
+        #: verdict read only from ``quiet_until`` on.
         self.catch_up: Callable[[], None] = lambda: None
+        self.quiet_until = -math.inf
         self.heartbeats_observed = 0
         self.suspicions = 0
         self.recoveries = 0
@@ -134,6 +141,7 @@ class PhiAccrualDetector:
             return record
         record = self._tracked[key] = _Arrivals(
             self.clock.now, self.expected_interval_ms, self.window)
+        self.quiet_until = -math.inf
         self._order = sorted(self._tracked.items())
         if node not in self._nodes:
             self._nodes[node] = [1, 1]
@@ -161,31 +169,33 @@ class PhiAccrualDetector:
         record = self._tracked.get(key)
         if record is None:
             return  # unsolicited heartbeat: not monitored
-        if self._arrive(node, record, self.clock.now):
+        if self._arrive(node, record, [self.clock.now]) is not None:
             self._notify(key, "suspect", "alive", 0.0)
 
-    def _arrive(self, node: str, record: _Arrivals, now: float) -> bool:
-        """Book an arrival at *now*; True when it ends a suspicion (the
-        caller tells the listeners)."""
+    def _arrive(self, node: str, record: _Arrivals,
+                times: List[float]) -> Optional[float]:
+        """Book arrivals at *times*, in order; returns the time of one that
+        ends a suspicion, if one does (the caller tells the listeners)."""
         # Bound the recorded sample: the silence of an outage that ends
         # in a recovery (a healed partition, a restarted node) is not
         # natural arrival variance.  Folding it into the window would
         # inflate the fitted stddev and blunt detection of the *next*
         # failure for a whole window's worth of beats.
-        interval = now - record.last_arrival
         bound = 4.0 * self.expected_interval_ms
-        record.intervals.append(interval if interval < bound else bound)
+        intervals, last = record.intervals, record.last_arrival
+        for now in times:
+            intervals.append(now - last if now - last < bound else bound)
+            last = now
         record.fit = None
-        record.last_arrival = now
-        record.last_heard = now
-        record.arrivals += 1
-        self.heartbeats_observed += 1
+        record.last_arrival = record.last_heard = times[-1]
+        record.arrivals += len(times)
+        self.heartbeats_observed += len(times)
         if record.state == "suspect":
             record.state = "alive"
             self._count(node, +1)
             self.recoveries += 1
-            return True
-        return False
+            return times[0]
+        return None
 
     # -- the accrual value ---------------------------------------------------
 
@@ -215,9 +225,11 @@ class PhiAccrualDetector:
     def poll(self, now: Optional[float] = None
              ) -> List[Tuple[EndpointKey, float]]:
         """Evaluate every endpoint; returns the newly suspected ones."""
-        self.catch_up()
         if now is None:
             now = self.clock.now
+            if now < self.quiet_until:
+                return []
+        self.catch_up()
         quiet_ms = self._quiet_ms
         newly: List[Tuple[EndpointKey, float]] = []
         for key, record in self._order:
@@ -241,7 +253,8 @@ class PhiAccrualDetector:
         Unknown nodes are presumed alive: absence of monitoring is not
         evidence of failure.
         """
-        self.catch_up()
+        if self.clock.now >= self.quiet_until:
+            self.catch_up()
         counts = self._nodes.get(node)
         return counts is None or counts[1] > 0
 
@@ -263,7 +276,8 @@ class PhiAccrualDetector:
         """``(nodes monitored, nodes among them with no alive
         endpoint)`` — what a blind *observer* is told apart from a dead
         fleet by."""
-        self.catch_up()
+        if self.clock.now >= self.quiet_until:
+            self.catch_up()
         return len(self._nodes), self._silent
 
     def reset(self) -> None:

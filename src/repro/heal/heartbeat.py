@@ -17,6 +17,16 @@ the fold delivering its beat runs (a detector read or a fault change).
 ``tests/heal_beats_reference.py`` sends the same beats one scheduler
 event at a time, and the tests hold the streams to it.
 
+Exact detector reads and fault-plan changes fold; verdict reads
+(``poll()``, ``node_alive``, ``node_counts``) do not while the monitor
+is *settled*: each stream has its terms read, is not crashed, lossy or
+blocked, its endpoint alive, its beats in flight bound for the observer
+and landing no later than the next send's.  Such a stream beats a period apart
+after its next arrival, under the detector's quiet bound, so until
+``quiet_until`` (the plan's next transition, or a stream's silence first
+reaching the bound) no verdict can differ.  ``watch``, ``rehome``,
+``stop`` and fault-plan changes (attaching a schedule too) end it.
+
 The observer is itself a fallible node.  When the detector reports a
 majority of endpoints suspect at once, the supervisor calls
 :meth:`HeartbeatMonitor.rehome` to rotate observation to the next node
@@ -40,15 +50,15 @@ class BeatStream:
     and the next is ``due``.  ``flight`` is a heap of ``(arrival, left
     at, observer)``; ``terms`` is ``(crashed, loss rate, delay,
     blocked)`` for the link to the observer, read once per change of
-    fault plan or observer.
+    fault plan or observer.  ``rng`` is forked at the first lossy fold.
     """
 
     __slots__ = ("node", "capsule", "record", "size", "rng", "first",
                  "sent", "due", "flight", "terms")
 
-    def __init__(self, node: str, capsule: str, record, rng,
+    def __init__(self, node: str, capsule: str, record,
                  first: float) -> None:
-        self.node, self.capsule, self.rng = node, capsule, rng
+        self.node, self.capsule, self.rng = node, capsule, None
         self.record = record  # the detector's record of the endpoint
         self.size = len(f"{node}|{capsule}".encode("utf-8"))  # wire bytes
         self.first = self.due = first
@@ -116,6 +126,7 @@ class HeartbeatMonitor:
         self.faults.watchers.remove(self._changed)
         self._streams.clear()
         self.next_at = INF
+        self.detector.quiet_until = -INF
         self.running = False
 
     # -- watching ------------------------------------------------------------
@@ -127,9 +138,7 @@ class HeartbeatMonitor:
             return
         first = self.clock.now + self._phase(node, capsule)
         self._streams[(node, capsule)] = BeatStream(
-            node, capsule, self.detector.watch(node, capsule),
-            self.domain.network.rng.fork(f"{self.kind}/{node}/{capsule}"),
-            first)
+            node, capsule, self.detector.watch(node, capsule), first)
         self.next_at = min(self.next_at, first)
 
     def watches(self, node: str, capsule: str) -> bool:
@@ -162,14 +171,39 @@ class HeartbeatMonitor:
         if self.clock.now >= self.next_at:
             self.faults.pump()
             self.fold(self.clock.now)
+            self.detector.quiet_until = self._settled()
 
     def _changed(self, until: Optional[float]) -> None:
         """The fault plan (or the observer) is about to change: fold to
         *until* (None: the clock) under what held until then, and read
         it afresh after."""
         self.fold(self.clock.now if until is None else until)
+        self.detector.quiet_until = -INF
         for stream in self._streams.values():
             stream.terms = None
+
+    def _settled(self) -> float:
+        """``quiet_until`` after a fold to the clock (module docstring)."""
+        observer, quiet = self.observer, self.detector._quiet_ms
+        until = (self.faults.next_transition()
+                 if self.interval_ms < quiet else -INF)
+        for key, record in self.detector._order:
+            # An endpoint no stream feeds (since a restart) may go suspect.
+            stream = self._streams.get(key)
+            terms = None if stream is None else stream.terms
+            if terms is None or terms[0] or terms[1] or terms[3] or \
+                    record.state != "alive":
+                return -INF
+            last = record.last_arrival
+            landing = stream.due + terms[2]  # the next send's beat
+            for arrival, _, sent_to in [*sorted(stream.flight),
+                                        (landing, None, observer)]:
+                if sent_to != observer or arrival > landing:
+                    return -INF
+                if arrival - last >= quiet:
+                    until = min(until, last + quiet)
+                last = arrival
+        return until
 
     def fold(self, until: float) -> None:
         """Send every beat due by *until* and deliver every beat that
@@ -200,9 +234,13 @@ class HeartbeatMonitor:
                 self.domain.network.latency.delay(node, observer, stream.size)
                 * faults.latency_factor(node, observer),
                 faults.link_blocked(node, observer))
+            if terms[1] and stream.rng is None:
+                stream.rng = self.domain.network.rng.fork(
+                    f"{self.kind}/{node}/{stream.capsule}")
         crashed, loss, delay, blocked = terms
         flight, interval, first = stream.flight, self.interval_ms, stream.first
         sent, leave = stream.sent, stream.due
+        arrivals: List[float] = []  # in order: direct, then from flight
         while leave <= until:
             sent += 1
             if crashed:
@@ -213,8 +251,8 @@ class HeartbeatMonitor:
                 heappush(flight, (leave + delay, leave, observer))
             elif blocked:
                 faults.drops += 1
-            elif self.detector._arrive(node, stream.record, leave + delay):
-                recovered.append((leave + delay, (node, stream.capsule)))
+            else:
+                arrivals.append(leave + delay)
             leave = first + sent * interval
         self._sent += sent - stream.sent
         stream.sent, stream.due = sent, leave
@@ -226,8 +264,12 @@ class HeartbeatMonitor:
                     faults.drops += 1
             elif blocked:
                 faults.drops += 1
-            elif self.detector._arrive(node, stream.record, arrival):
-                recovered.append((arrival, (node, stream.capsule)))
+            else:
+                arrivals.append(arrival)
+        if arrivals:
+            ended = self.detector._arrive(node, stream.record, arrivals)
+            if ended is not None:
+                recovered.append((ended, (node, stream.capsule)))
 
     def _phase(self, node: str, capsule: str) -> float:
         """Deterministic per-endpoint emission phase in [0, interval)."""

@@ -29,7 +29,9 @@ detector window are class constants.
 A *quiet* tick — every vantage hears every node — stays quiet (only the
 detector's ``poll`` turns an endpoint suspect), so it skips the scans
 that act only on a dead node; group repair runs only while a group is
-short, shard re-admission only while a node is off its ring.
+short, shard re-admission only while a node is off its ring (rescanned
+when the ring or its capsules change).  A settled panel answers a quiet
+tick without folding a beat stream (see :mod:`repro.heal.heartbeat`).
 
 The supervisor never reads :class:`~repro.net.fault.FaultPlan` state:
 detection latency is a measured property of heartbeat period, network
@@ -38,6 +40,7 @@ behaviour and the phi threshold.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Optional
 
 from repro.errors import OdpError
@@ -83,7 +86,7 @@ class Supervisor:
         self._vantages: List = [(self.monitor, self.detector)]
         self.poll_event = None
         self.running = False
-        self._health: Dict[str, _GroupHealth] = {}
+        self._health: Dict[str, _GroupHealth] = defaultdict(_GroupHealth)
         #: (group_id, member_index) -> (down_since, diagnosis) recorded
         #: at suspicion time, consumed at revival for merge-on-heal
         #: accounting.
@@ -93,6 +96,8 @@ class Supervisor:
         self._shard_down: Dict = {}
         #: group_id -> last walked view; a membership change replaces it.
         self._walked: Dict = {}
+        #: space name -> (ring epoch, capsules) with every capsule on it.
+        self._on_ring: Dict = {}
         # Repair/availability counters (all virtual-time).
         self.suspicions_raised = 0
         self.revivals = 0
@@ -480,8 +485,15 @@ class Supervisor:
             # Re-admit recovered members: alive again, previously
             # registered, currently off the ring.  (Brand-new capacity
             # is the operator's call — node_joined with a capsule.)
-            for node in sorted(space.capsules.keys()
-                               - set(space.ring.nodes())):
+            # Capsules are only added, a ring change bumps its epoch.
+            stamp = (space.ring.epoch, len(space.capsules))
+            if self._on_ring.get(space.name) == stamp:
+                continue
+            off_ring = sorted(space.capsules.keys()
+                              - set(space.ring.nodes()))
+            if not off_ring:
+                self._on_ring[space.name] = stamp
+            for node in off_ring:
                 if space.ring.has_node(node) or not self.node_alive(node):
                     continue
                 capsule = space.capsules[node]
@@ -531,7 +543,7 @@ class Supervisor:
         short = False
         for group_id in groups.group_ids():
             group = groups.group(group_id)
-            health = self._health.setdefault(group_id, _GroupHealth())
+            health = self._health[group_id]
             live = len(group.view.live_members())
             if live == 0:
                 if health.unavailable_since is None:

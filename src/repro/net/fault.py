@@ -280,6 +280,7 @@ class FaultPlan:
         directly) and scheduler-driven deliveries see a consistent
         failure timeline.
         """
+        self._changing()
         self._schedule = schedule
         self._clock = clock
         self._sync()
@@ -292,6 +293,10 @@ class FaultPlan:
         failure timeline catch up before inspecting fault state.
         """
         self._sync()
+
+    def next_transition(self) -> float:
+        """When the schedule next changes the plan (inf: never)."""
+        return math.inf if self._schedule is None else self._schedule._next_at
 
     def clear_lose_next(self) -> None:
         """Forget pending one-shot losses (end-of-scenario cleanup)."""

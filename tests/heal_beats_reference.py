@@ -15,12 +15,20 @@ send and each arrival instead of folding between its changes.
 :func:`compare` runs one fault timeline under both — a crash, a
 partition, a cut, an asymmetric block, a gray link slower than the
 period, a flaky window, toggles and a mid-run rehome — and requires the
-same arrivals, counts, detector records and transitions;
-:func:`supervised` runs a supervisor over either, through a blinded
-panel and a dead lease holder.  ``tests/test_selfheal.py`` calls both,
-and :func:`sample`, which runs all three, is a ``benchmarks/reach``
-driver (``PYTHONPATH=src:. python -c "import tests.heal_beats_reference
-as m; m.sample()"``, ~2 s).  Nothing in the package imports this module.
+same arrivals, counts, detector records and transitions.  It reads the
+detector one of two ways: an exact read each time, which folds, or
+only the verdict reads a supervision tick makes (``poll()`` and
+``node_counts``), which skip the fold while the monitor is settled,
+and one exact read at the end.  :func:`supervised` runs a supervisor
+over either, through a blinded panel and a dead lease holder.
+``tests/test_selfheal.py`` calls both, and :func:`sample`, which runs
+both at two read cadences, is a ``benchmarks/reach`` driver
+(``PYTHONPATH=src:. python -c "import tests.heal_beats_reference as m;
+m.sample()"``, ~1 s).  ``PYTHONPATH=src:. python -m
+tests.heal_beats_reference`` compares both read patterns at six
+cadences, since the cadence decides when folds run, and then the
+supervised scenario (~1 s; exit 1 on a difference).  Nothing
+in the package imports this module.
 """
 
 from __future__ import annotations
@@ -143,16 +151,22 @@ class ArrivalLog(PhiAccrualDetector):
         self.on_transition(lambda key, old, new, phi:
                            self.transitions.append((key, old, new, phi)))
 
-    def _arrive(self, node, record, now):
+    def _arrive(self, node, record, times):
         (key,) = [key for key, mine in self._tracked.items()
                   if mine is record]
-        self.arrivals.append((now, key))
-        return super()._arrive(node, record, now)
+        self.arrivals.extend((now, key) for now in times)
+        return super()._arrive(node, record, times)
 
 
-def timeline(monitor_class, read_every: float) -> Dict:
+#: Read cadences (ms) ``python -m tests.heal_beats_reference`` compares.
+CADENCES = (1.0, 5.0, 20.0, 37.0, 250.0, 1500.0)
+
+
+def timeline(monitor_class, read_every: float,
+             verdicts: bool = False) -> Dict:
     """One fault timeline with every kind of change a beat meets, read
-    every *read_every* ms; returns what the detector and plan saw."""
+    every *read_every* ms — by an exact read, or with *verdicts* by the
+    verdict reads only; returns what the detector and plan saw."""
     world = World(seed=5)
     for name in ("n1", "n2", "n3", "client-node"):
         world.node("org", name)
@@ -199,35 +213,42 @@ def timeline(monitor_class, read_every: float) -> Dict:
                 world.scheduler.run_until(at)
                 toggles.pop(at)()
         world.scheduler.run_until(now)
-        detector.poll()
+        if verdicts:
+            detector.poll()
+            detector.node_counts()
+        else:
+            detector.poll(now)
+    stats = detector.stats()  # an exact read: folds to the clock
     records = {key: (list(record.intervals), record.last_arrival,
                      record.last_heard, record.arrivals, record.state)
                for key, record in detector._tracked.items()}
     return {"arrivals": sorted(detector.arrivals),
             "transitions": detector.transitions,
-            "stats": detector.stats(), "records": records,
+            "stats": stats, "records": records,
             "beats_sent": monitor.beats_sent,
             "drops": world.faults.drops, "observer": monitor.observer}
 
 
-def compare(read_every: float) -> Dict:
+def compare(read_every: float, verdicts: bool = False) -> Dict:
     """The timeline under the streams and under this reference: raises
     unless they agree, and returns what the streams gave."""
-    got = timeline(HeartbeatMonitor, read_every)
-    want = timeline(ReferenceBeats, read_every)
+    got = timeline(HeartbeatMonitor, read_every, verdicts)
+    want = timeline(ReferenceBeats, read_every, verdicts)
     mismatched = [key for key in got if got[key] != want[key]]
     if mismatched:
         raise AssertionError(
             f"beat streams differ from the reference, read every "
-            f"{read_every} ms, in {mismatched}")
+            f"{read_every} ms{' by verdicts' if verdicts else ''}, "
+            f"in {mismatched}")
     return got
 
 
-def sample() -> None:
-    """Both read cadences, every 5 ms and every 1.5 s, and the
-    supervised scenario."""
-    for read_every in (5.0, 1500.0):
-        compare(read_every)
+def sample(cadences=(5.0, 1500.0)) -> None:
+    """Both read patterns at each of *cadences*, then the supervised
+    scenario."""
+    for read_every in cadences:
+        for verdicts in (False, True):
+            compare(read_every, verdicts)
     if supervised(HeartbeatMonitor) != supervised(ReferenceBeats):
         raise AssertionError("a supervisor over beat streams acts "
                              "otherwise than over the reference")
@@ -279,3 +300,9 @@ def supervised(monitor_class) -> Dict:
     return {"report": report, "spans": spans,
             "revocations": domain.leases.revocations,
             "flushes": cache.flushes}
+
+
+if __name__ == "__main__":
+    sample(CADENCES)
+    print(f"beat streams match the reference at {len(CADENCES)} read "
+          f"cadences, exact and verdict reads, and under a supervisor")

@@ -231,6 +231,17 @@ def test_beat_streams_match_the_per_beat_reference(read_every):
     assert got["drops"] > 0 and got["observer"] != "client-node"
 
 
+@pytest.mark.parametrize("read_every", [5.0, 1500.0])
+def test_verdict_reads_match_the_per_beat_reference(read_every):
+    """Read by ``poll()`` and ``node_counts`` alone, a settled monitor
+    folds only when a verdict could change, and one exact read at the
+    end books what the skipped folds left."""
+    from tests.heal_beats_reference import compare
+
+    exact = compare(read_every)
+    assert compare(read_every, verdicts=True) == exact
+
+
 def test_a_supervisor_over_beat_streams_matches_the_per_beat_reference():
     from tests.heal_beats_reference import ReferenceBeats, supervised
 
@@ -239,6 +250,177 @@ def test_a_supervisor_over_beat_streams_matches_the_per_beat_reference():
     assert got["report"]["minority_holds"] > 0  # the panel went blind
     assert got["revocations"] == 1  # the dead holder's grant
     assert got["flushes"] == 1  # ... and its cache, once it is back
+
+
+class TestSettledMonitor:
+    """Verdict reads (``poll()``, ``node_alive``, ``node_counts``) of a
+    settled monitor fold no beat stream, and what ends a settled
+    stretch."""
+
+    def _monitor(self, monitor_class=HeartbeatMonitor, schedule=None,
+                 nodes=None):
+        world, domain, _, _ = heal_world()
+        if schedule is not None:
+            world.apply_chaos(schedule)
+        detector = PhiAccrualDetector(world.clock,
+                                      expected_interval_ms=20.0)
+        monitor = monitor_class(domain, detector, interval_ms=20.0)
+        monitor.start()
+        for node in nodes or sorted(domain.nuclei):
+            monitor.watch(node, "gateway")
+        return world, monitor, detector
+
+    def _settled(self, schedule=None):
+        world, monitor, detector = self._monitor(schedule=schedule)
+        world.scheduler.run_until(200.0)
+        detector.stats()  # an exact read: folds, and the monitor settles
+        assert detector.quiet_until > world.now
+        return world, monitor, detector
+
+    @staticmethod
+    def _counting(monkeypatch, monitor):
+        """Count the stream folds *monitor* makes."""
+        folds = []
+        fold = monitor._fold
+
+        def counted(stream, until, recovered):
+            folds.append(stream.node)
+            fold(stream, until, recovered)
+
+        monkeypatch.setattr(monitor, "_fold", counted)
+        return folds
+
+    def test_a_settled_panel_folds_no_stream_across_quiet_ticks(
+            self, monkeypatch):
+        world, domain, capsules, clients = heal_world()
+        build_group(world, domain, capsules, clients)
+        supervisor = domain.supervisor
+        supervisor.start()
+        world.scheduler.run_until(200.0)
+        assert supervisor._quiet()
+        folds = [self._counting(monkeypatch, monitor)
+                 for monitor, _ in supervisor._vantages]
+        world.scheduler.run_until(400.0)  # ten quiet ticks
+        assert supervisor._quiet()
+        assert folds == [[], [], []]
+        # An exact read books every beat those ticks left unfolded.
+        report = supervisor.report()
+        assert [len(made) for made in folds] == [
+            len(monitor._streams) for monitor, _ in supervisor._vantages]
+        assert report["detector"]["heartbeats_observed"] > 0
+
+    def test_verdict_reads_skip_the_fold_and_exact_reads_fold(
+            self, monkeypatch):
+        world, monitor, detector = self._settled()
+        folds = self._counting(monkeypatch, monitor)
+        world.scheduler.run_until(world.now + 100.0)
+        assert detector.poll() == []
+        assert detector.node_alive("n1")
+        assert detector.node_counts() == (4, 0)
+        assert folds == []
+        assert detector.phi("n1", "gateway") < 1.0
+        assert sorted(folds) == sorted(monitor.domain.nuclei)
+
+    @pytest.mark.parametrize("end", [
+        "toggle", "watch", "rehome", "attach", "stop"])
+    def test_what_ends_a_settled_stretch(self, end):
+        from repro.net.fault import CrashWindow, FaultSchedule
+
+        world, monitor, detector = self._settled()
+        if end == "toggle":
+            world.faults.crash_node("n2")
+        elif end == "watch":
+            monitor.watch("n1", "srv")
+        elif end == "rehome":
+            monitor.rehome()
+        elif end == "attach":
+            world.apply_chaos(FaultSchedule(CrashWindow("n2", 400.0, 600.0)))
+        else:
+            monitor.stop()
+        assert detector.quiet_until == float("-inf")
+        if end == "attach":
+            # Settled again, it folds before the window opens.
+            world.scheduler.run_until(world.now + 40.0)
+            detector.node_counts()
+            assert world.now < detector.quiet_until <= 400.0
+
+    def test_a_window_transition_ends_a_settled_stretch(self, monkeypatch):
+        from repro.net.fault import CrashWindow, FaultSchedule
+
+        world, monitor, detector = self._settled(
+            FaultSchedule(CrashWindow("n2", 500.0, 700.0)))
+        assert detector.quiet_until <= 500.0
+        folds = self._counting(monkeypatch, monitor)
+        world.scheduler.run_until(499.0)
+        detector.poll()
+        assert folds == []
+        world.scheduler.run_until(501.0)
+        detector.poll()
+        # Every stream, up to the transition and then to the clock.
+        assert set(folds) == set(monitor.domain.nuclei)
+
+    def test_a_stopped_monitor_leaves_its_endpoints_to_go_suspect(self):
+        world, monitor, detector = self._settled()
+        monitor.stop()
+        world.scheduler.run_until(world.now + 500.0)
+        assert len(detector.poll()) == 4
+
+    def test_an_endpoint_no_stream_feeds_keeps_the_monitor_unsettled(
+            self):
+        """After a restart the detector still has the endpoints watched
+        before it; one that is not watched again gets no beat and goes
+        suspect, settled streams or not."""
+        world, monitor, detector = self._settled()
+        monitor.stop()
+        monitor.start()
+        for node in ("n1", "n2", "n3"):
+            monitor.watch(node, "gateway")
+        world.scheduler.run_until(world.now + 40.0)
+        detector.stats()
+        assert detector.quiet_until == float("-inf")
+        world.scheduler.run_until(world.now + 500.0)
+        assert [key for key, _ in detector.poll()] == [
+            ("client-node", "gateway")]
+
+    @staticmethod
+    def _suspicions(monitor_class, nodes):
+        """Verdict reads every 20 ms through a crash window and a lossy
+        window that open inside settled stretches and a crash toggled
+        inside another (a crashed or lossy stream unsettles the monitor
+        until it is steady again)."""
+        from repro.net.fault import CrashWindow, FaultSchedule, FlakyWindow
+
+        world, monitor, detector = TestSettledMonitor()._monitor(
+            monitor_class, FaultSchedule(CrashWindow("n2", 1007.0, 1200.0),
+                                         FlakyWindow(2003.0, 2900.0, 0.9)),
+            nodes)
+        toggles = {1500.0: lambda: world.faults.crash_node(nodes[-1]),
+                   1600.0: lambda: world.faults.restart_node(nodes[-1])}
+        seen, settled = [], []
+        for tick in range(1, 150):
+            world.scheduler.run_until(tick * 20.0)
+            if tick * 20.0 in (1000.0, 1500.0, 2000.0):
+                settled.append(detector.quiet_until > world.now)
+            if tick * 20.0 in toggles:
+                toggles[tick * 20.0]()
+            seen.extend((world.now, key, phi) for key, phi in detector.poll())
+            detector.node_counts()
+        return seen, settled
+
+    @pytest.mark.parametrize("nodes", [("n2",), ("n1", "n2", "n3")])
+    def test_a_crash_inside_a_settled_stretch_is_suspected_on_time(
+            self, nodes):
+        """The same suspicions, at the same tick with the same phi, as
+        the reference's, whose every beat is an event."""
+        from tests.heal_beats_reference import ReferenceBeats
+
+        seen, settled = self._suspicions(HeartbeatMonitor, nodes)
+        assert settled == [True, True, True]
+        assert [key for _, key, _ in seen[:2]] == [
+            ("n2", "gateway"), (nodes[-1], "gateway")]
+        assert seen[0][0] < 1200.0 and 1500.0 < seen[1][0] < 1600.0
+        assert any(2000.0 < at < 2900.0 for at, _, _ in seen[2:])
+        assert seen == self._suspicions(ReferenceBeats, nodes)[0]
 
 
 class TestSupervisor:
